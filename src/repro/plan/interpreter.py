@@ -251,6 +251,30 @@ class PlanInterpreter:
 
     # -- execution -------------------------------------------------------
 
+    def _build_wires(
+        self, spin: SpinConfig
+    ) -> tuple[dict[tuple, _Wire], dict[tuple, object]]:
+        """One wire per paired link, staged for the chunks its SENDs
+        carry; returns (wires, fault injectors) keyed by wire key."""
+        plan = self.plan
+        wires: dict[tuple, _Wire] = {}
+        injectors: dict[tuple, object] = {}
+        for key, (send_ids, _recv_ids) in match_wires(plan).wires.items():
+            carried = [
+                c for s in send_ids for c in plan.op(s).chunks_carried()
+            ]
+            tag = wire_tag(key)
+            wires[key] = _Wire(
+                self.layout,
+                capacity=max(1, len(carried)),
+                spin=spin,
+                name=tag,
+                chunks=carried,
+            )
+            if self.fault_plan is not None:
+                injectors[key] = self.fault_plan.link_injector(tag)
+        return wires, injectors
+
     def run(self, inputs: list[np.ndarray]) -> PlanRunReport:
         """Execute the plan over ``inputs`` (one array per GPU).
 
@@ -303,22 +327,7 @@ class PlanInterpreter:
             for g, a in enumerate(inputs)
         ]
 
-        pairing = match_wires(plan)
-        wires: dict[tuple, _Wire] = {}
-        injectors: dict[tuple, object] = {}
-        for key, (send_ids, _recv_ids) in pairing.wires.items():
-            capacity = sum(
-                len(plan.op(s).chunks_carried()) for s in send_ids
-            )
-            tag = wire_tag(key)
-            wires[key] = _Wire(
-                self.layout,
-                capacity=max(1, capacity),
-                spin=run_spin,
-                name=tag,
-            )
-            if self.fault_plan is not None:
-                injectors[key] = self.fault_plan.link_injector(tag)
+        wires, injectors = self._build_wires(run_spin)
 
         # Per-op completion events for deps that cross thread blocks —
         # DeviceEvents, so they honor the abort flag/timeout and emit
@@ -383,23 +392,24 @@ class PlanInterpreter:
                                         f"chunk {c} before receiving it"
                                     ) from None
                             else:
-                                values = buffers[rank].read(c)
+                                values = buffers[rank].read_view(c)
                             _transmit(wire, c, values, injector, abort)
                     elif op.kind == REDUCE:
                         wire = wires[op.wire_key()]
                         for c in op.chunks_carried():
-                            buffers[rank].accumulate(c, wire.take(c))
+                            buffers[rank].accumulate(c, wire.take_view(c))
                     elif op.kind == RECV:
                         wire = wires[op.wire_key()]
                         relay = is_relay(op)
                         for c in op.chunks_carried():
-                            values = wire.take(c)
                             if relay:
+                                # A copy: the stash outlives this op, and
+                                # the wire may deliver the chunk again.
                                 stash[(op.flow, op.tree, op.phase, c)] = (
-                                    values
+                                    wire.take(c)
                                 )
                             else:
-                                buffers[rank].overwrite(c, values)
+                                buffers[rank].overwrite(c, wire.take_view(c))
                     elif op.kind == COPY:
                         pass
                     if op.op_id in events:

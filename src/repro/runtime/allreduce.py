@@ -176,6 +176,7 @@ class TreeAllReduceRuntime:
                     capacity=self.capacity,
                     spin=spin,
                     name=f"t{t}:{child}->{parent}",
+                    chunks=chunks,
                     relay_via=via,
                     injector=plan.link_injector(up_tag) if plan else None,
                 )
@@ -187,6 +188,7 @@ class TreeAllReduceRuntime:
                     capacity=self.capacity,
                     spin=spin,
                     name=f"t{t}:{parent}->{child}",
+                    chunks=chunks,
                     relay_via=via,
                     injector=plan.link_injector(down_tag) if plan else None,
                 )
@@ -251,22 +253,21 @@ class TreeAllReduceRuntime:
         chunks = self.layout.tree_chunks[t]
 
         def kernel() -> None:
-            # One pooled receive/send scratch per kernel: links copy the
-            # payload into wire memory synchronously, so the buffer can
-            # be reused for every chunk and child.
-            scratch = np.empty(self.layout.total_elems)
+            # Each child's partial is accumulated straight from its
+            # verified staging slot; the uplink copies our own partial out
+            # of the gradient buffer synchronously, so a view suffices.
             for pos, chunk in enumerate(chunks):
                 board.set(node, f"reduce t{t} chunk {pos + 1}/{len(chunks)}")
                 self._apply_gpu_fault(node, t, pos, board, abort)
-                view = scratch[: self.layout.chunk_elems(chunk)]
                 for child in tree.children[node]:
-                    uplinks[(t, child)].recv_into(chunk, view)
-                    buffers[node].accumulate(chunk, view)
+                    buffers[node].accumulate(
+                        chunk, uplinks[(t, child)].recv_view(chunk)
+                    )
                 if node == tree.root:
                     reduced_sem.post()
                 else:
                     uplinks[(t, node)].send(
-                        chunk, buffers[node].read_into(chunk, view)
+                        chunk, buffers[node].read_view(chunk)
                     )
 
         return kernel
@@ -285,7 +286,6 @@ class TreeAllReduceRuntime:
         chunks = self.layout.tree_chunks[t]
 
         def kernel() -> None:
-            scratch = np.empty(self.layout.total_elems)
             if node == tree.root and not self.overlapped:
                 # Baseline: the broadcast phase starts only after the
                 # entire reduction phase completed.
@@ -300,11 +300,9 @@ class TreeAllReduceRuntime:
                         reduced_sem.wait()
                 else:
                     downlinks[(t, node)].recv_wait(chunk)
-                # Pooled: every downlink send copies the payload into its
-                # wire synchronously, so one scratch serves all children.
-                payload = buffers[node].read_into(
-                    chunk, scratch[: self.layout.chunk_elems(chunk)]
-                )
+                # Every downlink send copies the payload onto its wire
+                # synchronously, so one view serves all children.
+                payload = buffers[node].read_view(chunk)
                 for child in tree.children[node]:
                     downlinks[(t, child)].send(chunk, payload)
                 enqueue.post(node, t)

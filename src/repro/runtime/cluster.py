@@ -23,6 +23,17 @@ are *detected*, not silently consumed.  Fault injection plugs in at
 drops and corruptions are recovered by bounded link-layer retransmission
 (retry + linear backoff) unless the fault plan disables recovery.
 
+Link memory matches the traffic the link carries: a wire's staging holds
+only the chunks it is built for (a tree's uplink carries that tree's
+half of the gradient), packed back to back behind a per-wire slot table.
+Receivers that consume a payload immediately verify it *in place* and
+read it through :meth:`_Wire.take_view` — reduce kernels accumulate
+straight from the staging slot, relays forward from it — and senders
+hand the wire a view of the gradient buffer, so a collective allocates
+no per-kernel scratch: the only copy of a chunk is the delivery into the
+receiver's staging (or, for a :class:`DownLink`, into its gradient
+buffer).
+
 The :class:`KernelPool` runs persistent-kernel bodies as threads and
 implements the fail-fast protocol: the first kernel failure triggers the
 cluster :class:`~repro.runtime.sync.AbortCell`, a watchdog collapses the
@@ -57,6 +68,13 @@ class _Wire:
     frame's sequence number, chunk id, and CRC32 against the payload that
     actually landed — an end-to-end check that catches corruption and
     misordering at the receiver.
+
+    The wire has a slot for each of ``chunks``, the chunk ids it
+    carries.  Its staging memory holds only those slots, packed back to
+    back in an uninitialized array; ``deliver`` writes each slot before
+    the frame that lets the receiver read it.  A wire built over
+    ``buffer`` aliases that memory instead and addresses it through the
+    layout's own slices.
     """
 
     def __init__(
@@ -66,12 +84,24 @@ class _Wire:
         capacity: int,
         spin: SpinConfig,
         name: str,
+        chunks: Sequence[int],
         buffer: np.ndarray | None = None,
         owner_buffer: GradientBuffer | None = None,
     ):
-        self._layout = layout
         self.name = name
-        self._data = buffer if buffer is not None else np.zeros(layout.total_elems)
+        carried = sorted(set(chunks))
+        self._slots: dict[int, slice] = {}
+        if buffer is not None:
+            self._data = buffer
+            for chunk in carried:
+                self._slots[chunk] = layout.slice_of(chunk)
+        else:
+            cursor = 0
+            for chunk in carried:
+                size = layout.chunk_elems(chunk)
+                self._slots[chunk] = slice(cursor, cursor + size)
+                cursor += size
+            self._data = np.empty(cursor)
         # When the wire aliases a GPU's gradient memory (DownLink), the
         # owning buffer is kept so deliveries/takes are visible to the
         # sanitizer as remote writes / local reads of that GPU.
@@ -82,11 +112,20 @@ class _Wire:
         self._send_seq = 0
         self._recv_seq = 0
 
+    def _slot(self, chunk: int) -> slice:
+        try:
+            return self._slots[chunk]
+        except KeyError:
+            raise RuntimeClusterError(
+                f"link {self.name!r} does not carry chunk {chunk}"
+            ) from None
+
     def deliver(self, chunk: int, values: np.ndarray, checksum: int) -> None:
         """Sender side: land ``values`` in the chunk slot and signal."""
+        slot = self._slot(chunk)
         if self._owner_buffer is not None:
             self._owner_buffer.note_remote_write(chunk)
-        self._data[self._layout.slice_of(chunk)] = values
+        self._data[slot] = values
         with self._frame_lock:
             self._frames.append((self._send_seq, chunk, checksum))
             self._send_seq += 1
@@ -114,51 +153,49 @@ class _Wire:
             )
         return checksum
 
-    def take(self, chunk: int) -> np.ndarray:
-        """Receiver side: block for ``chunk``, verify, return a copy.
+    def take_view(self, chunk: int) -> np.ndarray:
+        """Receiver side: block for ``chunk``, verify it in place, and
+        return a view of its staging slot.
 
-        The returned array is caller-owned: interpreter relays stash it
-        across ops, so ``take`` must keep copy semantics.  Hot loops that
-        consume the payload immediately should use :meth:`take_into`.
+        The view is valid until the slot is delivered again, so callers
+        consume it before their next receive on this wire (a
+        tree-runtime wire delivers each slot once per run).
 
         Raises:
             LinkFaultError: on out-of-sequence delivery, a chunk-id
                 mismatch, or a CRC32 mismatch (corrupted payload).
         """
+        return self._receive(chunk, copy=False)
+
+    def take(self, chunk: int) -> np.ndarray:
+        """Receiver side: like :meth:`take_view`, returning a verified
+        copy.
+
+        The returned array is caller-owned: interpreter relays stash it
+        across ops, during which a ring wire may deliver the same chunk
+        again, so ``take`` keeps copy semantics.  Receivers that consume
+        the payload immediately use :meth:`take_view`.
+        """
+        return self._receive(chunk, copy=True)
+
+    def _receive(self, chunk: int, *, copy: bool) -> np.ndarray:
+        """Wait, record the sanitizer read, check the frame, and CRC the
+        payload that is returned (the copy, when one is made)."""
         self._sem.wait()
         if self._owner_buffer is not None and _hooks.ANY:
             # The checksum verification below reads the aliased gradient
             # memory; record it as a local read of the owning GPU.
             _access_emit("read", self._owner_buffer.label, chunk)
         checksum = self._verify_frame(chunk)
-        payload = self._data[self._layout.slice_of(chunk)].copy()
+        payload = self._data[self._slot(chunk)]
+        if copy:
+            payload = payload.copy()
         if payload_checksum(payload) != checksum:
             raise LinkFaultError(
                 f"link {self.name!r}: checksum mismatch on chunk {chunk} "
                 f"— payload corrupted in transit"
             )
         return payload
-
-    def take_into(self, chunk: int, out: np.ndarray) -> np.ndarray:
-        """Receiver side: like :meth:`take`, landing the payload in
-        caller-owned ``out`` instead of allocating a fresh copy.
-
-        The pooled-receive-buffer fast path: identical frame/sequence/
-        CRC verification (the checksum is computed over ``out`` after the
-        copy, so the end-to-end property is unchanged), zero allocations.
-        Returns ``out``.
-        """
-        self._sem.wait()
-        if self._owner_buffer is not None and _hooks.ANY:
-            _access_emit("read", self._owner_buffer.label, chunk)
-        checksum = self._verify_frame(chunk)
-        np.copyto(out, self._data[self._layout.slice_of(chunk)])
-        if payload_checksum(out) != checksum:
-            raise LinkFaultError(
-                f"link {self.name!r}: checksum mismatch on chunk {chunk} "
-                f"— payload corrupted in transit"
-            )
-        return out
 
 
 def _transmit(
@@ -233,6 +270,7 @@ class UpLink:
         capacity: int,
         spin: SpinConfig,
         name: str,
+        chunks: Sequence[int],
         relay_via: int | None = None,
         injector: LinkInjector | None = None,
     ):
@@ -241,11 +279,13 @@ class UpLink:
         self._injector = injector
         self._abort = spin.abort
         self._wire = _Wire(
-            layout, capacity=capacity, spin=spin, name=f"{name}.up"
+            layout, capacity=capacity, spin=spin, name=f"{name}.up",
+            chunks=chunks,
         )
         if relay_via is not None:
             self._mid_wire = _Wire(
-                layout, capacity=capacity, spin=spin, name=f"{name}.up.mid"
+                layout, capacity=capacity, spin=spin, name=f"{name}.up.mid",
+                chunks=chunks,
             )
 
     def send(self, chunk: int, values: np.ndarray) -> None:
@@ -253,33 +293,17 @@ class UpLink:
         wire = self._mid_wire if self.relay_via is not None else self._wire
         _transmit(wire, chunk, values, self._injector, self._abort)
 
-    def recv(self, chunk: int) -> np.ndarray:
-        """Parent side: block for, verify, and return the chunk payload."""
-        return self._wire.take(chunk)
-
-    def recv_into(self, chunk: int, out: np.ndarray) -> np.ndarray:
-        """Parent side: receive the verified payload into ``out`` (the
-        pooled-buffer fast path; see :meth:`_Wire.take_into`)."""
-        return self._wire.take_into(chunk, out)
+    def recv_view(self, chunk: int) -> np.ndarray:
+        """Parent side: the verified payload as a view of the staging
+        slot (see :meth:`_Wire.take_view`); consume it before the next
+        receive."""
+        return self._wire.take_view(chunk)
 
     def relay_kernel(self, chunks: Sequence[int]) -> Callable[[], None]:
-        """Forwarding kernel body for the intermediate GPU (chunk order).
-
-        Uses one pooled scratch buffer for the whole run instead of
-        allocating a copy per forwarded chunk.
-        """
+        """Forwarding kernel body for the intermediate GPU (chunk order)."""
         if self.relay_via is None:
             raise RuntimeClusterError("relay kernel on a direct link")
-        layout = self._wire._layout
-
-        def kernel() -> None:
-            scratch = np.empty(layout.total_elems)
-            for chunk in chunks:
-                view = scratch[: layout.chunk_elems(chunk)]
-                self._mid_wire.take_into(chunk, view)
-                self._wire.deliver(chunk, view, payload_checksum(view))
-
-        return kernel
+        return _relay_kernel(self._mid_wire, self._wire, chunks)
 
 
 class DownLink:
@@ -297,6 +321,7 @@ class DownLink:
         capacity: int,
         spin: SpinConfig,
         name: str,
+        chunks: Sequence[int],
         relay_via: int | None = None,
         injector: LinkInjector | None = None,
     ):
@@ -309,12 +334,14 @@ class DownLink:
             capacity=capacity,
             spin=spin,
             name=f"{name}.down",
+            chunks=chunks,
             buffer=child_buffer.data,
             owner_buffer=child_buffer,
         )
         if relay_via is not None:
             self._mid_wire = _Wire(
-                layout, capacity=capacity, spin=spin, name=f"{name}.down.mid"
+                layout, capacity=capacity, spin=spin,
+                name=f"{name}.down.mid", chunks=chunks,
             )
 
     def send(self, chunk: int, values: np.ndarray) -> None:
@@ -325,25 +352,27 @@ class DownLink:
     def recv_wait(self, chunk: int) -> None:
         """Child side: block until ``chunk`` arrived (in order), verified
         against the frame checksum in the gradient buffer itself."""
-        self._wire.take(chunk)
+        self._wire.take_view(chunk)
 
     def relay_kernel(self, chunks: Sequence[int]) -> Callable[[], None]:
-        """Forwarding kernel body for the intermediate GPU (chunk order).
-
-        Pooled scratch, as in :meth:`UpLink.relay_kernel`.
-        """
+        """Forwarding kernel body for the intermediate GPU (chunk order)."""
         if self.relay_via is None:
             raise RuntimeClusterError("relay kernel on a direct link")
-        layout = self._wire._layout
+        return _relay_kernel(self._mid_wire, self._wire, chunks)
 
-        def kernel() -> None:
-            scratch = np.empty(layout.total_elems)
-            for chunk in chunks:
-                view = scratch[: layout.chunk_elems(chunk)]
-                self._mid_wire.take_into(chunk, view)
-                self._wire.deliver(chunk, view, payload_checksum(view))
 
-        return kernel
+def _relay_kernel(
+    inbound: _Wire, outbound: _Wire, chunks: Sequence[int]
+) -> Callable[[], None]:
+    """Static detour forwarding: each chunk is verified in the inbound
+    staging slot and copied from there straight onto the outbound wire."""
+
+    def kernel() -> None:
+        for chunk in chunks:
+            view = inbound.take_view(chunk)
+            outbound.deliver(chunk, view, payload_checksum(view))
+
+    return kernel
 
 
 @dataclass

@@ -50,8 +50,13 @@ def stable_tag_seed(tag: str, seed: int) -> int:
 
 
 def payload_checksum(values: np.ndarray) -> int:
-    """CRC32 over a chunk payload's raw bytes (the frame checksum)."""
-    return zlib.crc32(np.ascontiguousarray(values).tobytes())
+    """CRC32 over a chunk payload's raw bytes (the frame checksum).
+
+    Computed over the contiguous array's own buffer: a contiguous payload
+    (every wire slot and gradient-buffer chunk) is checksummed without a
+    copy; a strided view is made contiguous first, as ``tobytes`` would.
+    """
+    return zlib.crc32(np.ascontiguousarray(values))
 
 
 class FaultStats:

@@ -185,6 +185,17 @@ class GradientBuffer:
             _emit("read", self.label, chunk_id)
         return self.data[self._slices[chunk_id]].copy()
 
+    def read_view(self, chunk_id: int) -> np.ndarray:
+        """View of one chunk's elements (a traced kernel-side read).
+
+        The send path: a link copies the payload into its own staging
+        synchronously, so senders hand it this view instead of a copy.
+        The caller must not hold the view across a write to the chunk.
+        """
+        if _hooks.ANY:
+            _emit("read", self.label, chunk_id)
+        return self.data[self._slices[chunk_id]]
+
     def read_into(self, chunk_id: int, dest: np.ndarray) -> np.ndarray:
         """Copy one chunk's elements into ``dest`` (a traced read).
 

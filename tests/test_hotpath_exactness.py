@@ -1,8 +1,8 @@
 """Bit-exactness pins for the profile-driven hot-path pass.
 
-Every optimized path (vectorized chunk reduce, pooled receive buffers,
-``read_into``/``take_into`` fast paths, the optimized DES event loop,
-detached-tracer no-op emission) is pinned two ways:
+Every optimized path (vectorized chunk reduce, right-sized wire staging,
+the ``read_into``/``read_view``/``take_view`` fast paths, the optimized
+DES event loop, detached-tracer no-op emission) is pinned two ways:
 
 - against its preserved serial/reference implementation, element for
   element and record for record;
@@ -156,6 +156,8 @@ class TestVectorizedReduce:
         for c in range(layout.nchunks):
             dest = np.zeros(layout.chunk_elems(c))
             assert np.array_equal(buf.read_into(c, dest), buf.read(c))
+            assert np.array_equal(buf.read_view(c), buf.read(c))
+            assert np.shares_memory(buf.read_view(c), buf.data)
 
     def test_read_into_emits_like_read(self):
         layout = ChunkLayout.split(8, ntrees=1, chunks_per_tree=2)
@@ -174,19 +176,34 @@ class TestVectorizedReduce:
         try:
             buf.read(0)
             buf.read_into(1, np.zeros(layout.chunk_elems(1)))
+            buf.read_view(0)
         finally:
             hooks.pop()
-        assert Recorder.events == [("read", 0), ("read", 1)]
+        assert Recorder.events == [("read", 0), ("read", 1), ("read", 0)]
+
+
+class _AccessRecorder:
+    """Minimal tracer: records (kind, label, chunk) access events."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_access(self, kind, label, chunk):
+        self.events.append((kind, label, chunk))
+
+    def on_sync(self, *a, **k):
+        pass
 
 
 class TestPooledWire:
     def _wire(self, elems=12, chunks=3):
         layout = ChunkLayout.split(elems, ntrees=1, chunks_per_tree=chunks)
         return layout, _Wire(
-            layout, capacity=chunks, spin=SPIN, name="bench-wire"
+            layout, capacity=chunks, spin=SPIN, name="bench-wire",
+            chunks=range(chunks),
         )
 
-    def test_take_into_matches_take(self, rng):
+    def test_take_view_matches_take(self, rng):
         from repro.runtime.faults import payload_checksum
 
         layout, wire_a = self._wire()
@@ -197,10 +214,9 @@ class TestPooledWire:
             wire_b.deliver(c, payload, payload_checksum(payload))
         for c in range(layout.nchunks):
             via_take = wire_a.take(c)
-            out = np.empty(layout.chunk_elems(c))
-            assert np.array_equal(wire_b.take_into(c, out), via_take)
+            assert np.array_equal(wire_b.take_view(c), via_take)
 
-    def test_take_into_still_detects_corruption(self, rng):
+    def test_take_view_still_detects_corruption(self, rng):
         from repro.errors import LinkFaultError
         from repro.runtime.faults import payload_checksum
 
@@ -208,7 +224,40 @@ class TestPooledWire:
         payload = rng.normal(size=layout.chunk_elems(0))
         wire.deliver(0, payload, payload_checksum(payload) ^ 0xDEAD)
         with pytest.raises(LinkFaultError, match="checksum mismatch"):
-            wire.take_into(0, np.empty(layout.chunk_elems(0)))
+            wire.take_view(0)
+
+    def test_take_view_detects_out_of_order_frames(self, rng):
+        from repro.errors import LinkFaultError
+        from repro.runtime.faults import payload_checksum
+
+        layout, wire = self._wire()
+        for c in (0, 1):
+            payload = rng.normal(size=layout.chunk_elems(c))
+            wire.deliver(c, payload, payload_checksum(payload))
+        wire._frames.reverse()  # the frame for chunk 1 overtakes chunk 0
+        with pytest.raises(LinkFaultError, match="reordered or lost"):
+            wire.take_view(1)
+
+    def test_take_view_reads_aliased_memory_traced(self, rng):
+        from repro.runtime.faults import payload_checksum
+
+        layout = ChunkLayout.split(12, ntrees=1, chunks_per_tree=3)
+        owner = GradientBuffer(np.zeros(12), layout, owner=4)
+        wire = _Wire(
+            layout, capacity=3, spin=SPIN, name="alias-wire",
+            chunks=range(3), buffer=owner.data, owner_buffer=owner,
+        )
+        payload = rng.normal(size=layout.chunk_elems(2))
+        recorder = _AccessRecorder()
+        hooks.push(recorder)
+        try:
+            wire.deliver(2, payload, payload_checksum(payload))
+            view = wire.take_view(2)
+        finally:
+            hooks.pop()
+        assert np.shares_memory(view, owner.data)
+        assert np.array_equal(owner.chunk(2), payload)
+        assert recorder.events == [("write", "gpu4", 2), ("read", "gpu4", 2)]
 
     def test_take_keeps_copy_semantics(self, rng):
         # Interpreter relays stash take() results across ops: mutating
@@ -221,6 +270,23 @@ class TestPooledWire:
         got = wire.take(0)
         wire.deliver(1, -first, payload_checksum(-first))
         assert np.array_equal(got, first)
+
+    def test_staging_covers_only_carried_chunks(self, rng):
+        from repro.errors import RuntimeClusterError
+        from repro.runtime.faults import payload_checksum
+
+        layout = ChunkLayout.split(20, ntrees=2, chunks_per_tree=2)
+        wire = _Wire(
+            layout, capacity=2, spin=SPIN, name="half-wire", chunks=(3, 2)
+        )
+        assert wire._data.nbytes == 8 * sum(
+            layout.chunk_elems(c) for c in (2, 3)
+        )
+        payload = rng.normal(size=layout.chunk_elems(3))
+        wire.deliver(3, payload, payload_checksum(payload))
+        assert np.array_equal(wire.take_view(3), payload)
+        with pytest.raises(RuntimeClusterError, match="does not carry"):
+            wire.deliver(0, payload, payload_checksum(payload))
 
 
 class TestOptimizedEngine:

@@ -218,6 +218,21 @@ class TestLinkInjector:
         # Exactly one element differs, by the smallest possible amount.
         assert np.sum(damaged != values) == 1
 
+    def test_payload_checksum_pinned_to_byte_copy_crc(self, rng):
+        # The checksum reads the array's buffer in place; it must equal
+        # the CRC of a ``tobytes`` copy, contiguous or strided.
+        import zlib
+
+        values = np.arange(16.0)
+        assert payload_checksum(values) == 752499739
+        assert payload_checksum(values[::3]) == 1650748875
+        assert payload_checksum(values.reshape(4, 4).T) == 2926419861
+        noise = rng.normal(size=257)
+        for view in (noise, noise[5:200], noise[::2], noise[::-1]):
+            assert payload_checksum(view) == zlib.crc32(
+                np.ascontiguousarray(view).tobytes()
+            )
+
     def test_stats_counters_thread_safe_api(self):
         stats = FaultStats()
         stats.bump("drops")

@@ -106,3 +106,106 @@ class TestGradientBuffer:
         layout = ChunkLayout.split(4, ntrees=1, chunks_per_tree=1)
         with pytest.raises(ConfigError):
             GradientBuffer(np.zeros((2, 2)), layout)
+
+
+class TestRightSizedLinks:
+    """Link staging matches the traffic each link carries."""
+
+    ELEMS = 100_000
+
+    def _runtime(self):
+        from repro.runtime.allreduce import TreeAllReduceRuntime
+        from repro.runtime.sync import SpinConfig
+        from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
+
+        return TreeAllReduceRuntime(
+            dgx1_trees(),
+            total_elems=self.ELEMS,
+            chunks_per_tree=4,
+            detour_map=DETOURED_EDGES,
+            spin=SpinConfig(timeout=20.0),
+        )
+
+    def _span_bytes(self, layout, chunks):
+        return 8 * sum(layout.chunk_elems(c) for c in set(chunks))
+
+    def _staged_wires(self, runtime):
+        """(staging wire, carried chunks) for every non-aliased wire, plus
+        the DownLinks, built exactly as ``run`` builds them."""
+        buffers = [
+            GradientBuffer(np.zeros(self.ELEMS), runtime.layout, owner=g)
+            for g in range(runtime.nnodes)
+        ]
+        uplinks, downlinks, relays = runtime._build_links(
+            buffers, runtime.spin
+        )
+        staged = []
+        for (t, _child), up in uplinks.items():
+            staged.append((up._wire, runtime.layout.tree_chunks[t]))
+            if up.relay_via is not None:
+                staged.append((up._mid_wire, runtime.layout.tree_chunks[t]))
+        for (t, _child), down in downlinks.items():
+            if down.relay_via is not None:
+                staged.append(
+                    (down._mid_wire, runtime.layout.tree_chunks[t])
+                )
+        return buffers, downlinks, relays, staged
+
+    def test_tree_wires_stage_only_their_tree(self):
+        runtime = self._runtime()
+        layout = runtime.layout
+        buffers, downlinks, relays, staged = self._staged_wires(runtime)
+        assert relays, "the DGX-1 trees must exercise a detour"
+        for wire, chunks in staged:
+            assert wire._data.nbytes == self._span_bytes(layout, chunks)
+            assert wire._data.nbytes < 8 * layout.total_elems
+        for (_t, child), down in downlinks.items():
+            assert down._wire._data is buffers[child].data
+
+    def test_run_peak_memory_is_inputs_plus_wire_spans(self, rng):
+        import tracemalloc
+
+        runtime = self._runtime()
+        _, _, _, staged = self._staged_wires(runtime)
+        wire_bytes = sum(wire._data.nbytes for wire, _ in staged)
+        input_copies = 8 * self.ELEMS * runtime.nnodes
+        inputs = [rng.normal(size=self.ELEMS) for _ in range(runtime.nnodes)]
+        tracemalloc.start()
+        try:
+            report = runtime.run(inputs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(report.outputs[0], report.outputs[-1])
+        assert peak <= 1.1 * (input_copies + wire_bytes)
+
+    def test_interpreter_wires_stage_only_their_sends(self):
+        from repro.plan import PlanInterpreter, compile_plan
+        from repro.plan.builders import build_plan
+        from repro.plan.ir import SEND
+        from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
+        from repro.topology.dgx1_trees import dgx1_trees
+        from repro.topology.routing import Router
+
+        topo = dgx1_topology()
+        plan = build_plan(
+            "double_tree", 8, 4096.0, nchunks=4, overlapped=True,
+            trees=dgx1_trees(),
+        )
+        legal, _ = compile_plan(
+            plan, topo, router=Router(topo, detour_preference=DETOUR_NODES)
+        )
+        interp = PlanInterpreter(legal, total_elems=960)
+        wires, _ = interp._build_wires(interp.spin)
+        carried: dict[tuple, list[int]] = {}
+        for op in legal.ops:
+            if op.kind == SEND:
+                carried.setdefault(op.wire_key(), []).extend(
+                    op.chunks_carried()
+                )
+        assert set(wires) == set(carried)
+        for key, wire in wires.items():
+            assert wire._data.nbytes == self._span_bytes(
+                interp.layout, carried[key]
+            )
+            assert wire._data.nbytes < 8 * interp.layout.total_elems
