@@ -4,7 +4,8 @@ One persistent reduce kernel and one persistent broadcast kernel run per
 (GPU, tree), exactly as in the paper's CUDA proof-of-concept:
 
 - the reduce kernel waits (``wait``) for each child's partial chunk,
-  accumulates it in place, and sends its own partial up;
+  accumulates it reading the child's gradient buffer in place
+  (zero-copy uplinks), and publishes its own partial up;
 - the root posts a per-chunk "fully reduced" semaphore;
 - the broadcast kernel chains on it — per chunk when ``overlapped`` (the
   C1 behaviour), or only after all K chunks when running the baseline's
@@ -37,7 +38,14 @@ import numpy as np
 
 from repro.errors import ConfigError, RuntimeClusterError
 from repro.runtime.cluster import DownLink, KernelPool, UpLink
-from repro.runtime.faults import CRASH, STRAGGLER, STUCK, FaultPlan, PhaseBoard
+from repro.runtime.faults import (
+    CRASH,
+    STRAGGLER,
+    STUCK,
+    FaultPlan,
+    PhaseBoard,
+    payload_checksum,
+)
 from repro.runtime.memory import ChunkLayout, GradientBuffer
 from repro.runtime.sync import AbortCell, DeviceSemaphore, SpinConfig
 from repro.topology.logical import BinaryTree
@@ -173,6 +181,7 @@ class TreeAllReduceRuntime:
                 up_tag = f"up t{t} {child}->{parent}"
                 up = UpLink(
                     self.layout,
+                    buffers[child],
                     capacity=self.capacity,
                     spin=spin,
                     name=f"t{t}:{child}->{parent}",
@@ -253,9 +262,10 @@ class TreeAllReduceRuntime:
         chunks = self.layout.tree_chunks[t]
 
         def kernel() -> None:
-            # Each child's partial is accumulated straight from its
-            # verified staging slot; the uplink copies our own partial out
-            # of the gradient buffer synchronously, so a view suffices.
+            # Each child's partial is verified and accumulated in place,
+            # straight from the child's gradient buffer (or the relay's
+            # slot on a detour); our own partial is published the same
+            # way and stays untouched until the reduced chunk comes back.
             for pos, chunk in enumerate(chunks):
                 board.set(node, f"reduce t{t} chunk {pos + 1}/{len(chunks)}")
                 self._apply_gpu_fault(node, t, pos, board, abort)
@@ -299,12 +309,17 @@ class TreeAllReduceRuntime:
                     if self.overlapped:
                         reduced_sem.wait()
                 else:
-                    downlinks[(t, node)].recv_wait(chunk)
+                    checksum = downlinks[(t, node)].recv_wait(chunk)
                 # Every downlink send copies the payload onto its wire
                 # synchronously, so one view serves all children.
                 payload = buffers[node].read_view(chunk)
+                if node == tree.root:
+                    # One CRC per payload: the root checksums the reduced
+                    # chunk once for all children, and every other GPU
+                    # forwards the checksum it just verified.
+                    checksum = payload_checksum(payload)
                 for child in tree.children[node]:
-                    downlinks[(t, child)].send(chunk, payload)
+                    downlinks[(t, child)].send(chunk, payload, checksum)
                 enqueue.post(node, t)
 
         return kernel

@@ -1,44 +1,64 @@
 """Virtual GPU cluster plumbing: links, relays, and the kernel pool.
 
-Links model NVLink P2P writes between GPUs:
+Links model NVLink P2P transfers between GPUs, and both directions reuse
+gradient memory the way the paper's broadcast does:
 
 - an :class:`UpLink` carries partial-sum chunks child -> parent during
-  reduction, into a staging (receive) buffer at the parent, flow-controlled
-  by a bounded :class:`~repro.runtime.sync.DeviceSemaphore` — the
-  receive-buffer management the paper builds post/wait for;
+  reduction.  It is *zero-copy*: the child's finished partial already
+  sits in its gradient buffer, so ``send`` publishes only a frame and
+  the parent reads the chunk in place — a P2P read of the child's
+  memory — flow-controlled by a bounded
+  :class:`~repro.runtime.sync.DeviceSemaphore` (the receive-buffer
+  management the paper builds post/wait for);
 - a :class:`DownLink` carries fully reduced chunks parent -> child during
   broadcast, written *directly into the child's gradient buffer* (the
-  paper reuses the gradient memory address as the gradient queue).
+  paper reuses the gradient memory address as the gradient queue) — a
+  P2P write into the child's memory.
+
+The in-place read is safe because the only later write to that chunk of
+the child's buffer is the broadcast delivery of the reduced chunk, which
+happens-after the parent consumed the partial: the parent accumulates
+it, sends its own partial up (or posts ``reduced`` at the root), the
+root reduces, and only then is the chunk broadcast back down.
 
 A link whose endpoints share no physical NVLink is built with a
 ``relay_via`` GPU: the sender writes the intermediate GPU's staging
 buffer, and a *forwarding kernel* (its own persistent thread, as in the
-paper's static detour routing) copies each chunk onward in order.
+paper's static detour routing) verifies each chunk there and passes it
+on in order.  A relay stores and forwards, so a detour is the one place
+a chunk is staged: a detoured uplink's final hop reads the relay's
+staging slot in place, and a detoured downlink's final hop copies it
+into the child's gradient buffer.
 
 Every hop is a :class:`_Wire`: payload memory plus a frame queue carrying
 ``(sequence number, chunk id, CRC32)`` metadata.  The receiver verifies
 all three on every take, so dropped, reordered, or corrupted transfers
-are *detected*, not silently consumed.  Fault injection plugs in at
-``send`` via a :class:`~repro.runtime.faults.LinkInjector`; injected
-drops and corruptions are recovered by bounded link-layer retransmission
-(retry + linear backoff) unless the fault plan disables recovery.
+are *detected*, not silently consumed.  A checksum is computed once per
+payload and travels with it: a relay, or a broadcast parent, forwards
+the checksum it verified instead of recomputing it, so damage at any
+hop is still caught at the next.  Fault injection plugs in at ``send``
+via a :class:`~repro.runtime.faults.LinkInjector`; injected drops and
+corruptions are recovered by bounded link-layer retransmission (retry +
+linear backoff) unless the fault plan disables recovery.  An unrecovered
+corrupt frame on a zero-copy hop lands in the link's fault slot for that
+frame, never in the sender's memory.
 
-Link memory matches the traffic the link carries: a wire's staging holds
-only the chunks it is built for (a tree's uplink carries that tree's
+Link memory matches the traffic the link carries: a staging wire holds
+only the chunks it is built for (a relay's mid-wire carries that tree's
 half of the gradient), packed back to back behind a per-wire slot table.
 Receivers that consume a payload immediately verify it *in place* and
 read it through :meth:`_Wire.take_view` — reduce kernels accumulate
-straight from the staging slot, relays forward from it — and senders
-hand the wire a view of the gradient buffer, so a collective allocates
-no per-kernel scratch: the only copy of a chunk is the delivery into the
-receiver's staging (or, for a :class:`DownLink`, into its gradient
-buffer).
+straight from the child's buffer or the relay's slot, relays forward
+from their slot — and senders hand the wire a view of the gradient
+buffer, so a collective allocates no per-kernel scratch.
 
 The :class:`KernelPool` runs persistent-kernel bodies as threads and
 implements the fail-fast protocol: the first kernel failure triggers the
 cluster :class:`~repro.runtime.sync.AbortCell`, a watchdog collapses the
 join deadline to a short grace period, and the pool re-raises a single
-:class:`~repro.errors.AbortedError` carrying the diagnostic dump.
+:class:`~repro.errors.AbortedError` carrying the diagnostic dump, after
+recording on the cell any kernel thread still alive so a drain can join
+exactly those.
 """
 
 from __future__ import annotations
@@ -73,8 +93,16 @@ class _Wire:
     carries.  Its staging memory holds only those slots, packed back to
     back in an uninitialized array; ``deliver`` writes each slot before
     the frame that lets the receiver read it.  A wire built over
-    ``buffer`` aliases that memory instead and addresses it through the
-    layout's own slices.
+    ``buffer`` aliases that memory instead and addresses it through
+    ``slots`` (another wire's slot table) or, by default, the layout's
+    own slices.
+
+    A ``zero_copy`` wire aliases the *sender's* memory: the payload is
+    already in its slot when it is sent, so ``deliver`` publishes the
+    frame without copying and the receiver verifies and reads the slot
+    in place.  ``owner_buffer`` names the gradient buffer the wire
+    aliases, so deliveries/takes are visible to the sanitizer as remote
+    writes / reads of that GPU's memory.
     """
 
     def __init__(
@@ -87,6 +115,8 @@ class _Wire:
         chunks: Sequence[int],
         buffer: np.ndarray | None = None,
         owner_buffer: GradientBuffer | None = None,
+        slots: dict[int, slice] | None = None,
+        zero_copy: bool = False,
     ):
         self.name = name
         carried = sorted(set(chunks))
@@ -94,7 +124,10 @@ class _Wire:
         if buffer is not None:
             self._data = buffer
             for chunk in carried:
-                self._slots[chunk] = layout.slice_of(chunk)
+                self._slots[chunk] = (
+                    slots[chunk] if slots is not None
+                    else layout.slice_of(chunk)
+                )
         else:
             cursor = 0
             for chunk in carried:
@@ -102,12 +135,14 @@ class _Wire:
                 self._slots[chunk] = slice(cursor, cursor + size)
                 cursor += size
             self._data = np.empty(cursor)
-        # When the wire aliases a GPU's gradient memory (DownLink), the
-        # owning buffer is kept so deliveries/takes are visible to the
-        # sanitizer as remote writes / local reads of that GPU.
         self._owner_buffer = owner_buffer
+        self._zero_copy = zero_copy
         self._sem = DeviceSemaphore(capacity, spin=spin, name=name)
-        self._frames: deque[tuple[int, int, int]] = deque()
+        # (seq, chunk id, checksum, fault slot): the fault slot is None
+        # unless an unrecovered corrupt frame rode a zero-copy wire.
+        self._frames: deque[
+            tuple[int, int, int, np.ndarray | None]
+        ] = deque()
         self._frame_lock = threading.Lock()  # sync-lint: allow(raw-threading)
         self._send_seq = 0
         self._recv_seq = 0
@@ -120,26 +155,53 @@ class _Wire:
                 f"link {self.name!r} does not carry chunk {chunk}"
             ) from None
 
-    def deliver(self, chunk: int, values: np.ndarray, checksum: int) -> None:
-        """Sender side: land ``values`` in the chunk slot and signal."""
-        slot = self._slot(chunk)
-        if self._owner_buffer is not None:
-            self._owner_buffer.note_remote_write(chunk)
-        self._data[slot] = values
+    def _publish(
+        self, chunk: int, checksum: int, fault: np.ndarray | None
+    ) -> None:
         with self._frame_lock:
-            self._frames.append((self._send_seq, chunk, checksum))
+            self._frames.append((self._send_seq, chunk, checksum, fault))
             self._send_seq += 1
         self._sem.post()
 
-    def _verify_frame(self, chunk: int) -> int:
-        """Pop the next frame, enforce ordering, return its checksum.
+    def deliver(self, chunk: int, values: np.ndarray, checksum: int) -> None:
+        """Sender side: land ``values`` in the chunk slot and signal.
+
+        On a zero-copy wire ``values`` is the slot itself (the sender's
+        own memory), so only the frame is published.
+        """
+        slot = self._slot(chunk)
+        if not self._zero_copy:
+            if self._owner_buffer is not None:
+                self._owner_buffer.note_remote_write(chunk)
+            self._data[slot] = values
+        self._publish(chunk, checksum, None)
+
+    def deliver_damaged(
+        self, chunk: int, damaged: np.ndarray, checksum: int
+    ) -> None:
+        """Sender side, unrecovered corruption: land ``damaged`` under
+        the intact payload's ``checksum`` so the receiver's CRC raises.
+
+        A zero-copy wire must not let the damage reach the sender's
+        memory: the bytes go to the link's fault slot for this frame,
+        which the receiver reads instead of the aliased slot.
+        """
+        if not self._zero_copy:
+            self.deliver(chunk, damaged, checksum)
+            return
+        self._slot(chunk)  # rejects an uncarried chunk, as deliver does
+        self._publish(chunk, checksum, damaged)
+
+    def _verify_frame(self, chunk: int) -> tuple[int, np.ndarray | None]:
+        """Pop the next frame, enforce ordering, return its checksum and
+        fault slot.
 
         Raises:
             LinkFaultError: on out-of-sequence delivery or a chunk-id
                 mismatch.
         """
         with self._frame_lock:
-            seq, frame_chunk, checksum = self._frames.popleft()
+            seq, frame_chunk, checksum, fault = self._frames.popleft()
         if seq != self._recv_seq:
             raise LinkFaultError(
                 f"link {self.name!r}: frame seq {seq}, expected "
@@ -151,13 +213,13 @@ class _Wire:
                 f"link {self.name!r}: received chunk {frame_chunk}, "
                 f"expected {chunk}"
             )
-        return checksum
+        return checksum, fault
 
     def take_view(self, chunk: int) -> np.ndarray:
         """Receiver side: block for ``chunk``, verify it in place, and
-        return a view of its staging slot.
+        return a view of its slot.
 
-        The view is valid until the slot is delivered again, so callers
+        The view is valid until the slot is written again, so callers
         consume it before their next receive on this wire (a
         tree-runtime wire delivers each slot once per run).
 
@@ -165,6 +227,12 @@ class _Wire:
             LinkFaultError: on out-of-sequence delivery, a chunk-id
                 mismatch, or a CRC32 mismatch (corrupted payload).
         """
+        return self._receive(chunk, copy=False)[0]
+
+    def take_frame(self, chunk: int) -> tuple[np.ndarray, int]:
+        """Like :meth:`take_view`, also returning the verified frame
+        checksum, so a forwarder passes it on instead of recomputing
+        it."""
         return self._receive(chunk, copy=False)
 
     def take(self, chunk: int) -> np.ndarray:
@@ -176,18 +244,20 @@ class _Wire:
         again, so ``take`` keeps copy semantics.  Receivers that consume
         the payload immediately use :meth:`take_view`.
         """
-        return self._receive(chunk, copy=True)
+        return self._receive(chunk, copy=True)[0]
 
-    def _receive(self, chunk: int, *, copy: bool) -> np.ndarray:
+    def _receive(
+        self, chunk: int, *, copy: bool
+    ) -> tuple[np.ndarray, int]:
         """Wait, record the sanitizer read, check the frame, and CRC the
         payload that is returned (the copy, when one is made)."""
         self._sem.wait()
         if self._owner_buffer is not None and _hooks.ANY:
             # The checksum verification below reads the aliased gradient
-            # memory; record it as a local read of the owning GPU.
+            # memory; record it as a read of the owning GPU's chunk.
             _access_emit("read", self._owner_buffer.label, chunk)
-        checksum = self._verify_frame(chunk)
-        payload = self._data[self._slot(chunk)]
+        checksum, fault = self._verify_frame(chunk)
+        payload = self._data[self._slot(chunk)] if fault is None else fault
         if copy:
             payload = payload.copy()
         if payload_checksum(payload) != checksum:
@@ -195,7 +265,7 @@ class _Wire:
                 f"link {self.name!r}: checksum mismatch on chunk {chunk} "
                 f"— payload corrupted in transit"
             )
-        return payload
+        return payload, checksum
 
 
 def _transmit(
@@ -204,8 +274,13 @@ def _transmit(
     values: np.ndarray,
     injector: LinkInjector | None,
     abort: AbortCell | None,
+    checksum: int | None = None,
 ) -> None:
     """Link-layer send: fault injection + bounded retransmission.
+
+    ``checksum`` is the payload's CRC32 when the caller already holds
+    it (a broadcast parent forwarding the checksum it verified); it is
+    computed here otherwise.
 
     A dropped frame never reaches the wire; a corrupted frame is caught
     by the link-layer CRC (emulated sender-side — a real reliable link
@@ -214,7 +289,8 @@ def _transmit(
     disabled, corruption is delivered raw (the receiver's end-to-end
     check raises) and a drop raises immediately at the sender.
     """
-    checksum = payload_checksum(values)
+    if checksum is None:
+        checksum = payload_checksum(values)
     if injector is None:
         wire.deliver(chunk, values, checksum)
         return
@@ -235,7 +311,7 @@ def _transmit(
             if not injector.recover:
                 # Deliver the damage with the original checksum: the
                 # receiver's CRC check is what detects it.
-                wire.deliver(chunk, injector.corrupt(values), checksum)
+                wire.deliver_damaged(chunk, injector.corrupt(values), checksum)
                 return
         else:
             injector.stats.bump("drops")
@@ -257,6 +333,20 @@ def _transmit(
 class UpLink:
     """Reduction-direction link (child -> parent), with optional relay.
 
+    Zero-copy: a direct uplink's wire aliases the child's
+    :class:`GradientBuffer`, so ``send`` publishes ``(seq, chunk id,
+    CRC32)`` for the partial sum already sitting in the child's chunk and
+    the parent verifies and accumulates it in place (a read of the
+    child's memory, as the sanitizer records it).  The child must not
+    write the chunk again before the parent consumed it; in the tree
+    runtime the next write is the broadcast delivery of the reduced
+    chunk, which happens-after that consumption.
+
+    A detoured uplink stages once, at the relay: the child's send lands
+    in the relay's mid-wire slot, and the final hop's wire aliases that
+    slot, so the relay verifies the chunk and republishes its frame
+    without a copy.
+
     ``injector``, when given, applies the fault plan (jitter, drops,
     corruption) to every send; recovery is handled at the link layer so
     the kernels above never see an injected fault unless it exceeds the
@@ -266,6 +356,7 @@ class UpLink:
     def __init__(
         self,
         layout: ChunkLayout,
+        child_buffer: GradientBuffer,
         *,
         capacity: int,
         spin: SpinConfig,
@@ -278,25 +369,33 @@ class UpLink:
         self.relay_via = relay_via
         self._injector = injector
         self._abort = spin.abort
-        self._wire = _Wire(
-            layout, capacity=capacity, spin=spin, name=f"{name}.up",
-            chunks=chunks,
-        )
-        if relay_via is not None:
+        if relay_via is None:
+            self._wire = _Wire(
+                layout, capacity=capacity, spin=spin, name=f"{name}.up",
+                chunks=chunks, buffer=child_buffer.data,
+                owner_buffer=child_buffer, zero_copy=True,
+            )
+        else:
             self._mid_wire = _Wire(
                 layout, capacity=capacity, spin=spin, name=f"{name}.up.mid",
                 chunks=chunks,
             )
+            self._wire = _Wire(
+                layout, capacity=capacity, spin=spin, name=f"{name}.up",
+                chunks=chunks, buffer=self._mid_wire._data,
+                slots=self._mid_wire._slots, zero_copy=True,
+            )
 
     def send(self, chunk: int, values: np.ndarray) -> None:
-        """Child side: deliver its partial sum for ``chunk``."""
+        """Child side: publish its partial sum for ``chunk``; ``values``
+        is the chunk's view of the child's gradient buffer."""
         wire = self._mid_wire if self.relay_via is not None else self._wire
         _transmit(wire, chunk, values, self._injector, self._abort)
 
     def recv_view(self, chunk: int) -> np.ndarray:
-        """Parent side: the verified payload as a view of the staging
-        slot (see :meth:`_Wire.take_view`); consume it before the next
-        receive."""
+        """Parent side: the verified payload as a view of the child's
+        chunk (or of the relay's slot; see :meth:`_Wire.take_view`);
+        consume it before the next receive."""
         return self._wire.take_view(chunk)
 
     def relay_kernel(self, chunks: Sequence[int]) -> Callable[[], None]:
@@ -344,15 +443,18 @@ class DownLink:
                 name=f"{name}.down.mid", chunks=chunks,
             )
 
-    def send(self, chunk: int, values: np.ndarray) -> None:
-        """Parent side: deliver the fully reduced ``chunk``."""
+    def send(self, chunk: int, values: np.ndarray, checksum: int) -> None:
+        """Parent side: deliver the fully reduced ``chunk`` under the
+        payload's ``checksum`` (computed once at the root, then forwarded
+        as verified, so one CRC serves every child)."""
         wire = self._mid_wire if self.relay_via is not None else self._wire
-        _transmit(wire, chunk, values, self._injector, self._abort)
+        _transmit(wire, chunk, values, self._injector, self._abort, checksum)
 
-    def recv_wait(self, chunk: int) -> None:
+    def recv_wait(self, chunk: int) -> int:
         """Child side: block until ``chunk`` arrived (in order), verified
-        against the frame checksum in the gradient buffer itself."""
-        self._wire.take_view(chunk)
+        against the frame checksum in the gradient buffer itself; returns
+        that checksum for forwarding to the child's own children."""
+        return self._wire.take_frame(chunk)[1]
 
     def relay_kernel(self, chunks: Sequence[int]) -> Callable[[], None]:
         """Forwarding kernel body for the intermediate GPU (chunk order)."""
@@ -365,12 +467,14 @@ def _relay_kernel(
     inbound: _Wire, outbound: _Wire, chunks: Sequence[int]
 ) -> Callable[[], None]:
     """Static detour forwarding: each chunk is verified in the inbound
-    staging slot and copied from there straight onto the outbound wire."""
+    staging slot and passed on under the checksum it was verified
+    against — republished in place when the outbound wire aliases the
+    slot, copied onward otherwise."""
 
     def kernel() -> None:
         for chunk in chunks:
-            view = inbound.take_view(chunk)
-            outbound.deliver(chunk, view, payload_checksum(view))
+            view, checksum = inbound.take_frame(chunk)
+            outbound.deliver(chunk, view, checksum)
 
     return kernel
 
@@ -405,7 +509,9 @@ class KernelPool:
 
         Raises:
             AbortedError: when the cluster abort flag fired (kernel crash
-                or timeout cascade) — carries the diagnostic dump.
+                or timeout cascade) — carries the diagnostic dump; the
+                kernel threads still alive are recorded on the abort
+                cell (:meth:`AbortCell.stragglers`).
             RuntimeClusterError: on kernel failure without an abort cell,
                 or join timeout.
         """
@@ -477,8 +583,9 @@ class KernelPool:
         # Join edge: every kernel that finished happens-before anything
         # the caller does next (reading results, computing errors).
         _sync_emit("join_all", self)
-        alive = [t.name for t in threads if t.is_alive()]
+        alive = [t for t in threads if t.is_alive()]
         if self.abort is not None and self.abort.is_set():
+            self.abort.record_stragglers(alive)
             primary = next(
                 (
                     (name, exc)
@@ -498,4 +605,6 @@ class KernelPool:
                 + (f" ({len(failures) - 1} more failures)" if len(failures) > 1 else "")
             ) from exc
         if alive:
-            raise RuntimeClusterError(f"kernels did not finish: {alive}")
+            raise RuntimeClusterError(
+                f"kernels did not finish: {[t.name for t in alive]}"
+            )

@@ -188,9 +188,11 @@ class GradientBuffer:
     def read_view(self, chunk_id: int) -> np.ndarray:
         """View of one chunk's elements (a traced kernel-side read).
 
-        The send path: a link copies the payload into its own staging
-        synchronously, so senders hand it this view instead of a copy.
-        The caller must not hold the view across a write to the chunk.
+        The send path: a link copies the payload onto its wire
+        synchronously, or (a zero-copy uplink) publishes the chunk for
+        the receiver to read in place, so senders hand it this view
+        instead of a copy.  The caller must not hold the view across a
+        write to the chunk.
         """
         if _hooks.ANY:
             _emit("read", self.label, chunk_id)

@@ -12,8 +12,9 @@ cluster:
 1. **abort** — the crashed kernel trips the :class:`AbortCell`; the run
    raises :class:`~repro.errors.AbortedError` with diagnostics;
 2. **drain** — the kernel pool's abort grace lets every surviving kernel
-   observe the flag and exit; in-flight chunks live only in the aborted
-   run's wires and buffers, which are discarded with the runtime;
+   observe the flag and exit, and the drain joins any the pool recorded
+   as still alive; in-flight chunks live only in the aborted run's wires
+   and buffers, which are discarded with the runtime;
 3. **detect** — the dead GPUs are read off the phase board (``"crashed
    in reduce t0 at chunk 1"``) with the abort reason as fallback;
 4. **decide** — a :class:`RecoveryPolicy` compares the modeled cost of
@@ -151,16 +152,20 @@ def drain_aborted_run(runtime, *, grace: float = 0.05) -> dict[str, int]:
     kernel pool has already granted its abort grace, so surviving kernel
     threads have observed the flag; any in-flight chunk exists only in
     the aborted run's wires and gradient buffers, which die with the
-    runtime object.  This helper asserts the abort actually fired, gives
-    stragglers one more short grace to leave their spin loops, and
+    runtime object.  This helper asserts the abort actually fired, joins
+    the kernel threads the pool recorded as still alive when it raised
+    (``grace`` seconds at most in total; none left means no wait), and
     returns the final fault-stats snapshot for the recovery timeline.
 
     Raises:
         ConfigError: when called on a runtime that never aborted.
     """
-    if runtime.abort_cell is None or not runtime.abort_cell.is_set():
+    cell = runtime.abort_cell
+    if cell is None or not cell.is_set():
         raise ConfigError("drain requested but the cluster never aborted")
-    time.sleep(grace)
+    deadline = time.monotonic() + grace
+    for thread in cell.stragglers():
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
     if runtime.fault_plan is not None:
         return runtime.fault_plan.stats.snapshot()
     return {}

@@ -146,6 +146,7 @@ class AbortCell:
         self._reason: str | None = None
         self._semaphores: list["DeviceSemaphore"] = []
         self._dump_sources: list[tuple[str, object]] = []
+        self._stragglers: list[threading.Thread] = []
 
     def trigger(self, reason: str) -> bool:
         """Set the flag; only the first caller's reason is recorded.
@@ -174,6 +175,17 @@ class AbortCell:
         """Add a diagnostics section: ``fn()`` -> str, called at dump time."""
         with self._meta:
             self._dump_sources.append((title, fn))
+
+    def record_stragglers(self, threads: list[threading.Thread]) -> None:
+        """Remember the kernel threads still alive when the pool raised
+        the abort, so a drain joins exactly those."""
+        with self._meta:
+            self._stragglers.extend(threads)
+
+    def stragglers(self) -> list[threading.Thread]:
+        """Kernel threads recorded as still alive at abort time."""
+        with self._meta:
+            return list(self._stragglers)
 
     def diagnostics(self) -> str:
         """Best-effort cluster state dump (lock-free semaphore reads)."""

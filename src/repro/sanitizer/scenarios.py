@@ -9,7 +9,8 @@ Two families:
   — the zero-false-positive half of the sanitizer's contract;
 - **seeded** scenarios run deliberately broken kernels (a dropped post,
   an unlock hoisted above the write it guards, overlapping unsynced
-  writes, a lock-order inversion, a semaphore wait cycle) and expect the
+  writes, a lock-order inversion, a semaphore wait cycle, a chunk
+  rewritten while a zero-copy uplink still carries it) and expect the
   *exact* diagnostic — the true-positive half.
 
 ``repro sanitize run --all`` and the seeded regression tests both drive
@@ -442,6 +443,60 @@ def _run_overlapping_writes(elems: int) -> None:
     pool.add("bcast-a", writer(1.0))
     pool.add("bcast-b", writer(2.0))
     pool.run()
+
+
+@_scenario(
+    "seeded_zero_copy_rewrite",
+    seeded=True,
+    expect=Expectation(
+        "race", chunk=0, mentions=("reduce t0 g1", "reduce t0 g0")
+    ),
+)
+def _run_zero_copy_rewrite(elems: int) -> None:
+    """A child reduce kernel writes its chunk again after publishing it
+    on a zero-copy uplink: the parent's in-place read races that write,
+    and without a tracer the parent's CRC catches the changed bytes."""
+    import threading
+
+    from repro.errors import LinkFaultError
+    from repro.runtime.cluster import KernelPool, UpLink
+    from repro.runtime.memory import ChunkLayout, GradientBuffer
+    from repro.runtime.sync import AbortCell
+
+    layout = ChunkLayout.split(max(elems, 8), ntrees=1, chunks_per_tree=4)
+    child_data, parent_data = _inputs(2, layout.total_elems)
+    child = GradientBuffer(child_data, layout, owner=1)
+    parent = GradientBuffer(parent_data, layout, owner=0)
+    abort = AbortCell()
+    uplink = UpLink(
+        layout, child, capacity=4, spin=replace(_spin(), abort=abort),
+        name="t0:1->0", chunks=range(4),
+    )
+    # Orders the parent's receive after the rewrite without an edge the
+    # tracer can see, so the CRC outcome is deterministic while the
+    # missing happens-before edge stays the bug under test.
+    rewritten = threading.Event()  # sync-lint: allow(raw-threading)
+
+    def child_kernel() -> None:
+        uplink.send(0, child.read_view(0))
+        # BUG: the parent has not consumed the published partial yet.
+        child.accumulate(0, np.ones(layout.chunk_elems(0)))
+        rewritten.set()
+
+    def parent_kernel() -> None:
+        rewritten.wait(timeout=10.0)
+        parent.accumulate(0, uplink.recv_view(0))
+
+    pool = KernelPool(join_timeout=10.0, abort=abort)
+    pool.add("reduce t0 g1", child_kernel)
+    pool.add("reduce t0 g0", parent_kernel)
+    try:
+        pool.run()
+    except AbortedError as exc:
+        if isinstance(exc.__cause__, LinkFaultError):
+            return
+        raise
+    raise AssertionError("the parent's CRC missed the rewritten chunk")
 
 
 @_scenario(

@@ -343,6 +343,103 @@ class TestRecovery:
         assert report.fault_stats["drops"] == 0
 
 
+class TestChecksumForwarding:
+    """One CRC per payload: a checksum is computed once and forwarded
+    with the bytes, and every receiver still verifies what landed."""
+
+    def test_one_crc_per_payload(self, monkeypatch, rng):
+        import repro.runtime.allreduce as allreduce_mod
+        import repro.runtime.cluster as cluster_mod
+
+        calls = []
+
+        def counting(values):
+            calls.append(1)
+            return payload_checksum(values)
+
+        monkeypatch.setattr(cluster_mod, "payload_checksum", counting)
+        monkeypatch.setattr(allreduce_mod, "payload_checksum", counting)
+        k = 8
+        runtime = TreeAllReduceRuntime(
+            dgx1_trees(),
+            total_elems=ELEMS,
+            chunks_per_tree=k,
+            detour_map=DETOURED_EDGES,
+            overlapped=False,
+            spin=FAST,
+        )
+        runtime.run(make_inputs(rng))
+        # Per tree and chunk: each uplink is checksummed by its sender
+        # and verified by its receiver, each downlink only verified, the
+        # root computes one CRC for the broadcast, and a relay verifies
+        # once per direction.
+        expected = 0
+        for tree in runtime.trees:
+            edges = tree.up_edges()
+            detours = sum(edge in DETOURED_EDGES for edge in edges)
+            expected += k * (3 * len(edges) + 1 + 2 * detours)
+        assert len(calls) == expected == 368
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_relay_damage_after_verify_caught_at_next_hop(
+        self, direction, rng
+    ):
+        from repro.errors import LinkFaultError
+        from repro.runtime.cluster import DownLink, UpLink
+        from repro.runtime.memory import ChunkLayout, GradientBuffer
+
+        layout = ChunkLayout.split(ELEMS, ntrees=1, chunks_per_tree=2)
+        child = GradientBuffer(rng.normal(size=ELEMS), layout, owner=1)
+        kind = UpLink if direction == "up" else DownLink
+        link = kind(
+            layout, child, capacity=2, spin=FAST, name="t0:0->1",
+            chunks=(0, 1), relay_via=2,
+        )
+        verified = link._mid_wire.take_frame
+
+        def take_then_rot(chunk):
+            view, checksum = verified(chunk)
+            view[0] = np.nextafter(view[0], np.inf)  # damage after verify
+            return view, checksum
+
+        link._mid_wire.take_frame = take_then_rot
+        if direction == "up":
+            link.send(0, child.read_view(0))
+        else:
+            payload = rng.normal(size=layout.chunk_elems(0))
+            link.send(0, payload, payload_checksum(payload))
+        link.relay_kernel((0,))()
+        receive = link.recv_view if direction == "up" else link.recv_wait
+        with pytest.raises(LinkFaultError, match="checksum mismatch"):
+            receive(0)
+
+    def test_broadcast_damage_after_verify_caught_below(
+        self, monkeypatch, rng
+    ):
+        from repro.errors import LinkFaultError
+        from repro.runtime.cluster import DownLink
+
+        tree = dgx1_trees()[0]
+        mid = next(
+            n for n in tree.nodes if n != tree.root and tree.children[n]
+        )
+        verified = DownLink.recv_wait
+
+        def recv_then_rot(self, chunk):
+            checksum = verified(self, chunk)
+            if self.name.startswith("t0:") and self.name.endswith(f"->{mid}"):
+                # The GPU's chunk rots after it verified the delivery; it
+                # forwards the verified checksum, so its children catch it.
+                self._wire._data[self._wire._slot(chunk)][0] += 1.0
+            return checksum
+
+        monkeypatch.setattr(DownLink, "recv_wait", recv_then_rot)
+        with pytest.raises(AbortedError, match="checksum mismatch") as info:
+            make_runtime().run(make_inputs(rng))
+        assert isinstance(info.value.__cause__, LinkFaultError)
+        assert f"t0:{mid}->" in str(info.value.__cause__)
+
+
 class TestGpuFaults:
     def test_crash_aborts_fast_with_diagnostics(self, rng):
         plan = FaultPlan(gpu_faults=(GpuFault(3, CRASH, after_chunk=1),))

@@ -129,9 +129,9 @@ class TestRightSizedLinks:
     def _span_bytes(self, layout, chunks):
         return 8 * sum(layout.chunk_elems(c) for c in set(chunks))
 
-    def _staged_wires(self, runtime):
-        """(staging wire, carried chunks) for every non-aliased wire, plus
-        the DownLinks, built exactly as ``run`` builds them."""
+    def _links(self, runtime):
+        """Per-GPU buffers, up/down links and relay kernels, built
+        exactly as ``run`` builds them."""
         buffers = [
             GradientBuffer(np.zeros(self.ELEMS), runtime.layout, owner=g)
             for g in range(runtime.nnodes)
@@ -139,35 +139,48 @@ class TestRightSizedLinks:
         uplinks, downlinks, relays = runtime._build_links(
             buffers, runtime.spin
         )
-        staged = []
-        for (t, _child), up in uplinks.items():
-            staged.append((up._wire, runtime.layout.tree_chunks[t]))
-            if up.relay_via is not None:
-                staged.append((up._mid_wire, runtime.layout.tree_chunks[t]))
-        for (t, _child), down in downlinks.items():
-            if down.relay_via is not None:
-                staged.append(
-                    (down._mid_wire, runtime.layout.tree_chunks[t])
-                )
-        return buffers, downlinks, relays, staged
+        return buffers, uplinks, downlinks, relays
+
+    def _staged_wires(self, runtime):
+        """(staging wire, carried chunks) for every wire that owns link
+        memory: only the relays' mid-wires — every other wire aliases a
+        gradient buffer or a relay's staging."""
+        _, uplinks, downlinks, _ = self._links(runtime)
+        return [
+            (link._mid_wire, runtime.layout.tree_chunks[t])
+            for links in (uplinks, downlinks)
+            for (t, _child), link in links.items()
+            if link.relay_via is not None
+        ]
 
     def test_tree_wires_stage_only_their_tree(self):
         runtime = self._runtime()
         layout = runtime.layout
-        buffers, downlinks, relays, staged = self._staged_wires(runtime)
+        buffers, uplinks, downlinks, relays = self._links(runtime)
         assert relays, "the DGX-1 trees must exercise a detour"
+        for (t, child), up in uplinks.items():
+            if up.relay_via is None:
+                # Zero-copy: the parent reads the child's partial in place.
+                assert up._wire._data is buffers[child].data
+            else:
+                # The one staged copy sits at the relay; the final hop
+                # reads the relay's slot in place.
+                assert up._wire._data is up._mid_wire._data
+        for (_t, child), down in downlinks.items():
+            assert down._wire._data is buffers[child].data
+        staged = self._staged_wires(runtime)
+        assert len(staged) == len(relays)
         for wire, chunks in staged:
             assert wire._data.nbytes == self._span_bytes(layout, chunks)
             assert wire._data.nbytes < 8 * layout.total_elems
-        for (_t, child), down in downlinks.items():
-            assert down._wire._data is buffers[child].data
 
     def test_run_peak_memory_is_inputs_plus_wire_spans(self, rng):
         import tracemalloc
 
         runtime = self._runtime()
-        _, _, _, staged = self._staged_wires(runtime)
-        wire_bytes = sum(wire._data.nbytes for wire, _ in staged)
+        wire_bytes = sum(
+            wire._data.nbytes for wire, _ in self._staged_wires(runtime)
+        )
         input_copies = 8 * self.ELEMS * runtime.nnodes
         inputs = [rng.normal(size=self.ELEMS) for _ in range(runtime.nnodes)]
         tracemalloc.start()
@@ -178,6 +191,57 @@ class TestRightSizedLinks:
             tracemalloc.stop()
         assert np.array_equal(report.outputs[0], report.outputs[-1])
         assert peak <= 1.1 * (input_copies + wire_bytes)
+
+    def test_unrecovered_corruption_never_lands_in_child_buffer(self):
+        from repro.errors import AbortedError, LinkFaultError
+        from repro.runtime.faults import FaultPlan, LinkFault
+        from repro.topology.dgx1_trees import DETOURED_EDGES
+
+        runtime = self._runtime()
+        tree = runtime.trees[0]
+        child, parent = next(
+            edge for edge in tree.up_edges()
+            if edge not in DETOURED_EDGES and tree.children[edge[0]]
+        )
+        runtime.fault_plan = FaultPlan(
+            link_faults=(
+                LinkFault(f"up t0 {child}->{parent}", corrupt_prob=0.5),
+            ),
+            recover=False,
+        )
+        built = {}
+        build = runtime._build_links
+
+        def build_with_forced_corruption(buffers, spin):
+            uplinks, downlinks, relays = build(buffers, spin)
+            link = uplinks[(0, child)]
+            assert link._wire._data is buffers[child].data
+            link._injector.next_fate = lambda: "corrupt"
+            built["buffers"] = buffers
+            return uplinks, downlinks, relays
+
+        runtime._build_links = build_with_forced_corruption
+        inputs = [
+            np.full(self.ELEMS, float(g + 1)) for g in range(runtime.nnodes)
+        ]
+        with pytest.raises(AbortedError) as info:
+            runtime.run(inputs)
+        cause = info.value.__cause__
+        assert isinstance(cause, LinkFaultError)
+        assert "checksum mismatch" in str(cause)
+        assert f"t0:{child}->{parent}.up" in str(cause)
+
+        def subtree(node):
+            return [node] + [
+                g for kid in tree.children[node] for g in subtree(kid)
+            ]
+
+        # The child's first chunk still holds exactly its partial sum:
+        # the damaged bytes went to the link's fault slot, not here.
+        partial = float(sum(g + 1 for g in subtree(child)))
+        first = runtime.layout.tree_chunks[0][0]
+        chunk = built["buffers"][child].chunk(first)
+        assert np.array_equal(chunk, np.full(chunk.shape, partial))
 
     def test_interpreter_wires_stage_only_their_sends(self):
         from repro.plan import PlanInterpreter, compile_plan

@@ -95,6 +95,45 @@ class TestDetectAndDrain:
         stats = drain_aborted_run(runtime, grace=0.0)
         assert stats.get("crashes") == 1
 
+    @pytest.mark.parametrize("kind", [CRASH, STUCK])
+    def test_drain_returns_early_with_no_kernel_left(self, rng, kind):
+        import threading
+        import time
+
+        runtime = aborted_runtime(rng, crash_plan(3, kind=kind))
+        started = time.monotonic()
+        drain_aborted_run(runtime, grace=5.0)
+        assert time.monotonic() - started < 0.5
+        kernels = [
+            t for t in threading.enumerate()
+            if t.name.startswith(("reduce t", "broadcast t", "relay-"))
+        ]
+        assert kernels == []
+        assert not any(t.is_alive() for t in runtime.abort_cell.stragglers())
+
+    def test_drain_joins_recorded_stragglers_within_grace(self):
+        import threading
+        import time
+        from types import SimpleNamespace
+
+        from repro.runtime.sync import AbortCell
+
+        release = threading.Event()
+        slow = threading.Thread(target=release.wait, args=(5.0,))
+        slow.start()
+        cell = AbortCell()
+        cell.trigger("test abort")
+        cell.record_stragglers([slow])
+        runtime = SimpleNamespace(abort_cell=cell, fault_plan=None)
+        started = time.monotonic()
+        assert drain_aborted_run(runtime, grace=0.1) == {}
+        # The grace bounds the join even when a straggler outlives it.
+        assert 0.09 <= time.monotonic() - started < 1.0
+        assert slow.is_alive()
+        threading.Timer(0.05, release.set).start()
+        drain_aborted_run(runtime, grace=5.0)
+        assert not slow.is_alive()
+
     def test_drain_without_abort_rejected(self):
         runtime = TreeAllReduceRuntime(
             dgx1_trees(),
