@@ -264,7 +264,7 @@ def _sim_events(ctx: BenchContext) -> MetricResult:
     simulator = DagSimulator(resources)
     warmup, iters = (3, 20) if ctx.full else (2, 6)
     fast = _samples(
-        lambda: simulator.run(dag, validate=False, record_trace=False),
+        lambda: simulator.run(dag, validate=False),
         warmup=warmup,
         iters=iters,
     )

@@ -132,17 +132,19 @@ def simulate_on_fabric(
     tree without extra physical connectivity)."""
     from dataclasses import replace
 
-    from repro.topology.embedding import is_edge_key
+    from repro.topology.embedding import edge_key, is_edge_key
 
     dag = schedule.dag
     if fabric.lanes >= 1:
         folded = Dag()
         for op in dag.ops:
-            resource = op.resource
-            if is_edge_key(resource):
-                tag, u, v, lane = resource
-                resource = (tag, u, v, lane % fabric.lanes)
-            folded.ops.append(replace(op, resource=resource))
+            if is_edge_key(op.resource):
+                _tag, u, v, lane = op.resource
+                if lane % fabric.lanes != lane:
+                    op = replace(
+                        op, resource=edge_key(u, v, lane % fabric.lanes)
+                    )
+            folded.ops.append(op)
         dag = folded
     resources = abstract_resources(dag, alpha=fabric.alpha, beta=fabric.beta)
     sim = DagSimulator(resources).run(dag)
@@ -180,7 +182,8 @@ def simulate_on_physical(
     for key in physical.resources():
         if key not in resources:
             resources[key] = Processor(name=str(key))
-    sim = DagSimulator(resources).run(physical)
+    # embed_on_physical has just validated this DAG.
+    sim = DagSimulator(resources).run(physical, validate=False)
     assert report.logical_done is not None
     logical_finish = [
         sim.finish[report.logical_done[op.op_id]] for op in schedule.dag.ops

@@ -27,7 +27,7 @@ class Phase(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """One schedulable unit of work.
 

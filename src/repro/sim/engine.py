@@ -17,8 +17,9 @@ of the same DAG must produce identical timings.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.dag import Dag, Op, Phase
@@ -34,13 +35,36 @@ class SimResult:
         start: per-op start times, indexed by op id.
         finish: per-op finish times, indexed by op id.
         makespan: completion time of the last op.
-        trace: chronological list of :class:`TraceRecord`.
+        order: op ids in the order their service started.
+        ops: the simulated DAG's op list (shared with the DAG, not
+            copied); :attr:`trace` reads resources and labels from it.
     """
 
     start: list[float]
     finish: list[float]
     makespan: float
-    trace: list[TraceRecord] = field(default_factory=list)
+    order: list[int]
+    ops: Sequence[Op]
+
+    @cached_property
+    def trace(self) -> list[TraceRecord]:
+        """Chronological list of :class:`TraceRecord`, one per op.
+
+        Derived from :attr:`order`, :attr:`ops`, :attr:`start` and
+        :attr:`finish` on first access and cached, so a run whose caller
+        reads only timings never builds it.
+        """
+        ops, start, finish = self.ops, self.start, self.finish
+        return [
+            TraceRecord(
+                op_id=op_id,
+                resource=ops[op_id].resource,
+                start=start[op_id],
+                finish=finish[op_id],
+                label=ops[op_id].label,
+            )
+            for op_id in self.order
+        ]
 
     def finish_of(self, ops: Iterable[Op]) -> float:
         """Latest finish time over ``ops`` (0.0 for an empty set)."""
@@ -80,13 +104,7 @@ class DagSimulator:
         """The resource map (shared, not copied — treat as read-only)."""
         return self._resources
 
-    def run(
-        self,
-        dag: Dag,
-        *,
-        validate: bool = True,
-        record_trace: bool = True,
-    ) -> SimResult:
+    def run(self, dag: Dag, *, validate: bool = True) -> SimResult:
         """Execute ``dag`` and return per-op timings.
 
         The hot loop: pinned bit-exact against :meth:`run_reference` by
@@ -97,13 +115,22 @@ class DagSimulator:
         children of *later* same-time events), breaking determinism
         against the reference.
 
+        Resources are numbered, so the loop indexes lists instead of
+        hashing resource keys.  Starting an op changes only its own
+        resource, so when one completion lets a single resource start,
+        the start needs no ordering.  When several resources start at
+        once, the service order (hence the trace) must follow the
+        reference, which starts them in the iteration order of the set
+        of touched resource keys; that set is rebuilt for those events
+        only.  The loop records only the service-start order (one append
+        per op); :attr:`SimResult.trace` is derived from it when first
+        read.
+
         Args:
             dag: the operation DAG to execute.
-            validate: run :meth:`Dag.validate` first (cheap; disable only
-                in tight benchmark loops on already-validated DAGs).
-            record_trace: build the chronological :class:`TraceRecord`
-                list.  Disable in tight loops that only need timings —
-                record construction is a large share of sim cost.
+            validate: run :meth:`Dag.validate` first (a full topological
+                sort; disable only for a DAG the caller has just
+                validated).
 
         Raises:
             SimulationError: if an op references an unknown resource.
@@ -112,7 +139,8 @@ class DagSimulator:
         if validate:
             dag.validate()
         resources = self._resources
-        missing = dag.resources() - resources.keys()
+        used = dag.resources()
+        missing = used - resources.keys()
         if missing:
             raise SimulationError(f"DAG references unknown resources: {missing!r}")
 
@@ -120,10 +148,17 @@ class DagSimulator:
         n = len(ops)
         start = [0.0] * n
         finish = [0.0] * n
-        trace: list[TraceRecord] = []
+        order: list[int] = []
         if n == 0:
-            return SimResult(start=start, finish=finish, makespan=0.0, trace=trace)
+            return SimResult(
+                start=start, finish=finish, makespan=0.0, order=order, ops=ops
+            )
 
+        # Numbered in ``used``'s iteration order: the order in which the
+        # reference starts resources at time zero.
+        rid = {key: i for i, key in enumerate(used)}
+        res_of = [op.resource for op in ops]
+        rid_of = [rid[key] for key in res_of]
         pending = [len(op.deps) for op in ops]
         children: list[list[int]] = [[] for _ in range(n)]
         for op in ops:
@@ -132,87 +167,96 @@ class DagSimulator:
 
         # Per-resource FIFO of ready ops: heap of (ready_time, op_id).
         # Service-time methods are bound once per resource up front.
-        ready: dict[Hashable, list[tuple[float, int]]] = {}
-        busy: dict[Hashable, bool] = {}
-        service_of: dict[Hashable, Callable[[Op], float]] = {}
-        for key in dag.resources():
-            ready[key] = []
-            busy[key] = False
-            service_of[key] = resources[key].service_time
+        ready: list[list[tuple[float, int]]] = [[] for _ in rid]
+        busy = [False] * len(rid)
+        service_of = [resources[key].service_time for key in rid]
 
         # Event heap of op completions: (time, op_id).
         events: list[tuple[float, int]] = []
         completed = 0
         heappush = heapq.heappush
         heappop = heapq.heappop
-        trace_append = trace.append
+        order_append = order.append
 
-        def start_next(resource: Hashable, now: float) -> None:
-            """If ``resource`` is idle and has ready work, start the next op."""
-            rheap = ready[resource]
-            if busy[resource] or not rheap:
-                return
-            _, op_id = heappop(rheap)
-            op = ops[op_id]
-            service = service_of[resource](op)
+        def begin(r: int, now: float) -> None:
+            """Start the next ready op on idle resource ``r``."""
+            _, op_id = heappop(ready[r])
+            service = service_of[r](ops[op_id])
             if service < 0:
                 raise SimulationError(f"op {op_id} has negative service time")
-            busy[resource] = True
+            busy[r] = True
             done = now + service
             start[op_id] = now
             finish[op_id] = done
-            if record_trace:
-                trace_append(
-                    TraceRecord(
-                        op_id=op_id,
-                        resource=resource,
-                        start=now,
-                        finish=done,
-                        label=op.label,
-                    )
-                )
+            order_append(op_id)
             heappush(events, (done, op_id))
 
         for op in ops:
             if pending[op.op_id] == 0:
-                heappush(ready[op.resource], (0.0, op.op_id))
-        for key in ready:
-            start_next(key, 0.0)
+                heappush(ready[rid_of[op.op_id]], (0.0, op.op_id))
+        for r, rheap in enumerate(ready):
+            if rheap:
+                begin(r, 0.0)
 
         while events:
             now, op_id = heappop(events)
-            op = ops[op_id]
-            busy[op.resource] = False
+            r = rid_of[op_id]
+            busy[r] = False
             completed += 1
+            # Resources that start an op now: ``first``, then ``more``.
+            first = r if ready[r] else -1
+            more: list[int] | None = None
             kids = children[op_id]
-            if not kids:
-                start_next(op.resource, now)
-                continue
-            touched = {op.resource}
             for child_id in kids:
-                pending[child_id] -= 1
+                left = pending[child_id] - 1
+                pending[child_id] = left
+                if left == 0:
+                    c = rid_of[child_id]
+                    heappush(ready[c], (now, child_id))
+                    if c == first or busy[c]:
+                        continue
+                    if first < 0:
+                        first = c
+                    elif more is None:
+                        more = [c]
+                    elif c not in more:
+                        more.append(c)
+            if more is None:
+                if first >= 0:
+                    begin(first, now)
+                continue
+            starting = {first, *more}
+            touched = {res_of[op_id]}
+            for child_id in kids:
                 if pending[child_id] == 0:
-                    child = ops[child_id]
-                    heappush(ready[child.resource], (now, child_id))
-                    touched.add(child.resource)
+                    touched.add(res_of[child_id])
             for key in touched:
-                start_next(key, now)
+                c = rid[key]
+                if c in starting:
+                    begin(c, now)
 
         if completed != n:
             raise DeadlockError(
                 f"simulation stalled: {completed}/{n} ops completed"
             )
         return SimResult(
-            start=start, finish=finish, makespan=max(finish), trace=trace
+            start=start,
+            finish=finish,
+            makespan=max(finish),
+            order=order,
+            ops=ops,
         )
 
     def run_reference(self, dag: Dag, *, validate: bool = True) -> SimResult:
-        """The pre-optimization event loop, kept verbatim as the oracle.
+        """The pre-optimization event loop, kept as the oracle.
 
         :meth:`run` must produce bit-identical ``start`` / ``finish`` /
-        ``makespan`` and an identical trace; the hot-path regression
-        tests and the ``sim_events`` benchmark's "before" number both
-        come from here.  Do not optimize this method.
+        ``makespan`` and an identical service order, hence an identical
+        trace.  The loop is the original one except that it records
+        each op id in service order, like :meth:`run`, instead of
+        building a :class:`TraceRecord`.  The hot-path regression tests
+        and the ``sim_events`` benchmark's "before" number both come
+        from here.  Do not optimize this method.
         """
         if validate:
             dag.validate()
@@ -223,9 +267,15 @@ class DagSimulator:
         n = len(dag.ops)
         start = [0.0] * n
         finish = [0.0] * n
-        trace: list[TraceRecord] = []
+        order: list[int] = []
         if n == 0:
-            return SimResult(start=start, finish=finish, makespan=0.0, trace=trace)
+            return SimResult(
+                start=start,
+                finish=finish,
+                makespan=0.0,
+                order=order,
+                ops=dag.ops,
+            )
 
         pending = [len(op.deps) for op in dag.ops]
         children: list[list[int]] = [[] for _ in range(n)]
@@ -251,15 +301,7 @@ class DagSimulator:
             busy[resource] = True
             start[op_id] = now
             finish[op_id] = now + service
-            trace.append(
-                TraceRecord(
-                    op_id=op_id,
-                    resource=resource,
-                    start=now,
-                    finish=now + service,
-                    label=op.label,
-                )
-            )
+            order.append(op_id)
             heapq.heappush(events, (now + service, op_id))
 
         for op in dag.ops:
@@ -288,7 +330,11 @@ class DagSimulator:
                 f"simulation stalled: {completed}/{n} ops completed"
             )
         return SimResult(
-            start=start, finish=finish, makespan=max(finish), trace=trace
+            start=start,
+            finish=finish,
+            makespan=max(finish),
+            order=order,
+            ops=dag.ops,
         )
 
 

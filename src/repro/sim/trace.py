@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One op's occupancy of one resource."""
 

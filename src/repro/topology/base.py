@@ -51,7 +51,7 @@ class LinkSpec:
 
     @property
     def resource_key(self) -> tuple:
-        return ("chan", self.u, self.v, self.lane)
+        return chan_key(self.u, self.v, self.lane)
 
     def to_channel(self) -> Channel:
         return Channel(
@@ -59,14 +59,25 @@ class LinkSpec:
         )
 
 
+#: One shared tuple per distinct resource key.  A schedule names the same
+#: few dozen channels from thousands of ops; sharing the key keeps one
+#: tuple per channel alive instead of one per op.
+_RESOURCE_KEYS: dict[tuple, tuple] = {}
+
+
+def intern_key(key: tuple) -> tuple:
+    """The shared tuple equal to ``key`` (``key`` itself on first use)."""
+    return _RESOURCE_KEYS.setdefault(key, key)
+
+
 def chan_key(u: int, v: int, lane: int = 0) -> tuple:
     """Resource key for the physical channel ``u -> v`` on ``lane``."""
-    return ("chan", u, v, lane)
+    return intern_key(("chan", u, v, lane))
 
 
 def gpu_key(i: int) -> tuple:
     """Resource key for GPU ``i``'s compute."""
-    return ("gpu", i)
+    return intern_key(("gpu", i))
 
 
 @dataclass

@@ -24,13 +24,13 @@ from typing import Hashable
 
 from repro.errors import EmbeddingError
 from repro.sim.dag import Dag, Phase
-from repro.topology.base import PhysicalTopology, chan_key, gpu_key
+from repro.topology.base import PhysicalTopology, chan_key, gpu_key, intern_key
 from repro.topology.routing import Router
 
 
 def edge_key(u: int, v: int, lane: int = 0) -> tuple:
     """Resource key of the logical directed edge ``u -> v`` on ``lane``."""
-    return ("edge", u, v, lane)
+    return intern_key(("edge", u, v, lane))
 
 
 def is_edge_key(key: Hashable) -> bool:

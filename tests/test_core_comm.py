@@ -1,10 +1,14 @@
 """Tests for the strategy-to-schedule glue (repro.core.comm)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.core.comm import build_strategy_schedule, simulate_strategy_comm
-from repro.core.config import CCubeConfig, Strategy
+from repro.core.config import Bandwidth, CCubeConfig, Strategy
+from repro.dnn.networks import NETWORKS
+from repro.sim.dag import Dag
 
 
 class TestBuildStrategySchedule:
@@ -74,3 +78,42 @@ class TestSimulateStrategyComm:
                 Strategy.CCUBE, 8e6, config, on_dgx1=on_dgx1
             )
             assert over.total_time < base.total_time
+
+    def test_fabric_reuses_ops_whose_lane_needs_no_folding(self, small_config):
+        outcome = simulate_strategy_comm(Strategy.RING, 64000.0, small_config)
+        logical = outcome.schedule.dag.ops
+        assert len(outcome.sim.ops) == len(logical)
+        assert all(a is b for a, b in zip(outcome.sim.ops, logical))
+
+    def test_physical_dag_is_validated_once(self, small_config, monkeypatch):
+        validated = []
+        validate = Dag.validate
+
+        def counting_validate(dag):
+            validated.append(dag)
+            validate(dag)
+
+        monkeypatch.setattr(Dag, "validate", counting_validate)
+        outcome = simulate_strategy_comm(
+            Strategy.CCUBE, 64000.0, small_config
+        )
+        physical = [d for d in validated if d.ops is outcome.sim.ops]
+        assert len(physical) == 1
+
+    def test_heaviest_fig13_point_peak_memory(self):
+        # VGG-16 / CC / low bandwidth is the largest Fig. 13 DES point
+        # (7,740 logical and 8,772 physical ops).  On CPython 3.11 its
+        # peak is about 6.2 MB with slotted ops and a trace derived only
+        # when read, and about 8.7 MB when every run also built one
+        # trace record per op and a key tuple per transfer.
+        config = CCubeConfig().scaled(Bandwidth.LOW)
+        nbytes = float(NETWORKS["vgg16"]().total_bytes)
+        simulate_strategy_comm(Strategy.CCUBE, nbytes, config)  # warm caches
+        tracemalloc.start()
+        try:
+            outcome = simulate_strategy_comm(Strategy.CCUBE, nbytes, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(outcome.sim.start) == 8772
+        assert peak < 7.5e6

@@ -36,9 +36,11 @@ from repro.runtime.memory import (
 from repro.runtime.ring_runtime import RingAllReduceRuntime
 from repro.runtime.sync import SpinConfig
 from repro.sanitizer import hooks
+from repro.sim import engine
 from repro.sim.dag import Dag
 from repro.sim.engine import DagSimulator
 from repro.sim.resources import Channel
+from repro.sim.trace import TraceRecord
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.routing import Router
@@ -326,15 +328,24 @@ class TestOptimizedEngine:
                 for r in ref.trace
             ]
 
-    def test_record_trace_elision_keeps_timings(self, rng):
+    def test_trace_is_built_on_first_read_and_cached(self, rng, monkeypatch):
+        built = []
+
+        def counting_record(**fields):
+            record = TraceRecord(**fields)
+            built.append(record)
+            return record
+
+        monkeypatch.setattr(engine, "TraceRecord", counting_record)
         dag, resources = self._random_dag(rng)
-        simulator = DagSimulator(resources)
-        with_trace = simulator.run(dag)
-        without = simulator.run(dag, record_trace=False)
-        assert without.trace == []
-        assert without.start == with_trace.start
-        assert without.finish == with_trace.finish
-        assert without.makespan == with_trace.makespan
+        result = DagSimulator(resources).run(dag)
+        assert built == []
+        trace = result.trace
+        assert len(built) == len(dag.ops)
+        assert result.trace is trace
+        assert len(built) == len(dag.ops)
+        assert sorted(r.op_id for r in trace) == list(range(len(dag.ops)))
+        assert [r.start for r in trace] == sorted(r.start for r in trace)
 
 
 class TestDetachedTracerCost:

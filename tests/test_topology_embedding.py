@@ -30,6 +30,15 @@ class TestEdgeKeys:
         assert not is_edge_key(chan_key(0, 1))
         assert not is_edge_key("edge")
 
+    def test_key_helpers_share_one_tuple_per_key(self):
+        assert edge_key(1, 2) is edge_key(1, 2, 0)
+        assert edge_key(1, 2, 1) is edge_key(1, 2, 1)
+        assert chan_key(3, 4) is chan_key(3, 4, 0)
+        assert gpu_key(5) is gpu_key(5)
+        assert chan_key(3, 4) is not edge_key(3, 4)
+        link = dgx1_topology().link(2, 3, 1)
+        assert link.resource_key is chan_key(2, 3, 1)
+
 
 class TestDirectEmbedding:
     def test_direct_edge_one_hop(self, setup):
