@@ -27,21 +27,8 @@ The package is organised as:
 - :mod:`repro.experiments` — one module per paper figure.
 """
 
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.core.config import Strategy
-from repro.core.pipeline import IterationPipeline, simulate_iteration
-from repro.core.trainer import TrainingConfig, normalized_performance
-from repro.collectives import (
-    build_allreduce,
-    ring_allreduce,
-    tree_allreduce,
-    double_tree_allreduce,
-    overlapped_tree_allreduce,
-    ccube_allreduce,
-)
-from repro.topology.dgx1 import dgx1_topology
-from repro.topology.switch import fat_tree_topology
-from repro.dnn.networks import resnet50, vgg16, zfnet
 
 __all__ = [
     "__version__",
@@ -62,3 +49,25 @@ __all__ = [
     "vgg16",
     "zfnet",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Strategy": "core.config",
+        "IterationPipeline": "core.pipeline",
+        "simulate_iteration": "core.pipeline",
+        "TrainingConfig": "core.trainer",
+        "normalized_performance": "core.trainer",
+        "build_allreduce": "collectives",
+        "ring_allreduce": "collectives.ring",
+        "tree_allreduce": "collectives.tree",
+        "double_tree_allreduce": "collectives.double_tree",
+        "overlapped_tree_allreduce": "collectives.tree",
+        "ccube_allreduce": "collectives.double_tree",
+        "dgx1_topology": "topology.dgx1",
+        "fat_tree_topology": "topology.switch",
+        "resnet50": "dnn.networks",
+        "vgg16": "dnn.networks",
+        "zfnet": "dnn.networks",
+    },
+)

@@ -12,23 +12,9 @@ Modules:
   α-β critical-path lower bound that prunes the autotuner.
 - :mod:`repro.analyze.core` — :func:`analyze_plan`, the one-call
   aggregate the ``repro analyze`` CLI surfaces.
-
-The heavy submodules import :mod:`repro.plan`, and the plan verifier
-imports :mod:`repro.analyze.diagnostics` — so this package initializer
-stays import-light and resolves the analysis entry points lazily (PEP
-562) to keep the import graph acyclic.
 """
 
-from __future__ import annotations
-
-from .diagnostics import (  # noqa: F401  (re-export, dependency-free)
-    Diagnostic,
-    DiagnosticReport,
-    RULES,
-    rule_slug,
-    severity_of,
-    to_sarif,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Diagnostic",
@@ -46,21 +32,21 @@ __all__ = [
     "static_lower_bound",
 ]
 
-_LAZY = {
-    "AnalysisReport": "core",
-    "analyze_plan": "core",
-    "StaticOrderingReport": "ordering",
-    "prove_plan_ordering": "ordering",
-    "ContentionReport": "contention",
-    "analyze_contention": "contention",
-    "static_lower_bound": "contention",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __name__), name)
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Diagnostic": "diagnostics",
+        "DiagnosticReport": "diagnostics",
+        "RULES": "diagnostics",
+        "rule_slug": "diagnostics",
+        "severity_of": "diagnostics",
+        "to_sarif": "diagnostics",
+        "AnalysisReport": "core",
+        "analyze_plan": "core",
+        "StaticOrderingReport": "ordering",
+        "prove_plan_ordering": "ordering",
+        "ContentionReport": "contention",
+        "analyze_contention": "contention",
+        "static_lower_bound": "contention",
+    },
+)

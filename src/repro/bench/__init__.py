@@ -8,26 +8,7 @@ against the committed baseline; `repro bench report` renders either.
 See DESIGN.md §11 for the methodology and regression policy.
 """
 
-from .compare import CompareReport, MetricComparison, compare_payloads
-from .harness import (
-    SCHEMA_VERSION,
-    bench_filename,
-    current_rev,
-    latest_baseline,
-    load_payload,
-    run_bench,
-    strip_timing,
-    write_payload,
-)
-from .metrics import (
-    METRICS,
-    BenchContext,
-    MetricResult,
-    MetricSpec,
-    calibrate,
-    metric_names,
-)
-from .report import render_comparison, render_payload, render_trajectory
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -51,3 +32,29 @@ __all__ = [
     "strip_timing",
     "write_payload",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CompareReport": "compare",
+        "MetricComparison": "compare",
+        "compare_payloads": "compare",
+        "SCHEMA_VERSION": "harness",
+        "bench_filename": "harness",
+        "current_rev": "harness",
+        "latest_baseline": "harness",
+        "load_payload": "harness",
+        "run_bench": "harness",
+        "strip_timing": "harness",
+        "write_payload": "harness",
+        "METRICS": "metrics",
+        "BenchContext": "metrics",
+        "MetricResult": "metrics",
+        "MetricSpec": "metrics",
+        "calibrate": "metrics",
+        "metric_names": "metrics",
+        "render_comparison": "report",
+        "render_payload": "report",
+        "render_trajectory": "report",
+    },
+)

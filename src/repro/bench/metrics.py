@@ -286,7 +286,8 @@ def _sim_events(ctx: BenchContext) -> MetricResult:
 
 def _plan_compile(ctx: BenchContext) -> MetricResult:
     """Plan build + route-legalization + static verification time."""
-    from repro.plan import compile_plan, verify_plan
+    from repro.plan.passes import compile_plan
+    from repro.plan.verifier import verify_plan
     from repro.plan.builders import build_plan
     from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
     from repro.topology.dgx1_trees import dgx1_trees
@@ -328,8 +329,8 @@ def _plan_analyze(ctx: BenchContext) -> MetricResult:
     DES run, so it must stay far below simulation time for pruning to
     pay off.
     """
-    from repro.analyze import analyze_plan
-    from repro.plan import compile_plan
+    from repro.analyze.core import analyze_plan
+    from repro.plan.passes import compile_plan
     from repro.plan.builders import build_plan
     from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
     from repro.topology.dgx1_trees import dgx1_trees

@@ -9,52 +9,14 @@ symbolically.
 
 from __future__ import annotations
 
+from repro._lazy import lazy_exports
 from repro.errors import ConfigError
-from repro.collectives.base import (
-    AllReduceOutcome,
-    CollectiveSchedule,
-    simulate_on_fabric,
-    simulate_on_physical,
-)
-from repro.collectives.chunking import (
-    chunk_offsets,
-    chunks_covering,
-    optimal_chunk_count,
-    split_bytes,
-)
+
+# build_allreduce below calls these from this module's own globals, which
+# the lazy __getattr__ does not serve.
 from repro.collectives.double_tree import ccube_allreduce, double_tree_allreduce
-from repro.collectives.export import (
-    load_schedule,
-    save_schedule,
-    schedule_from_dict,
-    schedule_summary,
-    schedule_to_dict,
-    schedule_to_dot,
-)
-from repro.collectives.halving_doubling import (
-    halving_doubling_allreduce,
-    halving_doubling_time,
-)
-from repro.collectives.hierarchical import (
-    ClusterSpec,
-    hierarchical_allreduce,
-    simulate_hierarchical,
-)
-from repro.collectives.primitives import (
-    ring_all_gather,
-    ring_reduce_scatter,
-    tree_broadcast,
-    tree_reduce,
-)
-from repro.collectives.ring import DGX1_RING_ORDER, ring_allreduce
+from repro.collectives.ring import ring_allreduce
 from repro.collectives.tree import overlapped_tree_allreduce, tree_allreduce
-from repro.collectives.verification import (
-    check_allreduce,
-    check_allreduce_simulated,
-    delivers_in_order,
-    in_order_violations,
-    replay_dataflow,
-)
 
 __all__ = [
     "AllReduceOutcome",
@@ -93,6 +55,46 @@ __all__ = [
     "replay_dataflow",
     "build_allreduce",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "AllReduceOutcome": "base",
+        "CollectiveSchedule": "base",
+        "simulate_on_fabric": "base",
+        "simulate_on_physical": "base",
+        "chunk_offsets": "chunking",
+        "chunks_covering": "chunking",
+        "optimal_chunk_count": "chunking",
+        "split_bytes": "chunking",
+        "ccube_allreduce": "double_tree",
+        "double_tree_allreduce": "double_tree",
+        "load_schedule": "export",
+        "save_schedule": "export",
+        "schedule_from_dict": "export",
+        "schedule_summary": "export",
+        "schedule_to_dict": "export",
+        "schedule_to_dot": "export",
+        "halving_doubling_allreduce": "halving_doubling",
+        "halving_doubling_time": "halving_doubling",
+        "ClusterSpec": "hierarchical",
+        "hierarchical_allreduce": "hierarchical",
+        "simulate_hierarchical": "hierarchical",
+        "ring_all_gather": "primitives",
+        "ring_reduce_scatter": "primitives",
+        "tree_broadcast": "primitives",
+        "tree_reduce": "primitives",
+        "DGX1_RING_ORDER": "ring",
+        "ring_allreduce": "ring",
+        "overlapped_tree_allreduce": "tree",
+        "tree_allreduce": "tree",
+        "check_allreduce": "verification",
+        "check_allreduce_simulated": "verification",
+        "delivers_in_order": "verification",
+        "in_order_violations": "verification",
+        "replay_dataflow": "verification",
+    },
+)
 
 #: Builders by algorithm name, for :func:`build_allreduce`.
 ALGORITHMS = (

@@ -9,14 +9,20 @@ logical edge) or embedded onto a physical topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Hashable
 
 from repro.errors import ScheduleError, SimulationError
 from repro.sim.dag import Dag
 from repro.sim.engine import DagSimulator, SimResult
+from repro.sim.resources import Processor
 from repro.topology.base import PhysicalTopology
-from repro.topology.embedding import abstract_resources, embed_on_physical
+from repro.topology.embedding import (
+    abstract_resources,
+    edge_key,
+    embed_on_physical,
+    is_edge_key,
+)
 from repro.topology.routing import Router
 from repro.topology.switch import FabricSpec
 
@@ -130,10 +136,6 @@ def simulate_on_fabric(
     on a single-lane fabric the two trees of a double tree share each
     directed channel (the contention that forbids overlapping a double
     tree without extra physical connectivity)."""
-    from dataclasses import replace
-
-    from repro.topology.embedding import edge_key, is_edge_key
-
     dag = schedule.dag
     if fabric.lanes >= 1:
         folded = Dag()
@@ -177,8 +179,6 @@ def simulate_on_physical(
     if extra_resources:
         resources.update(extra_resources)
     # Sync markers and similar bookkeeping ops get default processors.
-    from repro.sim.resources import Processor
-
     for key in physical.resources():
         if key not in resources:
             resources[key] = Processor(name=str(key))

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from repro.errors import ConfigError
-from repro.collectives.base import CollectiveSchedule
+from repro.collectives.base import CollectiveSchedule, _build_outcome
 from repro.collectives.chunking import chunk_offsets, split_bytes
 from repro.sim.dag import Dag, Phase
+from repro.sim.engine import DagSimulator
 from repro.sim.resources import Channel, Processor
 from repro.topology.embedding import edge_key, is_edge_key
 from repro.topology.logical import BinaryTree, balanced_binary_tree
@@ -338,9 +339,6 @@ def simulate_hierarchical(
     overlapped: bool = True,
 ):
     """Build and simulate a hierarchical AllReduce; returns the outcome."""
-    from repro.collectives.base import _build_outcome
-    from repro.sim.engine import DagSimulator
-
     schedule = hierarchical_allreduce(
         cluster, nbytes, nchunks=nchunks, overlapped=overlapped
     )

@@ -12,26 +12,7 @@
   (paper Fig. 16 cases 1-3: bubbles and turnaround push-back).
 """
 
-from repro.core.config import Bandwidth, CCubeConfig, Strategy
-from repro.core.gradient_queue import GradientQueue, LayerChunkTable
-from repro.core.pipeline import (
-    IterationPipeline,
-    IterationResult,
-    simulate_iteration,
-)
-from repro.core.trainer import TrainingConfig, normalized_performance, run_training
-from repro.core.patterns import PatternCase, analyze_pattern, synthetic_network
-from repro.core.autotune import ChunkChoice, StrategyChoice, choose_chunks, choose_strategy
-from repro.core.heterogeneity import (
-    HeterogeneousResult,
-    heterogeneous_iteration,
-)
-from repro.core.occupancy import OccupancyProfile, queue_occupancy
-from repro.core.timeline import render_iteration_timeline
-from repro.core.backward_overlap import (
-    BackwardOverlapResult,
-    simulate_backward_overlap,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Bandwidth",
@@ -60,3 +41,34 @@ __all__ = [
     "HeterogeneousResult",
     "heterogeneous_iteration",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Bandwidth": "config",
+        "CCubeConfig": "config",
+        "Strategy": "config",
+        "GradientQueue": "gradient_queue",
+        "LayerChunkTable": "gradient_queue",
+        "IterationPipeline": "pipeline",
+        "IterationResult": "pipeline",
+        "simulate_iteration": "pipeline",
+        "TrainingConfig": "trainer",
+        "normalized_performance": "trainer",
+        "run_training": "trainer",
+        "PatternCase": "patterns",
+        "analyze_pattern": "patterns",
+        "synthetic_network": "patterns",
+        "ChunkChoice": "autotune",
+        "StrategyChoice": "autotune",
+        "choose_chunks": "autotune",
+        "choose_strategy": "autotune",
+        "HeterogeneousResult": "heterogeneity",
+        "heterogeneous_iteration": "heterogeneity",
+        "OccupancyProfile": "occupancy",
+        "queue_occupancy": "occupancy",
+        "render_iteration_timeline": "timeline",
+        "BackwardOverlapResult": "backward_overlap",
+        "simulate_backward_overlap": "backward_overlap",
+    },
+)

@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.collectives import (
-    optimal_chunk_count,
-    simulate_on_fabric,
-    tree_allreduce,
-)
+from repro.collectives.base import simulate_on_fabric
+from repro.collectives.chunking import optimal_chunk_count
+from repro.collectives.tree import tree_allreduce
 from repro.core.config import CCubeConfig, Strategy
 from repro.core.pipeline import IterationPipeline, IterationResult
 from repro.dnn.compute_model import ComputeModel, V100_COMPUTE

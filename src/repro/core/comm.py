@@ -9,15 +9,18 @@ count and simulate it.
 from __future__ import annotations
 
 from repro.errors import ConfigError
-from repro.collectives import (
-    ccube_allreduce,
-    double_tree_allreduce,
-    optimal_chunk_count,
-    ring_allreduce,
+from repro.collectives.base import (
+    AllReduceOutcome,
+    CollectiveSchedule,
     simulate_on_fabric,
     simulate_on_physical,
 )
-from repro.collectives.base import AllReduceOutcome, CollectiveSchedule
+from repro.collectives.chunking import optimal_chunk_count
+from repro.collectives.double_tree import (
+    ccube_allreduce,
+    double_tree_allreduce,
+)
+from repro.collectives.ring import ring_allreduce
 from repro.core.config import CCubeConfig, Strategy
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import dgx1_trees

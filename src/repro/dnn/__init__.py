@@ -9,24 +9,7 @@ the published models and the compute-vs-params trend across depth (paper
 Fig. 17) emerges from the architecture itself rather than being hardcoded.
 """
 
-from repro.dnn.layers import LayerKind, LayerSpec, NetworkModel
-from repro.dnn.compute_model import ComputeModel, V100_COMPUTE
-from repro.dnn.networks import (
-    NETWORKS,
-    alexnet,
-    bert_base,
-    resnet152,
-    resnet50,
-    vgg16,
-    zfnet,
-)
-from repro.dnn.profiles import MLPERF_PROFILES, WorkloadProfile
-from repro.dnn.serialize import (
-    load_network,
-    network_from_dict,
-    network_to_dict,
-    save_network,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LayerKind",
@@ -48,3 +31,27 @@ __all__ = [
     "network_to_dict",
     "save_network",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "LayerKind": "layers",
+        "LayerSpec": "layers",
+        "NetworkModel": "layers",
+        "ComputeModel": "compute_model",
+        "V100_COMPUTE": "compute_model",
+        "NETWORKS": "networks",
+        "alexnet": "networks",
+        "bert_base": "networks",
+        "resnet152": "networks",
+        "resnet50": "networks",
+        "vgg16": "networks",
+        "zfnet": "networks",
+        "MLPERF_PROFILES": "profiles",
+        "WorkloadProfile": "profiles",
+        "load_network": "serialize",
+        "network_from_dict": "serialize",
+        "network_to_dict": "serialize",
+        "save_network": "serialize",
+    },
+)

@@ -13,7 +13,9 @@ iteration needs first).
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from repro.errors import ConfigError
@@ -99,11 +101,18 @@ class NetworkModel:
     def total_fwd_flops(self) -> float:
         return sum(layer.fwd_flops for layer in self.layers)
 
+    @cached_property
+    def _byte_offsets(self) -> tuple[int, ...]:
+        """Prefix sums of the layers' gradient bytes, starting at 0."""
+        return tuple(itertools.accumulate(
+            (layer.param_bytes for layer in self.layers), initial=0
+        ))
+
     def byte_offset(self, index: int) -> int:
         """Starting byte of layer ``index`` in the gradient buffer."""
         if not 0 <= index < len(self.layers):
             raise ConfigError(f"layer index {index} out of range")
-        return sum(layer.param_bytes for layer in self.layers[:index])
+        return self._byte_offsets[index]
 
     def byte_range(self, index: int) -> tuple[int, int]:
         """Half-open byte range of layer ``index`` in the gradient buffer."""

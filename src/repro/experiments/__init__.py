@@ -22,32 +22,7 @@ Every module exposes ``run(...)`` returning structured rows and a
 | —       | :mod:`repro.experiments.ext_hierarchical` (multi-node extension) |
 """
 
-from repro.experiments import (
-    ablations,
-    certify,
-    export,
-    ext_algorithms,
-    ext_dgx2,
-    ext_elastic,
-    ext_hierarchical,
-    ext_plans,
-    ext_sensitivity,
-    ext_synth,
-    ext_tree_search,
-    ext_workloads,
-    fig01_allreduce_ratio,
-    fig02_overlap_comparison,
-    fig03_invocation,
-    fig04_model_ratio,
-    fig05_walkthrough,
-    fig12_comm_perf,
-    fig13_overall,
-    fig14_scaleout,
-    fig15_detour,
-    fig16_patterns,
-    fig17_resnet_layers,
-    runner,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ablations",
@@ -75,3 +50,6 @@ __all__ = [
     "fig17_resnet_layers",
     "runner",
 ]
+
+# Every export is a submodule, which lazy_exports resolves by name.
+__getattr__, __dir__ = lazy_exports(__name__, {})

@@ -16,13 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives import (
-    ccube_allreduce,
-    optimal_chunk_count,
-    simulate_on_physical,
-    tree_allreduce,
-    simulate_on_fabric,
-)
+from repro.collectives.base import simulate_on_fabric, simulate_on_physical
+from repro.collectives.chunking import optimal_chunk_count
+from repro.collectives.double_tree import ccube_allreduce
+from repro.collectives.tree import tree_allreduce
 from repro.core.config import CCubeConfig
 from repro.experiments.report import format_bytes, render_table
 from repro.topology.dgx1 import (

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives import (
-    double_tree_allreduce,
-    optimal_chunk_count,
-    ring_allreduce,
-    simulate_on_fabric,
-)
+from repro.collectives.base import simulate_on_fabric
+from repro.collectives.chunking import optimal_chunk_count
+from repro.collectives.double_tree import double_tree_allreduce
+from repro.collectives.ring import ring_allreduce
 from repro.collectives.halving_doubling import halving_doubling_allreduce
 from repro.collectives.verification import delivers_in_order
 from repro.core.config import CCubeConfig

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives import (
+from repro.collectives.base import simulate_on_physical
+from repro.collectives.chunking import optimal_chunk_count
+from repro.collectives.double_tree import (
     ccube_allreduce,
     double_tree_allreduce,
-    optimal_chunk_count,
-    simulate_on_physical,
 )
 from repro.core.config import CCubeConfig, Strategy
 from repro.core.comm import simulate_strategy_comm
 from repro.experiments.report import format_bytes, render_table
 from repro.topology.dgx2 import dgx2_topology
+from repro.topology.embedding import embed_on_physical
 from repro.topology.logical import two_trees
 from repro.topology.routing import Router
 
@@ -58,8 +59,6 @@ def _simulate_on_dgx2(
     schedule = builder(
         ngpus, nbytes, nchunks=nchunks, trees=two_trees(ngpus)
     )
-    from repro.topology.embedding import embed_on_physical
-
     _, report = embed_on_physical(schedule.dag, topo, router)
     outcome = simulate_on_physical(schedule, topo, router=router)
     return outcome, report

@@ -23,7 +23,9 @@ from repro.collectives.halving_doubling import halving_doubling_allreduce
 from repro.collectives.ring import DGX1_RING_ORDER, ring_allreduce
 from repro.collectives.tree import tree_allreduce
 from repro.experiments.report import render_table
-from repro.plan import build_plan, simulate_plan, verify_plan
+from repro.plan.builders import build_plan
+from repro.plan.lowering import simulate_plan
+from repro.plan.verifier import verify_plan
 from repro.sim.oracle import check_plan_ordering
 from repro.topology.dgx1 import (
     DETOUR_NODES,

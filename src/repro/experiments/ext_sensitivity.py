@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives import (
-    double_tree_allreduce,
-    optimal_chunk_count,
-    simulate_on_fabric,
-)
+from repro.collectives.base import simulate_on_fabric
+from repro.collectives.chunking import optimal_chunk_count
+from repro.collectives.double_tree import double_tree_allreduce
 from repro.experiments.report import render_table
 from repro.topology.switch import FabricSpec
 

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.report import render_table
+from repro.plan.interpreter import PlanInterpreter
+from repro.plan.lowering import simulate_plan
+from repro.plan.verifier import verify_plan
 from repro.sim.oracle import check_plan_ordering
 from repro.synth.search import effective_gpu_topology
 from repro.synth.tune import SMOKE_SIZES, SWEEP_SIZES, TuneResult, tune
@@ -85,8 +88,6 @@ class SynthRow:
 
 def _bit_exact(plan) -> bool:
     """Integer-input interpreter run vs the order-independent sum."""
-    from repro.plan.interpreter import PlanInterpreter
-
     rng = np.random.default_rng(7)
     inputs = [
         rng.integers(-100, 100, CHECK_ELEMS).astype(np.float64)
@@ -102,9 +103,6 @@ def _bit_exact(plan) -> bool:
 
 
 def _gate_columns(entry, topo) -> tuple[bool, bool, bool]:
-    from repro.plan.lowering import simulate_plan
-    from repro.plan.verifier import verify_plan
-
     eff = effective_gpu_topology(topo)
     verified = verify_plan(
         entry.plan, topo=eff, raise_on_error=False

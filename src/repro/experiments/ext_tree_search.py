@@ -13,6 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.collectives.base import simulate_on_physical
+from repro.collectives.chunking import optimal_chunk_count
+from repro.collectives.double_tree import ccube_allreduce
+from repro.core.config import CCubeConfig
 from repro.experiments.report import render_table
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import dgx1_trees
@@ -38,13 +42,6 @@ class SearchRow:
 
 
 def _ccube_time(pair, topo, router, nbytes: float = 64 * _MB) -> float:
-    from repro.collectives import (
-        ccube_allreduce,
-        optimal_chunk_count,
-        simulate_on_physical,
-    )
-    from repro.core.config import CCubeConfig
-
     config = CCubeConfig()
     nchunks = optimal_chunk_count(
         8, nbytes / 2.0, alpha=config.alpha, beta=config.beta,

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives import ring_allreduce, simulate_on_fabric, tree_allreduce
+from repro.collectives.base import simulate_on_fabric
+from repro.collectives.ring import ring_allreduce
+from repro.collectives.tree import tree_allreduce
 from repro.experiments.report import render_table
 from repro.topology.logical import BinaryTree
 from repro.topology.switch import FabricSpec

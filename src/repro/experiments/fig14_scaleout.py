@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.collectives import (
-    double_tree_allreduce,
-    ring_allreduce,
-    simulate_on_fabric,
-)
+from repro.collectives.base import simulate_on_fabric
+from repro.collectives.double_tree import double_tree_allreduce
+from repro.collectives.ring import ring_allreduce
 from repro.experiments.report import format_bytes, render_table
 from repro.topology.switch import fat_tree_fabric
 

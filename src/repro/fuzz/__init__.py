@@ -18,43 +18,7 @@ Entry points:
   under a distinct seeded schedule (conftest).
 """
 
-from .mutate import (
-    DROP,
-    DUPLICATE,
-    SWAP,
-    MutantOutcome,
-    MutationFuzzOutcome,
-    PlanMutation,
-    candidate_mutations,
-    fuzz_builder_mutations,
-    fuzz_mutations,
-    mutant_behaviour,
-    mutate_plan,
-    sample_mutations,
-)
-from .harness import (
-    POLICIES,
-    FuzzFailure,
-    ReplayOutcome,
-    ScenarioFuzzOutcome,
-    ScheduleRun,
-    fuzz_scenario,
-    load_failure,
-    make_policy,
-    replay_failure,
-    run_schedule,
-    save_failure,
-)
-from .policy import (
-    Decision,
-    PCTPolicy,
-    RandomWalkPolicy,
-    ReplayPolicy,
-    SchedulePolicy,
-    policy_from_spec,
-)
-from .scheduler import ChaosScheduler, ScheduleDecision, fuzzing
-from .shrink import ddmin
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ChaosScheduler",
@@ -91,3 +55,42 @@ __all__ = [
     "run_schedule",
     "save_failure",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "DROP": "mutate",
+        "DUPLICATE": "mutate",
+        "SWAP": "mutate",
+        "MutantOutcome": "mutate",
+        "MutationFuzzOutcome": "mutate",
+        "PlanMutation": "mutate",
+        "candidate_mutations": "mutate",
+        "fuzz_builder_mutations": "mutate",
+        "fuzz_mutations": "mutate",
+        "mutant_behaviour": "mutate",
+        "mutate_plan": "mutate",
+        "sample_mutations": "mutate",
+        "POLICIES": "harness",
+        "FuzzFailure": "harness",
+        "ReplayOutcome": "harness",
+        "ScenarioFuzzOutcome": "harness",
+        "ScheduleRun": "harness",
+        "fuzz_scenario": "harness",
+        "load_failure": "harness",
+        "make_policy": "harness",
+        "replay_failure": "harness",
+        "run_schedule": "harness",
+        "save_failure": "harness",
+        "Decision": "policy",
+        "PCTPolicy": "policy",
+        "RandomWalkPolicy": "policy",
+        "ReplayPolicy": "policy",
+        "SchedulePolicy": "policy",
+        "policy_from_spec": "policy",
+        "ChaosScheduler": "scheduler",
+        "ScheduleDecision": "scheduler",
+        "fuzzing": "scheduler",
+        "ddmin": "shrink",
+    },
+)

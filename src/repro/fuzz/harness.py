@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.errors import ConfigError
+from repro.sanitizer.scenarios import SCENARIOS, run_scenario
 
 from .policy import (
     PCTPolicy,
@@ -103,8 +104,6 @@ def run_schedule(
     quantum: float = 2e-4,
 ) -> ScheduleRun:
     """Run one registered scenario under one fuzzed schedule."""
-    from repro.sanitizer.scenarios import run_scenario
-
     with fuzzing(policy, quantum=quantum) as scheduler:
         try:
             result = run_scenario(scenario, elems=elems)
@@ -267,8 +266,6 @@ def fuzz_scenario(
     failure, which is shrunk and attached); seeded scenarios stop at
     the first schedule whose report carries the expected finding.
     """
-    from repro.sanitizer.scenarios import SCENARIOS
-
     try:
         registered = SCENARIOS[scenario]
     except KeyError:

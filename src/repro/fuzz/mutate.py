@@ -32,8 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConfigError, ReproError
-from repro.plan import Plan, PlanInterpreter, build_plan, verify_plan
-from repro.plan.ir import PlanOp
+from repro.plan.builders import build_plan
+from repro.plan.interpreter import PlanInterpreter
+from repro.plan.ir import Plan, PlanOp
+from repro.plan.verifier import verify_plan
 from repro.runtime.sync import SpinConfig
 
 __all__ = [

@@ -35,6 +35,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
+
 __all__ = [
     "PROCEED",
     "YIELD",
@@ -249,8 +251,6 @@ class ReplayPolicy(SchedulePolicy):
 
 def policy_from_spec(spec: dict) -> SchedulePolicy:
     """Rebuild a policy from its :meth:`SchedulePolicy.spec` dict."""
-    from repro.errors import ConfigError
-
     kwargs = {k: v for k, v in spec.items() if k != "name"}
     name = spec.get("name")
     try:

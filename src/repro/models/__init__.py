@@ -1,32 +1,6 @@
 """Analytical alpha-beta cost models (paper Section II-C, Eq. 1-7)."""
 
-from repro.models.costmodel import (
-    CostParams,
-    optimal_chunks,
-    ring_allreduce_time,
-    ring_allgather_time,
-    tree_allreduce_time,
-    tree_phase_time,
-    overlapped_tree_time,
-    turnaround_baseline,
-    turnaround_overlapped,
-    tree_over_ring_ratio,
-)
-from repro.models.scalability import (
-    bandwidth_dominated_threshold,
-    overlap_benefit,
-    overlap_benefit_saturation_bytes,
-    ring_tree_crossover_bytes,
-    ring_tree_crossover_nodes,
-    scalability_report,
-)
-from repro.models.invocation import (
-    InvocationModel,
-    one_shot_time,
-    layer_wise_time,
-    sliced_time,
-    effective_bandwidth,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CostParams",
@@ -51,3 +25,30 @@ __all__ = [
     "sliced_time",
     "effective_bandwidth",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CostParams": "costmodel",
+        "optimal_chunks": "costmodel",
+        "ring_allreduce_time": "costmodel",
+        "ring_allgather_time": "costmodel",
+        "tree_allreduce_time": "costmodel",
+        "tree_phase_time": "costmodel",
+        "overlapped_tree_time": "costmodel",
+        "turnaround_baseline": "costmodel",
+        "turnaround_overlapped": "costmodel",
+        "tree_over_ring_ratio": "costmodel",
+        "bandwidth_dominated_threshold": "scalability",
+        "overlap_benefit": "scalability",
+        "overlap_benefit_saturation_bytes": "scalability",
+        "ring_tree_crossover_bytes": "scalability",
+        "ring_tree_crossover_nodes": "scalability",
+        "scalability_report": "scalability",
+        "InvocationModel": "invocation",
+        "one_shot_time": "invocation",
+        "layer_wise_time": "invocation",
+        "sliced_time": "invocation",
+        "effective_bandwidth": "invocation",
+    },
+)

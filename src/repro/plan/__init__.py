@@ -19,40 +19,7 @@ into per-GPU thread blocks (the GC3 idea applied to this codebase):
   discrete-event simulator.
 """
 
-from .builders import (
-    BUILDERS,
-    build_double_tree_plan,
-    build_halving_doubling_plan,
-    build_plan,
-    build_ring_plan,
-    build_tree_plan,
-)
-from .interpreter import (
-    PlanInterpreter,
-    PlanRunReport,
-    default_plan_layout,
-    plan_reduce_order,
-)
-from .ir import COPY, RECV, REDUCE, SEND, OpKind, Plan, PlanOp
-from .lowering import (
-    PlanOutcome,
-    lower_to_dag,
-    simulate_plan,
-    speedup_for_straggler,
-)
-from .passes import (
-    CompileReports,
-    assign_lanes,
-    compile_plan,
-    legalize_routes,
-    pipeline_chunks,
-)
-from .verifier import (
-    VerifyReport,
-    execution_order,
-    match_wires,
-    verify_plan,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Plan",
@@ -86,3 +53,39 @@ __all__ = [
     "compile_plan",
     "CompileReports",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "BUILDERS": "builders",
+        "build_double_tree_plan": "builders",
+        "build_halving_doubling_plan": "builders",
+        "build_plan": "builders",
+        "build_ring_plan": "builders",
+        "build_tree_plan": "builders",
+        "PlanInterpreter": "interpreter",
+        "PlanRunReport": "interpreter",
+        "default_plan_layout": "interpreter",
+        "plan_reduce_order": "interpreter",
+        "COPY": "ir",
+        "RECV": "ir",
+        "REDUCE": "ir",
+        "SEND": "ir",
+        "OpKind": "ir",
+        "Plan": "ir",
+        "PlanOp": "ir",
+        "PlanOutcome": "lowering",
+        "lower_to_dag": "lowering",
+        "simulate_plan": "lowering",
+        "speedup_for_straggler": "lowering",
+        "CompileReports": "passes",
+        "assign_lanes": "passes",
+        "compile_plan": "passes",
+        "legalize_routes": "passes",
+        "pipeline_chunks": "passes",
+        "VerifyReport": "verifier",
+        "execution_order": "verifier",
+        "match_wires": "verifier",
+        "verify_plan": "verifier",
+    },
+)

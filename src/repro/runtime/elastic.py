@@ -48,9 +48,6 @@ from repro.errors import (
     PlanVerificationError,
 )
 from repro.dnn.layers import NetworkModel
-# Submodule imports, not the package: repro.plan's __init__ pulls in the
-# interpreter, which imports back into repro.runtime — entering via the
-# package from here would be circular.
 from repro.plan.builders import build_double_tree_plan
 from repro.plan.passes import compile_plan
 from repro.plan.verifier import verify_plan

@@ -38,6 +38,15 @@ class ComputeRecord:
     timestamp: float
 
 
+def layer_elem_ranges(network: NetworkModel) -> list[tuple[int, int]]:
+    """Per layer, its half-open element range in the gradient buffer."""
+    ranges = []
+    for layer_idx in range(len(network)):
+        lo_b, hi_b = network.byte_range(layer_idx)
+        ranges.append((lo_b // BYTES_PER_PARAM, hi_b // BYTES_PER_PARAM))
+    return ranges
+
+
 def layer_requirements(
     network: NetworkModel, layout: ChunkLayout
 ) -> list[tuple[int, ...]]:
@@ -49,9 +58,7 @@ def layer_requirements(
             f"{layout.total_elems} elems"
         )
     requirements: list[tuple[int, ...]] = []
-    for layer_idx in range(len(network)):
-        lo_b, hi_b = network.byte_range(layer_idx)
-        lo, hi = lo_b // BYTES_PER_PARAM, hi_b // BYTES_PER_PARAM
+    for lo, hi in layer_elem_ranges(network):
         per_tree = [0] * layout.ntrees
         for t, chunks in enumerate(layout.tree_chunks):
             for pos, chunk in enumerate(chunks, start=1):
@@ -100,6 +107,7 @@ class ChainedTrainingRuntime:
         self.network = network
         self.learning_rate = learning_rate
         self.requirements = layer_requirements(network, runtime.layout)
+        self.elem_ranges = layer_elem_ranges(network)
 
     def run(
         self,
@@ -150,7 +158,9 @@ class ChainedTrainingRuntime:
         log: list[ComputeRecord],
     ):
         def kernel() -> None:
-            for layer_idx, per_tree in enumerate(self.requirements):
+            for layer_idx, ((lo, hi), per_tree) in enumerate(
+                zip(self.elem_ranges, self.requirements)
+            ):
                 board = self.runtime.phase_board
                 if board is not None:
                     board.set(gpu, f"compute layer {layer_idx}")
@@ -164,8 +174,6 @@ class ChainedTrainingRuntime:
                         gpu=gpu, layer=layer_idx, timestamp=time.monotonic()
                     )
                 )
-                lo_b, hi_b = self.network.byte_range(layer_idx)
-                lo, hi = lo_b // BYTES_PER_PARAM, hi_b // BYTES_PER_PARAM
                 weights[lo:hi] -= (
                     self.learning_rate * buffer.read_range(lo, hi)
                 )

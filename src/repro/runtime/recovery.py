@@ -59,6 +59,7 @@ from repro.models.costmodel import (
     overlapped_tree_time,
     restart_from_checkpoint_time,
 )
+from repro.plan.interpreter import PlanInterpreter, plan_reduce_order
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.faults import FaultPlan
 from repro.runtime.sync import SpinConfig
@@ -428,10 +429,6 @@ class InterpretedSegment:
                 the interpreter's abort cell and phase board stay
                 readable for drain/detect.
         """
-        # Late import: the interpreter lives in repro.plan, whose
-        # package init imports back into repro.runtime.
-        from repro.plan.interpreter import PlanInterpreter
-
         nranks = self.embedding.topology.nnodes
         w = np.asarray(weights, dtype=np.float64).copy()
         history: list[np.ndarray] = []
@@ -450,6 +447,7 @@ class InterpretedSegment:
                 verify=False,  # gated once at synthesis time
             )
             report = self.interpreter.run(grads)
+            del grads
             for out in report.outputs[1:]:
                 if not np.array_equal(report.outputs[0], out):
                     raise ConfigError(
@@ -458,6 +456,8 @@ class InterpretedSegment:
                     )
             w = w - self.learning_rate * report.outputs[0]
             history.append(w.copy())
+            # Free this iteration's outputs before the next one allocates.
+            del report
         return history
 
 
@@ -499,10 +499,6 @@ def segment_reduce_order(
     segment replays whichever reduction order actually executed it.
     """
     if embedding.synthesized:
-        # Late import: repro.plan's package init imports back into
-        # repro.runtime.
-        from repro.plan.interpreter import plan_reduce_order
-
         return plan_reduce_order(embedding.plan, total_elems=total_elems)
     return tree_reduce_order(embedding.trees, layout)
 

@@ -115,6 +115,9 @@ class FunctionalTrainer:
         self.network = network
         self.gradient_fn = gradient_fn
         self.learning_rate = learning_rate
+        self.chained = ChainedTrainingRuntime(
+            runtime, network, learning_rate=learning_rate
+        )
 
     def train(
         self, initial_weights: np.ndarray, *, iterations: int
@@ -133,9 +136,6 @@ class FunctionalTrainer:
         history: list[np.ndarray] = []
         dequeue_orders: list[dict[int, list[int]]] = []
 
-        chained = ChainedTrainingRuntime(
-            self.runtime, self.network, learning_rate=self.learning_rate
-        )
         for iteration in range(iterations):
             grads = [
                 np.asarray(
@@ -144,8 +144,10 @@ class FunctionalTrainer:
                 )
                 for gpu in range(nnodes)
             ]
-            per_gpu_weights = [weights.copy() for _ in range(nnodes)]
-            result = chained.run(grads, weights=per_gpu_weights)
+            result = self.chained.run(
+                grads, weights=[weights.copy() for _ in range(nnodes)]
+            )
+            del grads
             for w in result.weights[1:]:
                 if not np.array_equal(result.weights[0], w):
                     raise ConfigError(
@@ -159,6 +161,9 @@ class FunctionalTrainer:
                     for gpu in range(nnodes)
                 }
             )
+            # Free this iteration's per-GPU weights and buffers before the
+            # next one allocates its own.
+            del result
         return FunctionalTrainingResult(
             weights=weights,
             weight_history=history,

@@ -13,18 +13,7 @@ Entry points:
   deliberately broken seeded kernels (CLI).
 """
 
-from .hooks import active, pop, push
-from .lockgraph import (
-    BlockedWait,
-    InversionFinding,
-    LockEdge,
-    PostOrderCycleFinding,
-    WaitCycleFinding,
-)
-from .races import Access, MemoryState, RaceFinding
-from .report import SanitizerReport, render_report_dict
-from .tracer import Tracer, tracing
-from .vectorclock import VectorClock
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Access",
@@ -47,12 +36,30 @@ __all__ = [
     "scenario_names",
 ]
 
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "active": "hooks",
+        "pop": "hooks",
+        "push": "hooks",
+        "BlockedWait": "lockgraph",
+        "InversionFinding": "lockgraph",
+        "LockEdge": "lockgraph",
+        "PostOrderCycleFinding": "lockgraph",
+        "WaitCycleFinding": "lockgraph",
+        "Access": "races",
+        "MemoryState": "races",
+        "RaceFinding": "races",
+        "SanitizerReport": "report",
+        "render_report_dict": "report",
+        "Tracer": "tracer",
+        "tracing": "tracer",
+        "VectorClock": "vectorclock",
+        # The scenario registry pulls in the full runtime.
+        "run_scenario": "scenarios",
+        "scenario_names": "scenarios",
+        "SCENARIOS": "scenarios",
+        "Expectation": "scenarios",
+    },
+)
 
-def __getattr__(name: str):
-    # Scenario registry pulls in the full runtime; load it on demand so
-    # importing the runtime (which imports sanitizer.hooks) stays cheap.
-    if name in ("run_scenario", "scenario_names", "SCENARIOS", "Expectation"):
-        from . import scenarios
-
-        return getattr(scenarios, name)
-    raise AttributeError(name)

@@ -9,17 +9,7 @@ evaluation needs: which physical channel is busy when, and when each chunk
 finishes each phase.
 """
 
-from repro.sim.dag import Dag, Op, Phase
-from repro.sim.engine import DagSimulator, SimResult
-from repro.sim.resources import Channel, Processor, Resource
-from repro.sim.analysis import (
-    critical_path,
-    phase_overlap,
-    phase_windows,
-    render_gantt,
-    resource_utilization,
-)
-from repro.sim.trace import TraceRecord, busy_intervals, utilization
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Dag",
@@ -39,3 +29,25 @@ __all__ = [
     "render_gantt",
     "resource_utilization",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Dag": "dag",
+        "Op": "dag",
+        "Phase": "dag",
+        "DagSimulator": "engine",
+        "SimResult": "engine",
+        "Channel": "resources",
+        "Processor": "resources",
+        "Resource": "resources",
+        "critical_path": "analysis",
+        "phase_overlap": "analysis",
+        "phase_windows": "analysis",
+        "render_gantt": "analysis",
+        "resource_utilization": "analysis",
+        "TraceRecord": "trace",
+        "busy_intervals": "trace",
+        "utilization": "trace",
+    },
+)

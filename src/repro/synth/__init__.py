@@ -23,28 +23,12 @@ a :class:`repro.errors.ConfigError`, and :mod:`repro.synth.fabrics`
 generates the seeded random fabrics the nightly soak chews through.
 """
 
-from repro.synth.fabrics import (
-    random_fabric,
-    topology_from_json,
-    topology_to_json,
-)
-from repro.synth.search import (
-    SynthCandidate,
-    build_forest_plan,
-    effective_gpu_topology,
-    hamiltonian_cycle,
-    pack_binary_forest,
-    synthesize_candidates,
-    synthesize_plan,
-)
-from repro.synth.store import PlanStore, StoredPlan, topology_fingerprint
-from repro.synth.tune import (
-    SizeWinner,
-    SweepEntry,
-    TuneResult,
-    format_tune_table,
-    tune,
-)
+from repro._lazy import lazy_exports
+
+# Imported eagerly: this function shares its name with the submodule that
+# defines it, and importing the submodule binds the module to that name
+# here (see repro._lazy).
+from repro.synth.tune import tune
 
 __all__ = [
     "SynthCandidate",
@@ -66,3 +50,26 @@ __all__ = [
     "topology_to_json",
     "topology_from_json",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "random_fabric": "fabrics",
+        "topology_from_json": "fabrics",
+        "topology_to_json": "fabrics",
+        "SynthCandidate": "search",
+        "build_forest_plan": "search",
+        "effective_gpu_topology": "search",
+        "hamiltonian_cycle": "search",
+        "pack_binary_forest": "search",
+        "synthesize_candidates": "search",
+        "synthesize_plan": "search",
+        "PlanStore": "store",
+        "StoredPlan": "store",
+        "topology_fingerprint": "store",
+        "SizeWinner": "tune",
+        "SweepEntry": "tune",
+        "TuneResult": "tune",
+        "format_tune_table": "tune",
+    },
+)

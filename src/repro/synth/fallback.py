@@ -13,15 +13,12 @@ kernels do not apply.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import SynthesisError
+from repro.synth.search import synthesize_plan
+from repro.topology.base import PhysicalTopology
+from repro.topology.logical import BinaryTree
 from repro.topology.routing import Router
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.topology.base import PhysicalTopology
-    from repro.topology.logical import BinaryTree
-    from repro.topology.tree_search import DegradedEmbedding, PairCost
+from repro.topology.tree_search import DegradedEmbedding, PairCost
 
 __all__ = ["synthesized_embedding", "FALLBACK_NBYTES"]
 
@@ -35,12 +32,12 @@ FALLBACK_NBYTES = 4e6
 def synthesized_embedding(
     *,
     rank_of: dict[int, int],
-    compacted: "PhysicalTopology",
-    pair: "tuple[BinaryTree, BinaryTree]",
-    cost: "PairCost",
+    compacted: PhysicalTopology,
+    pair: tuple[BinaryTree, BinaryTree],
+    cost: PairCost,
     router: Router,
     seed: int = 0,
-) -> "DegradedEmbedding":
+) -> DegradedEmbedding:
     """Build the flagged embedding for an infeasible survivor set.
 
     The best (still infeasible) tree pair and its cost are kept for
@@ -51,9 +48,6 @@ def synthesized_embedding(
     Raises:
         SynthesisError: when synthesis itself finds no gated plan.
     """
-    from repro.synth.search import synthesize_plan
-    from repro.topology.tree_search import DegradedEmbedding
-
     candidate = synthesize_plan(
         compacted, FALLBACK_NBYTES, nchunks=2, pipelines=(1,), seed=seed
     )

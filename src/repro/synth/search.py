@@ -44,10 +44,9 @@ from typing import Sequence
 
 from repro.collectives.chunking import chunk_offsets, split_bytes
 from repro.errors import SynthesisError
-# Submodule imports, not the package: repro.plan's __init__ pulls in the
-# interpreter, which imports back into repro.runtime.
 from repro.plan.builders import (
     _emit_tree,
+    build_double_tree_plan,
     build_halving_doubling_plan,
     build_ring_plan,
 )
@@ -516,8 +515,6 @@ def synthesize_raws(
     n = s.topology.nnodes
     raws: list[tuple[str, Plan]] = []
     if s.pair is not None:
-        from repro.plan.builders import build_double_tree_plan
-
         raws.append((
             "double_tree",
             build_double_tree_plan(

@@ -30,6 +30,13 @@ from typing import Sequence
 
 from repro.analyze.contention import static_lower_bound
 from repro.errors import SynthesisError
+from repro.experiments.report import render_table
+from repro.plan.builders import (
+    build_double_tree_plan,
+    build_halving_doubling_plan,
+    build_ring_plan,
+    build_tree_plan,
+)
 from repro.plan.ir import Plan
 from repro.synth.search import (
     SynthStructures,
@@ -139,13 +146,6 @@ class TuneResult:
 def _builder_raws(
     nnodes: int, nbytes: float, *, nchunks: int
 ) -> list[tuple[str, Plan]]:
-    from repro.plan.builders import (
-        build_double_tree_plan,
-        build_halving_doubling_plan,
-        build_ring_plan,
-        build_tree_plan,
-    )
-
     raws = [
         ("ring", build_ring_plan(nnodes, nbytes)),
         ("tree", build_tree_plan(nnodes, nbytes, nchunks=nchunks)),
@@ -279,10 +279,6 @@ def tune(
 
 def format_tune_table(result: TuneResult) -> str:
     """Human-readable winner table for ``repro synth tune``."""
-    # Late import: repro.experiments' package init pulls in ext_synth,
-    # which imports back into repro.synth.
-    from repro.experiments.report import render_table
-
     rows = []
     for winner in result.winners:
         synth = winner.best_synth

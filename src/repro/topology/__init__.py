@@ -13,25 +13,12 @@ Sanders two-tree pair.
 channels, inserting detour hops where direct links do not exist.
 """
 
-from repro.topology.base import LinkKind, LinkSpec, PhysicalTopology
-from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
-from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
-from repro.topology.dgx2 import dgx2_topology
-from repro.topology.logical import BinaryTree, balanced_binary_tree, ring_order, two_trees
-from repro.topology.routing import Router
-from repro.topology.switch import fat_tree_topology, switch_topology
-from repro.topology.embedding import embed_on_physical
-from repro.topology.visualize import (
-    adjacency_table,
-    render_embedding,
-    render_tree,
-)
-from repro.topology.tree_search import (
-    PairCost,
-    detour_map_for,
-    evaluate_pair,
-    search_tree_pair,
-)
+from repro._lazy import lazy_exports
+
+# Imported eagerly: this function shares its name with the submodule that
+# defines it, and importing the submodule binds the module to that name
+# here (see repro._lazy).
+from repro.topology.dgx1_trees import dgx1_trees
 
 __all__ = [
     "LinkKind",
@@ -58,3 +45,31 @@ __all__ = [
     "render_embedding",
     "render_tree",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "LinkKind": "base",
+        "LinkSpec": "base",
+        "PhysicalTopology": "base",
+        "DETOUR_NODES": "dgx1",
+        "dgx1_topology": "dgx1",
+        "DETOURED_EDGES": "dgx1_trees",
+        "dgx2_topology": "dgx2",
+        "BinaryTree": "logical",
+        "balanced_binary_tree": "logical",
+        "ring_order": "logical",
+        "two_trees": "logical",
+        "Router": "routing",
+        "fat_tree_topology": "switch",
+        "switch_topology": "switch",
+        "embed_on_physical": "embedding",
+        "adjacency_table": "visualize",
+        "render_embedding": "visualize",
+        "render_tree": "visualize",
+        "PairCost": "tree_search",
+        "detour_map_for": "tree_search",
+        "evaluate_pair": "tree_search",
+        "search_tree_pair": "tree_search",
+    },
+)

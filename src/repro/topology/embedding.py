@@ -24,6 +24,7 @@ from typing import Hashable
 
 from repro.errors import EmbeddingError
 from repro.sim.dag import Dag, Phase
+from repro.sim.resources import Channel, Processor
 from repro.topology.base import PhysicalTopology, chan_key, gpu_key, intern_key
 from repro.topology.routing import Router
 
@@ -186,8 +187,6 @@ def abstract_resources(
     realizable as its own channel.  Non-edge resources (GPU compute) get a
     default :class:`~repro.sim.resources.Processor`.
     """
-    from repro.sim.resources import Channel, Processor
-
     resources: dict[Hashable, object] = {}
     for key in dag.resources():
         if is_edge_key(key):

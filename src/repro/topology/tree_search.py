@@ -311,8 +311,8 @@ def search_degraded_pair(
     )
     if cost.infeasible_edges:
         if synth_fallback:
-            # Late import: repro.synth builds plans, and repro.plan's
-            # passes import back into repro.topology.
+            # Late import: repro.synth.fallback and repro.synth.search
+            # both import this module at top level.
             from repro.synth.fallback import synthesized_embedding
 
             return synthesized_embedding(

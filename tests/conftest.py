@@ -88,7 +88,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def pytest_configure(config: pytest.Config) -> None:
     config.addinivalue_line(
         "markers",
-        "no_sanitize: test deliberately breaks sync; skip tracer checks",
+        "no_sanitize: test deliberately breaks sync or measures memory; skip tracer checks",
     )
     config.addinivalue_line(
         "markers",

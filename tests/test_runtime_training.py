@@ -1,5 +1,7 @@
 """Tests for functional multi-iteration training and fault injection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,53 @@ class TestFunctionalTraining:
             w0.copy(), iterations=3
         )
         assert np.array_equal(r1.weights, r2.weights)
+
+    def test_train_makes_no_byte_offset_calls(self, rng, monkeypatch):
+        """Layer element ranges and the layer-chunk table are computed
+        once, when the trainer is built, not per layer per GPU per op."""
+        net, runtime, targets = make_setup(rng)
+        trainer = FunctionalTrainer(runtime, net, quadratic_gradient(targets))
+        calls = []
+        original = NetworkModel.byte_offset
+
+        def counting(self, index):
+            calls.append(index)
+            return original(self, index)
+
+        monkeypatch.setattr(NetworkModel, "byte_offset", counting)
+        trainer.train(np.zeros(net.total_params), iterations=2)
+        assert calls == []
+
+    @pytest.mark.no_sanitize  # the tracer's bookkeeping would set the peak
+    def test_previous_iteration_released_before_the_next(self, rng):
+        """Peak traced memory of a 3-iteration run on 64 Ki elements.
+
+        Each per-GPU array is 0.5 MB.  Keeping the previous iteration's
+        result (8 weight arrays, 8 reduced outputs) alive while the next
+        allocates its own peaked at ~43 arrays; releasing it first peaks
+        at ~29 arrays."""
+        layers = tuple(
+            LayerSpec(name=f"L{i}", params=8192, fwd_flops=1e6)
+            for i in range(8)
+        )
+        net = NetworkModel(name="mem", layers=layers)
+        n = net.total_params
+        runtime = TreeAllReduceRuntime(
+            two_trees(8), total_elems=n, chunks_per_tree=4, spin=FAST
+        )
+        targets = [rng.normal(size=n) for _ in range(8)]
+        trainer = FunctionalTrainer(
+            runtime, net, quadratic_gradient(targets), learning_rate=0.01
+        )
+        w0 = rng.normal(size=n)
+        trainer.train(w0, iterations=1)  # warm caches
+        tracemalloc.start()
+        try:
+            trainer.train(w0, iterations=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * n * 8
 
     def test_validation(self, rng):
         net, runtime, targets = make_setup(rng)
