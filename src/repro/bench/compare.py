@@ -13,6 +13,13 @@ The asymmetric-looking improvement bound is what makes ``compare``
 mapping regressions onto improvements exactly.  Both verdict sets
 shrink monotonically as the threshold grows (threshold-monotonicity).
 
+Exactly so in floating point: the speedup is a quotient ``num / den``
+of two per-side products, and swapping the payloads swaps ``num`` and
+``den`` bit for bit.  The verdicts compare those products by
+multiplication alone (``num < (1 - threshold) * den`` regressed,
+``(1 - threshold) * num > den`` improved), never the rounded quotient,
+so the reverse comparison evaluates the very same expressions.
+
 With ``normalize=True``, time- and rate-unit candidate values are
 scaled by the calibration ratio of the two machines before comparing,
 so a baseline committed from one machine can gate CI runs on another.
@@ -118,7 +125,7 @@ def compare_payloads(
             f"profile mismatch: baseline {base.get('profile')!r} vs "
             f"candidate {candidate.get('profile')!r}"
         )
-    scale = 1.0
+    base_cal = cand_cal = 1.0
     if normalize:
         base_cal = base.get("calibration")
         cand_cal = candidate.get("calibration")
@@ -126,7 +133,8 @@ def compare_payloads(
             raise BenchError(
                 "normalize=True needs a calibration field in both payloads"
             )
-        scale = cand_cal / base_cal
+    scale = cand_cal / base_cal
+    keep = 1.0 - threshold
 
     base_metrics = _gated(base)
     cand_metrics = _gated(candidate)
@@ -154,23 +162,27 @@ def compare_payloads(
                 f"metric {name!r}: values must be positive numbers "
                 f"(base={base_value!r}, candidate={cand_value!r})"
             )
-        if normalize and unit != "ratio":
-            # A slower candidate machine (scale > 1) legitimately takes
-            # longer per op and moves fewer ops per second; convert the
-            # candidate measurement into baseline-machine terms.
+        # Compare in baseline-machine terms: a slower candidate machine
+        # (scale > 1) legitimately takes longer per op and moves fewer
+        # ops per second.  Ratios are machine-free and never rescaled.
+        cal_base, cal_cand = (
+            (1.0, 1.0) if unit == "ratio" else (base_cal, cand_cal)
+        )
+        if higher:
+            num, den = cand_value * cal_cand, base_value * cal_base
+        else:
+            num, den = base_value * cal_cand, cand_value * cal_base
+        if unit != "ratio":
             cand_value = cand_value * scale if higher else cand_value / scale
-        goodness_base = base_value if higher else 1.0 / base_value
-        goodness_cand = cand_value if higher else 1.0 / cand_value
-        speedup = goodness_cand / goodness_base
         report.comparisons.append(
             MetricComparison(
                 name=name,
                 unit=unit,
                 base_value=float(base_value),
                 cand_value=float(cand_value),
-                speedup=speedup,
-                regressed=speedup < 1.0 - threshold,
-                improved=speedup > 1.0 / (1.0 - threshold),
+                speedup=num / den,
+                regressed=num < keep * den,
+                improved=keep * num > den,
             )
         )
     return report

@@ -275,8 +275,17 @@ class PlanInterpreter:
                 injectors[key] = self.fault_plan.link_injector(tag)
         return wires, injectors
 
-    def run(self, inputs: list[np.ndarray]) -> PlanRunReport:
+    def run(
+        self, inputs: list[np.ndarray], *, in_place: bool = False
+    ) -> PlanRunReport:
         """Execute the plan over ``inputs`` (one array per GPU).
+
+        Args:
+            inputs: per-GPU gradient arrays, all the same length.
+            in_place: hand the input arrays over as the GPUs' gradient
+                buffers (see :meth:`TreeAllReduceRuntime.run
+                <repro.runtime.allreduce.TreeAllReduceRuntime.run>`);
+                off by default, so ``inputs`` stay untouched.
 
         Raises:
             AbortedError: a kernel crashed or stalled and the cluster
@@ -323,7 +332,7 @@ class PlanInterpreter:
             )
 
         buffers = [
-            GradientBuffer(a, self.layout, owner=g)
+            GradientBuffer(a, self.layout, owner=g, copy=not in_place)
             for g, a in enumerate(inputs)
         ]
 

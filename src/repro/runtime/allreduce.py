@@ -333,6 +333,7 @@ class TreeAllReduceRuntime:
         extra_kernels: list[tuple[str, object]] | None = None,
         kernel_factory: object | None = None,
         enqueue_sems: dict[tuple[int, int], DeviceSemaphore] | None = None,
+        in_place: bool = False,
     ) -> RunReport:
         """Execute one AllReduce over ``inputs`` (one array per GPU).
 
@@ -349,6 +350,12 @@ class TreeAllReduceRuntime:
                 (created internally when omitted); they are attached to
                 the run's abort cell so consumers blocked in ``check``
                 also exit fail-fast.
+            in_place: hand the input arrays over as the GPUs' gradient
+                buffers (NCCL's in-place convention): the collective
+                reduces into them, and ``outputs[g] is inputs[g]``.
+                Each must be a writeable, C-contiguous float64 array
+                the caller no longer needs.  Off by default: the
+                buffers are copies and ``inputs`` stay untouched.
 
         Returns:
             A :class:`RunReport`; ``outputs[g]`` is GPU ``g``'s buffer
@@ -374,7 +381,7 @@ class TreeAllReduceRuntime:
         run_spin = replace(self.spin, abort=abort)
 
         buffers = [
-            GradientBuffer(a, self.layout, owner=g)
+            GradientBuffer(a, self.layout, owner=g, copy=not in_place)
             for g, a in enumerate(inputs)
         ]
         uplinks, downlinks, relays = self._build_links(buffers, run_spin)

@@ -54,11 +54,11 @@ buffer, so a collective allocates no per-kernel scratch.
 
 The :class:`KernelPool` runs persistent-kernel bodies as threads and
 implements the fail-fast protocol: the first kernel failure triggers the
-cluster :class:`~repro.runtime.sync.AbortCell`, a watchdog collapses the
-join deadline to a short grace period, and the pool re-raises a single
-:class:`~repro.errors.AbortedError` carrying the diagnostic dump, after
-recording on the cell any kernel thread still alive so a drain can join
-exactly those.
+cluster :class:`~repro.runtime.sync.AbortCell`, the join loop collapses
+its deadline to a short grace period once it sees the flag, and the pool
+re-raises a single :class:`~repro.errors.AbortedError` carrying the one
+diagnostic dump, after recording on the cell any kernel thread still
+alive so a drain can join exactly those.
 """
 
 from __future__ import annotations
@@ -75,7 +75,12 @@ from repro.errors import AbortedError, LinkFaultError, RuntimeClusterError
 from repro.runtime.faults import LinkInjector, payload_checksum
 from repro.runtime.memory import ChunkLayout, GradientBuffer
 from repro.runtime.memory import _emit as _access_emit
-from repro.runtime.sync import AbortCell, DeviceSemaphore, SpinConfig
+from repro.runtime.sync import (
+    AbortCell,
+    DeviceSemaphore,
+    SpinConfig,
+    mark_kernel_thread,
+)
 from repro.runtime.sync import _emit as _sync_emit
 from repro.sanitizer import hooks as _hooks
 
@@ -483,6 +488,11 @@ def _relay_kernel(
 class KernelPool:
     """Runs persistent-kernel bodies as threads; fails loudly together.
 
+    A run leaves no reference cycle behind: the pool keeps only the
+    first real failure, drops it and its kernel entries before raising,
+    so an aborted collective's buffers are freed as soon as the caller
+    drops the error.
+
     Attributes:
         join_timeout: seconds to wait for all kernels before declaring the
             run hung.
@@ -492,7 +502,7 @@ class KernelPool:
         abort_grace: join budget (seconds) granted to the surviving
             kernels once the abort flag is set — they only need to notice
             the flag, so this is short.
-        watchdog_interval: poll period of the watchdog thread.
+        watchdog_interval: how often the join loop checks the abort flag.
     """
 
     join_timeout: float = 60.0
@@ -515,24 +525,34 @@ class KernelPool:
             RuntimeClusterError: on kernel failure without an abort cell,
                 or join timeout.
         """
-        failures: list[tuple[str, BaseException]] = []
+        # The first failure, replaced once by the first one that is not
+        # a cascading AbortedError; later ones are only counted.
+        first_name: str | None = None
+        first_exc: BaseException | None = None
+        nfailed = 0
         fail_lock = threading.Lock()  # sync-lint: allow(raw-threading)
 
         def wrap(name: str, body: Callable[[], None]) -> Callable[[], None]:
             def runner() -> None:
+                nonlocal first_name, first_exc, nfailed
                 try:
+                    mark_kernel_thread()
                     _sync_emit("thread_start", self)
                     body()
                 except BaseException as exc:  # noqa: BLE001 - reported below
+                    cascade = isinstance(exc, AbortedError)
                     with fail_lock:
-                        failures.append((name, exc))
+                        nfailed += 1
+                        if first_exc is None or (
+                            not cascade
+                            and isinstance(first_exc, AbortedError)
+                        ):
+                            first_name, first_exc = name, exc
                     # Fail fast: the first real failure flips the cluster
                     # abort flag so every peer exits its spin loop now
                     # instead of burning its own full timeout.  Cascading
                     # AbortedErrors never re-trigger (first reason wins).
-                    if self.abort is not None and not isinstance(
-                        exc, AbortedError
-                    ):
+                    if self.abort is not None and not cascade:
                         self.abort.trigger(f"kernel {name!r} failed: {exc!r}")
                 finally:
                     _sync_emit("thread_end", self)
@@ -549,62 +569,64 @@ class KernelPool:
         for thread in threads:
             thread.start()
 
-        deadline_lock = threading.Lock()  # sync-lint: allow(raw-threading)
-        deadline = {"t": time.monotonic() + self.join_timeout}
-        stop = threading.Event()  # sync-lint: allow(raw-threading)
-
-        def watchdog() -> None:
-            # Collapse the join deadline once the abort flag is set: the
-            # survivors only need one spin iteration to observe it.
-            while not stop.wait(self.watchdog_interval):
-                if self.abort is not None and self.abort.is_set():
-                    with deadline_lock:
-                        deadline["t"] = min(
-                            deadline["t"],
-                            time.monotonic() + self.abort_grace,
-                        )
-                    return
-
-        dog = threading.Thread(target=watchdog, name="kernel-watchdog",
-                               daemon=True)
-        dog.start()
-        try:
-            for thread in threads:
-                while thread.is_alive():
-                    with deadline_lock:
-                        remaining = deadline["t"] - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    thread.join(timeout=min(0.05, remaining))
-        finally:
-            stop.set()
-            dog.join(timeout=1.0)
+        # Once the abort flag is set the survivors only need one spin
+        # iteration to observe it: collapse the deadline to the grace.
+        deadline = time.monotonic() + self.join_timeout
+        collapsed = self.abort is None
+        for thread in threads:
+            while thread.is_alive():
+                now = time.monotonic()
+                if not collapsed and self.abort.is_set():
+                    deadline = min(deadline, now + self.abort_grace)
+                    collapsed = True
+                if now >= deadline:
+                    break
+                thread.join(
+                    timeout=min(self.watchdog_interval, deadline - now)
+                )
 
         # Join edge: every kernel that finished happens-before anything
         # the caller does next (reading results, computing errors).
         _sync_emit("join_all", self)
         alive = [t for t in threads if t.is_alive()]
+        self._entries.clear()
+        # The failure's traceback holds the kernel frames, whose closures
+        # hold ``first_exc``: clear it so the error raised below is the
+        # only path to them.
+        cause, first_exc = first_exc, None
+        error = self._outcome(alive, first_name, cause, nfailed)
+        del cause
+        if error is not None:
+            try:
+                raise error
+            finally:
+                del error
+
+    def _outcome(
+        self,
+        alive: list[threading.Thread],
+        name: str | None,
+        cause: BaseException | None,
+        nfailed: int,
+    ) -> BaseException | None:
+        """The error a finished join raises, if any (``__cause__`` set)."""
         if self.abort is not None and self.abort.is_set():
             self.abort.record_stragglers(alive)
-            primary = next(
-                (
-                    (name, exc)
-                    for name, exc in failures
-                    if not isinstance(exc, AbortedError)
-                ),
-                None,
-            )
             error = self.abort.to_error()
-            if primary is not None:
-                raise error from primary[1]
-            raise error
-        if failures:
-            name, exc = failures[0]
-            raise RuntimeClusterError(
-                f"kernel {name!r} failed: {exc!r}"
-                + (f" ({len(failures) - 1} more failures)" if len(failures) > 1 else "")
-            ) from exc
-        if alive:
-            raise RuntimeClusterError(
+            if isinstance(cause, AbortedError):
+                cause = None
+        elif cause is not None:
+            more = (
+                f" ({nfailed - 1} more failures)" if nfailed > 1 else ""
+            )
+            error = RuntimeClusterError(
+                f"kernel {name!r} failed: {cause!r}{more}"
+            )
+        elif alive:
+            return RuntimeClusterError(
                 f"kernels did not finish: {[t.name for t in alive]}"
             )
+        else:
+            return None
+        error.__cause__ = cause
+        return error

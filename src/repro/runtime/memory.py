@@ -144,6 +144,11 @@ class GradientBuffer:
     ``read`` / ``write`` / ``reduce`` event under the buffer's label
     (``gpu<rank>`` when an ``owner`` was given).  ``reduce`` counts as a
     write: numpy's in-place add is a read-modify-write.
+
+    By default the buffer holds a float64 copy of ``data``.  With
+    ``copy=False`` it takes ``data`` itself as its memory (NCCL's
+    in-place convention): the collective then reduces into the caller's
+    array, which must be a writeable, C-contiguous float64 array.
     """
 
     def __init__(
@@ -152,6 +157,7 @@ class GradientBuffer:
         layout: ChunkLayout,
         *,
         owner: int | None = None,
+        copy: bool = True,
     ):
         if data.ndim != 1:
             raise ConfigError("gradient buffer must be one-dimensional")
@@ -160,7 +166,18 @@ class GradientBuffer:
                 f"buffer has {len(data)} elems, layout expects "
                 f"{layout.total_elems}"
             )
-        self.data = data.astype(np.float64, copy=True)
+        if copy:
+            data = data.astype(np.float64, copy=True)
+        elif not (
+            data.dtype == np.float64
+            and data.flags.c_contiguous
+            and data.flags.writeable
+        ):
+            raise ConfigError(
+                "an in-place gradient buffer needs a writeable, "
+                "C-contiguous float64 array"
+            )
+        self.data = data
         self.layout = layout
         self.owner = owner
         # Hot paths index the layout's cached slice table directly.

@@ -113,6 +113,8 @@ class ChainedTrainingRuntime:
         self,
         grads: list[np.ndarray],
         weights: list[np.ndarray] | None = None,
+        *,
+        in_place: bool = False,
     ) -> ChainedRunResult:
         """AllReduce ``grads`` while chaining each GPU's forward pass.
 
@@ -122,6 +124,9 @@ class ChainedTrainingRuntime:
                 updates its own copy layer by layer as layers dequeue, so
                 afterwards all copies must be identical (the reduced
                 gradients are identical everywhere).
+            in_place: reduce into ``grads`` themselves (see
+                :meth:`TreeAllReduceRuntime.run`); the caller must show
+                they are private to the run.  Off by default.
         """
         nnodes = self.runtime.nnodes
         if weights is None:
@@ -145,7 +150,8 @@ class ChainedTrainingRuntime:
             ]
 
         report = self.runtime.run(
-            grads, kernel_factory=factory, enqueue_sems=sems
+            grads, kernel_factory=factory, enqueue_sems=sems,
+            in_place=in_place,
         )
         return ChainedRunResult(report=report, compute_log=logs, weights=weights)
 

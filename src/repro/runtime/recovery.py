@@ -66,6 +66,7 @@ from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
     FunctionalTrainer,
     GradientFn,
+    private_gradient,
     serial_reference,
     tree_reduce_order,
 )
@@ -433,10 +434,10 @@ class InterpretedSegment:
         w = np.asarray(weights, dtype=np.float64).copy()
         history: list[np.ndarray] = []
         for iteration in range(iterations):
+            # As in FunctionalTrainer.train: a gradient nothing else
+            # holds becomes the rank's buffer, any other is copied.
             grads = [
-                np.asarray(
-                    gradient_fn(w, rank, iteration), dtype=np.float64
-                )
+                private_gradient(gradient_fn(w, rank, iteration))
                 for rank in range(nranks)
             ]
             self.interpreter = PlanInterpreter(
@@ -446,7 +447,7 @@ class InterpretedSegment:
                 fault_plan=self.fault_plan,
                 verify=False,  # gated once at synthesis time
             )
-            report = self.interpreter.run(grads)
+            report = self.interpreter.run(grads, in_place=True)
             del grads
             for out in report.outputs[1:]:
                 if not np.array_equal(report.outputs[0], out):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 
 from repro.errors import AbortedError, RuntimeClusterError
@@ -127,24 +128,45 @@ class AtomicCell:
             return old
 
 
+#: Marks the threads a kernel pool runs kernel bodies on (see
+#: :func:`mark_kernel_thread`).
+_KERNEL_THREAD = threading.local()
+
+
+def mark_kernel_thread() -> None:
+    """Mark the calling thread as a pool kernel.
+
+    An :class:`AbortCell` raised inside a kernel carries the reason
+    only: the pool discards those errors and builds the one diagnostic
+    dump itself, after the join.
+    """
+    _KERNEL_THREAD.active = True
+
+
 class AbortCell:
     """Cluster-wide fail-fast abort flag over an :class:`AtomicCell`.
 
     One cell is shared by every synchronization primitive of a run.  The
     first ``trigger`` wins (atomicCAS semantics) and records the reason;
     every spinning primitive checks the flag each iteration and raises
-    :class:`~repro.errors.AbortedError` carrying a diagnostic dump —
-    registered semaphores' count/total_posted plus any extra dump sources
-    (e.g. the per-GPU phase board) — so a single stuck or crashed kernel
-    fails the whole cluster in one bounded step instead of N independent
-    spin timeouts.
+    :class:`~repro.errors.AbortedError`, so a single stuck or crashed
+    kernel fails the whole cluster in one bounded step instead of N
+    independent spin timeouts.  Outside a pool kernel the error carries a
+    diagnostic dump — registered semaphores' count/total_posted plus any
+    extra dump sources (e.g. the per-GPU phase board).
+
+    The cell holds its semaphores by weak reference: every semaphore
+    holds the cell through its :class:`SpinConfig`, and a strong list
+    back would tie each run's primitives into a cycle only the cyclic
+    collector could free.  Dump sources are held strongly and must not
+    refer back to the cell.
     """
 
     def __init__(self) -> None:
         self._cell = AtomicCell(0)
         self._meta = threading.Lock()
         self._reason: str | None = None
-        self._semaphores: list["DeviceSemaphore"] = []
+        self._semaphores: list[weakref.ref["DeviceSemaphore"]] = []
         self._dump_sources: list[tuple[str, object]] = []
         self._stragglers: list[threading.Thread] = []
 
@@ -169,7 +191,7 @@ class AbortCell:
 
     def register_semaphore(self, sem: "DeviceSemaphore") -> None:
         with self._meta:
-            self._semaphores.append(sem)
+            self._semaphores.append(weakref.ref(sem))
 
     def register_dump(self, title: str, fn) -> None:
         """Add a diagnostics section: ``fn()`` -> str, called at dump time."""
@@ -190,7 +212,7 @@ class AbortCell:
     def diagnostics(self) -> str:
         """Best-effort cluster state dump (lock-free semaphore reads)."""
         with self._meta:
-            sems = list(self._semaphores)
+            refs = list(self._semaphores)
             sources = list(self._dump_sources)
         lines: list[str] = []
         for title, fn in sources:
@@ -200,6 +222,7 @@ class AbortCell:
                 body = f"<dump failed: {exc!r}>"
             lines.append(f"-- {title} --")
             lines.append(body)
+        sems = [sem for sem in (ref() for ref in refs) if sem is not None]
         if sems:
             lines.append("-- semaphores --")
             for sem in sems:
@@ -226,6 +249,8 @@ class AbortCell:
 
     def raise_if_set(self) -> None:
         if self.is_set():
+            if getattr(_KERNEL_THREAD, "active", False):
+                raise AbortedError(self.reason)
             raise self.to_error()
 
 

@@ -15,6 +15,8 @@ tree, so bit-identical floating point).
 
 from __future__ import annotations
 
+import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,6 +31,40 @@ from repro.topology.logical import BinaryTree
 
 #: Computes one GPU's local gradient: (weights, gpu, iteration) -> grad.
 GradientFn = Callable[[np.ndarray, int, int], np.ndarray]
+
+
+def _refcount(obj: object) -> int:
+    return sys.getrefcount(obj)
+
+
+#: What ``sys.getrefcount`` reports, inside a function, for the
+#: parameter of a call whose argument was a temporary: the count of an
+#: object nothing else refers to.  Measured rather than assumed, since
+#: interpreters differ in how they count the call's own references.
+_SOLE_REFS = _refcount(object())
+
+
+def private_gradient(grad: object) -> np.ndarray:
+    """``grad`` as an array the collective may reduce into.
+
+    Pass the gradient function's result straight in, unbound:
+    ``private_gradient(gradient_fn(w, gpu, it))``.  The array itself is
+    returned when it is provably private — a float64, C-contiguous,
+    writeable array that owns its data and that nothing else refers to,
+    weakly or strongly — and a float64 copy otherwise, so an array the
+    gradient function keeps (or a view of one) is never written.
+    """
+    if (
+        sys.getrefcount(grad) <= _SOLE_REFS
+        and type(grad) is np.ndarray
+        and weakref.getweakrefcount(grad) == 0
+        and grad.base is None
+        and grad.dtype == np.float64
+        and grad.flags.c_contiguous
+        and grad.flags.writeable
+    ):
+        return grad
+    return np.array(grad, dtype=np.float64)
 
 
 def tree_reduce_order(
@@ -137,15 +173,16 @@ class FunctionalTrainer:
         dequeue_orders: list[dict[int, list[int]]] = []
 
         for iteration in range(iterations):
+            # Gradients the function handed over outright become the
+            # GPUs' gradient buffers; any it keeps are copied first.
             grads = [
-                np.asarray(
-                    self.gradient_fn(weights, gpu, iteration),
-                    dtype=np.float64,
-                )
+                private_gradient(self.gradient_fn(weights, gpu, iteration))
                 for gpu in range(nnodes)
             ]
             result = self.chained.run(
-                grads, weights=[weights.copy() for _ in range(nnodes)]
+                grads,
+                weights=[weights.copy() for _ in range(nnodes)],
+                in_place=True,
             )
             del grads
             for w in result.weights[1:]:

@@ -10,7 +10,7 @@ fields.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import (
@@ -70,9 +70,32 @@ def payload_pairs(draw):
     )
 
 
+def _one_metric_pair(base_value, base_cal, cand_value, cand_cal):
+    def wrap(value, cal):
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "calibration": cal,
+            "metrics": {
+                "alpha": {
+                    "unit": "events/s", "higher_is_better": True,
+                    "gate": True, "ops": 1, "value": value,
+                },
+            },
+        }
+    return wrap(base_value, base_cal), wrap(cand_value, cand_cal)
+
+
 class TestCompareProperties:
     @given(pair=payload_pairs(), threshold=thresholds,
            normalize=st.booleans())
+    # Each value equal to the other side's calibration: the two
+    # normalized quotients once rounded to 1.0000000000000002 one way
+    # and 1.0 the other, a verdict at threshold 0 with no mirror.
+    @example(
+        pair=_one_metric_pair(3.0, 190.03125, 190.03125, 3.0),
+        threshold=0.0,
+        normalize=True,
+    )
     @settings(max_examples=60, deadline=None)
     def test_symmetric(self, pair, threshold, normalize):
         base, cand = pair

@@ -17,6 +17,7 @@ Three claims are on trial:
 
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -37,8 +38,9 @@ from repro.runtime.faults import (
     payload_checksum,
     stable_tag_seed,
 )
+from repro.runtime.cluster import KernelPool
 from repro.runtime.queue_runtime import ChainedTrainingRuntime
-from repro.runtime.sync import SpinConfig
+from repro.runtime.sync import AbortCell, SpinConfig
 from repro.runtime.training import (
     FunctionalTrainer,
     quadratic_gradient,
@@ -476,6 +478,38 @@ class TestGpuFaults:
         # 30+ kernels x timeout a cascade of independent timeouts costs.
         assert timeout * 0.5 <= elapsed < timeout * 3
         assert plan.stats.get("stalls") == 1
+
+    def test_abort_builds_one_dump(self, rng, monkeypatch):
+        """Surviving kernels raise reason-only errors; the pool's final
+        error is the one place the cluster dump is built."""
+        calls = []
+        original = AbortCell.diagnostics
+
+        def counting(self):
+            calls.append(threading.current_thread().name)
+            return original(self)
+
+        monkeypatch.setattr(AbortCell, "diagnostics", counting)
+        plan = FaultPlan(gpu_faults=(GpuFault(3, CRASH, after_chunk=1),))
+        with pytest.raises(AbortedError) as excinfo:
+            make_runtime(plan).run(make_inputs(rng))
+        assert calls == [threading.current_thread().name]
+        assert "-- semaphores --" in excinfo.value.diagnostics
+
+    def test_pool_starts_one_thread_per_kernel(self, rng, monkeypatch):
+        started = []
+        original = threading.Thread.start
+
+        def counting(self):
+            started.append(self.name)
+            original(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        pool = KernelPool(join_timeout=5.0, abort=AbortCell())
+        for k in range(3):
+            pool.add(f"k{k}", lambda: None)
+        pool.run()
+        assert started == ["k0", "k1", "k2"]
 
     def test_straggler_slows_but_stays_exact(self, rng):
         delay = 1e-3

@@ -1,21 +1,36 @@
 """Tests for functional multi-iteration training and fault injection."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
 from repro.dnn.layers import LayerSpec, NetworkModel
+from repro.plan import PlanInterpreter, build_plan
+from repro.runtime import (
+    ElasticTrainer,
+    InterpretedSegment,
+    MembershipEvent,
+    RecoveryPolicy,
+    elastic_serial_reference,
+)
 from repro.runtime.allreduce import TreeAllReduceRuntime
+from repro.runtime.queue_runtime import ChainedTrainingRuntime
+from repro.runtime.recovery import REEMBED
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
     FunctionalTrainer,
+    private_gradient,
     quadratic_gradient,
     serial_reference,
+    tree_reduce_order,
 )
+from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.logical import two_trees
+from repro.topology.tree_search import search_degraded_pair
 
 FAST = SpinConfig(timeout=20.0, pause=0.0)
 
@@ -193,4 +208,223 @@ class TestFaultInjection:
                 total_elems=net.total_params,
                 chunks_per_tree=2,
                 chaos_delay=-1.0,
+            )
+
+
+# -- gradient memory ownership -------------------------------------------
+
+
+def _kept_gradients(rng, n, kind):
+    """(gradient_fn, arrays it must not write, snapshots of them).
+
+    ``stored`` returns the caller's own array every call; ``view``
+    returns a row view of a matrix the caller keeps: a fresh object
+    nothing else refers to, which does not own its data.
+    """
+    fixed = [rng.normal(size=n) for _ in range(8)]
+    if kind == "stored":
+        fn, kept = (lambda w, g, i: fixed[g]), fixed
+    else:
+        matrix = np.stack(fixed)
+        fn, kept = (lambda w, g, i: matrix[g]), [matrix]
+    return fn, kept, [a.copy() for a in kept]
+
+
+OWNERSHIP_KINDS = ("stored", "view")
+
+
+class TestGradientOwnership:
+    """Trainers hand a gradient over as device memory only when nothing
+    else can see it; every other gradient is copied first."""
+
+    def test_private_gradient_takes_only_unshared_arrays(self):
+        fixed = np.ones(8)
+        matrix = np.ones((2, 8))
+        ids = []
+
+        def fresh():
+            out = fixed * 2.0
+            ids.append(id(out))
+            return out
+
+        # Outside the assert: pytest's rewriting keeps a reference to
+        # every intermediate of an assert statement.
+        taken = private_gradient(fresh())
+        assert id(taken) == ids[0]
+        assert private_gradient(fixed) is not fixed
+        row = private_gradient(matrix[0])
+        assert row.base is None and np.array_equal(row, matrix[0])
+        as_f32 = private_gradient(np.ones(8, dtype=np.float32))
+        assert as_f32.dtype == np.float64
+        reversed_view = private_gradient(fixed[::-1])
+        assert reversed_view.flags.c_contiguous
+        read_only = np.ones(8)
+        read_only.flags.writeable = False
+        assert private_gradient(read_only) is not read_only
+        cache = weakref.WeakValueDictionary()
+
+        def cached():
+            out = fixed * 3.0
+            cache["g"] = out
+            ids.append(id(out))
+            return out
+
+        taken = private_gradient(cached())
+        assert id(taken) != ids[-1]
+
+    def test_trainers_hand_fresh_gradients_over(self, rng, monkeypatch):
+        """A gradient nothing else holds becomes the GPU's buffer."""
+        made: list[int] = []
+        handed: list[int] = []
+
+        def fn(w, g, i):
+            out = w + float(g)
+            made.append(id(out))
+            return out
+
+        def spy(engine):
+            original = engine.run
+
+            def run(self, inputs, *args, **kwargs):
+                assert kwargs.get("in_place") is True
+                report = original(self, inputs, *args, **kwargs)
+                handed.extend(id(out) for out in report.outputs)
+                return report
+
+            monkeypatch.setattr(engine, "run", run)
+
+        spy(TreeAllReduceRuntime)
+        spy(PlanInterpreter)
+        net, runtime, _ = make_setup(rng)
+        FunctionalTrainer(runtime, net, fn).train(
+            np.zeros(net.total_params), iterations=1
+        )
+        assert handed == made and len(made) == 8
+        made.clear()
+        handed.clear()
+        embedding = search_degraded_pair(
+            dgx1_topology(), (1, 2, 3, 4),
+            detour_preference=DETOUR_NODES, synth_fallback=True,
+        )
+        InterpretedSegment(
+            embedding,
+            NetworkModel(name="own", layers=(LayerSpec("L0", 256, 1e6),)),
+            learning_rate=0.02, spin=FAST,
+        ).run(fn, np.zeros(256), 1)
+        assert handed == made and len(made) == 4
+
+    @pytest.mark.parametrize("kind", OWNERSHIP_KINDS)
+    def test_functional_trainer_leaves_kept_gradients(self, rng, kind):
+        net, runtime, _ = make_setup(rng)
+        fn, kept, before = _kept_gradients(rng, net.total_params, kind)
+        w0 = rng.normal(size=net.total_params)
+        result = FunctionalTrainer(runtime, net, fn).train(
+            w0.copy(), iterations=2
+        )
+        for array, snapshot in zip(kept, before):
+            assert np.array_equal(array, snapshot)
+        reference = serial_reference(
+            net, fn, w0.copy(), nnodes=8, iterations=2,
+            learning_rate=0.05,
+            reduce_order=tree_reduce_order(runtime.trees, runtime.layout),
+        )
+        assert np.array_equal(result.weights, reference)
+
+    @pytest.mark.parametrize("kind", OWNERSHIP_KINDS)
+    def test_interpreted_segment_leaves_kept_gradients(self, rng, kind):
+        embedding = search_degraded_pair(
+            dgx1_topology(), (1, 2, 3, 4),
+            detour_preference=DETOUR_NODES, synth_fallback=True,
+        )
+        net = NetworkModel(
+            name="own", layers=(LayerSpec("L0", 256, 1e6),)
+        )
+        fn, kept, before = _kept_gradients(rng, 256, kind)
+        history = InterpretedSegment(
+            embedding, net, learning_rate=0.02, spin=FAST
+        ).run(fn, np.zeros(256), 2)
+        assert len(history) == 2
+        for array, snapshot in zip(kept, before):
+            assert np.array_equal(array, snapshot)
+
+    @pytest.mark.parametrize("kind", OWNERSHIP_KINDS)
+    def test_elastic_trainer_leaves_kept_gradients(self, rng, kind):
+        net = NetworkModel(
+            name="own", layers=(LayerSpec("L0", 256, 1e6),)
+        )
+        fn, kept, before = _kept_gradients(rng, 256, kind)
+        trainer = ElasticTrainer(
+            dgx1_topology(), net, fn,
+            trees=dgx1_trees(),
+            detour_map=DETOURED_EDGES,
+            learning_rate=0.02,
+            policy=RecoveryPolicy(mode=REEMBED),
+            spin=FAST,
+            detour_preference=DETOUR_NODES,
+        )
+        w0 = rng.normal(size=256)
+        report = trainer.train(
+            w0.copy(), iterations=3,
+            events=(
+                MembershipEvent("crash", 3, 1, 0),
+                MembershipEvent("join", 3, 2),
+            ),
+        )
+        for array, snapshot in zip(kept, before):
+            assert np.array_equal(array, snapshot)
+        expected = elastic_serial_reference(
+            net, fn, w0.copy(),
+            segments=report.segments,
+            layout=trainer.layout,
+            iterations=3,
+            learning_rate=0.02,
+        )
+        assert np.array_equal(report.weights, expected)
+
+    def test_engines_copy_their_inputs_by_default(self, rng):
+        net, runtime, _ = make_setup(rng)
+        n = net.total_params
+
+        def check(run):
+            inputs = [rng.normal(size=n) for _ in range(8)]
+            before = [a.copy() for a in inputs]
+            outputs = run(inputs)
+            for a, b, out in zip(inputs, before, outputs):
+                assert np.array_equal(a, b)
+                assert out is not a
+
+        check(lambda xs: runtime.run(xs).outputs)
+        chained = ChainedTrainingRuntime(runtime, net)
+        check(lambda xs: chained.run(xs).report.outputs)
+        plan = build_plan("double_tree", 8, n * 8, nchunks=4)
+        interp = PlanInterpreter(plan, total_elems=n, spin=FAST)
+        check(lambda xs: interp.run(xs).outputs)
+
+    def test_in_place_reduces_into_the_inputs(self, rng):
+        net, runtime, _ = make_setup(rng)
+        n = net.total_params
+        inputs = [rng.normal(size=n) for _ in range(8)]
+        expected = runtime.run(inputs).outputs
+        plan = build_plan("double_tree", 8, n * 8, nchunks=4)
+        for run in (
+            lambda xs: runtime.run(xs, in_place=True).outputs,
+            lambda xs: PlanInterpreter(plan, total_elems=n, spin=FAST)
+            .run(xs, in_place=True).outputs,
+        ):
+            handed = [a.copy() for a in inputs]
+            outputs = run(handed)
+            for out, own in zip(outputs, handed):
+                assert out is own
+                assert np.array_equal(out, outputs[0])
+        for a, b in zip(runtime.run(inputs, in_place=True).outputs,
+                        expected):
+            assert np.array_equal(a, b)
+
+    def test_in_place_rejects_arrays_it_cannot_own(self, rng):
+        net, runtime, _ = make_setup(rng)
+        n = net.total_params
+        with pytest.raises(ConfigError, match="in-place"):
+            runtime.run(
+                [np.ones(n, dtype=np.float32) for _ in range(8)],
+                in_place=True,
             )
