@@ -75,12 +75,7 @@ from repro.errors import AbortedError, LinkFaultError, RuntimeClusterError
 from repro.runtime.faults import LinkInjector, payload_checksum
 from repro.runtime.memory import ChunkLayout, GradientBuffer
 from repro.runtime.memory import _emit as _access_emit
-from repro.runtime.sync import (
-    AbortCell,
-    DeviceSemaphore,
-    SpinConfig,
-    mark_kernel_thread,
-)
+from repro.runtime.sync import AbortCell, DeviceSemaphore, SpinConfig
 from repro.runtime.sync import _emit as _sync_emit
 from repro.sanitizer import hooks as _hooks
 
@@ -484,6 +479,10 @@ def _relay_kernel(
     return kernel
 
 
+#: Seconds between the pool's join-loop checks of the abort flag.
+_JOIN_POLL = 0.005
+
+
 @dataclass
 class KernelPool:
     """Runs persistent-kernel bodies as threads; fails loudly together.
@@ -502,13 +501,11 @@ class KernelPool:
         abort_grace: join budget (seconds) granted to the surviving
             kernels once the abort flag is set — they only need to notice
             the flag, so this is short.
-        watchdog_interval: how often the join loop checks the abort flag.
     """
 
     join_timeout: float = 60.0
     abort: AbortCell | None = None
     abort_grace: float = 1.0
-    watchdog_interval: float = 0.005
     _entries: list[tuple[str, Callable[[], None]]] = field(default_factory=list)
 
     def add(self, name: str, body: Callable[[], None]) -> None:
@@ -536,7 +533,6 @@ class KernelPool:
             def runner() -> None:
                 nonlocal first_name, first_exc, nfailed
                 try:
-                    mark_kernel_thread()
                     _sync_emit("thread_start", self)
                     body()
                 except BaseException as exc:  # noqa: BLE001 - reported below
@@ -582,7 +578,7 @@ class KernelPool:
                 if now >= deadline:
                     break
                 thread.join(
-                    timeout=min(self.watchdog_interval, deadline - now)
+                    timeout=min(_JOIN_POLL, deadline - now)
                 )
 
         # Join edge: every kernel that finished happens-before anything

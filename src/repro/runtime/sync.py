@@ -128,21 +128,6 @@ class AtomicCell:
             return old
 
 
-#: Marks the threads a kernel pool runs kernel bodies on (see
-#: :func:`mark_kernel_thread`).
-_KERNEL_THREAD = threading.local()
-
-
-def mark_kernel_thread() -> None:
-    """Mark the calling thread as a pool kernel.
-
-    An :class:`AbortCell` raised inside a kernel carries the reason
-    only: the pool discards those errors and builds the one diagnostic
-    dump itself, after the join.
-    """
-    _KERNEL_THREAD.active = True
-
-
 class AbortCell:
     """Cluster-wide fail-fast abort flag over an :class:`AtomicCell`.
 
@@ -151,9 +136,10 @@ class AbortCell:
     every spinning primitive checks the flag each iteration and raises
     :class:`~repro.errors.AbortedError`, so a single stuck or crashed
     kernel fails the whole cluster in one bounded step instead of N
-    independent spin timeouts.  Outside a pool kernel the error carries a
-    diagnostic dump — registered semaphores' count/total_posted plus any
-    extra dump sources (e.g. the per-GPU phase board).
+    independent spin timeouts.  Those errors carry the reason only;
+    :meth:`to_error` builds the one diagnostic dump — registered
+    semaphores' count/total_posted plus any extra dump sources (e.g. the
+    per-GPU phase board).
 
     The cell holds its semaphores by weak reference: every semaphore
     holds the cell through its :class:`SpinConfig`, and a strong list
@@ -249,9 +235,7 @@ class AbortCell:
 
     def raise_if_set(self) -> None:
         if self.is_set():
-            if getattr(_KERNEL_THREAD, "active", False):
-                raise AbortedError(self.reason)
-            raise self.to_error()
+            raise AbortedError(self.reason)
 
 
 class DeviceLock:
