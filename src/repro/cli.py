@@ -607,8 +607,6 @@ def _chaos_recover(args: argparse.Namespace) -> int:
         ResilientTrainer,
         quadratic_gradient,
         recovery_serial_reference,
-        serial_reference,
-        tree_reduce_order,
     )
     from repro.runtime.faults import CRASH
     from repro.runtime.sync import SpinConfig
@@ -673,21 +671,14 @@ def _chaos_recover(args: argparse.Namespace) -> int:
             f"degraded {report.decision.degraded_cost * 1e3:.3f} ms vs "
             f"restart {report.decision.restart_cost * 1e3:.3f} ms"
         )
-    if report.embedding is not None:
-        reference = recovery_serial_reference(
-            net, gradient_fn, w0.copy(),
-            report=report,
-            healthy_trees=trainer.trees,
-            healthy_layout=trainer.layout,
-            iterations=iterations,
-            learning_rate=0.02,
-        )
-    else:
-        reference = serial_reference(
-            net, gradient_fn, w0.copy(),
-            nnodes=8, iterations=iterations, learning_rate=0.02,
-            reduce_order=tree_reduce_order(trainer.trees, trainer.layout),
-        )
+    reference = recovery_serial_reference(
+        net, gradient_fn, w0.copy(),
+        report=report,
+        healthy_trees=trainer.trees,
+        healthy_layout=trainer.layout,
+        iterations=iterations,
+        learning_rate=0.02,
+    )
     identical = bool(np.array_equal(report.weights, reference))
     print(
         "recovered weights bit-identical to fault-free serial reference: "

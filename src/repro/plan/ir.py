@@ -169,7 +169,21 @@ class PlanOp:
         return f"copy {cdesc} @{self.rank} t{self.tree}"
 
     def replace(self, **changes) -> "PlanOp":
-        return dataclasses.replace(self, **changes)
+        """A copy with ``changes`` applied, like :func:`dataclasses.replace`.
+
+        Every compile pass calls this per rewritten op, so it copies the
+        instance dict instead of running the generated ``__init__``
+        again (there is no ``__post_init__`` to skip).
+        """
+        if not _PLAN_OP_FIELDS.issuperset(changes):
+            unknown = sorted(changes.keys() - _PLAN_OP_FIELDS)
+            raise TypeError(f"PlanOp has no field(s) {unknown}")
+        op = object.__new__(type(self))
+        vars(op).update(vars(self), **changes)
+        return op
+
+
+_PLAN_OP_FIELDS = frozenset(f.name for f in dataclasses.fields(PlanOp))
 
 
 def stamp_origin(plan: "Plan", origin: str) -> "Plan":

@@ -532,11 +532,16 @@ class KernelPool:
         def wrap(name: str, body: Callable[[], None]) -> Callable[[], None]:
             def runner() -> None:
                 nonlocal first_name, first_exc, nfailed
+                # The abort reason when this kernel left through the
+                # abort flag: tells the sanitizer why its wait ended.
+                aborted_by = None
                 try:
                     _sync_emit("thread_start", self)
                     body()
                 except BaseException as exc:  # noqa: BLE001 - reported below
                     cascade = isinstance(exc, AbortedError)
+                    if cascade:
+                        aborted_by = exc.reason
                     with fail_lock:
                         nfailed += 1
                         if first_exc is None or (
@@ -551,7 +556,7 @@ class KernelPool:
                     if self.abort is not None and not cascade:
                         self.abort.trigger(f"kernel {name!r} failed: {exc!r}")
                 finally:
-                    _sync_emit("thread_end", self)
+                    _sync_emit("thread_end", self, aborted_by)
 
             return runner
 

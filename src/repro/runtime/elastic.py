@@ -1,42 +1,57 @@
-"""Elastic membership: GPUs leave *and* join, training keeps going.
+"""One membership state machine: GPUs crash, leave and join; training goes on.
 
-:class:`~repro.runtime.recovery.ResilientTrainer` handles the crash-only
-story (PR 4): abort -> drain -> detect -> decide -> re-embed -> resume.
-This module generalizes that state machine to a *membership event
-stream* — the Cloud Collectives posture where any placement change
-(revocation, crash, replacement arriving, scale-out) triggers
-re-derivation of the logical topology instead of a job restart:
+The paper's Observation #4 is that the logical tree can be re-embedded
+on whatever physical links exist.  :class:`ElasticTrainer` turns that
+into recovery: every placement change is a :class:`MembershipEvent`,
+and each one re-derives the logical topology instead of restarting the
+job (the Cloud Collectives posture; ForestColl re-plans the same way
+for heterogeneous fabrics):
 
-- **crash** — a member dies mid-collective: the abort protocol fires,
-  the dead GPU is detected, and an extended
-  :class:`~repro.runtime.recovery.RecoveryPolicy` chooses between
-  continuing degraded on the survivors and restoring the last committed
-  checkpoint generation (charging its *staleness* — iterations since
-  the generation was captured — against the re-embed path's cost);
-- **leave** — a member departs gracefully at an iteration boundary (a
-  planned downscale): no abort, no lost work, just a re-embed;
-- **join** — a GPU (re)joins at an iteration boundary: the member set
-  grows N -> N+k and the double tree is re-embedded over the larger
-  set — including back to the full machine after earlier losses.
+- **crash** — a member dies mid-collective:
+  1. *abort* — the dying kernel trips the :class:`AbortCell`, the run
+     raises :class:`~repro.errors.AbortedError`;
+  2. *drain* — :func:`drain_aborted_run` joins the kernels the pool
+     recorded as still alive; in-flight chunks die with the run;
+  3. *detect* — :func:`detect_dead_gpus` reads the phase board, with
+     the abort reason as fallback;
+  4. *decide* — :class:`RecoveryPolicy` compares finishing degraded on
+     the survivors against a restart, charging a checkpoint's
+     staleness to the restart arm.  What a RESTART means is the
+     trainer's ``replace_on_restart`` setting: replacement GPUs bring
+     the full machine back on the live weights, or the newest loadable
+     checkpoint generation is restored and the survivors redo the lost
+     iterations (degraded continuation when no generation loads);
+- **leave** — a member departs at an iteration boundary: no abort, no
+  lost work, just a re-embed;
+- **join** — a GPU arrives at an iteration boundary, up to the full
+  machine again.
 
-Every re-embedding is gated through the plan IR before a single chunk
-moves: the member set's double tree is lowered with
-:func:`~repro.plan.builders.build_double_tree_plan`, compiled against
-the compacted member topology (:func:`~repro.plan.passes.compile_plan`),
-and statically checked by :func:`~repro.plan.verifier.verify_plan`
-(exactly-once reduction, deadlock freedom, physical legality) —
-"synthesize -> verify -> resume".
+After every event the member set is *re-embedded*
+(:func:`~repro.topology.tree_search.search_degraded_pair`, memoized;
+a synthesized plan where no double tree is feasible), and its
+collective is gated through the plan IR before a chunk moves: lowered
+with :func:`~repro.plan.builders.build_double_tree_plan`, compiled
+against the compacted member topology and checked by
+:func:`~repro.plan.verifier.verify_plan` — "synthesize -> verify ->
+resume".  Member sets with a synthesized plan run it through
+:class:`InterpretedSegment`, which arms faults inside the interpreter
+and exposes the same abort surface, so crash, cascade and recovery are
+uniform across hand-written kernels and compiled plans.
 
-Data shards are redistributed deterministically at every membership
-change (:func:`~repro.runtime.recovery.shard_assignments`: non-member
-shards are adopted by ``shard % nranks``), so the whole run — across an
-arbitrary event sequence — is bit-identical to
-:func:`elastic_serial_reference`, a fault-free serial SGD replaying the
-same per-segment tree reduction orders.
+Data shards are redistributed deterministically at every change
+(:func:`shard_assignments`: a non-member's shard is adopted by rank
+``shard % nranks``), so the whole run, across any event sequence, is
+bit-identical to :func:`elastic_serial_reference`, a fault-free serial
+SGD replaying each segment's reduction order.
+:class:`~repro.runtime.recovery.ResilientTrainer` is the crash-only
+configuration of :class:`ElasticTrainer`.
 """
 
 from __future__ import annotations
 
+import re
+import time
+from copy import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,33 +63,29 @@ from repro.errors import (
     PlanVerificationError,
 )
 from repro.dnn.layers import NetworkModel
+from repro.models.costmodel import (
+    CostParams,
+    degraded_overlapped_tree_time,
+    restart_from_checkpoint_time,
+)
 from repro.plan.builders import build_double_tree_plan
+from repro.plan.interpreter import PlanInterpreter, plan_reduce_order
 from repro.plan.passes import compile_plan
 from repro.plan.verifier import verify_plan
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.checkpoint import Checkpointer, CheckpointState
 from repro.runtime.faults import CRASH, FaultPlan, GpuFault
 from repro.runtime.memory import ChunkLayout
-from repro.runtime.recovery import (
-    REEMBED,
-    RESTART,
-    InterpretedSegment,
-    RecoveryDecision,
-    RecoveryPolicy,
-    adopted_gradient_fn,
-    detect_dead_gpus,
-    drain_aborted_run,
-    interpreted_segment,
-    segment_reduce_order,
-    shard_assignments,
-)
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
     FunctionalTrainer,
     GradientFn,
+    private_gradient,
     serial_reference,
+    tree_reduce_order,
 )
 from repro.topology.base import PhysicalTopology
+from repro.topology.dgx1 import NVLINK_ALPHA, NVLINK_BANDWIDTH
 from repro.topology.logical import BinaryTree
 from repro.topology.routing import Router
 from repro.topology.tree_search import (
@@ -83,6 +94,408 @@ from repro.topology.tree_search import (
     evaluate_pair,
     search_degraded_pair,
 )
+
+# -- crash recovery: detect, drain, decide, adopt ------------------------
+
+#: Recovery actions / policy modes.
+REEMBED = "reembed"
+RESTART = "restart"
+COST_BASED = "cost"
+
+_POLICY_MODES = (COST_BASED, REEMBED, RESTART)
+
+#: Kernel names carry the GPU id; fallback when the phase board is clean.
+_KERNEL_GPU_RE = re.compile(r"kernel '[a-z-]+ t\d+ g(\d+)'")
+
+#: Interpreter kernels are named ``plan g<rank> tb (0, 'up')``; the id
+#: they carry is the *dense plan rank*, not a physical GPU.  The name
+#: itself contains quotes, so ``{name!r}`` renders it double-quoted.
+_PLAN_KERNEL_GPU_RE = re.compile(r"kernel [\"']plan g(\d+) tb")
+
+#: A starved plan wire names its semaphore ``'plan reduce t0 1->3'``;
+#: the *poster* (first id) is the rank that went silent.
+_PLAN_SEMAPHORE_RE = re.compile(r"semaphore 'plan [a-z-]+ t\d+ (\d+)->(\d+)")
+
+#: A wait timeout names the starved semaphore ``'t0:5->6.up'``; the
+#: *poster* (first id) is the GPU that went silent.
+_SEMAPHORE_RE = re.compile(r"semaphore 't\d+:(\d+)->(\d+)\.")
+
+
+def detect_dead_gpus(runtime) -> tuple[int, ...]:
+    """GPUs that died in ``runtime``'s most recent aborted run.
+
+    ``runtime`` is anything exposing ``nnodes`` / ``phase_board`` /
+    ``abort_cell`` — a hand-written :class:`TreeAllReduceRuntime` or an
+    :class:`InterpretedSegment` (where the returned ids are dense plan
+    ranks, which the caller maps back to physical GPUs via the
+    embedding's ``gpu_of``).
+
+    Primary source is the phase board: crash/stuck faults stamp their
+    last phase before firing, and those terminal stamps are sticky, so
+    a faulty GPU's still-running sibling kernels on other trees cannot
+    erase them.  If the board shows nothing the abort reason is parsed
+    instead: a failing kernel's name carries the GPU id
+    (``'reduce-bcast t0 g3'`` for the tree kernels, ``'plan g3 tb ...'``
+    for the interpreter), and a wait timeout names the starved
+    semaphore, whose *poster* is the GPU that went silent (best-effort:
+    a transitively starved wait can name a healthy intermediate).
+    """
+    dead: set[int] = set()
+    board = runtime.phase_board
+    if board is not None:
+        for gpu in range(runtime.nnodes):
+            phase = board.get(gpu)
+            if "crashed" in phase or "stuck" in phase:
+                dead.add(gpu)
+    if not dead and runtime.abort_cell is not None:
+        reason = runtime.abort_cell.reason
+        match = _KERNEL_GPU_RE.search(reason) or _PLAN_KERNEL_GPU_RE.search(
+            reason
+        )
+        if match:
+            dead.add(int(match.group(1)))
+        else:
+            match = _SEMAPHORE_RE.search(reason) or (
+                _PLAN_SEMAPHORE_RE.search(reason)
+            )
+            if match:
+                dead.add(int(match.group(1)))
+    return tuple(sorted(dead))
+
+
+def drain_aborted_run(runtime, *, grace: float = 0.05) -> dict[str, int]:
+    """Step 2 of the recovery state machine: drain the aborted cluster.
+
+    By the time :class:`~repro.errors.AbortedError` propagates, the
+    kernel pool has already granted its abort grace, so surviving kernel
+    threads have observed the flag; any in-flight chunk exists only in
+    the aborted run's wires and gradient buffers, which die with the
+    runtime object.  This helper asserts the abort actually fired, joins
+    the kernel threads the pool recorded as still alive when it raised
+    (``grace`` seconds at most in total; none left means no wait), and
+    returns the final fault-stats snapshot for the recovery timeline.
+
+    Raises:
+        ConfigError: when called on a runtime that never aborted.
+    """
+    cell = runtime.abort_cell
+    if cell is None or not cell.is_set():
+        raise ConfigError("drain requested but the cluster never aborted")
+    deadline = time.monotonic() + grace
+    for thread in cell.stragglers():
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    if runtime.fault_plan is not None:
+        return runtime.fault_plan.stats.snapshot()
+    return {}
+
+
+@dataclass(frozen=True)
+class RecoveryDecision:
+    """Outcome of the degraded-vs-restart cost comparison.
+
+    Attributes:
+        action: ``"reembed"`` or ``"restart"``.
+        degraded_cost: modeled seconds to finish on the survivors.
+        restart_cost: modeled seconds to finish after a healthy restart.
+        reason: one-line human-readable justification.
+    """
+
+    action: str
+    degraded_cost: float
+    restart_cost: float
+    reason: str
+
+
+@dataclass(frozen=True)
+class RecoveryPolicy:
+    """Picks between degraded continuation and restart-from-checkpoint.
+
+    Attributes:
+        mode: ``"cost"`` (compare modeled costs), ``"reembed"``, or
+            ``"restart"`` (forced, for drills and tests).
+        params: alpha/beta of the collective's links (defaults to one
+            NVLink 2.0 brick, matching the DGX-1 model).
+        restart_overhead: seconds to bring up a replacement GPU, reload
+            weights, and rebuild the communicator.
+        compute_time: per-iteration compute seconds (added to both
+            sides' per-iteration cost).
+    """
+
+    mode: str = COST_BASED
+    params: CostParams = field(
+        default_factory=lambda: CostParams(
+            alpha=NVLINK_ALPHA, beta=1.0 / NVLINK_BANDWIDTH
+        )
+    )
+    restart_overhead: float = 30.0
+    compute_time: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.mode not in _POLICY_MODES:
+            raise ConfigError(
+                f"unknown recovery policy mode {self.mode!r}; "
+                f"expected one of {_POLICY_MODES}"
+            )
+        if self.restart_overhead < 0 or self.compute_time < 0:
+            raise ConfigError("policy overheads must be non-negative")
+
+    def decide(
+        self,
+        *,
+        nnodes_healthy: int,
+        nnodes_degraded: int,
+        nbytes: float,
+        detours: int,
+        conflicts: int = 0,
+        remaining_iterations: int,
+        lost_iterations: int = 0,
+        checkpoint_iteration: int | None = None,
+        current_iteration: int | None = None,
+    ) -> RecoveryDecision:
+        """Compare time-to-completion from the crash point.
+
+        ``remaining_iterations`` includes the crashed iteration (both
+        paths redo it); ``lost_iterations`` is *extra* redo work the
+        restart path owes because its checkpoint is older than the
+        re-embedding path's resume point.  When the caller knows the
+        actual checkpoint generation, pass ``checkpoint_iteration`` (the
+        iteration the last committed generation captured) together with
+        ``current_iteration`` (the iteration the crash interrupted) and
+        the staleness ``current - checkpoint`` is charged on top of
+        ``lost_iterations`` — before this, the policy silently assumed
+        the implied checkpoint was never stale.
+        """
+        if remaining_iterations < 0 or lost_iterations < 0:
+            raise ConfigError("iteration counts must be non-negative")
+        if (checkpoint_iteration is None) != (current_iteration is None):
+            raise ConfigError(
+                "checkpoint_iteration and current_iteration must be "
+                "given together"
+            )
+        if checkpoint_iteration is not None:
+            if checkpoint_iteration < 0 or current_iteration < 0:
+                raise ConfigError("iteration counts must be non-negative")
+            lost_iterations += max(
+                0, current_iteration - checkpoint_iteration
+            )
+        per_degraded = (
+            degraded_overlapped_tree_time(
+                nnodes_degraded, nbytes, self.params,
+                detours=detours, conflicts=conflicts,
+            )
+            + self.compute_time
+        )
+        degraded_cost = remaining_iterations * per_degraded
+        restart_cost = restart_from_checkpoint_time(
+            nnodes_healthy,
+            nbytes,
+            self.params,
+            lost_iterations=lost_iterations + remaining_iterations,
+            compute_time=self.compute_time,
+            restart_overhead=self.restart_overhead,
+        )
+        if self.mode == REEMBED:
+            action, reason = REEMBED, "policy forces re-embedding"
+        elif self.mode == RESTART:
+            action, reason = RESTART, "policy forces restart"
+        elif degraded_cost <= restart_cost:
+            action = REEMBED
+            reason = (
+                f"degraded finish {degraded_cost:.3g}s <= restart "
+                f"{restart_cost:.3g}s"
+            )
+        else:
+            action = RESTART
+            reason = (
+                f"restart {restart_cost:.3g}s < degraded finish "
+                f"{degraded_cost:.3g}s"
+            )
+        return RecoveryDecision(
+            action=action,
+            degraded_cost=degraded_cost,
+            restart_cost=restart_cost,
+            reason=reason,
+        )
+
+
+def shard_assignments(
+    embedding: DegradedEmbedding, nnodes_healthy: int
+) -> dict[int, tuple[int, ...]]:
+    """Which physical data shards each survivor rank computes for.
+
+    Every rank keeps its own shard; each dead GPU's orphaned shard is
+    *adopted* by the survivor at rank ``dead % nsurvivors`` — a fixed,
+    deterministic rule so the distributed run and the serial reference
+    agree on the exact order of the adopting sum.
+    """
+    nranks = len(embedding.gpu_of)
+    assignments = {
+        rank: [gpu] for rank, gpu in sorted(embedding.gpu_of.items())
+    }
+    dead = [
+        g for g in range(nnodes_healthy) if g not in embedding.rank_of
+    ]
+    for gpu in dead:
+        assignments[gpu % nranks].append(gpu)
+    return {rank: tuple(shards) for rank, shards in assignments.items()}
+
+
+def adopted_gradient_fn(
+    base: GradientFn, assignments: dict[int, tuple[int, ...]]
+) -> GradientFn:
+    """Per-rank gradient over adopted shards, summed in assignment order.
+
+    The sum is formed in float64 and in the exact tuple order of the
+    assignment, so :func:`elastic_serial_reference` can replay it
+    bit-for-bit.
+    """
+
+    def fn(weights: np.ndarray, rank: int, iteration: int) -> np.ndarray:
+        shards = assignments[rank]
+        acc = np.asarray(
+            base(weights, shards[0], iteration), dtype=np.float64
+        ).copy()
+        for shard in shards[1:]:
+            acc += np.asarray(
+                base(weights, shard, iteration), dtype=np.float64
+            )
+        return acc
+
+    return fn
+
+
+class InterpretedSegment:
+    """A training segment on a *synthesized* embedding's plan.
+
+    Survivor sets with no feasible double tree carry a verified
+    synthesized plan (``embedding.synthesized``) instead of trees the
+    hand-written kernels could execute; this drives the same SGD math
+    as :class:`~repro.runtime.training.FunctionalTrainer` — per-rank
+    gradients, summed collective, ``w -= lr * sum`` — through
+    :class:`repro.plan.interpreter.PlanInterpreter`.
+
+    The segment also exposes the runtime surface the recovery state
+    machine drives — ``nnodes``, ``fault_plan``, and the live
+    interpreter's ``abort_cell`` / ``phase_board`` — so
+    :func:`drain_aborted_run` and :func:`detect_dead_gpus` work on an
+    aborted interpreted segment exactly as they do on the hand-written
+    runtimes.  Detected ids are dense plan ranks; callers map them back
+    to physical GPUs through ``embedding.gpu_of``.
+
+    Args:
+        embedding: synthesized survivor embedding (carries the plan).
+        network: layer table (sets the gradient length).
+        learning_rate: SGD step size on the summed gradient.
+        spin: spin/timeout configuration for the interpreter.
+        fault_plan: optional fault injection, already expressed in
+            dense plan ranks.
+    """
+
+    def __init__(
+        self,
+        embedding: DegradedEmbedding,
+        network: NetworkModel,
+        *,
+        learning_rate: float,
+        spin: SpinConfig | None = None,
+        fault_plan: FaultPlan | None = None,
+    ):
+        if not embedding.synthesized or embedding.plan is None:
+            raise ConfigError(
+                "InterpretedSegment needs a synthesized embedding"
+            )
+        self.embedding = embedding
+        self.network = network
+        self.learning_rate = learning_rate
+        self.spin = spin
+        self.fault_plan = fault_plan
+        #: The most recent interpreter — carries the abort cell and
+        #: phase board of the last (possibly aborted) run.
+        self.interpreter = None
+
+    @property
+    def nnodes(self) -> int:
+        return self.embedding.plan.nnodes
+
+    @property
+    def abort_cell(self):
+        return (
+            self.interpreter.abort_cell
+            if self.interpreter is not None
+            else None
+        )
+
+    @property
+    def phase_board(self):
+        return (
+            self.interpreter.phase_board
+            if self.interpreter is not None
+            else None
+        )
+
+    def run(
+        self,
+        gradient_fn: GradientFn,
+        weights: np.ndarray,
+        iterations: int,
+    ) -> list[np.ndarray]:
+        """Run ``iterations`` steps; returns the weight history.
+
+        Raises:
+            AbortedError: a kernel crashed or stalled (injected fault);
+                the interpreter's abort cell and phase board stay
+                readable for drain/detect.
+        """
+        nranks = self.embedding.topology.nnodes
+        w = np.asarray(weights, dtype=np.float64).copy()
+        history: list[np.ndarray] = []
+        for iteration in range(iterations):
+            # As in FunctionalTrainer.train: a gradient nothing else
+            # holds becomes the rank's buffer, any other is copied.
+            grads = [
+                private_gradient(gradient_fn(w, rank, iteration))
+                for rank in range(nranks)
+            ]
+            self.interpreter = PlanInterpreter(
+                self.embedding.plan,
+                total_elems=self.network.total_params,
+                spin=self.spin,
+                fault_plan=self.fault_plan,
+                verify=False,  # gated once at synthesis time
+            )
+            report = self.interpreter.run(grads, in_place=True)
+            del grads
+            for out in report.outputs[1:]:
+                if not np.array_equal(report.outputs[0], out):
+                    raise ConfigError(
+                        "GPUs diverged — the synthesized collective is "
+                        "broken"
+                    )
+            w = w - self.learning_rate * report.outputs[0]
+            history.append(w.copy())
+            # Free this iteration's outputs before the next one allocates.
+            del report
+        return history
+
+
+def segment_reduce_order(
+    embedding: DegradedEmbedding, layout, total_elems: int
+):
+    """The bit-exact serial reduction order for one recovery segment.
+
+    Hand-written-kernel segments reduce in the embedding's tree order;
+    synthesized segments reduce in the plan's combined-graph execution
+    order (:func:`repro.plan.interpreter.plan_reduce_order`).  This is
+    what lets one serial reference cross plan-path boundaries: each
+    segment replays whichever reduction order actually executed it.
+    """
+    if embedding.synthesized:
+        return plan_reduce_order(embedding.plan, total_elems=total_elems)
+    return tree_reduce_order(embedding.trees, layout)
+
+
+
+# -- the membership state machine ----------------------------------------
 
 #: Membership event kinds.
 CRASH_EVENT = "crash"
@@ -93,12 +506,15 @@ _EVENT_KINDS = (CRASH_EVENT, LEAVE_EVENT, JOIN_EVENT)
 
 #: Deterministic ordering of events landing on the *same* iteration:
 #: crashes interrupt the iteration (and are redone), so they apply
-#: first; graceful leaves next; joins last — then by gpu id.
+#: first; graceful leaves next; joins last.
 _KIND_ORDER = {CRASH_EVENT: 0, LEAVE_EVENT: 1, JOIN_EVENT: 2}
 
+#: ``(start_iteration, embedding, assignments)``: one ownership segment.
+Segment = tuple[int, DegradedEmbedding, dict[int, tuple[int, ...]]]
 
-def _event_sort_key(event: "MembershipEvent") -> tuple[int, int, int]:
-    return (event.at_iteration, _KIND_ORDER[event.kind], event.gpu)
+
+def _event_sort_key(event: "MembershipEvent") -> tuple[int, int]:
+    return (event.at_iteration, _KIND_ORDER[event.kind])
 
 
 @dataclass(frozen=True)
@@ -111,7 +527,8 @@ class MembershipEvent:
             (arrival at an iteration boundary).
         gpu: the physical GPU id joining or leaving.
         at_iteration: global iteration the event lands on — a crash
-            interrupts this iteration; leave/join take effect before it.
+            interrupts this iteration (iteration 0 included); leave and
+            join take effect before it, from iteration 1 on.
         after_chunk: for crashes, the chunk position the dying kernel
             reaches first (forwarded to the fault plan).
     """
@@ -129,10 +546,10 @@ class MembershipEvent:
             )
         if self.gpu < 0:
             raise ConfigError("event gpu must be non-negative")
-        if self.at_iteration < 1:
+        if self.at_iteration < (0 if self.kind == CRASH_EVENT else 1):
             raise ConfigError(
-                "membership events must land at iteration >= 1 (the "
-                "initial membership covers iteration 0)"
+                "leave and join events must land at iteration >= 1 (the "
+                "initial membership covers iteration 0), crashes at >= 0"
             )
         if self.after_chunk < 0:
             raise ConfigError("after_chunk must be non-negative")
@@ -147,7 +564,8 @@ def parse_events(
     Tokens without an explicit iteration are placed deterministically
     from ``seed``: distinct iterations drawn without replacement from
     ``[1, iterations)``, assigned in token order after any explicit
-    placements.
+    placements.  The result is in application order, ties of one kind
+    on one iteration broken by gpu id.
 
     Raises:
         ConfigError: on malformed tokens or when more implicit events
@@ -195,7 +613,9 @@ def parse_events(
                 at_iteration=at if at is not None else next(draw),
             )
         )
-    return tuple(sorted(events, key=_event_sort_key))
+    return tuple(
+        sorted(events, key=lambda e: (*_event_sort_key(e), e.gpu))
+    )
 
 
 @dataclass(frozen=True)
@@ -225,7 +645,7 @@ class MembershipRecord:
         event: the triggering event.
         members: member set *after* the event (sorted physical ids).
         dead_detected: physical GPUs the abort path detected dead
-            (crashes only).
+            (crashes that aborted only).
         decision: the policy's cost comparison (crashes only).
         restored_generation: checkpoint generation restored from, or -1
             when the run continued from live weights.
@@ -233,6 +653,9 @@ class MembershipRecord:
         plan_check: the plan-IR gate for the new member set.
         fault_stats: injector counters snapshotted when the crash abort
             drained (empty for leave/join or when nothing fired).
+        abort_reason: the abort cell's reason (empty unless aborted).
+        embedding: the new member set's embedding.
+        assignments: rank -> adopted physical shards for ``embedding``.
     """
 
     event: MembershipEvent
@@ -243,6 +666,27 @@ class MembershipRecord:
     resumed_from: int
     plan_check: PlanCheck
     fault_stats: dict = field(default_factory=dict)
+    abort_reason: str = ""
+    embedding: DegradedEmbedding | None = None
+    assignments: dict[int, tuple[int, ...]] | None = None
+
+
+def _crash_view(index: int, attr: str, empty=None, *, reembed=False):
+    """Read-only view of ``attr`` on a report's ``index``-th crash that
+    aborted; ``empty`` when there is none.  ``reembed`` views are also
+    ``empty`` when the crash was answered by replacement GPUs, which
+    keep the member set (the dead GPUs are members again)."""
+
+    def get(report: "ElasticReport"):
+        crashes = [r for r in report.records if r.dead_detected]
+        if len(crashes) <= index:
+            return copy(empty)
+        record = crashes[index]
+        if reembed and set(record.dead_detected) & set(record.members):
+            return copy(empty)
+        return getattr(record, attr)
+
+    return property(get)
 
 
 @dataclass
@@ -255,25 +699,81 @@ class ElasticReport:
             iteration — entries invalidated by a checkpoint restore are
             truncated, so index ``i`` is always the weights after global
             iteration ``i``.
-        events: the event stream, in iteration order.
+        events: the event stream, in application order.
         records: one :class:`MembershipRecord` per event.
         segments: ``(start_iteration, embedding, assignments)`` per
             ownership segment, exactly what
             :func:`elastic_serial_reference` replays.
         members: final member set.
+        initial_segment: the segment training started on (``segments``
+            drops it when a crash at iteration 0 replaces it).
         checkpoint_counters: the checkpointer's counters (empty when no
             checkpointer was configured).
         timeline: human-readable state-machine trace.
+
+    The crash-recovery views below read the first crash that aborted
+    and its cascade (the second); they are the report surface of
+    :class:`~repro.runtime.recovery.ResilientTrainer`.
     """
 
     weights: np.ndarray
     weight_history: list[np.ndarray]
     events: tuple[MembershipEvent, ...]
     records: list[MembershipRecord]
-    segments: list[tuple[int, DegradedEmbedding, dict[int, tuple[int, ...]]]]
+    segments: list[Segment]
     members: tuple[int, ...]
+    initial_segment: Segment
     checkpoint_counters: dict[str, int] = field(default_factory=dict)
     timeline: list[str] = field(default_factory=list)
+
+    abort_reason = _crash_view(0, "abort_reason", "")
+    dead_gpus = _crash_view(0, "dead_detected", ())
+    decision = _crash_view(0, "decision")
+    embedding = _crash_view(0, "embedding", reembed=True)
+    assignments = _crash_view(0, "assignments", reembed=True)
+    resumed_from_iteration = _crash_view(0, "resumed_from", -1)
+    fault_stats = _crash_view(0, "fault_stats", {})
+    cascade_dead_gpus = _crash_view(1, "dead_detected", ())
+    cascade_decision = _crash_view(1, "decision")
+    cascade_embedding = _crash_view(1, "embedding", reembed=True)
+    cascade_assignments = _crash_view(1, "assignments", reembed=True)
+    cascade_resumed_from_iteration = _crash_view(1, "resumed_from", -1)
+    cascade_fault_stats = _crash_view(1, "fault_stats", {})
+
+    @property
+    def aborted(self) -> bool:
+        """Whether a crash aborted the cluster and recovery engaged."""
+        return any(r.dead_detected for r in self.records)
+
+    @property
+    def fault_at_iteration(self) -> int:
+        """Iteration of the first crash event (-1 without one)."""
+        return next(
+            (e.at_iteration for e in self.events if e.kind == CRASH_EVENT),
+            -1,
+        )
+
+    @property
+    def initial_dead(self) -> tuple[int, ...]:
+        """Physical GPUs that were not members when training started."""
+        _, embedding, assignments = self.initial_segment
+        shards = {s for owned in assignments.values() for s in owned}
+        return tuple(sorted(shards - set(embedding.survivors)))
+
+    @property
+    def initial_embedding(self) -> DegradedEmbedding | None:
+        """The starting embedding, None when the run started healthy."""
+        return self.initial_segment[1] if self.initial_dead else None
+
+    @property
+    def initial_assignments(self) -> dict[int, tuple[int, ...]] | None:
+        return self.initial_segment[2] if self.initial_dead else None
+
+    @property
+    def all_dead_gpus(self) -> tuple[int, ...]:
+        """Every physical GPU lost or already dead across the run."""
+        lost = {g for r in self.records for g in r.dead_detected}
+        return tuple(sorted({*self.initial_dead, *lost}))
 
 
 class ElasticTrainer:
@@ -300,6 +800,12 @@ class ElasticTrainer:
         checkpoint_every: commit a generation every this many completed
             iterations (0 disables periodic checkpoints).
         initial_members: starting member set (default: every GPU).
+        replace_on_restart: what a RESTART decision does.  True:
+            replacement GPUs bring the full machine back and training
+            continues from the live weights.  False (default): restore
+            the newest loadable checkpoint generation and redo the lost
+            iterations on the survivors, or continue degraded when no
+            generation loads.
     """
 
     def __init__(
@@ -321,6 +827,7 @@ class ElasticTrainer:
         checkpointer: Checkpointer | None = None,
         checkpoint_every: int = 0,
         initial_members: tuple[int, ...] | None = None,
+        replace_on_restart: bool = False,
     ):
         if checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be non-negative")
@@ -339,6 +846,7 @@ class ElasticTrainer:
         )
         self.checkpointer = checkpointer
         self.checkpoint_every = checkpoint_every
+        self.replace_on_restart = replace_on_restart
         self.initial_members = tuple(
             sorted(initial_members or range(topo.nnodes))
         )
@@ -347,9 +855,9 @@ class ElasticTrainer:
                 raise ConfigError(f"initial member {gpu} not in {topo.name!r}")
         self._embeddings: dict[frozenset[int], DegradedEmbedding] = {}
         self._plan_checks: dict[frozenset[int], PlanCheck] = {}
-        if trees is not None and len(self.initial_members) == topo.nnodes:
-            # Seed the memo with the caller's full-set pair so the
-            # healthy schedule matches ResilientTrainer's exactly.
+        if trees is not None:
+            # Seed the memo with the caller's pair, so the full member
+            # set runs exactly the schedule the caller chose.
             router = Router(topo, detour_preference=detour_preference)
             identity = {g: g for g in range(topo.nnodes)}
             self._embeddings[frozenset(identity)] = DegradedEmbedding(
@@ -461,13 +969,24 @@ class ElasticTrainer:
         self._plan_checks[members] = check
         return check
 
-    # -- runtime construction --------------------------------------------
+    # -- execution ---------------------------------------------------------
 
     def _runtime(
         self,
         embedding: DegradedEmbedding,
         fault_plan: FaultPlan | None = None,
-    ) -> TreeAllReduceRuntime:
+    ) -> TreeAllReduceRuntime | InterpretedSegment:
+        """The engine for one span: the tree kernels, or the interpreter
+        for a synthesized embedding.  Either exposes the abort surface
+        :func:`drain_aborted_run` and :func:`detect_dead_gpus` read."""
+        if embedding.synthesized:
+            return InterpretedSegment(
+                embedding,
+                self.network,
+                learning_rate=self.learning_rate,
+                spin=self.spin,
+                fault_plan=fault_plan,
+            )
         return TreeAllReduceRuntime(
             embedding.trees,
             total_elems=self.network.total_params,
@@ -477,34 +996,31 @@ class ElasticTrainer:
             fault_plan=fault_plan,
         )
 
-    def _segment(
+    def _train_on(
         self,
-        runtime: TreeAllReduceRuntime,
-        gradient_fn: GradientFn,
+        runtime: TreeAllReduceRuntime | InterpretedSegment,
+        assignments: dict[int, tuple[int, ...]],
+        start: int,
         weights: np.ndarray,
         iterations: int,
     ) -> list[np.ndarray]:
+        """``iterations`` SGD steps from global iteration ``start`` on
+        ``runtime``, each rank computing its adopted shards; returns the
+        weight history."""
+        adopted = adopted_gradient_fn(self.gradient_fn, assignments)
+
+        def member_fn(w: np.ndarray, rank: int, iteration: int):
+            return adopted(w, rank, iteration + start)
+
+        if isinstance(runtime, InterpretedSegment):
+            return runtime.run(member_fn, weights, iterations)
         trainer = FunctionalTrainer(
             runtime,
             self.network,
-            gradient_fn,
+            member_fn,
             learning_rate=self.learning_rate,
         )
         return trainer.train(weights, iterations=iterations).weight_history
-
-    @staticmethod
-    def _shifted(fn: GradientFn, offset: int) -> GradientFn:
-        def shifted(weights: np.ndarray, gpu: int, iteration: int):
-            return fn(weights, gpu, iteration + offset)
-
-        return shifted
-
-    def _member_fn(
-        self, assignments: dict[int, tuple[int, ...]], offset: int
-    ) -> GradientFn:
-        return self._shifted(
-            adopted_gradient_fn(self.gradient_fn, assignments), offset
-        )
 
     # -- checkpointing ----------------------------------------------------
 
@@ -562,21 +1078,10 @@ class ElasticTrainer:
                 if boundary - here <= step:
                     step = boundary - here
                     at_ckpt = True
-            member_fn = self._member_fn(assignments, start + done)
-            if embedding.synthesized:
-                span = interpreted_segment(
-                    embedding,
-                    self.network,
-                    member_fn,
-                    weights,
-                    step,
-                    learning_rate=self.learning_rate,
-                    spin=self.spin,
-                )
-            else:
-                span = self._segment(
-                    self._runtime(embedding), member_fn, weights, step
-                )
+            span = self._train_on(
+                self._runtime(embedding), assignments, start + done,
+                weights, step,
+            )
             history.extend(span)
             weights = span[-1].copy()
             done += step
@@ -599,11 +1104,11 @@ class ElasticTrainer:
 
         Events are applied in ``at_iteration`` order; several events
         may land on the same iteration, applied in the deterministic
-        order crash < leave < join (ties broken by gpu id) — a crash
-        interrupts the iteration and is redone on the post-event member
-        set, so it must resolve before boundary departures and
-        arrivals.  A crash target must be a member; a join target must
-        not be; membership never drops below 2.
+        order crash < leave < join, events of one kind in the order
+        given — a crash interrupts the iteration and is redone on the
+        post-event member set, so it must resolve before boundary
+        departures and arrivals.  A crash target must be a member; a
+        join target must not be; membership never drops below 2.
 
         Raises:
             ConfigError: on invalid events.
@@ -619,7 +1124,7 @@ class ElasticTrainer:
             if event.at_iteration >= iterations:
                 raise ConfigError(
                     f"event {event.kind}:{event.gpu} at iteration "
-                    f"{event.at_iteration} is outside [1, {iterations})"
+                    f"{event.at_iteration} is outside [0, {iterations})"
                 )
             if not 0 <= event.gpu < self.topo.nnodes:
                 raise ConfigError(
@@ -634,9 +1139,8 @@ class ElasticTrainer:
         embedding = self.embedding_for(members)
         check = self.plan_check_for(members)
         assignments = shard_assignments(embedding, self.topo.nnodes)
-        segments: list[
-            tuple[int, DegradedEmbedding, dict[int, tuple[int, ...]]]
-        ] = [(0, embedding, assignments)]
+        initial: Segment = (0, embedding, assignments)
+        segments: list[Segment] = [initial]
         timeline.append(
             f"start: members {sorted(members)}, plan {check.nops} ops "
             "verified"
@@ -657,6 +1161,8 @@ class ElasticTrainer:
             decision: RecoveryDecision | None = None
             restored_generation = -1
             fault_stats: dict = {}
+            abort_reason = ""
+            cascade = any(r.dead_detected for r in records)
 
             if event.kind == CRASH_EVENT:
                 if event.gpu not in members:
@@ -673,51 +1179,19 @@ class ElasticTrainer:
                         ),
                     ),
                 )
-                crash_fn = self._member_fn(assignments, completed)
-                if embedding.synthesized:
-                    # The member set runs a synthesized fallback plan:
-                    # arm the fault inside the interpreter; detection
-                    # reads dense plan ranks off its phase board.
-                    runtime = InterpretedSegment(
-                        embedding,
-                        self.network,
-                        learning_rate=self.learning_rate,
-                        spin=self.spin,
-                        fault_plan=armed,
-                    )
-
-                    def run_crash(w):
-                        return runtime.run(crash_fn, w, 1)
-
-                else:
-                    runtime = self._runtime(embedding, armed)
-
-                    def run_crash(w):
-                        return self._segment(runtime, crash_fn, w, 1)
-
+                # Armed and detected in dense ranks (plan ranks on the
+                # interpreter); gpu_of maps detections back to GPUs.
+                runtime = self._runtime(embedding, armed)
                 try:
-                    span = run_crash(weights)
-                    history.extend(span)
-                    weights = span[-1].copy()
-                    completed += 1
-                    timeline.append(
-                        f"crash: armed fault on gpu {event.gpu} never "
-                        f"aborted; iteration {event.at_iteration} "
-                        "completed normally"
+                    span = self._train_on(
+                        runtime, assignments, completed, weights, 1
                     )
-                    records.append(MembershipRecord(
-                        event=event,
-                        members=tuple(sorted(members)),
-                        dead_detected=(),
-                        decision=None,
-                        restored_generation=-1,
-                        resumed_from=completed,
-                        plan_check=self.plan_check_for(members),
-                        fault_stats=dict(armed.stats.snapshot()),
-                    ))
-                    continue
                 except AbortedError as abort:
-                    timeline.append(f"abort: {abort.reason}")
+                    abort_reason = abort.reason
+                    timeline.append(
+                        f"{'cascade abort' if cascade else 'abort'}: "
+                        f"{abort_reason}"
+                    )
                     fault_stats = drain_aborted_run(runtime)
                     timeline.append(
                         "drain: in-flight chunks discarded with the "
@@ -737,6 +1211,28 @@ class ElasticTrainer:
                         f"detect: dead ranks {list(dead_ranks)} = "
                         f"physical GPUs {list(dead_detected)}"
                     )
+                else:
+                    history.extend(span)
+                    weights = span[-1].copy()
+                    completed += 1
+                    timeline.append(
+                        f"crash: armed fault on gpu {event.gpu} never "
+                        f"aborted; iteration {event.at_iteration} "
+                        "completed normally"
+                    )
+                    records.append(MembershipRecord(
+                        event=event,
+                        members=tuple(sorted(members)),
+                        dead_detected=(),
+                        decision=None,
+                        restored_generation=-1,
+                        resumed_from=completed,
+                        plan_check=check,
+                        fault_stats=dict(armed.stats.snapshot()),
+                        embedding=embedding,
+                        assignments=assignments,
+                    ))
+                    continue
                 new_members = members - set(dead_detected)
                 if len(new_members) < 2:
                     raise ConfigError(
@@ -757,8 +1253,10 @@ class ElasticTrainer:
                     if ckpt is not None
                     else {}
                 )
+                # Either restart arm brings back a healthy machine's
+                # collective, so the restart cost is the full topology's.
                 decision = self.policy.decide(
-                    nnodes_healthy=len(members),
+                    nnodes_healthy=self.topo.nnodes,
                     nnodes_degraded=len(new_members),
                     nbytes=float(self.network.total_params * 8),
                     detours=survivor_emb.cost.detours,
@@ -769,12 +1267,18 @@ class ElasticTrainer:
                 timeline.append(
                     f"decide: {decision.action} ({decision.reason})"
                 )
-                if decision.action == RESTART and ckpt is None:
+                if decision.action == RESTART and self.replace_on_restart:
+                    new_members = frozenset(range(self.topo.nnodes))
+                    timeline.append(
+                        "restart: replacement GPUs join, healthy "
+                        f"{self.topo.nnodes}-GPU schedule"
+                    )
+                elif decision.action == RESTART and ckpt is None:
                     timeline.append(
                         "restart: no committed generation to restore — "
                         "falling back to degraded continuation"
                     )
-                if decision.action == RESTART and ckpt is not None:
+                elif decision.action == RESTART:
                     state, restored_generation = ckpt
                     weights = np.asarray(
                         state.weights, dtype=np.float64
@@ -825,6 +1329,12 @@ class ElasticTrainer:
                 f"{embedding.cost}, plan {check.nops} ops verified, "
                 f"shards {assignments}"
             )
+            if dead_detected:
+                timeline.append(
+                    f"resume: iterations {completed}..{event.at_iteration} "
+                    f"redone on {embedding.topology.nnodes} ranks"
+                    + (" after cascading crash" if cascade else "")
+                )
             records.append(MembershipRecord(
                 event=event,
                 members=tuple(sorted(members)),
@@ -834,6 +1344,9 @@ class ElasticTrainer:
                 resumed_from=completed,
                 plan_check=check,
                 fault_stats=fault_stats,
+                abort_reason=abort_reason,
+                embedding=embedding,
+                assignments=assignments,
             ))
 
         if completed < iterations:
@@ -852,6 +1365,7 @@ class ElasticTrainer:
             records=records,
             segments=segments,
             members=tuple(sorted(members)),
+            initial_segment=initial,
             checkpoint_counters=(
                 dict(self.checkpointer.counters)
                 if self.checkpointer is not None
@@ -866,9 +1380,7 @@ def elastic_serial_reference(
     gradient_fn: GradientFn,
     initial_weights: np.ndarray,
     *,
-    segments: list[
-        tuple[int, DegradedEmbedding, dict[int, tuple[int, ...]]]
-    ],
+    segments: list[Segment],
     layout: ChunkLayout,
     iterations: int,
     learning_rate: float = 0.05,
@@ -876,11 +1388,10 @@ def elastic_serial_reference(
     """The fault-free serial SGD an elastic run must reproduce bit-exactly.
 
     Replays each ownership segment with its member set's reduction
-    order — the hand-written tree order for healthy embeddings, the
-    interpreted plan's replay order for synthesized fallbacks — plus
-    shard adoption: the multi-segment generalization of
-    :func:`~repro.runtime.recovery.recovery_serial_reference` to
-    arbitrary membership-change sequences.  Floating-point addition is
+    order — the hand-written tree order for tree embeddings, the
+    interpreted plan's replay order for synthesized fallbacks
+    (:func:`segment_reduce_order`) — plus shard adoption, across any
+    sequence of crashes, leaves and joins.  Floating-point addition is
     not associative, so matching the replayed orders (rather than
     ``np.sum``) is the accuracy-neutrality claim extended across every
     membership boundary.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -270,29 +270,6 @@ class FaultPlan:
             if fault.gpu == gpu:
                 return fault
         return None
-
-    def retargeted(self, rank_of: dict[int, int]) -> "FaultPlan":
-        """GPU-fault targets rewritten through ``rank_of``.
-
-        Fault plans are specified against *physical* GPU ids (what an
-        operator would name); degraded and elastic runtimes address
-        their kernels by dense member rank.  This maps every GPU fault
-        through the embedding's ``rank_of`` so the same plan can be
-        armed on the hand-written kernels or on an interpreted segment.
-
-        Raises:
-            ConfigError: when a fault targets a GPU absent from the map
-                (it did not survive, or never joined).
-        """
-        faults = []
-        for fault in self.gpu_faults:
-            if fault.gpu not in rank_of:
-                raise ConfigError(
-                    f"fault targets gpu {fault.gpu}, which is not a "
-                    "member of the degraded group"
-                )
-            faults.append(replace(fault, gpu=rank_of[fault.gpu]))
-        return replace(self, gpu_faults=tuple(faults))
 
     def storage_injector(self, path: str) -> "StorageInjector | None":
         """Injector for the storage path ``path`` (None when unaffected)."""

@@ -25,7 +25,10 @@ event                 effect
 ====================  =================================================
 ``fork``              release: pool's clock := join(pool, thread); tick
 ``thread_start``      acquire: thread := join(thread, pool)
-``thread_end``        release into the pool's join clock
+``thread_end``        release into the pool's join clock; a thread
+                      a *crash* abort pulled out of a wait drops its
+                      ``sem_block`` (that wait was abandoned, not
+                      part of a cycle); a *timeout* abort keeps it
 ``join_all``          acquire of the pool's join clock
 ``lock_acquire``      acquire of the lock's clock (+ lockset push)
 ``lock_release``      release into the lock's clock (+ lockset pop)
@@ -62,6 +65,17 @@ _ACQUIRE = ("thread_start", "join_all", "lock_acquire", "atomic_load",
             "event_wait")
 #: Events that release into the plain object clock.
 _RELEASE = ("fork", "thread_end", "lock_release", "event_set")
+
+
+def _crash_abort(reason: object) -> bool:
+    """Whether an abort reason names a crashed kernel (the pool's
+    ``kernel '...' failed: ...``) rather than a timed-out wait."""
+    return (
+        isinstance(reason, str)
+        and reason.startswith("kernel ")
+        and " failed: " in reason
+        and "timed out" not in reason
+    )
 
 
 class _SemState:
@@ -226,6 +240,8 @@ class Tracer:
                 clock.join(self._obj_clock(obj, tag))
                 return
             if kind in _RELEASE:
+                if kind == "thread_end" and _crash_abort(detail):
+                    self._blocked.pop(name, None)
                 tag = "done" if kind == "thread_end" else "main"
                 obj_clock = self._obj_clock(obj, tag)
                 obj_clock.join(clock)

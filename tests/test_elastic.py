@@ -118,6 +118,28 @@ class TestEventValidation:
         with pytest.raises(ConfigError, match="kind"):
             MembershipEvent(kind="explode", gpu=1, at_iteration=1)
 
+    def test_only_crashes_land_on_iteration_zero(self):
+        MembershipEvent(kind="crash", gpu=1, at_iteration=0)
+        for kind in ("leave", "join"):
+            with pytest.raises(ConfigError, match=">= 1"):
+                MembershipEvent(kind=kind, gpu=1, at_iteration=0)
+
+    def test_same_iteration_crashes_apply_in_given_order(self):
+        # A cascade landing on the first crash's iteration fires second
+        # even when its gpu id is lower.
+        gradient_fn = make_gradient_fn()
+        trainer = make_trainer(gradient_fn)
+        w0 = np.random.default_rng(3).normal(size=ELEMS)
+        report = trainer.train(
+            w0.copy(), iterations=3,
+            events=(
+                MembershipEvent("crash", 6, 1),
+                MembershipEvent("crash", 2, 1),
+            ),
+        )
+        assert [r.dead_detected for r in report.records] == [(6,), (2,)]
+        assert_bit_exact(trainer, report, gradient_fn, w0, 3)
+
     def test_crash_target_must_be_member(self):
         trainer = make_trainer(
             make_gradient_fn(), initial_members=(0, 1, 2, 3, 4, 5, 6)

@@ -130,7 +130,12 @@ class TestBehaviourOracle:
 class TestTier1Gate:
     """The ≤100-mutant gate: zero unsound, zero incomplete."""
 
-    @pytest.mark.parametrize("algorithm", ["ring", "double_tree"])
+    # Mutants race on purpose: the double-tree ones trip the suite's
+    # --sanitize tracer, which would report the seeded bugs themselves.
+    @pytest.mark.parametrize("algorithm", [
+        "ring",
+        pytest.param("double_tree", marks=pytest.mark.no_sanitize),
+    ])
     def test_verifier_tracks_behaviour(self, algorithm):
         outcome = fuzz_builder_mutations(
             algorithm,

@@ -423,6 +423,17 @@ class TestChaosPlanCli:
         assert "cascade" in out
         assert "bit-identical to plan-aware serial reference: yes" in out
 
+    def test_chaos_plan_cascade_after_restart(self, capsys):
+        # Replacement GPUs restore the full machine; the cascade still
+        # fires there and is detected.
+        assert main([
+            "chaos", "plan", "--seed", "7", "--elems", "256", "--cascade",
+            "--policy", "restart",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "after cascading crash" in out
+        assert "bit-identical to plan-aware serial reference: yes" in out
+
     def test_ckpt_drill_every_site(self, capsys):
         assert main(["ckpt", "drill", "--every-site"]) == 0
         out = capsys.readouterr().out

@@ -145,3 +145,22 @@ class TestPipelineChunks:
         assert compiled.legalized
         assert verify_plan(compiled, topo=dgx1).ok
         assert reports.notes
+
+
+class TestOpReplace:
+    """``PlanOp.replace`` (hot in every pass) matches dataclasses.replace."""
+
+    def test_matches_dataclasses_replace(self):
+        import dataclasses
+
+        for op in dgx1_plan().ops:
+            changes = dict(lane=op.lane + 1, origin="pass:test", deps=())
+            ours = op.replace(**changes)
+            assert ours == dataclasses.replace(op, **changes)
+            assert hash(ours) == hash(dataclasses.replace(op, **changes))
+            assert op.origin != "pass:test"
+
+    def test_unknown_field_rejected(self):
+        op = dgx1_plan().ops[0]
+        with pytest.raises(TypeError, match="bogus"):
+            op.replace(bogus=1)

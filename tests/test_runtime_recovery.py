@@ -15,6 +15,7 @@ from repro.errors import AbortedError, ConfigError
 from repro.dnn.layers import LayerSpec, NetworkModel
 from repro.models.costmodel import CostParams
 from repro.runtime.allreduce import TreeAllReduceRuntime
+from repro.runtime.elastic import ElasticTrainer, MembershipEvent
 from repro.runtime.faults import CRASH, STUCK, FaultPlan, GpuFault
 from repro.runtime.recovery import (
     COST_BASED,
@@ -315,4 +316,74 @@ class TestRecoverySerialReference:
                 healthy_trees=trainer.trees,
                 healthy_layout=trainer.layout,
                 iterations=2,
+            )
+
+
+class TestOneStateMachine:
+    """ResilientTrainer is a configuration of ElasticTrainer: a crash
+    fault plan is a crash event of the same state machine."""
+
+    def test_fault_plan_matches_crash_event(self, rng):
+        targets = [rng.normal(size=ELEMS) for _ in range(8)]
+        w0 = rng.normal(size=ELEMS)
+        gradient_fn = quadratic_gradient(targets)
+        resilient = make_trainer(gradient_fn).train(
+            w0.copy(), iterations=3,
+            fault_plan=crash_plan(5, after_chunk=2), fault_at_iteration=1,
+        )
+        elastic = ElasticTrainer(
+            dgx1_topology(),
+            make_network(),
+            gradient_fn,
+            trees=dgx1_trees(),
+            detour_map=DETOURED_EDGES,
+            learning_rate=0.02,
+            policy=RecoveryPolicy(mode=REEMBED),
+            spin=FAST,
+            detour_preference=DETOUR_NODES,
+        ).train(
+            w0.copy(), iterations=3,
+            events=(MembershipEvent("crash", 5, 1, after_chunk=2),),
+        )
+        assert np.array_equal(resilient.weights, elastic.weights)
+        assert len(resilient.weight_history) == 3
+        assert len(elastic.weight_history) == 3
+        for ours, theirs in zip(
+            resilient.weight_history, elastic.weight_history
+        ):
+            assert np.array_equal(ours, theirs)
+
+        def layout(report):
+            return [(s, e.survivors, a) for s, e, a in report.segments]
+
+        assert layout(resilient) == layout(elastic)
+        assert resilient.dead_gpus == (5,)
+        assert elastic.records[0].dead_detected == (5,)
+
+    def test_every_record_passes_the_plan_gate(self, rng):
+        trainer = make_trainer(quadratic_gradient(
+            [rng.normal(size=ELEMS) for _ in range(8)]
+        ))
+        report = trainer.train(
+            rng.normal(size=ELEMS), iterations=2,
+            fault_plan=crash_plan(3), fault_at_iteration=1,
+        )
+        assert report.records
+        assert all(r.plan_check.verified for r in report.records)
+
+    @pytest.mark.parametrize("plan", [
+        crash_plan(3, kind=STUCK),
+        FaultPlan(gpu_faults=(
+            GpuFault(3, CRASH, after_chunk=1),
+            GpuFault(5, CRASH, after_chunk=1),
+        )),
+    ])
+    def test_only_single_crash_plans_accepted(self, rng, plan):
+        trainer = make_trainer(quadratic_gradient(
+            [rng.normal(size=ELEMS) for _ in range(8)]
+        ))
+        with pytest.raises(ConfigError, match="exactly one"):
+            trainer.train(
+                rng.normal(size=ELEMS), iterations=2,
+                fault_plan=plan, fault_at_iteration=1,
             )

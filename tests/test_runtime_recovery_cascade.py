@@ -13,12 +13,17 @@ from repro.dnn.layers import LayerSpec, NetworkModel
 from repro.runtime.faults import CRASH, FaultPlan, GpuFault
 from repro.runtime.recovery import (
     REEMBED,
+    RESTART,
     RecoveryPolicy,
     ResilientTrainer,
     recovery_serial_reference,
 )
 from repro.runtime.sync import SpinConfig
-from repro.runtime.training import quadratic_gradient
+from repro.runtime.training import (
+    quadratic_gradient,
+    serial_reference,
+    tree_reduce_order,
+)
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
@@ -26,7 +31,7 @@ FAST = SpinConfig(timeout=10.0, pause=0.0)
 ELEMS = 256
 
 
-def make_trainer(gradient_fn):
+def make_trainer(gradient_fn, policy=REEMBED):
     network = NetworkModel(
         name="cascade",
         layers=(LayerSpec(name="L0", params=ELEMS, fwd_flops=1e6),),
@@ -38,7 +43,7 @@ def make_trainer(gradient_fn):
         trees=dgx1_trees(),
         detour_map=DETOURED_EDGES,
         learning_rate=0.02,
-        policy=RecoveryPolicy(mode=REEMBED),
+        policy=RecoveryPolicy(mode=policy),
         spin=FAST,
         detour_preference=DETOUR_NODES,
         search_iterations=400,
@@ -137,6 +142,46 @@ class TestCascadingCrash:
                 cascade_fault_plan=crash_plan(6),
                 cascade_at_iteration=5,
             )
+
+
+class TestCascadeAfterRestart:
+    def test_cascade_fires_and_recovers_bit_exact(self, rng):
+        # Replacement GPUs bring the full machine back after the first
+        # crash; the second crash still fires on that machine.
+        targets = [rng.normal(size=ELEMS) for _ in range(8)]
+        trainer = make_trainer(quadratic_gradient(targets), RESTART)
+        w0 = rng.normal(size=ELEMS)
+        report = trainer.train(
+            w0,
+            iterations=4,
+            fault_plan=crash_plan(3),
+            fault_at_iteration=1,
+            cascade_fault_plan=crash_plan(6),
+            cascade_at_iteration=1,
+        )
+        assert report.decision.action == RESTART
+        assert report.embedding is None
+        assert report.cascade_dead_gpus == (6,)
+        assert report.cascade_decision.action == RESTART
+        assert report.cascade_resumed_from_iteration == 2
+        reference = recovery_serial_reference(
+            trainer.network,
+            quadratic_gradient(targets),
+            w0,
+            report=report,
+            healthy_trees=trainer.trees,
+            healthy_layout=trainer.layout,
+            iterations=4,
+            learning_rate=0.02,
+        )
+        assert np.array_equal(report.weights, reference)
+        # Every segment ran the healthy schedule.
+        healthy = serial_reference(
+            trainer.network, quadratic_gradient(targets), w0,
+            nnodes=8, iterations=4, learning_rate=0.02,
+            reduce_order=tree_reduce_order(trainer.trees, trainer.layout),
+        )
+        assert np.array_equal(report.weights, healthy)
 
 
 class TestSeededChaos:

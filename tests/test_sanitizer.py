@@ -270,6 +270,38 @@ class TestRingHdAbort:
         assert runtime.abort_cell is not None
         assert runtime.abort_cell.is_set()
 
+    @pytest.mark.parametrize("reason, cycle", [
+        ("kernel 'crasher' failed: RuntimeError('boom')", False),
+        ("semaphore 'S1': wait timed out", True),
+    ])
+    def test_abort_reason_decides_abandoned_blocks(self, reason, cycle):
+        # Two threads each post what the other waits on, then block and
+        # leave through the abort.  After a crash those waits were
+        # abandoned, not deadlocked; after a timeout they are the cycle.
+        import threading
+
+        class Obj:
+            def __init__(self, name):
+                self.name = name
+
+        tracer, pool = Tracer(), Obj("pool")
+        s1, s2 = Obj("S1"), Obj("S2")
+
+        def kernel(post, block):
+            tracer.on_sync("sem_post", post)
+            tracer.on_sync("sem_block", block, "wait")
+            tracer.on_sync("thread_end", pool, reason)
+
+        for name, post, block in (("a", s2, s1), ("b", s1, s2)):
+            thread = threading.Thread(
+                target=kernel, args=(post, block), name=name
+            )
+            thread.start()
+            thread.join()
+        report = tracer.analyze()
+        assert bool(report.wait_cycles) is cycle
+        assert len(report.blocked) == (2 if cycle else 0)
+
     @pytest.mark.parametrize("cls", [RingAllReduceRuntime,
                                      HalvingDoublingRuntime])
     def test_healthy_run_still_exact(self, cls):
