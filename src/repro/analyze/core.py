@@ -1,7 +1,9 @@
 """`analyze_plan`: one call running every static analysis on a plan.
 
 Combines the structural verifier (``PLAN001``-``PLAN006``), the static
-ordering prover (``PLAN010``/``PLAN011``), and — when the subject
+ordering prover (``PLAN010``/``PLAN011``), the write-after-read aliasing
+check (``PLAN012`` notes: SENDs whose wire the interpreter stages), and
+— when the subject
 verifies clean on a physical topology — the contention analyzer and its
 α-β lower bound (``PLAN020``/``PLAN021``), into one
 :class:`~repro.analyze.diagnostics.DiagnosticReport` the CLI renders as
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..plan.ir import Plan
-from ..plan.verifier import VerifyReport, verify_plan
+from ..plan.verifier import VerifyReport, prove_send_aliasing, verify_plan
 from ..topology.base import PhysicalTopology
 from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
 from ..topology.routing import Router
@@ -117,6 +119,10 @@ def analyze_plan(
     # The prover re-derives wire pairing; drop its duplicates.
     seen = set(verify.diagnostics)
     report.extend([d for d in ordering.diagnostics if d not in seen])
+    if verify.ok:
+        report.extend(list(
+            prove_send_aliasing(plan, verify.pairing).diagnostics
+        ))
     contention: ContentionReport | None = None
     if topo is not None and verify.ok and ordering.ok:
         contention = analyze_contention(

@@ -2,7 +2,8 @@
 
 One :class:`Diagnostic` type carries every finding the repo's static
 tools produce — the plan verifier (``PLAN001``-``PLAN006``), the static
-ordering prover (``PLAN010``/``PLAN011``), the contention analyzer
+ordering prover (``PLAN010``/``PLAN011``), the write-after-read aliasing
+check (``PLAN012``), the contention analyzer
 (``PLAN020``/``PLAN021``), and the sync-discipline lint
 (``SYNC001``-``SYNC004``).  Each diagnostic has a stable code, a
 severity, a human message, and *provenance*: for plan findings the op
@@ -71,6 +72,9 @@ RULES: dict[str, RuleSpec] = {
               "transfers on one wire are not provably FIFO-ordered"),
         _rule("PLAN011", "reduce-before-broadcast", "error",
               "a broadcast of a chunk is not ordered after its reduces"),
+        _rule("PLAN012", "send-source-rewritten", "note",
+              "a sent chunk is rewritten before its consumer reads it, "
+              "so its wire stages a copy"),
         _rule("PLAN020", "link-oversubscribed", "warning",
               "multiple trees contend for one directed link lane"),
         _rule("PLAN021", "lane-imbalance", "note",

@@ -27,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..plan.ir import SEND, Plan
-from ..plan.verifier import _combined_edges, _topo_order, match_wires
+from ..plan.verifier import (
+    _ancestors,
+    _combined_edges,
+    _topo_order,
+    match_wires,
+)
 from ..sim.dag import Phase
 from .diagnostics import Diagnostic, severity_of
 
@@ -100,14 +105,7 @@ def prove_plan_ordering(plan: Plan) -> StaticOrderingReport:
         return report
     report.order = order
 
-    # Ancestor bitsets (inclusive): reach[b] >> a & 1 iff a HB b or a==b.
-    n = len(plan.ops)
-    reach = [0] * n
-    for op_id in order:
-        bits = 1 << op_id
-        for d in preds[op_id]:
-            bits |= reach[d]
-        reach[op_id] = bits
+    reach = _ancestors(preds, order)
 
     def happens_before(a: int, b: int) -> bool:
         return a != b and bool(reach[b] >> a & 1)

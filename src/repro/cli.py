@@ -198,9 +198,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="static plan analysis: prove ordering properties and "
-             "compute the contention lower bound on the IR, no "
-             "simulation (see DESIGN.md §13)",
+        help="static plan analysis: prove ordering properties, which "
+             "wires may be zero-copy, and the contention lower bound "
+             "on the IR, no simulation (see DESIGN.md §13)",
     )
     add_plan_args(analyze)
     analyze.add_argument("file", nargs="?", default=None,

@@ -11,6 +11,16 @@ runtimes.
 Because every wire's capacity equals its total send count, sends never
 block; the verifier's combined-graph acyclicity is therefore a static
 deadlock-freedom proof for this interpreter.
+
+Wires are zero-copy wherever a static proof allows it:
+:func:`~repro.plan.verifier.prove_send_aliasing` checks, once per
+interpreter, that no SEND's source chunk is rewritten before its final
+consumer reads it.  A wire whose SENDs all pass aliases the sending
+rank's gradient buffer (the flow source's, on a detour's relay legs):
+the sender publishes a frame, relays verify and republish in place, and
+the receiver reduces or copies straight from the sender's memory.  Only
+wires carrying a rejected SEND (a ``PLAN012`` note) stage a copy of the
+chunks they carry.
 """
 
 from __future__ import annotations
@@ -27,7 +37,13 @@ from ..runtime.memory import ChunkLayout, GradientBuffer
 from ..runtime.sync import AbortCell, DeviceEvent, SpinConfig
 from ..sim.dag import Phase
 from .ir import COPY, RECV, REDUCE, SEND, Plan, PlanOp
-from .verifier import execution_order, is_relay, match_wires, verify_plan
+from .verifier import (
+    execution_order,
+    is_relay,
+    match_wires,
+    prove_send_aliasing,
+    verify_plan,
+)
 
 __all__ = [
     "PlanRunReport",
@@ -151,6 +167,9 @@ class PlanRunReport:
             kernel finished — 0 for any well-formed plan; a positive
             count means some SEND was never consumed (the runtime
             symptom of a dropped or duplicated op).
+        staged_bytes: link memory the run allocated — the staging of
+            the wires that carry a ``PLAN012``-rejected SEND; 0 when
+            every wire aliases a gradient buffer.
     """
 
     outputs: list[np.ndarray]
@@ -158,6 +177,7 @@ class PlanRunReport:
     wall_time: float
     fault_stats: dict = field(default_factory=dict)
     leftover_frames: int = 0
+    staged_bytes: int = 0
 
 
 class PlanInterpreter:
@@ -174,6 +194,10 @@ class PlanInterpreter:
             in reduce-phase thread blocks like the tree runtime).
         verify: statically verify the plan before executing (on by
             default — an unverified plan may deadlock).
+
+    Construction pairs the wires, groups the thread-block programs and
+    proves which wires may alias (see the module docstring); every
+    ``run`` reuses them.
     """
 
     def __init__(
@@ -195,14 +219,37 @@ class PlanInterpreter:
                 f"layout has {layout.nchunks} chunks, plan has "
                 f"{plan.nchunks}"
             )
-        if verify:
-            verify_plan(plan)
+        pairing = verify_plan(plan).pairing if verify else match_wires(plan)
         self.plan = plan
         self.layout = layout
         self.spin = spin or SpinConfig()
         self.fault_plan = fault_plan
         self.abort_cell: AbortCell | None = None
         self.phase_board: PhaseBoard | None = None
+        self._wire_sends = {
+            key: send_ids for key, (send_ids, _) in pairing.wires.items()
+        }
+        proof = prove_send_aliasing(plan, pairing)
+        #: Wire keys that alias the sender's gradient buffer.
+        self._aliased = frozenset(
+            key for key, send_ids in self._wire_sends.items()
+            if proof.aliases(send_ids)
+        )
+        self._programs = plan.programs()
+        home = {
+            op.op_id: key
+            for key, prog in self._programs.items()
+            for op in prog
+        }
+        #: op id -> the deps it waits on in other thread blocks (each
+        #: such dep gets a per-run completion event).
+        self._awaits = {
+            op.op_id: cross
+            for op in plan.ops
+            if (cross := tuple(
+                d for d in op.deps if home[d] != home[op.op_id]
+            ))
+        }
 
     @property
     def nnodes(self) -> int:
@@ -252,24 +299,32 @@ class PlanInterpreter:
     # -- execution -------------------------------------------------------
 
     def _build_wires(
-        self, spin: SpinConfig
+        self, spin: SpinConfig, buffers: list[GradientBuffer]
     ) -> tuple[dict[tuple, _Wire], dict[tuple, object]]:
-        """One wire per paired link, staged for the chunks its SENDs
+        """One wire per paired link — aliasing the source rank's buffer
+        where the proof allows, else staged for the chunks its SENDs
         carry; returns (wires, fault injectors) keyed by wire key."""
         plan = self.plan
         wires: dict[tuple, _Wire] = {}
         injectors: dict[tuple, object] = {}
-        for key, (send_ids, _recv_ids) in match_wires(plan).wires.items():
+        for key, send_ids in self._wire_sends.items():
             carried = [
                 c for s in send_ids for c in plan.op(s).chunks_carried()
             ]
             tag = wire_tag(key)
+            owner = None
+            if key in self._aliased:
+                src, _dst, _tree, _phase, flow = key
+                owner = buffers[flow[0] if flow is not None else src]
             wires[key] = _Wire(
                 self.layout,
                 capacity=max(1, len(carried)),
                 spin=spin,
                 name=tag,
                 chunks=carried,
+                buffer=owner.data if owner is not None else None,
+                owner_buffer=owner,
+                zero_copy=owner is not None,
             )
             if self.fault_plan is not None:
                 injectors[key] = self.fault_plan.link_injector(tag)
@@ -336,26 +391,17 @@ class PlanInterpreter:
             for g, a in enumerate(inputs)
         ]
 
-        wires, injectors = self._build_wires(run_spin)
+        wires, injectors = self._build_wires(run_spin, buffers)
+        aliased = self._aliased
 
         # Per-op completion events for deps that cross thread blocks —
         # DeviceEvents, so they honor the abort flag/timeout and emit
         # happens-before edges like every other primitive.
-        programs = plan.programs()
-        home = {
-            op.op_id: key for key, prog in programs.items() for op in prog
+        awaits = self._awaits
+        events = {
+            d: DeviceEvent(run_spin, name=plan.op(d).name())
+            for deps in awaits.values() for d in deps
         }
-        events: dict[int, DeviceEvent] = {}
-        for op in plan.ops:
-            for d in op.deps:
-                if home[d] != home[op.op_id]:
-                    events.setdefault(
-                        d,
-                        DeviceEvent(run_spin, name=plan.op(d).name()),
-                    )
-
-        def await_dep(dep_id: int) -> None:
-            events[dep_id].wait()
 
         def make_kernel(key: tuple, prog: list[PlanOp]):
             rank = key[0]
@@ -364,9 +410,11 @@ class PlanInterpreter:
                 board.set(rank, f"start tb {key[1]!r}")
                 reduce_pos = -1
                 seen_chunk: int | None = None
-                # Relay staging: detour legs forward through here, never
-                # through this GPU's own gradient slot.
-                stash: dict[tuple, np.ndarray] = {}
+                # Relay forwarding: detour legs pass (payload, verified
+                # checksum) through here, never through this GPU's own
+                # gradient slot.  On an aliased wire the payload is a
+                # view of the flow source's buffer.
+                stash: dict[tuple, tuple[np.ndarray, int | None]] = {}
                 for op in prog:
                     if armed:
                         active_ops[key] = (
@@ -382,9 +430,8 @@ class PlanInterpreter:
                         self._apply_gpu_fault(
                             rank, op, reduce_pos, board, abort
                         )
-                    for dep in op.deps:
-                        if dep in events and home[dep] != key:
-                            await_dep(dep)
+                    for dep in awaits.get(op.op_id, ()):
+                        events[dep].wait()
                     if op.kind == SEND:
                         wire = wires[op.wire_key()]
                         injector = injectors.get(op.wire_key())
@@ -392,7 +439,7 @@ class PlanInterpreter:
                         for c in op.chunks_carried():
                             if relay:
                                 try:
-                                    values = stash.pop(
+                                    values, checksum = stash.pop(
                                         (op.flow, op.tree, op.phase, c)
                                     )
                                 except KeyError:
@@ -402,7 +449,10 @@ class PlanInterpreter:
                                     ) from None
                             else:
                                 values = buffers[rank].read_view(c)
-                            _transmit(wire, c, values, injector, abort)
+                                checksum = None
+                            _transmit(
+                                wire, c, values, injector, abort, checksum
+                            )
                     elif op.kind == REDUCE:
                         wire = wires[op.wire_key()]
                         for c in op.chunks_carried():
@@ -412,10 +462,15 @@ class PlanInterpreter:
                         relay = is_relay(op)
                         for c in op.chunks_carried():
                             if relay:
-                                # A copy: the stash outlives this op, and
-                                # the wire may deliver the chunk again.
+                                # On a staging wire, a copy: the stash
+                                # outlives this op, and the wire may
+                                # deliver the chunk again.  An aliased
+                                # wire's source stays put until the
+                                # final consumer read it (the proof).
                                 stash[(op.flow, op.tree, op.phase, c)] = (
-                                    wire.take(c)
+                                    wire.take_frame(c)
+                                    if op.wire_key() in aliased
+                                    else (wire.take(c), None)
                                 )
                             else:
                                 buffers[rank].overwrite(c, wire.take_view(c))
@@ -427,7 +482,7 @@ class PlanInterpreter:
             return kernel
 
         pool = KernelPool(join_timeout=self.spin.timeout * 2, abort=abort)
-        for key, prog in programs.items():
+        for key, prog in self._programs.items():
             pool.add(f"plan g{key[0]} tb {key[1]!r}", make_kernel(key, prog))
 
         started = time.monotonic()
@@ -442,5 +497,9 @@ class PlanInterpreter:
             ),
             leftover_frames=sum(
                 len(wire._frames) for wire in wires.values()
+            ),
+            staged_bytes=sum(
+                wire._data.nbytes for key, wire in wires.items()
+                if key not in aliased
             ),
         )

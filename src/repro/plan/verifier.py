@@ -24,6 +24,14 @@ correct AllReduce:
 5. **Physical legality** (``PLAN006``, with a topology) — every NVLink
    hop must ride an existing link and an existing lane.
 
+Separately from those checks, :func:`prove_send_aliasing` decides for
+every SEND whether the receiver may read the sender's memory in place
+(a static write-after-read check on the same happens-before graph); a
+SEND whose source chunk is rewritten before its final consumer reads it
+is reported as a note (``PLAN012``) and its wire is staged.  The check
+is advisory, so :func:`verify_plan` — the synthesis and recovery gate —
+does not run it.
+
 Every diagnostic is a typed :class:`~repro.analyze.diagnostics.Diagnostic`
 naming the offending op (``op 17 [send c3 2->4 t0]``) *and* its
 provenance — the builder or pass that introduced the op — so a finding
@@ -41,9 +49,11 @@ from ..topology.base import PhysicalTopology
 from .ir import COPY, RECV, REDUCE, SEND, OpKind, Plan, PlanOp
 
 __all__ = [
+    "AliasProof",
     "WirePairing",
     "VerifyReport",
     "match_wires",
+    "prove_send_aliasing",
     "verify_plan",
     "execution_order",
     "is_relay",
@@ -454,22 +464,24 @@ def _dataflow_diags(
     return diags
 
 
-def _race_diags(
-    plan: Plan, preds: list[set[int]], order: list[int]
-) -> list[Diagnostic]:
-    """Unordered write/write or read/write pairs on one (rank, chunk)."""
-    n = len(plan.ops)
-    reach = [0] * n  # bitset of ancestors (inclusive)
+def _ancestors(preds: list[set[int]], order: list[int]) -> list[int]:
+    """Per op, the bitset of its ancestors (inclusive) in the combined
+    graph: bit ``a`` of ``reach[b]`` is set iff ``a`` happens-before
+    ``b`` (or ``a == b``)."""
+    reach = [0] * len(preds)
     for op_id in order:
         bits = 1 << op_id
         for d in preds[op_id]:
             bits |= reach[d]
         reach[op_id] = bits
+    return reach
 
-    def ordered(a: int, b: int) -> bool:
-        return bool(reach[b] >> a & 1) or bool(reach[a] >> b & 1)
 
-    diags = []
+def _slot_accesses(
+    plan: Plan,
+) -> dict[tuple[int, int], list[tuple[int, bool]]]:
+    """(rank, chunk) -> [(op id, writes)] for every op touching a
+    gradient slot; relay legs and COPY markers touch none."""
     accesses: dict[tuple[int, int], list[tuple[int, bool]]] = {}
     for op in plan.ops:
         if op.kind == COPY or is_relay(op):
@@ -477,7 +489,17 @@ def _race_diags(
         writes = op.kind in (REDUCE, RECV)
         for c in op.chunks_carried():
             accesses.setdefault((op.rank, c), []).append((op.op_id, writes))
-    for (rank, chunk), ops in accesses.items():
+    return accesses
+
+
+def _race_diags(plan: Plan, reach: list[int]) -> list[Diagnostic]:
+    """Unordered write/write or read/write pairs on one (rank, chunk)."""
+
+    def ordered(a: int, b: int) -> bool:
+        return bool(reach[b] >> a & 1) or bool(reach[a] >> b & 1)
+
+    diags = []
+    for (rank, chunk), ops in _slot_accesses(plan).items():
         for i, (a, a_writes) in enumerate(ops):
             for b, b_writes in ops[i + 1:]:
                 if not (a_writes or b_writes):
@@ -491,6 +513,131 @@ def _race_diags(
                         plan.op(a),
                     ))
     return diags
+
+
+@dataclass(frozen=True)
+class AliasProof:
+    """Outcome of :func:`prove_send_aliasing`.
+
+    Attributes:
+        staged_sends: every SEND whose wire must stage its payload: the
+            rejected SENDs and the relay legs forwarding their chunks
+            (a relay forwards whatever its inbound SEND carried).
+        diagnostics: one ``PLAN012`` note per rejected SEND.
+    """
+
+    staged_sends: frozenset[int]
+    diagnostics: tuple[Diagnostic, ...]
+
+    def aliases(self, send_ids) -> bool:
+        """True when none of ``send_ids`` (one wire's SENDs) stages."""
+        return self.staged_sends.isdisjoint(send_ids)
+
+
+def _final_consumers(
+    plan: Plan, pairing: WirePairing, order: list[int]
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Follow every chunk a non-relay SEND carries through its relay
+    legs to the RECV/REDUCE that consumes it.
+
+    Returns ``(consumer, origin)``: ``(send id, chunk) -> final consumer
+    id`` for non-relay SENDs, and ``(relay send id, chunk) -> the
+    non-relay SEND it forwards``.  Relays forward in the interpreter's
+    stash order, keyed like :func:`~repro.plan.interpreter.plan_reduce_order`.
+    """
+    consumer: dict[tuple[int, int], int] = {}
+    origin: dict[tuple[int, int], int] = {}
+    stash: dict[tuple, int] = {}
+    for op_id in order:
+        op = plan.op(op_id)
+        if op.kind == SEND:
+            if is_relay(op):
+                for c in op.chunks_carried():
+                    key = (op.rank, op.flow, op.tree, op.phase, c)
+                    if key in stash:
+                        origin[(op_id, c)] = stash.pop(key)
+            continue
+        if op.kind not in (RECV, REDUCE):
+            continue
+        sender = pairing.partner.get(op_id)
+        if sender is None:
+            continue
+        relay = is_relay(op)
+        for c in op.chunks_carried():
+            source = origin.get((sender, c), sender)
+            if relay:
+                stash[(op.rank, op.flow, op.tree, op.phase, c)] = source
+            else:
+                consumer[(source, c)] = op_id
+    return consumer, origin
+
+
+def prove_send_aliasing(
+    plan: Plan, pairing: WirePairing | None = None
+) -> AliasProof:
+    """Static write-after-read check: may each SEND's wire alias the
+    sender's gradient buffer instead of staging a copy?
+
+    A non-relay SEND ``s`` reads rank ``r``'s chunk ``c``; let ``k`` be
+    its final consumer (relay legs followed to the last RECV/REDUCE).
+    The receiver may read ``(r, c)`` in place iff every write to
+    ``(r, c)`` not ordered before ``s`` is ordered after ``k`` in the
+    combined happens-before graph — then the bytes ``k`` reads are the
+    bytes ``s`` sent.  Each rejected SEND gets a ``PLAN012`` note naming
+    the write that would change its payload in flight.
+
+    The proof assumes a plan that passes :func:`verify_plan`; on a
+    cyclic graph every SEND is staged.
+    """
+    if pairing is None:
+        pairing = match_wires(plan)
+    sends = [op.op_id for op in plan.ops if op.kind == SEND]
+    preds = _combined_edges(plan, pairing)
+    order, cycle = _topo_order(plan, preds)
+    if cycle:
+        return AliasProof(frozenset(sends), ())
+    reach = _ancestors(preds, order)
+    consumer, origin = _final_consumers(plan, pairing, order)
+    writes: dict[tuple[int, int], list[int]] = {
+        slot: [op_id for op_id, is_write in ops if is_write]
+        for slot, ops in _slot_accesses(plan).items()
+    }
+
+    def rewrite(op: PlanOp) -> str | None:
+        """Why ``op``'s payload may change in flight (None: it can't)."""
+        for c in op.chunks_carried():
+            k = consumer.get((op.op_id, c))
+            if k is None:
+                return f"chunk {c} never reaches a consumer"
+            for w in writes.get((op.rank, c), ()):
+                if not (reach[op.op_id] >> w & 1 or reach[w] >> k & 1):
+                    return (
+                        f"rank {op.rank} chunk {c} is rewritten by "
+                        f"{plan.op(w).name()} before {plan.op(k).name()} "
+                        "consumes it"
+                    )
+        return None
+
+    staged: set[int] = set()
+    diags: list[Diagnostic] = []
+    for s_id in sends:
+        op = plan.op(s_id)
+        reason = None if is_relay(op) else rewrite(op)
+        if reason is not None:
+            staged.add(s_id)
+            diags.append(_diag(
+                "PLAN012",
+                f"{op.name()}: {reason}; its wire stages the chunk",
+                op,
+            ))
+    for s_id in sends:
+        op = plan.op(s_id)
+        if is_relay(op) and any(
+            origin.get((s_id, c)) in staged or (s_id, c) not in origin
+            for c in op.chunks_carried()
+        ):
+            staged.add(s_id)
+    return AliasProof(frozenset(staged), tuple(diags))
 
 
 def _physical_diags(plan: Plan, topo: PhysicalTopology) -> list[Diagnostic]:
@@ -552,7 +699,7 @@ def verify_plan(
         diags.extend(cycle_diags)
         if order:
             diags.extend(_dataflow_diags(plan, pairing, order))
-            diags.extend(_race_diags(plan, preds, order))
+            diags.extend(_race_diags(plan, _ancestors(preds, order)))
     if topo is not None:
         diags.extend(_physical_diags(plan, topo))
     errors = [render_diagnostic(d) for d in diags]

@@ -198,6 +198,7 @@ class TreeAllReduceRuntime:
                     spin=spin,
                     name=f"t{t}:{parent}->{child}",
                     chunks=chunks,
+                    parent_buffer=buffers[parent],
                     relay_via=via,
                     injector=plan.link_injector(down_tag) if plan else None,
                 )
@@ -263,9 +264,9 @@ class TreeAllReduceRuntime:
 
         def kernel() -> None:
             # Each child's partial is verified and accumulated in place,
-            # straight from the child's gradient buffer (or the relay's
-            # slot on a detour); our own partial is published the same
-            # way and stays untouched until the reduced chunk comes back.
+            # straight from the child's gradient buffer (detoured or
+            # not); our own partial is published the same way and stays
+            # untouched until the reduced chunk comes back.
             for pos, chunk in enumerate(chunks):
                 board.set(node, f"reduce t{t} chunk {pos + 1}/{len(chunks)}")
                 self._apply_gpu_fault(node, t, pos, board, abort)

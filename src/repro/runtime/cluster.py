@@ -22,13 +22,14 @@ it, sends its own partial up (or posts ``reduced`` at the root), the
 root reduces, and only then is the chunk broadcast back down.
 
 A link whose endpoints share no physical NVLink is built with a
-``relay_via`` GPU: the sender writes the intermediate GPU's staging
-buffer, and a *forwarding kernel* (its own persistent thread, as in the
-paper's static detour routing) verifies each chunk there and passes it
-on in order.  A relay stores and forwards, so a detour is the one place
-a chunk is staged: a detoured uplink's final hop reads the relay's
-staging slot in place, and a detoured downlink's final hop copies it
-into the child's gradient buffer.
+``relay_via`` GPU, and a *forwarding kernel* (its own persistent thread,
+as in the paper's static detour routing) verifies each chunk and passes
+it on in order.  A relay forwards without staging: going up, both hops
+alias the child's gradient buffer, so the relay verifies the partial in
+place and republishes its frame, and the parent accumulates from the
+child's memory as on a direct uplink; going down, the first hop aliases
+the parent's buffer — its reduced chunk is final once sent — and the
+relay verifies it there and copies it once into the child's buffer.
 
 Every hop is a :class:`_Wire`: payload memory plus a frame queue carrying
 ``(sequence number, chunk id, CRC32)`` metadata.  The receiver verifies
@@ -43,14 +44,14 @@ linear backoff) unless the fault plan disables recovery.  An unrecovered
 corrupt frame on a zero-copy hop lands in the link's fault slot for that
 frame, never in the sender's memory.
 
-Link memory matches the traffic the link carries: a staging wire holds
-only the chunks it is built for (a relay's mid-wire carries that tree's
-half of the gradient), packed back to back behind a per-wire slot table.
-Receivers that consume a payload immediately verify it *in place* and
-read it through :meth:`_Wire.take_view` — reduce kernels accumulate
-straight from the child's buffer or the relay's slot, relays forward
-from their slot — and senders hand the wire a view of the gradient
-buffer, so a collective allocates no per-kernel scratch.
+No tree-runtime wire owns link memory: every hop aliases a gradient
+buffer.  Receivers that consume a payload immediately verify it *in
+place* and read it through :meth:`_Wire.take_view` — reduce kernels
+accumulate straight from the child's buffer, relays forward from the
+sender's — and senders hand the wire a view of the gradient buffer, so
+a collective allocates no per-kernel scratch.  A staging wire (the plan
+interpreter's, where a schedule rewrites a sent chunk before it is
+consumed) holds only the chunks it carries, packed back to back.
 
 The :class:`KernelPool` runs persistent-kernel bodies as threads and
 implements the fail-fast protocol: the first kernel failure triggers the
@@ -71,7 +72,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.errors import AbortedError, LinkFaultError, RuntimeClusterError
+from repro.errors import (
+    AbortedError,
+    ConfigError,
+    LinkFaultError,
+    RuntimeClusterError,
+)
 from repro.runtime.faults import LinkInjector, payload_checksum
 from repro.runtime.memory import ChunkLayout, GradientBuffer
 from repro.runtime.memory import _emit as _access_emit
@@ -93,9 +99,8 @@ class _Wire:
     carries.  Its staging memory holds only those slots, packed back to
     back in an uninitialized array; ``deliver`` writes each slot before
     the frame that lets the receiver read it.  A wire built over
-    ``buffer`` aliases that memory instead and addresses it through
-    ``slots`` (another wire's slot table) or, by default, the layout's
-    own slices.
+    ``buffer`` aliases that memory instead and addresses it through the
+    layout's own slices.
 
     A ``zero_copy`` wire aliases the *sender's* memory: the payload is
     already in its slot when it is sent, so ``deliver`` publishes the
@@ -115,7 +120,6 @@ class _Wire:
         chunks: Sequence[int],
         buffer: np.ndarray | None = None,
         owner_buffer: GradientBuffer | None = None,
-        slots: dict[int, slice] | None = None,
         zero_copy: bool = False,
     ):
         self.name = name
@@ -124,10 +128,7 @@ class _Wire:
         if buffer is not None:
             self._data = buffer
             for chunk in carried:
-                self._slots[chunk] = (
-                    slots[chunk] if slots is not None
-                    else layout.slice_of(chunk)
-                )
+                self._slots[chunk] = layout.slice_of(chunk)
         else:
             cursor = 0
             for chunk in carried:
@@ -239,10 +240,12 @@ class _Wire:
         """Receiver side: like :meth:`take_view`, returning a verified
         copy.
 
-        The returned array is caller-owned: interpreter relays stash it
-        across ops, during which a ring wire may deliver the same chunk
-        again, so ``take`` keeps copy semantics.  Receivers that consume
-        the payload immediately use :meth:`take_view`.
+        The returned array is caller-owned: an interpreter relay on a
+        staging wire stashes it across ops, during which the wire may
+        deliver the same chunk again, so ``take`` keeps copy semantics.
+        Receivers that consume the payload immediately, and relays on a
+        wire that aliases the sender's memory, use :meth:`take_view` or
+        :meth:`take_frame`.
         """
         return self._receive(chunk, copy=True)[0]
 
@@ -342,10 +345,10 @@ class UpLink:
     runtime the next write is the broadcast delivery of the reduced
     chunk, which happens-after that consumption.
 
-    A detoured uplink stages once, at the relay: the child's send lands
-    in the relay's mid-wire slot, and the final hop's wire aliases that
-    slot, so the relay verifies the chunk and republishes its frame
-    without a copy.
+    A detoured uplink stages nothing: both hops alias the child's
+    buffer, so the relay verifies the chunk in place and republishes the
+    checksum it verified, and the parent accumulates from the child's
+    memory.  The same broadcast-after-consumption order makes this safe.
 
     ``injector``, when given, applies the fault plan (jitter, drops,
     corruption) to every send; recovery is handled at the link layer so
@@ -369,22 +372,17 @@ class UpLink:
         self.relay_via = relay_via
         self._injector = injector
         self._abort = spin.abort
-        if relay_via is None:
-            self._wire = _Wire(
-                layout, capacity=capacity, spin=spin, name=f"{name}.up",
+
+        def hop(suffix: str) -> _Wire:
+            return _Wire(
+                layout, capacity=capacity, spin=spin, name=name + suffix,
                 chunks=chunks, buffer=child_buffer.data,
                 owner_buffer=child_buffer, zero_copy=True,
             )
-        else:
-            self._mid_wire = _Wire(
-                layout, capacity=capacity, spin=spin, name=f"{name}.up.mid",
-                chunks=chunks,
-            )
-            self._wire = _Wire(
-                layout, capacity=capacity, spin=spin, name=f"{name}.up",
-                chunks=chunks, buffer=self._mid_wire._data,
-                slots=self._mid_wire._slots, zero_copy=True,
-            )
+
+        self._wire = hop(".up")
+        if relay_via is not None:
+            self._mid_wire = hop(".up.mid")
 
     def send(self, chunk: int, values: np.ndarray) -> None:
         """Child side: publish its partial sum for ``chunk``; ``values``
@@ -394,8 +392,8 @@ class UpLink:
 
     def recv_view(self, chunk: int) -> np.ndarray:
         """Parent side: the verified payload as a view of the child's
-        chunk (or of the relay's slot; see :meth:`_Wire.take_view`);
-        consume it before the next receive."""
+        chunk (see :meth:`_Wire.take_view`); consume it before the next
+        receive."""
         return self._wire.take_view(chunk)
 
     def relay_kernel(self, chunks: Sequence[int]) -> Callable[[], None]:
@@ -410,6 +408,13 @@ class DownLink:
 
     Writes land directly in the child's gradient buffer; the semaphore
     tells the child's broadcast kernel a chunk arrived.
+
+    A detoured downlink's first hop aliases ``parent_buffer``: the
+    parent's reduced chunk is final once sent, so the relay verifies it
+    in the parent's memory and copies it once into the child's buffer.
+
+    Raises:
+        ConfigError: ``relay_via`` is set without a ``parent_buffer``.
     """
 
     def __init__(
@@ -421,6 +426,7 @@ class DownLink:
         spin: SpinConfig,
         name: str,
         chunks: Sequence[int],
+        parent_buffer: GradientBuffer | None = None,
         relay_via: int | None = None,
         injector: LinkInjector | None = None,
     ):
@@ -438,9 +444,16 @@ class DownLink:
             owner_buffer=child_buffer,
         )
         if relay_via is not None:
+            if parent_buffer is None:
+                raise ConfigError(
+                    f"downlink {name!r} relays via gpu {relay_via} but "
+                    "has no parent buffer to forward from"
+                )
             self._mid_wire = _Wire(
                 layout, capacity=capacity, spin=spin,
                 name=f"{name}.down.mid", chunks=chunks,
+                buffer=parent_buffer.data, owner_buffer=parent_buffer,
+                zero_copy=True,
             )
 
     def send(self, chunk: int, values: np.ndarray, checksum: int) -> None:
@@ -466,10 +479,10 @@ class DownLink:
 def _relay_kernel(
     inbound: _Wire, outbound: _Wire, chunks: Sequence[int]
 ) -> Callable[[], None]:
-    """Static detour forwarding: each chunk is verified in the inbound
-    staging slot and passed on under the checksum it was verified
-    against — republished in place when the outbound wire aliases the
-    slot, copied onward otherwise."""
+    """Static detour forwarding: each chunk is verified in the sender's
+    memory and passed on under the checksum it was verified against —
+    republished in place when the outbound wire aliases the same
+    memory, copied onward otherwise."""
 
     def kernel() -> None:
         for chunk in chunks:

@@ -374,9 +374,11 @@ class InterpretedSegment:
     gradients, summed collective, ``w -= lr * sum`` — through
     :class:`repro.plan.interpreter.PlanInterpreter`.
 
-    The segment also exposes the runtime surface the recovery state
-    machine drives — ``nnodes``, ``fault_plan``, and the live
-    interpreter's ``abort_cell`` / ``phase_board`` — so
+    The segment builds one interpreter, so wire pairing, thread-block
+    programs and the aliasing proof run once per segment, not per
+    iteration.  It also exposes the runtime surface the recovery state
+    machine drives — ``nnodes``, ``fault_plan``, and the interpreter's
+    ``abort_cell`` / ``phase_board`` of its last run — so
     :func:`drain_aborted_run` and :func:`detect_dead_gpus` work on an
     aborted interpreted segment exactly as they do on the hand-written
     runtimes.  Detected ids are dense plan ranks; callers map them back
@@ -407,11 +409,16 @@ class InterpretedSegment:
         self.embedding = embedding
         self.network = network
         self.learning_rate = learning_rate
-        self.spin = spin
         self.fault_plan = fault_plan
-        #: The most recent interpreter — carries the abort cell and
-        #: phase board of the last (possibly aborted) run.
-        self.interpreter = None
+        #: Runs every iteration; carries the abort cell and phase board
+        #: of the last (possibly aborted) run.
+        self.interpreter = PlanInterpreter(
+            embedding.plan,
+            total_elems=network.total_params,
+            spin=spin,
+            fault_plan=fault_plan,
+            verify=False,  # gated once at synthesis time
+        )
 
     @property
     def nnodes(self) -> int:
@@ -419,19 +426,11 @@ class InterpretedSegment:
 
     @property
     def abort_cell(self):
-        return (
-            self.interpreter.abort_cell
-            if self.interpreter is not None
-            else None
-        )
+        return self.interpreter.abort_cell
 
     @property
     def phase_board(self):
-        return (
-            self.interpreter.phase_board
-            if self.interpreter is not None
-            else None
-        )
+        return self.interpreter.phase_board
 
     def run(
         self,
@@ -456,13 +455,6 @@ class InterpretedSegment:
                 private_gradient(gradient_fn(w, rank, iteration))
                 for rank in range(nranks)
             ]
-            self.interpreter = PlanInterpreter(
-                self.embedding.plan,
-                total_elems=self.network.total_params,
-                spin=self.spin,
-                fault_plan=self.fault_plan,
-                verify=False,  # gated once at synthesis time
-            )
             report = self.interpreter.run(grads, in_place=True)
             del grads
             for out in report.outputs[1:]:

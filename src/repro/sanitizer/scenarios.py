@@ -10,8 +10,9 @@ Two families:
 - **seeded** scenarios run deliberately broken kernels (a dropped post,
   an unlock hoisted above the write it guards, overlapping unsynced
   writes, a lock-order inversion, a semaphore wait cycle, a chunk
-  rewritten while a zero-copy uplink still carries it) and expect the
-  *exact* diagnostic — the true-positive half.
+  rewritten while a zero-copy uplink — direct or detoured — still
+  carries it) and expect the *exact* diagnostic — the true-positive
+  half.
 
 ``repro sanitize run --all`` and the seeded regression tests both drive
 this registry, so the CLI and the test suite can never drift apart.
@@ -497,6 +498,65 @@ def _run_zero_copy_rewrite(elems: int) -> None:
             return
         raise
     raise AssertionError("the parent's CRC missed the rewritten chunk")
+
+
+@_scenario(
+    "seeded_relay_rewrite",
+    seeded=True,
+    expect=Expectation(
+        "race", chunk=0, mentions=("reduce t0 g1", "relay-up t0 1->2->0")
+    ),
+)
+def _run_relay_rewrite(elems: int) -> None:
+    """A child reduce kernel writes its chunk again after publishing it
+    on a detoured uplink: the relay's in-place read of the child's
+    memory races that write, and without a tracer the relay's CRC
+    catches the changed bytes."""
+    import threading
+
+    from repro.errors import LinkFaultError
+    from repro.runtime.cluster import KernelPool, UpLink
+    from repro.runtime.memory import ChunkLayout, GradientBuffer
+    from repro.runtime.sync import AbortCell
+
+    layout = ChunkLayout.split(max(elems, 8), ntrees=1, chunks_per_tree=4)
+    child_data, parent_data = _inputs(2, layout.total_elems)
+    child = GradientBuffer(child_data, layout, owner=1)
+    parent = GradientBuffer(parent_data, layout, owner=0)
+    abort = AbortCell()
+    uplink = UpLink(
+        layout, child, capacity=4, spin=replace(_spin(), abort=abort),
+        name="t0:1->0", chunks=range(4), relay_via=2,
+    )
+    forward = uplink.relay_kernel((0,))
+    # Orders the relay's verification after the rewrite without an edge
+    # the tracer can see (as in seeded_zero_copy_rewrite).
+    rewritten = threading.Event()  # sync-lint: allow(raw-threading)
+
+    def child_kernel() -> None:
+        uplink.send(0, child.read_view(0))
+        # BUG: neither the relay nor the parent has read the partial yet.
+        child.accumulate(0, np.ones(layout.chunk_elems(0)))
+        rewritten.set()
+
+    def relay_kernel() -> None:
+        rewritten.wait(timeout=10.0)
+        forward()
+
+    def parent_kernel() -> None:
+        parent.accumulate(0, uplink.recv_view(0))
+
+    pool = KernelPool(join_timeout=10.0, abort=abort)
+    pool.add("reduce t0 g1", child_kernel)
+    pool.add("relay-up t0 1->2->0", relay_kernel)
+    pool.add("reduce t0 g0", parent_kernel)
+    try:
+        pool.run()
+    except AbortedError as exc:
+        if isinstance(exc.__cause__, LinkFaultError):
+            return
+        raise
+    raise AssertionError("the relay's CRC missed the rewritten chunk")
 
 
 @_scenario(

@@ -210,6 +210,34 @@ class TestInterpretedSegmentFaults:
         assert len(history) == 2
 
 
+    def test_one_interpreter_and_aliasing_proof_per_segment(
+        self, monkeypatch
+    ):
+        import repro.plan.interpreter as interpreter_mod
+
+        calls = []
+        prove = interpreter_mod.prove_send_aliasing
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return prove(*args, **kwargs)
+
+        monkeypatch.setattr(interpreter_mod, "prove_send_aliasing", counting)
+        seg = InterpretedSegment(
+            synthesized_embedding(), make_network(), learning_rate=0.02,
+            spin=FAST,
+        )
+        interpreter = seg.interpreter
+        assert seg.abort_cell is None and seg.phase_board is None
+        fn = make_gradient_fn()
+        seg.run(lambda w, r, it: fn(w, r, it), np.zeros(ELEMS), 3)
+        assert seg.interpreter is interpreter
+        assert len(calls) == 1
+        # The last run's abort surface stays readable for drain/detect.
+        assert seg.abort_cell is interpreter.abort_cell is not None
+        assert seg.phase_board is interpreter.phase_board is not None
+
+
 class TestResilientInterpretedRecovery:
     """Crash + cascade inside interpreted segments, bit-exact."""
 

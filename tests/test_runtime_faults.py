@@ -392,11 +392,17 @@ class TestChecksumForwarding:
 
         layout = ChunkLayout.split(ELEMS, ntrees=1, chunks_per_tree=2)
         child = GradientBuffer(rng.normal(size=ELEMS), layout, owner=1)
-        kind = UpLink if direction == "up" else DownLink
-        link = kind(
-            layout, child, capacity=2, spin=FAST, name="t0:0->1",
-            chunks=(0, 1), relay_via=2,
-        )
+        parent = GradientBuffer(rng.normal(size=ELEMS), layout, owner=0)
+        if direction == "up":
+            link = UpLink(
+                layout, child, capacity=2, spin=FAST, name="t0:0->1",
+                chunks=(0, 1), relay_via=2,
+            )
+        else:
+            link = DownLink(
+                layout, child, capacity=2, spin=FAST, name="t0:0->1",
+                chunks=(0, 1), parent_buffer=parent, relay_via=2,
+            )
         verified = link._mid_wire.take_frame
 
         def take_then_rot(chunk):
@@ -408,7 +414,7 @@ class TestChecksumForwarding:
         if direction == "up":
             link.send(0, child.read_view(0))
         else:
-            payload = rng.normal(size=layout.chunk_elems(0))
+            payload = parent.read_view(0)
             link.send(0, payload, payload_checksum(payload))
         link.relay_kernel((0,))()
         receive = link.recv_view if direction == "up" else link.recv_wait

@@ -109,7 +109,9 @@ class TestGradientBuffer:
 
 
 class TestRightSizedLinks:
-    """Link staging matches the traffic each link carries."""
+    """Link memory matches the traffic each link carries: tree links
+    alias gradient buffers, interpreter wires stage only where a
+    schedule forces it."""
 
     ELEMS = 100_000
 
@@ -141,46 +143,44 @@ class TestRightSizedLinks:
         )
         return buffers, uplinks, downlinks, relays
 
-    def _staged_wires(self, runtime):
-        """(staging wire, carried chunks) for every wire that owns link
-        memory: only the relays' mid-wires — every other wire aliases a
-        gradient buffer or a relay's staging."""
-        _, uplinks, downlinks, _ = self._links(runtime)
-        return [
-            (link._mid_wire, runtime.layout.tree_chunks[t])
-            for links in (uplinks, downlinks)
-            for (t, _child), link in links.items()
-            if link.relay_via is not None
-        ]
-
-    def test_tree_wires_stage_only_their_tree(self):
+    def test_tree_wires_alias_gradient_buffers(self):
         runtime = self._runtime()
-        layout = runtime.layout
         buffers, uplinks, downlinks, relays = self._links(runtime)
         assert relays, "the DGX-1 trees must exercise a detour"
+        parent_of = {
+            (t, child): parent
+            for t, tree in enumerate(runtime.trees)
+            for child, parent in tree.up_edges()
+        }
         for (t, child), up in uplinks.items():
-            if up.relay_via is None:
-                # Zero-copy: the parent reads the child's partial in place.
-                assert up._wire._data is buffers[child].data
-            else:
-                # The one staged copy sits at the relay; the final hop
-                # reads the relay's slot in place.
-                assert up._wire._data is up._mid_wire._data
-        for (_t, child), down in downlinks.items():
-            assert down._wire._data is buffers[child].data
-        staged = self._staged_wires(runtime)
-        assert len(staged) == len(relays)
-        for wire, chunks in staged:
-            assert wire._data.nbytes == self._span_bytes(layout, chunks)
-            assert wire._data.nbytes < 8 * layout.total_elems
+            # Zero-copy on every hop: the parent, and a relay on the
+            # way, read the child's partial in place.
+            assert up._wire._data is buffers[child].data
+            if up.relay_via is not None:
+                assert up._mid_wire._data is buffers[child].data
+        for key, down in downlinks.items():
+            assert down._wire._data is buffers[key[1]].data
+            if down.relay_via is not None:
+                # The relay verifies the parent's final chunk in place
+                # and copies it once into the child's buffer.
+                assert down._mid_wire._data is buffers[parent_of[key]].data
 
-    def test_run_peak_memory_is_inputs_plus_wire_spans(self, rng):
+    def test_detoured_downlink_needs_parent_buffer(self):
+        from repro.runtime.cluster import DownLink
+        from repro.runtime.sync import SpinConfig
+
+        layout = ChunkLayout.split(8, ntrees=1, chunks_per_tree=2)
+        child = GradientBuffer(np.zeros(8), layout, owner=1)
+        with pytest.raises(ConfigError, match="parent buffer"):
+            DownLink(
+                layout, child, capacity=2, spin=SpinConfig(), name="t0:0->1",
+                chunks=(0, 1), relay_via=2,
+            )
+
+    def test_run_peak_memory_is_inputs_only(self, rng):
         import tracemalloc
 
         runtime = self._runtime()
-        wire_bytes = sum(
-            wire._data.nbytes for wire, _ in self._staged_wires(runtime)
-        )
         input_copies = 8 * self.ELEMS * runtime.nnodes
         inputs = [rng.normal(size=self.ELEMS) for _ in range(runtime.nnodes)]
         tracemalloc.start()
@@ -190,7 +190,7 @@ class TestRightSizedLinks:
         finally:
             tracemalloc.stop()
         assert np.array_equal(report.outputs[0], report.outputs[-1])
-        assert peak <= 1.1 * (input_copies + wire_bytes)
+        assert peak <= 1.1 * input_copies
 
     def test_unrecovered_corruption_never_lands_in_child_buffer(self):
         from repro.errors import AbortedError, LinkFaultError
@@ -260,7 +260,11 @@ class TestRightSizedLinks:
             plan, topo, router=Router(topo, detour_preference=DETOUR_NODES)
         )
         interp = PlanInterpreter(legal, total_elems=960)
-        wires, _ = interp._build_wires(interp.spin)
+        buffers = [
+            GradientBuffer(np.zeros(960), interp.layout, owner=g)
+            for g in range(legal.nnodes)
+        ]
+        wires, _ = interp._build_wires(interp.spin, buffers)
         carried: dict[tuple, list[int]] = {}
         for op in legal.ops:
             if op.kind == SEND:
@@ -268,8 +272,12 @@ class TestRightSizedLinks:
                     op.chunks_carried()
                 )
         assert set(wires) == set(carried)
+        assert any(key[4] is not None for key in wires), "needs a detour"
         for key, wire in wires.items():
-            assert wire._data.nbytes == self._span_bytes(
-                interp.layout, carried[key]
-            )
-            assert wire._data.nbytes < 8 * interp.layout.total_elems
+            # Every SEND passes the write-after-read proof, so no wire
+            # stages: each aliases the sending rank's buffer, and a
+            # detour's relay legs alias the flow source's.
+            src, _dst, _tree, _phase, flow = key
+            owner = flow[0] if flow is not None else src
+            assert wire._data is buffers[owner].data
+            assert set(wire._slots) == set(carried[key])

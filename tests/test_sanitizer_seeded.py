@@ -92,6 +92,30 @@ def test_zero_copy_rewrite_caught_by_crc_without_tracing():
     SCENARIOS["seeded_zero_copy_rewrite"].fn(64)
 
 
+def test_relay_rewrite_names_chunk_and_both_kernels():
+    result = run_scenario("seeded_relay_rewrite", elems=64)
+    races = result.report.races
+    assert len(races) == 1
+    race = races[0]
+    # The child's rewrite races the relay's in-place read of the child's
+    # memory: a detoured uplink stages nothing either.
+    assert race.buffer == "gpu1"
+    assert race.chunk == 0
+    assert (race.first.kind, race.first.thread) == ("reduce", "reduce t0 g1")
+    assert (race.second.kind, race.second.thread) == (
+        "read", "relay-up t0 1->2->0"
+    )
+
+
+def test_relay_rewrite_caught_by_crc_without_tracing():
+    from repro.sanitizer import hooks
+
+    assert hooks.active() is None
+    # The scenario body raises unless the relay's CRC check aborted the
+    # run with a LinkFaultError.
+    SCENARIOS["seeded_relay_rewrite"].fn(64)
+
+
 def test_lock_inversion_names_both_locks_in_cycle_order():
     result = run_scenario("seeded_lock_inversion", elems=64)
     assert result.report.races == []  # the gate makes the run race-free
@@ -127,6 +151,7 @@ def test_seeded_registry_is_complete():
         "seeded_unlock_before_write",
         "seeded_overlapping_writes",
         "seeded_zero_copy_rewrite",
+        "seeded_relay_rewrite",
         "seeded_lock_inversion",
         "seeded_sem_cycle",
     }
