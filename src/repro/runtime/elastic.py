@@ -53,6 +53,7 @@ import re
 import time
 from copy import copy
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -74,7 +75,7 @@ from repro.plan.passes import compile_plan
 from repro.plan.verifier import verify_plan
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.checkpoint import Checkpointer, CheckpointState
-from repro.runtime.faults import CRASH, FaultPlan, GpuFault
+from repro.runtime.faults import CRASH, FaultPlan, GpuFault, payload_checksum
 from repro.runtime.memory import ChunkLayout
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
@@ -437,8 +438,12 @@ class InterpretedSegment:
         gradient_fn: GradientFn,
         weights: np.ndarray,
         iterations: int,
-    ) -> list[np.ndarray]:
-        """Run ``iterations`` steps; returns the weight history.
+        *,
+        start: int = 0,
+    ) -> tuple[np.ndarray, list[int]]:
+        """Run ``iterations`` steps, ``gradient_fn`` seeing iterations
+        ``start``, ``start + 1``, ...; returns the final weights and the
+        CRC32 of the weights after each step.
 
         Raises:
             AbortedError: a kernel crashed or stalled (injected fault);
@@ -447,8 +452,8 @@ class InterpretedSegment:
         """
         nranks = self.embedding.topology.nnodes
         w = np.asarray(weights, dtype=np.float64).copy()
-        history: list[np.ndarray] = []
-        for iteration in range(iterations):
+        checksums: list[int] = []
+        for iteration in range(start, start + iterations):
             # As in FunctionalTrainer.train: a gradient nothing else
             # holds becomes the rank's buffer, any other is copied.
             grads = [
@@ -464,10 +469,10 @@ class InterpretedSegment:
                         "broken"
                     )
             w = w - self.learning_rate * report.outputs[0]
-            history.append(w.copy())
+            checksums.append(payload_checksum(w))
             # Free this iteration's outputs before the next one allocates.
             del report
-        return history
+        return w, checksums
 
 
 def segment_reduce_order(
@@ -686,11 +691,13 @@ class ElasticReport:
     """Everything one elastic training run did.
 
     Attributes:
-        weights: final shared weights.
-        weight_history: weights after every *surviving* completed
-            iteration — entries invalidated by a checkpoint restore are
-            truncated, so index ``i`` is always the weights after global
-            iteration ``i``.
+        weights: final shared weights (the engine's own array).
+        weight_checksums: CRC32 (``faults.payload_checksum``) of the
+            weights after every *surviving* completed iteration —
+            entries invalidated by a checkpoint restore are truncated,
+            so index ``i`` always checksums the weights after global
+            iteration ``i``.  One int per iteration: the report holds
+            no weight vector but the final one.
         events: the event stream, in application order.
         records: one :class:`MembershipRecord` per event.
         segments: ``(start_iteration, embedding, assignments)`` per
@@ -709,7 +716,7 @@ class ElasticReport:
     """
 
     weights: np.ndarray
-    weight_history: list[np.ndarray]
+    weight_checksums: list[int]
     events: tuple[MembershipEvent, ...]
     records: list[MembershipRecord]
     segments: list[Segment]
@@ -992,27 +999,32 @@ class ElasticTrainer:
         self,
         runtime: TreeAllReduceRuntime | InterpretedSegment,
         assignments: dict[int, tuple[int, ...]],
-        start: int,
-        weights: np.ndarray,
-        iterations: int,
-    ) -> list[np.ndarray]:
-        """``iterations`` SGD steps from global iteration ``start`` on
-        ``runtime``, each rank computing its adopted shards; returns the
-        weight history."""
+    ) -> Callable[[np.ndarray, int, int], tuple[np.ndarray, list[int]]]:
+        """Training on ``runtime``, each rank computing its adopted
+        shards: ``steps(weights, start, count)`` runs ``count`` SGD
+        steps from global iteration ``start`` and returns the final
+        weights and one checksum per step.  Every call reuses one
+        trainer, so a span split by checkpoint boundaries still builds
+        its engine once."""
         adopted = adopted_gradient_fn(self.gradient_fn, assignments)
-
-        def member_fn(w: np.ndarray, rank: int, iteration: int):
-            return adopted(w, rank, iteration + start)
-
         if isinstance(runtime, InterpretedSegment):
-            return runtime.run(member_fn, weights, iterations)
+
+            def steps(weights: np.ndarray, start: int, count: int):
+                return runtime.run(adopted, weights, count, start=start)
+
+            return steps
         trainer = FunctionalTrainer(
             runtime,
             self.network,
-            member_fn,
+            adopted,
             learning_rate=self.learning_rate,
         )
-        return trainer.train(weights, iterations=iterations).weight_history
+
+        def steps(weights: np.ndarray, start: int, count: int):
+            result = trainer.train(weights, iterations=count, start=start)
+            return result.weights, result.weight_checksums
+
+        return steps
 
     # -- checkpointing ----------------------------------------------------
 
@@ -1047,7 +1059,7 @@ class ElasticTrainer:
     def _run_span(
         self,
         weights: np.ndarray,
-        history: list[np.ndarray],
+        checksums: list[int],
         start: int,
         count: int,
         embedding: DegradedEmbedding,
@@ -1057,7 +1069,8 @@ class ElasticTrainer:
     ) -> np.ndarray:
         """Run ``count`` iterations from global iteration ``start``,
         committing a checkpoint generation at every ``checkpoint_every``
-        boundary it crosses."""
+        boundary it crosses.  The span builds one engine."""
+        steps = self._train_on(self._runtime(embedding), assignments)
         done = 0
         while done < count:
             step = count - done
@@ -1070,12 +1083,8 @@ class ElasticTrainer:
                 if boundary - here <= step:
                     step = boundary - here
                     at_ckpt = True
-            span = self._train_on(
-                self._runtime(embedding), assignments, start + done,
-                weights, step,
-            )
-            history.extend(span)
-            weights = span[-1].copy()
+            weights, span = steps(weights, start + done, step)
+            checksums.extend(span)
             done += step
             if at_ckpt:
                 self._maybe_save(
@@ -1125,7 +1134,7 @@ class ElasticTrainer:
 
         timeline: list[str] = []
         records: list[MembershipRecord] = []
-        history: list[np.ndarray] = []
+        checksums: list[int] = []
         weights = np.asarray(initial_weights, dtype=np.float64).copy()
         members = frozenset(self.initial_members)
         embedding = self.embedding_for(members)
@@ -1143,7 +1152,7 @@ class ElasticTrainer:
             # Quiet span up to the event's iteration.
             if event.at_iteration > completed:
                 weights = self._run_span(
-                    weights, history, completed,
+                    weights, checksums, completed,
                     event.at_iteration - completed,
                     embedding, assignments, members, timeline,
                 )
@@ -1175,8 +1184,8 @@ class ElasticTrainer:
                 # interpreter); gpu_of maps detections back to GPUs.
                 runtime = self._runtime(embedding, armed)
                 try:
-                    span = self._train_on(
-                        runtime, assignments, completed, weights, 1
+                    trained, span = self._train_on(runtime, assignments)(
+                        weights, completed, 1
                     )
                 except AbortedError as abort:
                     abort_reason = abort.reason
@@ -1204,8 +1213,8 @@ class ElasticTrainer:
                         f"physical GPUs {list(dead_detected)}"
                     )
                 else:
-                    history.extend(span)
-                    weights = span[-1].copy()
+                    checksums.extend(span)
+                    weights = trained
                     completed += 1
                     timeline.append(
                         f"crash: armed fault on gpu {event.gpu} never "
@@ -1276,12 +1285,17 @@ class ElasticTrainer:
                         state.weights, dtype=np.float64
                     ).copy()
                     completed = state.iteration
-                    del history[completed:]
+                    del checksums[completed:]
                     timeline.append(
                         f"restore: generation {restored_generation} "
-                        f"(iteration {completed}) reloaded; iterations "
-                        f"{completed}..{event.at_iteration - 1} will be "
-                        "redone on the survivors"
+                        f"(iteration {completed}) reloaded; "
+                        + (
+                            f"iterations {completed}.."
+                            f"{event.at_iteration - 1} will be redone on "
+                            "the survivors"
+                            if completed < event.at_iteration
+                            else "no completed iteration was lost"
+                        )
                     )
                 members = new_members
             elif event.kind == LEAVE_EVENT:
@@ -1343,7 +1357,7 @@ class ElasticTrainer:
 
         if completed < iterations:
             weights = self._run_span(
-                weights, history, completed, iterations - completed,
+                weights, checksums, completed, iterations - completed,
                 embedding, assignments, members, timeline,
             )
         timeline.append(
@@ -1351,8 +1365,8 @@ class ElasticTrainer:
             f"{sorted(members)}"
         )
         return ElasticReport(
-            weights=history[-1].copy() if history else weights,
-            weight_history=history,
+            weights=weights,
+            weight_checksums=checksums,
             events=stream,
             records=records,
             segments=segments,

@@ -25,6 +25,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.dnn.layers import NetworkModel
 from repro.runtime.allreduce import TreeAllReduceRuntime
+from repro.runtime.faults import payload_checksum
 from repro.runtime.memory import ChunkLayout
 from repro.runtime.queue_runtime import ChainedTrainingRuntime
 from repro.topology.logical import BinaryTree
@@ -116,13 +117,16 @@ class FunctionalTrainingResult:
     """Outcome of a functional training run.
 
     Attributes:
-        weights: final shared weights (identical across GPUs — asserted).
-        weight_history: weights after each iteration.
+        weights: final shared weights (identical across GPUs — asserted);
+            the trainer's own array, not a copy.
+        weight_checksums: CRC32 (``faults.payload_checksum``) of the
+            weights after each iteration — one int per iteration, so the
+            result holds no weight vector but the final one.
         dequeue_orders: per iteration, per GPU, the layer dequeue order.
     """
 
     weights: np.ndarray
-    weight_history: list[np.ndarray]
+    weight_checksums: list[int]
     dequeue_orders: list[dict[int, list[int]]]
 
 
@@ -156,9 +160,12 @@ class FunctionalTrainer:
         )
 
     def train(
-        self, initial_weights: np.ndarray, *, iterations: int
+        self, initial_weights: np.ndarray, *, iterations: int, start: int = 0
     ) -> FunctionalTrainingResult:
         """Run ``iterations`` chained training steps.
+
+        ``gradient_fn`` sees iterations ``start``, ``start + 1``, ...:
+        a run resumed at global iteration ``start`` reuses this trainer.
 
         Raises:
             ConfigError: on shape mismatch or non-positive iterations.
@@ -169,10 +176,10 @@ class FunctionalTrainer:
             raise ConfigError("initial weights have the wrong size")
         nnodes = self.runtime.nnodes
         weights = np.asarray(initial_weights, dtype=np.float64).copy()
-        history: list[np.ndarray] = []
+        checksums: list[int] = []
         dequeue_orders: list[dict[int, list[int]]] = []
 
-        for iteration in range(iterations):
+        for iteration in range(start, start + iterations):
             # Gradients the function handed over outright become the
             # GPUs' gradient buffers; any it keeps are copied first.
             grads = [
@@ -191,7 +198,7 @@ class FunctionalTrainer:
                         "GPUs diverged — the collective is broken"
                     )
             weights = result.weights[0]
-            history.append(weights.copy())
+            checksums.append(payload_checksum(weights))
             dequeue_orders.append(
                 {
                     gpu: [rec.layer for rec in result.compute_log[gpu]]
@@ -203,7 +210,7 @@ class FunctionalTrainer:
             del result
         return FunctionalTrainingResult(
             weights=weights,
-            weight_history=history,
+            weight_checksums=checksums,
             dequeue_orders=dequeue_orders,
         )
 

@@ -102,6 +102,23 @@ class TestChaosElastic:
             "bit-identical to multi-segment serial reference: yes" in out
         )
 
+    def test_restore_at_crash_iteration_loses_nothing(self, capsys):
+        # The generation committed at iteration 2 is the crash
+        # iteration itself: no completed iteration is redone.
+        assert main([
+            "chaos", "elastic", "--events", "crash:3,join:3",
+            "--policy", "restart", "--seed", "7", "--elems", "256",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "restore: generation 0 (iteration 2) reloaded; no completed "
+            "iteration was lost" in out
+        )
+        assert "iterations 2..1" not in out
+        assert (
+            "bit-identical to multi-segment serial reference: yes" in out
+        )
+
     def test_soak_reports_per_seed(self, capsys, tmp_path):
         assert main([
             "chaos", "elastic", "--soak", "2", "--seed", "11",

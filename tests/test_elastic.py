@@ -26,6 +26,7 @@ from repro.runtime import (
     elastic_serial_reference,
     parse_events,
 )
+from repro.runtime.faults import payload_checksum
 from repro.runtime.recovery import REEMBED, RESTART
 from repro.runtime.sync import SpinConfig
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
@@ -282,8 +283,14 @@ class TestCrashRecovery:
         assert [len(s[1].survivors) for s in report.segments] == [8, 7, 8]
         assert all(r.plan_check.verified for r in report.records)
         assert report.checkpoint_counters["loads"] >= 1
-        # weight_history stays consistent through the truncation.
-        assert len(report.weight_history) == iterations
+        assert any(
+            line.startswith("restore:")
+            and line.endswith("iterations 4..4 will be redone on the "
+                              "survivors")
+            for line in report.timeline
+        ), report.timeline
+        # weight_checksums stays consistent through the truncation.
+        assert len(report.weight_checksums) == iterations
         assert_bit_exact(trainer, report, gradient_fn, w0, iterations)
 
     def test_restore_unavailable_falls_back_to_live_weights(self):
@@ -313,9 +320,7 @@ class TestCheckpointIntegration:
         assert report.checkpoint_counters["commits"] == 2
         state, _ = checkpointer.load_latest()
         assert state.iteration == 4
-        np.testing.assert_array_equal(
-            state.weights, report.weight_history[3]
-        )
+        assert payload_checksum(state.weights) == report.weight_checksums[3]
 
     def test_save_failure_is_best_effort(self):
         # A checkpointer whose storage always fails must not sink the

@@ -35,11 +35,13 @@ from repro.plan import (
     plan_reduce_order,
 )
 from repro.runtime import (
+    Checkpointer,
     CheckpointState,
     ElasticTrainer,
     FaultPlan,
     GpuFault,
     InterpretedSegment,
+    MemoryBackend,
     MembershipEvent,
     RecoveryPolicy,
     ResilientTrainer,
@@ -107,7 +109,9 @@ def make_resilient(gradient_fn, *, initial_dead=(), elems: int = ELEMS):
     )
 
 
-def make_elastic(gradient_fn, *, initial_members=None, elems: int = ELEMS):
+def make_elastic(
+    gradient_fn, *, initial_members=None, elems: int = ELEMS, **kwargs
+):
     return ElasticTrainer(
         dgx1_topology(),
         make_network(elems),
@@ -119,6 +123,7 @@ def make_elastic(gradient_fn, *, initial_members=None, elems: int = ELEMS):
         spin=FAST,
         detour_preference=DETOUR_NODES,
         initial_members=initial_members,
+        **kwargs,
     )
 
 
@@ -206,13 +211,15 @@ class TestInterpretedSegmentFaults:
             emb, make_network(), learning_rate=0.02, spin=FAST,
         )
         fn = make_gradient_fn()
-        history = seg.run(lambda w, r, it: fn(w, r, it), np.zeros(ELEMS), 2)
-        assert len(history) == 2
+        _, checksums = seg.run(
+            lambda w, r, it: fn(w, r, it), np.zeros(ELEMS), 2
+        )
+        assert len(checksums) == 2
 
 
-    def test_one_interpreter_and_aliasing_proof_per_segment(
-        self, monkeypatch
-    ):
+    @staticmethod
+    def count_proofs(monkeypatch) -> list:
+        """One entry per ``prove_send_aliasing`` call from now on."""
         import repro.plan.interpreter as interpreter_mod
 
         calls = []
@@ -223,6 +230,12 @@ class TestInterpretedSegmentFaults:
             return prove(*args, **kwargs)
 
         monkeypatch.setattr(interpreter_mod, "prove_send_aliasing", counting)
+        return calls
+
+    def test_one_interpreter_and_aliasing_proof_per_segment(
+        self, monkeypatch
+    ):
+        calls = self.count_proofs(monkeypatch)
         seg = InterpretedSegment(
             synthesized_embedding(), make_network(), learning_rate=0.02,
             spin=FAST,
@@ -236,6 +249,33 @@ class TestInterpretedSegmentFaults:
         # The last run's abort surface stays readable for drain/detect.
         assert seg.abort_cell is interpreter.abort_cell is not None
         assert seg.phase_board is interpreter.phase_board is not None
+
+    def test_one_aliasing_proof_per_span_under_checkpointing(
+        self, monkeypatch
+    ):
+        # A checkpoint at every iteration splits the span six times;
+        # the span still builds one interpreter, so one proof.
+        fn = make_gradient_fn()
+        trainer = make_elastic(
+            fn, initial_members=(0, 5, 6, 7),
+            checkpointer=Checkpointer(MemoryBackend()),
+            checkpoint_every=1,
+        )
+        assert trainer.embedding_for(frozenset((0, 5, 6, 7))).synthesized
+        calls = self.count_proofs(monkeypatch)
+        w0 = np.random.default_rng(8).normal(size=ELEMS)
+        report = trainer.train(w0.copy(), iterations=6)
+        assert len(calls) == 1
+        assert report.checkpoint_counters["commits"] == 6
+        assert len(report.weight_checksums) == 6
+        reference = elastic_serial_reference(
+            make_network(), fn, w0.copy(),
+            segments=report.segments,
+            layout=trainer.layout,
+            iterations=6,
+            learning_rate=0.02,
+        )
+        assert np.array_equal(report.weights, reference)
 
 
 class TestResilientInterpretedRecovery:

@@ -240,7 +240,7 @@ class TestResilientTrainer:
         assert not report.aborted
         assert report.dead_gpus == ()
         assert report.decision is None
-        assert len(report.weight_history) == 2
+        assert len(report.weight_checksums) == 2
 
     def test_reembed_recovery_is_bit_exact(self, rng):
         trainer, report, gradient_fn, w0 = self.run_drill(rng)
@@ -288,7 +288,7 @@ class TestResilientTrainer:
         _, report, _, _ = self.run_drill(rng, fault_at=0)
         assert report.aborted
         assert report.resumed_from_iteration == 0
-        assert len(report.weight_history) == 2
+        assert len(report.weight_checksums) == 2
 
     def test_invalid_iteration_args_rejected(self, rng):
         trainer = make_trainer(quadratic_gradient(
@@ -346,12 +346,12 @@ class TestOneStateMachine:
             events=(MembershipEvent("crash", 5, 1, after_chunk=2),),
         )
         assert np.array_equal(resilient.weights, elastic.weights)
-        assert len(resilient.weight_history) == 3
-        assert len(elastic.weight_history) == 3
+        assert len(resilient.weight_checksums) == 3
+        assert len(elastic.weight_checksums) == 3
         for ours, theirs in zip(
-            resilient.weight_history, elastic.weight_history
+            resilient.weight_checksums, elastic.weight_checksums
         ):
-            assert np.array_equal(ours, theirs)
+            assert ours == theirs
 
         def layout(report):
             return [(s, e.survivors, a) for s, e, a in report.segments]

@@ -100,9 +100,9 @@ class TestCascadingCrash:
         assert text.count("re-embed:") == 2
         assert "after cascading crash" in text
 
-    def test_weight_history_full_length(self, rng):
+    def test_weight_checksums_full_length(self, rng):
         _, _, report, _ = run_cascade(rng, iterations=5)
-        assert len(report.weight_history) == 5
+        assert len(report.weight_checksums) == 5
 
     def test_bit_identical_to_serial_reference(self, rng):
         trainer, w0, report, targets = run_cascade(rng)
@@ -221,5 +221,4 @@ class TestSeededChaos:
             learning_rate=0.02,
         )
         assert np.array_equal(report.weights, reference)
-        for entry in report.weight_history:
-            assert np.all(np.isfinite(entry))
+        assert np.all(np.isfinite(report.weights))

@@ -1,5 +1,6 @@
 """Tests for functional multi-iteration training and fault injection."""
 
+import gc
 import tracemalloc
 import weakref
 
@@ -10,15 +11,17 @@ from repro.errors import ConfigError
 from repro.dnn.layers import LayerSpec, NetworkModel
 from repro.plan import PlanInterpreter, build_plan
 from repro.runtime import (
+    Checkpointer,
     ElasticTrainer,
     InterpretedSegment,
     MembershipEvent,
+    MemoryBackend,
     RecoveryPolicy,
     elastic_serial_reference,
 )
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.queue_runtime import ChainedTrainingRuntime
-from repro.runtime.recovery import REEMBED
+from repro.runtime.recovery import REEMBED, RESTART
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
     FunctionalTrainer,
@@ -88,7 +91,7 @@ class TestFunctionalTraining:
         result = trainer.train(
             np.zeros(net.total_params), iterations=3
         )
-        assert len(result.weight_history) == 3
+        assert len(result.weight_checksums) == 3
 
     def test_dequeue_order_every_iteration(self, rng):
         net, runtime, targets = make_setup(rng)
@@ -340,10 +343,10 @@ class TestGradientOwnership:
             name="own", layers=(LayerSpec("L0", 256, 1e6),)
         )
         fn, kept, before = _kept_gradients(rng, 256, kind)
-        history = InterpretedSegment(
+        _, checksums = InterpretedSegment(
             embedding, net, learning_rate=0.02, spin=FAST
         ).run(fn, np.zeros(256), 2)
-        assert len(history) == 2
+        assert len(checksums) == 2
         for array, snapshot in zip(kept, before):
             assert np.array_equal(array, snapshot)
 
@@ -428,3 +431,90 @@ class TestGradientOwnership:
                 [np.ones(n, dtype=np.float32) for _ in range(8)],
                 in_place=True,
             )
+
+
+def _bytes_held(run) -> int:
+    """Traced bytes freed when ``run``'s result is dropped."""
+    tracemalloc.start()
+    try:
+        result = run()
+        held, _ = tracemalloc.get_traced_memory()
+        del result
+        gc.collect()
+        remaining, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - remaining
+
+
+@pytest.mark.no_sanitize  # measures memory
+class TestReportMemory:
+    """A training result keeps the final weights and one CRC32 per
+    iteration, so its size does not grow by a weight vector per
+    iteration."""
+
+    ELEMS = 4 * 4096
+
+    def _net(self) -> NetworkModel:
+        return NetworkModel(name="mem", layers=tuple(
+            LayerSpec(name=f"L{i}", params=self.ELEMS // 4, fwd_flops=1e6)
+            for i in range(4)
+        ))
+
+    def test_functional_result_is_constant_in_iterations(self, rng):
+        net = self._net()
+        runtime = TreeAllReduceRuntime(
+            dgx1_trees(), total_elems=self.ELEMS, chunks_per_tree=4,
+            detour_map=DETOURED_EDGES, spin=FAST,
+        )
+        targets = [rng.normal(size=self.ELEMS) for _ in range(8)]
+        trainer = FunctionalTrainer(runtime, net, quadratic_gradient(targets))
+        w0 = rng.normal(size=self.ELEMS)
+        trainer.train(w0, iterations=1)  # warm caches
+
+        def held(iterations: int) -> int:
+            return _bytes_held(
+                lambda: trainer.train(w0, iterations=iterations)
+            )
+
+        short, long = held(4), held(16)
+        assert short >= self.ELEMS * 8  # the final weights
+        assert long - short < self.ELEMS * 8
+
+    def test_elastic_report_is_constant_in_iterations(self, rng):
+        targets = [rng.normal(size=self.ELEMS) for _ in range(8)]
+        w0 = rng.normal(size=self.ELEMS)
+
+        def held(iterations: int) -> int:
+            trainer = ElasticTrainer(
+                dgx1_topology(), self._net(), quadratic_gradient(targets),
+                trees=dgx1_trees(),
+                detour_map=DETOURED_EDGES,
+                learning_rate=0.02,
+                policy=RecoveryPolicy(mode=RESTART),
+                spin=FAST,
+                detour_preference=DETOUR_NODES,
+                checkpointer=Checkpointer(MemoryBackend()),
+                checkpoint_every=2,
+            )
+            # Crash at 3 restores generation 2 and redoes iteration 2
+            # on the survivors; the crashed GPU rejoins at 3.
+            events = (
+                MembershipEvent("crash", 3, 3),
+                MembershipEvent("join", 3, 3),
+            )
+            trainer.train(w0, iterations=4, events=events)  # warm caches
+
+            def run():
+                report = trainer.train(
+                    w0, iterations=iterations, events=events
+                )
+                assert report.records[0].restored_generation >= 0
+                assert report.members == tuple(range(8))
+                return report
+
+            return _bytes_held(run)
+
+        short, long = held(4), held(16)
+        assert short >= self.ELEMS * 8  # the final weights
+        assert long - short < self.ELEMS * 8
