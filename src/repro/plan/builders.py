@@ -238,9 +238,10 @@ def build_ring_plan(
     """Chunked ring AllReduce plan (reduce-scatter + all-gather).
 
     Emission is step-major so each rank's thread block interleaves
-    send-then-receive per step, exactly like
-    :class:`repro.runtime.ring_runtime.RingAllReduceRuntime`'s kernels;
-    explicit deps chain each chunk's hops for the DES lowering.
+    send-then-receive per step; explicit deps chain each chunk's hops
+    for the DES lowering.  Each rank's program writes the fully reduced
+    chunks in a different rotation of the chunk ids, so the ring has no
+    single global completion order (the paper's Observation #3).
     """
     if nnodes < 2:
         raise ConfigError("ring needs at least 2 nodes")
@@ -345,8 +346,9 @@ def build_halving_doubling_plan(nnodes: int, nbytes: float) -> Plan:
     Per step every rank sends half its active vector to its XOR partner
     as one aggregated framed message (``chunk_set``), then reduces the
     incoming half; all-gather reverses the exchanges with overwrites —
-    the same program :mod:`repro.collectives.halving_doubling` models
-    and :class:`repro.runtime.hd_runtime.HalvingDoublingRuntime` runs.
+    the same program :mod:`repro.collectives.halving_doubling` models.
+    Incoming chunks are accumulated in ascending chunk-id order within
+    each step, and rank ``r`` ends reduce-scatter owning chunk ``r``.
     """
     if nnodes < 2 or not _is_power_of_two(nnodes):
         raise ConfigError(

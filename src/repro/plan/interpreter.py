@@ -5,8 +5,8 @@ program in op-id order; transfers ride :class:`repro.runtime.cluster._Wire`
 frame queues (CRC-checked, fault-injectable via a
 :class:`~repro.runtime.faults.FaultPlan`), cross-thread-block deps ride
 per-op events, and the whole pool fails fast through the shared
-:class:`~repro.runtime.sync.AbortCell` exactly like the hand-written
-runtimes.
+:class:`~repro.runtime.sync.AbortCell` exactly like the tree runtime.
+Ring and halving-doubling AllReduce run only here.
 
 Because every wire's capacity equals its total send count, sends never
 block; the verifier's combined-graph acyclicity is therefore a static
@@ -58,9 +58,9 @@ _REDUCING_PHASES = (Phase.REDUCE, Phase.REDUCE_SCATTER)
 def default_plan_layout(plan: Plan, total_elems: int) -> ChunkLayout:
     """The element layout matching the plan's chunk structure.
 
-    Identical to the layouts the hand-written runtimes build: the
-    element space is striped over ``ntrees`` trees with
-    ``nchunks / ntrees`` chunks each.
+    Identical to the layout the tree runtime builds: the element space
+    is striped over ``ntrees`` trees with ``nchunks / ntrees`` chunks
+    each.
     """
     if plan.nchunks % plan.ntrees != 0:
         raise ConfigError(
@@ -253,8 +253,8 @@ class PlanInterpreter:
 
     @property
     def nnodes(self) -> int:
-        """Rank count — lets recovery code treat the interpreter like a
-        hand-written runtime (``detect_dead_gpus`` scans this range)."""
+        """Rank count — lets recovery code treat the interpreter like the
+        tree runtime (``detect_dead_gpus`` scans this range)."""
         return self.plan.nnodes
 
     # -- fault mirroring (same contract as TreeAllReduceRuntime) --------

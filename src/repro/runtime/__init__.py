@@ -69,8 +69,6 @@ __all__ = [
     "quadratic_gradient",
     "serial_reference",
     "tree_reduce_order",
-    "RingAllReduceRuntime",
-    "RingRunReport",
     "InterpretedSegment",
     "RecoveryDecision",
     "RecoveryPolicy",
@@ -135,8 +133,6 @@ __getattr__, __dir__ = lazy_exports(
         "recovery_serial_reference": "recovery",
         "segment_reduce_order": "elastic",
         "shard_assignments": "elastic",
-        "RingAllReduceRuntime": "ring_runtime",
-        "RingRunReport": "ring_runtime",
         "FunctionalTrainer": "training",
         "quadratic_gradient": "training",
         "serial_reference": "training",

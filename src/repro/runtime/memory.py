@@ -215,20 +215,6 @@ class GradientBuffer:
             _emit("read", self.label, chunk_id)
         return self.data[self._slices[chunk_id]]
 
-    def read_into(self, chunk_id: int, dest: np.ndarray) -> np.ndarray:
-        """Copy one chunk's elements into ``dest`` (a traced read).
-
-        The pooled-buffer fast path: kernels that previously did
-        ``staging[sl] = buffer.read(c)`` (allocate a copy, then copy it
-        again into staging) call ``buffer.read_into(c, staging[sl])``
-        instead — one traced read, one copy, zero allocations.  Returns
-        ``dest`` for convenience.
-        """
-        if _hooks.ANY:
-            _emit("read", self.label, chunk_id)
-        np.copyto(dest, self.data[self._slices[chunk_id]])
-        return dest
-
     def read_range(self, start: int, stop: int) -> np.ndarray:
         """View of an element range (traced as reads of every chunk the
         range overlaps — the compute kernel's per-layer gradient fetch)."""

@@ -225,24 +225,32 @@ def _run_double_tree_baseline(elems: int) -> None:
 
 @_scenario("ring", seeded=False, expect=Expectation("clean"))
 def _run_ring(elems: int) -> None:
-    """Chunked two-phase ring AllReduce, 4 GPUs."""
-    from repro.runtime.ring_runtime import RingAllReduceRuntime
+    """Chunked two-phase ring AllReduce plan, 4 GPUs, interpreted."""
+    from repro.plan.builders import build_ring_plan
+    from repro.plan.interpreter import PlanInterpreter
 
-    runtime = RingAllReduceRuntime(4, total_elems=elems, spin=_spin())
+    interp = PlanInterpreter(
+        build_ring_plan(4, elems * 8.0), total_elems=elems, spin=_spin()
+    )
     inputs = _inputs(4, elems)
     expected = sum(inputs)
-    _assert_summed(runtime.run(inputs).outputs, expected)
+    _assert_summed(interp.run(inputs).outputs, expected)
 
 
 @_scenario("halving_doubling", seeded=False, expect=Expectation("clean"))
 def _run_hd(elems: int) -> None:
-    """Recursive halving-doubling AllReduce, 4 GPUs."""
-    from repro.runtime.hd_runtime import HalvingDoublingRuntime
+    """Recursive halving-doubling AllReduce plan, 4 GPUs, interpreted."""
+    from repro.plan.builders import build_halving_doubling_plan
+    from repro.plan.interpreter import PlanInterpreter
 
-    runtime = HalvingDoublingRuntime(4, total_elems=elems, spin=_spin())
+    interp = PlanInterpreter(
+        build_halving_doubling_plan(4, elems * 8.0),
+        total_elems=elems,
+        spin=_spin(),
+    )
     inputs = _inputs(4, elems)
     expected = sum(inputs)
-    _assert_summed(runtime.run(inputs).outputs, expected)
+    _assert_summed(interp.run(inputs).outputs, expected)
 
 
 @_scenario("queue_chained", seeded=False, expect=Expectation("clean"))

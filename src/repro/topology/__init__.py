@@ -41,9 +41,6 @@ __all__ = [
     "detour_map_for",
     "evaluate_pair",
     "search_tree_pair",
-    "adjacency_table",
-    "render_embedding",
-    "render_tree",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -64,9 +61,6 @@ __getattr__, __dir__ = lazy_exports(
         "fat_tree_topology": "switch",
         "switch_topology": "switch",
         "embed_on_physical": "embedding",
-        "adjacency_table": "visualize",
-        "render_embedding": "visualize",
-        "render_tree": "visualize",
         "PairCost": "tree_search",
         "detour_map_for": "tree_search",
         "evaluate_pair": "tree_search",

@@ -117,13 +117,3 @@ class TestOrdering:
         schedule = halving_doubling_allreduce(8, 8e5)
         outcome = simulate_on_fabric(schedule, fabric_for(8))
         assert not delivers_in_order(outcome)
-
-    def test_round_trips_through_export(self):
-        from repro.collectives.export import (
-            schedule_from_dict,
-            schedule_to_dict,
-        )
-
-        schedule = halving_doubling_allreduce(8, 8000.0)
-        rebuilt = schedule_from_dict(schedule_to_dict(schedule))
-        check_allreduce(rebuilt)

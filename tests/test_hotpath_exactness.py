@@ -1,7 +1,7 @@
 """Bit-exactness pins for the profile-driven hot-path pass.
 
 Every optimized path (vectorized chunk reduce, right-sized wire staging,
-the ``read_into``/``read_view``/``take_view`` fast paths, the optimized
+the ``read_view``/``take_view`` fast paths, the optimized
 DES event loop, detached-tracer no-op emission) is pinned two ways:
 
 - against its preserved serial/reference implementation, element for
@@ -22,18 +22,22 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from repro.plan import PlanInterpreter, compile_plan
+from repro.collectives.ring import DGX1_RING_ORDER
+from repro.plan import (
+    PlanInterpreter,
+    build_halving_doubling_plan,
+    build_ring_plan,
+    compile_plan,
+)
 from repro.plan.builders import build_plan
 from repro.plan.lowering import simulate_plan
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.cluster import _Wire
-from repro.runtime.hd_runtime import HalvingDoublingRuntime
 from repro.runtime.memory import (
     ChunkLayout,
     GradientBuffer,
     reduce_chunk_reference,
 )
-from repro.runtime.ring_runtime import RingAllReduceRuntime
 from repro.runtime.sync import SpinConfig
 from repro.sanitizer import hooks
 from repro.sim import engine
@@ -53,6 +57,13 @@ SPIN = SpinConfig(timeout=20.0, pause=0.0)
 # optimized runtimes must keep reproducing them bit for bit.
 GOLDEN_RING = 3543004418
 GOLDEN_HD = 1461440751
+# Captured from the hand-written ring and halving-doubling runtimes
+# (which the interpreted plans replaced) on the same inputs with
+# ``total_elems=96``: the ring over ``DGX1_RING_ORDER`` at 8 GPUs, and
+# halving-doubling on the first 2 and the first 4 arrays.
+GOLDEN_RING_DGX1_ORDER = 2859990090
+GOLDEN_HD_2 = 600774856
+GOLDEN_HD_4 = 1709373564
 GOLDEN_TREE = 3509270229
 GOLDEN_INTERP = 3509270229
 GOLDEN_SIM_TIMINGS = 150713999
@@ -79,16 +90,33 @@ def outputs_of(report):
     return report.outputs if hasattr(report, "outputs") else report
 
 
+def interpret_golden(plan, inputs) -> int:
+    interp = PlanInterpreter(plan, total_elems=96, spin=SPIN)
+    return crc_arrays(interp.run(inputs).outputs)
+
+
 class TestGoldenOutputs:
     def test_ring_matches_preoptimization_golden(self):
-        runtime = RingAllReduceRuntime(8, total_elems=96, spin=SPIN)
-        out = runtime.run([a.copy() for a in golden_inputs()])
-        assert crc_arrays(outputs_of(out)) == GOLDEN_RING
+        plan = build_ring_plan(8, 768.0)
+        assert interpret_golden(plan, golden_inputs()) == GOLDEN_RING
+
+    def test_ring_dgx1_order_matches_golden(self):
+        plan = build_ring_plan(8, 768.0, order=list(DGX1_RING_ORDER))
+        assert (
+            interpret_golden(plan, golden_inputs())
+            == GOLDEN_RING_DGX1_ORDER
+        )
 
     def test_hd_matches_preoptimization_golden(self):
-        runtime = HalvingDoublingRuntime(8, total_elems=96, spin=SPIN)
-        out = runtime.run([a.copy() for a in golden_inputs()])
-        assert crc_arrays(outputs_of(out)) == GOLDEN_HD
+        plan = build_halving_doubling_plan(8, 768.0)
+        assert interpret_golden(plan, golden_inputs()) == GOLDEN_HD
+
+    @pytest.mark.parametrize(
+        "nnodes, golden", [(2, GOLDEN_HD_2), (4, GOLDEN_HD_4)]
+    )
+    def test_hd_small_matches_golden(self, nnodes, golden):
+        plan = build_halving_doubling_plan(nnodes, 768.0)
+        assert interpret_golden(plan, golden_inputs()[:nnodes]) == golden
 
     def test_tree_matches_preoptimization_golden(self):
         runtime = TreeAllReduceRuntime(
@@ -152,16 +180,14 @@ class TestVectorizedReduce:
                 reduce_chunk_reference(slow_data[sl], values[sl])
             assert np.array_equal(fast.data, slow_data)
 
-    def test_read_into_matches_read(self, rng):
+    def test_read_view_matches_read(self, rng):
         layout = ChunkLayout.split(96, ntrees=2, chunks_per_tree=3)
         buf = GradientBuffer(rng.normal(size=96), layout)
         for c in range(layout.nchunks):
-            dest = np.zeros(layout.chunk_elems(c))
-            assert np.array_equal(buf.read_into(c, dest), buf.read(c))
             assert np.array_equal(buf.read_view(c), buf.read(c))
             assert np.shares_memory(buf.read_view(c), buf.data)
 
-    def test_read_into_emits_like_read(self):
+    def test_read_view_emits_like_read(self):
         layout = ChunkLayout.split(8, ntrees=1, chunks_per_tree=2)
         buf = GradientBuffer(np.zeros(8), layout)
 
@@ -177,11 +203,10 @@ class TestVectorizedReduce:
         hooks.push(Recorder())
         try:
             buf.read(0)
-            buf.read_into(1, np.zeros(layout.chunk_elems(1)))
-            buf.read_view(0)
+            buf.read_view(1)
         finally:
             hooks.pop()
-        assert Recorder.events == [("read", 0), ("read", 1), ("read", 0)]
+        assert Recorder.events == [("read", 0), ("read", 1)]
 
 
 class _AccessRecorder:

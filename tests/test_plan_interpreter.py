@@ -1,8 +1,12 @@
-"""Bit-exactness of plan-interpreted AllReduce against the hand-written
-runtimes, plus fault-plan behaviour of the interpreter."""
+"""Plan-interpreted AllReduce, the only engine for ring and
+halving-doubling: bit-exactness against the tree runtime and the serial
+plan replay, numerical correctness, the ring's per-rank chunk order
+(Observation #3), halving-doubling's scattered ownership, validation,
+and fault-plan behaviour of the interpreter."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import AbortedError, ConfigError
 from repro.collectives.ring import DGX1_RING_ORDER
@@ -13,13 +17,14 @@ from repro.plan import (
     build_ring_plan,
     build_tree_plan,
     compile_plan,
+    plan_reduce_order,
 )
+from repro.plan.ir import RECV, REDUCE
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.faults import FaultPlan, GpuFault
-from repro.runtime.hd_runtime import HalvingDoublingRuntime
-from repro.runtime.ring_runtime import RingAllReduceRuntime
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import tree_reduce_order
+from repro.sim.dag import Phase
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.logical import balanced_binary_tree, two_trees
@@ -44,6 +49,25 @@ def interpret(plan, inputs, **kwargs):
 def assert_bit_identical(lhs, rhs):
     for a, b in zip(lhs, rhs):
         assert np.array_equal(a, b)
+
+
+def assert_all_hold_sum(outputs, inputs):
+    expected = np.sum(inputs, axis=0)
+    for out in outputs:
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+def final_write_order(plan, rank):
+    """Chunk ids in the order ``rank``'s thread-block-0 program last
+    writes them (REDUCE or RECV).  The interpreter runs each program on
+    one thread in op order, so for the ring this is the order the fully
+    reduced chunks land at ``rank``."""
+    last: dict[int, int] = {}
+    for pos, op in enumerate(plan.programs()[(rank, 0)]):
+        if op.kind in (REDUCE, RECV):
+            for c in op.chunks_carried():
+                last[c] = pos
+    return sorted(last, key=last.get)
 
 
 class TestBitExactness:
@@ -114,23 +138,126 @@ class TestBitExactness:
     def test_ring_matches_runtime(self, rng):
         inputs = random_inputs(rng)
         plan = build_ring_plan(8, N, order=list(DGX1_RING_ORDER))
-        runtime = RingAllReduceRuntime(
-            8, total_elems=E, order=list(DGX1_RING_ORDER), spin=FAST
-        )
-        expected = runtime.run([a.copy() for a in inputs]).outputs
-        got = interpret(plan, inputs).outputs
-        assert_bit_identical(got, expected)
+        reference = plan_reduce_order(plan, total_elems=E)(inputs)
+        for out in interpret(plan, inputs).outputs:
+            assert np.array_equal(out, reference)
 
     @pytest.mark.parametrize("nnodes", [2, 4, 8])
     def test_halving_doubling_matches_runtime(self, rng, nnodes):
         inputs = random_inputs(rng, nnodes=nnodes, elems=nnodes * 8)
         plan = build_halving_doubling_plan(nnodes, float(nnodes * 64))
-        runtime = HalvingDoublingRuntime(
-            nnodes, total_elems=nnodes * 8, spin=FAST
+        reference = plan_reduce_order(plan, total_elems=nnodes * 8)(inputs)
+        for out in interpret(plan, inputs).outputs:
+            assert np.array_equal(out, reference)
+
+
+class TestRingCorrectness:
+    @pytest.mark.parametrize("nnodes", [2, 3, 4, 8])
+    def test_every_gpu_gets_the_sum(self, rng, nnodes):
+        inputs = [rng.normal(size=nnodes * 16) for _ in range(nnodes)]
+        plan = build_ring_plan(nnodes, nnodes * 128.0)
+        assert_all_hold_sum(interpret(plan, inputs).outputs, inputs)
+
+    def test_dgx1_ring_order(self, rng):
+        inputs = [rng.normal(size=64) for _ in range(8)]
+        plan = build_ring_plan(8, 512.0, order=list(DGX1_RING_ORDER))
+        assert_all_hold_sum(interpret(plan, inputs).outputs, inputs)
+
+    @given(
+        nnodes=st.integers(min_value=2, max_value=8),
+        seed=st.integers(min_value=0, max_value=500),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_property_random_inputs(self, nnodes, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [rng.normal(size=nnodes * 8) for _ in range(nnodes)]
+        plan = build_ring_plan(nnodes, nnodes * 64.0)
+        assert_all_hold_sum(interpret(plan, inputs).outputs, inputs)
+
+    def test_deterministic_bitwise(self, rng):
+        inputs = [rng.normal(size=64) for _ in range(8)]
+        plan = build_ring_plan(8, 512.0)
+        assert_bit_identical(
+            interpret(plan, inputs).outputs, interpret(plan, inputs).outputs
         )
-        expected = runtime.run([a.copy() for a in inputs]).outputs
-        got = interpret(plan, inputs).outputs
-        assert_bit_identical(got, expected)
+
+
+class TestHalvingDoublingCorrectness:
+    @pytest.mark.parametrize("nnodes", [2, 4, 8, 16])
+    def test_every_gpu_gets_the_sum(self, rng, nnodes):
+        inputs = [rng.normal(size=nnodes * 8) for _ in range(nnodes)]
+        plan = build_halving_doubling_plan(nnodes, nnodes * 64.0)
+        assert_all_hold_sum(interpret(plan, inputs).outputs, inputs)
+
+    @given(
+        power=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=500),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_property_random_inputs(self, power, seed):
+        nnodes = 2**power
+        rng = np.random.default_rng(seed)
+        inputs = [rng.normal(size=nnodes * 4) for _ in range(nnodes)]
+        plan = build_halving_doubling_plan(nnodes, nnodes * 32.0)
+        assert_all_hold_sum(interpret(plan, inputs).outputs, inputs)
+
+    def test_deterministic_bitwise(self, rng):
+        inputs = [rng.normal(size=64) for _ in range(8)]
+        plan = build_halving_doubling_plan(8, 512.0)
+        assert_bit_identical(
+            interpret(plan, inputs).outputs, interpret(plan, inputs).outputs
+        )
+
+
+class TestOrderingContrast:
+    """Observation #3: the ring preserves no global chunk order."""
+
+    def test_each_gpu_completes_all_chunks(self):
+        plan = build_ring_plan(8, 512.0)
+        for rank in range(8):
+            assert sorted(final_write_order(plan, rank)) == list(range(8))
+
+    def test_completion_orders_differ_across_gpus(self):
+        plan = build_ring_plan(8, 512.0)
+        orders = {tuple(final_write_order(plan, r)) for r in range(8)}
+        # Every GPU sees a different rotation — no single global order.
+        assert len(orders) == 8
+
+    def test_orders_are_rotations_not_sorted(self):
+        plan = build_ring_plan(8, 512.0)
+        orders = [final_write_order(plan, r) for r in range(8)]
+        # At most one GPU (the one owning chunk 0 first) sees an
+        # ascending order; the rest cannot.
+        assert sum(order == sorted(order) for order in orders) <= 1
+
+    def test_all_rotations_distinct_at_16(self):
+        plan = build_ring_plan(16, 16 * 32.0)
+        orders = {tuple(final_write_order(plan, r)) for r in range(16)}
+        assert len(orders) == 16
+
+
+class TestScatteredOwnership:
+    """After reduce-scatter each rank owns exactly one distinct chunk."""
+
+    @staticmethod
+    def owned_after_reduce_scatter(plan, rank):
+        reduces = [
+            op for op in plan.programs()[(rank, 0)]
+            if op.kind == REDUCE and op.phase == Phase.REDUCE_SCATTER
+        ]
+        return reduces[-1].chunks_carried()
+
+    def test_ownership_is_a_permutation(self):
+        plan = build_halving_doubling_plan(8, 512.0)
+        owned = [self.owned_after_reduce_scatter(plan, r) for r in range(8)]
+        assert sorted(owned) == [(c,) for c in range(8)]
+
+    def test_rank_keeps_chunks_matching_its_bits(self):
+        # Rank r ends reduce-scatter owning the chunk whose index bits
+        # equal r's bits (keep rule: chunk bit == rank bit per step).
+        plan = build_halving_doubling_plan(8, 512.0)
+        for rank in range(8):
+            assert self.owned_after_reduce_scatter(plan, rank) == (rank,)
 
 
 class TestLegalizedExecution:
@@ -193,7 +320,29 @@ class TestValidation:
                 [np.zeros(16)] * 3
             )
 
+    def test_wrong_input_size(self):
+        plan = build_halving_doubling_plan(4, 256.0)
+        with pytest.raises(ConfigError):
+            PlanInterpreter(plan, total_elems=16, spin=FAST).run(
+                [np.zeros(8)] * 4
+            )
+
     def test_needs_layout_or_elems(self):
         plan = build_ring_plan(4, 256.0)
         with pytest.raises(ConfigError):
             PlanInterpreter(plan)
+
+    @pytest.mark.parametrize(
+        "build", [build_ring_plan, build_halving_doubling_plan]
+    )
+    def test_too_few_nodes(self, build):
+        with pytest.raises(ConfigError):
+            build(1, 64.0)
+
+    def test_ring_bad_order(self):
+        with pytest.raises(ConfigError):
+            build_ring_plan(4, 128.0, order=[0, 1, 2, 2])
+
+    def test_hd_non_power_of_two(self):
+        with pytest.raises(ConfigError):
+            build_halving_doubling_plan(6, 384.0)

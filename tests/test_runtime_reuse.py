@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.plan import PlanInterpreter, build_ring_plan
 from repro.runtime.allreduce import TreeAllReduceRuntime
-from repro.runtime.ring_runtime import RingAllReduceRuntime
 from repro.runtime.sync import SpinConfig
 from repro.topology.logical import two_trees
 
@@ -27,10 +27,13 @@ class TestRuntimeReuse:
                                            atol=1e-12)
 
     def test_ring_runtime_reusable(self, rng):
-        runtime = RingAllReduceRuntime(4, total_elems=64, spin=FAST)
+        """One ring interpreter runs three collectives back to back."""
+        interp = PlanInterpreter(
+            build_ring_plan(4, 512.0), total_elems=64, spin=FAST
+        )
         for _ in range(3):
             inputs = [rng.normal(size=64) for _ in range(4)]
-            report = runtime.run([a.copy() for a in inputs])
+            report = interp.run(inputs)
             expected = np.sum(inputs, axis=0)
             for out in report.outputs:
                 np.testing.assert_allclose(out, expected, rtol=1e-12,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dnn.layers import LayerSpec, NetworkModel
+from repro.plan import PlanInterpreter, build_ring_plan
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.queue_runtime import ChainedTrainingRuntime
-from repro.runtime.ring_runtime import RingAllReduceRuntime
 from repro.runtime.sync import SpinConfig
 from repro.topology.logical import two_trees
 
@@ -46,18 +46,13 @@ class TestSixteenGpuTree:
 class TestSixteenGpuRing:
     def test_ring_allreduce_16_gpus(self, rng):
         inputs = [rng.normal(size=16 * 16) for _ in range(16)]
-        runtime = RingAllReduceRuntime(16, total_elems=16 * 16, spin=FAST)
-        report = runtime.run([a.copy() for a in inputs])
+        interp = PlanInterpreter(
+            build_ring_plan(16, 16 * 128.0), total_elems=16 * 16, spin=FAST
+        )
+        report = interp.run(inputs)
         expected = np.sum(inputs, axis=0)
         for out in report.outputs:
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-
-    def test_all_rotations_distinct_at_16(self, rng):
-        inputs = [rng.normal(size=16 * 4) for _ in range(16)]
-        runtime = RingAllReduceRuntime(16, total_elems=16 * 4, spin=FAST)
-        report = runtime.run(inputs)
-        orders = {tuple(report.completion_order[g]) for g in range(16)}
-        assert len(orders) == 16
 
 
 @pytest.mark.parametrize("nnodes", [6, 12])

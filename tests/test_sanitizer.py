@@ -13,8 +13,12 @@ import numpy as np
 import pytest
 
 from repro.errors import AbortedError
-from repro.runtime.hd_runtime import HalvingDoublingRuntime
-from repro.runtime.ring_runtime import RingAllReduceRuntime
+from repro.plan import (
+    PlanInterpreter,
+    build_halving_doubling_plan,
+    build_ring_plan,
+)
+from repro.runtime.faults import CRASH, FaultPlan, GpuFault
 from repro.runtime.sync import SpinConfig
 from repro.sanitizer.lockgraph import (
     BlockedWait,
@@ -242,33 +246,40 @@ def test_unknown_scenario_raises():
         run_scenario("nope")
 
 
-# -- satellite 1: ring/HD runtimes join the abort protocol ----------------
+# -- satellite 1: ring/HD plans join the abort protocol -------------------
+
+RING_AND_HD = pytest.mark.parametrize(
+    "build",
+    [build_ring_plan, build_halving_doubling_plan],
+    ids=["ring", "halving_doubling"],
+)
 
 
 class TestRingHdAbort:
-    """A crashing extra kernel must abort ring/HD runs fast (abort flag),
-    not strand peers spinning until the full timeout."""
+    """A crashing GPU must abort interpreted ring/HD runs fast (abort
+    flag), not strand peers spinning until the full timeout."""
 
-    @pytest.mark.parametrize("cls", [RingAllReduceRuntime,
-                                     HalvingDoublingRuntime])
-    def test_crashing_kernel_aborts_fast(self, cls):
-        runtime = cls(4, total_elems=64,
-                      spin=SpinConfig(timeout=30.0, pause=0.0))
-
-        def crasher():
-            raise RuntimeError("injected kernel crash")
-
+    @RING_AND_HD
+    def test_crashing_kernel_aborts_fast(self, build):
+        interp = PlanInterpreter(
+            build(4, 512.0),
+            total_elems=64,
+            spin=SpinConfig(timeout=30.0, pause=0.0),
+            fault_plan=FaultPlan(
+                gpu_faults=(GpuFault(2, CRASH, after_chunk=0),)
+            ),
+        )
         inputs = [np.full(64, float(g)) for g in range(4)]
         started = time.monotonic()
         with pytest.raises(AbortedError) as excinfo:
-            runtime.run(inputs, extra_kernels=[("crasher", crasher)])
+            interp.run(inputs)
         elapsed = time.monotonic() - started
         # Fail-fast: well under the 30s spin timeout the peers would
         # otherwise burn.
         assert elapsed < 10.0
-        assert "injected kernel crash" in str(excinfo.value)
-        assert runtime.abort_cell is not None
-        assert runtime.abort_cell.is_set()
+        assert "injected crash on gpu 2" in str(excinfo.value)
+        assert interp.abort_cell is not None
+        assert interp.abort_cell.is_set()
 
     @pytest.mark.parametrize("reason, cycle", [
         ("kernel 'crasher' failed: RuntimeError('boom')", False),
@@ -302,16 +313,15 @@ class TestRingHdAbort:
         assert bool(report.wait_cycles) is cycle
         assert len(report.blocked) == (2 if cycle else 0)
 
-    @pytest.mark.parametrize("cls", [RingAllReduceRuntime,
-                                     HalvingDoublingRuntime])
-    def test_healthy_run_still_exact(self, cls):
-        runtime = cls(4, total_elems=64, spin=FAST)
+    @RING_AND_HD
+    def test_healthy_run_still_exact(self, build):
+        interp = PlanInterpreter(build(4, 512.0), total_elems=64, spin=FAST)
         inputs = [np.full(64, float(g + 1)) for g in range(4)]
-        report = runtime.run(inputs)
+        report = interp.run(inputs)
         for out in report.outputs:
             np.testing.assert_allclose(out, np.full(64, 10.0))
-        assert runtime.abort_cell is not None
-        assert not runtime.abort_cell.is_set()
+        assert interp.abort_cell is not None
+        assert not interp.abort_cell.is_set()
 
 
 # -- satellite 6: abort diagnostics carry sanitizer sync tails ------------
@@ -375,8 +385,10 @@ def test_tracing_context_sets_report():
 
 def test_untraced_runs_emit_nothing():
     tracer = Tracer()
-    runtime = RingAllReduceRuntime(4, total_elems=64, spin=FAST)
-    runtime.run([np.full(64, float(g)) for g in range(4)])
+    interp = PlanInterpreter(
+        build_ring_plan(4, 512.0), total_elems=64, spin=FAST
+    )
+    interp.run([np.full(64, float(g)) for g in range(4)])
     assert tracer.nevents == 0  # never pushed
 
 

@@ -1,21 +1,8 @@
-"""Round-trip tests for network and schedule serialization."""
-
-import json
+"""Round-trip tests for network serialization."""
 
 import pytest
 
-from repro.errors import ConfigError, ScheduleError
-from repro.collectives import ccube_allreduce, ring_allreduce, tree_allreduce
-from repro.collectives.base import simulate_on_fabric
-from repro.collectives.export import (
-    load_schedule,
-    save_schedule,
-    schedule_from_dict,
-    schedule_summary,
-    schedule_to_dict,
-    schedule_to_dot,
-)
-from repro.collectives.verification import check_allreduce
+from repro.errors import ConfigError
 from repro.dnn.networks import resnet50, vgg16, zfnet
 from repro.dnn.serialize import (
     load_network,
@@ -23,7 +10,6 @@ from repro.dnn.serialize import (
     network_to_dict,
     save_network,
 )
-from repro.topology.switch import FabricSpec
 
 
 class TestNetworkSerialization:
@@ -76,85 +62,3 @@ class TestNetworkSerialization:
             }
         )
         assert net.total_params == 300
-
-
-class TestScheduleSerialization:
-    @pytest.mark.parametrize(
-        "schedule",
-        [
-            ring_allreduce(4, 4000.0),
-            tree_allreduce(8, 8000.0, nchunks=4, overlapped=True),
-            ccube_allreduce(8, 8000.0, nchunks=2),
-        ],
-        ids=["ring", "overlapped-tree", "ccube"],
-    )
-    def test_round_trip_is_still_correct(self, schedule):
-        rebuilt = schedule_from_dict(schedule_to_dict(schedule))
-        check_allreduce(rebuilt)
-        assert rebuilt.algorithm == schedule.algorithm
-        assert rebuilt.nchunks == schedule.nchunks
-        assert len(rebuilt.dag) == len(schedule.dag)
-
-    def test_round_trip_same_simulated_time(self):
-        schedule = tree_allreduce(8, 8e5, nchunks=8, overlapped=True)
-        rebuilt = schedule_from_dict(schedule_to_dict(schedule))
-        fabric = FabricSpec(nnodes=8, alpha=1e-6, beta=1e-9)
-        assert simulate_on_fabric(rebuilt, fabric).total_time == (
-            simulate_on_fabric(schedule, fabric).total_time
-        )
-
-    def test_json_serializable(self):
-        schedule = ring_allreduce(4, 400.0)
-        json.dumps(schedule_to_dict(schedule))  # must not raise
-
-    def test_file_round_trip(self, tmp_path):
-        schedule = tree_allreduce(4, 400.0, nchunks=2)
-        path = tmp_path / "sched.json"
-        save_schedule(schedule, path)
-        rebuilt = load_schedule(path)
-        check_allreduce(rebuilt)
-
-    def test_bad_schema_rejected(self):
-        data = schedule_to_dict(ring_allreduce(4, 400.0))
-        data["schema"] = 0
-        with pytest.raises(ConfigError, match="schema"):
-            schedule_from_dict(data)
-
-
-class TestScheduleSummary:
-    def test_counts_phases(self):
-        schedule = tree_allreduce(8, 8000.0, nchunks=4)
-        summary = schedule_summary(schedule)
-        assert summary["ops_per_phase"]["reduce"] > 0
-        assert summary["ops_per_phase"]["broadcast"] == 4 * 7
-
-    def test_bytes_conserved_per_phase(self):
-        schedule = tree_allreduce(8, 8000.0, nchunks=4)
-        summary = schedule_summary(schedule)
-        # Every edge carries the full message once per phase: 7 edges.
-        assert summary["bytes_per_phase"]["broadcast"] == pytest.approx(
-            7 * 8000.0
-        )
-
-    def test_dependency_depth_reflects_overlap(self):
-        base = schedule_summary(tree_allreduce(8, 8e3, nchunks=8))
-        over = schedule_summary(
-            tree_allreduce(8, 8e3, nchunks=8, overlapped=True)
-        )
-        # The barrier lengthens the baseline's longest chain.
-        assert base["dependency_depth"] >= over["dependency_depth"]
-
-
-class TestDotExport:
-    def test_dot_contains_all_ops(self):
-        schedule = ring_allreduce(3, 300.0)
-        dot = schedule_to_dot(schedule)
-        assert dot.startswith("digraph")
-        assert dot.count(" -> ") == sum(
-            len(op.deps) for op in schedule.dag.ops
-        )
-
-    def test_large_schedule_rejected(self):
-        schedule = tree_allreduce(8, 8e5, nchunks=64)
-        with pytest.raises(ScheduleError, match="max_ops"):
-            schedule_to_dot(schedule)

@@ -1,70 +1,8 @@
-"""Tests for topology visualization and the extended-workload study."""
+"""Tests for the extended-workload study."""
 
 import pytest
 
-from repro.errors import TopologyError
 from repro.experiments import ext_workloads
-from repro.topology.base import PhysicalTopology
-from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
-from repro.topology.dgx1_trees import dgx1_trees
-from repro.topology.logical import balanced_binary_tree
-from repro.topology.routing import Router
-from repro.topology.visualize import (
-    adjacency_table,
-    render_embedding,
-    render_tree,
-)
-
-
-class TestAdjacencyTable:
-    def test_dgx1_table_marks_doubled_links(self):
-        text = adjacency_table(dgx1_topology())
-        assert "2" in text  # the doubled pairs
-        assert text.count("g7") >= 2  # header + row
-
-    def test_disconnected_pairs_dashed(self):
-        text = adjacency_table(dgx1_topology())
-        assert "-" in text
-
-    def test_too_large_rejected(self):
-        topo = PhysicalTopology(nnodes=64)
-        with pytest.raises(TopologyError):
-            adjacency_table(topo)
-
-
-class TestRenderTree:
-    def test_contains_all_gpus(self):
-        text = render_tree(balanced_binary_tree(8), title="t")
-        for gpu in range(8):
-            assert f"GPU{gpu}" in text
-
-    def test_root_marked(self):
-        tree = balanced_binary_tree(8)
-        text = render_tree(tree)
-        assert f"root GPU{tree.root}" in text
-
-
-class TestRenderEmbedding:
-    def test_dgx1_pair_marks_detour_and_doubles(self):
-        topo = dgx1_topology()
-        router = Router(topo, detour_preference=DETOUR_NODES)
-        text = render_embedding(dgx1_trees(), topo, router)
-        assert "[detour via GPU0]" in text
-        assert "[doubled]" in text
-        assert "tree 1" in text and "tree 2" in text
-
-    def test_infeasible_edge_marked(self):
-        topo = PhysicalTopology(nnodes=4, name="line")
-        for i in range(3):
-            topo.add_link(i, i + 1, alpha=0, beta=0)
-        from repro.topology.logical import BinaryTree
-
-        bad = BinaryTree(
-            root=0, parent={3: 0, 1: 3, 2: 1},
-            children={0: (3,), 3: (1,), 1: (2,), 2: ()},
-        )
-        text = render_embedding((bad, bad), topo)
-        assert "INFEASIBLE" in text
 
 
 class TestExtWorkloads:
