@@ -320,13 +320,6 @@ class TestValidation:
                 [np.zeros(16)] * 3
             )
 
-    def test_wrong_input_size(self):
-        plan = build_halving_doubling_plan(4, 256.0)
-        with pytest.raises(ConfigError):
-            PlanInterpreter(plan, total_elems=16, spin=FAST).run(
-                [np.zeros(8)] * 4
-            )
-
     def test_needs_layout_or_elems(self):
         plan = build_ring_plan(4, 256.0)
         with pytest.raises(ConfigError):

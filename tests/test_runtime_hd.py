@@ -1,87 +1,26 @@
-"""Tests for the functional halving-doubling AllReduce runtime."""
+"""Input validation for halving-doubling AllReduce run through the plan
+interpreter."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.runtime.hd_runtime import HalvingDoublingRuntime
+from repro.plan import PlanInterpreter, build_halving_doubling_plan
 from repro.runtime.sync import SpinConfig
 
 FAST = SpinConfig(timeout=15.0, pause=0.0)
 
 
-def run_hd(inputs):
-    runtime = HalvingDoublingRuntime(
-        len(inputs), total_elems=len(inputs[0]), spin=FAST
-    )
-    return runtime.run([np.asarray(a, dtype=np.float64) for a in inputs])
-
-
-class TestNumericalCorrectness:
-    @pytest.mark.parametrize("nnodes", [2, 4, 8, 16])
-    def test_every_gpu_gets_the_sum(self, rng, nnodes):
-        inputs = [rng.normal(size=nnodes * 8) for _ in range(nnodes)]
-        report = run_hd(inputs)
-        expected = np.sum(inputs, axis=0)
-        for out in report.outputs:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    @given(
-        power=st.integers(min_value=1, max_value=3),
-        seed=st.integers(min_value=0, max_value=500),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_property_random_inputs(self, power, seed):
-        nnodes = 2**power
-        rng = np.random.default_rng(seed)
-        inputs = [rng.normal(size=nnodes * 4) for _ in range(nnodes)]
-        report = run_hd(inputs)
-        expected = np.sum(inputs, axis=0)
-        for out in report.outputs:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_deterministic_bitwise(self, rng):
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        r1 = run_hd([a.copy() for a in inputs])
-        r2 = run_hd([a.copy() for a in inputs])
-        for a, b in zip(r1.outputs, r2.outputs):
-            assert np.array_equal(a, b)
-
-
-class TestScatteredOwnership:
-    """After reduce-scatter each rank owns exactly one distinct chunk."""
-
-    def test_ownership_is_a_permutation(self, rng):
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        report = run_hd(inputs)
-        owned = [report.owned_after_rs[g] for g in range(8)]
-        assert sorted(owned) == list(range(8))
-
-    def test_rank_keeps_chunks_matching_its_bits(self, rng):
-        # Rank r ends reduce-scatter owning the chunk whose index bits
-        # equal r's bits (keep rule: chunk bit == rank bit per step).
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        report = run_hd(inputs)
-        for rank in range(8):
-            assert report.owned_after_rs[rank] == rank
+def hd_interpreter(nnodes, total_elems):
+    plan = build_halving_doubling_plan(nnodes, float(total_elems * 8))
+    return PlanInterpreter(plan, total_elems=total_elems, spin=FAST)
 
 
 class TestValidation:
-    def test_non_power_of_two(self):
-        with pytest.raises(ConfigError):
-            HalvingDoublingRuntime(6, total_elems=48)
-
-    def test_too_few_nodes(self):
-        with pytest.raises(ConfigError):
-            HalvingDoublingRuntime(1, total_elems=8)
-
     def test_wrong_input_count(self):
-        runtime = HalvingDoublingRuntime(4, total_elems=16, spin=FAST)
         with pytest.raises(ConfigError):
-            runtime.run([np.zeros(16)] * 3)
+            hd_interpreter(4, 16).run([np.zeros(16)] * 3)
 
     def test_wrong_input_size(self):
-        runtime = HalvingDoublingRuntime(4, total_elems=16, spin=FAST)
         with pytest.raises(ConfigError):
-            runtime.run([np.zeros(8)] * 4)
+            hd_interpreter(4, 16).run([np.zeros(8)] * 4)

@@ -1,107 +1,25 @@
-"""Tests for the functional ring AllReduce runtime."""
+"""Input validation for ring AllReduce run through the plan interpreter."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.collectives.ring import DGX1_RING_ORDER
-from repro.runtime.ring_runtime import RingAllReduceRuntime
+from repro.plan import PlanInterpreter, build_ring_plan
 from repro.runtime.sync import SpinConfig
 
 FAST = SpinConfig(timeout=15.0, pause=0.0)
 
 
-def run_ring(inputs, *, order=None):
-    runtime = RingAllReduceRuntime(
-        len(inputs),
-        total_elems=len(inputs[0]),
-        order=order,
-        spin=FAST,
-    )
-    return runtime.run([np.asarray(a, dtype=np.float64) for a in inputs])
-
-
-class TestNumericalCorrectness:
-    @pytest.mark.parametrize("nnodes", [2, 3, 4, 8])
-    def test_every_gpu_gets_the_sum(self, rng, nnodes):
-        inputs = [rng.normal(size=nnodes * 16) for _ in range(nnodes)]
-        report = run_ring(inputs)
-        expected = np.sum(inputs, axis=0)
-        for out in report.outputs:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_dgx1_ring_order(self, rng):
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        report = run_ring(inputs, order=list(DGX1_RING_ORDER))
-        expected = np.sum(inputs, axis=0)
-        for out in report.outputs:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    @given(
-        nnodes=st.integers(min_value=2, max_value=8),
-        seed=st.integers(min_value=0, max_value=500),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_property_random_inputs(self, nnodes, seed):
-        rng = np.random.default_rng(seed)
-        inputs = [rng.normal(size=nnodes * 8) for _ in range(nnodes)]
-        report = run_ring(inputs)
-        expected = np.sum(inputs, axis=0)
-        for out in report.outputs:
-            np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-    def test_deterministic_bitwise(self, rng):
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        r1 = run_ring([a.copy() for a in inputs])
-        r2 = run_ring([a.copy() for a in inputs])
-        for a, b in zip(r1.outputs, r2.outputs):
-            assert np.array_equal(a, b)
-
-
-class TestOrderingContrast:
-    """Observation #3: the ring preserves no global chunk order."""
-
-    def test_each_gpu_completes_all_chunks(self, rng):
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        report = run_ring(inputs)
-        for gpu in range(8):
-            assert sorted(report.completion_order[gpu]) == list(range(8))
-
-    def test_completion_orders_differ_across_gpus(self, rng):
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        report = run_ring(inputs)
-        orders = {tuple(report.completion_order[g]) for g in range(8)}
-        # Every GPU sees a different rotation — no single global order.
-        assert len(orders) == 8
-
-    def test_orders_are_rotations_not_sorted(self, rng):
-        inputs = [rng.normal(size=64) for _ in range(8)]
-        report = run_ring(inputs)
-        sorted_gpus = [
-            g for g in range(8)
-            if report.completion_order[g] == sorted(report.completion_order[g])
-        ]
-        # At most one GPU (the one owning chunk 0 first) sees an
-        # ascending order; the rest cannot.
-        assert len(sorted_gpus) <= 1
+def ring_interpreter(nnodes, total_elems):
+    plan = build_ring_plan(nnodes, float(total_elems * 8))
+    return PlanInterpreter(plan, total_elems=total_elems, spin=FAST)
 
 
 class TestValidation:
-    def test_too_few_nodes(self):
-        with pytest.raises(ConfigError):
-            RingAllReduceRuntime(1, total_elems=8)
-
-    def test_bad_order(self):
-        with pytest.raises(ConfigError):
-            RingAllReduceRuntime(4, total_elems=16, order=[0, 1, 2, 2])
-
     def test_wrong_input_count(self):
-        runtime = RingAllReduceRuntime(4, total_elems=16, spin=FAST)
         with pytest.raises(ConfigError):
-            runtime.run([np.zeros(16)] * 3)
+            ring_interpreter(4, 16).run([np.zeros(16)] * 3)
 
     def test_wrong_input_size(self):
-        runtime = RingAllReduceRuntime(4, total_elems=16, spin=FAST)
         with pytest.raises(ConfigError):
-            runtime.run([np.zeros(8)] * 4)
+            ring_interpreter(4, 16).run([np.zeros(8)] * 4)
