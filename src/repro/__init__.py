@@ -35,8 +35,6 @@ __all__ = [
     "Strategy",
     "IterationPipeline",
     "simulate_iteration",
-    "TrainingConfig",
-    "normalized_performance",
     "build_allreduce",
     "ring_allreduce",
     "tree_allreduce",
@@ -56,8 +54,6 @@ __getattr__, __dir__ = lazy_exports(
         "Strategy": "core.config",
         "IterationPipeline": "core.pipeline",
         "simulate_iteration": "core.pipeline",
-        "TrainingConfig": "core.trainer",
-        "normalized_performance": "core.trainer",
         "build_allreduce": "collectives",
         "ring_allreduce": "collectives.ring",
         "tree_allreduce": "collectives.tree",

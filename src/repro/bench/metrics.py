@@ -216,7 +216,7 @@ def _runtime_iter(ctx: BenchContext) -> MetricResult:
     interp = PlanInterpreter(
         build_ring_plan(p, elems * 8.0),
         total_elems=elems,
-        spin=SpinConfig(timeout=30.0, pause=0.0),
+        spin=SpinConfig(timeout=30.0),
     )
     warmup, iters = (2, 8) if ctx.full else (1, 3)
 
@@ -462,7 +462,7 @@ def _sanitizer_overhead(ctx: BenchContext) -> MetricResult:
     interp = PlanInterpreter(
         build_ring_plan(p, elems * 8.0),
         total_elems=elems,
-        spin=SpinConfig(timeout=30.0, pause=0.0),
+        spin=SpinConfig(timeout=30.0),
     )
 
     def plain() -> None:

@@ -531,7 +531,7 @@ def _chaos_runtime(args: argparse.Namespace, plan, *, timeout: float):
         total_elems=args.elems,
         chunks_per_tree=4,
         detour_map=DETOURED_EDGES,
-        spin=SpinConfig(timeout=timeout, pause=0.0),
+        spin=SpinConfig(timeout=timeout),
         fault_plan=plan,
     )
 
@@ -642,7 +642,7 @@ def _chaos_recover(args: argparse.Namespace) -> int:
         detour_map=DETOURED_EDGES,
         learning_rate=0.02,
         policy=RecoveryPolicy(mode=args.policy),
-        spin=SpinConfig(timeout=30.0, pause=0.0),
+        spin=SpinConfig(timeout=30.0),
         detour_preference=DETOUR_NODES,
         search_seed=args.seed,
     )
@@ -754,7 +754,7 @@ def _elastic_trial(args: argparse.Namespace, seed: int):
         detour_map=DETOURED_EDGES,
         learning_rate=0.02,
         policy=RecoveryPolicy(mode=args.policy),
-        spin=SpinConfig(timeout=30.0, pause=0.0),
+        spin=SpinConfig(timeout=30.0),
         detour_preference=DETOUR_NODES,
         search_seed=seed,
         checkpointer=checkpointer,
@@ -814,13 +814,14 @@ def _elastic_trial(args: argparse.Namespace, seed: int):
     return identical and all_verified, lines, detail
 
 
-def _chaos_elastic(args: argparse.Namespace) -> int:
-    """Elastic membership drill: crash/leave/join under checkpoints.
+def _chaos_soak(args: argparse.Namespace, trial, name: str, describe) -> int:
+    """Run ``trial(args, seed)`` for ``--seed``, or for ``--soak`` seeds
+    from it.
 
-    Every membership boundary re-embeds the double tree over the new
-    member set and gates it through compile + static verification;
-    exit code 0 requires every trial's final weights to be bit-identical
-    to the multi-segment serial reference.
+    A single trial prints its full log; a soak prints one line per seed
+    (``describe(detail)`` then the verdict) and a summary.  A failing
+    trial's detail is written to ``--save-dir/<name>-seed-<seed>.json``.
+    Exit 0 only if every trial passed.
     """
     import json
     from pathlib import Path
@@ -832,16 +833,13 @@ def _chaos_elastic(args: argparse.Namespace) -> int:
     )
     failures = 0
     for seed in trials:
-        ok, lines, detail = _elastic_trial(args, seed)
+        ok, lines, detail = trial(args, seed)
         if args.soak <= 0:
             for line in lines:
                 print(line)
         else:
-            segs = "->".join(
-                str(len(s["members"])) for s in detail["segments"]
-            )
             print(
-                f"seed {seed}: members {segs} "
+                f"seed {seed}: {describe(detail)} "
                 + ("bit-exact" if ok else "FAILED")
             )
         if not ok:
@@ -849,7 +847,7 @@ def _chaos_elastic(args: argparse.Namespace) -> int:
             if args.save_dir is not None:
                 out = Path(args.save_dir)
                 out.mkdir(parents=True, exist_ok=True)
-                path = out / f"elastic-seed-{seed}.json"
+                path = out / f"{name}-seed-{seed}.json"
                 path.write_text(json.dumps(detail, indent=2))
                 print(f"  failing trial written to {path}")
     if args.soak > 0:
@@ -857,6 +855,22 @@ def _chaos_elastic(args: argparse.Namespace) -> int:
             f"soak: {len(trials) - failures}/{len(trials)} trials bit-exact"
         )
     return 0 if failures == 0 else 1
+
+
+def _chaos_elastic(args: argparse.Namespace) -> int:
+    """Elastic membership drill: crash/leave/join under checkpoints.
+
+    Every membership boundary re-embeds the double tree over the new
+    member set and gates it through compile + static verification;
+    exit code 0 requires every trial's final weights to be bit-identical
+    to the multi-segment serial reference.
+    """
+    return _chaos_soak(
+        args, _elastic_trial, "elastic",
+        lambda detail: "members " + "->".join(
+            str(len(s["members"])) for s in detail["segments"]
+        ),
+    )
 
 
 def _plan_chaos_trial(args: argparse.Namespace, seed: int):
@@ -920,7 +934,7 @@ def _plan_chaos_trial(args: argparse.Namespace, seed: int):
         detour_map=DETOURED_EDGES,
         learning_rate=0.02,
         policy=RecoveryPolicy(mode=args.policy),
-        spin=SpinConfig(timeout=30.0, pause=0.0),
+        spin=SpinConfig(timeout=30.0),
         detour_preference=DETOUR_NODES,
         search_seed=seed,
         initial_dead=initial_dead,
@@ -1018,40 +1032,13 @@ def _chaos_plan(args: argparse.Namespace) -> int:
     correct detection, verified re-embedding, and final weights
     bit-identical to the plan-aware serial reference.
     """
-    import json
-    from pathlib import Path
-
-    trials = (
-        [args.seed]
-        if args.soak <= 0
-        else list(range(args.seed, args.seed + args.soak))
+    return _chaos_soak(
+        args, _plan_chaos_trial, "plan",
+        lambda detail: f"victim gpu {detail['victim']}" + (
+            f" + cascade gpu {detail['cascade_victim']}"
+            if args.cascade else ""
+        ),
     )
-    failures = 0
-    for seed in trials:
-        ok, lines, detail = _plan_chaos_trial(args, seed)
-        if args.soak <= 0:
-            for line in lines:
-                print(line)
-        else:
-            print(
-                f"seed {seed}: victim gpu {detail['victim']}"
-                + (f" + cascade gpu {detail['cascade_victim']}"
-                   if args.cascade else "")
-                + (" bit-exact" if ok else " FAILED")
-            )
-        if not ok:
-            failures += 1
-            if args.save_dir is not None:
-                out = Path(args.save_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                path = out / f"plan-seed-{seed}.json"
-                path.write_text(json.dumps(detail, indent=2))
-                print(f"  failing trial written to {path}")
-    if args.soak > 0:
-        print(
-            f"soak: {len(trials) - failures}/{len(trials)} trials bit-exact"
-        )
-    return 0 if failures == 0 else 1
 
 
 def _chaos_kill(args: argparse.Namespace, kind: str, timeout: float) -> int:
@@ -1248,7 +1235,7 @@ def _cmd_plan_run(args: argparse.Namespace) -> int:
     interp = PlanInterpreter(
         plan,
         total_elems=args.elems,
-        spin=SpinConfig(timeout=30.0, pause=0.0),
+        spin=SpinConfig(timeout=30.0),
     )
     report = interp.run([a.copy() for a in inputs])
     expected = np.sum(inputs, axis=0)

@@ -14,159 +14,19 @@ The double tree delivers two independent in-order chunk streams (one per
 tree), so the queue keeps one enqueue semaphore per stream; a layer is
 ready when *every* stream has delivered that layer's chunks.
 
-This module is the pure bookkeeping model (used by the timing pipeline
-and tested directly); :mod:`repro.runtime.queue_runtime` implements the
-same structure over the thread-backed virtual GPUs with the paper's
-device-side semaphores.
+This module holds the timing-model side: :func:`layer_ready_times` says
+when each layer may dequeue, given when each chunk arrived.  The
+layer-chunk table, enqueue semaphores and LIC themselves live in
+:mod:`repro.runtime.queue_runtime` (:func:`layer_requirements`), over
+the thread-backed virtual GPUs and the paper's device-side semaphores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.errors import ConfigError, ScheduleError
+from repro.errors import ScheduleError
 from repro.collectives.base import CollectiveSchedule
 from repro.collectives.chunking import chunks_covering
 from repro.dnn.layers import NetworkModel
-
-
-@dataclass(frozen=True)
-class LayerChunkTable:
-    """Per layer, per stream: how many chunks must have arrived before the
-    layer may dequeue (the "last gradient chunk offset" of paper Fig. 9,
-    expressed as a cumulative count within the stream).
-
-    Attributes:
-        needed: ``needed[layer][stream]`` -> cumulative chunk count.
-        nstreams: number of in-order chunk streams (trees).
-    """
-
-    needed: tuple[tuple[int, ...], ...]
-    nstreams: int
-
-    @property
-    def nlayers(self) -> int:
-        return len(self.needed)
-
-    def requirement(self, layer: int, stream: int) -> int:
-        return self.needed[layer][stream]
-
-
-def build_layer_chunk_table(
-    network: NetworkModel, schedule: CollectiveSchedule
-) -> LayerChunkTable:
-    """Map each layer's gradient byte range onto the schedule's chunks.
-
-    The gradient buffer is laid out in forward-layer order; the schedule's
-    ``chunk_offsets`` locate each chunk's bytes (for a double tree, each
-    tree carries one contiguous half).  Layer *i* requires, per stream,
-    all chunks overlapping its byte range.
-
-    Raises:
-        ScheduleError: if the schedule's size does not match the network's
-            gradient bytes.
-    """
-    if abs(schedule.nbytes - network.total_bytes) > 0.5:
-        raise ScheduleError(
-            f"schedule covers {schedule.nbytes} bytes but network "
-            f"{network.name!r} has {network.total_bytes}"
-        )
-    # Group global chunk ids by stream (tree), preserving global order.
-    stream_of: dict[int, int] = {}
-    for op in schedule.dag.ops:
-        if op.chunk >= 0 and op.chunk not in stream_of:
-            stream_of[op.chunk] = op.tree
-    nstreams = max(stream_of.values(), default=0) + 1
-    stream_chunks: list[list[int]] = [[] for _ in range(nstreams)]
-    for chunk in range(schedule.nchunks):
-        stream_chunks[stream_of.get(chunk, 0)].append(chunk)
-    # Position of each global chunk within its stream (1-based count).
-    position: dict[int, int] = {}
-    for chunks in stream_chunks:
-        for pos, chunk in enumerate(chunks, start=1):
-            position[chunk] = pos
-
-    needed: list[tuple[int, ...]] = []
-    for layer_idx in range(len(network)):
-        lo, hi = network.byte_range(layer_idx)
-        per_stream = [0] * nstreams
-        if hi > lo:
-            covering = chunks_covering(
-                schedule.chunk_sizes, (float(lo), float(hi))
-            )
-            for chunk in covering:
-                stream = stream_of.get(chunk, 0)
-                per_stream[stream] = max(per_stream[stream], position[chunk])
-        needed.append(tuple(per_stream))
-    return LayerChunkTable(needed=tuple(needed), nstreams=nstreams)
-
-
-@dataclass
-class GradientQueue:
-    """The runtime bookkeeping of paper Fig. 9.
-
-    Attributes:
-        table: the layer-chunk table.
-        enqueue_semaphores: arrived-chunk count per stream (ⓗ in Fig. 9).
-        layer_index_counter: next layer awaiting dequeue (LIC).
-        dequeue_log: layers in the order they were dequeued.
-    """
-
-    table: LayerChunkTable
-    enqueue_semaphores: list[int] = field(default_factory=list)
-    layer_index_counter: int = 0
-    dequeue_log: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.enqueue_semaphores:
-            self.enqueue_semaphores = [0] * self.table.nstreams
-
-    def enqueue(self, stream: int = 0) -> None:
-        """A fully reduced chunk arrived on ``stream`` (broadcast phase
-        ``post``)."""
-        if not 0 <= stream < self.table.nstreams:
-            raise ConfigError(f"unknown stream {stream}")
-        self.enqueue_semaphores[stream] += 1
-
-    def ready(self, layer: int | None = None) -> bool:
-        """``check``: may ``layer`` (default: the LIC layer) dequeue?"""
-        layer = self.layer_index_counter if layer is None else layer
-        if layer >= self.table.nlayers:
-            return False
-        return all(
-            self.enqueue_semaphores[s] >= self.table.requirement(layer, s)
-            for s in range(self.table.nstreams)
-        )
-
-    def dequeue(self) -> int:
-        """Dequeue the LIC layer; returns its index and advances the LIC.
-
-        Raises:
-            ScheduleError: if the LIC layer's chunks have not all arrived
-                (callers must ``ready()`` first) or all layers are done.
-        """
-        if self.layer_index_counter >= self.table.nlayers:
-            raise ScheduleError("all layers already dequeued")
-        if not self.ready():
-            raise ScheduleError(
-                f"layer {self.layer_index_counter} dequeued before its "
-                "gradient chunks arrived"
-            )
-        layer = self.layer_index_counter
-        self.layer_index_counter += 1
-        self.dequeue_log.append(layer)
-        return layer
-
-    def drain(self) -> list[int]:
-        """Dequeue every ready layer in order; returns the layers."""
-        out = []
-        while self.layer_index_counter < self.table.nlayers and self.ready():
-            out.append(self.dequeue())
-        return out
-
-    @property
-    def complete(self) -> bool:
-        return self.layer_index_counter >= self.table.nlayers
 
 
 def layer_ready_times(

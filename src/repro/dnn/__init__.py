@@ -26,10 +26,6 @@ __all__ = [
     "NETWORKS",
     "MLPERF_PROFILES",
     "WorkloadProfile",
-    "load_network",
-    "network_from_dict",
-    "network_to_dict",
-    "save_network",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -49,9 +45,5 @@ __getattr__, __dir__ = lazy_exports(
         "zfnet": "networks",
         "MLPERF_PROFILES": "profiles",
         "WorkloadProfile": "profiles",
-        "load_network": "serialize",
-        "network_from_dict": "serialize",
-        "network_to_dict": "serialize",
-        "save_network": "serialize",
     },
 )

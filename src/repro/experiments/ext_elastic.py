@@ -114,7 +114,7 @@ def run(
         detour_map=DETOURED_EDGES,
         learning_rate=0.02,
         policy=RecoveryPolicy(mode=REEMBED),
-        spin=SpinConfig(timeout=10.0, pause=0.0),
+        spin=SpinConfig(timeout=10.0),
         detour_preference=DETOUR_NODES,
         checkpointer=Checkpointer(MemoryBackend()),
         checkpoint_every=checkpoint_every,

@@ -62,7 +62,7 @@ _KINDS = (DROP, DUPLICATE, SWAP)
 
 #: Spin config for mutant execution: a mutant that deadlocks should
 #: abort fast, not burn the full default timeout.
-MUTANT_SPIN = SpinConfig(timeout=0.5, pause=0.0)
+MUTANT_SPIN = SpinConfig(timeout=0.5)
 
 
 @dataclass(frozen=True)

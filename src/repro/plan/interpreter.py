@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ConfigError, RuntimeClusterError
 from ..runtime.cluster import KernelPool, _transmit, _Wire
-from ..runtime.faults import CRASH, STRAGGLER, STUCK, FaultPlan, PhaseBoard
+from ..runtime.faults import FaultPlan, PhaseBoard, apply_gpu_fault
 from ..runtime.memory import ChunkLayout, GradientBuffer
 from ..runtime.sync import AbortCell, DeviceEvent, SpinConfig
 from ..sim.dag import Phase
@@ -257,45 +257,6 @@ class PlanInterpreter:
         tree runtime (``detect_dead_gpus`` scans this range)."""
         return self.plan.nnodes
 
-    # -- fault mirroring (same contract as TreeAllReduceRuntime) --------
-
-    def _apply_gpu_fault(
-        self,
-        rank: int,
-        op: PlanOp,
-        pos: int,
-        board: PhaseBoard,
-        abort: AbortCell,
-    ) -> None:
-        """Fire ``rank``'s injected fault at reduce chunk position ``pos``.
-
-        Crash/stuck fire once, in the tree-0 reduce-phase thread block at
-        ``after_chunk``; a straggler sleeps before every reduce chunk.
-        """
-        if self.fault_plan is None:
-            return
-        fault = self.fault_plan.gpu_fault(rank)
-        if fault is None:
-            return
-        if fault.kind == STRAGGLER:
-            time.sleep(fault.delay)
-            return
-        if op.tree != 0 or pos != fault.after_chunk:
-            return
-        if fault.kind == CRASH:
-            self.fault_plan.stats.bump("crashes")
-            board.set(rank, f"crashed in reduce t{op.tree} at chunk {pos}")
-            raise RuntimeClusterError(
-                f"injected crash on gpu {rank} (plan reduce t{op.tree}, "
-                f"chunk {pos})"
-            )
-        if fault.kind == STUCK:
-            self.fault_plan.stats.bump("stalls")
-            board.set(rank, f"stuck in reduce t{op.tree} at chunk {pos}")
-            while True:
-                abort.raise_if_set()
-                time.sleep(self.spin.pause or 1e-4)
-
     # -- execution -------------------------------------------------------
 
     def _build_wires(
@@ -427,8 +388,9 @@ class PlanInterpreter:
                     ):
                         seen_chunk = op.chunks_carried()[0]
                         reduce_pos += 1
-                        self._apply_gpu_fault(
-                            rank, op, reduce_pos, board, abort
+                        apply_gpu_fault(
+                            self.fault_plan, rank, op.tree, reduce_pos,
+                            board, abort, where="plan reduce",
                         )
                     for dep in awaits.get(op.op_id, ()):
                         events[dep].wait()

@@ -39,11 +39,9 @@ import numpy as np
 from repro.errors import ConfigError, RuntimeClusterError
 from repro.runtime.cluster import DownLink, KernelPool, UpLink
 from repro.runtime.faults import (
-    CRASH,
-    STRAGGLER,
-    STUCK,
     FaultPlan,
     PhaseBoard,
+    apply_gpu_fault,
     payload_checksum,
 )
 from repro.runtime.memory import ChunkLayout, GradientBuffer
@@ -216,39 +214,6 @@ class TreeAllReduceRuntime:
 
     # -- kernels ---------------------------------------------------------
 
-    def _apply_gpu_fault(
-        self, node: int, t: int, pos: int, board: PhaseBoard, abort: AbortCell
-    ) -> None:
-        """Fire this GPU's injected fault at chunk position ``pos``.
-
-        Crash/stuck faults fire once, on tree 0 at ``after_chunk``; a
-        straggler sleeps before every chunk on every tree.
-        """
-        if self.fault_plan is None:
-            return
-        fault = self.fault_plan.gpu_fault(node)
-        if fault is None:
-            return
-        if fault.kind == STRAGGLER:
-            time.sleep(fault.delay)
-            return
-        if t != 0 or pos != fault.after_chunk:
-            return
-        if fault.kind == CRASH:
-            self.fault_plan.stats.bump("crashes")
-            board.set(node, f"crashed in reduce t{t} at chunk {pos}")
-            raise RuntimeClusterError(
-                f"injected crash on gpu {node} (reduce t{t}, chunk {pos})"
-            )
-        if fault.kind == STUCK:
-            # Stop posting without dying: peers spin until the first one
-            # times out and triggers the abort; then we exit too.
-            self.fault_plan.stats.bump("stalls")
-            board.set(node, f"stuck in reduce t{t} at chunk {pos}")
-            while True:
-                abort.raise_if_set()
-                time.sleep(self.spin.pause or 1e-4)
-
     def _reduce_kernel(
         self,
         t: int,
@@ -269,7 +234,7 @@ class TreeAllReduceRuntime:
             # untouched until the reduced chunk comes back.
             for pos, chunk in enumerate(chunks):
                 board.set(node, f"reduce t{t} chunk {pos + 1}/{len(chunks)}")
-                self._apply_gpu_fault(node, t, pos, board, abort)
+                apply_gpu_fault(self.fault_plan, node, t, pos, board, abort)
                 for child in tree.children[node]:
                     buffers[node].accumulate(
                         chunk, uplinks[(t, child)].recv_view(chunk)

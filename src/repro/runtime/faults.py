@@ -24,12 +24,17 @@ seeded with a **stable digest** of the site tag (``zlib.crc32``), never
 from __future__ import annotations
 
 import threading
+import time
 import zlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RuntimeClusterError
+
+if TYPE_CHECKING:
+    from repro.runtime.sync import AbortCell
 
 #: GPU fault kinds.
 CRASH = "crash"
@@ -37,6 +42,9 @@ STUCK = "stuck"
 STRAGGLER = "straggler"
 
 _GPU_FAULT_KINDS = (CRASH, STUCK, STRAGGLER)
+
+#: How often a GPU wedged by a STUCK fault polls for the abort (s).
+STUCK_POLL = 1e-4
 
 
 def stable_tag_seed(tag: str, seed: int) -> int:
@@ -449,3 +457,47 @@ class PhaseBoard:
                 f"gpu {gpu}: {phase}"
                 for gpu, phase in sorted(self._phases.items())
             )
+
+
+def apply_gpu_fault(
+    plan: FaultPlan | None,
+    gpu: int,
+    tree: int,
+    pos: int,
+    board: PhaseBoard,
+    abort: "AbortCell",
+    *,
+    where: str = "reduce",
+) -> None:
+    """Fire ``gpu``'s injected fault at reduce chunk position ``pos``.
+
+    Crash/stuck faults fire once, on tree 0 at ``after_chunk``; a
+    straggler sleeps before every chunk on every tree.  ``where`` names
+    the phase in the crash message (``"plan reduce"`` for the plan
+    interpreter).  The sticky ``crashed`` / ``stuck`` board stamps are
+    what :func:`~repro.runtime.elastic.detect_dead_gpus` reads.
+    """
+    if plan is None:
+        return
+    fault = plan.gpu_fault(gpu)
+    if fault is None:
+        return
+    if fault.kind == STRAGGLER:
+        time.sleep(fault.delay)
+        return
+    if tree != 0 or pos != fault.after_chunk:
+        return
+    if fault.kind == CRASH:
+        plan.stats.bump("crashes")
+        board.set(gpu, f"crashed in reduce t{tree} at chunk {pos}")
+        raise RuntimeClusterError(
+            f"injected crash on gpu {gpu} ({where} t{tree}, chunk {pos})"
+        )
+    if fault.kind == STUCK:
+        # Stop posting without dying: peers spin until the first one
+        # times out and triggers the abort; then we exit too.
+        plan.stats.bump("stalls")
+        board.set(gpu, f"stuck in reduce t{tree} at chunk {pos}")
+        while True:
+            abort.raise_if_set()
+            time.sleep(STUCK_POLL)

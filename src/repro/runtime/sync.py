@@ -49,19 +49,18 @@ def _emit(kind: str, obj: object, detail: object = None) -> None:
 
 @dataclass(frozen=True)
 class SpinConfig:
-    """Spin-loop behaviour.
+    """Spin-loop behaviour.  Every spin iteration yields the GIL
+    (``time.sleep(0)``).
 
     Attributes:
         timeout: seconds before a spinning primitive raises
             :class:`RuntimeClusterError` (deadlock guard).
-        pause: sleep inserted per spin iteration (0 yields the GIL).
         abort: optional cluster-wide abort flag checked on every spin
             iteration, so one failed kernel releases every peer fast
             instead of leaving each to its own independent timeout.
     """
 
     timeout: float = 30.0
-    pause: float = 0.0
     abort: "AbortCell | None" = None
 
 
@@ -263,7 +262,7 @@ class DeviceLock:
                 self._spin.abort.raise_if_set()
             if time.monotonic() > deadline:
                 raise RuntimeClusterError("device lock acquisition timed out")
-            time.sleep(self._spin.pause)
+            time.sleep(0)
         # threadfence(): Python's lock release/acquire orders memory.
         if self.name and _hooks.ANY:
             _emit("lock_acquire", self)
@@ -379,7 +378,7 @@ class DeviceSemaphore:
                 raise RuntimeClusterError(
                     f"semaphore {self.name!r}: {what} timed out"
                 )
-            time.sleep(self._spin.pause)
+            time.sleep(0)
             self._lock.lock()
         # leave with lock held; callers below finish and unlock
 
@@ -454,6 +453,6 @@ class DeviceEvent:
                 raise RuntimeClusterError(
                     f"timed out waiting for {self.name or 'event'}"
                 )
-            time.sleep(self._spin.pause)
+            time.sleep(0)
         if _hooks.ANY:
             _emit("event_wait", self)

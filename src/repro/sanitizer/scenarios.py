@@ -150,7 +150,7 @@ def run_scenario(name: str, *, elems: int = 64) -> ScenarioResult:
 def _spin(timeout: float = 10.0):
     from repro.runtime.sync import SpinConfig
 
-    return SpinConfig(timeout=timeout, pause=0.0)
+    return SpinConfig(timeout=timeout)
 
 
 def _inputs(n: int, elems: int, seed: int = 7) -> list[np.ndarray]:

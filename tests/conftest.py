@@ -48,7 +48,7 @@ def tiny_network() -> NetworkModel:
 @pytest.fixture
 def fast_spin() -> SpinConfig:
     """Short-timeout spin config so broken runtime tests fail quickly."""
-    return SpinConfig(timeout=10.0, pause=0.0)
+    return SpinConfig(timeout=10.0)
 
 
 @pytest.fixture

@@ -1,10 +1,10 @@
-"""Tests for strategy and chunk-count autotuning."""
+"""Tests for strategy autotuning."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.core.autotune import ChunkChoice, choose_chunks, choose_strategy
-from repro.core.config import CCubeConfig, Strategy
+from repro.core.autotune import choose_strategy
+from repro.core.config import Strategy
 
 
 class TestChooseStrategy:
@@ -32,29 +32,3 @@ class TestChooseStrategy:
             choose_strategy(tiny_network, 64, config=small_config,
                             candidates=())
 
-
-class TestChooseChunks:
-    def test_analytical_in_sweep(self, small_config):
-        choice = choose_chunks(32e6, config=small_config)
-        assert choice.analytical in choice.times
-
-    def test_best_is_minimum(self, small_config):
-        choice = choose_chunks(32e6, config=small_config)
-        assert choice.times[choice.best] == min(choice.times.values())
-
-    def test_analytical_penalty_small(self, small_config):
-        """Eq. 4 lands near the simulated optimum (flat minimum)."""
-        choice = choose_chunks(32e6, config=small_config)
-        assert choice.analytical_penalty < 1.15
-
-    def test_span_zero_only_analytical(self, small_config):
-        choice = choose_chunks(32e6, config=small_config, span=0)
-        assert set(choice.times) == {choice.analytical}
-
-    def test_negative_span_rejected(self, small_config):
-        with pytest.raises(ConfigError):
-            choose_chunks(32e6, config=small_config, span=-1)
-
-    def test_chunk_choice_dataclass(self):
-        choice = ChunkChoice(best=4, analytical=8, times={4: 1.0, 8: 1.1})
-        assert choice.analytical_penalty == pytest.approx(1.1)

@@ -1,17 +1,7 @@
 """Tests for the gradient-queue model (paper Fig. 9)."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.errors import ConfigError, ScheduleError
-from repro.collectives.double_tree import double_tree_allreduce
 from repro.collectives.tree import tree_allreduce
-from repro.core.gradient_queue import (
-    GradientQueue,
-    LayerChunkTable,
-    build_layer_chunk_table,
-    layer_ready_times,
-)
+from repro.core.gradient_queue import layer_ready_times
 from repro.dnn.layers import LayerSpec, NetworkModel
 
 
@@ -21,115 +11,6 @@ def make_network(layer_bytes):
         for i, b in enumerate(layer_bytes)
     )
     return NetworkModel(name="q", layers=layers)
-
-
-class TestBuildLayerChunkTable:
-    def test_single_tree_mapping(self):
-        net = make_network([400, 400, 800])
-        schedule = tree_allreduce(4, 1600.0, nchunks=4)
-        table = build_layer_chunk_table(net, schedule)
-        assert table.nstreams == 1
-        assert table.needed == ((1,), (2,), (4,))
-
-    def test_double_tree_mapping(self):
-        net = make_network([800, 800])
-        schedule = double_tree_allreduce(4, 1600.0, nchunks=2)
-        table = build_layer_chunk_table(net, schedule)
-        assert table.nstreams == 2
-        assert table.needed == ((2, 0), (0, 2))
-
-    def test_size_mismatch_rejected(self):
-        net = make_network([400])
-        schedule = tree_allreduce(4, 1600.0, nchunks=4)
-        with pytest.raises(ScheduleError, match="bytes"):
-            build_layer_chunk_table(net, schedule)
-
-    def test_requirement_accessor(self):
-        table = LayerChunkTable(needed=((1, 0), (2, 2)), nstreams=2)
-        assert table.requirement(1, 1) == 2
-        assert table.nlayers == 2
-
-
-class TestGradientQueue:
-    @pytest.fixture
-    def queue(self):
-        table = LayerChunkTable(needed=((1,), (2,), (4,)), nstreams=1)
-        return GradientQueue(table=table)
-
-    def test_not_ready_initially(self, queue):
-        assert not queue.ready()
-
-    def test_ready_after_enough_enqueues(self, queue):
-        queue.enqueue()
-        assert queue.ready()
-
-    def test_dequeue_advances_lic(self, queue):
-        queue.enqueue()
-        assert queue.dequeue() == 0
-        assert queue.layer_index_counter == 1
-
-    def test_early_dequeue_raises(self, queue):
-        with pytest.raises(ScheduleError, match="before"):
-            queue.dequeue()
-
-    def test_dequeue_past_end_raises(self, queue):
-        for _ in range(4):
-            queue.enqueue()
-        queue.drain()
-        with pytest.raises(ScheduleError, match="already"):
-            queue.dequeue()
-
-    def test_drain_dequeues_everything_ready(self, queue):
-        queue.enqueue()
-        queue.enqueue()
-        assert queue.drain() == [0, 1]
-        assert not queue.complete
-
-    def test_complete_after_all_layers(self, queue):
-        for _ in range(4):
-            queue.enqueue()
-        assert queue.drain() == [0, 1, 2]
-        assert queue.complete
-
-    def test_dequeue_log_order(self, queue):
-        for _ in range(4):
-            queue.enqueue()
-        queue.drain()
-        assert queue.dequeue_log == [0, 1, 2]
-
-    def test_unknown_stream_rejected(self, queue):
-        with pytest.raises(ConfigError):
-            queue.enqueue(stream=3)
-
-    def test_two_streams_both_required(self):
-        table = LayerChunkTable(needed=((1, 1),), nstreams=2)
-        queue = GradientQueue(table=table)
-        queue.enqueue(0)
-        assert not queue.ready()
-        queue.enqueue(1)
-        assert queue.ready()
-
-    @given(
-        needs=st.lists(
-            st.integers(min_value=0, max_value=8), min_size=1, max_size=8
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_dequeue_order_always_sequential(self, needs):
-        # Cumulative requirements: layer i needs max of prefix.
-        cumulative = []
-        high = 0
-        for n in needs:
-            high = max(high, n)
-            cumulative.append((high,))
-        table = LayerChunkTable(needed=tuple(cumulative), nstreams=1)
-        queue = GradientQueue(table=table)
-        dequeued = []
-        for _ in range(max(needs, default=0) + 1):
-            queue.enqueue()
-            dequeued.extend(queue.drain())
-        assert dequeued == sorted(dequeued)
-        assert queue.complete
 
 
 class TestLayerReadyTimes:

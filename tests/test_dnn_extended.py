@@ -66,13 +66,6 @@ class TestExtendedRegistry:
         assert 0 < result.normalized_performance <= 1.0
         assert result.turnaround > 0
 
-    @pytest.mark.parametrize("name", sorted(NETWORKS))
-    def test_every_network_serializes(self, name):
-        from repro.dnn.serialize import network_from_dict, network_to_dict
-
-        network = NETWORKS[name]()
-        assert network_from_dict(network_to_dict(network)) == network
-
     def test_ccube_helps_every_workload(self):
         for name, builder in NETWORKS.items():
             network = builder()

@@ -262,7 +262,7 @@ class TestReplayDeterminism:
                 (balanced_binary_tree(8),),
                 total_elems=64,
                 chunks_per_tree=4,
-                spin=SpinConfig(timeout=10.0, pause=0.0),
+                spin=SpinConfig(timeout=10.0),
             )
             with fuzzing(RandomWalkPolicy(seed=17)):
                 outs.append(runtime.run([a.copy() for a in inputs]).outputs)
@@ -282,7 +282,7 @@ class TestReplayDeterminism:
             interp = PlanInterpreter(
                 plan,
                 total_elems=64,
-                spin=SpinConfig(timeout=10.0, pause=0.0),
+                spin=SpinConfig(timeout=10.0),
             )
             with fuzzing(RandomWalkPolicy(seed=29)):
                 outs.append(interp.run([a.copy() for a in inputs]).outputs)

@@ -27,7 +27,7 @@ from repro.fuzz import (
 from repro.plan import build_plan, verify_plan
 from repro.runtime.sync import SpinConfig
 
-FAST = SpinConfig(timeout=0.5, pause=0.0)
+FAST = SpinConfig(timeout=0.5)
 
 
 def ring_plan(nnodes=4, elems=64):

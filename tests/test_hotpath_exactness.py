@@ -49,7 +49,7 @@ from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.routing import Router
 
-SPIN = SpinConfig(timeout=20.0, pause=0.0)
+SPIN = SpinConfig(timeout=20.0)
 
 # Golden CRC32 checksums captured on the seed tree (commit bd1ecbd),
 # before any hot-path optimization, from inputs generated with

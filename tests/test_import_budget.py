@@ -105,7 +105,6 @@ class TestImportBudget:
             "repro.runtime",
             "repro.models",
             "repro.core.autotune",
-            "repro.core.trainer",
             "repro.collectives.verification",
             "repro.topology.tree_search",
         )

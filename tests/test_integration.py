@@ -22,9 +22,6 @@ from repro.collectives import (
     tree_allreduce,
 )
 from repro.collectives.verification import check_allreduce_simulated
-from repro.core.comm import simulate_strategy_comm
-from repro.core.config import CCubeConfig
-from repro.core.gradient_queue import GradientQueue, build_layer_chunk_table
 from repro.dnn.layers import LayerSpec, NetworkModel
 from repro.models.costmodel import (
     CostParams,
@@ -118,45 +115,6 @@ class TestSimulatorVsRuntime:
         expected = np.sum(inputs, axis=0)
         for out in report.outputs:
             np.testing.assert_allclose(out, expected, rtol=1e-12)
-
-
-class TestQueueVsTimeline:
-    """The gradient-queue bookkeeping must agree with the timing model's
-    layer-ready times: replaying chunk completions through the queue
-    dequeues layers exactly when layer_ready_times says they're ready."""
-
-    def test_replay_matches(self, tiny_network):
-        config = CCubeConfig()
-        # Use a network-sized schedule on the abstract fabric.
-        comm = simulate_strategy_comm(
-            Strategy.CCUBE, float(tiny_network.total_bytes), config,
-            on_dgx1=False,
-        )
-        table = build_layer_chunk_table(tiny_network, comm.schedule)
-        queue = GradientQueue(table=table)
-
-        # Feed chunk completions in time order, draining after each.
-        events = sorted(
-            comm.chunk_available.items(), key=lambda item: (item[1], item[0])
-        )
-        stream_of = {}
-        for op in comm.schedule.dag.ops:
-            if op.chunk >= 0 and op.chunk not in stream_of:
-                stream_of[op.chunk] = op.tree
-        dequeue_time: dict[int, float] = {}
-        for chunk, t in events:
-            queue.enqueue(stream_of.get(chunk, 0))
-            for layer in queue.drain():
-                dequeue_time[layer] = t
-        assert queue.complete
-
-        from repro.core.gradient_queue import layer_ready_times
-
-        ready = layer_ready_times(
-            tiny_network, comm.schedule, comm.chunk_available
-        )
-        for layer, t in dequeue_time.items():
-            assert t == pytest.approx(max(r for r in [ready[layer]]), rel=1e-9)
 
 
 class TestPublicApi:

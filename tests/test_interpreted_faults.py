@@ -59,7 +59,7 @@ from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.tree_search import search_degraded_pair
 
-FAST = SpinConfig(timeout=10.0, pause=0.0)
+FAST = SpinConfig(timeout=10.0)
 ELEMS = 256
 
 #: A dead quad on DGX-1 leaves survivors (0, 5, 6, 7), whose only

@@ -30,7 +30,7 @@ from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.logical import balanced_binary_tree, two_trees
 from repro.topology.routing import Router
 
-FAST = SpinConfig(timeout=15.0, pause=0.0)
+FAST = SpinConfig(timeout=15.0)
 E = 64
 N = float(E * 8)
 

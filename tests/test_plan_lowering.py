@@ -1,5 +1,5 @@
-"""DES lowering: the simulated time of a lowered plan must track the
-hand-written schedule simulations within the acceptance tolerance."""
+"""DES lowering: the simulated time of a lowered plan must equal the
+hand-written schedule simulation's exactly."""
 
 import pytest
 
@@ -24,13 +24,8 @@ from repro.topology.routing import Router
 from repro.topology.switch import FabricSpec
 
 N = 64e6
-TOLERANCE = 0.05  # acceptance: within 5% of the hand-written simulation
 
 FABRIC = FabricSpec(nnodes=8, alpha=2e-6, beta=1 / 25e9, lanes=2)
-
-
-def rel_diff(a: float, b: float) -> float:
-    return abs(a - b) / max(a, b)
 
 
 def fabric_cases():
@@ -72,7 +67,7 @@ class TestFabricParity:
     def test_within_tolerance(self, name, plan, schedule):
         planned = simulate_plan(plan, fabric=FABRIC).total_time
         handwritten = simulate_on_fabric(schedule, FABRIC).total_time
-        assert rel_diff(planned, handwritten) <= TOLERANCE
+        assert planned == handwritten
 
 
 class TestDgx1Parity:
@@ -89,7 +84,7 @@ class TestDgx1Parity:
         handwritten = simulate_on_physical(
             schedule, topo, router=router
         ).total_time
-        assert rel_diff(planned, handwritten) <= TOLERANCE
+        assert planned == handwritten
 
     def test_ring_on_dgx1(self):
         topo = dgx1_topology()
@@ -97,7 +92,7 @@ class TestDgx1Parity:
         schedule = ring_allreduce(8, N, order=list(DGX1_RING_ORDER))
         planned = simulate_plan(plan, topo=topo).total_time
         handwritten = simulate_on_physical(schedule, topo).total_time
-        assert rel_diff(planned, handwritten) <= TOLERANCE
+        assert planned == handwritten
 
 
 class TestStragglerModeling:

@@ -153,7 +153,7 @@ class TestCli:
         plan = Plan.from_json(_plan("double_tree", nnodes=4).to_json())
         inputs = [np.full(64, float(g)) for g in range(4)]
         report = PlanInterpreter(
-            plan, total_elems=64, spin=SpinConfig(timeout=10.0, pause=0.0)
+            plan, total_elems=64, spin=SpinConfig(timeout=10.0)
         ).run([a.copy() for a in inputs])
         for out in report.outputs:
             np.testing.assert_allclose(out, np.full(64, 6.0))

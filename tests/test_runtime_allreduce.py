@@ -10,7 +10,7 @@ from repro.runtime.sync import SpinConfig
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.logical import balanced_binary_tree, two_trees
 
-FAST = SpinConfig(timeout=15.0, pause=0.0)
+FAST = SpinConfig(timeout=15.0)
 
 
 def run_allreduce(trees, inputs, *, chunks=4, overlapped=True, detours=None):

@@ -49,7 +49,7 @@ from repro.runtime.training import (
 )
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
-FAST = SpinConfig(timeout=10.0, pause=0.0)
+FAST = SpinConfig(timeout=10.0)
 ELEMS = 512
 
 
@@ -451,7 +451,7 @@ class TestChecksumForwarding:
 class TestGpuFaults:
     def test_crash_aborts_fast_with_diagnostics(self, rng):
         plan = FaultPlan(gpu_faults=(GpuFault(3, CRASH, after_chunk=1),))
-        runtime = make_runtime(plan, spin=SpinConfig(timeout=10.0, pause=0.0))
+        runtime = make_runtime(plan, spin=SpinConfig(timeout=10.0))
         started = time.monotonic()
         with pytest.raises(AbortedError) as excinfo:
             runtime.run(make_inputs(rng))
@@ -473,7 +473,7 @@ class TestGpuFaults:
         timeout = 1.0
         plan = FaultPlan(gpu_faults=(GpuFault(5, STUCK, after_chunk=0),))
         runtime = make_runtime(
-            plan, spin=SpinConfig(timeout=timeout, pause=0.0)
+            plan, spin=SpinConfig(timeout=timeout)
         )
         started = time.monotonic()
         with pytest.raises(AbortedError, match="timed out"):
@@ -546,7 +546,7 @@ class TestGpuFaults:
             total_elems=net.total_params,
             chunks_per_tree=4,
             detour_map=DETOURED_EDGES,
-            spin=SpinConfig(timeout=10.0, pause=0.0),
+            spin=SpinConfig(timeout=10.0),
             fault_plan=plan,
         )
         chained = ChainedTrainingRuntime(runtime, net)

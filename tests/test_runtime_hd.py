@@ -8,7 +8,7 @@ from repro.errors import ConfigError
 from repro.plan import PlanInterpreter, build_halving_doubling_plan
 from repro.runtime.sync import SpinConfig
 
-FAST = SpinConfig(timeout=15.0, pause=0.0)
+FAST = SpinConfig(timeout=15.0)
 
 
 def hd_interpreter(nnodes, total_elems):

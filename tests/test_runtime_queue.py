@@ -15,7 +15,7 @@ from repro.runtime.sync import SpinConfig
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.logical import two_trees
 
-FAST = SpinConfig(timeout=15.0, pause=0.0)
+FAST = SpinConfig(timeout=15.0)
 
 
 def make_network(layer_params):

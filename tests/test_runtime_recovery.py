@@ -39,7 +39,7 @@ from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.tree_search import search_degraded_pair
 
-FAST = SpinConfig(timeout=10.0, pause=0.0)
+FAST = SpinConfig(timeout=10.0)
 ELEMS = 256
 
 
@@ -74,7 +74,7 @@ def aborted_runtime(rng, plan) -> TreeAllReduceRuntime:
         total_elems=ELEMS,
         chunks_per_tree=4,
         detour_map=DETOURED_EDGES,
-        spin=SpinConfig(timeout=2.0, pause=0.0),
+        spin=SpinConfig(timeout=2.0),
         fault_plan=plan,
     )
     with pytest.raises(AbortedError):

@@ -27,7 +27,7 @@ from repro.runtime.training import (
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
-FAST = SpinConfig(timeout=10.0, pause=0.0)
+FAST = SpinConfig(timeout=10.0)
 ELEMS = 256
 
 

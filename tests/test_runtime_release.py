@@ -26,7 +26,7 @@ from repro.runtime.sync import SpinConfig
 from repro.runtime.training import FunctionalTrainer, quadratic_gradient
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
-FAST = SpinConfig(timeout=10.0, pause=0.0)
+FAST = SpinConfig(timeout=10.0)
 ELEMS = 256
 
 

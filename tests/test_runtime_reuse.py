@@ -8,7 +8,7 @@ from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.sync import SpinConfig
 from repro.topology.logical import two_trees
 
-FAST = SpinConfig(timeout=15.0, pause=0.0)
+FAST = SpinConfig(timeout=15.0)
 
 
 class TestRuntimeReuse:

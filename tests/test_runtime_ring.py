@@ -7,7 +7,7 @@ from repro.errors import ConfigError
 from repro.plan import PlanInterpreter, build_ring_plan
 from repro.runtime.sync import SpinConfig
 
-FAST = SpinConfig(timeout=15.0, pause=0.0)
+FAST = SpinConfig(timeout=15.0)
 
 
 def ring_interpreter(nnodes, total_elems):

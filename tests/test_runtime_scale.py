@@ -10,7 +10,7 @@ from repro.runtime.queue_runtime import ChainedTrainingRuntime
 from repro.runtime.sync import SpinConfig
 from repro.topology.logical import two_trees
 
-FAST = SpinConfig(timeout=30.0, pause=0.0)
+FAST = SpinConfig(timeout=30.0)
 
 
 class TestSixteenGpuTree:

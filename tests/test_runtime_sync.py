@@ -14,7 +14,7 @@ from repro.runtime.sync import (
     SpinConfig,
 )
 
-FAST = SpinConfig(timeout=2.0, pause=0.0)
+FAST = SpinConfig(timeout=2.0)
 
 
 class TestAtomicCell:
@@ -97,7 +97,7 @@ class TestDeviceLock:
         assert counter["n"] == 1600
 
     def test_timeout_on_contention(self):
-        lock = DeviceLock(SpinConfig(timeout=0.05, pause=0.0))
+        lock = DeviceLock(SpinConfig(timeout=0.05))
         lock.lock()
         with pytest.raises(RuntimeClusterError, match="timed out"):
             lock.lock()
@@ -143,7 +143,7 @@ class TestDeviceSemaphore:
 
     @pytest.mark.no_sanitize  # deliberately times out: terminal block is the point
     def test_post_blocks_at_capacity(self):
-        sem = DeviceSemaphore(1, spin=SpinConfig(timeout=0.1, pause=0.0))
+        sem = DeviceSemaphore(1, spin=SpinConfig(timeout=0.1))
         sem.post()
         with pytest.raises(RuntimeClusterError, match="post timed out"):
             sem.post()
@@ -197,7 +197,7 @@ class TestDeviceSemaphore:
         sem.check(2)  # 2 total posts happened even though count == 1
 
     def test_wait_timeout(self):
-        sem = DeviceSemaphore(1, spin=SpinConfig(timeout=0.05, pause=0.0))
+        sem = DeviceSemaphore(1, spin=SpinConfig(timeout=0.05))
         with pytest.raises(RuntimeClusterError, match="wait timed out"):
             sem.wait()
 
@@ -207,7 +207,7 @@ class TestDeviceSemaphore:
         the error identifies both the semaphore and the operation."""
         timeout = 0.2
         sem = DeviceSemaphore(
-            1, spin=SpinConfig(timeout=timeout, pause=0.0), name="rx.t0"
+            1, spin=SpinConfig(timeout=timeout), name="rx.t0"
         )
         sem.post()
         started = time.monotonic()
@@ -220,7 +220,7 @@ class TestDeviceSemaphore:
     @pytest.mark.no_sanitize  # deliberately times out: terminal block is the point
     def test_check_timeout_names_threshold(self):
         sem = DeviceSemaphore(
-            4, spin=SpinConfig(timeout=0.05, pause=0.0), name="enq"
+            4, spin=SpinConfig(timeout=0.05), name="enq"
         )
         sem.post()
         with pytest.raises(
@@ -276,7 +276,7 @@ class TestAbortCell:
     def test_to_error_carries_reason_and_diagnostics(self):
         abort = AbortCell()
         abort.register_dump("phases", lambda: "gpu 0: idle")
-        spin = SpinConfig(timeout=1.0, pause=0.0, abort=abort)
+        spin = SpinConfig(timeout=1.0, abort=abort)
         sem = DeviceSemaphore(4, spin=spin, name="rx")
         sem.post()
         abort.trigger("watchdog")
@@ -303,7 +303,7 @@ class TestAbortCell:
         long before its own 5 s timeout."""
         abort = AbortCell()
         sem = DeviceSemaphore(
-            2, spin=SpinConfig(timeout=5.0, pause=0.0, abort=abort)
+            2, spin=SpinConfig(timeout=5.0, abort=abort)
         )
         failures = []
 
@@ -326,7 +326,7 @@ class TestAbortCell:
         """The first semaphore to time out flips the shared flag so
         every other primitive exits immediately after."""
         abort = AbortCell()
-        spin = SpinConfig(timeout=0.05, pause=0.0, abort=abort)
+        spin = SpinConfig(timeout=0.05, abort=abort)
         sem = DeviceSemaphore(1, spin=spin, name="starved")
         with pytest.raises(RuntimeClusterError, match="wait timed out"):
             sem.wait()
@@ -335,7 +335,7 @@ class TestAbortCell:
 
     def test_attach_abort_joins_existing_semaphore(self):
         abort = AbortCell()
-        sem = DeviceSemaphore(2, spin=SpinConfig(timeout=5.0, pause=0.0))
+        sem = DeviceSemaphore(2, spin=SpinConfig(timeout=5.0))
         sem.attach_abort(abort)
         abort.trigger("external failure")
         with pytest.raises(AbortedError):
@@ -345,7 +345,7 @@ class TestAbortCell:
 
     def test_device_lock_attach_abort(self):
         abort = AbortCell()
-        lock = DeviceLock(SpinConfig(timeout=5.0, pause=0.0))
+        lock = DeviceLock(SpinConfig(timeout=5.0))
         lock.attach_abort(abort)
         lock.lock()
         abort.trigger("kill the spinners")
@@ -355,7 +355,7 @@ class TestAbortCell:
     def test_peek_is_lock_free(self):
         """peek must work even while another thread holds the device
         lock — that is what makes the diagnostic dump deadlock-proof."""
-        sem = DeviceSemaphore(4, spin=SpinConfig(timeout=1.0, pause=0.0))
+        sem = DeviceSemaphore(4, spin=SpinConfig(timeout=1.0))
         sem.post()
         sem._lock.lock()  # simulate a kernel dying with the lock held
         try:

@@ -35,7 +35,7 @@ from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 from repro.topology.logical import two_trees
 from repro.topology.tree_search import search_degraded_pair
 
-FAST = SpinConfig(timeout=20.0, pause=0.0)
+FAST = SpinConfig(timeout=20.0)
 
 
 def make_setup(rng, *, overlapped=True, chaos=0.0):

@@ -32,7 +32,7 @@ from repro.sanitizer.scenarios import run_scenario, scenario_names
 from repro.sanitizer.tracer import Tracer, tracing
 from repro.sanitizer.vectorclock import VectorClock
 
-FAST = SpinConfig(timeout=10.0, pause=0.0)
+FAST = SpinConfig(timeout=10.0)
 
 
 # -- vector clocks --------------------------------------------------------
@@ -264,7 +264,7 @@ class TestRingHdAbort:
         interp = PlanInterpreter(
             build(4, 512.0),
             total_elems=64,
-            spin=SpinConfig(timeout=30.0, pause=0.0),
+            spin=SpinConfig(timeout=30.0),
             fault_plan=FaultPlan(
                 gpu_faults=(GpuFault(2, CRASH, after_chunk=0),)
             ),
@@ -336,7 +336,7 @@ def test_abort_dump_includes_sync_trace_tails():
         two_trees(8),
         total_elems=64,
         chunks_per_tree=4,
-        spin=SpinConfig(timeout=2.0, pause=0.0),
+        spin=SpinConfig(timeout=2.0),
         fault_plan=FaultPlan(
             gpu_faults=(GpuFault(2, CRASH, after_chunk=1),)
         ),
@@ -361,7 +361,7 @@ def test_abort_dump_without_tracer_has_no_sanitizer_section():
         two_trees(8),
         total_elems=64,
         chunks_per_tree=4,
-        spin=SpinConfig(timeout=2.0, pause=0.0),
+        spin=SpinConfig(timeout=2.0),
         fault_plan=FaultPlan(
             gpu_faults=(GpuFault(2, CRASH, after_chunk=1),)
         ),
