@@ -80,7 +80,7 @@ class ElasticRow:
 
 #: Member set whose only feasible embedding is a synthesized fallback
 #: plan — the interpreted-path variant starts here, so its crash fires
-#: *inside* the plan interpreter rather than a hand-written kernel.
+#: inside a synthesized plan rather than a compiled double tree.
 INTERPRETED_MEMBERS = (0, 5, 6, 7)
 
 #: Scripted events for the interpreted-path variant: a crash while the

@@ -129,10 +129,6 @@ class ChaosScheduler:
                 self._decisions, key=lambda d: (d.thread, d.index)
             )
 
-    def decision_count(self) -> int:
-        with self._lock:
-            return len(self._decisions)
-
     def dump_tail(self) -> str:
         """Seed + recent decisions, for AbortCell diagnostic dumps."""
         with self._lock:

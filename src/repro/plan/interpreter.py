@@ -253,8 +253,8 @@ class PlanInterpreter:
 
     @property
     def nnodes(self) -> int:
-        """Rank count — lets recovery code treat the interpreter like the
-        tree runtime (``detect_dead_gpus`` scans this range)."""
+        """Rank count: the range of dense plan ranks
+        :func:`~repro.runtime.elastic.detect_dead_gpus` scans."""
         return self.plan.nnodes
 
     # -- execution -------------------------------------------------------

@@ -17,7 +17,11 @@ Python thread per kernel:
 - :mod:`repro.runtime.allreduce` — the chunked, pipelined double-tree
   AllReduce with optional phase overlap (C1) and detour forwarding,
 - :mod:`repro.runtime.queue_runtime` — gradient queuing + forward-compute
-  chaining over the same semaphores (C2/CC).
+  chaining over the same semaphores (C2/CC), driven by
+  :mod:`repro.runtime.training`,
+- :mod:`repro.runtime.elastic` / :mod:`repro.runtime.recovery` — the
+  membership state machine; each of its spans runs the plan it verified
+  on :class:`~repro.plan.interpreter.PlanInterpreter`.
 
 Everything is *functionally real*: the AllReduce produces numerically
 exact sums, chunks flow in the same order as on the real system, and the

@@ -147,20 +147,6 @@ class TreeAllReduceRuntime:
         self.phase_board: PhaseBoard | None = None
         self.abort_cell: AbortCell | None = None
 
-    def _delay_fn(self, link_tag: str):
-        """Deterministic per-link jitter source (None when chaos is off).
-
-        Seeded via :func:`~repro.runtime.faults.stable_tag_seed` — a
-        CRC32 digest of the tag, never ``hash()``, which is salted per
-        process and would break run-to-run reproducibility.
-        """
-        if self.fault_plan is None:
-            return None
-        injector = self.fault_plan.link_injector(link_tag)
-        if injector is None or injector.delay <= 0:
-            return None
-        return injector.next_delay
-
     # -- wiring ----------------------------------------------------------
 
     def _build_links(

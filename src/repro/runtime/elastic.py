@@ -33,10 +33,9 @@ collective is gated through the plan IR before a chunk moves: lowered
 with :func:`~repro.plan.builders.build_double_tree_plan`, compiled
 against the compacted member topology and checked by
 :func:`~repro.plan.verifier.verify_plan` — "synthesize -> verify ->
-resume".  Member sets with a synthesized plan run it through
-:class:`InterpretedSegment`, which arms faults inside the interpreter
-and exposes the same abort surface, so crash, cascade and recovery are
-uniform across hand-written kernels and compiled plans.
+resume".  The verified plan is the one that runs: every span, quiet or
+armed with a crash, is an :class:`InterpretedSegment` on it, so there
+is one engine, one SGD loop and one abort-message form.
 
 Data shards are redistributed deterministically at every change
 (:func:`shard_assignments`: a non-member's shard is adopted by rank
@@ -53,7 +52,6 @@ import re
 import time
 from copy import copy
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -71,15 +69,14 @@ from repro.models.costmodel import (
 )
 from repro.plan.builders import build_double_tree_plan
 from repro.plan.interpreter import PlanInterpreter, plan_reduce_order
+from repro.plan.ir import Plan
 from repro.plan.passes import compile_plan
 from repro.plan.verifier import verify_plan
-from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.checkpoint import Checkpointer, CheckpointState
 from repro.runtime.faults import CRASH, FaultPlan, GpuFault, payload_checksum
 from repro.runtime.memory import ChunkLayout
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
-    FunctionalTrainer,
     GradientFn,
     private_gradient,
     serial_reference,
@@ -105,9 +102,6 @@ COST_BASED = "cost"
 
 _POLICY_MODES = (COST_BASED, REEMBED, RESTART)
 
-#: Kernel names carry the GPU id; fallback when the phase board is clean.
-_KERNEL_GPU_RE = re.compile(r"kernel '[a-z-]+ t\d+ g(\d+)'")
-
 #: Interpreter kernels are named ``plan g<rank> tb (0, 'up')``; the id
 #: they carry is the *dense plan rank*, not a physical GPU.  The name
 #: itself contains quotes, so ``{name!r}`` renders it double-quoted.
@@ -117,29 +111,25 @@ _PLAN_KERNEL_GPU_RE = re.compile(r"kernel [\"']plan g(\d+) tb")
 #: the *poster* (first id) is the rank that went silent.
 _PLAN_SEMAPHORE_RE = re.compile(r"semaphore 'plan [a-z-]+ t\d+ (\d+)->(\d+)")
 
-#: A wait timeout names the starved semaphore ``'t0:5->6.up'``; the
-#: *poster* (first id) is the GPU that went silent.
-_SEMAPHORE_RE = re.compile(r"semaphore 't\d+:(\d+)->(\d+)\.")
-
 
 def detect_dead_gpus(runtime) -> tuple[int, ...]:
-    """GPUs that died in ``runtime``'s most recent aborted run.
+    """Ranks that died in ``runtime``'s most recent aborted run.
 
     ``runtime`` is anything exposing ``nnodes`` / ``phase_board`` /
-    ``abort_cell`` — a hand-written :class:`TreeAllReduceRuntime` or an
-    :class:`InterpretedSegment` (where the returned ids are dense plan
-    ranks, which the caller maps back to physical GPUs via the
-    embedding's ``gpu_of``).
+    ``abort_cell`` — a :class:`~repro.plan.interpreter.PlanInterpreter`
+    or the :class:`InterpretedSegment` wrapping one.  The returned ids
+    are dense plan ranks, which the caller maps back to physical GPUs
+    via the embedding's ``gpu_of``.
 
     Primary source is the phase board: crash/stuck faults stamp their
     last phase before firing, and those terminal stamps are sticky, so
-    a faulty GPU's still-running sibling kernels on other trees cannot
-    erase them.  If the board shows nothing the abort reason is parsed
-    instead: a failing kernel's name carries the GPU id
-    (``'reduce-bcast t0 g3'`` for the tree kernels, ``'plan g3 tb ...'``
-    for the interpreter), and a wait timeout names the starved
-    semaphore, whose *poster* is the GPU that went silent (best-effort:
-    a transitively starved wait can name a healthy intermediate).
+    a faulty rank's still-running sibling kernels on other trees cannot
+    erase them.  If the board shows nothing (or is withheld) the abort
+    reason is parsed instead: a failing kernel's name carries the rank
+    (``'plan g3 tb ...'``), and a wait timeout names the starved wire
+    semaphore (``'plan reduce t0 3->1'``), whose *poster* is the rank
+    that went silent (best-effort: a transitively starved wait can name
+    a healthy intermediate).
     """
     dead: set[int] = set()
     board = runtime.phase_board
@@ -150,17 +140,11 @@ def detect_dead_gpus(runtime) -> tuple[int, ...]:
                 dead.add(gpu)
     if not dead and runtime.abort_cell is not None:
         reason = runtime.abort_cell.reason
-        match = _KERNEL_GPU_RE.search(reason) or _PLAN_KERNEL_GPU_RE.search(
-            reason
+        match = _PLAN_KERNEL_GPU_RE.search(reason) or (
+            _PLAN_SEMAPHORE_RE.search(reason)
         )
         if match:
             dead.add(int(match.group(1)))
-        else:
-            match = _SEMAPHORE_RE.search(reason) or (
-                _PLAN_SEMAPHORE_RE.search(reason)
-            )
-            if match:
-                dead.add(int(match.group(1)))
     return tuple(sorted(dead))
 
 
@@ -366,27 +350,28 @@ def adopted_gradient_fn(
 
 
 class InterpretedSegment:
-    """A training segment on a *synthesized* embedding's plan.
+    """A training span on one verified plan: the membership machine's engine.
 
-    Survivor sets with no feasible double tree carry a verified
-    synthesized plan (``embedding.synthesized``) instead of trees the
-    hand-written kernels could execute; this drives the same SGD math
-    as :class:`~repro.runtime.training.FunctionalTrainer` — per-rank
-    gradients, summed collective, ``w -= lr * sum`` — through
-    :class:`repro.plan.interpreter.PlanInterpreter`.
+    Every member set's collective is a plan — the compiled double tree
+    :meth:`ElasticTrainer.plan_check_for` verified, or a synthesized
+    embedding's own plan where no double tree is feasible.  This drives
+    the SGD math — per-rank gradients, summed collective,
+    ``w -= lr * sum`` — through
+    :class:`repro.plan.interpreter.PlanInterpreter` on exactly that plan.
 
     The segment builds one interpreter, so wire pairing, thread-block
     programs and the aliasing proof run once per segment, not per
     iteration.  It also exposes the runtime surface the recovery state
     machine drives — ``nnodes``, ``fault_plan``, and the interpreter's
-    ``abort_cell`` / ``phase_board`` of its last run — so
-    :func:`drain_aborted_run` and :func:`detect_dead_gpus` work on an
-    aborted interpreted segment exactly as they do on the hand-written
-    runtimes.  Detected ids are dense plan ranks; callers map them back
-    to physical GPUs through ``embedding.gpu_of``.
+    ``abort_cell`` / ``phase_board`` of its last run — for
+    :func:`drain_aborted_run` and :func:`detect_dead_gpus`.  Detected
+    ids are dense plan ranks; callers map them back to physical GPUs
+    through the embedding's ``gpu_of``.
 
     Args:
-        embedding: synthesized survivor embedding (carries the plan).
+        plan: the verified plan to run (only its ``nnodes`` is read
+            here; the interpreter runs it unverified, as it was gated
+            once already).
         network: layer table (sets the gradient length).
         learning_rate: SGD step size on the summed gradient.
         spin: spin/timeout configuration for the interpreter.
@@ -396,34 +381,35 @@ class InterpretedSegment:
 
     def __init__(
         self,
-        embedding: DegradedEmbedding,
+        plan: Plan,
         network: NetworkModel,
         *,
         learning_rate: float,
         spin: SpinConfig | None = None,
         fault_plan: FaultPlan | None = None,
     ):
-        if not embedding.synthesized or embedding.plan is None:
+        if plan is None:
             raise ConfigError(
-                "InterpretedSegment needs a synthesized embedding"
+                "InterpretedSegment needs a plan; a tree embedding's is "
+                "the one ElasticTrainer.plan_check_for verified"
             )
-        self.embedding = embedding
+        self.plan = plan
         self.network = network
         self.learning_rate = learning_rate
         self.fault_plan = fault_plan
         #: Runs every iteration; carries the abort cell and phase board
         #: of the last (possibly aborted) run.
         self.interpreter = PlanInterpreter(
-            embedding.plan,
+            plan,
             total_elems=network.total_params,
             spin=spin,
             fault_plan=fault_plan,
-            verify=False,  # gated once at synthesis time
+            verify=False,  # gated once by plan_check_for
         )
 
     @property
     def nnodes(self) -> int:
-        return self.embedding.plan.nnodes
+        return self.plan.nnodes
 
     @property
     def abort_cell(self):
@@ -450,12 +436,12 @@ class InterpretedSegment:
                 the interpreter's abort cell and phase board stay
                 readable for drain/detect.
         """
-        nranks = self.embedding.topology.nnodes
+        nranks = self.nnodes
         w = np.asarray(weights, dtype=np.float64).copy()
         checksums: list[int] = []
         for iteration in range(start, start + iterations):
-            # As in FunctionalTrainer.train: a gradient nothing else
-            # holds becomes the rank's buffer, any other is copied.
+            # A gradient nothing else holds becomes the rank's buffer,
+            # any other is copied.
             grads = [
                 private_gradient(gradient_fn(w, rank, iteration))
                 for rank in range(nranks)
@@ -465,7 +451,7 @@ class InterpretedSegment:
             for out in report.outputs[1:]:
                 if not np.array_equal(report.outputs[0], out):
                     raise ConfigError(
-                        "GPUs diverged — the synthesized collective is "
+                        "GPUs diverged — the interpreted collective is "
                         "broken"
                     )
             w = w - self.learning_rate * report.outputs[0]
@@ -480,11 +466,13 @@ def segment_reduce_order(
 ):
     """The bit-exact serial reduction order for one recovery segment.
 
-    Hand-written-kernel segments reduce in the embedding's tree order;
-    synthesized segments reduce in the plan's combined-graph execution
-    order (:func:`repro.plan.interpreter.plan_reduce_order`).  This is
-    what lets one serial reference cross plan-path boundaries: each
-    segment replays whichever reduction order actually executed it.
+    Tree embeddings replay the embedding's tree order
+    (:func:`~repro.runtime.training.tree_reduce_order`), an oracle
+    independent of the compiled plan the segment interprets, so a
+    bit-exact match proves that plan sums in tree order.  Synthesized
+    segments replay the plan's combined-graph execution order
+    (:func:`repro.plan.interpreter.plan_reduce_order`).  This is what
+    lets one serial reference cross plan-path boundaries.
     """
     if embedding.synthesized:
         return plan_reduce_order(embedding.plan, total_elems=total_elems)
@@ -760,15 +748,6 @@ class ElasticReport:
         return tuple(sorted(shards - set(embedding.survivors)))
 
     @property
-    def initial_embedding(self) -> DegradedEmbedding | None:
-        """The starting embedding, None when the run started healthy."""
-        return self.initial_segment[1] if self.initial_dead else None
-
-    @property
-    def initial_assignments(self) -> dict[int, tuple[int, ...]] | None:
-        return self.initial_segment[2] if self.initial_dead else None
-
-    @property
     def all_dead_gpus(self) -> tuple[int, ...]:
         """Every physical GPU lost or already dead across the run."""
         lost = {g for r in self.records for g in r.dead_detected}
@@ -778,19 +757,26 @@ class ElasticReport:
 class ElasticTrainer:
     """Data-parallel SGD under a stream of membership changes.
 
+    Each member set's collective is the plan :meth:`plan_check_for`
+    verified, and every span runs that plan on
+    :class:`~repro.plan.interpreter.PlanInterpreter` through an
+    :class:`InterpretedSegment`.
+
     Args:
         topo: the full physical topology (GPU ids ``0..P-1``); the
             member set at any time is a subset of its GPUs.
-        network: layer table for the gradient queue.
+        network: layer table (sets the gradient length).
         gradient_fn: per-physical-shard local gradient; shard adoption
             composes on top for non-member shards.
         trees: optional double-tree pair for the *full* member set (the
             searched pair is used when omitted).
-        detour_map: detour routes matching ``trees``.
+        detour_map: detour routes matching ``trees``, recorded on the
+            full member set's embedding; the compiled plan routes its
+            detours through ``detour_preference``.
         chunks_per_tree: pipeline chunk count K per tree.
         learning_rate: SGD step on the summed gradient.
         policy: crash-time recovery policy (default: cost-based).
-        spin: spin config for every runtime this trainer builds.
+        spin: spin config for every interpreter this trainer builds.
         detour_preference: preferred detour intermediates (physical ids).
         search_iterations / search_restarts / search_seed: hill-climb
             budget for each member-set re-embedding.
@@ -853,7 +839,8 @@ class ElasticTrainer:
             if not 0 <= gpu < topo.nnodes:
                 raise ConfigError(f"initial member {gpu} not in {topo.name!r}")
         self._embeddings: dict[frozenset[int], DegradedEmbedding] = {}
-        self._plan_checks: dict[frozenset[int], PlanCheck] = {}
+        #: member set -> (its plan check, the plan that check verified).
+        self._verified: dict[frozenset[int], tuple[PlanCheck, Plan]] = {}
         if trees is not None:
             # Seed the memo with the caller's pair, so the full member
             # set runs exactly the schedule the caller chose.
@@ -875,7 +862,7 @@ class ElasticTrainer:
 
     @property
     def layout(self) -> ChunkLayout:
-        """Chunk layout shared by every member set's runtime (depends on
+        """Chunk layout shared by every member set's plan (depends on
         element count, tree count, and K — never on membership)."""
         return ChunkLayout.split(
             self.network.total_params,
@@ -907,124 +894,78 @@ class ElasticTrainer:
 
         Lowers the member set's double tree to a plan, compiles it
         against the compacted member topology, and statically verifies
-        it.  Training refuses to run a member set whose plan does not
-        verify — "synthesize -> verify -> resume".
+        it (a synthesized embedding's own plan is re-verified instead).
+        The verified plan is memoized next to its check, and it is the
+        plan every span on this member set runs.  Training refuses to
+        run a member set whose plan does not verify — "synthesize ->
+        verify -> resume".
 
         Raises:
             PlanVerificationError: when the verifier rejects the plan.
         """
-        if members in self._plan_checks:
-            return self._plan_checks[members]
-        embedding = self.embedding_for(members)
-        if embedding.synthesized:
-            # No feasible double tree: the embedding already carries a
-            # synthesized plan; re-verify it against the member topology.
+        if members not in self._verified:
+            embedding = self.embedding_for(members)
+            if embedding.synthesized:
+                # No feasible double tree: the embedding already carries
+                # a synthesized plan; re-verify it against the members.
+                plan = embedding.plan
+                notes: tuple[str, ...] = (
+                    "synthesized fallback: no feasible double tree over "
+                    f"the members; {embedding.plan_strategy} plan",
+                )
+            else:
+                preference = tuple(
+                    embedding.rank_of[g]
+                    for g in self.detour_preference
+                    if g in embedding.rank_of
+                )
+                plan, reports = compile_plan(
+                    build_double_tree_plan(
+                        embedding.topology.nnodes,
+                        float(self.network.total_params * 8),
+                        nchunks=self.chunks_per_tree,
+                        trees=embedding.trees,
+                        overlapped=True,
+                    ),
+                    embedding.topology,
+                    router=Router(
+                        embedding.topology, detour_preference=preference
+                    ),
+                )
+                notes = tuple(reports.notes)
             report = verify_plan(
-                embedding.plan,
-                topo=embedding.topology,
-                raise_on_error=False,
+                plan, topo=embedding.topology, raise_on_error=False
             )
             if not report.ok:
                 raise PlanVerificationError(report.errors)
             check = PlanCheck(
                 members=tuple(sorted(members)),
-                nops=len(embedding.plan.ops),
+                nops=len(plan.ops),
                 verified=True,
-                notes=(
-                    "synthesized fallback: no feasible double tree over "
-                    f"the members; {embedding.plan_strategy} plan",
-                ),
+                notes=notes,
             )
-            self._plan_checks[members] = check
-            return check
-        plan = build_double_tree_plan(
-            embedding.topology.nnodes,
-            float(self.network.total_params * 8),
-            nchunks=self.chunks_per_tree,
-            trees=embedding.trees,
-            overlapped=True,
-        )
-        preference = tuple(
-            embedding.rank_of[g]
-            for g in self.detour_preference
-            if g in embedding.rank_of
-        )
-        compiled, reports = compile_plan(
-            plan,
-            embedding.topology,
-            router=Router(embedding.topology, detour_preference=preference),
-        )
-        report = verify_plan(
-            compiled, topo=embedding.topology, raise_on_error=False
-        )
-        if not report.ok:
-            raise PlanVerificationError(report.errors)
-        check = PlanCheck(
-            members=tuple(sorted(members)),
-            nops=len(compiled.ops),
-            verified=True,
-            notes=tuple(reports.notes),
-        )
-        self._plan_checks[members] = check
-        return check
+            self._verified[members] = (check, plan)
+        return self._verified[members][0]
 
     # -- execution ---------------------------------------------------------
 
-    def _runtime(
+    def _segment(
         self,
-        embedding: DegradedEmbedding,
+        members: frozenset[int],
         fault_plan: FaultPlan | None = None,
-    ) -> TreeAllReduceRuntime | InterpretedSegment:
-        """The engine for one span: the tree kernels, or the interpreter
-        for a synthesized embedding.  Either exposes the abort surface
-        :func:`drain_aborted_run` and :func:`detect_dead_gpus` read."""
-        if embedding.synthesized:
-            return InterpretedSegment(
-                embedding,
-                self.network,
-                learning_rate=self.learning_rate,
-                spin=self.spin,
-                fault_plan=fault_plan,
-            )
-        return TreeAllReduceRuntime(
-            embedding.trees,
-            total_elems=self.network.total_params,
-            chunks_per_tree=self.chunks_per_tree,
-            detour_map=embedding.detour_map,
+    ) -> InterpretedSegment:
+        """The engine for one span on ``members``: the interpreter on the
+        plan :meth:`plan_check_for` verified for them.  It exposes the
+        abort surface :func:`drain_aborted_run` and
+        :func:`detect_dead_gpus` read."""
+        self.plan_check_for(members)
+        return InterpretedSegment(
+            self._verified[members][1],
+            self.network,
+            learning_rate=self.learning_rate,
             spin=self.spin,
             fault_plan=fault_plan,
         )
-
-    def _train_on(
-        self,
-        runtime: TreeAllReduceRuntime | InterpretedSegment,
-        assignments: dict[int, tuple[int, ...]],
-    ) -> Callable[[np.ndarray, int, int], tuple[np.ndarray, list[int]]]:
-        """Training on ``runtime``, each rank computing its adopted
-        shards: ``steps(weights, start, count)`` runs ``count`` SGD
-        steps from global iteration ``start`` and returns the final
-        weights and one checksum per step.  Every call reuses one
-        trainer, so a span split by checkpoint boundaries still builds
-        its engine once."""
-        adopted = adopted_gradient_fn(self.gradient_fn, assignments)
-        if isinstance(runtime, InterpretedSegment):
-
-            def steps(weights: np.ndarray, start: int, count: int):
-                return runtime.run(adopted, weights, count, start=start)
-
-            return steps
-        trainer = FunctionalTrainer(
-            runtime,
-            self.network,
-            adopted,
-            learning_rate=self.learning_rate,
-        )
-
-        def steps(weights: np.ndarray, start: int, count: int):
-            result = trainer.train(weights, iterations=count, start=start)
-            return result.weights, result.weight_checksums
-
-        return steps
 
     # -- checkpointing ----------------------------------------------------
 
@@ -1062,7 +1003,6 @@ class ElasticTrainer:
         checksums: list[int],
         start: int,
         count: int,
-        embedding: DegradedEmbedding,
         assignments: dict[int, tuple[int, ...]],
         members: frozenset[int],
         timeline: list[str],
@@ -1070,7 +1010,8 @@ class ElasticTrainer:
         """Run ``count`` iterations from global iteration ``start``,
         committing a checkpoint generation at every ``checkpoint_every``
         boundary it crosses.  The span builds one engine."""
-        steps = self._train_on(self._runtime(embedding), assignments)
+        segment = self._segment(members)
+        adopted = adopted_gradient_fn(self.gradient_fn, assignments)
         done = 0
         while done < count:
             step = count - done
@@ -1083,7 +1024,9 @@ class ElasticTrainer:
                 if boundary - here <= step:
                     step = boundary - here
                     at_ckpt = True
-            weights, span = steps(weights, start + done, step)
+            weights, span = segment.run(
+                adopted, weights, step, start=start + done
+            )
             checksums.extend(span)
             done += step
             if at_ckpt:
@@ -1154,7 +1097,7 @@ class ElasticTrainer:
                 weights = self._run_span(
                     weights, checksums, completed,
                     event.at_iteration - completed,
-                    embedding, assignments, members, timeline,
+                    assignments, members, timeline,
                 )
                 completed = event.at_iteration
 
@@ -1180,12 +1123,13 @@ class ElasticTrainer:
                         ),
                     ),
                 )
-                # Armed and detected in dense ranks (plan ranks on the
-                # interpreter); gpu_of maps detections back to GPUs.
-                runtime = self._runtime(embedding, armed)
+                # Armed and detected in dense plan ranks; gpu_of maps
+                # detections back to GPUs.
+                segment = self._segment(members, armed)
                 try:
-                    trained, span = self._train_on(runtime, assignments)(
-                        weights, completed, 1
+                    trained, span = segment.run(
+                        adopted_gradient_fn(self.gradient_fn, assignments),
+                        weights, 1, start=completed,
                     )
                 except AbortedError as abort:
                     abort_reason = abort.reason
@@ -1193,13 +1137,13 @@ class ElasticTrainer:
                         f"{'cascade abort' if cascade else 'abort'}: "
                         f"{abort_reason}"
                     )
-                    fault_stats = drain_aborted_run(runtime)
+                    fault_stats = drain_aborted_run(segment)
                     timeline.append(
                         "drain: in-flight chunks discarded with the "
                         "aborted run"
                         + (f"; fault stats {fault_stats}" if fault_stats else "")
                     )
-                    dead_ranks = detect_dead_gpus(runtime)
+                    dead_ranks = detect_dead_gpus(segment)
                     if not dead_ranks:
                         timeline.append(
                             "detect: no dead GPU identified; rethrowing"
@@ -1358,7 +1302,7 @@ class ElasticTrainer:
         if completed < iterations:
             weights = self._run_span(
                 weights, checksums, completed, iterations - completed,
-                embedding, assignments, members, timeline,
+                assignments, members, timeline,
             )
         timeline.append(
             f"done: {iterations} iterations on final members "
@@ -1394,8 +1338,8 @@ def elastic_serial_reference(
     """The fault-free serial SGD an elastic run must reproduce bit-exactly.
 
     Replays each ownership segment with its member set's reduction
-    order — the hand-written tree order for tree embeddings, the
-    interpreted plan's replay order for synthesized fallbacks
+    order — the tree order for tree embeddings, the synthesized plan's
+    replay order for synthesized fallbacks
     (:func:`segment_reduce_order`) — plus shard adoption, across any
     sequence of crashes, leaves and joins.  Floating-point addition is
     not associative, so matching the replayed orders (rather than

@@ -10,7 +10,9 @@ each plan's single crash as a ``MembershipEvent("crash", ...)`` of one
 elastic run, so abort -> drain -> detect -> decide -> re-embed ->
 verify -> resume runs on one state machine, and the report is the
 elastic run's :class:`~repro.runtime.elastic.ElasticReport`, read
-through its crash views (``RecoveryReport`` is the same class).
+through its crash views (``RecoveryReport`` is the same class).  Every
+span, the healthy one included, runs the plan the machine verified for
+its member set on :class:`~repro.plan.interpreter.PlanInterpreter`.
 
 The recovery building blocks — detection, drain, the policy, shard
 adoption, :class:`InterpretedSegment` — live with the machine in
@@ -88,7 +90,7 @@ class ResilientTrainer(ElasticTrainer):
 
     Args:
         topo: the intact physical topology (GPU ids ``0..P-1``).
-        network: layer table for the gradient queue.
+        network: layer table (sets the gradient length).
         gradient_fn: per-physical-GPU local gradient function; shard
             adoption composes on top of it after a crash.
         trees: healthy double-tree pair (searched on ``topo`` when
@@ -98,14 +100,14 @@ class ResilientTrainer(ElasticTrainer):
         chunks_per_tree: pipeline chunk count K per tree.
         learning_rate: SGD step size on the summed gradient.
         policy: degraded-vs-restart policy (default: cost-based).
-        spin: spin config for every runtime this trainer builds.
+        spin: spin config for every interpreter this trainer builds.
         detour_preference: preferred detour intermediates (physical ids).
         search_iterations / search_restarts / search_seed: degraded
             hill-climb budget.
         initial_dead: physical GPUs already dead when training starts —
             every iteration then runs on the matching degraded embedding
-            (the interpreted plan path when the survivor set has no
-            feasible double tree).
+            (a synthesized plan when the survivor set has no feasible
+            double tree).
     """
 
     def __init__(

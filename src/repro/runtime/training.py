@@ -160,12 +160,9 @@ class FunctionalTrainer:
         )
 
     def train(
-        self, initial_weights: np.ndarray, *, iterations: int, start: int = 0
+        self, initial_weights: np.ndarray, *, iterations: int
     ) -> FunctionalTrainingResult:
         """Run ``iterations`` chained training steps.
-
-        ``gradient_fn`` sees iterations ``start``, ``start + 1``, ...:
-        a run resumed at global iteration ``start`` reuses this trainer.
 
         Raises:
             ConfigError: on shape mismatch or non-positive iterations.
@@ -179,7 +176,7 @@ class FunctionalTrainer:
         checksums: list[int] = []
         dequeue_orders: list[dict[int, list[int]]] = []
 
-        for iteration in range(start, start + iterations):
+        for iteration in range(iterations):
             # Gradients the function handed over outright become the
             # GPUs' gradient buffers; any it keeps are copied first.
             grads = [

@@ -12,8 +12,11 @@ before any iteration runs on it.
 import numpy as np
 import pytest
 
+import repro.runtime.elastic as elastic_mod
 from repro.dnn.layers import LayerSpec, NetworkModel
 from repro.errors import ConfigError
+from repro.plan.interpreter import PlanInterpreter, plan_reduce_order
+from repro.plan.verifier import verify_plan
 from repro.runtime import (
     Checkpointer,
     ElasticTrainer,
@@ -29,6 +32,7 @@ from repro.runtime import (
 from repro.runtime.faults import payload_checksum
 from repro.runtime.recovery import REEMBED, RESTART
 from repro.runtime.sync import SpinConfig
+from repro.runtime.training import tree_reduce_order
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
@@ -195,6 +199,94 @@ class TestQuietRun:
         assert report.members == tuple(range(8))
         assert len(report.segments) == 1
         assert_bit_exact(trainer, report, gradient_fn, w0, 2)
+
+
+def record_verified_plans(monkeypatch) -> list:
+    """Every plan ``plan_check_for`` hands the verifier, in call order."""
+    verified = []
+
+    def recording(plan, *args, **kwargs):
+        verified.append(plan)
+        return verify_plan(plan, *args, **kwargs)
+
+    monkeypatch.setattr(elastic_mod, "verify_plan", recording)
+    return verified
+
+
+#: The healthy DGX-1 member set and each of its eight 7-GPU survivor sets.
+MEMBER_SETS = [frozenset(range(8))] + [
+    frozenset(g for g in range(8) if g != dead) for dead in range(8)
+]
+
+
+@pytest.fixture(scope="module")
+def verified_member_sets():
+    """One trainer's embedding and verified plan for every member set in
+    :data:`MEMBER_SETS` (the search memo makes the nine gates cheap)."""
+    trainer = make_trainer(make_gradient_fn())
+    plans = {}
+    with pytest.MonkeyPatch.context() as patch:
+        verified = record_verified_plans(patch)
+        for members in MEMBER_SETS:
+            trainer.plan_check_for(members)
+            plans[members] = verified[-1]
+    return trainer, plans
+
+
+class TestVerifiedPlanRuns:
+    """Every span interprets the plan its member set's gate verified, and
+    that plan sums in the tree order the serial reference replays."""
+
+    @pytest.mark.parametrize(
+        "members", MEMBER_SETS, ids=["healthy"] + [
+            f"without{dead}" for dead in range(8)
+        ],
+    )
+    def test_verified_plan_sums_in_tree_order(
+        self, verified_member_sets, members
+    ):
+        trainer, plans = verified_member_sets
+        embedding = trainer.embedding_for(members)
+        assert not embedding.synthesized
+        rng = np.random.default_rng(len(members) * 10 + min(members))
+        grads = [rng.normal(size=ELEMS) for _ in range(len(members))]
+        by_plan = plan_reduce_order(plans[members], total_elems=ELEMS)(
+            [g.copy() for g in grads]
+        )
+        by_tree = tree_reduce_order(embedding.trees, trainer.layout)(
+            [g.copy() for g in grads]
+        )
+        assert by_plan.tobytes() == by_tree.tobytes()
+
+    def test_every_span_interprets_the_verified_plan(self, monkeypatch):
+        verified = record_verified_plans(monkeypatch)
+        interpreted = []
+
+        class Recording(PlanInterpreter):
+            def __init__(self, plan, **kwargs):
+                interpreted.append(plan)
+                super().__init__(plan, **kwargs)
+
+        monkeypatch.setattr(elastic_mod, "PlanInterpreter", Recording)
+        gradient_fn = make_gradient_fn()
+        trainer = make_trainer(gradient_fn)
+        w0 = np.random.default_rng(9).normal(size=ELEMS)
+        report = trainer.train(
+            w0.copy(), iterations=3,
+            events=(
+                MembershipEvent("crash", 3, 1),
+                MembershipEvent("join", 3, 2),
+            ),
+        )
+        assert report.dead_gpus == (3,)
+        # Gates: all eight GPUs, then the seven survivors (the rejoin
+        # reuses the memoized healthy check).  Spans: quiet and armed on
+        # eight, the redo on seven, the tail on eight again.
+        full, seven = verified
+        assert [id(p) for p in interpreted] == [
+            id(full), id(full), id(seven), id(full)
+        ]
+        assert_bit_exact(trainer, report, gradient_fn, w0, 3)
 
 
 class TestLeaveJoin:

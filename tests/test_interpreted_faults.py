@@ -175,11 +175,16 @@ class TestInterpretedSegmentFaults:
     """FaultPlan armed inside the interpreter: abort + diagnostics."""
 
     def test_requires_synthesized_embedding(self):
-        with pytest.raises(ConfigError):
+        # A tree embedding carries no plan of its own: the segment runs
+        # the compiled plan ElasticTrainer.plan_check_for verified, and
+        # refuses to guess one.
+        tree = search_degraded_pair(
+            dgx1_topology(), (3,), detour_preference=DETOUR_NODES,
+        )
+        assert not tree.synthesized and tree.plan is None
+        with pytest.raises(ConfigError, match="plan_check_for"):
             InterpretedSegment(
-                object.__new__(type("E", (), {"synthesized": False,
-                                              "plan": None})),
-                make_network(), learning_rate=0.02,
+                tree.plan, make_network(), learning_rate=0.02,
             )
 
     def test_crash_aborts_with_fault_stats_and_origin_dump(self):
@@ -188,7 +193,7 @@ class TestInterpretedSegmentFaults:
             gpu_faults=(GpuFault(gpu=1, kind=CRASH, after_chunk=0),),
         )
         seg = InterpretedSegment(
-            emb, make_network(), learning_rate=0.02, spin=FAST,
+            emb.plan, make_network(), learning_rate=0.02, spin=FAST,
             fault_plan=armed,
         )
         fn = make_gradient_fn()
@@ -208,7 +213,7 @@ class TestInterpretedSegmentFaults:
     def test_no_fault_plan_runs_clean(self):
         emb = synthesized_embedding()
         seg = InterpretedSegment(
-            emb, make_network(), learning_rate=0.02, spin=FAST,
+            emb.plan, make_network(), learning_rate=0.02, spin=FAST,
         )
         fn = make_gradient_fn()
         _, checksums = seg.run(
@@ -237,7 +242,7 @@ class TestInterpretedSegmentFaults:
     ):
         calls = self.count_proofs(monkeypatch)
         seg = InterpretedSegment(
-            synthesized_embedding(), make_network(), learning_rate=0.02,
+            synthesized_embedding().plan, make_network(), learning_rate=0.02,
             spin=FAST,
         )
         interpreter = seg.interpreter

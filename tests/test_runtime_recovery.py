@@ -14,7 +14,7 @@ import pytest
 from repro.errors import AbortedError, ConfigError
 from repro.dnn.layers import LayerSpec, NetworkModel
 from repro.models.costmodel import CostParams
-from repro.runtime.allreduce import TreeAllReduceRuntime
+from repro.plan import PlanInterpreter, build_plan, compile_plan
 from repro.runtime.elastic import ElasticTrainer, MembershipEvent
 from repro.runtime.faults import CRASH, STUCK, FaultPlan, GpuFault
 from repro.runtime.recovery import (
@@ -37,6 +37,7 @@ from repro.runtime.training import (
 )
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
+from repro.topology.routing import Router
 from repro.topology.tree_search import search_degraded_pair
 
 FAST = SpinConfig(timeout=10.0)
@@ -68,15 +69,25 @@ def crash_plan(gpu: int, *, kind=CRASH, after_chunk: int = 1) -> FaultPlan:
     return FaultPlan(gpu_faults=(GpuFault(gpu, kind, after_chunk=after_chunk),))
 
 
-def aborted_runtime(rng, plan) -> TreeAllReduceRuntime:
-    runtime = TreeAllReduceRuntime(
-        dgx1_trees(),
-        total_elems=ELEMS,
-        chunks_per_tree=4,
-        detour_map=DETOURED_EDGES,
-        spin=SpinConfig(timeout=2.0),
-        fault_plan=plan,
+def dgx1_interpreter(fault_plan=None, *, spin=FAST) -> PlanInterpreter:
+    """The interpreter on the compiled DGX-1 C-Cube plan, the engine an
+    :class:`ElasticTrainer` span on all eight GPUs runs."""
+    topo = dgx1_topology()
+    plan, _ = compile_plan(
+        build_plan(
+            "double_tree", 8, ELEMS * 8, nchunks=4, overlapped=True,
+            trees=dgx1_trees(),
+        ),
+        topo,
+        router=Router(topo, detour_preference=DETOUR_NODES),
     )
+    return PlanInterpreter(
+        plan, total_elems=ELEMS, spin=spin, fault_plan=fault_plan
+    )
+
+
+def aborted_runtime(rng, plan) -> PlanInterpreter:
+    runtime = dgx1_interpreter(plan, spin=SpinConfig(timeout=2.0))
     with pytest.raises(AbortedError):
         runtime.run([rng.normal(size=ELEMS) for _ in range(8)])
     return runtime
@@ -90,6 +101,21 @@ class TestDetectAndDrain:
     def test_stuck_gpu_detected(self, rng):
         runtime = aborted_runtime(rng, crash_plan(5, kind=STUCK))
         assert detect_dead_gpus(runtime) == (5,)
+
+    @pytest.mark.parametrize("gpu", [0, 3, 6])
+    def test_abort_reason_fallback_names_the_crashed_rank(self, rng, gpu):
+        from types import SimpleNamespace
+
+        # With the phase board withheld, detection reads the abort
+        # reason, which names the failing kernel ``plan g<rank> tb``.
+        runtime = aborted_runtime(rng, crash_plan(gpu))
+        assert f"plan g{gpu} tb" in runtime.abort_cell.reason
+        withheld = SimpleNamespace(
+            nnodes=runtime.nnodes,
+            phase_board=None,
+            abort_cell=runtime.abort_cell,
+        )
+        assert detect_dead_gpus(withheld) == (gpu,)
 
     def test_drain_returns_fault_stats(self, rng):
         runtime = aborted_runtime(rng, crash_plan(3))
@@ -107,7 +133,7 @@ class TestDetectAndDrain:
         assert time.monotonic() - started < 0.5
         kernels = [
             t for t in threading.enumerate()
-            if t.name.startswith(("reduce t", "broadcast t", "relay-"))
+            if t.name.startswith("plan g")
         ]
         assert kernels == []
         assert not any(t.is_alive() for t in runtime.abort_cell.stragglers())
@@ -136,15 +162,8 @@ class TestDetectAndDrain:
         assert not slow.is_alive()
 
     def test_drain_without_abort_rejected(self):
-        runtime = TreeAllReduceRuntime(
-            dgx1_trees(),
-            total_elems=ELEMS,
-            chunks_per_tree=4,
-            detour_map=DETOURED_EDGES,
-            spin=FAST,
-        )
         with pytest.raises(ConfigError, match="never aborted"):
-            drain_aborted_run(runtime)
+            drain_aborted_run(dgx1_interpreter())
 
 
 class TestRecoveryPolicy:

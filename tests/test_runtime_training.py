@@ -310,7 +310,7 @@ class TestGradientOwnership:
             detour_preference=DETOUR_NODES, synth_fallback=True,
         )
         InterpretedSegment(
-            embedding,
+            embedding.plan,
             NetworkModel(name="own", layers=(LayerSpec("L0", 256, 1e6),)),
             learning_rate=0.02, spin=FAST,
         ).run(fn, np.zeros(256), 1)
@@ -344,7 +344,7 @@ class TestGradientOwnership:
         )
         fn, kept, before = _kept_gradients(rng, 256, kind)
         _, checksums = InterpretedSegment(
-            embedding, net, learning_rate=0.02, spin=FAST
+            embedding.plan, net, learning_rate=0.02, spin=FAST
         ).run(fn, np.zeros(256), 2)
         assert len(checksums) == 2
         for array, snapshot in zip(kept, before):
