@@ -5,13 +5,13 @@ Modules:
 - :mod:`repro.analyze.diagnostics` — the unified ``PLAN0xx``/``SYNC00x``
   diagnostic model (JSON + SARIF) shared with the verifier and the sync
   lint.
-- :mod:`repro.analyze.ordering` — the static ordering prover
-  (FIFO-per-wire, reduce-before-broadcast, deadlock freedom on the
-  happens-before graph built from the IR).
 - :mod:`repro.analyze.contention` — per-link contention profile and the
   α-β critical-path lower bound that prunes the autotuner.
 - :mod:`repro.analyze.core` — :func:`analyze_plan`, the one-call
   aggregate the ``repro analyze`` CLI surfaces.
+
+Ordering and deadlock freedom are proved by
+:func:`repro.plan.verifier.verify_plan`; this package reports them.
 """
 
 from repro._lazy import lazy_exports
@@ -25,8 +25,6 @@ __all__ = [
     "to_sarif",
     "AnalysisReport",
     "analyze_plan",
-    "StaticOrderingReport",
-    "prove_plan_ordering",
     "ContentionReport",
     "analyze_contention",
     "static_lower_bound",
@@ -43,8 +41,6 @@ __getattr__, __dir__ = lazy_exports(
         "to_sarif": "diagnostics",
         "AnalysisReport": "core",
         "analyze_plan": "core",
-        "StaticOrderingReport": "ordering",
-        "prove_plan_ordering": "ordering",
         "ContentionReport": "contention",
         "analyze_contention": "contention",
         "static_lower_bound": "contention",

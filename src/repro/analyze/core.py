@@ -1,29 +1,38 @@
 """`analyze_plan`: one call running every static analysis on a plan.
 
-Combines the structural verifier (``PLAN001``-``PLAN006``), the static
-ordering prover (``PLAN010``/``PLAN011``), the write-after-read aliasing
-check (``PLAN012`` notes: SENDs whose wire the interpreter stages), and
-— when the subject
-verifies clean on a physical topology — the contention analyzer and its
-α-β lower bound (``PLAN020``/``PLAN021``), into one
+Combines the verifier (``PLAN001``-``PLAN006`` and ``PLAN011``), the
+write-after-read aliasing check on the verifier's happens-before graph
+(``PLAN012`` notes: SENDs whose wire the interpreter stages), and —
+when the subject verifies clean on a physical topology — the contention
+analyzer and its α-β lower bound (``PLAN020``/``PLAN021``), into one
 :class:`~repro.analyze.diagnostics.DiagnosticReport` the CLI renders as
-text, JSON, or SARIF.
+text, JSON, or SARIF.  The ``ordering`` summary is read off the same
+verifier report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..plan.ir import Plan
-from ..plan.verifier import VerifyReport, prove_send_aliasing, verify_plan
+from ..plan.ir import SEND, Plan
+from ..plan.verifier import (
+    REDUCE_LIKE,
+    VerifyReport,
+    prove_send_aliasing,
+    verify_plan,
+)
 from ..topology.base import PhysicalTopology
 from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
 from ..topology.routing import Router
 from .contention import ContentionReport, analyze_contention
 from .diagnostics import DiagnosticReport
-from .ordering import StaticOrderingReport, prove_plan_ordering
 
 __all__ = ["AnalysisReport", "analyze_plan"]
+
+#: Verifier codes that refute the ordering summary: no happens-before
+#: graph (``PLAN001``/``PLAN002``), a cycle, or a broadcast unordered
+#: after a reduce.
+ORDERING_CODES = frozenset({"PLAN001", "PLAN002", "PLAN003", "PLAN011"})
 
 
 @dataclass
@@ -32,8 +41,9 @@ class AnalysisReport:
 
     Attributes:
         subject: short description of the analyzed plan.
-        verify: structural verifier outcome.
-        ordering: static ordering prover outcome.
+        verify: verifier outcome.
+        ordering: the verifier's ordering verdict (``ok``) with the
+            SENDs, wires, and chunks with a reduce-like SEND it covered.
         contention: contention/lower-bound profile; ``None`` when no
             topology was given or the plan failed verification (a bound
             on a broken plan proves nothing).
@@ -42,7 +52,7 @@ class AnalysisReport:
 
     subject: str
     verify: VerifyReport
-    ordering: StaticOrderingReport
+    ordering: dict
     contention: ContentionReport | None
     report: DiagnosticReport
 
@@ -56,11 +66,11 @@ class AnalysisReport:
 
     def describe(self) -> str:
         lines = [self.report.describe()]
+        o = self.ordering
         lines.append(
-            f"  ordering: {self.ordering.transfers} transfers, "
-            f"{self.ordering.wires} wires, {self.ordering.chunks} "
-            "chunks — "
-            + ("proved" if self.ordering.ok else "REFUTED")
+            f"  ordering: {o['transfers']} transfers, {o['wires']} wires, "
+            f"{o['chunks']} chunks — "
+            + ("proved" if o["ok"] else "REFUTED")
         )
         if self.contention is not None:
             lines.append(
@@ -72,12 +82,7 @@ class AnalysisReport:
 
     def to_json_dict(self) -> dict:
         out = self.report.to_json_dict()
-        out["ordering"] = {
-            "ok": self.ordering.ok,
-            "transfers": self.ordering.transfers,
-            "wires": self.ordering.wires,
-            "chunks": self.ordering.chunks,
-        }
+        out["ordering"] = dict(self.ordering)
         if self.contention is not None:
             out["contention"] = {
                 "lower_bound": self.contention.lower_bound,
@@ -113,18 +118,22 @@ def analyze_plan(
         + ")"
     )
     verify = verify_plan(plan, topo=topo, raise_on_error=False)
-    ordering = prove_plan_ordering(plan)
+    sends = [op for op in plan.ops if op.kind == SEND]
+    ordering = {
+        "ok": not any(d.code in ORDERING_CODES for d in verify.diagnostics),
+        "transfers": len(sends),
+        "wires": len(verify.pairing.wires),
+        "chunks": len({
+            c for op in sends if op.phase in REDUCE_LIKE
+            for c in op.chunks_carried()
+        }),
+    }
     report = DiagnosticReport(tool="repro-analyze", subject=subject)
     report.extend(verify.diagnostics)
-    # The prover re-derives wire pairing; drop its duplicates.
-    seen = set(verify.diagnostics)
-    report.extend([d for d in ordering.diagnostics if d not in seen])
     if verify.ok:
-        report.extend(list(
-            prove_send_aliasing(plan, verify.pairing).diagnostics
-        ))
+        report.extend(list(prove_send_aliasing(plan, verify).diagnostics))
     contention: ContentionReport | None = None
-    if topo is not None and verify.ok and ordering.ok:
+    if topo is not None and verify.ok:
         contention = analyze_contention(
             plan, topo, router=router,
             pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,

@@ -1,8 +1,8 @@
 """Unified diagnostic model shared by every static analysis.
 
 One :class:`Diagnostic` type carries every finding the repo's static
-tools produce — the plan verifier (``PLAN001``-``PLAN006``), the static
-ordering prover (``PLAN010``/``PLAN011``), the write-after-read aliasing
+tools produce — the plan verifier (``PLAN001``-``PLAN006`` and its
+reduce-before-broadcast check ``PLAN011``), the write-after-read aliasing
 check (``PLAN012``), the contention analyzer
 (``PLAN020``/``PLAN021``), and the sync-discipline lint
 (``SYNC001``-``SYNC004``).  Each diagnostic has a stable code, a
@@ -51,8 +51,10 @@ def _rule(code: str, slug: str, severity: str, summary: str) -> RuleSpec:
 
 
 #: Every code any repo tool can emit.  PLAN00x mirror the verifier's
-#: check groups, PLAN01x are the static ordering prover's properties,
-#: PLAN02x the contention analyzer's advisories, SYNC00x the AST lint.
+#: check groups, PLAN011 is its ordering property and PLAN012 the
+#: aliasing proof's note, PLAN02x the contention analyzer's advisories,
+#: SYNC00x the AST lint.  PLAN010 (FIFO per wire) is retired: PLAN002's
+#: one-sender, one-receiver thread block rule already implies it.
 RULES: dict[str, RuleSpec] = {
     spec.code: spec
     for spec in (
@@ -68,8 +70,6 @@ RULES: dict[str, RuleSpec] = {
               "unordered accesses to one (rank, chunk) slot"),
         _rule("PLAN006", "physical", "error",
               "a hop rides a link or lane the topology does not have"),
-        _rule("PLAN010", "fifo-per-wire", "error",
-              "transfers on one wire are not provably FIFO-ordered"),
         _rule("PLAN011", "reduce-before-broadcast", "error",
               "a broadcast of a chunk is not ordered after its reduces"),
         _rule("PLAN012", "send-source-rewritten", "note",

@@ -1151,8 +1151,8 @@ def _verify_plan_file(path: str) -> int:
         print("verdict: ok")
         return 0
     print("verdict: FAIL")
-    for error in report.errors:
-        print(f"  {error}")
+    for diagnostic in report.diagnostics:
+        print(f"  {diagnostic}")
     return 1
 
 

@@ -7,8 +7,9 @@ swapped with its thread-block neighbour — and both judges rule on the
 mutant independently:
 
 - **static**: :func:`repro.plan.verifier.verify_plan` (no execution);
-- **dynamic**: :class:`repro.plan.interpreter.PlanInterpreter` with
-  verification disabled, under a bit-exact oracle.
+- **dynamic**: :class:`repro.plan.interpreter.PlanInterpreter` handed
+  the static verdict's report as is, so it runs a rejected mutant too,
+  under a bit-exact oracle.
 
 The fuzz property is the *biconditional*: a mutant verifies cleanly iff
 it runs cleanly.  A mutant that verifies but misbehaves is a verifier
@@ -35,7 +36,7 @@ from repro.errors import ConfigError, ReproError
 from repro.plan.builders import build_plan
 from repro.plan.interpreter import PlanInterpreter
 from repro.plan.ir import Plan, PlanOp
-from repro.plan.verifier import verify_plan
+from repro.plan.verifier import VerifyReport, verify_plan
 from repro.runtime.sync import SpinConfig
 
 __all__ = [
@@ -227,8 +228,12 @@ def mutant_behaviour(
     total_elems: int,
     spin: SpinConfig | None = None,
     seed: int = 0,
+    report: VerifyReport | None = None,
 ) -> tuple[bool, str]:
-    """Execute a mutant unverified and judge the run.
+    """Execute a mutant whatever its verdict and judge the run.
+
+    ``report`` is the mutant's :func:`verify_plan` report (computed here
+    when omitted); the interpreter trusts it even when it failed.
 
     Returns:
         ``(clean, failure)``: ``clean`` is True when the run raised
@@ -244,20 +249,22 @@ def mutant_behaviour(
     # Small positive integers sum exactly in float64, so the oracle is
     # insensitive to legal reduction-order changes.
     expected = np.sum(inputs, axis=0)
+    if report is None:
+        report = verify_plan(mutant, raise_on_error=False)
     interp = PlanInterpreter(
         mutant,
         total_elems=total_elems,
         spin=spin or MUTANT_SPIN,
-        verify=False,
+        report=report,
     )
     try:
-        report = interp.run(inputs)
+        run = interp.run(inputs)
     except ReproError as exc:
         first_line = str(exc).splitlines()[0]
         return False, f"{type(exc).__name__}: {first_line}"
-    if report.leftover_frames:
-        return False, f"{report.leftover_frames} unconsumed frame(s) in wires"
-    for gpu, out in enumerate(report.outputs):
+    if run.leftover_frames:
+        return False, f"{run.leftover_frames} unconsumed frame(s) in wires"
+    for gpu, out in enumerate(run.outputs):
         if not np.array_equal(out, expected):
             return False, f"gpu {gpu} output diverges from the input sum"
     return True, ""
@@ -378,7 +385,8 @@ def fuzz_mutations(
             f"baseline plan fails verification: {baseline.errors[0]}"
         )
     clean, failure = mutant_behaviour(
-        plan, total_elems=total_elems, spin=spin, seed=seed
+        plan, total_elems=total_elems, spin=spin, seed=seed,
+        report=baseline,
     )
     if not clean:
         raise ConfigError(f"baseline plan fails the dynamic oracle: {failure}")
@@ -395,7 +403,8 @@ def fuzz_mutations(
         mutant = mutate_plan(plan, mutation)
         report = verify_plan(mutant, raise_on_error=False)
         clean, failure = mutant_behaviour(
-            mutant, total_elems=total_elems, spin=spin, seed=seed + i
+            mutant, total_elems=total_elems, spin=spin, seed=seed + i,
+            report=report,
         )
         outcome.outcomes.append(
             MutantOutcome(

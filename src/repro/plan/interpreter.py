@@ -14,13 +14,14 @@ deadlock-freedom proof for this interpreter.
 
 Wires are zero-copy wherever a static proof allows it:
 :func:`~repro.plan.verifier.prove_send_aliasing` checks, once per
-interpreter, that no SEND's source chunk is rewritten before its final
-consumer reads it.  A wire whose SENDs all pass aliases the sending
-rank's gradient buffer (the flow source's, on a detour's relay legs):
-the sender publishes a frame, relays verify and republish in place, and
-the receiver reduces or copies straight from the sender's memory.  Only
-wires carrying a rejected SEND (a ``PLAN012`` note) stage a copy of the
-chunks they carry.
+interpreter and on the happens-before graph the plan's verification
+report already holds, that no SEND's source chunk is rewritten before
+its final consumer reads it.  A wire whose SENDs all pass aliases the
+sending rank's gradient buffer (the flow source's, on a detour's relay
+legs): the sender publishes a frame, relays verify and republish in
+place, and the receiver reduces or copies straight from the sender's
+memory.  Only wires carrying a rejected SEND (a ``PLAN012`` note) stage
+a copy of the chunks they carry.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ from ..runtime.cluster import KernelPool, _transmit, _Wire
 from ..runtime.faults import FaultPlan, PhaseBoard, apply_gpu_fault
 from ..runtime.memory import ChunkLayout, GradientBuffer
 from ..runtime.sync import AbortCell, DeviceEvent, SpinConfig
-from ..sim.dag import Phase
 from .ir import COPY, RECV, REDUCE, SEND, Plan, PlanOp
 from .verifier import (
+    REDUCE_LIKE,
+    VerifyReport,
     execution_order,
     is_relay,
     match_wires,
@@ -51,8 +53,6 @@ __all__ = [
     "default_plan_layout",
     "plan_reduce_order",
 ]
-
-_REDUCING_PHASES = (Phase.REDUCE, Phase.REDUCE_SCATTER)
 
 
 def default_plan_layout(plan: Plan, total_elems: int) -> ChunkLayout:
@@ -192,12 +192,15 @@ class PlanInterpreter:
         fault_plan: optional fault injection (link faults matched against
             ``plan <phase> t<tree> <src>-><dst>`` tags, GPU faults fired
             in reduce-phase thread blocks like the tree runtime).
-        verify: statically verify the plan before executing (on by
-            default — an unverified plan may deadlock).
+        report: ``plan``'s :func:`~repro.plan.verifier.verify_plan`
+            report, trusted as it is (a failing one still runs; the
+            mutation fuzzer does so on purpose).  When omitted, the plan
+            is verified here and a failing one raises — an unverified
+            plan may deadlock.
 
-    Construction pairs the wires, groups the thread-block programs and
-    proves which wires may alias (see the module docstring); every
-    ``run`` reuses them.
+    Construction groups the thread-block programs and proves which
+    wires may alias (see the module docstring); every ``run`` reuses
+    them.
     """
 
     def __init__(
@@ -208,7 +211,7 @@ class PlanInterpreter:
         layout: ChunkLayout | None = None,
         spin: SpinConfig | None = None,
         fault_plan: FaultPlan | None = None,
-        verify: bool = True,
+        report: VerifyReport | None = None,
     ):
         if layout is None:
             if total_elems is None:
@@ -219,7 +222,8 @@ class PlanInterpreter:
                 f"layout has {layout.nchunks} chunks, plan has "
                 f"{plan.nchunks}"
             )
-        pairing = verify_plan(plan).pairing if verify else match_wires(plan)
+        if report is None:
+            report = verify_plan(plan)
         self.plan = plan
         self.layout = layout
         self.spin = spin or SpinConfig()
@@ -227,9 +231,10 @@ class PlanInterpreter:
         self.abort_cell: AbortCell | None = None
         self.phase_board: PhaseBoard | None = None
         self._wire_sends = {
-            key: send_ids for key, (send_ids, _) in pairing.wires.items()
+            key: send_ids
+            for key, (send_ids, _) in report.pairing.wires.items()
         }
-        proof = prove_send_aliasing(plan, pairing)
+        proof = prove_send_aliasing(plan, report)
         #: Wire keys that alias the sender's gradient buffer.
         self._aliased = frozenset(
             key for key, send_ids in self._wire_sends.items()
@@ -382,7 +387,7 @@ class PlanInterpreter:
                             f"{op.name()} origin={op.origin or '-'}"
                         )
                     if (
-                        op.phase in _REDUCING_PHASES
+                        op.phase in REDUCE_LIKE
                         and op.chunks_carried()
                         and op.chunks_carried()[0] != seen_chunk
                     ):

@@ -1,7 +1,9 @@
 """Static verification of collective plans.
 
 The verifier proves, without executing anything, that a plan is a
-correct AllReduce:
+correct AllReduce.  It is the only static check of a plan's
+happens-before graph (explicit deps ∪ per-thread-block program order ∪
+send→recv pairing), which it builds once:
 
 1. **Structure** (``PLAN001``) — dense op ids, backward deps, valid
    kinds/peers/chunks/payloads.
@@ -9,9 +11,10 @@ correct AllReduce:
    tree, phase, flow)`` the k-th SEND pairs with the k-th RECV/REDUCE
    and both carry the same chunks and bytes; each wire has a single
    sending and a single receiving thread block (otherwise FIFO order is
-   racy).
-3. **Deadlock freedom** (``PLAN003``) — the combined graph of explicit
-   deps, per-thread-block program order, and send→recv pairing is
+   racy).  Because a thread block runs its ops in op-id order, this
+   also orders consecutive transfers on every wire: FIFO per wire needs
+   no separate check.
+3. **Deadlock freedom** (``PLAN003``) — the happens-before graph is
    acyclic.  Sends never block (the interpreter sizes each wire to its
    total send count), so acyclicity of this graph is exactly deadlock
    freedom.
@@ -19,18 +22,24 @@ correct AllReduce:
    that graph, every rank must end holding each chunk's full reduction:
    every contributor reduced exactly once (no drops, no double
    counting) and every broadcast an overwrite of a fully-reduced copy
-   delivered exactly once.  Unordered accesses to the same (rank,
-   chunk) slot are reported as races (``PLAN005``).
-5. **Physical legality** (``PLAN006``, with a topology) — every NVLink
+   delivered exactly once.
+5. **Ordering** (``PLAN005``, ``PLAN011``) — from the graph's ancestor
+   bitsets: unordered accesses to the same (rank, chunk) slot are races
+   (``PLAN005``), and every broadcast-like SEND of a chunk must come
+   after every reduce-like transfer of that chunk completes
+   (``PLAN011``).  The DES merges a SEND and its partner into one
+   transfer that gates every successor, so a plan passing these obeys
+   the sim ordering oracle on every dependence-respecting schedule.
+6. **Physical legality** (``PLAN006``, with a topology) — every NVLink
    hop must ride an existing link and an existing lane.
 
-Separately from those checks, :func:`prove_send_aliasing` decides for
-every SEND whether the receiver may read the sender's memory in place
-(a static write-after-read check on the same happens-before graph); a
-SEND whose source chunk is rewritten before its final consumer reads it
-is reported as a note (``PLAN012``) and its wire is staged.  The check
-is advisory, so :func:`verify_plan` — the synthesis and recovery gate —
-does not run it.
+The report keeps the pairing, the topological order and the ancestor
+bitsets.  :func:`prove_send_aliasing` reads them to decide, for every
+SEND, whether the receiver may read the sender's memory in place (a
+static write-after-read check); a SEND whose source chunk is rewritten
+before its final consumer reads it is reported as a note (``PLAN012``)
+and its wire is staged.  The check is advisory, so :func:`verify_plan`
+— the synthesis and recovery gate — does not run it.
 
 Every diagnostic is a typed :class:`~repro.analyze.diagnostics.Diagnostic`
 naming the offending op (``op 17 [send c3 2->4 t0]``) *and* its
@@ -45,10 +54,13 @@ from dataclasses import dataclass, field
 
 from ..analyze.diagnostics import Diagnostic, severity_of
 from ..errors import PlanVerificationError
+from ..sim.dag import Phase
 from ..topology.base import PhysicalTopology
 from .ir import COPY, RECV, REDUCE, SEND, OpKind, Plan, PlanOp
 
 __all__ = [
+    "BROADCAST_LIKE",
+    "REDUCE_LIKE",
     "AliasProof",
     "WirePairing",
     "VerifyReport",
@@ -58,6 +70,11 @@ __all__ = [
     "execution_order",
     "is_relay",
 ]
+
+#: Phases that produce partial sums / fully reduced chunks, and phases
+#: that may only move chunks already fully reduced.
+REDUCE_LIKE = (Phase.REDUCE, Phase.REDUCE_SCATTER)
+BROADCAST_LIKE = (Phase.BROADCAST, Phase.ALL_GATHER)
 
 
 def is_relay(op: PlanOp) -> bool:
@@ -127,10 +144,7 @@ def match_wires(plan: Plan) -> WirePairing:
     for op in plan.ops:
         if not op.is_transfer:
             continue
-        try:
-            wire = op.wire_key()
-        except Exception:  # pragma: no cover - is_transfer guards this
-            continue
+        wire = op.wire_key()
         if op.kind == SEND:
             sends.setdefault(wire, []).append(op.op_id)
             send_tbs.setdefault(wire, set()).add((op.rank, op.tb))
@@ -199,6 +213,9 @@ class VerifyReport:
         order: a combined-graph topological order of op ids (execution
             order certificate), empty when a cycle was found.
         diagnostics: typed findings with code/severity/op provenance.
+        reach: per op, the bitset of its happens-before ancestors
+            (inclusive; see :func:`_ancestors`), empty whenever
+            ``order`` is.
     """
 
     ok: bool
@@ -206,6 +223,7 @@ class VerifyReport:
     pairing: WirePairing
     order: list[int] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    reach: list[int] = field(default_factory=list)
 
 
 def _structural_diags(plan: Plan) -> list[Diagnostic]:
@@ -515,6 +533,36 @@ def _race_diags(plan: Plan, reach: list[int]) -> list[Diagnostic]:
     return diags
 
 
+def _broadcast_diags(
+    plan: Plan, pairing: WirePairing, reach: list[int]
+) -> list[Diagnostic]:
+    """Broadcast-like SENDs of a chunk not ordered after every
+    reduce-like transfer of it completes (either endpoint of the reduce
+    is enough: the DES merges both into one transfer)."""
+    sends = [op for op in plan.ops if op.kind == SEND]
+    reduces: dict[int, list[PlanOp]] = {}
+    for op in sends:
+        if op.phase in REDUCE_LIKE:
+            for c in op.chunks_carried():
+                reduces.setdefault(c, []).append(op)
+    diags = []
+    for b in sends:
+        if b.phase not in BROADCAST_LIKE:
+            continue
+        for chunk in b.chunks_carried():
+            for r in reduces.get(chunk, ()):
+                done = 1 << r.op_id | 1 << pairing.partner[r.op_id]
+                if not reach[b.op_id] & done:
+                    diags.append(_diag(
+                        "PLAN011",
+                        f"chunk {chunk}: broadcast {b.name()} is not "
+                        f"ordered after reduce {r.name()} completes — "
+                        "the payload may not be the full sum",
+                        b,
+                    ))
+    return diags
+
+
 @dataclass(frozen=True)
 class AliasProof:
     """Outcome of :func:`prove_send_aliasing`.
@@ -572,9 +620,7 @@ def _final_consumers(
     return consumer, origin
 
 
-def prove_send_aliasing(
-    plan: Plan, pairing: WirePairing | None = None
-) -> AliasProof:
+def prove_send_aliasing(plan: Plan, report: VerifyReport) -> AliasProof:
     """Static write-after-read check: may each SEND's wire alias the
     sender's gradient buffer instead of staging a copy?
 
@@ -586,17 +632,18 @@ def prove_send_aliasing(
     bytes ``s`` sent.  Each rejected SEND gets a ``PLAN012`` note naming
     the write that would change its payload in flight.
 
-    The proof assumes a plan that passes :func:`verify_plan`; on a
-    cyclic graph every SEND is staged.
+    Args:
+        plan: the plan to prove.
+        report: ``plan``'s :func:`verify_plan` report, whose pairing,
+            order and ancestor bitsets the proof reads.  The proof
+            assumes a plan that passes; when the report has no graph
+            (bad structure or pairing, or a cycle), every SEND is
+            staged.
     """
-    if pairing is None:
-        pairing = match_wires(plan)
     sends = [op.op_id for op in plan.ops if op.kind == SEND]
-    preds = _combined_edges(plan, pairing)
-    order, cycle = _topo_order(plan, preds)
-    if cycle:
+    if not report.reach:
         return AliasProof(frozenset(sends), ())
-    reach = _ancestors(preds, order)
+    pairing, order, reach = report.pairing, report.order, report.reach
     consumer, origin = _final_consumers(plan, pairing, order)
     writes: dict[tuple[int, int], list[int]] = {
         slot: [op_id for op_id, is_write in ops if is_write]
@@ -693,13 +740,16 @@ def verify_plan(
     pairing = match_wires(plan)
     diags.extend(pairing.diagnostics)
     order: list[int] = []
+    reach: list[int] = []
     if not diags:
         preds = _combined_edges(plan, pairing)
         order, cycle_diags = _topo_order(plan, preds)
         diags.extend(cycle_diags)
         if order:
+            reach = _ancestors(preds, order)
             diags.extend(_dataflow_diags(plan, pairing, order))
-            diags.extend(_race_diags(plan, _ancestors(preds, order)))
+            diags.extend(_race_diags(plan, reach))
+            diags.extend(_broadcast_diags(plan, pairing, reach))
     if topo is not None:
         diags.extend(_physical_diags(plan, topo))
     errors = [render_diagnostic(d) for d in diags]
@@ -707,5 +757,5 @@ def verify_plan(
         raise PlanVerificationError(errors)
     return VerifyReport(
         ok=not errors, errors=errors, pairing=pairing, order=order,
-        diagnostics=diags,
+        diagnostics=diags, reach=reach,
     )

@@ -34,8 +34,9 @@ with :func:`~repro.plan.builders.build_double_tree_plan`, compiled
 against the compacted member topology and checked by
 :func:`~repro.plan.verifier.verify_plan` — "synthesize -> verify ->
 resume".  The verified plan is the one that runs: every span, quiet or
-armed with a crash, is an :class:`InterpretedSegment` on it, so there
-is one engine, one SGD loop and one abort-message form.
+armed with a crash, is an :class:`InterpretedSegment` on it and on its
+verification report, so there is one engine, one SGD loop, one
+abort-message form and one happens-before graph per member set.
 
 Data shards are redistributed deterministically at every change
 (:func:`shard_assignments`: a non-member's shard is adopted by rank
@@ -71,7 +72,7 @@ from repro.plan.builders import build_double_tree_plan
 from repro.plan.interpreter import PlanInterpreter, plan_reduce_order
 from repro.plan.ir import Plan
 from repro.plan.passes import compile_plan
-from repro.plan.verifier import verify_plan
+from repro.plan.verifier import VerifyReport, verify_plan
 from repro.runtime.checkpoint import Checkpointer, CheckpointState
 from repro.runtime.faults import CRASH, FaultPlan, GpuFault, payload_checksum
 from repro.runtime.memory import ChunkLayout
@@ -359,24 +360,25 @@ class InterpretedSegment:
     ``w -= lr * sum`` — through
     :class:`repro.plan.interpreter.PlanInterpreter` on exactly that plan.
 
-    The segment builds one interpreter, so wire pairing, thread-block
-    programs and the aliasing proof run once per segment, not per
-    iteration.  It also exposes the runtime surface the recovery state
-    machine drives — ``nnodes``, ``fault_plan``, and the interpreter's
+    The segment builds one interpreter on the plan's verification
+    report, so the happens-before graph is built once per member set
+    and the aliasing proof once per segment, not per iteration.  It also
+    exposes the runtime surface the recovery state machine drives —
+    ``nnodes``, ``fault_plan``, and the interpreter's
     ``abort_cell`` / ``phase_board`` of its last run — for
     :func:`drain_aborted_run` and :func:`detect_dead_gpus`.  Detected
     ids are dense plan ranks; callers map them back to physical GPUs
     through the embedding's ``gpu_of``.
 
     Args:
-        plan: the verified plan to run (only its ``nnodes`` is read
-            here; the interpreter runs it unverified, as it was gated
-            once already).
+        plan: the verified plan to run.
         network: layer table (sets the gradient length).
         learning_rate: SGD step size on the summed gradient.
         spin: spin/timeout configuration for the interpreter.
         fault_plan: optional fault injection, already expressed in
             dense plan ranks.
+        report: ``plan``'s verification report (the interpreter
+            verifies the plan itself when omitted).
     """
 
     def __init__(
@@ -387,6 +389,7 @@ class InterpretedSegment:
         learning_rate: float,
         spin: SpinConfig | None = None,
         fault_plan: FaultPlan | None = None,
+        report: VerifyReport | None = None,
     ):
         if plan is None:
             raise ConfigError(
@@ -404,7 +407,7 @@ class InterpretedSegment:
             total_elems=network.total_params,
             spin=spin,
             fault_plan=fault_plan,
-            verify=False,  # gated once by plan_check_for
+            report=report,
         )
 
     @property
@@ -839,8 +842,10 @@ class ElasticTrainer:
             if not 0 <= gpu < topo.nnodes:
                 raise ConfigError(f"initial member {gpu} not in {topo.name!r}")
         self._embeddings: dict[frozenset[int], DegradedEmbedding] = {}
-        #: member set -> (its plan check, the plan that check verified).
-        self._verified: dict[frozenset[int], tuple[PlanCheck, Plan]] = {}
+        #: member set -> (its plan check, the plan it verified, the report).
+        self._verified: dict[
+            frozenset[int], tuple[PlanCheck, Plan, VerifyReport]
+        ] = {}
         if trees is not None:
             # Seed the memo with the caller's pair, so the full member
             # set runs exactly the schedule the caller chose.
@@ -895,10 +900,10 @@ class ElasticTrainer:
         Lowers the member set's double tree to a plan, compiles it
         against the compacted member topology, and statically verifies
         it (a synthesized embedding's own plan is re-verified instead).
-        The verified plan is memoized next to its check, and it is the
-        plan every span on this member set runs.  Training refuses to
-        run a member set whose plan does not verify — "synthesize ->
-        verify -> resume".
+        The verified plan and its report are memoized next to the
+        check: every span on this member set runs that plan on that
+        report.  Training refuses to run a member set whose plan does
+        not verify — "synthesize -> verify -> resume".
 
         Raises:
             PlanVerificationError: when the verifier rejects the plan.
@@ -944,7 +949,7 @@ class ElasticTrainer:
                 verified=True,
                 notes=notes,
             )
-            self._verified[members] = (check, plan)
+            self._verified[members] = (check, plan, report)
         return self._verified[members][0]
 
     # -- execution ---------------------------------------------------------
@@ -959,12 +964,14 @@ class ElasticTrainer:
         abort surface :func:`drain_aborted_run` and
         :func:`detect_dead_gpus` read."""
         self.plan_check_for(members)
+        _check, plan, report = self._verified[members]
         return InterpretedSegment(
-            self._verified[members][1],
+            plan,
             self.network,
             learning_rate=self.learning_rate,
             spin=self.spin,
             fault_plan=fault_plan,
+            report=report,
         )
 
     # -- checkpointing ----------------------------------------------------

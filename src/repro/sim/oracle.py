@@ -22,9 +22,10 @@ dynamically —
   transfer carrying that chunk has finished — the dataflow fact that
   makes the broadcast payload the *full* sum.
 
-``repro.experiments.ext_plans`` runs every shipped plan through this
-oracle next to its makespan comparison, so sim and runtime cannot
-drift.
+It is the DES-side reference for :func:`~repro.plan.verifier.verify_plan`,
+which proves the two orderings statically; ``ext_plans``, ``ext_synth``
+and the property tests compare the two verdicts, so sim, verifier and
+runtime cannot drift.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.plan.ir import SEND, Plan
-from repro.sim.dag import Dag, Phase
+from repro.plan.verifier import BROADCAST_LIKE, REDUCE_LIKE
+from repro.sim.dag import Dag
 from repro.sim.engine import SimResult
 from repro.sim.trace import overlapping_pairs
 
@@ -41,11 +43,6 @@ __all__ = ["OrderingReport", "check_plan_ordering"]
 
 #: Timing slack for float comparisons on simulated clocks.
 _EPS = 1e-12
-
-#: Phases that produce partial sums / fully reduced chunks...
-_REDUCE_LIKE = (Phase.REDUCE, Phase.REDUCE_SCATTER)
-#: ...and phases that may only move chunks already fully reduced.
-_BROADCAST_LIKE = (Phase.BROADCAST, Phase.ALL_GATHER)
 
 
 @dataclass
@@ -163,14 +160,14 @@ def check_plan_ordering(
     # sum — the exact window the dropped-post seeded kernel races in).
     last_reduce: dict[int, tuple[float, object]] = {}
     for send, des in pairs:
-        if send.phase in _REDUCE_LIKE:
+        if send.phase in REDUCE_LIKE:
             for chunk in send.chunks_carried():
                 t = sim.finish[des.op_id]
                 if chunk not in last_reduce or t > last_reduce[chunk][0]:
                     last_reduce[chunk] = (t, send)
     report.chunks = len(last_reduce)
     for send, des in pairs:
-        if send.phase not in _BROADCAST_LIKE:
+        if send.phase not in BROADCAST_LIKE:
             continue
         for chunk in send.chunks_carried():
             bound = last_reduce.get(chunk)

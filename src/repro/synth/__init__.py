@@ -8,8 +8,8 @@ Three layers (the top open ROADMAP item):
   greedy ForestColl-style edge-disjoint spanning-tree packing,
   hill-climbed double-tree embedding, ring-from-Hamiltonian-cycle
   extraction, and a hypercube exchange where the fabric supports it.
-  Every candidate must pass ``compile_plan`` -> ``verify_plan`` and the
-  sim ordering oracle before it is ever returned.
+  Every candidate must pass ``compile_plan`` -> ``verify_plan`` (whose
+  happens-before proof covers ordering) before it is ever returned.
 - :mod:`repro.synth.tune` — the plan-IR autotuner: sweep algorithm
   choice x pipeline chunk factor x chunking per message size, score
   with ``simulate_plan``, pick per-size winners NCCL byte-threshold

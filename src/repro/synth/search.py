@@ -23,11 +23,13 @@ Strategies (each emits plain :class:`~repro.plan.ir.Plan` IR):
 
 Every candidate is gated before it is returned: route-legalized
 (:func:`compile_plan`), statically verified (:func:`verify_plan` with
-physical checks), simulated (:func:`simulate_plan` for the score), and
-checked against the sim ordering oracle
-(:func:`repro.sim.oracle.check_plan_ordering`).  A candidate that fails
-any stage is silently dropped; :func:`synthesize_plan` raises
-:class:`~repro.errors.SynthesisError` only if *nothing* survives.
+physical checks, which includes the ordering proof: FIFO per wire and
+reduce before broadcast on the plan's happens-before graph), then
+simulated (:func:`simulate_plan`) for its score only.  A candidate a
+stage rejects with a :class:`~repro.errors.ReproError` is dropped; any
+other exception is a bug and propagates.  :func:`synthesize_plan`
+raises :class:`~repro.errors.SynthesisError` only if *nothing*
+survives.
 
 Switch fabrics (NVSwitch, leaf/spine) are handled by collapsing to an
 *effective GPU topology* first: relays on switch ranks are not
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.collectives.chunking import chunk_offsets, split_bytes
-from repro.errors import SynthesisError
+from repro.errors import ReproError, SynthesisError
 from repro.plan.builders import (
     _emit_tree,
     build_double_tree_plan,
@@ -54,7 +56,6 @@ from repro.plan.ir import Plan, stamp_origin
 from repro.plan.lowering import simulate_plan
 from repro.plan.passes import compile_plan
 from repro.plan.verifier import verify_plan
-from repro.sim.oracle import check_plan_ordering
 from repro.topology.base import PhysicalTopology
 from repro.topology.logical import BinaryTree
 from repro.topology.routing import Router
@@ -381,15 +382,16 @@ def compile_candidate(
 ) -> tuple[Plan, tuple[str, ...]] | None:
     """Compile and statically verify one raw plan.
 
-    The cheap half of the gate: after it a candidate can be *ranked*
-    (the static lower bound needs only the compiled plan), but not yet
-    scored.  Returns ``(compiled, notes)`` or None on rejection.
+    The cheap half of the gate, and the whole of its correctness check:
+    after it a candidate can be *ranked* (the static lower bound needs
+    only the compiled plan), but not yet scored.  Returns ``(compiled,
+    notes)`` or None on rejection.
     """
     try:
         compiled, reports = compile_plan(
             raw, topo, router=router, pipeline=pipeline
         )
-    except Exception:
+    except ReproError:
         return None
     report = verify_plan(compiled, topo=topo, raise_on_error=False)
     if not report.ok:
@@ -406,15 +408,11 @@ def score_candidate(
     pipeline: int = 1,
     notes: tuple[str, ...] = (),
 ) -> SynthCandidate | None:
-    """Simulate and ordering-check one compiled plan — the expensive
-    half of the gate.  Returns None when the DES or the oracle rejects
-    it."""
+    """Simulate one verified plan for its score — the expensive half of
+    the gate.  Returns None when the DES rejects it."""
     try:
         outcome = simulate_plan(compiled, topo=topo, router=router)
-    except Exception:
-        return None
-    ordering = check_plan_ordering(outcome.plan, outcome.dag, outcome.sim)
-    if not ordering.ok:
+    except ReproError:
         return None
     return SynthCandidate(
         strategy=strategy,
@@ -433,7 +431,7 @@ def gate_candidate(
     router: Router | None = None,
     pipeline: int = 1,
 ) -> SynthCandidate | None:
-    """Compile, verify, simulate, and ordering-check one raw plan.
+    """Compile, verify, and simulate one raw plan.
 
     Returns None when any stage rejects it — synthesis never emits a
     plan the safety net has not accepted.
@@ -477,7 +475,7 @@ def search_structures(
             eff, router=router, iterations=iterations, restarts=restarts,
             seed=seed,
         )
-    except Exception:
+    except ReproError:
         pair = None
     forests: list[tuple[BinaryTree, ...]] = []
     for k in (1, 2):

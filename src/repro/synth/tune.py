@@ -8,7 +8,7 @@ module tunes over actual plan IR.  For every message size it sweeps
 - every synthesized candidate from :mod:`repro.synth.search`,
 
 each crossed with the pipeline chunk factor, scores every survivor of
-the compile -> verify -> ordering gate with ``simulate_plan``, and
+the compile -> verify gate with ``simulate_plan``, and
 records the per-size winner — the NCCL posture of picking one-shot vs
 two-shot vs hcm by byte thresholds, applied to whole plans.
 

@@ -1,5 +1,6 @@
-"""The static plan analyzer: diagnostics model, ordering prover,
-contention lower bound, CLI, and the autotuner's pruning gate."""
+"""The static plan analyzer: diagnostics model, the verifier's ordering
+verdicts, contention lower bound, CLI, and the autotuner's pruning
+gate."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from repro.analyze import (
     Diagnostic,
     RULES,
     analyze_plan,
-    prove_plan_ordering,
     rule_slug,
     severity_of,
     static_lower_bound,
@@ -54,7 +54,7 @@ def _compiled(algorithm, topo, nbytes=4e6):
 class TestDiagnosticModel:
     def test_registry_covers_plan_and_sync_rules(self):
         for code in ("PLAN001", "PLAN002", "PLAN003", "PLAN004",
-                     "PLAN005", "PLAN006", "PLAN010", "PLAN011",
+                     "PLAN005", "PLAN006", "PLAN011",
                      "SYNC001", "SYNC002", "SYNC003", "SYNC004"):
             assert code in RULES
             assert severity_of(code) == "error"
@@ -67,17 +67,17 @@ class TestDiagnosticModel:
         d = Diagnostic(code="SYNC001", message="boom", severity="error",
                        path="src/x.py", line=3)
         assert str(d) == f"src/x.py:3: SYNC001 ({rule_slug('SYNC001')}): boom"
-        d2 = Diagnostic(code="PLAN010", message="late", severity="error",
+        d2 = Diagnostic(code="PLAN011", message="late", severity="error",
                         origin="builder:ring")
-        assert "PLAN010" in str(d2) and "[from builder:ring]" in str(d2)
-        assert d2.rule == "PLAN010"
+        assert "PLAN011" in str(d2) and "[from builder:ring]" in str(d2)
+        assert d2.rule == "PLAN011"
 
     def test_report_ok_ignores_advisories(self):
         report = DiagnosticReport(tool="t", subject="s")
         report.extend([Diagnostic(code="PLAN020", message="w",
                                   severity="warning")])
         assert report.ok and report.warnings
-        report.extend([Diagnostic(code="PLAN010", message="e",
+        report.extend([Diagnostic(code="PLAN011", message="e",
                                   severity="error")])
         assert not report.ok
 
@@ -108,10 +108,10 @@ class TestOrderingProver:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_builders_prove_clean_logical(self, algorithm):
         plan = _build(algorithm, 8)
-        report = prove_plan_ordering(plan)
-        assert report.ok, report.describe()
-        assert report.transfers > 0 and report.wires > 0
-        assert len(report.order) == len(plan.ops)
+        report = verify_plan(plan, raise_on_error=False)
+        assert report.ok, report.errors
+        assert report.pairing.partner and report.pairing.wires
+        assert len(report.order) == len(report.reach) == len(plan.ops)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("degraded", [False, True])
@@ -119,7 +119,7 @@ class TestOrderingProver:
         topo = dgx1_topology()
         if degraded:
             topo = topo.without_link(3, 7)
-        assert prove_plan_ordering(_compiled(algorithm, topo)).ok
+        assert verify_plan(_compiled(algorithm, topo), topo=topo).ok
 
     def test_agrees_with_des_oracle_on_builders(self):
         from repro.sim.oracle import check_plan_ordering
@@ -131,7 +131,9 @@ class TestOrderingProver:
             des_ok = check_plan_ordering(
                 outcome.plan, outcome.dag, outcome.sim
             ).ok
-            assert prove_plan_ordering(plan).ok == des_ok
+            assert verify_plan(
+                plan, topo=topo, raise_on_error=False
+            ).ok == des_ok
 
     def test_every_killed_mutant_is_flagged(self):
         """Whatever the verifier rejects, `analyze` rejects with a
@@ -152,9 +154,9 @@ class TestOrderingProver:
         assert flagged > 0
 
     def test_swapped_wire_order_breaks_fifo(self):
-        """A same-wire swap the structural verifier may miss is exactly
-        what PLAN010/PLAN011 exist for: the static verdict must match
-        the DES oracle's on every mutant that still verifies."""
+        """Same-wire swaps are what FIFO per wire (PLAN002) and
+        PLAN011 guard: the DES oracle must accept every mutant the
+        verifier accepts."""
         from repro.sim.oracle import check_plan_ordering
 
         from repro.collectives.base import FabricSpec
@@ -171,15 +173,13 @@ class TestOrderingProver:
             mutant = mutate_plan(plan, mutation)
             if not verify_plan(mutant, raise_on_error=False).ok:
                 continue
-            static_ok = prove_plan_ordering(mutant).ok
             try:
                 outcome = simulate_plan(mutant, fabric=fabric)
             except Exception:
                 continue
-            des_ok = check_plan_ordering(
+            assert check_plan_ordering(
                 outcome.plan, outcome.dag, outcome.sim
-            ).ok
-            assert static_ok == des_ok, mutation
+            ).ok, mutation
             compared += 1
         assert compared > 0
 
@@ -342,8 +342,7 @@ class TestAnalyzeCli:
         flagged = 0
         for mutation in candidate_mutations(plan)[:6]:
             mutant = mutate_plan(plan, mutation)
-            if verify_plan(mutant, raise_on_error=False).ok \
-                    and prove_plan_ordering(mutant).ok:
+            if verify_plan(mutant, raise_on_error=False).ok:
                 continue
             file = tmp_path / "mutant.json"
             file.write_text(mutant.to_json())

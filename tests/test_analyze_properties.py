@@ -2,16 +2,20 @@
 
 Two claims carry the analyzer's whole value:
 
-- **verdict equivalence** — the static ordering prover accepts a plan
-  iff the simulation ordering oracle accepts its trace;
+- **verdict equivalence** — every plan the synthesis gate's static
+  verifier accepts (its ordering proof included) is accepted by the
+  simulation ordering oracle too, which is why the gate runs no DES
+  ordering check;
 - **bound soundness** — the static α-β lower bound never exceeds the
   simulated makespan (otherwise autotuner pruning could discard a true
   winner).
 
 Both are checked here over every hand-written builder on the intact and
 degraded stock machines, and over the same seeded random-fabric
-families the synthesis soak uses.  The tier-1 run samples; the
-``slow``-marked sweep walks 100+ fabrics like the nightly soak.
+families the synthesis soak uses, where the synthesized candidates
+(double tree, forests, ring, hypercube) join the builders.  The tier-1
+run samples; the ``slow``-marked sweep walks 100+ fabrics like the
+nightly soak.
 """
 
 from __future__ import annotations
@@ -19,12 +23,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analyze import prove_plan_ordering, static_lower_bound
-from repro.plan import build_plan
+from repro.analyze import static_lower_bound
+from repro.plan import build_plan, verify_plan
 from repro.plan.lowering import simulate_plan
 from repro.sim.oracle import check_plan_ordering
 from repro.synth.fabrics import random_fabric
-from repro.synth.search import compile_candidate, effective_gpu_topology
+from repro.synth.search import (
+    compile_candidate,
+    effective_gpu_topology,
+    search_structures,
+    synthesize_raws,
+)
 from repro.topology.dgx1 import dgx1_topology
 from repro.topology.dgx2 import dgx2_topology
 from repro.topology.routing import Router
@@ -61,7 +70,7 @@ def _check_one(plan, topo, router):
     if prepared is None:
         return False
     compiled, _notes = prepared
-    static_ok = prove_plan_ordering(compiled).ok
+    static_ok = verify_plan(compiled, topo=topo, raise_on_error=False).ok
     try:
         outcome = simulate_plan(compiled, topo=topo)
     except Exception:
@@ -70,7 +79,7 @@ def _check_one(plan, topo, router):
         outcome.plan, outcome.dag, outcome.sim
     ).ok
     assert static_ok == des_ok, (
-        f"static prover says {static_ok}, DES oracle says {des_ok}"
+        f"verifier says {static_ok}, DES oracle says {des_ok}"
     )
     lb = static_lower_bound(compiled, topo)
     assert lb <= outcome.total_time * (1 + 1e-9), (
@@ -80,12 +89,14 @@ def _check_one(plan, topo, router):
 
 
 def _sweep_fabric(seed: int, nbytes: float) -> int:
-    topo = effective_gpu_topology(random_fabric(seed))
+    """Builder plans and every synthesized candidate on one fabric."""
+    fabric = random_fabric(seed)
+    topo = effective_gpu_topology(fabric)
     router = Router(topo)
-    return sum(
-        _check_one(raw, topo, router)
-        for _name, raw in _raws(topo.nnodes, nbytes)
+    raws = _raws(topo.nnodes, nbytes) + synthesize_raws(
+        search_structures(fabric, seed=seed), nbytes
     )
+    return sum(_check_one(raw, topo, router) for _name, raw in raws)
 
 
 class TestBuildersAgainstDes:

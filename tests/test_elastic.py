@@ -258,13 +258,35 @@ class TestVerifiedPlanRuns:
         )
         assert by_plan.tobytes() == by_tree.tobytes()
 
+    @pytest.mark.parametrize(
+        "members", MEMBER_SETS, ids=["healthy"] + [
+            f"without{dead}" for dead in range(8)
+        ],
+    )
+    def test_des_oracle_accepts_verified_plan(
+        self, verified_member_sets, members
+    ):
+        """The gate's static ordering proof and the DES-side oracle
+        agree on every plan a span runs."""
+        from repro.plan.lowering import simulate_plan
+        from repro.sim.oracle import check_plan_ordering
+
+        trainer, plans = verified_member_sets
+        outcome = simulate_plan(
+            plans[members], topo=trainer.embedding_for(members).topology
+        )
+        report = check_plan_ordering(outcome.plan, outcome.dag, outcome.sim)
+        assert report.ok, report.describe()
+
     def test_every_span_interprets_the_verified_plan(self, monkeypatch):
         verified = record_verified_plans(monkeypatch)
         interpreted = []
+        reports = []
 
         class Recording(PlanInterpreter):
             def __init__(self, plan, **kwargs):
                 interpreted.append(plan)
+                reports.append(kwargs.get("report"))
                 super().__init__(plan, **kwargs)
 
         monkeypatch.setattr(elastic_mod, "PlanInterpreter", Recording)
@@ -286,6 +308,9 @@ class TestVerifiedPlanRuns:
         assert [id(p) for p in interpreted] == [
             id(full), id(full), id(seven), id(full)
         ]
+        # Each span reuses its gate's report: no plan is verified twice.
+        assert all(r is not None and r.ok for r in reports)
+        assert reports[0] is reports[1] is reports[3]
         assert_bit_exact(trainer, report, gradient_fn, w0, 3)
 
 

@@ -134,7 +134,7 @@ class TestPlanReduceOrder:
         rng = np.random.default_rng(seed)
         grads = [rng.normal(size=ELEMS) for _ in range(plan.nnodes)]
         threaded = PlanInterpreter(
-            plan, total_elems=ELEMS, spin=FAST, verify=False
+            plan, total_elems=ELEMS, spin=FAST
         ).run([g.copy() for g in grads]).outputs
         serial = plan_reduce_order(plan, total_elems=ELEMS)(
             [g.copy() for g in grads]

@@ -121,6 +121,25 @@ class TestWriteAfterReadProof:
         monkeypatch.setattr(verifier, "prove_send_aliasing", forbidden)
         assert verify_plan(rewrite_plan()).ok
 
+    def test_given_report_builds_no_graph(self, monkeypatch):
+        """The proof and the interpreter read the graph a verification
+        report holds; neither pairs wires or walks the graph again."""
+        import repro.plan.interpreter as interpreter_mod
+        import repro.plan.verifier as verifier
+
+        plan = compiled_dgx1_double_tree(8.0 * ELEMS)
+        report = verify_plan(plan)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rebuilt the happens-before graph")
+
+        for name in ("match_wires", "_combined_edges", "_topo_order",
+                     "_ancestors"):
+            monkeypatch.setattr(verifier, name, forbidden)
+        monkeypatch.setattr(interpreter_mod, "match_wires", forbidden)
+        assert prove_send_aliasing(plan, report).staged_sends == frozenset()
+        PlanInterpreter(plan, total_elems=ELEMS, report=report)
+
     def test_relay_legs_stage_with_a_rejected_source(self):
         # The rewrite plan with rank 0's send detoured via rank 2 (rank 2
         # itself contributes nothing, so only the proof is checked).
@@ -137,7 +156,9 @@ class TestWriteAfterReadProof:
         plan.add(rank=1, kind=SEND, peer=0, tree=1, tb=0, **common)
         plan.add(rank=0, kind=REDUCE, peer=1, tree=1, tb=0, **common)
         plan.add(rank=1, kind=REDUCE, peer=2, tb=1, deps=(3,), **flow)
-        proof = prove_send_aliasing(plan)
+        proof = prove_send_aliasing(
+            plan, verify_plan(plan, raise_on_error=False)
+        )
         named = {d.op_id for d in proof.diagnostics}
         assert 0 in named and 2 not in named  # the relay leg is not a source
         assert {0, 2} <= proof.staged_sends

@@ -183,3 +183,129 @@ class TestWirePairing:
         pairing = match_wires(plan)
         for a, b in pairing.partner.items():
             assert pairing.partner[b] == a
+
+
+def _two_transfers_on_one_wire(sender_tbs, receiver_tbs):
+    """Rank 0 sends chunks 0 and 1 to rank 1 on one wire, the k-th
+    transfer from ``sender_tbs[k]`` into ``receiver_tbs[k]``."""
+    from repro.plan import RECV, Plan
+
+    plan = Plan(
+        algorithm="test", nnodes=2, nbytes=2.0,
+        chunk_sizes=[1.0, 1.0], chunk_offsets=[0.0, 1.0],
+    )
+    for chunk, (s_tb, r_tb) in enumerate(zip(sender_tbs, receiver_tbs)):
+        common = dict(chunk=chunk, nbytes=1.0, phase=Phase.BROADCAST)
+        plan.add(rank=0, kind=SEND, peer=1, tb=s_tb, **common)
+        plan.add(rank=1, kind=RECV, peer=0, tb=r_tb, **common)
+    return plan
+
+
+def tree3_plan(*, stray_reduce=False):
+    """Rank 0 reduces chunk 0 from ranks 1 and 2, then broadcasts it.
+
+    With ``stray_reduce``, rank 1 also sends its chunk to rank 2 in the
+    reduce phase, where a relay leg (which touches no gradient slot)
+    receives it — after rank 2's own reduce send, so no broadcast waits
+    for it.  That breaks reduce-before-broadcast (PLAN011) and nothing
+    else: the dataflow stays exactly-once and every slot access stays
+    ordered.
+    """
+    from repro.plan import RECV, Plan
+
+    plan = Plan(
+        algorithm="tree3", nnodes=3, nbytes=8.0,
+        chunk_sizes=[8.0], chunk_offsets=[0.0],
+    )
+    reduce = dict(chunk=0, nbytes=8.0, phase=Phase.REDUCE)
+    bcast = dict(chunk=0, nbytes=8.0, phase=Phase.BROADCAST)
+    stray = dict(flow=(1, 0), **reduce)
+    plan.add(rank=1, kind=SEND, peer=0, **reduce)
+    if stray_reduce:
+        plan.add(rank=1, kind=SEND, peer=2, **stray)
+    plan.add(rank=0, kind=REDUCE, peer=1, **reduce)
+    plan.add(rank=2, kind=SEND, peer=0, **reduce)
+    if stray_reduce:
+        plan.add(rank=2, kind=RECV, peer=1, **stray)
+    plan.add(rank=0, kind=REDUCE, peer=2, **reduce)
+    for child in (1, 2):
+        plan.add(rank=0, kind=SEND, peer=child, **bcast)
+        plan.add(rank=child, kind=RECV, peer=0, **bcast)
+    return plan
+
+
+def triangle():
+    from repro.topology.base import PhysicalTopology
+
+    topo = PhysicalTopology(nnodes=3, name="triangle")
+    for u, v in ((0, 1), (0, 2), (1, 2)):
+        topo.add_link(u, v, alpha=1e-6, beta=1e-9)
+    return topo
+
+
+class TestOrderingRules:
+    """The rules that make the verifier the only static ordering check:
+    PLAN002's one-sender, one-receiver thread block rule (which makes
+    consecutive transfers on a wire program-ordered) and PLAN011."""
+
+    @pytest.mark.parametrize("role, senders, receivers", [
+        ("sender", (0, 1), (0, 0)),
+        ("receiver", (0, 0), (0, 1)),
+    ])
+    def test_two_thread_blocks_on_one_wire_are_racy(
+        self, role, senders, receivers
+    ):
+        plan = _two_transfers_on_one_wire(senders, receivers)
+        report = verify_plan(plan, raise_on_error=False)
+        racy = [
+            d for d in report.diagnostics
+            if "FIFO order is racy" in d.message
+        ]
+        assert [d.code for d in racy] == ["PLAN002"]
+        assert f"2 {role} thread blocks" in racy[0].message
+        # No pairing, so no happens-before graph to reason over.
+        assert report.order == [] and report.reach == []
+
+    def test_one_thread_block_per_side_is_fifo(self):
+        plan = _two_transfers_on_one_wire((0, 0), (0, 0))
+        report = verify_plan(plan, raise_on_error=False)
+        assert not any(d.code == "PLAN002" for d in report.diagnostics)
+
+    def test_clean_tree3_verifies(self):
+        assert verify_plan(tree3_plan(), topo=triangle()).ok
+
+    def test_stray_reduce_breaks_only_reduce_before_broadcast(self):
+        report = verify_plan(
+            tree3_plan(stray_reduce=True), topo=triangle(),
+            raise_on_error=False,
+        )
+        assert {d.code for d in report.diagnostics} == {"PLAN011"}
+        assert len(report.diagnostics) == 2  # one per broadcast send
+        assert all(
+            "is not ordered after reduce" in d.message
+            for d in report.diagnostics
+        )
+
+    def test_gate_refuses_it_before_the_des(self, monkeypatch):
+        import repro.synth.search as search
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gate simulated a refused plan")
+
+        monkeypatch.setattr(search, "simulate_plan", forbidden)
+        topo = triangle()
+        assert search.compile_candidate(tree3_plan(), topo) is not None
+        raw = tree3_plan(stray_reduce=True)
+        compile_plan(raw, topo)  # compiles: only the verifier refuses it
+        assert search.compile_candidate(raw, topo) is None
+        assert search.gate_candidate(raw, topo, strategy="tree3") is None
+
+    def test_plan_verify_file_names_the_rule(self, tmp_path, capsys):
+        from repro.cli import main
+
+        file = tmp_path / "stray.json"
+        file.write_text(tree3_plan(stray_reduce=True).to_json())
+        assert main(["plan", "verify", str(file)]) == 1
+        out = capsys.readouterr().out
+        assert "verdict: FAIL" in out
+        assert "PLAN011 (reduce-before-broadcast)" in out

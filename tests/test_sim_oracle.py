@@ -108,12 +108,12 @@ class TestOracleDetectsViolations:
         out = _fabric_outcome("tree", nchunks=4, overlapped=True)
         sends = [op for op in out.plan.ops if op.kind == SEND]
         transfers = [op for op in out.dag.ops if op.nbytes > 0]
-        from repro.sim.oracle import _BROADCAST_LIKE
+        from repro.plan.verifier import BROADCAST_LIKE
 
         victim = next(
             des
             for send, des in zip(sends, transfers)
-            if send.phase in _BROADCAST_LIKE
+            if send.phase in BROADCAST_LIKE
         )
         sim = dataclasses.replace(out.sim, start=list(out.sim.start))
         sim.start[victim.op_id] = -1.0

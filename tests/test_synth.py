@@ -9,7 +9,9 @@ and the acceptance criteria of the ext_synth experiment:
 - on a degraded topology (DGX-1 with the doubled 3-7 link cut) it
   strictly beats every hand-written builder,
 - every emitted plan passes static verification, the sim-side ordering
-  oracle, and bit-exact interpreter execution.
+  oracle, and bit-exact interpreter execution;
+- the gate drops a candidate only on a :class:`~repro.errors.ReproError`:
+  any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.errors import ConfigError, SynthesisError
+from repro.errors import ConfigError, PlanError, SynthesisError
 from repro.plan.interpreter import PlanInterpreter
 from repro.plan.verifier import verify_plan
 from repro.sim.oracle import check_plan_ordering
@@ -98,6 +100,25 @@ class TestSearch:
         }
         assert "hypercube" not in degraded
 
+    @pytest.mark.parametrize("error, dropped", [
+        (PlanError("cannot legalize"), True),
+        (TypeError("bug in a pass"), False),
+    ], ids=["plan-error", "type-error"])
+    def test_gate_drops_only_repro_errors(self, monkeypatch, error, dropped):
+        import repro.synth.search as search
+        from repro.plan.builders import build_ring_plan
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(search, "compile_plan", failing)
+        raw, topo = build_ring_plan(8, 4096.0), dgx1_topology()
+        if dropped:
+            assert search.gate_candidate(raw, topo, strategy="ring") is None
+        else:
+            with pytest.raises(TypeError, match="bug in a pass"):
+                search.gate_candidate(raw, topo, strategy="ring")
+
     def test_synthesize_plan_picks_the_best(self):
         cands = synthesize_candidates(dgx1_topology(), 4e6, seed=0)
         best = synthesize_plan(dgx1_topology(), 4e6, seed=0)
@@ -149,7 +170,7 @@ class TestAcceptance:
                 for _ in range(plan.nnodes)
             ]
             report = PlanInterpreter(
-                plan, total_elems=256, verify=False
+                plan, total_elems=256
             ).run(inputs)
             expected = np.sum(inputs, axis=0)
             assert all(
@@ -244,7 +265,7 @@ class TestFallback:
             for _ in range(emb.topology.nnodes)
         ]
         report = PlanInterpreter(
-            emb.plan, total_elems=64, verify=False
+            emb.plan, total_elems=64
         ).run(inputs)
         expected = np.sum(inputs, axis=0)
         assert all(

@@ -85,7 +85,7 @@ def test_synthesized_plans_execute_bit_exact(seed: int) -> None:
     ]
     expected = np.sum(inputs, axis=0)
     report = PlanInterpreter(
-        plan, total_elems=ELEMS, verify=False
+        plan, total_elems=ELEMS
     ).run(inputs)
     for rank, out in enumerate(report.outputs):
         assert np.array_equal(out, expected), f"rank {rank} diverged"
