@@ -129,14 +129,13 @@ def analyze_contention(
     resources = _build_resources(
         dag, topo, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta
     )
-    service = [
-        resources[op.resource].service_time(op) for op in dag.ops
-    ]
+    ops = list(dag)  # one row per op, read many times below
+    service = [resources[op.resource].service_time(op) for op in ops]
 
     # Earliest-finish times under dependences alone (infinite servers):
     # a certified lower bound on every per-op finish time, computed by
     # iterative DFS because DES deps may reference later-created ops.
-    n = len(dag.ops)
+    n = len(ops)
     finish: list[float | None] = [None] * n
     for root in range(n):
         if finish[root] is not None:
@@ -148,7 +147,7 @@ def analyze_contention(
             if expanded:
                 on_path.discard(op_id)
                 best = 0.0
-                for d in dag.ops[op_id].deps:
+                for d in ops[op_id].deps:
                     f = finish[d]
                     assert f is not None
                     if f > best:
@@ -164,7 +163,7 @@ def analyze_contention(
                 )
             on_path.add(op_id)
             stack.append((op_id, True))
-            for d in dag.ops[op_id].deps:
+            for d in ops[op_id].deps:
                 if finish[d] is None:
                     stack.append((d, False))
 
@@ -172,7 +171,7 @@ def analyze_contention(
     # same rule as simulate_plan's total_time.
     counted = [
         finish[i]
-        for i, op in enumerate(dag.ops)
+        for i, op in enumerate(ops)
         if op.nbytes > 0 or op.duration == 0.0
     ]
     critical_path = max(counted) if counted else 0.0
@@ -182,7 +181,7 @@ def analyze_contention(
     # time is NOT a bound: forwarding ops may finish after the last
     # transfer and are excluded from the makespan.
     report = ContentionReport(critical_path=critical_path)
-    for i, op in enumerate(dag.ops):
+    for i, op in enumerate(ops):
         if isinstance(resources[op.resource], Channel):
             report.link_busy[op.resource] = (
                 report.link_busy.get(op.resource, 0.0) + service[i]

@@ -9,7 +9,7 @@ logical edge) or embedded onto a physical topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.errors import ScheduleError, SimulationError
@@ -19,9 +19,8 @@ from repro.sim.resources import Processor
 from repro.topology.base import PhysicalTopology
 from repro.topology.embedding import (
     abstract_resources,
-    edge_key,
     embed_on_physical,
-    is_edge_key,
+    fold_lanes,
 )
 from repro.topology.routing import Router
 from repro.topology.switch import FabricSpec
@@ -138,16 +137,7 @@ def simulate_on_fabric(
     tree without extra physical connectivity)."""
     dag = schedule.dag
     if fabric.lanes >= 1:
-        folded = Dag()
-        for op in dag.ops:
-            if is_edge_key(op.resource):
-                _tag, u, v, lane = op.resource
-                if lane % fabric.lanes != lane:
-                    op = replace(
-                        op, resource=edge_key(u, v, lane % fabric.lanes)
-                    )
-            folded.ops.append(op)
-        dag = folded
+        dag = fold_lanes(dag, fabric.lanes)
     resources = abstract_resources(dag, alpha=fabric.alpha, beta=fabric.beta)
     sim = DagSimulator(resources).run(dag)
     logical_finish = list(sim.finish)
@@ -184,10 +174,7 @@ def simulate_on_physical(
             resources[key] = Processor(name=str(key))
     # embed_on_physical has just validated this DAG.
     sim = DagSimulator(resources).run(physical, validate=False)
-    assert report.logical_done is not None
-    logical_finish = [
-        sim.finish[report.logical_done[op.op_id]] for op in schedule.dag.ops
-    ]
+    logical_finish = [sim.finish[i] for i in report.logical_done]
     return _build_outcome(schedule, sim, logical_finish)
 
 

@@ -13,7 +13,10 @@ reduced at the root, chaining the two phases:
 
 The builder emits one logical transfer op per (chunk, tree edge, phase),
 with dependencies encoding exactly the data constraints; pipelining across
-chunks emerges from channel FIFO serialization in the simulator.
+chunks emerges from channel FIFO serialization in the simulator.  Ops
+store :class:`~repro.sim.dag.Label` templates, not strings: their labels
+(``up c3 4->2``, ``down c3 2->5``, ``reduced c3@0``, ``phase barrier t0``)
+are formatted from the op's fields when read.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.collectives.base import CollectiveSchedule
 from repro.collectives.chunking import chunk_offsets, split_bytes
-from repro.sim.dag import Dag, Phase
+from repro.sim.dag import Dag, Label, Phase
 from repro.topology.embedding import edge_key
 from repro.topology.logical import BinaryTree, balanced_binary_tree
 
@@ -68,7 +71,7 @@ def emit_tree_allreduce(
                 chunk=chunk,
                 phase=Phase.REDUCE,
                 tree=tree_index,
-                label=f"up c{chunk} {node}->{tree.parent[node]}",
+                label=Label.UP,
             )
 
     # Zero-duration marker per chunk: "fully reduced at the root".
@@ -83,7 +86,7 @@ def emit_tree_allreduce(
             chunk=chunk,
             phase=Phase.REDUCE,
             tree=tree_index,
-            label=f"reduced c{chunk}@{tree.root}",
+            label=Label.REDUCED,
         )
         arrival_ops[(tree.root, chunk)] = reduced_at_root[chunk]
 
@@ -95,7 +98,7 @@ def emit_tree_allreduce(
             deps=list(reduced_at_root.values()),
             phase=Phase.REDUCE,
             tree=tree_index,
-            label=f"phase barrier t{tree_index}",
+            label=Label.BARRIER,
         )
 
     down_op: dict[tuple[int, int], int] = {}
@@ -118,7 +121,7 @@ def emit_tree_allreduce(
                     chunk=chunk,
                     phase=Phase.BROADCAST,
                     tree=tree_index,
-                    label=f"down c{chunk} {node}->{child}",
+                    label=Label.DOWN,
                 )
                 down_op[(chunk, child)] = op_id
                 arrival_ops[(child, chunk)] = op_id

@@ -60,13 +60,11 @@ def run(
     )
     router = Router(topo, detour_preference=DETOUR_NODES)
     _, report = embed_on_physical(schedule.dag, topo, router)
-    assert report.forwarded_bytes is not None
 
     pipeline = IterationPipeline(network=network, batch=batch, config=config)
     comm = pipeline.comm_outcome(Strategy.CCUBE)
     base = pipeline.run(Strategy.CCUBE, comm=comm)
 
-    assert report.relay_routes is not None
     throughputs: dict[int, float] = {}
     for gpu in range(config.nnodes):
         forwarded = report.forwarded_bytes.get(gpu, 0.0)

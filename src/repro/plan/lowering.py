@@ -31,7 +31,7 @@ from ..topology.embedding import (
     FORWARDING_COPY_BANDWIDTH,
     abstract_resources,
     edge_key,
-    is_edge_key,
+    fold_lanes,
 )
 from ..topology.routing import Router
 from ..topology.switch import FabricSpec
@@ -87,13 +87,12 @@ def lower_to_dag(
     dag = Dag()
     # plan op id -> DES op id whose completion marks it done.
     done: dict[int, int] = {}
-    pending: list[int] = []  # DES ops whose deps need a second pass
+    # DES op id -> plan-level deps, resolved after every op exists.
+    plan_deps_of: dict[int, tuple[int, ...]] = {}
 
     def add(resource: Hashable, *, plan_deps: tuple[int, ...], **kwargs) -> int:
-        des_id = dag.add(resource, deps=[], **kwargs)
-        # Stash the plan-level deps; resolved after every op exists.
-        dag.ops[des_id] = dag.ops[des_id].with_deps(tuple(plan_deps))
-        pending.append(des_id)
+        des_id = dag.add(resource, **kwargs)
+        plan_deps_of[des_id] = plan_deps
         return des_id
 
     for op in plan.ops:
@@ -179,12 +178,11 @@ def lower_to_dag(
 
     # Second pass: resolve plan-level deps to DES ids (a dep may map to
     # a transfer created after the dependent op when the paired send has
-    # a higher id than the recv).
-    for des_id in pending:
-        op = dag.ops[des_id]
-        dag.ops[des_id] = op.with_deps(
-            tuple(sorted({done[d] for d in op.deps}))
-        )
+    # a higher id than the recv), writing each op's deps once.
+    dag.set_deps({
+        des_id: sorted({done[d] for d in plan_deps})
+        for des_id, plan_deps in plan_deps_of.items()
+    })
 
     dag.validate()
     return dag
@@ -272,25 +270,17 @@ def simulate_plan(
             compute_bandwidth=compute_bandwidth,
         )
         if fabric.lanes >= 1:
-            import dataclasses as _dc
-
-            folded = Dag()
-            for op in dag.ops:
-                resource = op.resource
-                if is_edge_key(resource):
-                    tag, u, v, lane = resource
-                    resource = (tag, u, v, lane % fabric.lanes)
-                folded.ops.append(_dc.replace(op, resource=resource))
-            dag = folded
+            dag = fold_lanes(dag, fabric.lanes)
         resources = abstract_resources(
             dag, alpha=fabric.alpha, beta=fabric.beta
         )
 
     sim = DagSimulator(resources).run(dag)
+    # Payload transfers and zero-duration markers (NaN: no duration).
     transfer_finish = [
-        sim.finish[i]
-        for i, op in enumerate(dag.ops)
-        if op.nbytes > 0 or op.duration == 0.0
+        finish
+        for finish, nbytes, duration in zip(sim.finish, dag.nbytes, dag.duration)
+        if nbytes > 0 or duration == 0.0
     ]
     if not transfer_finish:
         raise PlanError("plan lowered to no timed operations")

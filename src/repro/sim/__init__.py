@@ -7,12 +7,19 @@ whole service time (store-and-forward at chunk granularity), and may depend
 on any number of other ops.  This is exactly the level of detail the paper's
 evaluation needs: which physical channel is busy when, and when each chunk
 finishes each phase.
+
+A :class:`~repro.sim.dag.Dag` stores its ops column-wise (typed arrays,
+a resource-key table, CSR deps); :class:`~repro.sim.dag.Op` is the row a
+reader gets when it asks for one.  Emission, embedding and
+:meth:`~repro.sim.engine.DagSimulator.run` work on the columns and build
+no rows.
 """
 
 from repro._lazy import lazy_exports
 
 __all__ = [
     "Dag",
+    "Label",
     "Op",
     "Phase",
     "DagSimulator",
@@ -34,6 +41,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "Dag": "dag",
+        "Label": "dag",
         "Op": "dag",
         "Phase": "dag",
         "DagSimulator": "engine",

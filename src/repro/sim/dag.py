@@ -4,13 +4,27 @@ An :class:`Op` is one unit of work bound to a single resource: a chunk
 transfer over a channel, a reduction/forwarding kernel on a GPU, or a block
 of DNN compute.  Collective algorithms in :mod:`repro.collectives` compile
 to these DAGs; :class:`~repro.sim.engine.DagSimulator` executes them.
+
+A :class:`Dag` stores its ops column-wise, not as one :class:`Op` object
+per op: one typed array per field, the resource as an index into a
+per-DAG key table (keys in order of first use), deps in CSR form (an
+offsets array plus one flat id array), and ``chunk_set`` and explicit
+labels only on the ops that have them.  An op may store a :class:`Label`
+template instead of a string; its text is formatted from the op's own
+fields when the op is read.  Emitters write through :meth:`Dag.add`; the
+embedding and the simulator read the columns directly.  :class:`Op` is
+the row type a reader gets from ``dag[i]``, ``dag.ops[i]``, iteration or
+:meth:`Dag.select`; each read builds a fresh row.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, Iterator
+from array import array
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from operator import lt, sub
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import ScheduleError
 
@@ -27,12 +41,48 @@ class Phase(enum.Enum):
     OTHER = "other"
 
 
+#: Phase code (the ``phase_code`` column) -> phase.
+PHASES: tuple[Phase, ...] = tuple(Phase)
+_PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
+
+
+class Label(enum.IntEnum):
+    """Label templates an op can store instead of a string.
+
+    The text is formatted from the op's own fields when the op is read,
+    so an emitter formats no string per op.  A physical hop that copies a
+    logical op's template names its own endpoints.
+    """
+
+    NONE = 0
+    UP = 1
+    DOWN = 2
+    REDUCED = 3
+    BARRIER = 4
+    HOP = 5
+    FORWARD = 6
+
+
+_LABEL_TEXT = (
+    "",
+    "up c{chunk} {src}->{dst}",
+    "down c{chunk} {src}->{dst}",
+    "reduced c{chunk}@{src}",
+    "phase barrier t{tree}",
+    "hop{src}->{dst}",
+    "forward@gpu{dst}",
+)
+
+#: Stored in the ``duration`` column for "no explicit duration".
+_NO_DURATION = float("nan")
+
+
 @dataclass(frozen=True, slots=True)
 class Op:
-    """One schedulable unit of work.
+    """One schedulable unit of work: the row type of a :class:`Dag`.
 
     Attributes:
-        op_id: unique integer id within its DAG.
+        op_id: unique integer id within its DAG (its position).
         resource: key of the resource this op occupies (see
             :mod:`repro.sim.resources`).  Channel keys look like
             ``("chan", src, dst, lane)``; processor keys like ``("gpu", i)``.
@@ -79,23 +129,64 @@ class Op:
         return replace(self, deps=tuple(deps))
 
 
-@dataclass
 class Dag:
-    """A mutable builder/holder for a set of ops forming a DAG."""
+    """A mutable builder/holder for a set of ops forming a DAG.
 
-    ops: list[Op] = field(default_factory=list)
+    Columns (read them freely; write only through :meth:`add`,
+    :meth:`add_from`, :meth:`set_deps`, item assignment, :meth:`append`
+    and :meth:`pop`):
 
-    def __len__(self) -> int:
-        return len(self.ops)
+    - ``keys``: resource key table, in order of first use;
+      ``resource_id[i]`` indexes it.
+    - ``nbytes``, ``duration`` (NaN stands for ``None``), ``src``,
+      ``dst``, ``chunk``, ``tree``, ``layer``, ``phase_code`` (index
+      into :data:`PHASES`) and ``label_kind`` (a :class:`Label`).
+    - ``dep_offsets`` / ``dep_ids``: op ``i``'s deps are
+      ``dep_ids[dep_offsets[i]:dep_offsets[i + 1]]``.
+    - ``chunk_sets`` / ``labels``: op id -> value, only for the ops that
+      have one.
 
-    def __iter__(self) -> Iterator[Op]:
-        return iter(self.ops)
+    The DAG is also its own op sequence (``dag.ops is dag``): ``len``,
+    indexing and slicing return :class:`Op` rows, and rows can be
+    assigned, appended and popped (the last one only: ids are
+    positions).
+    """
 
-    def __getitem__(self, op_id: int) -> Op:
-        op = self.ops[op_id]
-        if op.op_id != op_id:
-            raise ScheduleError(f"op at index {op_id} has id {op.op_id}")
-        return op
+    __slots__ = (
+        "keys", "_key_ids", "_keys_exact", "resource_id", "nbytes",
+        "duration", "src", "dst", "chunk", "tree", "layer", "phase_code",
+        "label_kind", "dep_offsets", "dep_ids", "chunk_sets", "labels",
+    )
+
+    def __init__(self) -> None:
+        self.keys: list[Hashable] = []
+        self._key_ids: dict[Hashable, int] = {}
+        # False once a rewrite may have left a key unused or out of
+        # first-use order; resources() then rebuilds the table.
+        self._keys_exact = True
+        self.resource_id = array("i")
+        self.nbytes = array("d")
+        self.duration = array("d")
+        self.src = array("i")
+        self.dst = array("i")
+        self.chunk = array("i")
+        self.tree = array("i")
+        self.layer = array("i")
+        self.phase_code = array("b")
+        self.label_kind = array("b")
+        self.dep_offsets = array("i", [0])
+        self.dep_ids = array("i")
+        self.chunk_sets: dict[int, tuple[int, ...]] = {}
+        self.labels: dict[int, str] = {}
+
+    # -- writing ---------------------------------------------------------
+
+    def _key_id(self, resource: Hashable) -> int:
+        rid = self._key_ids.get(resource)
+        if rid is None:
+            rid = self._key_ids[resource] = len(self.keys)
+            self.keys.append(resource)
+        return rid
 
     def add(
         self,
@@ -111,54 +202,285 @@ class Dag:
         phase: Phase = Phase.OTHER,
         tree: int = 0,
         layer: int = -1,
-        label: str = "",
+        label: str | Label = "",
     ) -> int:
-        """Append an op and return its id."""
-        op_id = len(self.ops)
-        self.ops.append(
-            Op(
-                op_id=op_id,
-                resource=resource,
-                nbytes=nbytes,
-                duration=duration,
-                deps=tuple(deps),
-                src=src,
-                dst=dst,
-                chunk=chunk,
-                chunk_set=tuple(chunk_set),
-                phase=phase,
-                tree=tree,
-                layer=layer,
-                label=label,
-            )
-        )
+        """Append an op and return its id.
+
+        ``label`` is a string, or a :class:`Label` template whose text is
+        formatted from the op's fields when the op is read.
+        """
+        op_id = len(self.phase_code)
+        rid = self._key_ids.get(resource)
+        if rid is None:
+            rid = self._key_id(resource)
+        self.resource_id.append(rid)
+        self.nbytes.append(nbytes)
+        self.duration.append(_NO_DURATION if duration is None else duration)
+        self.src.append(src)
+        self.dst.append(dst)
+        self.chunk.append(chunk)
+        self.tree.append(tree)
+        self.layer.append(layer)
+        self.phase_code.append(_PHASE_CODE[phase])
+        if isinstance(label, Label):
+            self.label_kind.append(label)
+        else:
+            self.label_kind.append(0)
+            if label:
+                self.labels[op_id] = label
+        if chunk_set:
+            chunk_set = tuple(chunk_set)
+            if chunk_set:
+                self.chunk_sets[op_id] = chunk_set
+        self.dep_ids.extend(deps)
+        self.dep_offsets.append(len(self.dep_ids))
         return op_id
+
+    def add_from(
+        self,
+        other: "Dag",
+        i: int,
+        resource: Hashable,
+        deps: Iterable[int],
+        *,
+        src: int,
+        dst: int,
+        label: Label = Label.NONE,
+    ) -> int:
+        """Append a copy of ``other``'s op ``i`` on ``resource`` with new
+        ``deps`` and endpoints; return its id.
+
+        Every other field is copied, ``chunk_set`` and the label (string
+        or template) included; ``label`` is the template an op without
+        one gets.  This is how the embedding maps a logical op to its
+        physical ops without building a row.
+        """
+        op_id = len(self.phase_code)
+        rid = self._key_ids.get(resource)
+        if rid is None:
+            rid = self._key_id(resource)
+        self.resource_id.append(rid)
+        self.nbytes.append(other.nbytes[i])
+        self.duration.append(other.duration[i])
+        self.src.append(src)
+        self.dst.append(dst)
+        self.chunk.append(other.chunk[i])
+        self.tree.append(other.tree[i])
+        self.layer.append(other.layer[i])
+        self.phase_code.append(other.phase_code[i])
+        kind = other.label_kind[i]
+        if not kind:
+            text = other.labels.get(i)
+            if text is not None:
+                self.labels[op_id] = text
+            else:
+                kind = label
+        self.label_kind.append(kind)
+        chunk_set = other.chunk_sets.get(i)
+        if chunk_set is not None:
+            self.chunk_sets[op_id] = chunk_set
+        self.dep_ids.extend(deps)
+        self.dep_offsets.append(len(self.dep_ids))
+        return op_id
+
+    def set_deps(self, deps: Mapping[int, Iterable[int]]) -> None:
+        """Replace the deps of every op in ``deps`` (op id -> new deps),
+        rebuilding the CSR arrays once."""
+        offsets, ids = self.dep_offsets, self.dep_ids
+        new_offsets, new_ids = array("i", [0]), array("i")
+        for i in range(len(self)):
+            if i in deps:
+                new_ids.extend(deps[i])
+            else:
+                new_ids.extend(ids[offsets[i]:offsets[i + 1]])
+            new_offsets.append(len(new_ids))
+        self.dep_offsets, self.dep_ids = new_offsets, new_ids
+
+    def append(self, op: Op) -> None:
+        """Append the row ``op``; its id must be the next position."""
+        if op.op_id != len(self):
+            raise ScheduleError(f"op at index {len(self)} has id {op.op_id}")
+        self.add(
+            op.resource, nbytes=op.nbytes, duration=op.duration,
+            deps=op.deps, src=op.src, dst=op.dst, chunk=op.chunk,
+            chunk_set=op.chunk_set, phase=op.phase, tree=op.tree,
+            layer=op.layer, label=op.label,
+        )
+
+    def __setitem__(self, index: int, op: Op) -> None:
+        """Overwrite row ``index`` with ``op`` (whose id must match)."""
+        i = self._position(index)
+        if op.op_id != i:
+            raise ScheduleError(f"op at index {i} has id {op.op_id}")
+        rid = self._key_id(op.resource)
+        if rid != self.resource_id[i]:
+            self.resource_id[i] = rid
+            self._keys_exact = False
+        self.nbytes[i] = op.nbytes
+        self.duration[i] = _NO_DURATION if op.duration is None else op.duration
+        self.src[i] = op.src
+        self.dst[i] = op.dst
+        self.chunk[i] = op.chunk
+        self.tree[i] = op.tree
+        self.layer[i] = op.layer
+        self.phase_code[i] = _PHASE_CODE[op.phase]
+        self.label_kind[i] = 0
+        _set_or_drop(self.labels, i, op.label)
+        _set_or_drop(self.chunk_sets, i, tuple(op.chunk_set))
+        if tuple(op.deps) != self._deps_of(i):
+            self.set_deps({i: op.deps})
+
+    def pop(self, index: int = -1) -> Op:
+        """Remove and return the last op (ids are positions, so no other
+        op can be removed)."""
+        if not len(self):
+            raise IndexError("pop from empty Dag")
+        i = self._position(index)
+        if i != len(self) - 1:
+            raise ScheduleError(
+                f"cannot remove op {i}: only the last op can be removed"
+            )
+        op = self._row(i)
+        for column in (
+            self.resource_id, self.nbytes, self.duration, self.src,
+            self.dst, self.chunk, self.tree, self.layer, self.phase_code,
+            self.label_kind, self.dep_offsets,
+        ):
+            column.pop()
+        del self.dep_ids[self.dep_offsets[-1]:]
+        self.labels.pop(i, None)
+        self.chunk_sets.pop(i, None)
+        self._keys_exact = False
+        return op
 
     def extend(self, other: "Dag") -> dict[int, int]:
         """Append all ops of ``other``, remapping ids; returns the id map."""
         id_map: dict[int, int] = {}
-        for op in other.ops:
-            new_deps = tuple(id_map[d] for d in op.deps)
-            new_id = len(self.ops)
-            self.ops.append(replace(op, op_id=new_id, deps=new_deps))
+        for op in other:
+            new_id = len(self)
+            self.append(
+                replace(op, op_id=new_id,
+                        deps=tuple(id_map[d] for d in op.deps))
+            )
             id_map[op.op_id] = new_id
         return id_map
 
+    def remap_resources(self, fn: Callable[[Hashable], Hashable]) -> "Dag":
+        """A DAG with every resource key ``k`` replaced by ``fn(k)``.
+
+        Keys that map to one key merge, in order of first use; the other
+        columns are copied.  If ``fn`` changes no key, ``self`` is
+        returned.
+        """
+        self._compact_keys()
+        new_keys = [fn(key) for key in self.keys]
+        if new_keys == self.keys:
+            return self
+        out = Dag()
+        remap = array("i", map(out._key_id, new_keys))
+        out.resource_id = array("i", map(remap.__getitem__, self.resource_id))
+        for name in (
+            "nbytes", "duration", "src", "dst", "chunk", "tree", "layer",
+            "phase_code", "label_kind", "dep_offsets", "dep_ids",
+        ):
+            setattr(out, name, getattr(self, name)[:])
+        out.chunk_sets = dict(self.chunk_sets)
+        out.labels = dict(self.labels)
+        return out
+
+    # -- reading ---------------------------------------------------------
+
+    @property
+    def ops(self) -> "Dag":
+        """The ops as a sequence of :class:`Op` rows: the DAG itself."""
+        return self
+
+    def __len__(self) -> int:
+        return len(self.phase_code)
+
+    def __iter__(self) -> Iterator[Op]:
+        return map(self._row, range(len(self)))
+
+    def __getitem__(self, index):
+        """Row ``index`` as an :class:`Op`; a slice gives a list of rows."""
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        return self._row(self._position(index))
+
+    def __repr__(self) -> str:
+        return f"Dag({len(self)} ops, {len(self.keys)} resource keys)"
+
+    def _position(self, index: int) -> int:
+        n = len(self)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError(f"op index {index} out of range for {n} ops")
+        return i
+
+    def _deps_of(self, i: int) -> tuple[int, ...]:
+        return tuple(self.dep_ids[self.dep_offsets[i]:self.dep_offsets[i + 1]])
+
+    def label_of(self, i: int) -> str:
+        """Op ``i``'s label: its string, or its template's text."""
+        kind = self.label_kind[i]
+        if kind:
+            return _LABEL_TEXT[kind].format(
+                src=self.src[i], dst=self.dst[i],
+                chunk=self.chunk[i], tree=self.tree[i],
+            )
+        return self.labels.get(i, "")
+
+    def _row(self, i: int) -> Op:
+        duration = self.duration[i]
+        return Op(
+            op_id=i,
+            resource=self.keys[self.resource_id[i]],
+            nbytes=self.nbytes[i],
+            duration=None if duration != duration else duration,
+            deps=self._deps_of(i),
+            src=self.src[i],
+            dst=self.dst[i],
+            chunk=self.chunk[i],
+            chunk_set=self.chunk_sets.get(i, ()),
+            phase=PHASES[self.phase_code[i]],
+            tree=self.tree[i],
+            layer=self.layer[i],
+            label=self.label_of(i),
+        )
+
+    def children(self) -> list[list[int]]:
+        """Per op id, the ids of the ops that depend on it, ascending."""
+        n = len(self)
+        children: list[list[int]] = [[] for _ in range(n)]
+        ids = self.dep_ids.tolist()
+        lo = 0
+        for i, hi in enumerate(self.dep_offsets.tolist()[1:]):
+            for d in ids[lo:hi]:
+                children[d].append(i)
+            lo = hi
+        return children
+
     def validate(self) -> None:
-        """Check ids are dense and all deps reference earlier-created ops.
+        """Check all deps reference other existing ops and form no cycle.
 
         Raises:
-            ScheduleError: on dangling or self deps, or id mismatches.
+            ScheduleError: on dangling or self deps, or cycles.
         """
-        n = len(self.ops)
-        for i, op in enumerate(self.ops):
-            if op.op_id != i:
-                raise ScheduleError(f"op at index {i} has id {op.op_id}")
-            for d in op.deps:
-                if not 0 <= d < n:
-                    raise ScheduleError(f"op {i} depends on missing op {d}")
-                if d == i:
-                    raise ScheduleError(f"op {i} depends on itself")
+        n = len(self)
+        ids, offsets = self.dep_ids, self.dep_offsets
+        # The op owning each entry of ``ids``, in order.
+        owners = list(chain.from_iterable(
+            map(repeat, range(n), map(sub, offsets[1:], offsets[:-1]))
+        ))
+        # Every dep naming an earlier op rules out all three faults: the
+        # ids are then a topological order.
+        if not ids or (min(ids) >= 0 and all(map(lt, ids, owners))):
+            return
+        for d, i in zip(ids, owners):
+            if not 0 <= d < n:
+                raise ScheduleError(f"op {i} depends on missing op {d}")
+            if d == i:
+                raise ScheduleError(f"op {i} depends on itself")
         self.topological_order()  # raises on cycles
 
     def topological_order(self) -> list[int]:
@@ -167,13 +489,10 @@ class Dag:
         Raises:
             ScheduleError: if the dependency graph has a cycle.
         """
-        n = len(self.ops)
-        indegree = [0] * n
-        children: list[list[int]] = [[] for _ in range(n)]
-        for op in self.ops:
-            indegree[op.op_id] = len(op.deps)
-            for d in op.deps:
-                children[d].append(op.op_id)
+        n = len(self)
+        offsets = self.dep_offsets
+        indegree = list(map(sub, offsets[1:], offsets[:-1]))
+        children = self.children()
         frontier = [i for i in range(n) if indegree[i] == 0]
         order: list[int] = []
         while frontier:
@@ -187,9 +506,30 @@ class Dag:
             raise ScheduleError("dependency cycle detected in DAG")
         return order
 
+    def _compact_keys(self) -> None:
+        """Drop unused keys and restore first-use order after rewrites."""
+        if self._keys_exact:
+            return
+        old_keys = self.keys
+        self.keys, self._key_ids = [], {}
+        remap = {}
+        column = array("i")
+        for r in self.resource_id:
+            new = remap.get(r)
+            if new is None:
+                new = remap[r] = self._key_id(old_keys[r])
+            column.append(new)
+        self.resource_id = column
+        self._keys_exact = True
+
     def resources(self) -> set[Hashable]:
-        """All resource keys referenced by ops in this DAG."""
-        return {op.resource for op in self.ops}
+        """All resource keys referenced by ops in this DAG.
+
+        Built by inserting the keys in order of first use, so the set
+        iterates exactly like ``{op.resource for op in dag}``.
+        """
+        self._compact_keys()
+        return set(self.keys)
 
     def select(self, **criteria: object) -> list[Op]:
         """Return ops whose attributes match all keyword criteria.
@@ -198,8 +538,14 @@ class Dag:
 
             dag.select(phase=Phase.BROADCAST, chunk=0)
         """
-        result = []
-        for op in self.ops:
-            if all(getattr(op, key) == value for key, value in criteria.items()):
-                result.append(op)
-        return result
+        return [
+            op for op in self
+            if all(getattr(op, key) == value for key, value in criteria.items())
+        ]
+
+
+def _set_or_drop(table: dict, i: int, value) -> None:
+    if value:
+        table[i] = value
+    else:
+        table.pop(i, None)

@@ -19,11 +19,11 @@ channels:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.errors import EmbeddingError
-from repro.sim.dag import Dag, Phase
+from repro.sim.dag import Dag, Label, Phase
 from repro.sim.resources import Channel, Processor
 from repro.topology.base import PhysicalTopology, chan_key, gpu_key, intern_key
 from repro.topology.routing import Router
@@ -51,28 +51,23 @@ class EmbeddingReport:
         detour_transfers: count of logical transfers that needed a detour.
         forwarded_bytes: per intermediate GPU, total bytes forwarded.
         lane_assignments: per (u, v), set of physical lanes used.
-        logical_done: logical op id -> physical op id whose completion
-            marks the logical op complete (the last hop of its route).
+        logical_done: indexed by logical op id, the physical op id whose
+            completion marks the logical op complete (the last hop of
+            its route).
         relay_routes: per intermediate GPU, the set of (src, dst, tree)
             logical directed edges it relays — each needs one persistent
             forwarding kernel on that GPU.
     """
 
     detour_transfers: int = 0
-    forwarded_bytes: dict[int, float] | None = None
-    lane_assignments: dict[tuple[int, int], set[int]] | None = None
-    logical_done: dict[int, int] | None = None
-    relay_routes: dict[int, set[tuple[int, int, int]]] | None = None
-
-    def __post_init__(self) -> None:
-        if self.forwarded_bytes is None:
-            self.forwarded_bytes = {}
-        if self.lane_assignments is None:
-            self.lane_assignments = {}
-        if self.logical_done is None:
-            self.logical_done = {}
-        if self.relay_routes is None:
-            self.relay_routes = {}
+    forwarded_bytes: dict[int, float] = field(default_factory=dict)
+    lane_assignments: dict[tuple[int, int], set[int]] = field(
+        default_factory=dict
+    )
+    logical_done: list[int] = field(default_factory=list)
+    relay_routes: dict[int, set[tuple[int, int, int]]] = field(
+        default_factory=dict
+    )
 
 
 def embed_on_physical(
@@ -83,6 +78,15 @@ def embed_on_physical(
     charge_forwarding: bool = True,
 ) -> tuple[Dag, EmbeddingReport]:
     """Rewrite a logical-edge DAG onto physical channel resources.
+
+    Reads the logical DAG's columns and appends the physical ops with
+    :meth:`Dag.add_from`, so no :class:`~repro.sim.dag.Op` row is built.
+    Every physical op keeps its logical op's fields (``chunk_set``
+    included) except resource, deps and endpoints.  A hop keeps the
+    logical op's label string; a template label (or, for an unlabelled
+    op, ``hop{a}->{b}``) names the hop's own endpoints.  Forwarding ops
+    read ``forward@gpuN``.  Each distinct (logical edge, tree) is routed
+    once.
 
     Args:
         dag: logical DAG; transfer ops carry ``("edge", u, v, lane_hint)``
@@ -104,78 +108,104 @@ def embed_on_physical(
     physical = Dag()
     report = EmbeddingReport()
     # logical op id -> physical op id whose completion means "op done"
-    done_id = report.logical_done
-    assert done_id is not None
+    done = report.logical_done
+    keys, offsets, dep_ids = dag.keys, dag.dep_offsets, dag.dep_ids
+    is_edge = [is_edge_key(key) for key in keys]
+    # (key id, tree) -> [(a, b, channel key, b is intermediate)]
+    hops_of: dict[tuple[int, int], list[tuple[int, int, tuple, bool]]] = {}
 
-    for op in dag.ops:
-        mapped_deps = [done_id[d] for d in op.deps]
-        if not is_edge_key(op.resource):
-            new_id = physical.add(
-                op.resource,
-                nbytes=op.nbytes,
-                duration=op.duration,
-                deps=mapped_deps,
-                src=op.src,
-                dst=op.dst,
-                chunk=op.chunk,
-                phase=op.phase,
-                tree=op.tree,
-                layer=op.layer,
-                label=op.label,
-            )
-            done_id[op.op_id] = new_id
+    for i, (r, tree, nbytes) in enumerate(
+        zip(dag.resource_id, dag.tree, dag.nbytes)
+    ):
+        mapped_deps = [done[d] for d in dep_ids[offsets[i]:offsets[i + 1]]]
+        if not is_edge[r]:
+            done.append(physical.add_from(
+                dag, i, keys[r], mapped_deps, src=dag.src[i], dst=dag.dst[i]
+            ))
             continue
 
-        _tag, u, v, _hint = op.resource
-        if not (0 <= u < topo.nnodes and 0 <= v < topo.nnodes):
-            raise EmbeddingError(f"logical edge {u}->{v} endpoints not GPUs")
-        path = router.route(u, v)
-        if len(path) > 2:
-            report.detour_transfers += 1
-        prev_id: int | None = None
-        for a, b in zip(path, path[1:]):
-            lanes = topo.lane_count(a, b)
-            if lanes == 0:
-                raise EmbeddingError(f"router returned unlinked hop {a}->{b}")
-            lane = op.tree % lanes
-            report.lane_assignments.setdefault((a, b), set()).add(lane)
-            hop_deps = mapped_deps if prev_id is None else [prev_id]
-            hop_id = physical.add(
-                chan_key(a, b, lane),
-                nbytes=op.nbytes,
-                deps=hop_deps,
-                src=a,
-                dst=b,
-                chunk=op.chunk,
-                phase=op.phase,
-                tree=op.tree,
-                layer=op.layer,
-                label=op.label or f"hop{a}->{b}",
+        hops = hops_of.get((r, tree))
+        if hops is None:
+            hops = hops_of[(r, tree)] = _route_hops(
+                keys[r], tree, topo, router, report
             )
-            is_intermediate = b != path[-1]
-            if is_intermediate:
+        if len(hops) > 1:
+            report.detour_transfers += 1
+        prev_id = -1
+        for a, b, chan, intermediate in hops:
+            hop_deps = mapped_deps if prev_id < 0 else [prev_id]
+            hop_id = physical.add_from(
+                dag, i, chan, hop_deps, src=a, dst=b, label=Label.HOP
+            )
+            if intermediate:
                 report.forwarded_bytes[b] = (
-                    report.forwarded_bytes.get(b, 0.0) + op.nbytes
+                    report.forwarded_bytes.get(b, 0.0) + nbytes
                 )
-                report.relay_routes.setdefault(b, set()).add((u, v, op.tree))
                 if charge_forwarding:
                     physical.add(
                         gpu_key(b),
-                        duration=op.nbytes / FORWARDING_COPY_BANDWIDTH,
+                        duration=nbytes / FORWARDING_COPY_BANDWIDTH,
                         deps=[hop_id],
                         src=a,
                         dst=b,
-                        chunk=op.chunk,
+                        chunk=dag.chunk[i],
+                        chunk_set=dag.chunk_sets.get(i, ()),
                         phase=Phase.OTHER,
-                        tree=op.tree,
-                        layer=op.layer,
-                        label=f"forward@gpu{b}",
+                        tree=tree,
+                        layer=dag.layer[i],
+                        label=Label.FORWARD,
                     )
             prev_id = hop_id
-        done_id[op.op_id] = prev_id  # type: ignore[assignment]
+        done.append(prev_id)
 
     physical.validate()
     return physical, report
+
+
+def _route_hops(
+    key: tuple,
+    tree: int,
+    topo: PhysicalTopology,
+    router: Router,
+    report: EmbeddingReport,
+) -> list[tuple[int, int, tuple, bool]]:
+    """Route logical edge ``key`` for tree ``tree``: its physical hops
+    ``(a, b, channel key, b is intermediate)``, recording the lanes and
+    relay routes in ``report``."""
+    _tag, u, v, _hint = key
+    if not (0 <= u < topo.nnodes and 0 <= v < topo.nnodes):
+        raise EmbeddingError(f"logical edge {u}->{v} endpoints not GPUs")
+    path = router.route(u, v)
+    hops = []
+    for a, b in zip(path, path[1:]):
+        lanes = topo.lane_count(a, b)
+        if lanes == 0:
+            raise EmbeddingError(f"router returned unlinked hop {a}->{b}")
+        lane = tree % lanes
+        report.lane_assignments.setdefault((a, b), set()).add(lane)
+        intermediate = b != path[-1]
+        if intermediate:
+            report.relay_routes.setdefault(b, set()).add((u, v, tree))
+        hops.append((a, b, chan_key(a, b, lane), intermediate))
+    return hops
+
+
+def fold_lanes(dag: Dag, lanes: int) -> Dag:
+    """``dag`` with each logical edge's lane hint folded modulo ``lanes``.
+
+    On a fabric with fewer lanes than lane hints, the folded lanes share
+    one channel.  Only the key table is remapped; a DAG whose lanes all
+    fit is returned as is.
+    """
+
+    def fold(key: Hashable) -> Hashable:
+        if is_edge_key(key):
+            _tag, u, v, lane = key
+            if lane % lanes != lane:
+                return edge_key(u, v, lane % lanes)
+        return key
+
+    return dag.remap_resources(fold)
 
 
 def abstract_resources(

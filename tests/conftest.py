@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import CCubeConfig
 from repro.dnn.layers import LayerKind, LayerSpec, NetworkModel
 from repro.runtime.sync import SpinConfig
+from repro.sim.dag import Op
 from repro.topology.dgx1 import dgx1_topology
 from repro.topology.switch import FabricSpec
 
@@ -22,6 +23,21 @@ def small_config() -> CCubeConfig:
 def fabric() -> FabricSpec:
     """Abstract 8-endpoint fabric with dedicated logical channels."""
     return FabricSpec(nnodes=8, alpha=1e-6, beta=1e-9, lanes=2, name="test")
+
+
+@pytest.fixture
+def op_rows(monkeypatch):
+    """Records the id of every :class:`~repro.sim.dag.Op` row built
+    while the test runs."""
+    built = []
+    init = Op.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("op_id", args[0] if args else None))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Op, "__init__", counting_init)
+    return built
 
 
 @pytest.fixture

@@ -37,6 +37,16 @@ class TestScheduleShape:
         downs = schedule.dag.select(phase=Phase.BROADCAST, chunk=1)
         assert len(downs) == 7
 
+    def test_labels_name_each_op(self):
+        schedule = tree_allreduce(4, 400.0, nchunks=1)
+        assert [op.label for op in schedule.dag] == [
+            "up c0 3->2", "up c0 2->1", "up c0 0->1", "reduced c0@1",
+            "phase barrier t0", "down c0 1->0", "down c0 1->2",
+            "down c0 2->3",
+        ]
+        # Stored as templates: no label string is kept per op.
+        assert schedule.dag.labels == {}
+
     def test_overlapped_flag(self):
         assert overlapped_tree_allreduce(4, 100.0, nchunks=1).overlapped
         assert not tree_allreduce(4, 100.0, nchunks=1).overlapped

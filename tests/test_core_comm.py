@@ -1,5 +1,6 @@
 """Tests for the strategy-to-schedule glue (repro.core.comm)."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -9,6 +10,9 @@ from repro.core.comm import build_strategy_schedule, simulate_strategy_comm
 from repro.core.config import Bandwidth, CCubeConfig, Strategy
 from repro.dnn.networks import NETWORKS
 from repro.sim.dag import Dag
+from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
+from repro.topology.embedding import embed_on_physical
+from repro.topology.routing import Router
 
 
 class TestBuildStrategySchedule:
@@ -83,7 +87,9 @@ class TestSimulateStrategyComm:
         outcome = simulate_strategy_comm(Strategy.RING, 64000.0, small_config)
         logical = outcome.schedule.dag.ops
         assert len(outcome.sim.ops) == len(logical)
-        assert all(a is b for a, b in zip(outcome.sim.ops, logical))
+        # Rows are built on read, so reuse means the DES ran the
+        # schedule's own DAG: no lane needed folding, nothing was copied.
+        assert outcome.sim.ops is logical
 
     def test_physical_dag_is_validated_once(self, small_config, monkeypatch):
         validated = []
@@ -103,9 +109,10 @@ class TestSimulateStrategyComm:
     def test_heaviest_fig13_point_peak_memory(self):
         # VGG-16 / CC / low bandwidth is the largest Fig. 13 DES point
         # (7,740 logical and 8,772 physical ops).  On CPython 3.11 its
-        # peak is about 6.2 MB with slotted ops and a trace derived only
-        # when read, and about 8.7 MB when every run also built one
-        # trace record per op and a key tuple per transfer.
+        # peak is about 3.7 MB with column-stored DAGs, about 6.2 MB with
+        # one slotted op per op and a trace derived only when read, and
+        # about 8.7 MB when every run also built one trace record per op
+        # and a key tuple per transfer.
         config = CCubeConfig().scaled(Bandwidth.LOW)
         nbytes = float(NETWORKS["vgg16"]().total_bytes)
         simulate_strategy_comm(Strategy.CCUBE, nbytes, config)  # warm caches
@@ -117,3 +124,37 @@ class TestSimulateStrategyComm:
             tracemalloc.stop()
         assert len(outcome.sim.start) == 8772
         assert peak < 7.5e6
+
+
+class TestColumnStore:
+    def test_fig13_path_builds_no_op_rows(self, small_config, op_rows):
+        for strategy in Strategy:  # ring on a fabric, trees on the DGX-1
+            outcome = simulate_strategy_comm(strategy, 64000.0, small_config)
+            assert outcome.total_time > 0
+        assert op_rows == []
+
+    def test_embedded_baseline_keeps_at_most_64_bytes_per_op(self, op_rows):
+        # VGG-16 / B / low bandwidth: 7,742 logical and 8,774 physical
+        # ops.  On CPython 3.11 the physical DAG keeps about 39 B/op in
+        # columns; as one slotted Op per op it kept 205 B/op.
+        config = CCubeConfig().scaled(Bandwidth.LOW)
+        nbytes = float(NETWORKS["vgg16"]().total_bytes)
+        schedule = build_strategy_schedule(Strategy.BASELINE, nbytes, config)
+        topo = dgx1_topology(
+            nvlink_bandwidth=1.0 / config.beta, nvlink_alpha=config.alpha
+        )
+        router = Router(topo, detour_preference=DETOUR_NODES)
+        embed_on_physical(schedule.dag, topo, router)  # warm key caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            physical, report = embed_on_physical(schedule.dag, topo, router)
+            del report
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op_rows == []
+        assert len(physical) == 8774
+        assert (after - before) / len(physical) <= 64

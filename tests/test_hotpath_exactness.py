@@ -43,7 +43,7 @@ from repro.sanitizer import hooks
 from repro.sim import engine
 from repro.sim.dag import Dag
 from repro.sim.engine import DagSimulator
-from repro.sim.resources import Channel
+from repro.sim.resources import Channel, Processor
 from repro.sim.trace import TraceRecord
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
@@ -317,16 +317,22 @@ class TestPooledWire:
 
 
 class TestOptimizedEngine:
-    def _random_dag(self, rng, nops=120, nchans=5):
+    def _random_dag(self, rng, nops=120, nchans=5, nprocs=0):
+        """Random DAG on ``nchans`` channels and ``nprocs`` processors
+        (speedups 1, 0.7, ...); with processors, every fourth channel op
+        also carries an explicit duration."""
         dag = Dag()
         for i in range(nops):
             ndeps = int(rng.integers(0, min(i, 3) + 1))
             deps = sorted(
                 int(d) for d in rng.choice(i, size=ndeps, replace=False)
             ) if i and ndeps else []
+            r = int(rng.integers(nchans + nprocs))
+            timed = r >= nchans or (nprocs and i % 4 == 0)
             dag.add(
-                ("chan", int(rng.integers(nchans))),
+                ("chan", r) if r < nchans else ("gpu", r - nchans),
                 nbytes=float(rng.integers(1, 512)),
+                duration=float(rng.integers(1, 64)) * 1e-7 if timed else None,
                 deps=deps,
                 label=f"op{i}",
             )
@@ -334,11 +340,13 @@ class TestOptimizedEngine:
             ("chan", c): Channel(alpha=1e-6, beta=1e-9)
             for c in range(nchans)
         }
+        for p in range(nprocs):
+            resources[("gpu", p)] = Processor(speedup=1.0 - 0.3 * p)
         return dag, resources
 
     def test_run_matches_run_reference(self, rng):
-        for _ in range(5):
-            dag, resources = self._random_dag(rng)
+        for nprocs in (0, 0, 0, 2, 2):
+            dag, resources = self._random_dag(rng, nprocs=nprocs)
             simulator = DagSimulator(resources)
             ref = simulator.run_reference(dag)
             opt = simulator.run(dag)

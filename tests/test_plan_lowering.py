@@ -18,6 +18,7 @@ from repro.plan import (
     simulate_plan,
     speedup_for_straggler,
 )
+from repro.sim.dag import Dag
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import dgx1_trees
 from repro.topology.routing import Router
@@ -157,6 +158,22 @@ class TestLoweringStructure:
         )
         transfers = [op for op in dag.ops if op.nbytes > 0]
         assert len(transfers) == npairs
+
+    def test_each_op_gets_its_deps_written_once(self, op_rows, monkeypatch):
+        rewrites = []
+        set_deps = Dag.set_deps
+
+        def counting_set_deps(dag, deps):
+            rewrites.append(len(deps))
+            set_deps(dag, deps)
+
+        monkeypatch.setattr(Dag, "set_deps", counting_set_deps)
+        plan = build_double_tree_plan(8, N, nchunks=4, overlapped=True)
+        dag = lower_to_dag(plan)
+        assert op_rows == []
+        assert len(rewrites) == 1  # one CSR rebuild for every plan op
+        for op in dag:
+            assert list(op.deps) == sorted(set(op.deps))
 
     def test_simulate_plan_needs_exactly_one_target(self):
         plan = build_ring_plan(4, 1024.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ScheduleError
-from repro.sim.dag import Dag, Op, Phase
+from repro.sim.dag import Dag, Label, Op, Phase
 
 
 def chain(n: int) -> Dag:
@@ -140,3 +140,107 @@ class TestDagQueries:
 
     def test_select_no_match(self):
         assert chain(3).select(chunk=9) == []
+
+
+class TestColumnStore:
+    def test_rows_round_trip_every_field(self):
+        dag = Dag()
+        dag.add("a")
+        dag.add(
+            ("chan", 1, 2, 0), nbytes=7, duration=0.5, deps=[0], src=1,
+            dst=2, chunk=3, chunk_set=[3, 5], phase=Phase.BROADCAST,
+            tree=1, layer=4, label="x",
+        )
+        assert dag[1] == Op(
+            op_id=1, resource=("chan", 1, 2, 0), nbytes=7.0, duration=0.5,
+            deps=(0,), src=1, dst=2, chunk=3, chunk_set=(3, 5),
+            phase=Phase.BROADCAST, tree=1, layer=4, label="x",
+        )
+        assert dag[0] == Op(op_id=0, resource="a")
+        assert dag[0].duration is None
+
+    def test_only_ops_with_them_store_chunk_sets_and_labels(self):
+        dag = Dag()
+        dag.add("a")
+        dag.add("a", chunk_set=(1, 2), label="y")
+        dag.add("a", label=Label.UP)
+        assert dag.chunk_sets == {1: (1, 2)}
+        assert dag.labels == {1: "y"}
+
+    def test_label_templates_format_from_fields(self):
+        dag = Dag()
+        fields = dict(src=4, dst=2, chunk=3, tree=1)
+        for label in Label:
+            dag.add("r", label=label, **fields)
+        assert [op.label for op in dag] == [
+            "", "up c3 4->2", "down c3 4->2", "reduced c3@4",
+            "phase barrier t1", "hop4->2", "forward@gpu2",
+        ]
+
+    def test_ops_is_the_dag_and_supports_slices(self):
+        dag = chain(4)
+        assert dag.ops is dag
+        assert [op.op_id for op in dag.ops[1:3]] == [1, 2]
+        assert dag.ops[-1].op_id == 3
+        with pytest.raises(IndexError):
+            dag.ops[4]
+
+    def test_append_needs_the_next_id(self):
+        dag = chain(2)
+        dag.ops.append(Op(op_id=2, resource="r", deps=(1,)))
+        assert dag[2].deps == (1,)
+        with pytest.raises(ScheduleError, match="has id 7"):
+            dag.ops.append(Op(op_id=7, resource="r"))
+
+    def test_pop_removes_only_the_last_op(self):
+        dag = chain(3)
+        with pytest.raises(ScheduleError, match="only the last"):
+            dag.ops.pop(0)
+        op = dag.ops.pop()
+        assert op.op_id == 2 and op.deps == (1,)
+        assert len(dag) == 2
+        assert list(dag.dep_ids) == [0]
+        dag.validate()
+
+    def test_item_assignment_rewrites_row_and_resources(self):
+        dag = Dag()
+        dag.add("a")
+        dag.add("b", deps=[0])
+        dag.add("c", deps=[0, 1])
+        dag.ops[0] = Op(op_id=0, resource="c", nbytes=2.0)
+        dag.ops[1] = dag.ops[1].with_deps([])
+        assert [op.deps for op in dag] == [(), (), (0, 1)]
+        assert dag[0].nbytes == 2.0
+        assert list(dag.resources()) == list({op.resource for op in dag})
+        assert dag.keys == ["c", "b"]
+
+    def test_set_deps_rewrites_several_ops_at_once(self):
+        dag = chain(4)
+        dag.set_deps({1: [], 3: [0, 2]})
+        assert [op.deps for op in dag] == [(), (), (1,), (0, 2)]
+
+    def test_resources_iterate_like_a_set_of_rows(self):
+        dag = Dag()
+        keys = [("chan", i % 7, i % 5, i % 2) for i in range(60)]
+        for key in keys:
+            dag.add(key)
+        assert list(dag.resources()) == list({op.resource for op in dag})
+
+    def test_remap_resources(self):
+        dag = Dag()
+        dag.add(("e", 1))
+        dag.add(("e", 0), deps=[0])
+        assert dag.remap_resources(lambda key: key) is dag
+        folded = dag.remap_resources(lambda key: ("e", 0))
+        assert folded.keys == [("e", 0)]
+        assert [op.resource for op in folded] == [("e", 0), ("e", 0)]
+        assert folded[1].deps == (0,)
+        assert dag[0].resource == ("e", 1)
+
+    def test_forward_deps_are_valid_when_acyclic(self):
+        dag = Dag()
+        dag.add("a")
+        dag.add("a")
+        dag.set_deps({0: [1]})
+        dag.validate()
+        assert dag.topological_order() == [1, 0]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.dag import Dag, Phase
+from repro.collectives.halving_doubling import halving_doubling_allreduce
+from repro.sim.dag import Dag, Label, Phase
 from repro.sim.engine import DagSimulator
 from repro.topology.base import chan_key, gpu_key
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
@@ -101,6 +102,51 @@ class TestDetourEmbedding:
         )
         assert report.logical_done[0] == 1
         assert physical[1].dst == 4
+
+
+class TestFieldsCarried:
+    def test_aggregated_transfer_keeps_its_chunks_on_dgx1(self, setup):
+        topo, router = setup
+        schedule = halving_doubling_allreduce(8, 1e6)
+        physical, report = embed_on_physical(schedule.dag, topo, router)
+        aggregated = [op for op in schedule.dag if op.chunk_set]
+        assert (1, 3, 5, 7) in {op.chunk_set for op in aggregated}
+        for op in schedule.dag:
+            hop = physical[report.logical_done[op.op_id]]
+            assert hop.chunks_carried() == op.chunks_carried()
+
+    def test_detour_hops_and_forwarding_keep_chunk_set(self, setup):
+        topo, router = setup
+        dag = Dag()
+        dag.add(edge_key(2, 4), nbytes=8.0, src=2, dst=4, chunk=1,
+                chunk_set=(1, 3), layer=5)
+        physical, _ = embed_on_physical(dag, topo, router)
+        assert len(physical) == 3  # two hops and one forwarding op
+        for op in physical:
+            assert op.chunk_set == (1, 3)
+            assert op.layer == 5
+
+    def test_non_edge_copy_keeps_chunk_set(self, setup):
+        topo, router = setup
+        dag = Dag()
+        dag.add(("sync", 0), duration=0.0, chunk_set=(0, 2), label="mark")
+        physical, _ = embed_on_physical(dag, topo, router)
+        assert physical[0].chunk_set == (0, 2)
+        assert physical[0].label == "mark"
+
+    def test_hop_labels(self, setup):
+        topo, router = setup
+        dag = Dag()
+        dag.add(edge_key(2, 4), nbytes=8.0, src=2, dst=4, chunk=3,
+                phase=Phase.REDUCE, label=Label.UP)
+        dag.add(edge_key(2, 4), nbytes=8.0, src=2, dst=4, label="rs s1")
+        dag.add(edge_key(2, 4), nbytes=8.0, src=2, dst=4)
+        physical, _ = embed_on_physical(dag, topo, router)
+        assert [op.label for op in physical] == [
+            "up c3 2->0", "forward@gpu0", "up c3 0->4",
+            "rs s1", "forward@gpu0", "rs s1",
+            "hop2->0", "forward@gpu0", "hop0->4",
+        ]
 
 
 class TestLaneAssignment:
