@@ -32,8 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import PlanError
-from ..plan.ir import SEND, Plan
+from ..plan.ir import K_SEND, Plan
 from ..plan.lowering import lower_to_dag
+from ..plan.verifier import WirePairing
 from ..sim.resources import Channel, Processor
 from ..topology.base import PhysicalTopology
 from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
@@ -111,12 +112,15 @@ def analyze_contention(
     charge_forwarding: bool = True,
     pcie_alpha: float = PCIE_ALPHA,
     pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
+    pairing: WirePairing | None = None,
 ) -> ContentionReport:
     """Compute the static lower bound and contention advisories.
 
     An unlegalized plan is first compiled exactly the way
     :func:`~repro.plan.lowering.simulate_plan` would, so the bound is
-    sound against the same simulation the tuner runs.
+    sound against the same simulation the tuner runs.  ``pairing`` is a
+    legalized ``plan``'s wire pairing (its verification report's), which
+    the lowering then reuses.
     """
     if not plan.legalized:
         from ..plan.passes import compile_plan
@@ -125,7 +129,10 @@ def analyze_contention(
             plan, topo, router=router,
             pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
         )
-    dag = lower_to_dag(plan, charge_forwarding=charge_forwarding)
+        pairing = None
+    dag = lower_to_dag(
+        plan, charge_forwarding=charge_forwarding, pairing=pairing
+    )
     resources = _build_resources(
         dag, topo, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta
     )
@@ -193,12 +200,12 @@ def analyze_contention(
 
     # Advisory contention findings on the compiled plan's NVLink hops.
     users: dict[tuple, set[int]] = {}
-    for op in plan.ops:
-        if op.kind != SEND or op.medium == "pcie":
+    pcie = plan.media.index("pcie")
+    for i, kind in enumerate(plan.kind_code):
+        if kind != K_SEND or plan.medium_code[i] == pcie:
             continue
-        users.setdefault(("chan", op.rank, op.peer, op.lane), set()).add(
-            op.tree
-        )
+        key = ("chan", plan.rank[i], plan.peer[i], plan.lane[i])
+        users.setdefault(key, set()).add(plan.tree[i])
     for key, trees in sorted(users.items(), key=repr):
         if len(trees) > 1:
             report.shared_lanes[key] = sorted(trees)

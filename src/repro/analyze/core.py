@@ -137,6 +137,7 @@ def analyze_plan(
         contention = analyze_contention(
             plan, topo, router=router,
             pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
+            pairing=verify.pairing,
         )
         report.extend(contention.diagnostics)
     return AnalysisReport(

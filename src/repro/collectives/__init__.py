@@ -12,12 +12,6 @@ from __future__ import annotations
 from repro._lazy import lazy_exports
 from repro.errors import ConfigError
 
-# build_allreduce below calls these from this module's own globals, which
-# the lazy __getattr__ does not serve.
-from repro.collectives.double_tree import ccube_allreduce, double_tree_allreduce
-from repro.collectives.ring import ring_allreduce
-from repro.collectives.tree import overlapped_tree_allreduce, tree_allreduce
-
 __all__ = [
     "AllReduceOutcome",
     "CollectiveSchedule",
@@ -76,14 +70,18 @@ __getattr__, __dir__ = lazy_exports(
     },
 )
 
+#: Algorithm name -> the exported builder :func:`build_allreduce` calls
+#: (resolved on first use, so importing this package loads no emitter).
+_BUILDERS = {
+    "ring": "ring_allreduce",
+    "tree": "tree_allreduce",
+    "overlapped_tree": "overlapped_tree_allreduce",
+    "double_tree": "double_tree_allreduce",
+    "ccube": "ccube_allreduce",
+}
+
 #: Builders by algorithm name, for :func:`build_allreduce`.
-ALGORITHMS = (
-    "ring",
-    "tree",
-    "overlapped_tree",
-    "double_tree",
-    "ccube",
-)
+ALGORITHMS = tuple(_BUILDERS)
 
 
 def build_allreduce(
@@ -105,21 +103,12 @@ def build_allreduce(
         **kwargs: forwarded to the specific builder (``tree``, ``trees``,
             ``order``, ``nrings``, ...).
     """
+    if algorithm not in _BUILDERS:
+        raise ConfigError(
+            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
+        )
+    builder = __getattr__(_BUILDERS[algorithm])
     if algorithm == "ring":
         kwargs.pop("nchunks", None)
-        return ring_allreduce(nnodes, nbytes, **kwargs)  # type: ignore[arg-type]
-    if algorithm == "tree":
-        return tree_allreduce(nnodes, nbytes, nchunks=nchunks, **kwargs)  # type: ignore[arg-type]
-    if algorithm == "overlapped_tree":
-        return overlapped_tree_allreduce(
-            nnodes, nbytes, nchunks=nchunks, **kwargs  # type: ignore[arg-type]
-        )
-    if algorithm == "double_tree":
-        return double_tree_allreduce(
-            nnodes, nbytes, nchunks=nchunks, **kwargs  # type: ignore[arg-type]
-        )
-    if algorithm == "ccube":
-        return ccube_allreduce(nnodes, nbytes, nchunks=nchunks, **kwargs)  # type: ignore[arg-type]
-    raise ConfigError(
-        f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-    )
+        return builder(nnodes, nbytes, **kwargs)
+    return builder(nnodes, nbytes, nchunks=nchunks, **kwargs)

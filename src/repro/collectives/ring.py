@@ -24,6 +24,7 @@ from repro.errors import ConfigError
 from repro.collectives.base import CollectiveSchedule
 from repro.collectives.chunking import chunk_offsets, split_bytes
 from repro.sim.dag import Dag, Phase
+from repro.topology.dgx1 import DGX1_RING_ORDER  # noqa: F401  (re-export)
 from repro.topology.embedding import edge_key
 
 
@@ -124,8 +125,3 @@ def ring_allreduce(
     )
     schedule.validate()
     return schedule
-
-
-#: A Hamiltonian cycle over the modelled DGX-1 NVLinks, used when running
-#: the ring algorithm on the physical DGX-1.
-DGX1_RING_ORDER = (0, 1, 2, 3, 7, 6, 5, 4)

@@ -4,7 +4,9 @@ The :mod:`repro.plan` subsystem expresses every collective as a *plan* —
 a flat program of chunk-level send/recv/reduce/copy primitives grouped
 into per-GPU thread blocks (the GC3 idea applied to this codebase):
 
-- :mod:`~repro.plan.ir` — :class:`PlanOp` / :class:`Plan`;
+- :mod:`~repro.plan.ir` — :class:`Plan`, stored column-wise (typed
+  arrays, CSR deps, label templates), and :class:`PlanOp`, the row a
+  reader gets from ``plan.ops`` — no layer below builds one per op;
 - :mod:`~repro.plan.builders` — lower ring, tree, double-tree, and
   halving-doubling into plans bit-compatible with the hand-written
   runtimes;
@@ -12,7 +14,8 @@ into per-GPU thread blocks (the GC3 idea applied to this codebase):
   NVLink-detour vs PCIe by cost model), lane assignment with conflict
   detection, chunk pipelining;
 - :mod:`~repro.plan.verifier` — static exactly-once reduce/broadcast,
-  deadlock-freedom, race and physical-legality checking;
+  deadlock-freedom, race and physical-legality checking; its report's
+  wire pairing is the one the interpreter and the lowering reuse;
 - :mod:`~repro.plan.interpreter` — execute any legal plan on the
   thread-backed runtime (fault-plan aware);
 - :mod:`~repro.plan.lowering` — lower the same plan to the

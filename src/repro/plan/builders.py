@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..collectives.chunking import chunk_offsets, split_bytes
-from ..collectives.ring import DGX1_RING_ORDER  # noqa: F401  (re-export)
 from ..errors import ConfigError
 from ..sim.dag import Phase
+from ..topology.dgx1 import DGX1_RING_ORDER  # noqa: F401  (re-export)
 from ..topology.logical import BinaryTree, balanced_binary_tree, two_trees
-from .ir import COPY, RECV, REDUCE, SEND, Plan, stamp_origin
+from .ir import COPY, RECV, REDUCE, SEND, Label, Plan, stamp_origin
 
 __all__ = [
     "build_tree_plan",
@@ -58,7 +58,7 @@ def _emit_tree(
         for node in bottom_up:
             red_ids = []
             for child in tree.children[node]:
-                red = plan.add(
+                red_ids.append(plan.add(
                     rank=node,
                     kind=REDUCE,
                     chunk=chunk,
@@ -68,9 +68,8 @@ def _emit_tree(
                     tree=t,
                     tb=tb_up,
                     phase=Phase.REDUCE,
-                    label=f"reduce c{chunk} {child}->{node} t{t}",
-                )
-                red_ids.append(red.op_id)
+                    label=Label.REDUCE,
+                ))
             if node == tree.root:
                 marker[chunk] = plan.add(
                     rank=node,
@@ -79,9 +78,9 @@ def _emit_tree(
                     tree=t,
                     tb=tb_up,
                     phase=Phase.REDUCE,
-                    deps=tuple(red_ids),
-                    label=f"reduced c{chunk}@{node} t{t}",
-                ).op_id
+                    deps=red_ids,
+                    label=Label.REDUCED,
+                )
             else:
                 plan.add(
                     rank=node,
@@ -93,8 +92,8 @@ def _emit_tree(
                     tree=t,
                     tb=tb_up,
                     phase=Phase.REDUCE,
-                    deps=tuple(red_ids),
-                    label=f"up c{chunk} {node}->{tree.parent[node]} t{t}",
+                    deps=red_ids,
+                    label=Label.UP,
                 )
 
     barrier: int | None = None
@@ -105,9 +104,9 @@ def _emit_tree(
             tree=t,
             tb=tb_down,
             phase=Phase.REDUCE,
-            deps=tuple(marker[c] for c in chunk_ids),
-            label=f"phase barrier t{t}",
-        ).op_id
+            deps=[marker[c] for c in chunk_ids],
+            label=Label.BARRIER,
+        )
 
     for chunk in chunk_ids:
         size = sizes[chunk]
@@ -127,10 +126,9 @@ def _emit_tree(
                     tree=t,
                     tb=tb_down,
                     phase=Phase.BROADCAST,
-                    label=f"down-recv c{chunk} "
-                          f"{tree.parent[node]}->{node} t{t}",
+                    label=Label.DOWN_RECV,
                 )
-                deps = (recv.op_id,)
+                deps = (recv,)
             for child in tree.children[node]:
                 plan.add(
                     rank=node,
@@ -143,7 +141,7 @@ def _emit_tree(
                     tb=tb_down,
                     phase=Phase.BROADCAST,
                     deps=deps,
-                    label=f"down c{chunk} {node}->{child} t{t}",
+                    label=Label.DOWN,
                 )
 
 
@@ -281,12 +279,13 @@ def build_ring_plan(
                     tb=ring,
                     phase=Phase.REDUCE_SCATTER,
                     deps=() if dep is None else (dep,),
-                    label=f"rs c{chunk} s{step} {rank}->{peer}",
+                    label=Label.RS,
+                    label_arg=step,
                 )
             for pos in range(p):
                 chunk = ring * p + (pos - step - 1) % p
                 rank, peer = order[pos], order[(pos - 1) % p]
-                op = plan.add(
+                last_write[(rank, chunk)] = plan.add(
                     rank=rank,
                     kind=REDUCE,
                     chunk=chunk,
@@ -296,9 +295,9 @@ def build_ring_plan(
                     tree=ring,
                     tb=ring,
                     phase=Phase.REDUCE_SCATTER,
-                    label=f"rs-acc c{chunk} s{step} {peer}->{rank}",
+                    label=Label.RS_ACC,
+                    label_arg=step,
                 )
-                last_write[(rank, chunk)] = op.op_id
         for step in range(p - 1):
             for pos in range(p):
                 chunk = ring * p + (pos + 1 - step) % p
@@ -315,12 +314,13 @@ def build_ring_plan(
                     tb=ring,
                     phase=Phase.ALL_GATHER,
                     deps=() if dep is None else (dep,),
-                    label=f"ag c{chunk} s{step} {rank}->{peer}",
+                    label=Label.AG,
+                    label_arg=step,
                 )
             for pos in range(p):
                 chunk = ring * p + (pos - step) % p
                 rank, peer = order[pos], order[(pos - 1) % p]
-                op = plan.add(
+                last_write[(rank, chunk)] = plan.add(
                     rank=rank,
                     kind=RECV,
                     chunk=chunk,
@@ -330,9 +330,9 @@ def build_ring_plan(
                     tree=ring,
                     tb=ring,
                     phase=Phase.ALL_GATHER,
-                    label=f"ag-recv c{chunk} s{step} {peer}->{rank}",
+                    label=Label.AG_RECV,
+                    label_arg=step,
                 )
-                last_write[(rank, chunk)] = op.op_id
     return stamp_origin(plan, f"builder:{plan.algorithm}")
 
 
@@ -372,6 +372,7 @@ def build_halving_doubling_plan(nnodes: int, nbytes: float) -> Plan:
     def emit_sends(
         chunk_sets: dict[int, set[int]], phase: Phase, step: int
     ) -> None:
+        label = Label.HD_RS if phase == Phase.REDUCE_SCATTER else Label.HD_AG
         for rank in range(nnodes):
             chunks = sorted(chunk_sets[rank])
             partner = rank ^ (1 << step)
@@ -379,20 +380,19 @@ def build_halving_doubling_plan(nnodes: int, nbytes: float) -> Plan:
                 {d for d in (last_incoming[rank], last_send[rank])
                  if d is not None}
             ))
-            op = plan.add(
+            last_send[rank] = plan.add(
                 rank=rank,
                 kind=SEND,
                 chunk=min(chunks),
-                chunk_set=tuple(chunks),
+                chunk_set=chunks,
                 peer=partner,
                 nbytes=sum(sizes[c] for c in chunks),
                 tb=0,
                 phase=phase,
                 deps=deps,
-                label=f"{phase.value[:2]} s{step} {rank}->{partner} "
-                      f"x{len(chunks)}",
+                label=label,
+                label_arg=step,
             )
-            last_send[rank] = op.op_id
 
     for step in range(steps):
         bit = 1 << step
@@ -405,18 +405,18 @@ def build_halving_doubling_plan(nnodes: int, nbytes: float) -> Plan:
         for rank in range(nnodes):
             partner = rank ^ bit
             incoming = sorted(send_sets[partner])
-            op = plan.add(
+            last_incoming[rank] = plan.add(
                 rank=rank,
                 kind=REDUCE,
                 chunk=min(incoming),
-                chunk_set=tuple(incoming),
+                chunk_set=incoming,
                 peer=partner,
                 nbytes=sum(sizes[c] for c in incoming),
                 tb=0,
                 phase=Phase.REDUCE_SCATTER,
-                label=f"rs-acc s{step} {partner}->{rank} x{len(incoming)}",
+                label=Label.HD_RS_ACC,
+                label_arg=step,
             )
-            last_incoming[rank] = op.op_id
             active[rank] = keep[rank]
 
     owned: list[set[int]] = [set(active[r]) for r in range(nnodes)]
@@ -429,18 +429,18 @@ def build_halving_doubling_plan(nnodes: int, nbytes: float) -> Plan:
         for rank in range(nnodes):
             partner = rank ^ bit
             incoming = sorted(owned[partner])
-            op = plan.add(
+            last_incoming[rank] = plan.add(
                 rank=rank,
                 kind=RECV,
                 chunk=min(incoming),
-                chunk_set=tuple(incoming),
+                chunk_set=incoming,
                 peer=partner,
                 nbytes=sum(sizes[c] for c in incoming),
                 tb=0,
                 phase=Phase.ALL_GATHER,
-                label=f"ag-recv s{step} {partner}->{rank} x{len(incoming)}",
+                label=Label.HD_AG_RECV,
+                label_arg=step,
             )
-            last_incoming[rank] = op.op_id
             new_owned[rank] |= owned[partner]
         owned = new_owned
     return stamp_origin(plan, f"builder:{plan.algorithm}")

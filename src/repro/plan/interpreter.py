@@ -1,7 +1,9 @@
 """Execute a verified plan on the thread-backed runtime.
 
 One persistent kernel (thread) per ``(rank, tb)`` thread block walks its
-program in op-id order; transfers ride :class:`repro.runtime.cluster._Wire`
+program in op-id order — a list of flat instruction tuples compiled from
+the plan's columns when the interpreter is built, so a run reads no
+plan op; transfers ride :class:`repro.runtime.cluster._Wire`
 frame queues (CRC-checked, fault-injectable via a
 :class:`~repro.runtime.faults.FaultPlan`), cross-thread-block deps ride
 per-op events, and the whole pool fails fast through the shared
@@ -27,7 +29,9 @@ a copy of the chunks they carry.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,14 +40,16 @@ from ..runtime.cluster import KernelPool, _transmit, _Wire
 from ..runtime.faults import FaultPlan, PhaseBoard, apply_gpu_fault
 from ..runtime.memory import ChunkLayout, GradientBuffer
 from ..runtime.sync import AbortCell, DeviceEvent, SpinConfig
-from .ir import COPY, RECV, REDUCE, SEND, Plan, PlanOp
+from ..sim.dag import PHASES
+from .ir import K_COPY, K_RECV, K_REDUCE, K_SEND, Plan
 from .verifier import (
     REDUCE_LIKE,
     VerifyReport,
+    WirePairing,
     execution_order,
-    is_relay,
     match_wires,
     prove_send_aliasing,
+    relay_key,
     verify_plan,
 )
 
@@ -103,7 +109,21 @@ def plan_reduce_order(
             f"layout has {layout.nchunks} chunks, plan has {plan.nchunks}"
         )
     pairing = match_wires(plan)
-    order = execution_order(plan, pairing)
+    # One step per op in execution order: (kind, rank, wire key, chunk
+    # slices, relay stash key or None).
+    steps = []
+    for op_id in execution_order(plan, pairing):
+        kind = plan.kind_code[op_id]
+        if kind == K_COPY:
+            continue
+        relay = plan.is_relay(op_id)
+        steps.append((
+            kind,
+            plan.rank[op_id],
+            plan.wire_of(op_id),
+            [(c, layout.slice_of(c)) for c in plan.chunks_of(op_id)],
+            relay_key(plan, op_id) if relay else None,
+        ))
 
     def reduce(grads: list[np.ndarray]) -> np.ndarray:
         if len(grads) != plan.nnodes:
@@ -115,31 +135,23 @@ def plan_reduce_order(
         ]
         queues: dict[tuple, list[np.ndarray]] = {}
         stash: dict[tuple, np.ndarray] = {}
-        for op_id in order:
-            op = plan.op(op_id)
-            if op.kind == SEND:
-                relay = is_relay(op)
-                for c in op.chunks_carried():
-                    if relay:
-                        values = stash.pop((op.rank, op.flow, op.tree,
-                                            op.phase, c))
+        for kind, rank, wire, chunks, relay in steps:
+            if kind == K_SEND:
+                for c, span in chunks:
+                    if relay is not None:
+                        values = stash.pop((rank, relay, c))
                     else:
-                        values = buffers[op.rank][layout.slice_of(c)].copy()
-                    queues.setdefault((op.wire_key(), c), []).append(values)
-            elif op.kind == REDUCE:
-                for c in op.chunks_carried():
-                    values = queues[(op.wire_key(), c)].pop(0)
-                    buffers[op.rank][layout.slice_of(c)] += values
-            elif op.kind == RECV:
-                relay = is_relay(op)
-                for c in op.chunks_carried():
-                    values = queues[(op.wire_key(), c)].pop(0)
-                    if relay:
-                        stash[(op.rank, op.flow, op.tree, op.phase, c)] = (
-                            values
-                        )
-                    else:
-                        buffers[op.rank][layout.slice_of(c)] = values
+                        values = buffers[rank][span].copy()
+                    queues.setdefault((wire, c), []).append(values)
+                continue
+            for c, span in chunks:
+                values = queues[(wire, c)].pop(0)
+                if kind == K_REDUCE:
+                    buffers[rank][span] += values
+                elif relay is not None:
+                    stash[(rank, relay, c)] = values
+                else:
+                    buffers[rank][span] = values
         return buffers[0]
 
     return reduce
@@ -198,9 +210,10 @@ class PlanInterpreter:
             is verified here and a failing one raises — an unverified
             plan may deadlock.
 
-    Construction groups the thread-block programs and proves which
-    wires may alias (see the module docstring); every ``run`` reuses
-    them.
+    Construction proves which wires may alias (see the module
+    docstring) and compiles each thread block's program into flat
+    instruction tuples, reading the plan's columns once; every ``run``
+    reuses them and reads no plan op.
     """
 
     def __init__(
@@ -240,21 +253,81 @@ class PlanInterpreter:
             key for key, send_ids in self._wire_sends.items()
             if proof.aliases(send_ids)
         )
-        self._programs = plan.programs()
-        home = {
-            op.op_id: key
-            for key, prog in self._programs.items()
-            for op in prog
+        #: Wire key -> every chunk its SENDs carry, in FIFO order.
+        self._wire_chunks = {
+            key: [c for s in send_ids for c in plan.chunks_of(s)]
+            for key, send_ids in self._wire_sends.items()
         }
-        #: op id -> the deps it waits on in other thread blocks (each
-        #: such dep gets a per-run completion event).
-        self._awaits = {
-            op.op_id: cross
-            for op in plan.ops
-            if (cross := tuple(
-                d for d in op.deps if home[d] != home[op.op_id]
-            ))
-        }
+        self._compile(report.pairing)
+
+    def _compile(self, pairing: WirePairing) -> None:
+        """Flatten each thread block's program into instruction tuples.
+
+        ``self._programs`` maps ``(rank, tb)`` to a list of ``(op id,
+        kind code, wire index, chunks, relay stash key or None, event
+        waits, event to set or -1, reduce position for the GPU fault
+        hook or -1, tree)``; wire indexes follow ``self._wire_keys``,
+        event indexes ``self._event_ops``.
+        """
+        plan = self.plan
+        keys = list(self._wire_sends)
+        wire_of = array("i", [-1]) * len(plan)
+        for w, (send_ids, recv_ids) in enumerate(pairing.wires.values()):
+            for i in send_ids:
+                wire_of[i] = w
+            for i in recv_ids:
+                wire_of[i] = w
+        programs = plan.program_ids()
+        home = array("i", [0]) * len(plan)
+        for b, ids in enumerate(programs.values()):
+            for i in ids:
+                home[i] = b
+        # Deps on another thread block's op wait on a per-run event.
+        offsets, dep_ids = plan.dep_offsets, plan.dep_ids
+        event_of: dict[int, int] = {}
+        waits: dict[int, tuple[int, ...]] = {}
+        for i, b in enumerate(home):
+            lo, hi = offsets[i], offsets[i + 1]
+            if lo == hi:
+                continue
+            cross = [d for d in dep_ids[lo:hi] if home[d] != b]
+            if cross:
+                waits[i] = tuple(
+                    event_of.setdefault(d, len(event_of)) for d in cross
+                )
+        reduce_like = {PHASES.index(phase) for phase in REDUCE_LIKE}
+        chunk_lists, relays = plan.chunk_lists(), plan.relay_ids()
+        kinds, phases, trees = plan.kind_code, plan.phase_code, plan.tree
+        compiled = {}
+        for (rank, tid), ids in programs.items():
+            prog = []
+            reduce_pos = -1
+            seen_chunk: int | None = None
+            for i in ids:
+                chunks = chunk_lists[i]
+                fault_pos = -1
+                if (
+                    phases[i] in reduce_like
+                    and chunks and chunks[0] != seen_chunk
+                ):
+                    seen_chunk = chunks[0]
+                    reduce_pos += 1
+                    fault_pos = reduce_pos
+                prog.append((
+                    i,
+                    kinds[i],
+                    wire_of[i],
+                    chunks,
+                    relay_key(plan, i) if i in relays else None,
+                    waits.get(i, ()),
+                    event_of.get(i, -1),
+                    fault_pos,
+                    trees[i],
+                ))
+            compiled[(rank, plan.tbs[tid])] = prog
+        self._wire_keys = keys
+        self._event_ops = list(event_of)
+        self._programs = compiled
 
     @property
     def nnodes(self) -> int:
@@ -270,13 +343,9 @@ class PlanInterpreter:
         """One wire per paired link — aliasing the source rank's buffer
         where the proof allows, else staged for the chunks its SENDs
         carry; returns (wires, fault injectors) keyed by wire key."""
-        plan = self.plan
         wires: dict[tuple, _Wire] = {}
         injectors: dict[tuple, object] = {}
-        for key, send_ids in self._wire_sends.items():
-            carried = [
-                c for s in send_ids for c in plan.op(s).chunks_carried()
-            ]
+        for key, carried in self._wire_chunks.items():
             tag = wire_tag(key)
             owner = None
             if key in self._aliased:
@@ -333,17 +402,19 @@ class PlanInterpreter:
         # post-mortem on an interpreted segment names the op *and* the
         # compiler phase that produced it.  Unarmed runs skip all of it
         # (the hot path pays one attribute check per kernel).
-        armed = self.fault_plan is not None
-        active_ops: dict[tuple, str] = {}
+        fault_plan = self.fault_plan
+        armed = fault_plan is not None
+        active_ops: dict[tuple, int] = {}
         if armed:
             abort.register_dump(
-                "plan fault stats", self.fault_plan.stats.describe
+                "plan fault stats", fault_plan.stats.describe
             )
 
             def dump_active_ops() -> str:
                 return "\n".join(
-                    f"g{key[0]} tb {key[1]!r}: {line}"
-                    for key, line in sorted(
+                    f"g{key[0]} tb {key[1]!r}: {plan.name_of(op_id)} "
+                    f"origin={plan.origin_of(op_id) or '-'}"
+                    for key, op_id in sorted(
                         active_ops.items(), key=lambda kv: repr(kv[0])
                     )
                 ) or "no plan op started"
@@ -357,94 +428,82 @@ class PlanInterpreter:
             for g, a in enumerate(inputs)
         ]
 
-        wires, injectors = self._build_wires(run_spin, buffers)
-        aliased = self._aliased
+        wire_map, injector_map = self._build_wires(run_spin, buffers)
+        keys = self._wire_keys
+        wires = [wire_map[key] for key in keys]
+        injectors = [injector_map.get(key) for key in keys]
+        aliased = [key in self._aliased for key in keys]
 
         # Per-op completion events for deps that cross thread blocks —
         # DeviceEvents, so they honor the abort flag/timeout and emit
-        # happens-before edges like every other primitive.
-        awaits = self._awaits
-        events = {
-            d: DeviceEvent(run_spin, name=plan.op(d).name())
-            for deps in awaits.values() for d in deps
-        }
+        # happens-before edges like every other primitive; each is
+        # named after its op only when a diagnostic reads the name.
+        events = [
+            DeviceEvent(run_spin, name=partial(plan.name_of, op_id))
+            for op_id in self._event_ops
+        ]
 
-        def make_kernel(key: tuple, prog: list[PlanOp]):
+        def make_kernel(key: tuple, prog: list[tuple]):
             rank = key[0]
+            buffer = buffers[rank]
 
             def kernel() -> None:
                 board.set(rank, f"start tb {key[1]!r}")
-                reduce_pos = -1
-                seen_chunk: int | None = None
                 # Relay forwarding: detour legs pass (payload, verified
                 # checksum) through here, never through this GPU's own
                 # gradient slot.  On an aliased wire the payload is a
                 # view of the flow source's buffer.
                 stash: dict[tuple, tuple[np.ndarray, int | None]] = {}
-                for op in prog:
+                for (op_id, kind, w, chunks, relay, waits, sets, fault_pos,
+                     tree) in prog:
                     if armed:
-                        active_ops[key] = (
-                            f"{op.name()} origin={op.origin or '-'}"
-                        )
-                    if (
-                        op.phase in REDUCE_LIKE
-                        and op.chunks_carried()
-                        and op.chunks_carried()[0] != seen_chunk
-                    ):
-                        seen_chunk = op.chunks_carried()[0]
-                        reduce_pos += 1
-                        apply_gpu_fault(
-                            self.fault_plan, rank, op.tree, reduce_pos,
-                            board, abort, where="plan reduce",
-                        )
-                    for dep in awaits.get(op.op_id, ()):
-                        events[dep].wait()
-                    if op.kind == SEND:
-                        wire = wires[op.wire_key()]
-                        injector = injectors.get(op.wire_key())
-                        relay = is_relay(op)
-                        for c in op.chunks_carried():
-                            if relay:
+                        active_ops[key] = op_id
+                        if fault_pos >= 0:
+                            apply_gpu_fault(
+                                fault_plan, rank, tree, fault_pos,
+                                board, abort, where="plan reduce",
+                            )
+                    for e in waits:
+                        events[e].wait()
+                    if kind == K_SEND:
+                        wire, injector = wires[w], injectors[w]
+                        for c in chunks:
+                            if relay is not None:
                                 try:
-                                    values, checksum = stash.pop(
-                                        (op.flow, op.tree, op.phase, c)
-                                    )
+                                    values, checksum = stash.pop((relay, c))
                                 except KeyError:
                                     raise RuntimeClusterError(
-                                        f"{op.name()}: relay forwards "
-                                        f"chunk {c} before receiving it"
+                                        f"{plan.name_of(op_id)}: relay "
+                                        f"forwards chunk {c} before "
+                                        "receiving it"
                                     ) from None
                             else:
-                                values = buffers[rank].read_view(c)
+                                values = buffer.read_view(c)
                                 checksum = None
                             _transmit(
                                 wire, c, values, injector, abort, checksum
                             )
-                    elif op.kind == REDUCE:
-                        wire = wires[op.wire_key()]
-                        for c in op.chunks_carried():
-                            buffers[rank].accumulate(c, wire.take_view(c))
-                    elif op.kind == RECV:
-                        wire = wires[op.wire_key()]
-                        relay = is_relay(op)
-                        for c in op.chunks_carried():
-                            if relay:
+                    elif kind == K_REDUCE:
+                        wire = wires[w]
+                        for c in chunks:
+                            buffer.accumulate(c, wire.take_view(c))
+                    elif kind == K_RECV:
+                        wire = wires[w]
+                        for c in chunks:
+                            if relay is not None:
                                 # On a staging wire, a copy: the stash
                                 # outlives this op, and the wire may
                                 # deliver the chunk again.  An aliased
                                 # wire's source stays put until the
                                 # final consumer read it (the proof).
-                                stash[(op.flow, op.tree, op.phase, c)] = (
-                                    wire.take_frame(c)
-                                    if op.wire_key() in aliased
+                                stash[(relay, c)] = (
+                                    wire.take_frame(c) if aliased[w]
                                     else (wire.take(c), None)
                                 )
                             else:
-                                buffers[rank].overwrite(c, wire.take_view(c))
-                    elif op.kind == COPY:
-                        pass
-                    if op.op_id in events:
-                        events[op.op_id].set()
+                                buffer.overwrite(c, wire.take_view(c))
+                    if sets >= 0:
+                        events[sets].set()
 
             return kernel
 
@@ -460,13 +519,11 @@ class PlanInterpreter:
             layout=self.layout,
             wall_time=elapsed,
             fault_stats=(
-                self.fault_plan.stats.snapshot() if self.fault_plan else {}
+                fault_plan.stats.snapshot() if fault_plan else {}
             ),
-            leftover_frames=sum(
-                len(wire._frames) for wire in wires.values()
-            ),
+            leftover_frames=sum(len(wire._frames) for wire in wires),
             staged_bytes=sum(
-                wire._data.nbytes for key, wire in wires.items()
-                if key not in aliased
+                wire._data.nbytes for wire, alias in zip(wires, aliased)
+                if not alias
             ),
         )

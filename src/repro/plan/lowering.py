@@ -18,11 +18,11 @@ runtime's ``GpuFault(kind="straggler")``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Hashable
 
 from ..errors import PlanError
-from ..sim.dag import Dag, Phase
+from ..sim.dag import PHASES, Dag, Label, Phase
 from ..sim.engine import DagSimulator, SimResult
 from ..sim.resources import Channel, Processor
 from ..topology.base import PhysicalTopology, chan_key, gpu_key
@@ -35,8 +35,8 @@ from ..topology.embedding import (
 )
 from ..topology.routing import Router
 from ..topology.switch import FabricSpec
-from .ir import COPY, RECV, REDUCE, SEND, Plan
-from .verifier import match_wires
+from .ir import K_COPY, K_REDUCE, K_SEND, Plan
+from .verifier import WirePairing, match_wires
 
 __all__ = [
     "lower_to_dag",
@@ -62,8 +62,9 @@ def lower_to_dag(
     charge_forwarding: bool = True,
     charge_compute: bool = False,
     compute_bandwidth: float = REDUCTION_COMPUTE_BANDWIDTH,
+    pairing: WirePairing | None = None,
 ) -> Dag:
-    """Lower a plan to a DES DAG.
+    """Lower a plan to a DES DAG, reading the plan's columns.
 
     Unlegalized plans produce logical ``("edge", src, dst, lane)``
     resources (simulatable on an abstract fabric); legalized plans
@@ -78,80 +79,82 @@ def lower_to_dag(
             ``Processor.speedup < 1`` (a straggler) visible analytically.
         compute_bandwidth: bytes/s a healthy GPU reduces at when compute
             is charged.
+        pairing: ``plan``'s wire pairing — its
+            :func:`~repro.plan.verifier.verify_plan` report's — so the
+            plan is not paired again; computed here when omitted.
     """
-    pairing = match_wires(plan)
-    if pairing.errors:
+    if pairing is None:
+        pairing = match_wires(plan)
+    if pairing.diagnostics:
         raise PlanError(
             "cannot lower an unmatchable plan: " + pairing.errors[0]
         )
+    partner = pairing.partner.ids
     dag = Dag()
+    n = len(plan)
     # plan op id -> DES op id whose completion marks it done.
-    done: dict[int, int] = {}
-    # DES op id -> plan-level deps, resolved after every op exists.
+    done = array("i", [-1]) * n
+    # DES op id -> plan ops whose deps it takes, resolved after every
+    # op exists.
     plan_deps_of: dict[int, tuple[int, ...]] = {}
+    rank, peer, lane, tree = plan.rank, plan.peer, plan.lane, plan.tree
+    chunk, payload = plan.chunk, plan.payload
+    pcie = plan.media.index("pcie")
 
-    def add(resource: Hashable, *, plan_deps: tuple[int, ...], **kwargs) -> int:
-        des_id = dag.add(resource, **kwargs)
-        plan_deps_of[des_id] = plan_deps
-        return des_id
-
-    for op in plan.ops:
-        if op.kind == COPY:
-            done[op.op_id] = add(
-                ("sync", "plan", op.rank, op.tree),
-                plan_deps=op.deps,
+    for i, kind in enumerate(plan.kind_code):
+        if kind == K_COPY:
+            des_id = dag.add(
+                ("sync", "plan", rank[i], tree[i]),
                 duration=0.0,
-                src=op.rank,
-                dst=op.rank,
-                chunk=op.chunk,
-                phase=op.phase,
-                tree=op.tree,
-                label=op.label,
+                src=rank[i],
+                dst=rank[i],
+                chunk=chunk[i],
+                phase=PHASES[plan.phase_code[i]],
+                tree=tree[i],
+                label=plan.label_of(i),
             )
-        elif op.kind == SEND:
-            recv_id = pairing.partner.get(op.op_id)
-            if recv_id is None:
-                raise PlanError(f"{op.name()}: unmatched send")
-            recv = plan.op(recv_id)
+            done[i] = des_id
+            plan_deps_of[des_id] = (i,)
+        elif kind == K_SEND:
+            recv = partner[i]
+            if recv < 0:
+                raise PlanError(f"{plan.name_of(i)}: unmatched send")
+            src, dst = rank[i], peer[i]
             if plan.legalized:
-                if op.medium == "pcie":
-                    resource = pcie_key(op.rank, op.peer)
+                if plan.medium_code[i] == pcie:
+                    resource = pcie_key(src, dst)
                 else:
-                    resource = chan_key(op.rank, op.peer, op.lane)
+                    resource = chan_key(src, dst, lane[i])
             else:
-                resource = edge_key(op.rank, op.peer, op.lane)
-            des_id = add(
+                resource = edge_key(src, dst, lane[i])
+            des_id = dag.add(
                 resource,
-                plan_deps=tuple(op.deps) + tuple(recv.deps),
-                nbytes=op.nbytes,
-                src=op.rank,
-                dst=op.peer,
-                chunk=op.chunk,
-                chunk_set=op.chunk_set,
-                phase=op.phase,
-                tree=op.tree,
-                label=op.label,
+                nbytes=payload[i],
+                src=src,
+                dst=dst,
+                chunk=chunk[i],
+                chunk_set=plan.chunk_sets.get(i, ()),
+                phase=PHASES[plan.phase_code[i]],
+                tree=tree[i],
+                label=plan.label_of(i),
             )
-            done[op.op_id] = des_id
-            done[recv_id] = des_id
+            done[i] = des_id
+            done[recv] = des_id
+            plan_deps_of[des_id] = (i, recv)
             # A relay hop (receiver is not the flow's final destination)
             # charges the intermediate GPU's forwarding kernel; it does
             # not delay the data path (GPUDirect forwarding pipelines).
-            if (
-                charge_forwarding
-                and op.flow is not None
-                and recv.rank != op.flow[1]
-            ):
+            if charge_forwarding and plan.is_relay(recv):
                 dag.add(
-                    gpu_key(recv.rank),
-                    duration=op.nbytes / FORWARDING_COPY_BANDWIDTH,
-                    deps=[des_id],
-                    src=op.rank,
-                    dst=recv.rank,
-                    chunk=op.chunk,
+                    gpu_key(rank[recv]),
+                    duration=payload[i] / FORWARDING_COPY_BANDWIDTH,
+                    deps=(des_id,),
+                    src=src,
+                    dst=rank[recv],
+                    chunk=chunk[i],
                     phase=Phase.OTHER,
-                    tree=op.tree,
-                    label=f"forward@gpu{recv.rank}",
+                    tree=tree[i],
+                    label=Label.FORWARD,
                 )
         # RECV/REDUCE are lowered with their paired send.
 
@@ -160,28 +163,32 @@ def lower_to_dag(
         # downstream consumers (anything whose plan deps name the
         # reduce) then wait on the compute op, so a slow GPU stretches
         # the whole pipeline, not just its own timeline.
-        for op in plan.ops:
-            if op.kind != REDUCE:
+        for i, kind in enumerate(plan.kind_code):
+            if kind != K_REDUCE:
                 continue
-            done[op.op_id] = dag.add(
-                gpu_key(op.rank),
-                duration=op.nbytes / compute_bandwidth,
-                deps=[done[op.op_id]],
-                src=op.peer,
-                dst=op.rank,
-                chunk=op.chunk,
-                phase=op.phase,
-                tree=op.tree,
-                label=f"reduce-compute@gpu{op.rank} "
-                      + (op.label or f"c{op.chunk}"),
+            label = plan.label_of(i)
+            done[i] = dag.add(
+                gpu_key(rank[i]),
+                duration=payload[i] / compute_bandwidth,
+                deps=(done[i],),
+                src=peer[i],
+                dst=rank[i],
+                chunk=chunk[i],
+                phase=PHASES[plan.phase_code[i]],
+                tree=tree[i],
+                label=f"reduce-compute@gpu{rank[i]} "
+                      + (label or f"c{chunk[i]}"),
             )
 
     # Second pass: resolve plan-level deps to DES ids (a dep may map to
     # a transfer created after the dependent op when the paired send has
     # a higher id than the recv), writing each op's deps once.
+    offsets, dep_ids = plan.dep_offsets, plan.dep_ids
     dag.set_deps({
-        des_id: sorted({done[d] for d in plan_deps})
-        for des_id, plan_deps in plan_deps_of.items()
+        des_id: sorted({
+            done[d] for i in ops for d in dep_ids[offsets[i]:offsets[i + 1]]
+        })
+        for des_id, ops in plan_deps_of.items()
     })
 
     dag.validate()

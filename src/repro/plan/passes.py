@@ -21,15 +21,19 @@ transfers pipeline more finely without changing the algorithm.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from ..collectives.chunking import split_bytes
 from ..errors import PlanError, RoutingError
+from ..sim.dag import PHASES
 from ..topology.base import PhysicalTopology
 from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
 from ..topology.routing import Router
-from .ir import RECV, REDUCE, SEND, Plan, PlanOp
-from .verifier import match_wires
+from .ir import K_COPY, K_RECV, K_SEND, RELAY_RECV, RELAY_SEND, Plan
+
+#: Origin of the relay legs route legalization inserts.
+LEGALIZE_ORIGIN = "pass:legalize_routes"
 
 __all__ = [
     "EdgeChoice",
@@ -133,11 +137,6 @@ def legalize_routes(
     if plan.legalized:
         return plan, LegalizeReport()
     router = router or Router(topo)
-    pairing = match_wires(plan)
-    if pairing.errors:
-        raise PlanError(
-            "cannot legalize an unmatchable plan: " + pairing.errors[0]
-        )
     report = LegalizeReport()
 
     def choose(src: int, dst: int, nbytes: float) -> EdgeChoice:
@@ -166,87 +165,59 @@ def legalize_routes(
         report.choices[key] = choice
         return choice
 
-    new_plan = Plan(
-        algorithm=plan.algorithm,
-        nnodes=plan.nnodes,
-        nbytes=plan.nbytes,
-        chunk_sizes=plan.chunk_sizes,
-        chunk_offsets=plan.chunk_offsets,
-        ntrees=plan.ntrees,
-        legalized=True,
-        notes=list(plan.notes),
-    )
-    id_map: dict[int, int] = {}
-    for op in plan.ops:
-        deps = tuple(id_map[d] for d in op.deps)
-        if not op.is_transfer:
-            id_map[op.op_id] = new_plan.add(
-                rank=op.rank, kind=op.kind, chunk=op.chunk,
-                chunk_set=op.chunk_set, tree=op.tree, tb=op.tb,
-                phase=op.phase, deps=deps, label=op.label,
-                origin=op.origin,
-            ).op_id
+    new_plan = plan.derive(legalized=True)
+    pcie = new_plan.media.index("pcie")
+    offsets, dep_ids = plan.dep_offsets, plan.dep_ids
+    # old op id -> new op id; every dep is a backward reference, so it
+    # is mapped by the time its dependent is copied.
+    id_map = array("i")
+    for i, code in enumerate(plan.kind_code):
+        deps = map(id_map.__getitem__, dep_ids[offsets[i]:offsets[i + 1]])
+        if code == K_COPY:
+            id_map.append(new_plan.add_from(plan, i, deps))
             continue
-        choice = choose(op.src, op.dst, op.nbytes)
+        src, dst = plan.endpoints(i)
+        choice = choose(src, dst, plan.payload[i])
         if choice.choice == "direct":
-            id_map[op.op_id] = new_plan.add(
-                rank=op.rank, kind=op.kind, chunk=op.chunk,
-                chunk_set=op.chunk_set, peer=op.peer, nbytes=op.nbytes,
-                lane=op.lane, tree=op.tree, tb=op.tb, phase=op.phase,
-                deps=deps, label=op.label, origin=op.origin,
-            ).op_id
+            id_map.append(new_plan.add_from(plan, i, deps))
             continue
         if choice.choice == "pcie":
-            id_map[op.op_id] = new_plan.add(
-                rank=op.rank, kind=op.kind, chunk=op.chunk,
-                chunk_set=op.chunk_set, peer=op.peer, nbytes=op.nbytes,
-                lane=op.lane, tree=op.tree, tb=op.tb, phase=op.phase,
-                deps=deps, medium="pcie", label=op.label,
-                origin=op.origin,
-            ).op_id
-            if op.kind == SEND:
+            id_map.append(
+                new_plan.add_from(plan, i, deps, medium_code=pcie)
+            )
+            if code == K_SEND:
                 report.pcie_transfers += 1
             continue
         # Detour: the sender targets the first intermediate; each
         # intermediate runs a relay thread block (recv + forward, its
         # own persistent kernel); the receiver's peer becomes the last
         # intermediate.  All legs share flow=(src, dst).
-        path, flow = choice.path, (op.src, op.dst)
-        if op.kind == SEND:
-            report.detour_transfers += 1
-            id_map[op.op_id] = new_plan.add(
-                rank=op.rank, kind=SEND, chunk=op.chunk,
-                chunk_set=op.chunk_set, peer=path[1], nbytes=op.nbytes,
-                lane=op.lane, tree=op.tree, tb=op.tb, phase=op.phase,
-                flow=flow, deps=deps, label=op.label, origin=op.origin,
-            ).op_id
-            for i in range(1, len(path) - 1):
-                relay_tb = ("relay", op.src, op.dst, op.tree,
-                            op.phase.value)
-                recv = new_plan.add(
-                    rank=path[i], kind=RECV, chunk=op.chunk,
-                    chunk_set=op.chunk_set, peer=path[i - 1],
-                    nbytes=op.nbytes, lane=op.lane, tree=op.tree,
-                    tb=relay_tb, phase=op.phase, flow=flow,
-                    label=f"relay-recv {op.label}".strip(),
-                    origin="pass:legalize_routes",
-                )
-                new_plan.add(
-                    rank=path[i], kind=SEND, chunk=op.chunk,
-                    chunk_set=op.chunk_set, peer=path[i + 1],
-                    nbytes=op.nbytes, lane=op.lane, tree=op.tree,
-                    tb=relay_tb, phase=op.phase, flow=flow,
-                    deps=(recv.op_id,),
-                    label=f"relay-send {op.label}".strip(),
-                    origin="pass:legalize_routes",
-                )
-        else:  # RECV / REDUCE endpoint
-            id_map[op.op_id] = new_plan.add(
-                rank=op.rank, kind=op.kind, chunk=op.chunk,
-                chunk_set=op.chunk_set, peer=path[-2], nbytes=op.nbytes,
-                lane=op.lane, tree=op.tree, tb=op.tb, phase=op.phase,
-                flow=flow, deps=deps, label=op.label, origin=op.origin,
-            ).op_id
+        path = choice.path
+        flow = new_plan.flow_index((src, dst))
+        if code != K_SEND:  # RECV / REDUCE endpoint
+            id_map.append(new_plan.add_from(
+                plan, i, deps, peer=path[-2], flow_id=flow
+            ))
+            continue
+        report.detour_transfers += 1
+        id_map.append(new_plan.add_from(
+            plan, i, deps, peer=path[1], flow_id=flow
+        ))
+        relay_tb = new_plan.tb_index((
+            "relay", src, dst, plan.tree[i],
+            PHASES[plan.phase_code[i]].value,
+        ))
+        for hop in range(1, len(path) - 1):
+            recv = new_plan.add_from(
+                plan, i, (), rank=path[hop], kind_code=K_RECV,
+                peer=path[hop - 1], flow_id=flow, tb_id=relay_tb,
+                relay=RELAY_RECV, origin=LEGALIZE_ORIGIN,
+            )
+            new_plan.add_from(
+                plan, i, (recv,), rank=path[hop], peer=path[hop + 1],
+                flow_id=flow, tb_id=relay_tb, relay=RELAY_SEND,
+                origin=LEGALIZE_ORIGIN,
+            )
     if report.detour_transfers or report.pcie_transfers:
         new_plan.notes.append(
             f"legalized on {topo.name!r}: {report.detour_transfers} "
@@ -260,33 +231,38 @@ def assign_lanes(
 ) -> tuple[Plan, LaneReport]:
     """Assign each NVLink hop its physical lane (``tree % lane_count``).
 
-    Returns a new plan plus a report of per-link lane usage and
-    conflicts (two or more trees forced onto one lane of one directed
-    link — the contention the overlap ablation measures).
+    Returns a copy of the plan whose ``lane`` column is rewritten (the
+    other columns are copied as they are), plus a report of per-link
+    lane usage and conflicts (two or more trees forced onto one lane of
+    one directed link — the contention the overlap ablation measures).
     """
+    plan = plan.copy()
     report = LaneReport()
     users: dict[tuple[int, int, int], set[int]] = {}
-    new_ops: list[PlanOp] = []
-    for op in plan.ops:
-        if not op.is_transfer or op.medium == "pcie":
-            new_ops.append(op)
+    lane_counts: dict[tuple[int, int], int] = {}
+    lanes_col, trees = plan.lane, plan.tree
+    pcie = plan.media.index("pcie")
+    for i, code in enumerate(plan.kind_code):
+        if code == K_COPY or plan.medium_code[i] == pcie:
             continue
-        u, v = op.src, op.dst
-        lanes = topo.lane_count(u, v)
+        link = plan.endpoints(i)
+        lanes = lane_counts.get(link)
+        if lanes is None:
+            lanes = lane_counts[link] = topo.lane_count(*link)
         if lanes == 0:
-            new_ops.append(op)
             continue
-        lane = op.tree % lanes
-        report.assignments.setdefault((u, v), set()).add(lane)
-        users.setdefault((u, v, lane), set()).add(op.tree)
-        new_ops.append(op.replace(lane=lane))
-    for (u, v, lane), trees in sorted(users.items()):
-        if len(trees) > 1:
+        tree = trees[i]
+        lane = tree % lanes
+        report.assignments.setdefault(link, set()).add(lane)
+        users.setdefault((*link, lane), set()).add(tree)
+        lanes_col[i] = lane
+    for (u, v, lane), used_by in sorted(users.items()):
+        if len(used_by) > 1:
             report.conflicts.append(
                 f"link {u}->{v} lane {lane} shared by trees "
-                f"{sorted(trees)}"
+                f"{sorted(used_by)}"
             )
-    return plan.replace_ops(new_ops), report
+    return plan, report
 
 
 def pipeline_chunks(plan: Plan, factor: int) -> Plan:
@@ -295,7 +271,7 @@ def pipeline_chunks(plan: Plan, factor: int) -> Plan:
     Single-chunk ops are replicated per sub-chunk (deps mapped
     sub-to-sub, so sub-pipelines stay independent); aggregated
     ``chunk_set`` transfers and chunk-less markers keep one op whose
-    deps fan in over every sub-chunk.
+    deps fan in over every sub-chunk.  Every op keeps its label's text.
     """
     if factor < 1:
         raise PlanError("pipeline factor must be >= 1")
@@ -310,20 +286,15 @@ def pipeline_chunks(plan: Plan, factor: int) -> Plan:
         offsets.append(acc)
         acc += size
 
-    new_plan = Plan(
-        algorithm=plan.algorithm,
-        nnodes=plan.nnodes,
-        nbytes=plan.nbytes,
+    new_plan = plan.derive(
         chunk_sizes=tuple(new_sizes),
         chunk_offsets=tuple(offsets),
-        ntrees=plan.ntrees,
-        legalized=plan.legalized,
         notes=list(plan.notes) + [f"pipelined x{factor}"],
     )
     # old op id -> new ids (length `factor` for split ops, else 1).
-    id_map: dict[int, list[int]] = {}
+    id_map: list[list[int]] = []
 
-    def map_deps(deps: tuple[int, ...], j: int | None) -> tuple[int, ...]:
+    def map_deps(deps, j: int | None) -> list[int]:
         out: list[int] = []
         for d in deps:
             mapped = id_map[d]
@@ -331,46 +302,39 @@ def pipeline_chunks(plan: Plan, factor: int) -> Plan:
                 out.append(mapped[j])
             else:
                 out.extend(mapped)
-        return tuple(out)
+        return out
 
-    for op in plan.ops:
-        if op.chunk_set:
+    offsets, dep_ids = plan.dep_offsets, plan.dep_ids
+    for i, code in enumerate(plan.kind_code):
+        deps = dep_ids[offsets[i]:offsets[i + 1]]
+        label = plan.label_of(i)
+        chunk_set = plan.chunk_sets.get(i)
+        chunk = plan.chunk[i]
+        if chunk_set:
             subs = tuple(
-                c * factor + j for c in sorted(op.chunk_set)
+                c * factor + j for c in sorted(chunk_set)
                 for j in range(factor)
             )
-            new = new_plan.add(
-                rank=op.rank, kind=op.kind, chunk=min(subs),
-                chunk_set=subs, peer=op.peer, nbytes=op.nbytes,
-                lane=op.lane, tree=op.tree, tb=op.tb, phase=op.phase,
-                flow=op.flow, medium=op.medium,
-                deps=map_deps(op.deps, None), label=op.label,
-                origin=op.origin,
-            )
-            id_map[op.op_id] = [new.op_id]
-        elif op.chunk >= 0:
-            ids = []
-            for j in range(factor):
-                sub = op.chunk * factor + j
-                new = new_plan.add(
-                    rank=op.rank, kind=op.kind, chunk=sub, peer=op.peer,
-                    nbytes=new_sizes[sub] if op.is_transfer else 0.0,
-                    lane=op.lane, tree=op.tree, tb=op.tb, phase=op.phase,
-                    flow=op.flow, medium=op.medium,
-                    deps=map_deps(op.deps, j),
-                    label=f"{op.label}.{j}" if op.label else "",
-                    origin=op.origin,
+            id_map.append([new_plan.add_from(
+                plan, i, map_deps(deps, None), chunk=min(subs),
+                chunk_set=subs, label=label,
+            )])
+        elif chunk >= 0:
+            id_map.append([
+                new_plan.add_from(
+                    plan, i, map_deps(deps, j), chunk=chunk * factor + j,
+                    nbytes=(
+                        new_sizes[chunk * factor + j] if code != K_COPY
+                        else 0.0
+                    ),
+                    label=f"{label}.{j}" if label else "",
                 )
-                ids.append(new.op_id)
-            id_map[op.op_id] = ids
+                for j in range(factor)
+            ])
         else:  # chunk-less marker (phase barrier)
-            new = new_plan.add(
-                rank=op.rank, kind=op.kind, peer=op.peer, lane=op.lane,
-                tree=op.tree, tb=op.tb, phase=op.phase, flow=op.flow,
-                medium=op.medium, deps=map_deps(op.deps, None),
-                label=op.label, origin=op.origin,
-            )
-            id_map[op.op_id] = [new.op_id]
+            id_map.append([new_plan.add_from(
+                plan, i, map_deps(deps, None), nbytes=0.0, label=label,
+            )])
     return new_plan
 
 

@@ -50,18 +50,28 @@ just the post-pass op id.
 
 from __future__ import annotations
 
+import heapq
+import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import lt, sub
+from typing import Iterator
 
 from ..analyze.diagnostics import Diagnostic, severity_of
 from ..errors import PlanVerificationError
-from ..sim.dag import Phase
+from ..sim.dag import PHASES, Phase
 from ..topology.base import PhysicalTopology
-from .ir import COPY, RECV, REDUCE, SEND, OpKind, Plan, PlanOp
+from .ir import (
+    K_COPY, K_RECV, K_REDUCE, K_SEND, RECV, REDUCE, SEND, Plan, PlanOp,
+)
 
 __all__ = [
     "BROADCAST_LIKE",
     "REDUCE_LIKE",
     "AliasProof",
+    "Partners",
     "WirePairing",
     "VerifyReport",
     "match_wires",
@@ -69,19 +79,23 @@ __all__ = [
     "verify_plan",
     "execution_order",
     "is_relay",
+    "relay_key",
 ]
 
 #: Phases that produce partial sums / fully reduced chunks, and phases
 #: that may only move chunks already fully reduced.
 REDUCE_LIKE = (Phase.REDUCE, Phase.REDUCE_SCATTER)
 BROADCAST_LIKE = (Phase.BROADCAST, Phase.ALL_GATHER)
+_REDUCE_LIKE_CODES = frozenset(PHASES.index(p) for p in REDUCE_LIKE)
+_BROADCAST_LIKE_CODES = frozenset(PHASES.index(p) for p in BROADCAST_LIKE)
 
 
 def is_relay(op: PlanOp) -> bool:
     """True for detour relay legs: transfers at an intermediate GPU.
 
     Relay ops forward through a staging buffer — they never touch the
-    relay GPU's own gradient slot.
+    relay GPU's own gradient slot.  (:meth:`Plan.is_relay
+    <repro.plan.ir.Plan.is_relay>` answers the same for an op id.)
     """
     if op.flow is None:
         return False
@@ -92,15 +106,18 @@ def is_relay(op: PlanOp) -> bool:
     return False
 
 
-def _diag(code: str, message: str, op: PlanOp | None = None) -> Diagnostic:
-    """A typed diagnostic, carrying the op's id/name/provenance."""
+def _diag(
+    code: str, message: str, plan: Plan | None = None, i: int = -1
+) -> Diagnostic:
+    """A typed diagnostic, carrying op ``i``'s id/name/provenance."""
+    named = plan is not None and i >= 0
     return Diagnostic(
         code=code,
         message=message,
         severity=severity_of(code),
-        op_id=op.op_id if op is not None else -1,
-        op_name=op.name() if op is not None else "",
-        origin=op.origin if op is not None else "",
+        op_id=i if named else -1,
+        op_name=plan.name_of(i) if named else "",
+        origin=plan.origin_of(i) if named else "",
     )
 
 
@@ -109,6 +126,28 @@ def render_diagnostic(d: Diagnostic) -> str:
     if d.origin:
         return f"{d.message} [from {d.origin}]"
     return d.message
+
+
+class Partners(Mapping):
+    """Op id -> paired op id (send <-> recv/reduce), over one array:
+    ``ids[i]`` is op ``i``'s partner, ``-1`` when it has none."""
+
+    __slots__ = ("ids",)
+
+    def __init__(self, nops: int = 0):
+        self.ids = array("i", [-1]) * nops
+
+    def __getitem__(self, op_id: int) -> int:
+        partner = self.ids[op_id] if 0 <= op_id < len(self.ids) else -1
+        if partner < 0:
+            raise KeyError(op_id)
+        return partner
+
+    def __iter__(self) -> Iterator[int]:
+        return (i for i, p in enumerate(self.ids) if p >= 0)
+
+    def __len__(self) -> int:
+        return len(self.ids) - self.ids.count(-1)
 
 
 @dataclass
@@ -122,10 +161,8 @@ class WirePairing:
             racy multi-producer wires) — ``PLAN002``.
     """
 
-    partner: dict[int, int] = field(default_factory=dict)
-    wires: dict[tuple, tuple[list[int], list[int]]] = field(
-        default_factory=dict
-    )
+    partner: Partners = field(default_factory=Partners)
+    wires: dict[tuple, tuple[array, array]] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     @property
@@ -136,67 +173,80 @@ class WirePairing:
 
 def match_wires(plan: Plan) -> WirePairing:
     """Pair every SEND with its RECV/REDUCE by FIFO order per wire."""
-    pairing = WirePairing()
-    sends: dict[tuple, list[int]] = {}
-    recvs: dict[tuple, list[int]] = {}
-    send_tbs: dict[tuple, set] = {}
-    recv_tbs: dict[tuple, set] = {}
-    for op in plan.ops:
-        if not op.is_transfer:
+    n = len(plan)
+    pairing = WirePairing(partner=Partners(n))
+    partner = pairing.partner.ids
+    # Per wire, keyed by its integer columns until the wire is named:
+    # (send ids, recv ids, send blocks, recv blocks).
+    by_code: dict[tuple, tuple[array, array, set, set]] = {}
+    rank, peer, tree = plan.rank, plan.peer, plan.tree
+    phase, flow, tb = plan.phase_code, plan.flow_id, plan.tb_id
+    for i, kind in enumerate(plan.kind_code):
+        if kind == K_COPY:
             continue
-        wire = op.wire_key()
-        if op.kind == SEND:
-            sends.setdefault(wire, []).append(op.op_id)
-            send_tbs.setdefault(wire, set()).add((op.rank, op.tb))
-        else:
-            recvs.setdefault(wire, []).append(op.op_id)
-            recv_tbs.setdefault(wire, set()).add((op.rank, op.tb))
+        r, p = rank[i], peer[i]
+        code = (
+            (r, p, tree[i], phase[i], flow[i]) if kind == K_SEND
+            else (p, r, tree[i], phase[i], flow[i])
+        )
+        entry = by_code.get(code)
+        if entry is None:
+            entry = by_code[code] = (array("i"), array("i"), set(), set())
+        side = 0 if kind == K_SEND else 1
+        entry[side].append(i)
+        entry[side + 2].add((r, tb[i]))
+    named = {
+        (src, dst, t, PHASES[ph], plan.flows[f]): entry
+        for (src, dst, t, ph, f), entry in by_code.items()
+    }
 
-    for wire in sorted(set(sends) | set(recvs), key=repr):
-        s_ids = sends.get(wire, [])
-        r_ids = recvs.get(wire, [])
+    chunks = plan.chunk_lists()
+    for wire in sorted(named, key=repr):
+        s_ids, r_ids, send_tbs, recv_tbs = named[wire]
         pairing.wires[wire] = (s_ids, r_ids)
         if len(s_ids) != len(r_ids):
             longer = s_ids if len(s_ids) > len(r_ids) else r_ids
-            culprit = plan.op(longer[min(len(s_ids), len(r_ids))])
+            culprit = longer[min(len(s_ids), len(r_ids))]
             pairing.diagnostics.append(_diag(
                 "PLAN002",
                 f"wire {wire}: {len(s_ids)} send(s) vs {len(r_ids)} "
-                f"recv(s); unmatched {culprit.name()}",
-                culprit,
+                f"recv(s); unmatched {plan.name_of(culprit)}",
+                plan, culprit,
             ))
             continue
-        for tbs, role in ((send_tbs.get(wire), "sender"),
-                          (recv_tbs.get(wire), "receiver")):
-            if tbs and len(tbs) > 1:
-                first = plan.op(s_ids[0] if role == "sender" else r_ids[0])
+        for tbs, role, first in ((send_tbs, "sender", s_ids[0]),
+                                 (recv_tbs, "receiver", r_ids[0])):
+            if len(tbs) > 1:
+                blocks = {(r, plan.tbs[t]) for r, t in tbs}
                 pairing.diagnostics.append(_diag(
                     "PLAN002",
-                    f"wire {wire}: {len(tbs)} {role} thread blocks "
-                    f"{sorted(tbs, key=repr)} — FIFO order is racy; "
-                    f"first {first.name()}",
-                    first,
+                    f"wire {wire}: {len(blocks)} {role} thread blocks "
+                    f"{sorted(blocks, key=repr)} — FIFO order is racy; "
+                    f"first {plan.name_of(first)}",
+                    plan, first,
                 ))
         for s_id, r_id in zip(s_ids, r_ids):
-            s_op, r_op = plan.op(s_id), plan.op(r_id)
-            if s_op.chunks_carried() != r_op.chunks_carried():
+            s_chunks, r_chunks = chunks[s_id], chunks[r_id]
+            if s_chunks != r_chunks:
                 pairing.diagnostics.append(_diag(
                     "PLAN002",
-                    f"wire {wire}: {s_op.name()} carries "
-                    f"{s_op.chunks_carried()} but paired {r_op.name()} "
-                    f"expects {r_op.chunks_carried()}",
-                    s_op,
+                    f"wire {wire}: {plan.name_of(s_id)} carries "
+                    f"{s_chunks} but paired {plan.name_of(r_id)} "
+                    f"expects {r_chunks}",
+                    plan, s_id,
                 ))
                 continue
-            if abs(s_op.nbytes - r_op.nbytes) > 1e-9 * max(1.0, s_op.nbytes):
+            s_bytes, r_bytes = plan.payload[s_id], plan.payload[r_id]
+            if abs(s_bytes - r_bytes) > 1e-9 * max(1.0, s_bytes):
                 pairing.diagnostics.append(_diag(
                     "PLAN002",
-                    f"wire {wire}: payload mismatch between {s_op.name()} "
-                    f"({s_op.nbytes}B) and {r_op.name()} ({r_op.nbytes}B)",
-                    s_op,
+                    f"wire {wire}: payload mismatch between "
+                    f"{plan.name_of(s_id)} ({s_bytes}B) and "
+                    f"{plan.name_of(r_id)} ({r_bytes}B)",
+                    plan, s_id,
                 ))
-            pairing.partner[s_id] = r_id
-            pairing.partner[r_id] = s_id
+            partner[s_id] = r_id
+            partner[r_id] = s_id
     return pairing
 
 
@@ -228,89 +278,140 @@ class VerifyReport:
 
 def _structural_diags(plan: Plan) -> list[Diagnostic]:
     diags = []
-    for i, op in enumerate(plan.ops):
-        if op.op_id != i:
+    n, nnodes, nchunks = len(plan), plan.nnodes, plan.nchunks
+    offsets, dep_ids = plan.dep_offsets, plan.dep_ids
+    chunk_lists = plan.chunk_lists()
+    for i, kind in enumerate(plan.kind_code):
+        rank = plan.rank[i]
+        if not (0 <= rank < nnodes):
             diags.append(_diag(
-                "PLAN001",
-                f"{op.name()}: op_id {op.op_id} at position {i} "
-                "(ids must be dense and ordered)",
-                op,
+                "PLAN001", f"{plan.name_of(i)}: rank {rank} out of range",
+                plan, i,
             ))
-        if op.kind not in OpKind.ALL:
-            diags.append(_diag(
-                "PLAN001", f"{op.name()}: unknown kind {op.kind!r}", op
-            ))
-            continue
-        if not (0 <= op.rank < plan.nnodes):
-            diags.append(_diag(
-                "PLAN001", f"{op.name()}: rank {op.rank} out of range", op
-            ))
-        if op.is_transfer:
-            if not (0 <= op.peer < plan.nnodes):
-                diags.append(_diag(
-                    "PLAN001", f"{op.name()}: peer {op.peer} out of range",
-                    op,
-                ))
-            elif op.peer == op.rank:
-                diags.append(_diag(
-                    "PLAN001", f"{op.name()}: self-transfer", op
-                ))
-            if not op.chunks_carried():
-                diags.append(_diag(
-                    "PLAN001", f"{op.name()}: transfer carries no chunks",
-                    op,
-                ))
-            if op.nbytes <= 0:
-                diags.append(_diag(
-                    "PLAN001", f"{op.name()}: non-positive payload", op
-                ))
-        for c in op.chunks_carried():
-            if not (0 <= c < plan.nchunks):
-                diags.append(_diag(
-                    "PLAN001", f"{op.name()}: chunk {c} out of range", op
-                ))
-        for d in op.deps:
-            if not (0 <= d < len(plan.ops)):
-                diags.append(_diag(
-                    "PLAN001", f"{op.name()}: dep {d} out of range", op
-                ))
-            elif d >= op.op_id:
+        chunks = chunk_lists[i]
+        if kind != K_COPY:
+            peer = plan.peer[i]
+            if not (0 <= peer < nnodes):
                 diags.append(_diag(
                     "PLAN001",
-                    f"{op.name()}: forward/self dep on op {d} "
+                    f"{plan.name_of(i)}: peer {peer} out of range",
+                    plan, i,
+                ))
+            elif peer == rank:
+                diags.append(_diag(
+                    "PLAN001", f"{plan.name_of(i)}: self-transfer", plan, i
+                ))
+            if not chunks:
+                diags.append(_diag(
+                    "PLAN001",
+                    f"{plan.name_of(i)}: transfer carries no chunks",
+                    plan, i,
+                ))
+            nbytes = plan.payload[i]
+            if not math.isfinite(nbytes):
+                diags.append(_diag(
+                    "PLAN001",
+                    f"{plan.name_of(i)}: non-finite payload {nbytes}",
+                    plan, i,
+                ))
+            elif nbytes <= 0:
+                diags.append(_diag(
+                    "PLAN001", f"{plan.name_of(i)}: non-positive payload",
+                    plan, i,
+                ))
+        for c in chunks:
+            if not (0 <= c < nchunks):
+                diags.append(_diag(
+                    "PLAN001", f"{plan.name_of(i)}: chunk {c} out of range",
+                    plan, i,
+                ))
+        for d in dep_ids[offsets[i]:offsets[i + 1]]:
+            if not (0 <= d < n):
+                diags.append(_diag(
+                    "PLAN001", f"{plan.name_of(i)}: dep {d} out of range",
+                    plan, i,
+                ))
+            elif d >= i:
+                diags.append(_diag(
+                    "PLAN001",
+                    f"{plan.name_of(i)}: forward/self dep on op {d} "
                     "(deps must reference earlier ops)",
-                    op,
+                    plan, i,
                 ))
     return diags
 
 
-def _combined_edges(plan: Plan, pairing: WirePairing) -> list[set[int]]:
-    """Predecessor sets under deps ∪ program order ∪ send→recv pairing."""
-    preds: list[set[int]] = [set() for _ in plan.ops]
-    for op in plan.ops:
-        preds[op.op_id].update(d for d in op.deps if 0 <= d < len(plan.ops))
-    for prog in plan.programs().values():
-        for prev, nxt in zip(prog, prog[1:]):
-            preds[nxt.op_id].add(prev.op_id)
+@dataclass
+class _Graph:
+    """The combined happens-before graph, read from the plan's CSR deps
+    plus two predecessor columns: op ``i``'s predecessors are its deps,
+    ``prev[i]`` (the op before it in its thread block) and
+    ``sender[i]`` (the SEND it receives from), each ``-1`` when absent.
+    ``forward`` is set when some predecessor has a higher id than its
+    dependent (else op-id order is the smallest-first topological
+    order)."""
+
+    offsets: array
+    dep_ids: array
+    prev: array
+    sender: array
+    forward: bool
+
+    def preds(self, i: int):
+        yield from self.dep_ids[self.offsets[i]:self.offsets[i + 1]]
+        if self.prev[i] >= 0:
+            yield self.prev[i]
+        if self.sender[i] >= 0:
+            yield self.sender[i]
+
+
+def _combined_edges(plan: Plan, pairing: WirePairing) -> _Graph:
+    """The combined graph: deps ∪ program order ∪ send→recv pairing."""
+    n = len(plan)
+    forward = False
+    sender = array("i", [-1]) * n
     for s_ids, r_ids in pairing.wires.values():
         for s_id, r_id in zip(s_ids, r_ids):
-            preds[r_id].add(s_id)
-    return preds
+            sender[r_id] = s_id
+            forward = forward or s_id > r_id
+    prev = array("i", [-1]) * n
+    last: dict[tuple[int, int], int] = {}
+    for i, block in enumerate(zip(plan.rank, plan.tb_id)):
+        prev[i] = last.get(block, -1)
+        last[block] = i
+    offsets, dep_ids = plan.dep_offsets, plan.dep_ids
+    if dep_ids and not (min(dep_ids) >= 0 and max(dep_ids) < n):
+        # Malformed deps (only an unverified plan has them): drop the
+        # ones naming no op.
+        valid, kept = array("i", [0]), array("i")
+        for i in range(n):
+            kept.extend(
+                d for d in dep_ids[offsets[i]:offsets[i + 1]] if 0 <= d < n
+            )
+            valid.append(len(kept))
+        offsets, dep_ids = valid, kept
+    # The op owning each entry of ``dep_ids``, in order.
+    owners = chain.from_iterable(
+        map(repeat, range(n), map(sub, offsets[1:], offsets[:-1]))
+    )
+    forward = forward or not all(map(lt, dep_ids, owners))
+    return _Graph(offsets, dep_ids, prev, sender, forward)
 
 
 def _topo_order(
-    plan: Plan, preds: list[set[int]]
+    plan: Plan, graph: _Graph
 ) -> tuple[list[int], list[Diagnostic]]:
-    n = len(plan.ops)
-    indeg = [len(p) for p in preds]
+    n = len(plan)
+    if not graph.forward:
+        return list(range(n)), []
+    indeg = [0] * n
     succs: list[list[int]] = [[] for _ in range(n)]
-    for op_id, p in enumerate(preds):
-        for d in p:
-            succs[d].append(op_id)
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
+    for i in range(n):
+        for d in graph.preds(i):
+            succs[d].append(i)
+            indeg[i] += 1
+    ready = [i for i in range(n) if indeg[i] == 0]
     order: list[int] = []
-    import heapq
-
     heapq.heapify(ready)
     while ready:
         op_id = heapq.heappop(ready)
@@ -321,12 +422,12 @@ def _topo_order(
                 heapq.heappush(ready, s)
     if len(order) < n:
         stuck = [i for i in range(n) if indeg[i] > 0]
-        first = plan.op(stuck[0])
+        first = stuck[0]
         return [], [_diag(
             "PLAN003",
             f"dependency cycle (deadlock): {len(stuck)} op(s) can never "
-            f"run, first {first.name()}",
-            first,
+            f"run, first {plan.name_of(first)}",
+            plan, first,
         )]
     return order, []
 
@@ -355,6 +456,13 @@ def execution_order(
     return order
 
 
+def relay_key(plan: Plan, i: int) -> tuple:
+    """What relay leg ``i``'s staged chunks are keyed by on its GPU
+    (with the chunk id): its flow, tree and phase.  The verifier's
+    replay and the interpreter stage relays alike."""
+    return (plan.flow_id[i], plan.tree[i], plan.phase_code[i])
+
+
 def _dataflow_diags(
     plan: Plan, pairing: WirePairing, order: list[int]
 ) -> list[Diagnostic]:
@@ -371,28 +479,28 @@ def _dataflow_diags(
     # after being fully reduced.
     deliveries: dict[tuple[int, int], int] = {}
     payload: dict[int, dict[int, dict[int, int]]] = {}  # send -> chunk -> ms
-    last_writer: dict[tuple[int, int], PlanOp] = {}
+    last_writer: dict[tuple[int, int], int] = {}
     full = {r: 1 for r in range(nnodes)}
+    partner = pairing.partner.ids
+    kinds, ranks = plan.kind_code, plan.rank
+    chunks, relays = plan.chunk_lists(), plan.relay_ids()
 
     # Relay legs forward through a staging register, not the slot.
     relay_reg: dict[tuple, dict[int, int]] = {}
 
-    def _relay_key(op: PlanOp, c: int) -> tuple:
-        return (op.rank, op.flow, op.tree, op.phase, c)
-
     for op_id in order:
-        op = plan.op(op_id)
-        if op.kind == SEND:
-            if is_relay(op):
+        kind, rank = kinds[op_id], ranks[op_id]
+        if kind == K_SEND:
+            if op_id in relays:
                 staged: dict[int, dict[int, int]] = {}
-                for c in op.chunks_carried():
-                    key = _relay_key(op, c)
+                for c in chunks[op_id]:
+                    key = (rank, relay_key(plan, op_id), c)
                     if key not in relay_reg:
                         diags.append(_diag(
                             "PLAN004",
-                            f"{op.name()}: relay forwards chunk {c} "
-                            "before receiving it",
-                            op,
+                            f"{plan.name_of(op_id)}: relay forwards chunk "
+                            f"{c} before receiving it",
+                            plan, op_id,
                         ))
                         staged[c] = {}
                     else:
@@ -400,51 +508,51 @@ def _dataflow_diags(
                 payload[op_id] = staged
                 continue
             payload[op_id] = {
-                c: dict(slot[(op.rank, c)]) for c in op.chunks_carried()
+                c: dict(slot[(rank, c)]) for c in chunks[op_id]
             }
-        elif op.kind == REDUCE:
-            s_id = pairing.partner.get(op_id)
-            if s_id is None:
+        elif kind == K_REDUCE:
+            s_id = partner[op_id]
+            if s_id < 0:
                 continue
-            for c in op.chunks_carried():
+            for c in chunks[op_id]:
                 incoming = payload.get(s_id, {}).get(c, {})
-                local = slot[(op.rank, c)]
+                local = slot[(rank, c)]
                 for contributor, count in incoming.items():
                     local[contributor] = local.get(contributor, 0) + count
                     if local[contributor] > 1:
                         diags.append(_diag(
                             "PLAN004",
-                            f"{op.name()}: rank {op.rank} reduces chunk "
-                            f"{c} contribution of rank {contributor} "
+                            f"{plan.name_of(op_id)}: rank {rank} reduces "
+                            f"chunk {c} contribution of rank {contributor} "
                             f"twice (duplicate reduction)",
-                            op,
+                            plan, op_id,
                         ))
-                last_writer[(op.rank, c)] = op
-        elif op.kind == RECV:
-            s_id = pairing.partner.get(op_id)
-            if s_id is None:
+                last_writer[(rank, c)] = op_id
+        elif kind == K_RECV:
+            s_id = partner[op_id]
+            if s_id < 0:
                 continue
-            if is_relay(op):
-                for c in op.chunks_carried():
-                    relay_reg[_relay_key(op, c)] = dict(
+            if op_id in relays:
+                for c in chunks[op_id]:
+                    relay_reg[(rank, relay_key(plan, op_id), c)] = dict(
                         payload.get(s_id, {}).get(c, {})
                     )
                 continue
-            for c in op.chunks_carried():
+            for c in chunks[op_id]:
                 incoming = payload.get(s_id, {}).get(c, {})
-                slot[(op.rank, c)] = dict(incoming)
-                last_writer[(op.rank, c)] = op
+                slot[(rank, c)] = dict(incoming)
+                last_writer[(rank, c)] = op_id
                 if incoming == full:
-                    deliveries[(op.rank, c)] = (
-                        deliveries.get((op.rank, c), 0) + 1
+                    deliveries[(rank, c)] = (
+                        deliveries.get((rank, c), 0) + 1
                     )
-                    if deliveries[(op.rank, c)] > 1:
+                    if deliveries[(rank, c)] > 1:
                         diags.append(_diag(
                             "PLAN004",
-                            f"{op.name()}: rank {op.rank} receives the "
-                            f"reduced chunk {c} twice (duplicate "
+                            f"{plan.name_of(op_id)}: rank {rank} receives "
+                            f"the reduced chunk {c} twice (duplicate "
                             f"broadcast)",
-                            op,
+                            plan, op_id,
                         ))
 
     for r in range(nnodes):
@@ -456,41 +564,52 @@ def _dataflow_diags(
                 k for k, v in held.items() if v >= 1
             ))
             extra = sorted(k for k, v in held.items() if v > 1)
-            writer = last_writer.get((r, c))
-            where = f" (last written by {writer.name()})" if writer else ""
+            writer = last_writer.get((r, c), -1)
+            where = (
+                f" (last written by {plan.name_of(writer)})"
+                if writer >= 0 else ""
+            )
             if missing:
                 diags.append(_diag(
                     "PLAN004",
                     f"rank {r} chunk {c}: contributions from rank(s) "
                     f"{missing} never reduced in{where} (dropped reduce)",
-                    writer,
+                    plan, writer,
                 ))
             if extra:
                 diags.append(_diag(
                     "PLAN004",
                     f"rank {r} chunk {c}: contributions from rank(s) "
                     f"{extra} counted more than once{where}",
-                    writer,
+                    plan, writer,
                 ))
             if not missing and not extra:
                 diags.append(_diag(
                     "PLAN004",
                     f"rank {r} chunk {c}: final value is not the full "
                     f"reduction{where}",
-                    writer,
+                    plan, writer,
                 ))
     return diags
 
 
-def _ancestors(preds: list[set[int]], order: list[int]) -> list[int]:
+def _ancestors(graph: _Graph, order: list[int]) -> list[int]:
     """Per op, the bitset of its ancestors (inclusive) in the combined
     graph: bit ``a`` of ``reach[b]`` is set iff ``a`` happens-before
     ``b`` (or ``a == b``)."""
-    reach = [0] * len(preds)
+    offsets, dep_ids = graph.offsets, graph.dep_ids
+    prev, sender = graph.prev, graph.sender
+    reach = [0] * len(prev)
     for op_id in order:
         bits = 1 << op_id
-        for d in preds[op_id]:
+        for d in dep_ids[offsets[op_id]:offsets[op_id + 1]]:
             bits |= reach[d]
+        p = prev[op_id]
+        if p >= 0:
+            bits |= reach[p]
+        p = sender[op_id]
+        if p >= 0:
+            bits |= reach[p]
         reach[op_id] = bits
     return reach
 
@@ -501,12 +620,13 @@ def _slot_accesses(
     """(rank, chunk) -> [(op id, writes)] for every op touching a
     gradient slot; relay legs and COPY markers touch none."""
     accesses: dict[tuple[int, int], list[tuple[int, bool]]] = {}
-    for op in plan.ops:
-        if op.kind == COPY or is_relay(op):
+    chunks, relays = plan.chunk_lists(), plan.relay_ids()
+    for i, (kind, rank) in enumerate(zip(plan.kind_code, plan.rank)):
+        if kind == K_COPY or i in relays:
             continue
-        writes = op.kind in (REDUCE, RECV)
-        for c in op.chunks_carried():
-            accesses.setdefault((op.rank, c), []).append((op.op_id, writes))
+        writes = kind != K_SEND
+        for c in chunks[i]:
+            accesses.setdefault((rank, c), []).append((i, writes))
     return accesses
 
 
@@ -526,11 +646,15 @@ def _race_diags(plan: Plan, reach: list[int]) -> list[Diagnostic]:
                     diags.append(_diag(
                         "PLAN005",
                         f"race on rank {rank} chunk {chunk}: "
-                        f"{plan.op(a).name()} and {plan.op(b).name()} "
+                        f"{plan.name_of(a)} and {plan.name_of(b)} "
                         "are unordered",
-                        plan.op(a),
+                        plan, a,
                     ))
     return diags
+
+
+def _sends(plan: Plan) -> list[int]:
+    return [i for i, kind in enumerate(plan.kind_code) if kind == K_SEND]
 
 
 def _broadcast_diags(
@@ -539,26 +663,28 @@ def _broadcast_diags(
     """Broadcast-like SENDs of a chunk not ordered after every
     reduce-like transfer of it completes (either endpoint of the reduce
     is enough: the DES merges both into one transfer)."""
-    sends = [op for op in plan.ops if op.kind == SEND]
-    reduces: dict[int, list[PlanOp]] = {}
-    for op in sends:
-        if op.phase in REDUCE_LIKE:
-            for c in op.chunks_carried():
-                reduces.setdefault(c, []).append(op)
+    sends = _sends(plan)
+    phase, partner = plan.phase_code, pairing.partner.ids
+    chunks = plan.chunk_lists()
+    reduces: dict[int, list[int]] = {}
+    for i in sends:
+        if phase[i] in _REDUCE_LIKE_CODES:
+            for c in chunks[i]:
+                reduces.setdefault(c, []).append(i)
     diags = []
     for b in sends:
-        if b.phase not in BROADCAST_LIKE:
+        if phase[b] not in _BROADCAST_LIKE_CODES:
             continue
-        for chunk in b.chunks_carried():
+        for chunk in chunks[b]:
             for r in reduces.get(chunk, ()):
-                done = 1 << r.op_id | 1 << pairing.partner[r.op_id]
-                if not reach[b.op_id] & done:
+                done = 1 << r | 1 << partner[r]
+                if not reach[b] & done:
                     diags.append(_diag(
                         "PLAN011",
-                        f"chunk {chunk}: broadcast {b.name()} is not "
-                        f"ordered after reduce {r.name()} completes — "
-                        "the payload may not be the full sum",
-                        b,
+                        f"chunk {chunk}: broadcast {plan.name_of(b)} is "
+                        f"not ordered after reduce {plan.name_of(r)} "
+                        "completes — the payload may not be the full sum",
+                        plan, b,
                     ))
     return diags
 
@@ -596,25 +722,27 @@ def _final_consumers(
     consumer: dict[tuple[int, int], int] = {}
     origin: dict[tuple[int, int], int] = {}
     stash: dict[tuple, int] = {}
+    partner = pairing.partner.ids
+    chunks, relays = plan.chunk_lists(), plan.relay_ids()
     for op_id in order:
-        op = plan.op(op_id)
-        if op.kind == SEND:
-            if is_relay(op):
-                for c in op.chunks_carried():
-                    key = (op.rank, op.flow, op.tree, op.phase, c)
+        kind = plan.kind_code[op_id]
+        if kind == K_SEND:
+            if op_id in relays:
+                for c in chunks[op_id]:
+                    key = (plan.rank[op_id], relay_key(plan, op_id), c)
                     if key in stash:
                         origin[(op_id, c)] = stash.pop(key)
             continue
-        if op.kind not in (RECV, REDUCE):
+        if kind == K_COPY:
             continue
-        sender = pairing.partner.get(op_id)
-        if sender is None:
+        sender = partner[op_id]
+        if sender < 0:
             continue
-        relay = is_relay(op)
-        for c in op.chunks_carried():
+        relay = op_id in relays
+        for c in chunks[op_id]:
             source = origin.get((sender, c), sender)
             if relay:
-                stash[(op.rank, op.flow, op.tree, op.phase, c)] = source
+                stash[(plan.rank[op_id], relay_key(plan, op_id), c)] = source
             else:
                 consumer[(source, c)] = op_id
     return consumer, origin
@@ -640,7 +768,7 @@ def prove_send_aliasing(plan: Plan, report: VerifyReport) -> AliasProof:
             (bad structure or pairing, or a cycle), every SEND is
             staged.
     """
-    sends = [op.op_id for op in plan.ops if op.kind == SEND]
+    sends = _sends(plan)
     if not report.reach:
         return AliasProof(frozenset(sends), ())
     pairing, order, reach = report.pairing, report.order, report.reach
@@ -649,18 +777,21 @@ def prove_send_aliasing(plan: Plan, report: VerifyReport) -> AliasProof:
         slot: [op_id for op_id, is_write in ops if is_write]
         for slot, ops in _slot_accesses(plan).items()
     }
+    chunks, relays = plan.chunk_lists(), plan.relay_ids()
 
-    def rewrite(op: PlanOp) -> str | None:
-        """Why ``op``'s payload may change in flight (None: it can't)."""
-        for c in op.chunks_carried():
-            k = consumer.get((op.op_id, c))
+    def rewrite(s: int) -> str | None:
+        """Why SEND ``s``'s payload may change in flight (None: it
+        can't)."""
+        rank = plan.rank[s]
+        for c in chunks[s]:
+            k = consumer.get((s, c))
             if k is None:
                 return f"chunk {c} never reaches a consumer"
-            for w in writes.get((op.rank, c), ()):
-                if not (reach[op.op_id] >> w & 1 or reach[w] >> k & 1):
+            for w in writes.get((rank, c), ()):
+                if not (reach[s] >> w & 1 or reach[w] >> k & 1):
                     return (
-                        f"rank {op.rank} chunk {c} is rewritten by "
-                        f"{plan.op(w).name()} before {plan.op(k).name()} "
+                        f"rank {rank} chunk {c} is rewritten by "
+                        f"{plan.name_of(w)} before {plan.name_of(k)} "
                         "consumes it"
                     )
         return None
@@ -668,20 +799,18 @@ def prove_send_aliasing(plan: Plan, report: VerifyReport) -> AliasProof:
     staged: set[int] = set()
     diags: list[Diagnostic] = []
     for s_id in sends:
-        op = plan.op(s_id)
-        reason = None if is_relay(op) else rewrite(op)
+        reason = None if s_id in relays else rewrite(s_id)
         if reason is not None:
             staged.add(s_id)
             diags.append(_diag(
                 "PLAN012",
-                f"{op.name()}: {reason}; its wire stages the chunk",
-                op,
+                f"{plan.name_of(s_id)}: {reason}; its wire stages the chunk",
+                plan, s_id,
             ))
     for s_id in sends:
-        op = plan.op(s_id)
-        if is_relay(op) and any(
+        if s_id in relays and any(
             origin.get((s_id, c)) in staged or (s_id, c) not in origin
-            for c in op.chunks_carried()
+            for c in chunks[s_id]
         ):
             staged.add(s_id)
     return AliasProof(frozenset(staged), tuple(diags))
@@ -689,33 +818,32 @@ def prove_send_aliasing(plan: Plan, report: VerifyReport) -> AliasProof:
 
 def _physical_diags(plan: Plan, topo: PhysicalTopology) -> list[Diagnostic]:
     diags = []
-    for op in plan.ops:
-        if op.kind != SEND:
+    for i in _sends(plan):
+        if plan.media[plan.medium_code[i]] == "pcie":
             continue
-        if op.medium == "pcie":
-            continue
-        if not (0 <= op.rank < topo.nnodes and 0 <= op.peer < topo.nnodes):
+        rank, peer = plan.rank[i], plan.peer[i]
+        if not (0 <= rank < topo.nnodes and 0 <= peer < topo.nnodes):
             diags.append(_diag(
                 "PLAN006",
-                f"{op.name()}: endpoint outside topology "
+                f"{plan.name_of(i)}: endpoint outside topology "
                 f"{topo.name!r} ({topo.nnodes} nodes)",
-                op,
+                plan, i,
             ))
             continue
-        lanes = topo.lane_count(op.rank, op.peer)
+        lanes = topo.lane_count(rank, peer)
         if lanes == 0:
             diags.append(_diag(
                 "PLAN006",
-                f"{op.name()}: no physical link {op.rank}->{op.peer} "
+                f"{plan.name_of(i)}: no physical link {rank}->{peer} "
                 f"in topology {topo.name!r}",
-                op,
+                plan, i,
             ))
-        elif plan.legalized and not (0 <= op.lane < lanes):
+        elif plan.legalized and not (0 <= plan.lane[i] < lanes):
             diags.append(_diag(
                 "PLAN006",
-                f"{op.name()}: lane {op.lane} out of range "
-                f"(link {op.rank}->{op.peer} has {lanes} lane(s))",
-                op,
+                f"{plan.name_of(i)}: lane {plan.lane[i]} out of range "
+                f"(link {rank}->{peer} has {lanes} lane(s))",
+                plan, i,
             ))
     return diags
 
@@ -742,11 +870,11 @@ def verify_plan(
     order: list[int] = []
     reach: list[int] = []
     if not diags:
-        preds = _combined_edges(plan, pairing)
-        order, cycle_diags = _topo_order(plan, preds)
+        graph = _combined_edges(plan, pairing)
+        order, cycle_diags = _topo_order(plan, graph)
         diags.extend(cycle_diags)
         if order:
-            reach = _ancestors(preds, order)
+            reach = _ancestors(graph, order)
             diags.extend(_dataflow_diags(plan, pairing, order))
             diags.extend(_race_diags(plan, reach))
             diags.extend(_broadcast_diags(plan, pairing, reach))

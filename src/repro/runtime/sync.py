@@ -19,6 +19,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.errors import AbortedError, RuntimeClusterError
 from repro.sanitizer import hooks as _hooks
@@ -246,10 +247,22 @@ class DeviceLock:
     post/wait/check events carry the semantic ordering.
     """
 
-    def __init__(self, spin: SpinConfig | None = None, *, name: str = ""):
+    def __init__(
+        self,
+        spin: SpinConfig | None = None,
+        *,
+        name: str | Callable[[], str] = "",
+    ):
         self._cell = AtomicCell(0)
         self._spin = spin or SpinConfig()
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        """The event's name; a callable given as ``name`` is called only
+        when a diagnostic reads it."""
+        name = self._name
+        return name if isinstance(name, str) else name()
 
     def attach_abort(self, abort: AbortCell) -> None:
         """Bind a cluster abort flag after construction."""
@@ -422,10 +435,22 @@ class DeviceEvent:
     the sanitizer.
     """
 
-    def __init__(self, spin: SpinConfig | None = None, *, name: str = ""):
+    def __init__(
+        self,
+        spin: SpinConfig | None = None,
+        *,
+        name: str | Callable[[], str] = "",
+    ):
         self._cell = AtomicCell(0)
         self._spin = spin or SpinConfig()
-        self.name = name
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        """The event's name; a callable given as ``name`` is called only
+        when a diagnostic reads it."""
+        name = self._name
+        return name if isinstance(name, str) else name()
 
     def attach_abort(self, abort: AbortCell) -> None:
         """Bind a cluster abort flag after construction."""

@@ -31,6 +31,10 @@ PCIE_ALPHA = 15e-6
 #: GPUs the paper designates as detour (intermediate/forwarding) nodes.
 DETOUR_NODES = (0, 1)
 
+#: A Hamiltonian cycle over the modelled DGX-1 NVLinks, used when running
+#: the ring algorithm on the physical DGX-1.
+DGX1_RING_ORDER = (0, 1, 2, 3, 7, 6, 5, 4)
+
 #: GPU pairs joined by two parallel NVLink bricks in each direction.
 DOUBLE_LINK_PAIRS = ((2, 3), (6, 7))
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import CCubeConfig
 from repro.dnn.layers import LayerKind, LayerSpec, NetworkModel
+from repro.plan.ir import PlanOp
 from repro.runtime.sync import SpinConfig
 from repro.sim.dag import Op
 from repro.topology.dgx1 import dgx1_topology
@@ -37,6 +38,21 @@ def op_rows(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Op, "__init__", counting_init)
+    return built
+
+
+@pytest.fixture
+def plan_rows(monkeypatch):
+    """Records the id of every :class:`~repro.plan.ir.PlanOp` row built
+    while the test runs."""
+    built = []
+    init = PlanOp.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("op_id", args[0] if args else None))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanOp, "__init__", counting_init)
     return built
 
 

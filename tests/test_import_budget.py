@@ -111,6 +111,37 @@ class TestImportBudget:
         hits = [m for m in loaded if any(under(m, f) for f in forbidden)]
         assert hits == []
 
+    def test_plan_path_loads_no_emitter(self):
+        loaded = loaded_modules(
+            "import repro.plan.builders, repro.plan.passes, "
+            "repro.plan.verifier, repro.plan.interpreter"
+        )
+        assert "repro.plan.interpreter" in loaded
+        forbidden = (
+            "repro.collectives.base",
+            "repro.collectives.double_tree",
+            "repro.collectives.halving_doubling",
+            "repro.collectives.hierarchical",
+            "repro.collectives.ring",
+            "repro.collectives.tree",
+            "repro.collectives.verification",
+            "repro.sim.engine",
+            "repro.topology.embedding",
+        )
+        hits = [m for m in loaded if any(under(m, f) for f in forbidden)]
+        assert hits == []
+
+    def test_ring_order_is_one_constant_everywhere(self):
+        result = run_fresh(
+            "import json\n"
+            "from repro.plan.builders import DGX1_RING_ORDER as a\n"
+            "from repro.collectives import DGX1_RING_ORDER as b\n"
+            "from repro.collectives.ring import DGX1_RING_ORDER as c\n"
+            "from repro.topology.dgx1 import DGX1_RING_ORDER as d\n"
+            "print(json.dumps([a is b is c is d, list(a)]))"
+        )
+        assert result == [True, [0, 1, 2, 3, 7, 6, 5, 4]]
+
     def test_import_repro_is_small(self):
         loaded = loaded_modules("import repro")
         assert len(loaded) <= IMPORT_REPRO_BUDGET, loaded

@@ -148,7 +148,8 @@ class TestPipelineChunks:
 
 
 class TestOpReplace:
-    """``PlanOp.replace`` (hot in every pass) matches dataclasses.replace."""
+    """``PlanOp.replace`` (the fuzzer's row edits) matches
+    dataclasses.replace."""
 
     def test_matches_dataclasses_replace(self):
         import dataclasses

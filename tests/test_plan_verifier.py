@@ -2,6 +2,7 @@
 diagnostics naming the offending op."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -309,3 +310,29 @@ class TestOrderingRules:
         out = capsys.readouterr().out
         assert "verdict: FAIL" in out
         assert "PLAN011 (reduce-before-broadcast)" in out
+
+
+class TestNonFinitePayload:
+    """A loaded plan whose transfers carry NaN or Infinity bytes is
+    structurally invalid (it would simulate to an infinite makespan)."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_rejected_as_plan001(self, value, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        from repro.plan import Plan, build_plan
+
+        data = build_plan("ring", 4, 1e6).to_json_dict()
+        for op in data["ops"]:
+            if op["kind"] != "copy":
+                op["nbytes"] = value
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        plan = Plan.from_json(path.read_text())
+
+        report = verify_plan(plan, raise_on_error=False)
+        assert not report.ok
+        assert {d.code for d in report.diagnostics} == {"PLAN001"}
+        assert all("non-finite payload" in e for e in report.errors)
+        assert cli_main(["plan", "verify", str(path)]) == 1
+        assert "verdict: FAIL" in capsys.readouterr().out
