@@ -9,8 +9,9 @@ logical edge) or embedded onto a physical topology.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Sequence
 
 from repro.errors import ScheduleError, SimulationError
 from repro.sim.dag import Dag
@@ -85,7 +86,9 @@ class AllReduceOutcome:
         schedule: the schedule that was simulated.
         sim: raw per-op timings (on the *executed* DAG — physical when the
             schedule was embedded).
-        logical_finish: finish time of each logical op id.
+        logical_finish: finish time of each logical op id, an
+            ``array('d')``; ``sim.finish`` itself when the simulated DAG
+            is the logical one.
         total_time: completion of the whole collective.
         chunk_available: per chunk id, when the reduced chunk is available
             at every node.
@@ -96,7 +99,7 @@ class AllReduceOutcome:
 
     schedule: CollectiveSchedule
     sim: SimResult
-    logical_finish: list[float]
+    logical_finish: Sequence[float]
     total_time: float
     chunk_available: dict[int, float]
     turnaround: float
@@ -140,8 +143,7 @@ def simulate_on_fabric(
         dag = fold_lanes(dag, fabric.lanes)
     resources = abstract_resources(dag, alpha=fabric.alpha, beta=fabric.beta)
     sim = DagSimulator(resources).run(dag)
-    logical_finish = list(sim.finish)
-    return _build_outcome(schedule, sim, logical_finish)
+    return _build_outcome(schedule, sim, sim.finish)
 
 
 def simulate_on_physical(
@@ -174,14 +176,16 @@ def simulate_on_physical(
             resources[key] = Processor(name=str(key))
     # embed_on_physical has just validated this DAG.
     sim = DagSimulator(resources).run(physical, validate=False)
-    logical_finish = [sim.finish[i] for i in report.logical_done]
+    logical_finish = array(
+        "d", map(sim.finish.__getitem__, report.logical_done)
+    )
     return _build_outcome(schedule, sim, logical_finish)
 
 
 def _build_outcome(
     schedule: CollectiveSchedule,
     sim: SimResult,
-    logical_finish: list[float],
+    logical_finish: Sequence[float],
 ) -> AllReduceOutcome:
     chunk_available: dict[int, float] = {}
     for chunk, op_ids in schedule.final_ops.items():

@@ -344,7 +344,7 @@ def simulate_hierarchical(
     )
     resources = hierarchical_resources(schedule, cluster)
     sim = DagSimulator(resources).run(schedule.dag)
-    return _build_outcome(schedule, sim, list(sim.finish))
+    return _build_outcome(schedule, sim, sim.finish)
 
 
 def _reroot(tree: BinaryTree, new_root: int) -> BinaryTree:

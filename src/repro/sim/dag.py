@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import accumulate, islice
 from operator import lt, sub
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -207,7 +207,9 @@ class Dag:
         """Append an op and return its id.
 
         ``label`` is a string, or a :class:`Label` template whose text is
-        formatted from the op's fields when the op is read.
+        formatted from the op's fields when the op is read.  The
+        ``duration`` column stores ``None`` as NaN, so a NaN duration
+        also means "no explicit duration".
         """
         op_id = len(self.phase_code)
         rid = self._key_ids.get(resource)
@@ -448,17 +450,40 @@ class Dag:
             label=self.label_of(i),
         )
 
-    def children(self) -> list[list[int]]:
-        """Per op id, the ids of the ops that depend on it, ascending."""
-        n = len(self)
-        children: list[list[int]] = [[] for _ in range(n)]
-        ids = self.dep_ids.tolist()
-        lo = 0
-        for i, hi in enumerate(self.dep_offsets.tolist()[1:]):
-            for d in ids[lo:hi]:
-                children[d].append(i)
-            lo = hi
-        return children
+    def children(self) -> tuple[array, array]:
+        """Every op's dependents in CSR form: ``(offsets, ids)``.
+
+        Op ``i``'s children, ascending, are
+        ``ids[offsets[i]:offsets[i + 1]]``; an op that lists a dep twice
+        is its child twice.  Both are ``array('i')``, built by a counting
+        sort of the deps, so no per-op list or int is kept.
+        """
+        deps = self.dep_ids
+        count = [0] * len(self)
+        for d in deps:
+            count[d] += 1
+        offsets = array("i", [0])
+        offsets.extend(accumulate(count))
+        del count
+        fill = offsets.tolist()
+        ids = array("i", bytes(4 * len(deps)))
+        for d, i in zip(deps, self._owners()):
+            at = fill[d]
+            ids[at] = i
+            fill[d] = at + 1
+        return offsets, ids
+
+    def _owners(self) -> Iterator[int]:
+        """The op owning each entry of ``dep_ids``, in order.
+
+        Entry ``p``'s owner is the number of ops whose deps end at or
+        before ``p``, a running sum of per-entry counts; the counts are
+        small ints, so no int is built per op.
+        """
+        ends = [0] * (len(self.dep_ids) + 1)
+        for end in islice(self.dep_offsets, 1, None):
+            ends[end] += 1
+        return accumulate(ends)
 
     def validate(self) -> None:
         """Check all deps reference other existing ops and form no cycle.
@@ -467,16 +492,12 @@ class Dag:
             ScheduleError: on dangling or self deps, or cycles.
         """
         n = len(self)
-        ids, offsets = self.dep_ids, self.dep_offsets
-        # The op owning each entry of ``ids``, in order.
-        owners = list(chain.from_iterable(
-            map(repeat, range(n), map(sub, offsets[1:], offsets[:-1]))
-        ))
+        ids = self.dep_ids
         # Every dep naming an earlier op rules out all three faults: the
         # ids are then a topological order.
-        if not ids or (min(ids) >= 0 and all(map(lt, ids, owners))):
+        if not ids or (min(ids) >= 0 and all(map(lt, ids, self._owners()))):
             return
-        for d, i in zip(ids, owners):
+        for d, i in zip(ids, self._owners()):
             if not 0 <= d < n:
                 raise ScheduleError(f"op {i} depends on missing op {d}")
             if d == i:
@@ -491,14 +512,14 @@ class Dag:
         """
         n = len(self)
         offsets = self.dep_offsets
-        indegree = list(map(sub, offsets[1:], offsets[:-1]))
-        children = self.children()
+        indegree = list(map(sub, islice(offsets, 1, None), offsets))
+        kid_offsets, kid_ids = self.children()
         frontier = [i for i in range(n) if indegree[i] == 0]
         order: list[int] = []
         while frontier:
             node = frontier.pop()
             order.append(node)
-            for child in children[node]:
+            for child in kid_ids[kid_offsets[node]:kid_offsets[node + 1]]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     frontier.append(child)

@@ -17,14 +17,16 @@ of the same DAG must produce identical timings.
 from __future__ import annotations
 
 import heapq
+import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
 from operator import not_, sub
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.dag import Dag, Op, Phase
+from repro.sim.dag import PHASES, Dag, Op, Phase
 from repro.sim.resources import Channel, Processor, Resource
 from repro.sim.trace import TraceRecord
 
@@ -33,21 +35,26 @@ from repro.sim.trace import TraceRecord
 class SimResult:
     """Timing outcome of executing a DAG.
 
+    :meth:`DagSimulator.run` returns typed columns, so a result keeps no
+    Python object per op; :meth:`DagSimulator.run_reference` returns
+    lists with the same values.
+
     Attributes:
-        start: per-op start times, indexed by op id.
-        finish: per-op finish times, indexed by op id.
+        start: per-op start times, indexed by op id (``array('d')``).
+        finish: per-op finish times, indexed by op id (``array('d')``).
         makespan: completion time of the last op.
-        order: op ids in the order their service started.
+        order: op ids in the order their service started
+            (``array('i')``).
         ops: the simulated DAG itself (``dag.ops is dag``), read as a
             sequence of :class:`~repro.sim.dag.Op` rows; shared, not
             copied.  :attr:`trace` reads resources and labels from its
             columns.
     """
 
-    start: list[float]
-    finish: list[float]
+    start: Sequence[float]
+    finish: Sequence[float]
     makespan: float
-    order: list[int]
+    order: Sequence[int]
     ops: Dag
 
     @cached_property
@@ -87,10 +94,28 @@ class SimResult:
         return min(times)
 
     def busy_time(self, resource: Hashable) -> float:
-        """Total occupied time of a resource across the run."""
+        """Total occupied time of a resource across the run.
+
+        Sums over the ops in service order, reading the DAG's key column
+        instead of the trace.
+        """
+        dag, start, finish = self.ops, self.start, self.finish
+        wanted = {i for i, key in enumerate(dag.keys) if key == resource}
+        resource_id = dag.resource_id
         return sum(
-            rec.finish - rec.start for rec in self.trace if rec.resource == resource
+            finish[op_id] - start[op_id]
+            for op_id in self.order
+            if resource_id[op_id] in wanted
         )
+
+
+#: Resource states in :meth:`DagSimulator.run` (an op id means "idle,
+#: starts that op next").
+IDLE = -1
+BUSY = -2
+QUEUED = -3
+#: "More than one resource starts an op now", in :meth:`DagSimulator.run`.
+SEVERAL = -2
 
 
 class DagSimulator:
@@ -120,18 +145,23 @@ class DagSimulator:
         children of *later* same-time events), breaking determinism
         against the reference.
 
+        The run builds no Python object per op.  ``start``, ``finish``
+        and ``order`` are typed arrays; children come from
+        :meth:`Dag.children` in CSR form; every op's service time is
+        computed in one pass before the loop (see :func:`_service_times`)
+        into the array that then receives its finish time; only small
+        ints (resource numbers, dep and child counts) sit in lists.
         Resources are numbered, so the loop indexes lists instead of
-        hashing resource keys; each op's resource number comes from the
-        DAG's key column.  Children are built once from the CSR deps, and
-        every op's service time is computed in one pass before the loop
-        (see :func:`_service_times`).  Starting an op changes only its
-        own resource, so when one completion lets a single resource
-        start, the start needs no ordering.  When several resources start
-        at once, the service order (hence the trace) must follow the
+        hashing resource keys.  An idle resource's ready heap is empty,
+        so the first op that becomes ready on one is held and started
+        without touching the heap.  Starting an op changes only its own
+        resource, so when one completion lets a single resource start,
+        the start needs no ordering.  When several resources start at
+        once, the service order (hence the trace) must follow the
         reference, which starts them in the iteration order of the set
-        of touched resource keys; that set is rebuilt for those events
-        only.  The loop records only the service-start order (one append
-        per op); :attr:`SimResult.trace` is derived from it when first
+        of touched resource keys; that order is computed once per
+        distinct sequence of touched resources.
+        :attr:`SimResult.trace` is derived from ``order`` when first
         read.  No :class:`~repro.sim.dag.Op` row is built, except to
         price an op the one pass could not (see :func:`_service_times`).
 
@@ -141,7 +171,8 @@ class DagSimulator:
                 DAG the caller has just validated).
 
         Raises:
-            SimulationError: if an op references an unknown resource.
+            SimulationError: if an op references an unknown resource, or
+                its resource rejects it (see :mod:`repro.sim.resources`).
             DeadlockError: if execution stalls before all ops complete.
         """
         if validate:
@@ -153,12 +184,10 @@ class DagSimulator:
             raise SimulationError(f"DAG references unknown resources: {missing!r}")
 
         n = len(dag)
-        start = [0.0] * n
-        finish = [0.0] * n
-        order: list[int] = []
         if n == 0:
             return SimResult(
-                start=start, finish=finish, makespan=0.0, order=order, ops=dag
+                start=array("d"), finish=array("d"), makespan=0.0,
+                order=array("i"), ops=dag,
             )
 
         # Numbered in ``used``'s iteration order: the order in which the
@@ -166,15 +195,30 @@ class DagSimulator:
         key_of = list(used)
         rid = {key: i for i, key in enumerate(key_of)}
         table = [rid[key] for key in dag.keys]
+        # Each op's service time, replaced by its finish time when it
+        # starts.
+        finish = _service_times(dag, [resources[key] for key in dag.keys])
+        child_offsets, child_ids = dag.children()
+        # The hottest reads stay lists of small ints, which hold no int
+        # object per op: resource numbers (shared with ``table``), dep
+        # counts and child counts.
         rid_of = list(map(table.__getitem__, dag.resource_id))
         offsets = dag.dep_offsets
-        pending = list(map(sub, offsets[1:], offsets[:-1]))
-        children = dag.children()
-        service_of = _service_times(dag, [resources[key] for key in dag.keys])
+        pending = list(map(sub, islice(offsets, 1, None), offsets))
+        nkids = list(map(sub, islice(child_offsets, 1, None), child_offsets))
+        start = array("d", bytes(8 * n))
+        order = array("i")
 
         # Per-resource FIFO of ready ops: heap of (ready_time, op_id).
         ready: list[list[tuple[float, int]]] = [[] for _ in key_of]
-        busy = [False] * len(key_of)
+        # Per resource: BUSY, IDLE, QUEUED (just freed with ops in its
+        # heap), or the op it starts next.  An idle resource's heap is
+        # empty, so the first op that becomes ready on one is the next it
+        # serves: it is held here instead of pushed.
+        state = [IDLE] * len(key_of)
+        # Resource numbers in the order a completion touched them -> the
+        # same resources in the iteration order of the set of their keys.
+        touch_order: dict[tuple[int, ...], list[int]] = {}
 
         # Event heap of op completions: (time, op_id).  Every started op
         # completes once, so ``order`` also counts completions.
@@ -182,6 +226,10 @@ class DagSimulator:
         heappush = heapq.heappush
         heappop = heapq.heappop
         order_append = order.append
+        # Item stores through a memoryview skip the array's argument
+        # parsing.
+        start_at = memoryview(start)
+        finish_at = memoryview(finish)
 
         def price(op_id: int) -> float:
             """Service time of an op the one pass left unpriced: the
@@ -192,69 +240,97 @@ class DagSimulator:
                 raise SimulationError(f"op {op_id} has negative service time")
             return service
 
-        def begin(r: int, now: float) -> None:
-            """Start the next ready op on idle resource ``r``."""
-            _, op_id = heappop(ready[r])
-            service = service_of[op_id]
-            if service < 0:
-                service = price(op_id)
-            busy[r] = True
-            done = now + service
-            start[op_id] = now
-            finish[op_id] = done
-            order_append(op_id)
-            heappush(events, (done, op_id))
-
+        # Ops ready at time zero, in id order: each heap is sorted.
         for op_id in compress(range(n), map(not_, pending)):
-            heappush(ready[rid_of[op_id]], (0.0, op_id))
-        for r, rheap in enumerate(ready):
-            if rheap:
-                begin(r, 0.0)
-
-        while events:
-            now, op_id = heappop(events)
-            r = rid_of[op_id]
-            busy[r] = False
-            # Resources that start an op now: ``first``, then ``more``.
-            first = r if ready[r] else -1
-            more: list[int] | None = None
-            kids = children[op_id]
-            for child_id in kids:
-                left = pending[child_id] - 1
-                pending[child_id] = left
-                if left == 0:
-                    c = rid_of[child_id]
-                    heappush(ready[c], (now, child_id))
-                    if c == first or busy[c]:
+            ready[rid_of[op_id]].append((0.0, op_id))
+        # At time zero every resource with a ready op starts, in key
+        # order; later, the resources one completion lets start.
+        now = 0.0
+        starts: Iterable[int] = range(len(key_of))
+        while True:
+            for c in starts:
+                op_id = state[c]
+                if op_id < 0:
+                    if op_id == BUSY or not ready[c]:
                         continue
-                    if first < 0:
-                        first = c
-                    elif more is None:
-                        more = [c]
-                    elif c not in more:
-                        more.append(c)
-            if more is None:
-                if first >= 0:  # begin(first, now), inlined
-                    _, next_id = heappop(ready[first])
-                    service = service_of[next_id]
+                    _, op_id = heappop(ready[c])
+                service = finish[op_id]
+                if service < 0:
+                    service = price(op_id)
+                state[c] = BUSY
+                done = now + service
+                start_at[op_id] = now
+                finish_at[op_id] = done
+                order_append(op_id)
+                heappush(events, (done, op_id))
+
+            first = -1
+            while events:
+                now, op_id = heappop(events)
+                r = rid_of[op_id]
+                # ``first`` is the resource that starts an op now, -1 if
+                # none does and SEVERAL if more than one does.
+                if ready[r]:
+                    state[r] = QUEUED
+                    first = r
+                else:
+                    state[r] = IDLE
+                    first = -1
+                k = nkids[op_id]
+                if k == 1:
+                    kids = (child_ids[child_offsets[op_id]],)
+                elif k:
+                    kids = child_ids[
+                        child_offsets[op_id]:child_offsets[op_id + 1]
+                    ]
+                else:
+                    kids = ()
+                for child_id in kids:
+                    left = pending[child_id] - 1
+                    pending[child_id] = left
+                    if left:
+                        continue
+                    c = rid_of[child_id]
+                    if state[c] != IDLE:
+                        heappush(ready[c], (now, child_id))
+                    else:
+                        state[c] = child_id
+                        first = c if first == -1 else SEVERAL
+                if first >= 0:  # the loop above for ``starts = (first,)``
+                    op_id = state[first]
+                    if op_id < 0:  # QUEUED
+                        _, op_id = heappop(ready[first])
+                    service = finish[op_id]
                     if service < 0:
-                        service = price(next_id)
-                    busy[first] = True
+                        service = price(op_id)
+                    state[first] = BUSY
                     done = now + service
-                    start[next_id] = now
-                    finish[next_id] = done
-                    order_append(next_id)
-                    heappush(events, (done, next_id))
-                continue
-            starting = {first, *more}
-            touched = {key_of[r]}
-            for child_id in kids:
-                if pending[child_id] == 0:
-                    touched.add(key_of[rid_of[child_id]])
-            for key in touched:
-                c = rid[key]
-                if c in starting:
-                    begin(c, now)
+                    start_at[op_id] = now
+                    finish_at[op_id] = done
+                    order_append(op_id)
+                    heappush(events, (done, op_id))
+                elif first == SEVERAL:
+                    break
+            if first != SEVERAL:
+                break
+
+            # The reference starts several resources in the iteration
+            # order of the set of resource keys this completion touched,
+            # built in this order: its own resource, then each newly
+            # ready child's (an only child is ready: it starts on ``c``).
+            if k == 1:
+                touched = (r, c)
+            else:
+                touched = [r]
+                for child_id in kids:
+                    if pending[child_id] == 0:
+                        touched.append(rid_of[child_id])
+                touched = tuple(touched)
+            starts = touch_order.get(touched)
+            if starts is None:
+                starts = touch_order[touched] = [
+                    rid[key] for key in {key_of[c] for c in touched}
+                ]
 
         if len(order) != n:
             raise DeadlockError(
@@ -362,41 +438,49 @@ class DagSimulator:
         )
 
 
-def _service_times(dag: Dag, servers: Sequence[Resource]) -> list[float]:
+def _service_times(dag: Dag, servers: Sequence[Resource]) -> array:
     """Every op's service time in one pass over the DAG's columns.
 
     ``servers[k]`` serves the ops whose resource is ``dag.keys[k]``.  A
     :class:`Channel` or :class:`Processor` op gets exactly the float
-    expression of its ``service_time``.  An op whose ``service_time``
-    would raise (no duration on a processor, a negative size on a
-    channel) or return a negative time, and every op on another resource
-    type, gets ``-1.0``: :meth:`DagSimulator.run` then calls the
-    resource's own method when the op starts, as the reference does.
+    expression of its ``service_time`` (dividing a channel's explicit
+    duration by 1.0 is exact).  An op whose ``service_time`` would raise
+    (no duration on a processor, a negative size on a channel, a
+    non-finite size or duration) or return a negative time, and every op
+    on another resource type, gets ``-1.0`` or a negative time:
+    :meth:`DagSimulator.run` then calls the resource's own method when
+    the op starts, as the reference does.
     """
-    params: list[tuple[int, float, float]] = []
+    # Per key: what an explicit duration is divided by, and the alpha and
+    # beta of a transfer.  NaN marks what the resource does not price.
+    scale: list[float] = []
+    alpha: list[float] = []
+    beta: list[float] = []
     for server in servers:
         if type(server) is Channel:
-            params.append((1, server.alpha, server.beta))
-        elif type(server) is Processor:
-            params.append((2, server.speedup, 0.0))
+            scale.append(1.0)
+            alpha.append(server.alpha)
+            beta.append(server.beta)
         else:
-            params.append((0, 0.0, 0.0))
+            scale.append(
+                server.speedup if type(server) is Processor else math.nan
+            )
+            alpha.append(math.nan)
+            beta.append(math.nan)
     service: list[float] = []
     append = service.append
     for r, nbytes, duration in zip(dag.resource_id, dag.nbytes, dag.duration):
-        kind, a, b = params[r]
         if duration == duration:  # not NaN: an explicit duration
-            if kind == 1:
-                append(duration)
-            elif kind == 2:
-                append(duration / a)
-            else:
-                append(-1.0)
-        elif kind == 1 and nbytes >= 0:
-            append(a + b * nbytes)
+            append(duration / scale[r])
+        elif nbytes >= 0:
+            append(alpha[r] + beta[r] * nbytes)
         else:
             append(-1.0)
-    return service
+    # NaN marks an op to leave to its resource; an infinite time comes
+    # from a non-finite size or duration, which the resource rejects.
+    if not sum(service) < math.inf:
+        service = [t if t < math.inf else -1.0 for t in service]
+    return array("d", service)
 
 
 def makespan(
@@ -407,13 +491,13 @@ def makespan(
 
 
 def phase_finish_times(dag: Dag, result: SimResult) -> dict[Phase, float]:
-    """Latest finish time per phase present in the DAG."""
-    out: dict[Phase, float] = {}
-    for op in dag.ops:
-        t = result.finish[op.op_id]
-        if op.phase not in out or t > out[op.phase]:
-            out[op.phase] = t
-    return out
+    """Latest finish time per phase present in the DAG (read from the
+    DAG's phase column; no op row is built)."""
+    latest: dict[int, float] = {}
+    for code, t in zip(dag.phase_code, result.finish):
+        if code not in latest or t > latest[code]:
+            latest[code] = t
+    return {PHASES[code]: t for code, t in latest.items()}
 
 
 def chunk_completion_times(
@@ -427,14 +511,18 @@ def chunk_completion_times(
 
     For an AllReduce DAG this gives, per chunk, the instant the reduced
     chunk is available everywhere — the quantity gradient queuing consumes.
+    Reads the DAG's phase and chunk columns; an :class:`Op` row is built
+    only for an op in ``phase`` that ``key`` must judge.
     """
+    code = PHASES.index(phase)
     out: dict[int, float] = {}
-    for op in dag.ops:
-        if op.phase is not phase or op.chunk < 0:
+    for op_id, (phase_code, chunk, t) in enumerate(
+        zip(dag.phase_code, dag.chunk, result.finish)
+    ):
+        if phase_code != code or chunk < 0:
             continue
-        if key is not None and not key(op):
+        if key is not None and not key(dag[op_id]):
             continue
-        t = result.finish[op.op_id]
-        if op.chunk not in out or t > out[op.chunk]:
-            out[op.chunk] = t
+        if chunk not in out or t > out[chunk]:
+            out[chunk] = t
     return out

@@ -10,10 +10,17 @@ Two resource kinds cover everything the paper needs:
 - :class:`Processor` — a serializing compute resource (a GPU's SMs, or the
   slice of them given to forwarding/reduction kernels).  Service time is
   taken from the op's explicit ``duration``.
+
+Every parameter and every size or duration a resource prices must be
+finite: a NaN or infinity raises :class:`~repro.errors.SimulationError`
+instead of turning into a NaN or infinite timing.  (An op's ``duration``
+of ``None`` means "no explicit duration"; a :class:`~repro.sim.dag.Dag`
+stores it as NaN, so a NaN duration passed to ``Dag.add`` means the same.)
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -45,9 +52,10 @@ class Channel:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
+        if not (0 <= self.alpha < math.inf and 0 <= self.beta < math.inf):
             raise SimulationError(
-                f"channel {self.name!r}: alpha and beta must be non-negative"
+                f"channel {self.name!r}: alpha and beta must be finite and "
+                f"non-negative, got {self.alpha!r} and {self.beta!r}"
             )
 
     @property
@@ -57,13 +65,16 @@ class Channel:
 
     def transfer_time(self, nbytes: float) -> float:
         """alpha + beta * nbytes for an ``nbytes``-byte message."""
-        if nbytes < 0:
-            raise SimulationError("transfer size must be non-negative")
+        if not 0 <= nbytes < math.inf:
+            raise SimulationError(
+                "transfer size must be finite and non-negative, "
+                f"got {nbytes!r}"
+            )
         return self.alpha + self.beta * nbytes
 
     def service_time(self, op: Op) -> float:
         if op.duration is not None:
-            return op.duration
+            return _finite_duration(op, self.name)
         return self.transfer_time(op.nbytes)
 
 
@@ -82,12 +93,25 @@ class Processor:
     speedup: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.speedup <= 0:
-            raise SimulationError(f"processor {self.name!r}: speedup must be > 0")
+        if not 0 < self.speedup < math.inf:
+            raise SimulationError(
+                f"processor {self.name!r}: speedup must be finite and > 0, "
+                f"got {self.speedup!r}"
+            )
 
     def service_time(self, op: Op) -> float:
         if op.duration is None:
             raise SimulationError(
                 f"processor {self.name!r} got op {op.op_id} without a duration"
             )
-        return op.duration / self.speedup
+        return _finite_duration(op, self.name) / self.speedup
+
+
+def _finite_duration(op: Op, name: str) -> float:
+    """``op.duration``, which must be finite."""
+    if not math.isfinite(op.duration):
+        raise SimulationError(
+            f"resource {name!r} got op {op.op_id} with non-finite "
+            f"duration {op.duration!r}"
+        )
+    return op.duration

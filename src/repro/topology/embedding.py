@@ -19,6 +19,7 @@ channels:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -53,7 +54,7 @@ class EmbeddingReport:
         lane_assignments: per (u, v), set of physical lanes used.
         logical_done: indexed by logical op id, the physical op id whose
             completion marks the logical op complete (the last hop of
-            its route).
+            its route); an ``array('i')``, so it keeps no int per op.
         relay_routes: per intermediate GPU, the set of (src, dst, tree)
             logical directed edges it relays — each needs one persistent
             forwarding kernel on that GPU.
@@ -64,7 +65,7 @@ class EmbeddingReport:
     lane_assignments: dict[tuple[int, int], set[int]] = field(
         default_factory=dict
     )
-    logical_done: list[int] = field(default_factory=list)
+    logical_done: array = field(default_factory=lambda: array("i"))
     relay_routes: dict[int, set[tuple[int, int, int]]] = field(
         default_factory=dict
     )
@@ -117,7 +118,7 @@ def embed_on_physical(
     for i, (r, tree, nbytes) in enumerate(
         zip(dag.resource_id, dag.tree, dag.nbytes)
     ):
-        mapped_deps = [done[d] for d in dep_ids[offsets[i]:offsets[i + 1]]]
+        mapped_deps = map(done.__getitem__, dep_ids[offsets[i]:offsets[i + 1]])
         if not is_edge[r]:
             done.append(physical.add_from(
                 dag, i, keys[r], mapped_deps, src=dag.src[i], dst=dag.dst[i]

@@ -10,6 +10,8 @@ from repro.core.comm import build_strategy_schedule, simulate_strategy_comm
 from repro.core.config import Bandwidth, CCubeConfig, Strategy
 from repro.dnn.networks import NETWORKS
 from repro.sim.dag import Dag
+from repro.sim.engine import DagSimulator
+from repro.sim.resources import Processor
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.embedding import embed_on_physical
 from repro.topology.routing import Router
@@ -109,10 +111,11 @@ class TestSimulateStrategyComm:
     def test_heaviest_fig13_point_peak_memory(self):
         # VGG-16 / CC / low bandwidth is the largest Fig. 13 DES point
         # (7,740 logical and 8,772 physical ops).  On CPython 3.11 its
-        # peak is about 3.7 MB with column-stored DAGs, about 6.2 MB with
-        # one slotted op per op and a trace derived only when read, and
-        # about 8.7 MB when every run also built one trace record per op
-        # and a key tuple per transfer.
+        # peak is about 2.2 MB with a DES on typed columns, about 3.8 MB
+        # with column-stored DAGs alone, about 6.2 MB with one slotted op
+        # per op and a trace derived only when read, and about 8.7 MB when
+        # every run also built one trace record per op and a key tuple
+        # per transfer.
         config = CCubeConfig().scaled(Bandwidth.LOW)
         nbytes = float(NETWORKS["vgg16"]().total_bytes)
         simulate_strategy_comm(Strategy.CCUBE, nbytes, config)  # warm caches
@@ -158,3 +161,43 @@ class TestColumnStore:
         assert op_rows == []
         assert len(physical) == 8774
         assert (after - before) / len(physical) <= 64
+
+    def test_des_on_the_heaviest_point_keeps_no_per_op_objects(
+        self, op_rows
+    ):
+        # VGG-16 / CC / low bandwidth: the largest Fig. 13 DES point.  On
+        # CPython 3.11 run() peaks about 64 B/op above its inputs and the
+        # result keeps about 21 B/op (start, finish and order columns);
+        # with per-op lists, ints and floats they were 217 and 78 B/op.
+        config = CCubeConfig().scaled(Bandwidth.LOW)
+        nbytes = float(NETWORKS["vgg16"]().total_bytes)
+        schedule = build_strategy_schedule(Strategy.CCUBE, nbytes, config)
+        topo = dgx1_topology(
+            nvlink_bandwidth=1.0 / config.beta, nvlink_alpha=config.alpha
+        )
+        router = Router(topo, detour_preference=DETOUR_NODES)
+        physical, _ = embed_on_physical(schedule.dag, topo, router)
+        resources = topo.to_resources()
+        for key in physical.resources():
+            resources.setdefault(key, Processor(name=str(key)))
+        simulator = DagSimulator(resources)
+        gc.collect()
+        # Warm the interpreter's free lists, then keep the collector from
+        # emptying them, so the figures count only the run's own memory.
+        simulator.run(physical, validate=False)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            result = simulator.run(physical, validate=False)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        n = len(physical)
+        assert n == 8772
+        assert op_rows == []
+        assert (peak - before) / n <= 80
+        assert (after - before) / n <= 24
+        assert result.makespan > 0
+

@@ -350,9 +350,11 @@ class TestOptimizedEngine:
             simulator = DagSimulator(resources)
             ref = simulator.run_reference(dag)
             opt = simulator.run(dag)
-            assert opt.start == ref.start
-            assert opt.finish == ref.finish
+            # ``run`` returns typed arrays, the reference lists.
+            assert list(opt.start) == ref.start
+            assert list(opt.finish) == ref.finish
             assert opt.makespan == ref.makespan
+            assert list(opt.order) == ref.order
             assert [
                 (r.op_id, r.resource, r.start, r.finish, r.label)
                 for r in opt.trace

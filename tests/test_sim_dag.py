@@ -1,5 +1,7 @@
 """Unit tests for repro.sim.dag."""
 
+from array import array
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -244,3 +246,14 @@ class TestColumnStore:
         dag.set_deps({0: [1]})
         dag.validate()
         assert dag.topological_order() == [1, 0]
+
+    def test_children_are_csr_arrays(self):
+        dag = Dag()
+        a = dag.add("a")
+        b = dag.add("a", deps=[a])
+        dag.add("a", deps=[a, b, a])  # a listed twice: its child twice
+        offsets, ids = dag.children()
+        assert offsets == array("i", [0, 3, 4, 4])
+        assert ids == array("i", [1, 2, 2, 2])
+        empty = Dag().children()
+        assert empty == (array("i", [0]), array("i"))

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event DAG executor."""
 
+from array import array
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -140,6 +142,46 @@ class TestTraceIntegrity:
         assert result.busy_time("chan") == pytest.approx(2.0 + 3.0)
 
 
+NAN, INF = float("nan"), float("inf")
+ENGINES = ("run", "run_reference")
+
+
+class TestNonFiniteInputs:
+    """Both engines reject what the resources reject, with the same
+    error, instead of simulating NaN or infinite timings."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("nbytes", [NAN, INF])
+    def test_non_finite_transfer_size(self, engine, nbytes):
+        dag = Dag()
+        dag.add("chan", nbytes=1.0)
+        dag.add("chan", nbytes=nbytes, deps=[0])
+        simulator = DagSimulator(simple_resources())
+        with pytest.raises(SimulationError, match="transfer size must be"):
+            getattr(simulator, engine)(dag)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("resource", ["cpu", "chan"])
+    def test_infinite_duration(self, engine, resource):
+        dag = Dag()
+        dag.add(resource, duration=INF)
+        simulator = DagSimulator(simple_resources())
+        with pytest.raises(SimulationError, match="non-finite duration"):
+            getattr(simulator, engine)(dag)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nan_duration_means_no_duration(self, engine):
+        # A Dag stores ``duration=None`` as NaN, so an explicit NaN is
+        # "no duration": a channel prices the bytes, a processor raises.
+        dag = Dag()
+        dag.add("chan", nbytes=4.0, duration=NAN)
+        simulator = DagSimulator(simple_resources())
+        assert getattr(simulator, engine)(dag).makespan == 5.0
+        dag.add("cpu", duration=NAN, deps=[0])
+        with pytest.raises(SimulationError, match="without a duration"):
+            getattr(simulator, engine)(dag)
+
+
 class TestDeterminism:
     def test_same_dag_same_timing(self):
         dag = Dag()
@@ -182,6 +224,40 @@ class TestHelpers:
         result = DagSimulator(simple_resources()).run(dag)
         with pytest.raises(SimulationError):
             result.first_finish_of([])
+
+    def test_helpers_read_columns_not_rows(self, op_rows):
+        # Six 2 s transfers on one channel; odd ops broadcast.
+        dag = Dag()
+        for i, chunk in enumerate([0, 1, 2, 0, 1, -1]):
+            dag.add("chan", nbytes=1.0, chunk=chunk,
+                    phase=(Phase.REDUCE, Phase.BROADCAST)[i % 2])
+        result = DagSimulator(simple_resources()).run(dag)
+        assert phase_finish_times(dag, result) == {
+            Phase.REDUCE: 10.0, Phase.BROADCAST: 12.0
+        }
+        assert chunk_completion_times(dag, result) == {1: 4.0, 0: 8.0}
+        assert result.busy_time("chan") == 12.0
+        assert result.busy_time("cpu") == 0
+        assert op_rows == []
+        kept = chunk_completion_times(
+            dag, result, key=lambda op: op.op_id != 3
+        )
+        assert kept == {1: 4.0}
+        # Rows only for the broadcast ops with a chunk, for ``key``.
+        assert op_rows == [1, 3]
+
+    def test_run_returns_typed_columns(self):
+        dag = Dag()
+        dag.add("chan", nbytes=1.0)
+        dag.add("cpu", duration=2.0, deps=[0])
+        result = DagSimulator(simple_resources()).run(dag)
+        assert result.start == array("d", [0.0, 2.0])
+        assert result.finish == array("d", [2.0, 4.0])
+        assert result.order == array("i", [0, 1])
+        empty = DagSimulator(simple_resources()).run(Dag())
+        assert (empty.start, empty.finish, empty.order) == (
+            array("d"), array("d"), array("i")
+        )
 
     def test_finish_of_empty_is_zero(self):
         dag = Dag()

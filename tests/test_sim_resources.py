@@ -57,3 +57,35 @@ class TestProcessor:
     def test_nonpositive_speedup_rejected(self):
         with pytest.raises(SimulationError):
             Processor(speedup=0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("alpha, beta", [
+        (NAN, 1.0), (INF, 1.0), (1.0, NAN), (1.0, INF),
+    ])
+    def test_channel_parameters_must_be_finite(self, alpha, beta):
+        with pytest.raises(SimulationError, match="finite"):
+            Channel(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("speedup", [NAN, INF])
+    def test_processor_speedup_must_be_finite(self, speedup):
+        with pytest.raises(SimulationError, match="finite"):
+            Processor(speedup=speedup)
+
+    @pytest.mark.parametrize("nbytes", [NAN, INF])
+    def test_channel_rejects_non_finite_size(self, nbytes):
+        op = Op(op_id=0, resource="c", nbytes=nbytes)
+        with pytest.raises(SimulationError, match="finite"):
+            Channel(alpha=1.0, beta=1.0).service_time(op)
+
+    @pytest.mark.parametrize("resource", [
+        Channel(alpha=1.0, beta=1.0), Processor(),
+    ])
+    @pytest.mark.parametrize("duration", [INF, -INF, NAN])
+    def test_non_finite_duration_rejected(self, resource, duration):
+        op = Op(op_id=0, resource="r", duration=duration)
+        with pytest.raises(SimulationError, match="non-finite"):
+            resource.service_time(op)
