@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 from typing import Hashable, Iterable, Iterator
 
 from ..errors import PlanError
-from ..sim.dag import PHASES, Phase
+from ..sim.dag import PHASE_CODE, PHASES, Phase
 
 __all__ = [
     "OpKind", "PlanOp", "Plan", "Label", "SEND", "RECV", "REDUCE", "COPY",
@@ -70,7 +70,6 @@ COPY = OpKind.COPY
 #: Kind codes: the ``kind_code`` column indexes :attr:`OpKind.ALL`.
 K_SEND, K_RECV, K_REDUCE, K_COPY = range(4)
 _KIND_CODE = {kind: code for code, kind in enumerate(OpKind.ALL)}
-_PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
 
 # Kinds that consume a chunk from a wire.
 _RECEIVING = (OpKind.RECV, OpKind.REDUCE)
@@ -495,7 +494,7 @@ class Plan:
         self.label_arg.append(label_arg)
         self.kind_code.append(kind_code)
         self.payload.append(nbytes)
-        self.phase_code.append(_PHASE_CODE[phase])
+        self.phase_code.append(PHASE_CODE[phase])
         self.medium_code.append(
             0 if medium == "nvlink" else self._medium_index(medium)
         )

@@ -43,7 +43,7 @@ class Phase(enum.Enum):
 
 #: Phase code (the ``phase_code`` column) -> phase.
 PHASES: tuple[Phase, ...] = tuple(Phase)
-_PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
+PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
 
 
 class Label(enum.IntEnum):
@@ -223,7 +223,7 @@ class Dag:
         self.chunk.append(chunk)
         self.tree.append(tree)
         self.layer.append(layer)
-        self.phase_code.append(_PHASE_CODE[phase])
+        self.phase_code.append(PHASE_CODE[phase])
         if isinstance(label, Label):
             self.label_kind.append(label)
         else:
@@ -325,7 +325,7 @@ class Dag:
         self.chunk[i] = op.chunk
         self.tree[i] = op.tree
         self.layer[i] = op.layer
-        self.phase_code[i] = _PHASE_CODE[op.phase]
+        self.phase_code[i] = PHASE_CODE[op.phase]
         self.label_kind[i] = 0
         _set_or_drop(self.labels, i, op.label)
         _set_or_drop(self.chunk_sets, i, tuple(op.chunk_set))
@@ -456,7 +456,9 @@ class Dag:
         Op ``i``'s children, ascending, are
         ``ids[offsets[i]:offsets[i + 1]]``; an op that lists a dep twice
         is its child twice.  Both are ``array('i')``, built by a counting
-        sort of the deps, so no per-op list or int is kept.
+        sort of the deps whose fill cursors are an ``array('i')`` too; the
+        only per-op list holds child counts, small ints Python shares, so
+        no int object per op is kept.
         """
         deps = self.dep_ids
         count = [0] * len(self)
@@ -465,8 +467,8 @@ class Dag:
         offsets = array("i", [0])
         offsets.extend(accumulate(count))
         del count
-        fill = offsets.tolist()
-        ids = array("i", bytes(4 * len(deps)))
+        fill = array("i", offsets)
+        ids = array("i", [0]) * len(deps)
         for d, i in zip(deps, self._owners()):
             at = fill[d]
             ids[at] = i

@@ -21,12 +21,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, count, islice
 from operator import not_, sub
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.dag import PHASES, Dag, Op, Phase
+from repro.sim.dag import PHASE_CODE, PHASES, Dag, Op, Phase
 from repro.sim.resources import Channel, Processor, Resource
 from repro.sim.trace import TraceRecord
 
@@ -114,8 +114,9 @@ class SimResult:
 IDLE = -1
 BUSY = -2
 QUEUED = -3
-#: "More than one resource starts an op now", in :meth:`DagSimulator.run`.
-SEVERAL = -2
+#: "More than one resource starts an op now", in :meth:`DagSimulator.run`
+#: (distinct from every state and from "none": -1).
+SEVERAL = -4
 
 
 class DagSimulator:
@@ -145,22 +146,28 @@ class DagSimulator:
         children of *later* same-time events), breaking determinism
         against the reference.
 
-        The run builds no Python object per op.  ``start``, ``finish``
+        The run keeps no Python object per op.  ``start``, ``finish``
         and ``order`` are typed arrays; children come from
         :meth:`Dag.children` in CSR form; every op's service time is
-        computed in one pass before the loop (see :func:`_service_times`)
-        into the array that then receives its finish time; only small
-        ints (resource numbers, dep and child counts) sit in lists.
-        Resources are numbered, so the loop indexes lists instead of
-        hashing resource keys.  An idle resource's ready heap is empty,
-        so the first op that becomes ready on one is held and started
-        without touching the heap.  Starting an op changes only its own
-        resource, so when one completion lets a single resource start,
-        the start needs no ordering.  When several resources start at
-        once, the service order (hence the trace) must follow the
-        reference, which starts them in the iteration order of the set
-        of touched resource keys; that order is computed once per
-        distinct sequence of touched resources.
+        written in one pass before the loop (see :func:`_service_times`)
+        into the array that then receives its finish time.  The per-op
+        lists hold only small ints (resource numbers, dep and child
+        counts), which Python shares, so each costs 8 B/op of pointers.
+        What the loop builds per op (a heap entry while the op waits,
+        the floats and ints it reads out of the arrays) is freed as the
+        run goes.  Resources are numbered, so the loop indexes lists
+        instead of hashing resource keys.  An idle resource's ready heap
+        is empty, so the first op that becomes ready on one is held and
+        started without touching the heap.  Starting an op changes only
+        its own resource, so when one completion lets a single resource
+        start, the start needs no ordering; that case starts its op
+        inline, a copy of the start block of the outer loop.  When
+        several resources start at once, the service order (hence the
+        trace) must follow the reference, which starts them in the
+        iteration order of the set of touched resource keys; that order
+        is computed once per distinct sequence of touched resources and
+        cached for the run (a dozen sequences on the Fig. 13 DAGs,
+        against thousands of such completions).
         :attr:`SimResult.trace` is derived from ``order`` when first
         read.  No :class:`~repro.sim.dag.Op` row is built, except to
         price an op the one pass could not (see :func:`_service_times`).
@@ -206,8 +213,8 @@ class DagSimulator:
         offsets = dag.dep_offsets
         pending = list(map(sub, islice(offsets, 1, None), offsets))
         nkids = list(map(sub, islice(child_offsets, 1, None), child_offsets))
-        start = array("d", bytes(8 * n))
-        order = array("i")
+        start = array("d", [0.0]) * n
+        order = array("i", [0]) * n
 
         # Per-resource FIFO of ready ops: heap of (ready_time, op_id).
         ready: list[list[tuple[float, int]]] = [[] for _ in key_of]
@@ -221,15 +228,16 @@ class DagSimulator:
         touch_order: dict[tuple[int, ...], list[int]] = {}
 
         # Event heap of op completions: (time, op_id).  Every started op
-        # completes once, so ``order`` also counts completions.
+        # completes once, so ``started`` also counts completions.
         events: list[tuple[float, int]] = []
         heappush = heapq.heappush
         heappop = heapq.heappop
-        order_append = order.append
         # Item stores through a memoryview skip the array's argument
         # parsing.
         start_at = memoryview(start)
         finish_at = memoryview(finish)
+        order_at = memoryview(order)
+        started = 0
 
         def price(op_id: int) -> float:
             """Service time of an op the one pass left unpriced: the
@@ -261,7 +269,8 @@ class DagSimulator:
                 done = now + service
                 start_at[op_id] = now
                 finish_at[op_id] = done
-                order_append(op_id)
+                order_at[started] = op_id
+                started += 1
                 heappush(events, (done, op_id))
 
             first = -1
@@ -296,7 +305,7 @@ class DagSimulator:
                     else:
                         state[c] = child_id
                         first = c if first == -1 else SEVERAL
-                if first >= 0:  # the loop above for ``starts = (first,)``
+                if first >= 0:  # the start block above, for one resource
                     op_id = state[first]
                     if op_id < 0:  # QUEUED
                         _, op_id = heappop(ready[first])
@@ -307,7 +316,8 @@ class DagSimulator:
                     done = now + service
                     start_at[op_id] = now
                     finish_at[op_id] = done
-                    order_append(op_id)
+                    order_at[started] = op_id
+                    started += 1
                     heappush(events, (done, op_id))
                 elif first == SEVERAL:
                     break
@@ -317,24 +327,21 @@ class DagSimulator:
             # The reference starts several resources in the iteration
             # order of the set of resource keys this completion touched,
             # built in this order: its own resource, then each newly
-            # ready child's (an only child is ready: it starts on ``c``).
-            if k == 1:
-                touched = (r, c)
-            else:
-                touched = [r]
-                for child_id in kids:
-                    if pending[child_id] == 0:
-                        touched.append(rid_of[child_id])
-                touched = tuple(touched)
+            # ready child's.
+            touched = [r]
+            for child_id in kids:
+                if pending[child_id] == 0:
+                    touched.append(rid_of[child_id])
+            touched = tuple(touched)
             starts = touch_order.get(touched)
             if starts is None:
                 starts = touch_order[touched] = [
                     rid[key] for key in {key_of[c] for c in touched}
                 ]
 
-        if len(order) != n:
+        if started != n:
             raise DeadlockError(
-                f"simulation stalled: {len(order)}/{n} ops completed"
+                f"simulation stalled: {started}/{n} ops completed"
             )
         return SimResult(
             start=start,
@@ -439,7 +446,8 @@ class DagSimulator:
 
 
 def _service_times(dag: Dag, servers: Sequence[Resource]) -> array:
-    """Every op's service time in one pass over the DAG's columns.
+    """Every op's service time in one pass over the DAG's columns,
+    written straight into an ``array('d')``.
 
     ``servers[k]`` serves the ops whose resource is ``dag.keys[k]``.  A
     :class:`Channel` or :class:`Processor` op gets exactly the float
@@ -467,20 +475,25 @@ def _service_times(dag: Dag, servers: Sequence[Resource]) -> array:
             )
             alpha.append(math.nan)
             beta.append(math.nan)
-    service: list[float] = []
-    append = service.append
-    for r, nbytes, duration in zip(dag.resource_id, dag.nbytes, dag.duration):
+    service = array("d", [0.0]) * len(dag)
+    # Item stores through a memoryview skip the array's argument parsing.
+    out = memoryview(service)
+    for i, r, nbytes, duration in zip(
+        count(), dag.resource_id, dag.nbytes, dag.duration
+    ):
         if duration == duration:  # not NaN: an explicit duration
-            append(duration / scale[r])
+            out[i] = duration / scale[r]
         elif nbytes >= 0:
-            append(alpha[r] + beta[r] * nbytes)
+            out[i] = alpha[r] + beta[r] * nbytes
         else:
-            append(-1.0)
+            out[i] = -1.0
     # NaN marks an op to leave to its resource; an infinite time comes
     # from a non-finite size or duration, which the resource rejects.
     if not sum(service) < math.inf:
-        service = [t if t < math.inf else -1.0 for t in service]
-    return array("d", service)
+        for i, t in enumerate(service):
+            if not t < math.inf:
+                out[i] = -1.0
+    return service
 
 
 def makespan(
@@ -514,7 +527,7 @@ def chunk_completion_times(
     Reads the DAG's phase and chunk columns; an :class:`Op` row is built
     only for an op in ``phase`` that ``key`` must judge.
     """
-    code = PHASES.index(phase)
+    code = PHASE_CODE[phase]
     out: dict[int, float] = {}
     for op_id, (phase_code, chunk, t) in enumerate(
         zip(dag.phase_code, dag.chunk, result.finish)

@@ -167,7 +167,7 @@ class TestColumnStore:
     ):
         # VGG-16 / CC / low bandwidth: the largest Fig. 13 DES point.  On
         # CPython 3.11 run() peaks about 64 B/op above its inputs and the
-        # result keeps about 21 B/op (start, finish and order columns);
+        # result keeps about 20 B/op (start, finish and order columns);
         # with per-op lists, ints and floats they were 217 and 78 B/op.
         config = CCubeConfig().scaled(Bandwidth.LOW)
         nbytes = float(NETWORKS["vgg16"]().total_bytes)
