@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..plan.ir import SEND, Plan
+from ..plan.ir import K_SEND, Plan
 from ..plan.verifier import (
-    REDUCE_LIKE,
+    REDUCE_LIKE_CODES,
     VerifyReport,
     prove_send_aliasing,
     verify_plan,
@@ -118,14 +118,14 @@ def analyze_plan(
         + ")"
     )
     verify = verify_plan(plan, topo=topo, raise_on_error=False)
-    sends = [op for op in plan.ops if op.kind == SEND]
+    sends = [i for i, code in enumerate(plan.kind_code) if code == K_SEND]
     ordering = {
         "ok": not any(d.code in ORDERING_CODES for d in verify.diagnostics),
         "transfers": len(sends),
         "wires": len(verify.pairing.wires),
         "chunks": len({
-            c for op in sends if op.phase in REDUCE_LIKE
-            for c in op.chunks_carried()
+            c for i in sends if plan.phase_code[i] in REDUCE_LIKE_CODES
+            for c in plan.chunks_of(i)
         }),
     }
     report = DiagnosticReport(tool="repro-analyze", subject=subject)

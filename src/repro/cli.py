@@ -357,49 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ckpt_inspect.add_argument("dir", help="checkpoint root directory")
 
-    bench = sub.add_parser(
-        "bench",
-        help="perf-trajectory harness: run metrics, compare payloads, "
-             "render reports (see DESIGN.md §11)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run",
-        help="measure the hot-path metrics and write BENCH_<rev>.json",
-    )
-    bench_run.add_argument("--profile", choices=["smoke", "full"],
-                           default="smoke",
-                           help="iteration budget (smoke: CI-sized)")
-    bench_run.add_argument("--seed", type=int, default=2026)
-    bench_run.add_argument("--metrics", default=None,
-                           help="comma-separated metric subset "
-                                "(default: all)")
-    bench_run.add_argument("--rev", default=None,
-                           help="revision stamp (default: git short rev)")
-    bench_run.add_argument("--out", default=None,
-                           help="output file or directory (default: "
-                                "./BENCH_<rev>.json)")
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="gate a candidate payload against a baseline; exit 1 on "
-             "regression, 2 on an unreadable/incompatible payload",
-    )
-    bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    bench_compare.add_argument("--threshold", type=float, default=0.15,
-                               help="regression threshold fraction")
-    bench_compare.add_argument("--normalize", action="store_true",
-                               help="scale out the machines' calibration "
-                                    "ratio before comparing")
-
-    bench_report = bench_sub.add_parser(
-        "report", help="render one or more BENCH payloads as tables"
-    )
-    bench_report.add_argument("paths", nargs="+",
-                              help="BENCH_*.json files to render")
-
     synth = sub.add_parser(
         "synth",
         help="topology-driven plan synthesis: tune winners per message "
@@ -536,15 +493,57 @@ def _chaos_runtime(args: argparse.Namespace, plan, *, timeout: float):
     )
 
 
+#: SGD step size of every chaos training drill.
+_CHAOS_LR = 0.02
+
+
+def _chaos_problem(rng, elems: int):
+    """The chaos drills' toy problem: a one-layer network, the gradient
+    of 8 quadratic targets, and the initial weights, drawn from ``rng``
+    in that order."""
+    from repro.dnn.layers import LayerSpec, NetworkModel
+    from repro.runtime import quadratic_gradient
+
+    net = NetworkModel(
+        name="chaos",
+        layers=(LayerSpec(name="L0", params=elems, fwd_flops=1e6),),
+    )
+    targets = [rng.normal(size=elems) for _ in range(8)]
+    w0 = rng.normal(size=elems)
+    return net, quadratic_gradient(targets), w0
+
+
+def _dgx1_trainer(cls, net, gradient_fn, *, policy: str, seed: int,
+                  **kwargs):
+    """A ``cls`` (:class:`~repro.runtime.ElasticTrainer` or a subclass)
+    on the stock DGX-1 trees, as every recovery drill configures it."""
+    from repro.runtime import RecoveryPolicy
+    from repro.runtime.sync import SpinConfig
+    from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
+    from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
+
+    return cls(
+        dgx1_topology(),
+        net,
+        gradient_fn,
+        trees=dgx1_trees(),
+        detour_map=DETOURED_EDGES,
+        learning_rate=_CHAOS_LR,
+        policy=RecoveryPolicy(mode=policy),
+        spin=SpinConfig(timeout=30.0),
+        detour_preference=DETOUR_NODES,
+        search_seed=seed,
+        **kwargs,
+    )
+
+
 def _chaos_drops(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from repro.dnn.layers import LayerSpec, NetworkModel
     from repro.runtime import (
         FaultPlan,
         FunctionalTrainer,
         LinkFault,
-        quadratic_gradient,
         serial_reference,
         tree_reduce_order,
     )
@@ -560,20 +559,16 @@ def _chaos_drops(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     runtime = _chaos_runtime(args, plan, timeout=30.0)
-    net = NetworkModel(
-        name="chaos",
-        layers=(LayerSpec(name="L0", params=args.elems, fwd_flops=1e6),),
+    net, gradient_fn, w0 = _chaos_problem(
+        np.random.default_rng(args.seed), args.elems
     )
-    rng = np.random.default_rng(args.seed)
-    targets = [rng.normal(size=args.elems) for _ in range(8)]
-    w0 = rng.normal(size=args.elems)
     trainer = FunctionalTrainer(
-        runtime, net, quadratic_gradient(targets), learning_rate=0.02
+        runtime, net, gradient_fn, learning_rate=_CHAOS_LR
     )
     result = trainer.train(w0.copy(), iterations=args.iterations)
     reference = serial_reference(
-        net, quadratic_gradient(targets), w0.copy(),
-        nnodes=8, iterations=args.iterations, learning_rate=0.02,
+        net, gradient_fn, w0.copy(),
+        nnodes=8, iterations=args.iterations, learning_rate=_CHAOS_LR,
         reduce_order=tree_reduce_order(runtime.trees, runtime.layout),
     )
     identical = bool(np.array_equal(result.weights, reference))
@@ -599,19 +594,13 @@ def _chaos_recover(args: argparse.Namespace) -> int:
     """
     import numpy as np
 
-    from repro.dnn.layers import LayerSpec, NetworkModel
     from repro.runtime import (
         FaultPlan,
         GpuFault,
-        RecoveryPolicy,
         ResilientTrainer,
-        quadratic_gradient,
         recovery_serial_reference,
     )
     from repro.runtime.faults import CRASH
-    from repro.runtime.sync import SpinConfig
-    from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
-    from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
     rng = np.random.default_rng(args.seed)
     iterations = max(2, args.iterations)
@@ -627,24 +616,10 @@ def _chaos_recover(args: argparse.Namespace) -> int:
     )
     after_chunk = int(rng.integers(0, 4))
 
-    net = NetworkModel(
-        name="chaos",
-        layers=(LayerSpec(name="L0", params=args.elems, fwd_flops=1e6),),
-    )
-    targets = [rng.normal(size=args.elems) for _ in range(8)]
-    w0 = rng.normal(size=args.elems)
-    gradient_fn = quadratic_gradient(targets)
-    trainer = ResilientTrainer(
-        dgx1_topology(),
-        net,
-        gradient_fn,
-        trees=dgx1_trees(),
-        detour_map=DETOURED_EDGES,
-        learning_rate=0.02,
-        policy=RecoveryPolicy(mode=args.policy),
-        spin=SpinConfig(timeout=30.0),
-        detour_preference=DETOUR_NODES,
-        search_seed=args.seed,
+    net, gradient_fn, w0 = _chaos_problem(rng, args.elems)
+    trainer = _dgx1_trainer(
+        ResilientTrainer, net, gradient_fn,
+        policy=args.policy, seed=args.seed,
     )
     plan = FaultPlan(
         gpu_faults=(GpuFault(gpu, CRASH, after_chunk=after_chunk),),
@@ -677,7 +652,7 @@ def _chaos_recover(args: argparse.Namespace) -> int:
         healthy_trees=trainer.trees,
         healthy_layout=trainer.layout,
         iterations=iterations,
-        learning_rate=0.02,
+        learning_rate=_CHAOS_LR,
     )
     identical = bool(np.array_equal(report.weights, reference))
     print(
@@ -701,7 +676,12 @@ def _parse_storage_faults(spec: str, *, seed: int):
                 f"unknown storage fault {kind!r}; "
                 "expected fail, torn, or bitflip"
             )
-        probs[kind] = float(prob_s) if prob_s else defaults[kind]
+        try:
+            probs[kind] = float(prob_s) if prob_s else defaults[kind]
+        except ValueError:
+            raise ConfigError(
+                f"bad storage fault probability {prob_s!r} in {token!r}"
+            ) from None
     fault = StorageFault(
         fail_prob=probs["fail"],
         torn_prob=probs["torn"],
@@ -714,50 +694,30 @@ def _elastic_trial(args: argparse.Namespace, seed: int):
     """One elastic drill; returns (ok, summary_lines, detail_dict)."""
     import numpy as np
 
-    from repro.dnn.layers import LayerSpec, NetworkModel
     from repro.runtime import (
         Checkpointer,
         ElasticTrainer,
         FaultyBackend,
         MemoryBackend,
-        RecoveryPolicy,
         elastic_serial_reference,
         parse_events,
-        quadratic_gradient,
     )
-    from repro.runtime.sync import SpinConfig
-    from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
-    from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
     iterations = max(4, args.iterations)
     events = parse_events(args.events, iterations=iterations, seed=seed)
-    rng = np.random.default_rng(seed)
-    net = NetworkModel(
-        name="elastic",
-        layers=(LayerSpec(name="L0", params=args.elems, fwd_flops=1e6),),
+    net, gradient_fn, w0 = _chaos_problem(
+        np.random.default_rng(seed), args.elems
     )
-    targets = [rng.normal(size=args.elems) for _ in range(8)]
-    gradient_fn = quadratic_gradient(targets)
-    w0 = rng.normal(size=args.elems)
 
     backend = MemoryBackend()
     if args.ckpt_faults:
         backend = FaultyBackend(
             backend, _parse_storage_faults(args.ckpt_faults, seed=seed)
         )
-    checkpointer = Checkpointer(backend)
-    trainer = ElasticTrainer(
-        dgx1_topology(),
-        net,
-        gradient_fn,
-        trees=dgx1_trees(),
-        detour_map=DETOURED_EDGES,
-        learning_rate=0.02,
-        policy=RecoveryPolicy(mode=args.policy),
-        spin=SpinConfig(timeout=30.0),
-        detour_preference=DETOUR_NODES,
-        search_seed=seed,
-        checkpointer=checkpointer,
+    trainer = _dgx1_trainer(
+        ElasticTrainer, net, gradient_fn,
+        policy=args.policy, seed=seed,
+        checkpointer=Checkpointer(backend),
         checkpoint_every=args.ckpt_every,
     )
     report = trainer.train(w0.copy(), iterations=iterations, events=events)
@@ -766,7 +726,7 @@ def _elastic_trial(args: argparse.Namespace, seed: int):
         segments=report.segments,
         layout=trainer.layout,
         iterations=iterations,
-        learning_rate=0.02,
+        learning_rate=_CHAOS_LR,
     )
     identical = bool(np.array_equal(report.weights, reference))
     all_verified = all(r.plan_check.verified for r in report.records)
@@ -877,24 +837,24 @@ def _plan_chaos_trial(args: argparse.Namespace, seed: int):
     """One interpreted-segment crash drill; returns (ok, lines, detail)."""
     import numpy as np
 
-    from repro.dnn.layers import LayerSpec, NetworkModel
     from repro.errors import ConfigError
     from repro.runtime import (
         FaultPlan,
         GpuFault,
-        RecoveryPolicy,
         ResilientTrainer,
-        quadratic_gradient,
         recovery_serial_reference,
     )
     from repro.runtime.faults import CRASH
-    from repro.runtime.sync import SpinConfig
-    from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
-    from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
-    initial_dead = tuple(sorted(
-        int(t) for t in args.initial_dead.split(",") if t.strip()
-    ))
+    try:
+        initial_dead = tuple(sorted(
+            int(t) for t in args.initial_dead.split(",") if t.strip()
+        ))
+    except ValueError:
+        raise ConfigError(
+            f"bad --initial-dead {args.initial_dead!r}: expected "
+            "comma-separated GPU ids"
+        ) from None
     survivors = sorted(set(range(8)) - set(initial_dead))
     if len(survivors) < 3 + (1 if args.cascade else 0):
         raise ConfigError(
@@ -919,25 +879,10 @@ def _plan_chaos_trial(args: argparse.Namespace, seed: int):
     )
     after_chunk = int(rng.integers(0, 2))
 
-    net = NetworkModel(
-        name="plan-chaos",
-        layers=(LayerSpec(name="L0", params=args.elems, fwd_flops=1e6),),
-    )
-    targets = [rng.normal(size=args.elems) for _ in range(8)]
-    gradient_fn = quadratic_gradient(targets)
-    w0 = rng.normal(size=args.elems)
-    trainer = ResilientTrainer(
-        dgx1_topology(),
-        net,
-        gradient_fn,
-        trees=dgx1_trees(),
-        detour_map=DETOURED_EDGES,
-        learning_rate=0.02,
-        policy=RecoveryPolicy(mode=args.policy),
-        spin=SpinConfig(timeout=30.0),
-        detour_preference=DETOUR_NODES,
-        search_seed=seed,
-        initial_dead=initial_dead,
+    net, gradient_fn, w0 = _chaos_problem(rng, args.elems)
+    trainer = _dgx1_trainer(
+        ResilientTrainer, net, gradient_fn,
+        policy=args.policy, seed=seed, initial_dead=initial_dead,
     )
     plan = FaultPlan(
         gpu_faults=(GpuFault(victim, CRASH, after_chunk=after_chunk),),
@@ -997,7 +942,7 @@ def _plan_chaos_trial(args: argparse.Namespace, seed: int):
             healthy_trees=trainer.trees,
             healthy_layout=trainer.layout,
             iterations=iterations,
-            learning_rate=0.02,
+            learning_rate=_CHAOS_LR,
         )
         identical = bool(np.array_equal(report.weights, reference))
         lines.append(
@@ -1970,68 +1915,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         return 2
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench import (
-        bench_filename,
-        compare_payloads,
-        current_rev,
-        load_payload,
-        render_comparison,
-        render_payload,
-        render_trajectory,
-        run_bench,
-        write_payload,
-    )
-    from repro.errors import BenchError
-
-    try:
-        if args.bench_command == "run":
-            metrics = (
-                [m.strip() for m in args.metrics.split(",") if m.strip()]
-                if args.metrics
-                else None
-            )
-            payload = run_bench(
-                profile=args.profile,
-                seed=args.seed,
-                metrics=metrics,
-                rev=args.rev,
-            )
-            out = Path(args.out) if args.out else Path(".")
-            if out.is_dir() or not out.suffix:
-                out = out / bench_filename(payload["rev"])
-            write_payload(payload, out)
-            print(render_payload(payload))
-            print(f"\nwrote {out}")
-            return 0
-        if args.bench_command == "compare":
-            base = load_payload(args.baseline)
-            cand = load_payload(args.candidate)
-            report = compare_payloads(
-                base, cand,
-                threshold=args.threshold,
-                normalize=args.normalize,
-            )
-            print(render_comparison(report))
-            return 0 if report.ok else 1
-        payloads = [load_payload(path) for path in args.paths]
-        for payload in payloads:
-            print(render_payload(payload))
-            print()
-        if len(payloads) > 1:
-            # Oldest-first timeline across every payload given.
-            print(render_trajectory(payloads))
-        return 0
-    except BenchError as exc:
-        print(f"bench error: {exc}", file=sys.stderr)
-        return 2
-
-
 _COMMANDS = {
     "compare": _cmd_compare,
-    "bench": _cmd_bench,
     "synth": _cmd_synth,
     "figures": _cmd_figures,
     "autotune": _cmd_autotune,

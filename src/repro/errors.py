@@ -94,8 +94,3 @@ class SynthesisError(PlanError):
     """Plan synthesis found no candidate that passes the full gate
     (compile -> verify -> simulate -> ordering oracle) on a topology."""
 
-
-class BenchError(ReproError):
-    """The benchmark harness could not run or compare: a missing or
-    unreadable ``BENCH_*.json`` payload, a schema-version mismatch, or
-    an invalid metric selection."""

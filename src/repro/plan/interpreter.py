@@ -40,10 +40,9 @@ from ..runtime.cluster import KernelPool, _transmit, _Wire
 from ..runtime.faults import FaultPlan, PhaseBoard, apply_gpu_fault
 from ..runtime.memory import ChunkLayout, GradientBuffer
 from ..runtime.sync import AbortCell, DeviceEvent, SpinConfig
-from ..sim.dag import PHASES
 from .ir import K_COPY, K_RECV, K_REDUCE, K_SEND, Plan
 from .verifier import (
-    REDUCE_LIKE,
+    REDUCE_LIKE_CODES,
     VerifyReport,
     WirePairing,
     execution_order,
@@ -295,7 +294,6 @@ class PlanInterpreter:
                 waits[i] = tuple(
                     event_of.setdefault(d, len(event_of)) for d in cross
                 )
-        reduce_like = {PHASES.index(phase) for phase in REDUCE_LIKE}
         chunk_lists, relays = plan.chunk_lists(), plan.relay_ids()
         kinds, phases, trees = plan.kind_code, plan.phase_code, plan.tree
         compiled = {}
@@ -307,7 +305,7 @@ class PlanInterpreter:
                 chunks = chunk_lists[i]
                 fault_pos = -1
                 if (
-                    phases[i] in reduce_like
+                    phases[i] in REDUCE_LIKE_CODES
                     and chunks and chunks[0] != seen_chunk
                 ):
                     seen_chunk = chunks[0]

@@ -70,6 +70,7 @@ from .ir import (
 __all__ = [
     "BROADCAST_LIKE",
     "REDUCE_LIKE",
+    "REDUCE_LIKE_CODES",
     "AliasProof",
     "Partners",
     "WirePairing",
@@ -86,7 +87,8 @@ __all__ = [
 #: that may only move chunks already fully reduced.
 REDUCE_LIKE = (Phase.REDUCE, Phase.REDUCE_SCATTER)
 BROADCAST_LIKE = (Phase.BROADCAST, Phase.ALL_GATHER)
-_REDUCE_LIKE_CODES = frozenset(PHASES.index(p) for p in REDUCE_LIKE)
+#: ``Plan.phase_code`` values of the reduce-like phases.
+REDUCE_LIKE_CODES = frozenset(PHASES.index(p) for p in REDUCE_LIKE)
 _BROADCAST_LIKE_CODES = frozenset(PHASES.index(p) for p in BROADCAST_LIKE)
 
 
@@ -668,7 +670,7 @@ def _broadcast_diags(
     chunks = plan.chunk_lists()
     reduces: dict[int, list[int]] = {}
     for i in sends:
-        if phase[i] in _REDUCE_LIKE_CODES:
+        if phase[i] in REDUCE_LIKE_CODES:
             for c in chunks[i]:
                 reduces.setdefault(c, []).append(i)
     diags = []

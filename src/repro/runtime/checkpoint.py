@@ -275,7 +275,36 @@ class MemoryBackend(StorageBackend):
                 del self._files[p]
 
 
-class FaultyBackend(StorageBackend):
+class PassthroughBackend(StorageBackend):
+    """Forwards every operation to ``inner`` unchanged.
+
+    The base of the storage interposers below: each overrides only the
+    durable operations (``write``/``rename``) it intercepts.
+    """
+
+    def __init__(self, inner: StorageBackend):
+        self.inner = inner
+
+    def write(self, path: str, data: bytes) -> None:
+        self.inner.write(path, data)
+
+    def read(self, path: str) -> bytes:
+        return self.inner.read(path)
+
+    def exists(self, path: str) -> bool:
+        return self.inner.exists(path)
+
+    def listdir(self, path: str) -> list[str]:
+        return self.inner.listdir(path)
+
+    def rename(self, src: str, dst: str) -> None:
+        self.inner.rename(src, dst)
+
+    def remove_tree(self, path: str) -> None:
+        self.inner.remove_tree(path)
+
+
+class FaultyBackend(PassthroughBackend):
     """Fault-injecting decorator over any backend.
 
     Writes consult the :class:`~repro.runtime.faults.FaultPlan`'s
@@ -293,7 +322,7 @@ class FaultyBackend(StorageBackend):
     """
 
     def __init__(self, inner: StorageBackend, plan: FaultPlan):
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self._injectors: dict[str, object] = {}
 
@@ -322,21 +351,6 @@ class FaultyBackend(StorageBackend):
             injector.stats.bump("bit_flips")
             data = injector.bitflip(data)
         self.inner.write(path, data)
-
-    def read(self, path: str) -> bytes:
-        return self.inner.read(path)
-
-    def exists(self, path: str) -> bool:
-        return self.inner.exists(path)
-
-    def listdir(self, path: str) -> list[str]:
-        return self.inner.listdir(path)
-
-    def rename(self, src: str, dst: str) -> None:
-        self.inner.rename(src, dst)
-
-    def remove_tree(self, path: str) -> None:
-        self.inner.remove_tree(path)
 
 
 class SimulatedCrash(Exception):
@@ -368,11 +382,11 @@ class WriteSite:
     path: str
 
 
-class _RecordingBackend(StorageBackend):
+class _RecordingBackend(PassthroughBackend):
     """Passthrough backend that records durable ops, for site probing."""
 
     def __init__(self, inner: StorageBackend):
-        self.inner = inner
+        super().__init__(inner)
         self.sites: list[WriteSite] = []
 
     def write(self, path: str, data: bytes) -> None:
@@ -383,20 +397,8 @@ class _RecordingBackend(StorageBackend):
         self.sites.append(WriteSite(len(self.sites), "rename", src))
         self.inner.rename(src, dst)
 
-    def read(self, path: str) -> bytes:
-        return self.inner.read(path)
 
-    def exists(self, path: str) -> bool:
-        return self.inner.exists(path)
-
-    def listdir(self, path: str) -> list[str]:
-        return self.inner.listdir(path)
-
-    def remove_tree(self, path: str) -> None:
-        self.inner.remove_tree(path)
-
-
-class CrashingBackend(StorageBackend):
+class CrashingBackend(PassthroughBackend):
     """Kill the process (``SimulatedCrash``) at one durable op.
 
     Durable ops (writes and renames) are counted in order; the op at
@@ -417,7 +419,7 @@ class CrashingBackend(StorageBackend):
     def __init__(self, inner: StorageBackend, *, crash_at: int, fate: str):
         if fate not in ("lost", "torn", "before", "after"):
             raise ConfigError(f"unknown crash fate {fate!r}")
-        self.inner = inner
+        super().__init__(inner)
         self.crash_at = crash_at
         self.fate = fate
         self.ops = 0
@@ -444,18 +446,6 @@ class CrashingBackend(StorageBackend):
                 f"crash at rename of {src!r} (fate={self.fate})"
             )
         self.inner.rename(src, dst)
-
-    def read(self, path: str) -> bytes:
-        return self.inner.read(path)
-
-    def exists(self, path: str) -> bool:
-        return self.inner.exists(path)
-
-    def listdir(self, path: str) -> list[str]:
-        return self.inner.listdir(path)
-
-    def remove_tree(self, path: str) -> None:
-        self.inner.remove_tree(path)
 
 
 def enumerate_write_sites(

@@ -45,9 +45,9 @@ def reduce_chunk_reference(
 
     IEEE-754 addition is deterministic per element, so ``dst[i] +=
     values[i]`` one index at a time and the array-slice ``dst +=
-    values`` must agree bitwise; the regression tests (and the
-    ``chunk_reduce`` benchmark, where this loop is the "before"
-    number) rely on exactly that.
+    values`` must agree bitwise; the regression tests rely on exactly
+    that, and ``tests/test_work_counters.py`` times this loop as the
+    floor the vectorized path must beat.
     """
     for i in range(len(dst)):
         dst[i] += values[i]

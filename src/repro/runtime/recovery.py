@@ -108,6 +108,9 @@ class ResilientTrainer(ElasticTrainer):
             every iteration then runs on the matching degraded embedding
             (a synthesized plan when the survivor set has no feasible
             double tree).
+
+    Raises:
+        ConfigError: an ``initial_dead`` GPU that is not in ``topo``.
     """
 
     def __init__(
@@ -128,6 +131,9 @@ class ResilientTrainer(ElasticTrainer):
         search_seed: int = 0,
         initial_dead: tuple[int, ...] = (),
     ):
+        for gpu in initial_dead:
+            if not 0 <= gpu < topo.nnodes:
+                raise ConfigError(f"initial dead GPU {gpu} not in {topo.name!r}")
         if trees is None:
             router = Router(topo, detour_preference=detour_preference)
             trees, _cost = search_tree_pair(topo, router=router)

@@ -361,8 +361,8 @@ class DagSimulator:
         building a :class:`TraceRecord`, and that it reads the DAG's
         :class:`~repro.sim.dag.Op` rows from a list built once up front,
         as the original read its op list.  The hot-path regression tests
-        and the ``sim_events`` benchmark's "before" number both come
-        from here.  Do not optimize this method.
+        compare against it, and ``tests/test_work_counters.py`` times it
+        as the floor :meth:`run` must beat.  Do not optimize this method.
         """
         if validate:
             dag.validate()

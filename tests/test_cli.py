@@ -134,6 +134,12 @@ class TestChaosElastic:
         ]) == 2
         assert "rowhammer" in capsys.readouterr().err
 
+    def test_bad_ckpt_fault_probability_clean_error(self, capsys):
+        assert main(["chaos", "elastic", "--ckpt-faults", "torn:abc"]) == 2
+        assert "bad storage fault probability 'abc'" in (
+            capsys.readouterr().err
+        )
+
 
 class TestCkpt:
     def test_drill_never_loads_corruption(self, capsys):
@@ -161,6 +167,12 @@ class TestCkpt:
     def test_unknown_fault_kind_clean_error(self, capsys):
         assert main(["ckpt", "drill", "--faults", "gremlins"]) == 2
         assert "gremlins" in capsys.readouterr().err
+
+    def test_bad_fault_probability_clean_error(self, capsys):
+        assert main(["ckpt", "drill", "--faults", "bitflip:x"]) == 2
+        assert "bad storage fault probability 'x'" in (
+            capsys.readouterr().err
+        )
 
 
 class TestFuzzMutate:

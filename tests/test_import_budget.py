@@ -25,7 +25,6 @@ SRC = Path(repro.__file__).resolve().parent.parent
 PACKAGES = (
     "repro",
     "repro.analyze",
-    "repro.bench",
     "repro.collectives",
     "repro.core",
     "repro.dnn",

@@ -507,6 +507,14 @@ class TestChaosPlanCli:
         assert "after cascading crash" in out
         assert "bit-identical to plan-aware serial reference: yes" in out
 
+    @pytest.mark.parametrize("spec, message", [
+        ("1,x", "bad --initial-dead '1,x'"),
+        ("1,9,3", "initial dead GPU 9 not in 'dgx1'"),
+    ])
+    def test_bad_initial_dead_clean_error(self, spec, message, capsys):
+        assert main(["chaos", "plan", "--initial-dead", spec]) == 2
+        assert message in capsys.readouterr().err
+
     def test_ckpt_drill_every_site(self, capsys):
         assert main(["ckpt", "drill", "--every-site"]) == 0
         out = capsys.readouterr().out

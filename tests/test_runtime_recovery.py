@@ -322,6 +322,19 @@ class TestResilientTrainer:
             )
 
 
+    @pytest.mark.parametrize("dead", [(9,), (-1,), (1, 9, 3)])
+    def test_initial_dead_outside_topology_rejected(self, rng, dead):
+        with pytest.raises(ConfigError, match="not in 'dgx1'"):
+            ResilientTrainer(
+                dgx1_topology(),
+                make_network(),
+                quadratic_gradient([rng.normal(size=ELEMS)] * 8),
+                trees=dgx1_trees(),
+                detour_map=DETOURED_EDGES,
+                initial_dead=dead,
+            )
+
+
 class TestRecoverySerialReference:
     def test_requires_an_embedding(self, rng):
         trainer = make_trainer(quadratic_gradient(
