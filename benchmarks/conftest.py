@@ -1,10 +1,10 @@
 """Benchmark-harness helpers.
 
-Every benchmark regenerates one paper figure: it runs the experiment once
-under pytest-benchmark (pedantic, 1 round — the experiments are
-deterministic simulations, not microbenchmarks), prints the same rows the
-paper plots, and asserts the headline shape so a regression in the
-reproduction fails the bench run.
+``test_claims.py`` regenerates every paper figure: it runs each
+experiment once under pytest-benchmark (pedantic, 1 round — the
+experiments are deterministic simulations, not microbenchmarks), prints
+the same rows the paper plots, and asserts the experiment's claim rows
+so a regression in the reproduction fails the bench run.
 """
 
 from __future__ import annotations

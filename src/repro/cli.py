@@ -217,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sanitize = sub.add_parser(
         "sanitize",
-        help="device-memory sanitizer: race / lock-order / wait-cycle "
+        help="device-memory sanitizer: race / wait-cycle "
              "analysis of the virtual-GPU runtimes",
     )
     sanitize_sub = sanitize.add_subparsers(dest="sanitize_command",
@@ -1396,7 +1396,7 @@ def _cmd_sanitize_report(args: argparse.Namespace) -> int:
         print(render_report_dict(data))
         return 0 if not any(
             data.get(g) for g in
-            ("races", "inversions", "wait_cycles", "post_cycles")
+            ("races", "wait_cycles", "post_cycles")
         ) else 1
     failures = 0
     for entry in scenarios:

@@ -3,11 +3,13 @@
 The paper fixes its configuration per experiment; a deployable library
 should pick for you.  :func:`choose_strategy` evaluates all five
 strategies (B / C1 / C2 / R / CC) on the iteration pipeline for a given
-workload and system and returns the fastest (C-Cube wins almost
-everywhere, but the ring can win on small systems with tiny batches —
-the ZFNet/batch-16 exception the paper reports).  Chunk counts are
-Eq. 4's :func:`repro.collectives.chunking.optimal_chunk_count`; the
-plan-IR autotuner :mod:`repro.synth.tune` sweeps pipeline chunk factors.
+workload and system and returns the fastest.  On every Fig. 13 cell
+that is CC, including ZFNet at batch 16, where the paper reports the
+ring winning: that exception is the "R beats CC for ZFNet at small
+batch" row of :mod:`repro.experiments.registry`, declared not
+reproduced.  Chunk counts are Eq. 4's
+:func:`repro.collectives.chunking.optimal_chunk_count`; the plan-IR
+autotuner :mod:`repro.synth.tune` sweeps pipeline chunk factors.
 """
 
 from __future__ import annotations

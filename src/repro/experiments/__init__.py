@@ -1,25 +1,11 @@
-"""Experiment harness: one module per paper figure.
+"""Experiment harness: one module per paper figure, ablation and extension.
 
 Every module exposes ``run(...)`` returning structured rows and a
 ``format_table(rows)`` rendering the same rows the paper's figure plots.
-``repro.experiments.runner`` executes everything and prints a full report
-(the benchmarks under ``benchmarks/`` call the same entry points).
-
-| Paper figure | Module |
-|---|---|
-| Fig. 1  | :mod:`repro.experiments.fig01_allreduce_ratio` |
-| Fig. 2  | :mod:`repro.experiments.fig02_overlap_comparison` (quantified) |
-| Fig. 3  | :mod:`repro.experiments.fig03_invocation` |
-| Fig. 4  | :mod:`repro.experiments.fig04_model_ratio` |
-| Fig. 12 | :mod:`repro.experiments.fig12_comm_perf` |
-| Fig. 13 | :mod:`repro.experiments.fig13_overall` |
-| Fig. 14 | :mod:`repro.experiments.fig14_scaleout` |
-| Fig. 15 | :mod:`repro.experiments.fig15_detour` |
-| Fig. 16 | :mod:`repro.experiments.fig16_patterns` |
-| Fig. 17 | :mod:`repro.experiments.fig17_resnet_layers` |
-| —       | :mod:`repro.experiments.ablations` |
-| —       | :mod:`repro.experiments.ext_dgx2` (NVSwitch extension) |
-| —       | :mod:`repro.experiments.ext_hierarchical` (multi-node extension) |
+:mod:`repro.experiments.registry` lists every experiment once, with the
+paper claims its default run must satisfy; the runner, the CSV export,
+the certificate and ``benchmarks/test_claims.py`` all read it.  The
+registry imports every experiment, so this package does not import it.
 """
 
 from repro._lazy import lazy_exports
@@ -48,6 +34,7 @@ __all__ = [
     "fig15_detour",
     "fig16_patterns",
     "fig17_resnet_layers",
+    "registry",
     "runner",
 ]
 

@@ -186,31 +186,30 @@ def run_chunk_sweep(
     return rows
 
 
-def format_tables(
-    detour: list[DetourAblationRow],
-    conflict: list[ConflictAblationRow],
-    chunks: list[ChunkSweepRow],
-) -> str:
-    parts = [
-        render_table(
-            ["message", "detour (ms)", "PCIe (ms)", "detour speedup"],
-            [(format_bytes(r.nbytes), r.detour_ms, r.pcie_ms,
-              f"{r.detour_speedup:.2f}x") for r in detour],
-            title="Ablation — detour route vs PCIe fallback",
-        ),
-        render_table(
-            ["message", "doubled links (ms)", "single links (ms)",
-             "contention slowdown"],
-            [(format_bytes(r.nbytes), r.with_double_links_ms,
-              r.without_double_links_ms, f"{r.contention_slowdown:.2f}x")
-             for r in conflict],
-            title="Ablation — overlapped double tree channel conflicts",
-        ),
-        render_table(
-            ["K", "time (ms)", "≈ Eq.4 optimum"],
-            [(r.nchunks, r.time_ms, "yes" if r.is_analytical_optimum else "")
-             for r in chunks],
-            title="Ablation — chunk-count sweep (overlapped tree, 32MB)",
-        ),
-    ]
-    return "\n\n".join(parts)
+def format_detour_ablation(rows: list[DetourAblationRow]) -> str:
+    return render_table(
+        ["message", "detour (ms)", "PCIe (ms)", "detour speedup"],
+        [(format_bytes(r.nbytes), r.detour_ms, r.pcie_ms,
+          f"{r.detour_speedup:.2f}x") for r in rows],
+        title="Ablation — detour route vs PCIe fallback",
+    )
+
+
+def format_conflict_ablation(rows: list[ConflictAblationRow]) -> str:
+    return render_table(
+        ["message", "doubled links (ms)", "single links (ms)",
+         "contention slowdown"],
+        [(format_bytes(r.nbytes), r.with_double_links_ms,
+          r.without_double_links_ms, f"{r.contention_slowdown:.2f}x")
+         for r in rows],
+        title="Ablation — overlapped double tree channel conflicts",
+    )
+
+
+def format_chunk_sweep(rows: list[ChunkSweepRow]) -> str:
+    return render_table(
+        ["K", "time (ms)", "≈ Eq.4 optimum"],
+        [(r.nchunks, r.time_ms, "yes" if r.is_analytical_optimum else "")
+         for r in rows],
+        title="Ablation — chunk-count sweep (overlapped tree, 32MB)",
+    )

@@ -1,189 +1,121 @@
 """Self-checking reproduction certificate.
 
-Re-derives every headline claim of the paper from the simulators and
-checks it against the band the paper reports, emitting a PASS/FAIL table:
+Runs every experiment of :mod:`repro.experiments.registry` that carries
+claims, checks each claim row against its default run, and prints the
+rows as one Markdown table:
 
     python -m repro.experiments.certify
 
-This is the one-command answer to "does this reproduction actually
-reproduce the paper?" — the same checks the benchmarks assert, gathered
-into a single human-readable certificate.
+Exit status 0 means every verdict equals its declared expectation: each
+reproduced claim passes, and each claim declared "not reproduced" still
+fails its check.  EXPERIMENTS.md carries this output verbatim, and a
+test fails when the two drift apart.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
-from repro.experiments import (
-    fig01_allreduce_ratio,
-    fig03_invocation,
-    fig04_model_ratio,
-    fig05_walkthrough,
-    fig12_comm_perf,
-    fig13_overall,
-    fig14_scaleout,
-    fig15_detour,
-    fig16_patterns,
-    fig17_resnet_layers,
+from repro.experiments.registry import (
+    EXPERIMENTS,
+    FAIL,
+    NOT_REPRODUCED,
+    PASS,
+    Claim,
+    Experiment,
 )
-from repro.experiments.report import render_table
-
-_MB = 1024 * 1024
 
 
 @dataclass(frozen=True)
-class Claim:
-    """One verifiable claim of the paper.
+class Verdict:
+    """One claim checked against one run.
 
     Attributes:
-        source: where the paper makes the claim.
-        statement: the claim, paraphrased.
+        claim: the registry row.
         measured: what this reproduction measured (human-readable).
-        passed: whether the measurement falls in the claim's band.
+        passed: whether the claim holds on the measurement.
     """
 
-    source: str
-    statement: str
+    claim: Claim
     measured: str
     passed: bool
 
+    @property
+    def verdict(self) -> str:
+        if self.passed:
+            return PASS
+        return NOT_REPRODUCED if self.claim.cause else FAIL
 
-def _claims() -> list[Claim]:
-    claims: list[Claim] = []
+    @property
+    def as_declared(self) -> bool:
+        return self.verdict == self.claim.expected
 
-    def add(source: str, statement: str, measured: str, passed: bool):
-        claims.append(Claim(source, statement, measured, bool(passed)))
+    def describe(self) -> str:
+        return (
+            f"{self.claim.source}: {self.claim.statement} — measured "
+            f"{self.measured}: {self.verdict}, declared {self.claim.expected}"
+        )
 
-    rows01 = fig01_allreduce_ratio.run()
-    worst = max(rows01, key=lambda r: r.allreduce_fraction)
-    best = min(rows01, key=lambda r: r.allreduce_fraction)
-    add("Fig. 1", "AllReduce is up to ~60% of execution time (SSD)",
-        f"{worst.workload}: {worst.allreduce_fraction:.0%}",
-        0.5 < worst.allreduce_fraction < 0.65
-        and worst.workload == "single_stage_detector")
-    add("Fig. 1", "even NCF pays ~10%",
-        f"{best.workload}: {best.allreduce_fraction:.0%}",
-        0.08 < best.allreduce_fraction < 0.15)
 
-    rows03 = {r.scheme: r for r in fig03_invocation.run()}
-    add("Fig. 3", "layer-wise loses ~2x vs one-shot",
-        f"{rows03['layer-wise'].slowdown_vs_one_shot:.2f}x",
-        1.5 < rows03["layer-wise"].slowdown_vs_one_shot < 3.0)
-    add("Fig. 3", "slicing loses over 4x",
-        f"{rows03['slicing'].slowdown_vs_one_shot:.2f}x",
-        rows03["slicing"].slowdown_vs_one_shot > 4.0)
+def evaluate(experiment: Experiment, rows: Sequence[object]) -> list[Verdict]:
+    """Check every claim of ``experiment`` against its ``rows``."""
+    verdicts = []
+    for claim in experiment.claims:
+        measured, passed = claim.check(rows)
+        verdicts.append(Verdict(claim, measured, bool(passed)))
+    return verdicts
 
-    rows04 = fig04_model_ratio.run()
-    add("Fig. 4", "tree wins small messages at every node count",
-        f"16KB ratios {rows04[0].ratios[0]:.2f}..{rows04[0].ratios[-1]:.2f}",
-        all(r > 1.0 for r in rows04[0].ratios))
-    add("Fig. 4", "ring wins large messages on small systems (<=14%ish)",
-        f"256MB@P=8 ratio {rows04[-1].ratios[0]:.2f}",
-        0.8 < rows04[-1].ratios[0] < 1.0)
 
-    rows05 = {r.algorithm: r for r in fig05_walkthrough.run()}
-    add("Fig. 5", "4-node example: 10 steps baseline, 7 overlapped",
-        f"{rows05['tree (Fig. 5a)'].total_steps:.0f} vs "
-        f"{rows05['overlapped tree (Fig. 5c)'].total_steps:.0f}",
-        rows05["tree (Fig. 5a)"].total_steps == 10.0
-        and rows05["overlapped tree (Fig. 5c)"].total_steps == 7.0)
-
-    rows12 = fig12_comm_perf.run(sizes=(64 * _MB, 256 * _MB))
-    add("Fig. 12a", "C1 beats B by 75-80%+ at >=64MB",
-        ", ".join(f"{r.simulated_speedup:.2f}x" for r in rows12),
-        all(1.6 < r.simulated_speedup < 2.0 for r in rows12))
-    add("Fig. 12b", "model matches measurement closely",
-        ", ".join(
-            f"{abs(r.simulated_speedup - r.modeled_speedup) / r.modeled_speedup:.1%}"
-            for r in rows12
-        ),
-        all(
-            abs(r.simulated_speedup - r.modeled_speedup)
-            / r.modeled_speedup < 0.1
-            for r in rows12
-        ))
-
-    rows13 = fig13_overall.run(batches=(16, 256))
-    stats = fig13_overall.summarize(rows13)
-    add("Fig. 13", "C1 ~10% average improvement over B",
-        f"mean {stats['C1/B mean']:.3f}x", stats["C1/B mean"] > 1.03)
-    add("Fig. 13", "CC up to 61% over B",
-        f"max {stats['CC/B max']:.2f}x", stats["CC/B max"] > 1.4)
-    add("Fig. 13", "chaining efficiency up to 98%",
-        f"best {stats['CC best efficiency']:.3f}",
-        stats["CC best efficiency"] > 0.97)
-    exceptions = [
-        r for r in rows13
-        if r.normalized["CC"] < r.normalized["R"] - 1e-9
+def run() -> list[Verdict]:
+    """Run each experiment with claims once; check every claim."""
+    return [
+        verdict
+        for experiment in EXPERIMENTS.values()
+        if experiment.claims
+        for verdict in evaluate(experiment, experiment.run())
     ]
-    add("Fig. 13", "CC beats R except ZFNet at small batch",
-        f"exceptions: {[(r.network, r.batch) for r in exceptions]}",
-        all(r.network == "zfnet" and r.batch == 16 for r in exceptions))
-
-    rows14 = fig14_scaleout.run(nodes=(8, 128))
-    small = [r for r in rows14 if r.nbytes <= 16 * 1024]
-    many = [r for r in rows14 if r.nchunks == 256]
-    add("Fig. 14a", "C1 beats ring up to ~20x for small messages at scale",
-        f"max {max(r.c1_over_ring for r in small):.1f}x",
-        max(r.c1_over_ring for r in small) > 10.0)
-    add("Fig. 14b", "turnaround improves by tens of x at 256 chunks",
-        f"max {max(r.turnaround_speedup for r in many):.0f}x",
-        max(r.turnaround_speedup for r in many) > 25.0)
-
-    rows15 = fig15_detour.run()
-    gpu0 = next(r for r in rows15 if r.gpu == 0)
-    add("Fig. 15", "detour node loses only 3-4%",
-        f"GPU0 at {gpu0.normalized_performance:.4f}",
-        0.95 < gpu0.normalized_performance < 0.98)
-
-    rows16 = {r.case: r for r in fig16_patterns.run()}
-    add("Fig. 16", "Case 2 creates bubbles; Case 3 pushes turnaround back",
-        f"bubbles {rows16['case2'].bubble_ms:.1f}ms vs "
-        f"{rows16['case1'].bubble_ms:.1f}ms; first fwd "
-        f"{rows16['case3'].first_fwd_start_ms:.1f}ms vs "
-        f"{rows16['case1'].first_fwd_start_ms:.1f}ms",
-        rows16["case2"].bubble_ms > rows16["case1"].bubble_ms
-        and rows16["case3"].first_fwd_start_ms
-        > 2 * rows16["case1"].first_fwd_start_ms)
-
-    stats17 = fig17_resnet_layers.trend_summary(fig17_resnet_layers.run())
-    add("Fig. 17", "ResNet-50: params grow, compute shrinks with depth",
-        f"params {stats17['early mean param MB']:.2f}->"
-        f"{stats17['late mean param MB']:.2f}MB; fwd "
-        f"{stats17['early mean fwd ms']:.2f}->"
-        f"{stats17['late mean fwd ms']:.2f}ms",
-        stats17["late mean param MB"] > 3 * stats17["early mean param MB"]
-        and stats17["early mean fwd ms"] > stats17["late mean fwd ms"])
-
-    return claims
 
 
-def run() -> list[Claim]:
-    """Evaluate every claim; returns the certificate rows."""
-    return _claims()
+def _cell(text: str) -> str:
+    return text.replace("|", "\\|")
 
 
-def format_table(claims: list[Claim]) -> str:
-    passed = sum(c.passed for c in claims)
-    table = render_table(
-        ["source", "claim", "measured", "verdict"],
-        [
-            (c.source, c.statement, c.measured,
-             "PASS" if c.passed else "FAIL")
-            for c in claims
-        ],
-        title="Reproduction certificate — paper claims vs this build",
-    )
-    return f"{table}\n\n  {passed}/{len(claims)} claims reproduced"
+def format_table(verdicts: list[Verdict]) -> str:
+    """The certificate: a Markdown table plus a one-line score."""
+    lines = [
+        "| source | claim | paper | reproduction | verdict |",
+        "|---|---|---|---|---|",
+    ]
+    for v in verdicts:
+        verdict = v.verdict
+        if v.claim.cause:
+            verdict += f": {v.claim.cause}"
+        if not v.as_declared:
+            verdict += f" (declared {v.claim.expected})"
+        cells = (v.claim.source, v.claim.statement, v.claim.band,
+                 v.measured, verdict)
+        lines.append("| " + " | ".join(_cell(c) for c in cells) + " |")
+    declared = sum(v.as_declared for v in verdicts)
+    counts = {
+        name: sum(v.verdict == name for v in verdicts)
+        for name in (PASS, NOT_REPRODUCED, FAIL)
+    }
+    lines += [
+        "",
+        f"{declared}/{len(verdicts)} verdicts as declared ("
+        + ", ".join(f"{n} {name}" for name, n in counts.items())
+        + ")",
+    ]
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     del argv
-    claims = run()
-    print(format_table(claims))
-    return 0 if all(c.passed for c in claims) else 1
+    verdicts = run()
+    print(format_table(verdicts))
+    return 0 if all(v.as_declared for v in verdicts) else 1
 
 
 if __name__ == "__main__":

@@ -53,63 +53,16 @@ def rows_to_csv(rows: Sequence[object], path: str | Path) -> None:
 
 
 def export_all(out_dir: str | Path) -> list[Path]:
-    """Run every experiment and write one CSV per figure; returns paths."""
-    from repro.experiments import (
-        ext_algorithms,
-        ext_dgx2,
-        ext_elastic,
-        ext_faults,
-        ext_hierarchical,
-        ext_plans,
-        ext_recovery,
-        ext_sensitivity,
-        ext_synth,
-        ext_tree_search,
-        ext_workloads,
-        fig01_allreduce_ratio,
-        fig02_overlap_comparison,
-        fig03_invocation,
-        fig04_model_ratio,
-        fig05_walkthrough,
-        fig12_comm_perf,
-        fig13_overall,
-        fig14_scaleout,
-        fig15_detour,
-        fig16_patterns,
-        fig17_resnet_layers,
-    )
+    """Run every registry experiment and write ``<name>.csv`` for each;
+    returns the paths."""
+    from repro.experiments.registry import EXPERIMENTS
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = {
-        "fig01.csv": fig01_allreduce_ratio.run,
-        "fig02.csv": fig02_overlap_comparison.run,
-        "fig03.csv": fig03_invocation.run,
-        "fig04.csv": fig04_model_ratio.run,
-        "fig05.csv": fig05_walkthrough.run,
-        "fig12.csv": fig12_comm_perf.run,
-        "fig13.csv": fig13_overall.run,
-        "fig14.csv": fig14_scaleout.run,
-        "fig15.csv": fig15_detour.run,
-        "fig16.csv": fig16_patterns.run,
-        "fig17.csv": fig17_resnet_layers.run,
-        "ext_algorithms.csv": ext_algorithms.run,
-        "ext_dgx2.csv": ext_dgx2.run,
-        "ext_elastic.csv": ext_elastic.run,
-        "ext_elastic_interp.csv": ext_elastic.run_interpreted,
-        "ext_faults.csv": ext_faults.run,
-        "ext_hierarchical.csv": ext_hierarchical.run,
-        "ext_plans.csv": ext_plans.run,
-        "ext_recovery.csv": ext_recovery.run,
-        "ext_synth.csv": ext_synth.run,
-        "ext_tree_search.csv": ext_tree_search.run,
-        "ext_workloads.csv": ext_workloads.run,
-        "ext_sensitivity.csv": ext_sensitivity.run,
-    }
     written = []
-    for filename, runner in jobs.items():
-        path = out / filename
-        rows_to_csv(runner(), path)
+    for name, experiment in EXPERIMENTS.items():
+        path = out / f"{name}.csv"
+        rows_to_csv(experiment.run(), path)
         written.append(path)
     return written
 

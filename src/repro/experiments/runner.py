@@ -4,94 +4,15 @@ Usage::
 
     python -m repro.experiments.runner            # everything
     python -m repro.experiments.runner fig12 fig13
+
+Names are the keys of :data:`repro.experiments.registry.EXPERIMENTS`.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable
 
-from repro.experiments import (
-    ablations,
-    ext_algorithms,
-    ext_dgx2,
-    ext_elastic,
-    ext_faults,
-    ext_hierarchical,
-    ext_plans,
-    ext_recovery,
-    ext_sensitivity,
-    ext_synth,
-    ext_tree_search,
-    ext_workloads,
-    fig01_allreduce_ratio,
-    fig02_overlap_comparison,
-    fig03_invocation,
-    fig04_model_ratio,
-    fig05_walkthrough,
-    fig12_comm_perf,
-    fig13_overall,
-    fig14_scaleout,
-    fig15_detour,
-    fig16_patterns,
-    fig17_resnet_layers,
-)
-
-
-def _run_ablations() -> str:
-    return ablations.format_tables(
-        ablations.run_detour_ablation(),
-        ablations.run_conflict_ablation(),
-        ablations.run_chunk_sweep(),
-    )
-
-
-EXPERIMENTS: dict[str, Callable[[], str]] = {
-    "fig01": lambda: fig01_allreduce_ratio.format_table(
-        fig01_allreduce_ratio.run()
-    ),
-    "fig02": lambda: fig02_overlap_comparison.format_table(
-        fig02_overlap_comparison.run()
-    ),
-    "fig03": lambda: fig03_invocation.format_table(fig03_invocation.run()),
-    "fig04": lambda: fig04_model_ratio.format_table(fig04_model_ratio.run()),
-    "fig05": lambda: fig05_walkthrough.format_table(
-        fig05_walkthrough.run()
-    ),
-    "fig12": lambda: fig12_comm_perf.format_table(fig12_comm_perf.run()),
-    "fig13": lambda: fig13_overall.format_table(fig13_overall.run()),
-    "fig14": lambda: fig14_scaleout.format_table(fig14_scaleout.run()),
-    "fig15": lambda: fig15_detour.format_table(fig15_detour.run()),
-    "fig16": lambda: fig16_patterns.format_table(fig16_patterns.run()),
-    "fig17": lambda: fig17_resnet_layers.format_table(
-        fig17_resnet_layers.run()
-    ),
-    "ablations": _run_ablations,
-    "ext_algorithms": lambda: ext_algorithms.format_table(
-        ext_algorithms.run()
-    ),
-    "ext_dgx2": lambda: ext_dgx2.format_table(ext_dgx2.run()),
-    "ext_elastic": lambda: ext_elastic.format_table(ext_elastic.run()),
-    "ext_elastic_interp": lambda: ext_elastic.format_table(
-        ext_elastic.run_interpreted()
-    ),
-    "ext_faults": lambda: ext_faults.format_table(ext_faults.run()),
-    "ext_hierarchical": lambda: ext_hierarchical.format_table(
-        ext_hierarchical.run()
-    ),
-    "ext_plans": lambda: ext_plans.format_table(ext_plans.run()),
-    "ext_recovery": lambda: ext_recovery.format_table(ext_recovery.run()),
-    "ext_synth": lambda: ext_synth.format_table(ext_synth.run()),
-    "ext_tree_search": lambda: ext_tree_search.format_table(
-        ext_tree_search.run()
-    ),
-    "ext_workloads": lambda: ext_workloads.format_table(
-        ext_workloads.run()
-    ),
-    "ext_sensitivity": lambda: ext_sensitivity.format_table(
-        ext_sensitivity.run()
-    ),
-}
+from repro.experiments.registry import EXPERIMENTS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,8 +22,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"unknown experiments: {unknown}; available: {list(EXPERIMENTS)}")
         return 2
     for name in names:
+        experiment = EXPERIMENTS[name]
         print(f"==== {name} " + "=" * max(0, 66 - len(name)))
-        print(EXPERIMENTS[name]())
+        print(experiment.format_table(experiment.run()))
         print()
     return 0
 

@@ -1,6 +1,6 @@
 """Correctness tooling for the emulated device runtime.
 
-A dynamic vector-clock race detector plus lockset / wait-graph analyses
+A dynamic vector-clock race detector plus wait-graph analyses
 over the sync primitives of :mod:`repro.runtime.sync` and the chunk
 accesses of :mod:`repro.runtime.memory`.  See DESIGN §8 for the
 happens-before model and the mapping onto CUDA compute-sanitizer.
@@ -18,8 +18,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "Access",
     "BlockedWait",
-    "InversionFinding",
-    "LockEdge",
     "MemoryState",
     "PostOrderCycleFinding",
     "RaceFinding",
@@ -43,8 +41,6 @@ __getattr__, __dir__ = lazy_exports(
         "pop": "hooks",
         "push": "hooks",
         "BlockedWait": "lockgraph",
-        "InversionFinding": "lockgraph",
-        "LockEdge": "lockgraph",
         "PostOrderCycleFinding": "lockgraph",
         "WaitCycleFinding": "lockgraph",
         "Access": "races",

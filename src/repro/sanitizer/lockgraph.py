@@ -1,21 +1,14 @@
-"""Lockset and wait-graph analyses over the recorded sync trace.
+"""Wait-graph analyses over the recorded sync trace.
 
-Three detectors, all replay-based (pure functions of tracer state):
+Two detectors, both replay-based (pure functions of tracer state):
 
-1. **Lock-order inversion** — the classic lockset analysis: every
-   ``lock(B)`` performed while holding ``A`` adds edge ``A -> B`` to the
-   acquisition-order graph; a cycle means two threads can acquire the
-   same locks in opposite orders, i.e. a deadlock some interleaving can
-   hit even if this run (perhaps serialized by an outer gate lock) never
-   did.
-
-2. **Blocked wait cycle** — when a run aborts with threads still
+1. **Blocked wait cycle** — when a run aborts with threads still
    spinning, the final blocked set is analyzed: thread T blocked on
    semaphore S *waits for* every thread that has been observed posting
    S; a cycle of blocked threads is the deadlock the 30 s spin timeout
    would otherwise report as an anonymous hang.
 
-3. **Conditional-post cycle** — from a *successful* run: semaphore
+2. **Conditional-post cycle** — from a *successful* run: semaphore
    ``s`` depends on ``s'`` if **every** post of ``s`` in the trace is
    preceded, in its posting thread's program order, by a blocking
    wait/check on ``s'`` (a semaphore with at least one unconditional
@@ -31,47 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "LockEdge",
-    "InversionFinding",
     "BlockedWait",
     "WaitCycleFinding",
     "PostOrderCycleFinding",
-    "find_lock_cycles",
     "find_wait_cycles",
     "find_post_order_cycles",
 ]
-
-
-@dataclass(frozen=True)
-class LockEdge:
-    """Observed acquisition order: ``outer`` was held while taking
-    ``inner``."""
-
-    outer: str
-    inner: str
-    thread: str
-    outer_site: str
-    inner_site: str
-
-    def describe(self) -> str:
-        return (
-            f"{self.thread!r} took {self.inner!r} (at {self.inner_site}) "
-            f"while holding {self.outer!r} (taken at {self.outer_site})"
-        )
-
-
-@dataclass(frozen=True)
-class InversionFinding:
-    """A cycle in the lock-acquisition-order graph."""
-
-    cycle: tuple[str, ...]
-    edges: tuple[LockEdge, ...]
-
-    def describe(self) -> str:
-        order = " -> ".join(self.cycle + (self.cycle[0],))
-        lines = [f"LOCK-ORDER INVERSION: {order}"]
-        lines.extend(f"  {edge.describe()}" for edge in self.edges)
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -126,7 +84,7 @@ class PostOrderCycleFinding:
 def _cycles(graph: dict[str, set[str]]) -> list[tuple[str, ...]]:
     """Strongly connected components with >1 node, or a self-loop.
 
-    Iterative Tarjan; graphs here are tiny (locks/semaphores of one
+    Iterative Tarjan; graphs here are tiny (threads/semaphores of one
     run), so clarity over micro-optimization.
     """
     index: dict[str, int] = {}
@@ -178,26 +136,6 @@ def _cycles(graph: dict[str, set[str]]) -> list[tuple[str, ...]]:
         if node not in index:
             strongconnect(node)
     return sccs
-
-
-def find_lock_cycles(
-    edges: dict[tuple[str, str], LockEdge],
-) -> list[InversionFinding]:
-    """Cycles in the acquisition-order graph built from ``edges``."""
-    graph: dict[str, set[str]] = {}
-    for outer, inner in edges:
-        graph.setdefault(outer, set()).add(inner)
-        graph.setdefault(inner, set())
-    findings = []
-    for comp in _cycles(graph):
-        members = set(comp)
-        cycle_edges = tuple(
-            edge
-            for (outer, inner), edge in sorted(edges.items())
-            if outer in members and inner in members
-        )
-        findings.append(InversionFinding(cycle=comp, edges=cycle_edges))
-    return findings
 
 
 def find_wait_cycles(

@@ -6,7 +6,6 @@ from dataclasses import asdict, dataclass, field
 
 from .lockgraph import (
     BlockedWait,
-    InversionFinding,
     PostOrderCycleFinding,
     WaitCycleFinding,
 )
@@ -25,7 +24,6 @@ class SanitizerReport:
     """
 
     races: list[RaceFinding] = field(default_factory=list)
-    inversions: list[InversionFinding] = field(default_factory=list)
     wait_cycles: list[WaitCycleFinding] = field(default_factory=list)
     post_cycles: list[PostOrderCycleFinding] = field(default_factory=list)
     blocked: list[BlockedWait] = field(default_factory=list)
@@ -36,7 +34,6 @@ class SanitizerReport:
     def findings(self) -> list:
         return [
             *self.races,
-            *self.inversions,
             *self.wait_cycles,
             *self.post_cycles,
         ]
@@ -67,10 +64,6 @@ class SanitizerReport:
             "races": [
                 {**asdict(f), "describe": f.describe()} for f in self.races
             ],
-            "inversions": [
-                {**asdict(f), "describe": f.describe()}
-                for f in self.inversions
-            ],
             "wait_cycles": [
                 {**asdict(f), "describe": f.describe()}
                 for f in self.wait_cycles
@@ -92,11 +85,11 @@ def render_report_dict(data: dict) -> str:
         )
     ]
     findings = []
-    for group in ("races", "inversions", "wait_cycles", "post_cycles"):
+    for group in ("races", "wait_cycles", "post_cycles"):
         for item in data.get(group, ()):  # pre-rendered text per finding
             findings.append(item.get("describe", str(item)))
     if not findings:
-        lines.append("clean — no races, inversions, or wait cycles")
+        lines.append("clean — no races or wait cycles")
     else:
         lines.append(f"{len(findings)} finding(s):")
         lines.extend(findings)

@@ -9,10 +9,9 @@ Two families:
   — the zero-false-positive half of the sanitizer's contract;
 - **seeded** scenarios run deliberately broken kernels (a dropped post,
   an unlock hoisted above the write it guards, overlapping unsynced
-  writes, a lock-order inversion, a semaphore wait cycle, a chunk
-  rewritten while a zero-copy uplink — direct or detoured — still
-  carries it) and expect the *exact* diagnostic — the true-positive
-  half.
+  writes, a semaphore wait cycle, a chunk rewritten while a zero-copy
+  uplink — direct or detoured — still carries it) and expect the
+  *exact* diagnostic — the true-positive half.
 
 ``repro sanitize run --all`` and the seeded regression tests both drive
 this registry, so the CLI and the test suite can never drift apart.
@@ -44,10 +43,10 @@ class Expectation:
     """What a scenario's sanitizer report must contain.
 
     Attributes:
-        kind: ``clean`` / ``race`` / ``inversion`` / ``wait_cycle``.
+        kind: ``clean`` / ``race`` / ``wait_cycle``.
         chunk: for races, the racing chunk id the report must name.
         mentions: substrings the matching finding's text must contain
-            (offending semaphore/lock names, buffer labels, kernels).
+            (offending semaphore names, buffer labels, kernels).
     """
 
     kind: str
@@ -62,7 +61,6 @@ class Expectation:
             return False, "expected clean, got:\n" + report.describe()
         pools = {
             "race": report.races,
-            "inversion": report.inversions,
             "wait_cycle": report.wait_cycles,
         }
         candidates = pools.get(self.kind)
@@ -565,41 +563,6 @@ def _run_relay_rewrite(elems: int) -> None:
             return
         raise
     raise AssertionError("the relay's CRC missed the rewritten chunk")
-
-
-@_scenario(
-    "seeded_lock_inversion",
-    seeded=True,
-    expect=Expectation("inversion", mentions=("L1", "L2")),
-)
-def _run_lock_inversion(elems: int) -> None:
-    """Two kernels take L1/L2 in opposite orders.  An outer gate lock
-    serializes this run (no deadlock today), but the lockset analysis
-    must still flag the inversion some future schedule can hit."""
-    del elems
-    from repro.runtime.cluster import KernelPool
-    from repro.runtime.sync import DeviceLock
-
-    gate = DeviceLock(_spin(), name="gate")
-    lock1 = DeviceLock(_spin(), name="L1")
-    lock2 = DeviceLock(_spin(), name="L2")
-
-    def forward() -> None:
-        with gate:
-            with lock1:
-                with lock2:
-                    pass
-
-    def backward() -> None:
-        with gate:
-            with lock2:
-                with lock1:  # BUG: opposite order to `forward`
-                    pass
-
-    pool = KernelPool(join_timeout=10.0)
-    pool.add("order-forward", forward)
-    pool.add("order-backward", backward)
-    pool.run()
 
 
 @_scenario(

@@ -10,9 +10,9 @@ It keeps:
   points) and a per-semaphore ladder of cumulative post clocks so the
   k-th ``wait`` / ``check(k)`` acquires exactly the first k posts,
 - FastTrack race state per ``(buffer, chunk)`` (online detection), and
-- the raw material for the replay analyses: lock-acquisition edges,
-  per-thread semaphore programs, the currently blocked set, and a short
-  per-thread tail of recent sync ops (surfaced in abort dumps).
+- the raw material for the replay analyses: per-thread semaphore
+  programs, the currently blocked set, and a short per-thread tail of
+  recent sync ops (surfaced in abort dumps).
 
 Sync objects are keyed by identity, not name: the tracer holds a strong
 reference, so two runs inside one traced scope never alias each other's
@@ -30,8 +30,8 @@ event                 effect
                       ``sem_block`` (that wait was abandoned, not
                       part of a cycle); a *timeout* abort keeps it
 ``join_all``          acquire of the pool's join clock
-``lock_acquire``      acquire of the lock's clock (+ lockset push)
-``lock_release``      release into the lock's clock (+ lockset pop)
+``lock_acquire``      acquire of the lock's clock
+``lock_release``      release into the lock's clock
 ``atomic_load``       acquire of the cell's clock
 ``atomic_store/rmw``  acquire **and** release (emulated atomics are
                       full read-modify-writes on the cell)
@@ -53,7 +53,7 @@ import threading
 from collections import deque
 
 from . import hooks
-from .lockgraph import BlockedWait, LockEdge
+from .lockgraph import BlockedWait
 from .races import Access, MemoryState
 from .report import SanitizerReport
 from .vectorclock import VectorClock
@@ -114,8 +114,6 @@ class Tracer:
         self._obj_clocks: dict[tuple[int, str], VectorClock] = {}
         self._sems: dict[int, _SemState] = {}
         # Replay material.
-        self._held: dict[int, list[tuple[str, str]]] = {}
-        self._lock_edges: dict[tuple[str, str], LockEdge] = {}
         self._blocked: dict[str, BlockedWait] = {}
         self._programs: dict[str, list[tuple[str, str]]] = {}
         self._memory = MemoryState()
@@ -203,32 +201,6 @@ class Tracer:
                 )
                 self._blocked.pop(name, None)
                 return
-            if kind == "lock_acquire":
-                clock.join(self._obj_clock(obj))
-                held = self._held.setdefault(tid, [])
-                for outer, outer_site in held:
-                    edge_key = (outer, display)
-                    if outer != display and edge_key not in self._lock_edges:
-                        self._lock_edges[edge_key] = LockEdge(
-                            outer=outer,
-                            inner=display,
-                            thread=name,
-                            outer_site=outer_site,
-                            inner_site=site,
-                        )
-                held.append((display, site))
-                return
-            if kind == "lock_release":
-                obj_clock = self._obj_clock(obj)
-                obj_clock.join(clock)
-                clock.tick(tid)
-                held = self._held.get(tid)
-                if held:
-                    for i in range(len(held) - 1, -1, -1):
-                        if held[i][0] == display:
-                            del held[i]
-                            break
-                return
             if kind in ("atomic_store", "atomic_rmw"):
                 obj_clock = self._obj_clock(obj)
                 clock.join(obj_clock)
@@ -285,11 +257,7 @@ class Tracer:
 
     def analyze(self) -> SanitizerReport:
         """Run the replay analyses and bundle everything into a report."""
-        from .lockgraph import (
-            find_lock_cycles,
-            find_post_order_cycles,
-            find_wait_cycles,
-        )
+        from .lockgraph import find_post_order_cycles, find_wait_cycles
 
         with self._lock:
             blocked = sorted(
@@ -301,12 +269,10 @@ class Tracer:
                 posters.setdefault(display, set()).update(state.posters)
             programs = {t: list(ops) for t, ops in self._programs.items()}
             races = list(self._memory.races)
-            lock_edges = dict(self._lock_edges)
             nevents = self.nevents
             nthreads = len(self._tids)
         return SanitizerReport(
             races=races,
-            inversions=find_lock_cycles(lock_edges),
             wait_cycles=find_wait_cycles(blocked, posters),
             post_cycles=find_post_order_cycles(programs),
             blocked=blocked,

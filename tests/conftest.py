@@ -91,8 +91,8 @@ def rng() -> np.random.Generator:
 # -- opt-in sanitizer mode (`pytest --sanitize`) --------------------------
 #
 # Wraps every test in a fresh vector-clock tracer: all device-level sync
-# and memory traffic the test triggers is checked for data races,
-# lock-order inversions, and semaphore wait cycles, and any finding
+# and memory traffic the test triggers is checked for data races
+# and semaphore wait cycles, and any finding
 # fails the test.  Tests that *seed* bugs on purpose opt out with
 # ``@pytest.mark.no_sanitize``.
 
@@ -103,7 +103,7 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         action="store_true",
         default=False,
         help="run every test under the device-memory sanitizer and fail "
-             "on any race / lock-order inversion / wait cycle",
+             "on any race / wait cycle",
     )
     parser.addoption(
         "--fuzz-schedules",

@@ -259,13 +259,16 @@ class TestAblations:
         # Eq. 4's optimum is within one power-of-two of the simulated one.
         assert 0.5 <= flagged.nchunks / best.nchunks <= 2.0
 
-    def test_format_tables(self):
-        text = ablations.format_tables(
-            ablations.run_detour_ablation(sizes=(16 * _MB,)),
-            ablations.run_conflict_ablation(sizes=(16 * _MB,)),
-            ablations.run_chunk_sweep(chunk_counts=(8, 32, 128)),
-        )
-        assert "detour" in text and "conflict" in text.lower()
+    def test_each_ablation_formats_its_table(self):
+        detour = ablations.format_detour_ablation(
+            ablations.run_detour_ablation(sizes=(16 * _MB,)))
+        conflict = ablations.format_conflict_ablation(
+            ablations.run_conflict_ablation(sizes=(16 * _MB,)))
+        chunks = ablations.format_chunk_sweep(
+            ablations.run_chunk_sweep(chunk_counts=(8, 32, 128)))
+        assert "detour" in detour
+        assert "conflict" in conflict
+        assert "chunk-count" in chunks
 
 
 class TestExtFaults:

@@ -22,8 +22,6 @@ from repro.runtime.faults import CRASH, FaultPlan, GpuFault
 from repro.runtime.sync import SpinConfig
 from repro.sanitizer.lockgraph import (
     BlockedWait,
-    LockEdge,
-    find_lock_cycles,
     find_post_order_cycles,
     find_wait_cycles,
 )
@@ -162,28 +160,6 @@ class TestMemoryState:
 
 
 # -- graph analyses in isolation ------------------------------------------
-
-
-def _edge(outer: str, inner: str) -> tuple[tuple[str, str], LockEdge]:
-    return (outer, inner), LockEdge(
-        outer=outer, inner=inner, thread="t", outer_site="o", inner_site="i"
-    )
-
-
-class TestLockGraph:
-    def test_consistent_order_is_clean(self):
-        edges = dict([_edge("A", "B"), _edge("B", "C"), _edge("A", "C")])
-        assert find_lock_cycles(edges) == []
-
-    def test_two_lock_inversion(self):
-        edges = dict([_edge("A", "B"), _edge("B", "A")])
-        cycles = find_lock_cycles(edges)
-        assert len(cycles) == 1
-        assert set(cycles[0].cycle) >= {"A", "B"}
-
-    def test_three_lock_rotation(self):
-        edges = dict([_edge("A", "B"), _edge("B", "C"), _edge("C", "A")])
-        assert len(find_lock_cycles(edges)) == 1
 
 
 def _blocked(thread: str, sem: str) -> BlockedWait:
