@@ -10,9 +10,8 @@ later reads are plain attribute lookups that never reach ``__getattr__``.
 One caveat is the import system's, not this module's: when a submodule is
 first imported, Python binds it as an attribute of its package.  A package
 that exports a function under the same name as the submodule defining it
-(``repro.synth.tune``, ``repro.topology.dgx1_trees``) therefore imports that
-function eagerly, so that the submodule is bound first and the function
-then replaces it.
+(``repro.topology.dgx1_trees``) therefore imports that function eagerly,
+so that the submodule is bound first and the function then replaces it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Unified diagnostic model shared by every static analysis.
 
 One :class:`Diagnostic` type carries every finding the repo's static
-tools produce — the plan verifier (``PLAN001``-``PLAN006`` and its
-reduce-before-broadcast check ``PLAN011``), the write-after-read aliasing
+tools produce — the plan verifier (``PLAN001``-``PLAN006``, its
+reduce-before-broadcast check ``PLAN011`` and its enqueue-order check
+``PLAN013``), the write-after-read aliasing
 check (``PLAN012``), the contention analyzer
 (``PLAN020``/``PLAN021``), and the sync-discipline lint
 (``SYNC001``-``SYNC004``).  Each diagnostic has a stable code, a
@@ -51,8 +52,8 @@ def _rule(code: str, slug: str, severity: str, summary: str) -> RuleSpec:
 
 
 #: Every code any repo tool can emit.  PLAN00x mirror the verifier's
-#: check groups, PLAN011 is its ordering property and PLAN012 the
-#: aliasing proof's note, PLAN02x the contention analyzer's advisories,
+#: check groups, PLAN011 and PLAN013 its ordering properties, PLAN012
+#: the aliasing proof's note, PLAN02x the contention analyzer's advisories,
 #: SYNC00x the AST lint.  PLAN010 (FIFO per wire) is retired: PLAN002's
 #: one-sender, one-receiver thread block rule already implies it.
 RULES: dict[str, RuleSpec] = {
@@ -75,6 +76,9 @@ RULES: dict[str, RuleSpec] = {
         _rule("PLAN012", "send-source-rewritten", "note",
               "a sent chunk is rewritten before its consumer reads it, "
               "so its wire stages a copy"),
+        _rule("PLAN013", "enqueue-order", "error",
+              "a rank makes one tree's chunks final out of position "
+              "order"),
         _rule("PLAN020", "link-oversubscribed", "warning",
               "multiple trees contend for one directed link lane"),
         _rule("PLAN021", "lane-imbalance", "note",

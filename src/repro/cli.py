@@ -1013,32 +1013,26 @@ def _chaos_kill(args: argparse.Namespace, kind: str, timeout: float) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
+    if args.scenario == "drops":
+        return _chaos_drops(args)
+    if args.scenario == "crash":
+        if args.recover:
+            return _chaos_recover(args)
+        from repro.runtime.faults import CRASH
 
-    try:
-        if args.scenario == "drops":
-            return _chaos_drops(args)
-        if args.scenario == "crash":
-            if args.recover:
-                return _chaos_recover(args)
-            from repro.runtime.faults import CRASH
+        return _chaos_kill(args, CRASH, timeout=10.0)
+    if args.scenario == "stuck":
+        from repro.runtime.faults import STUCK
 
-            return _chaos_kill(args, CRASH, timeout=10.0)
-        if args.scenario == "stuck":
-            from repro.runtime.faults import STUCK
+        return _chaos_kill(args, STUCK, timeout=2.0)
+    if args.scenario == "elastic":
+        return _chaos_elastic(args)
+    if args.scenario == "plan":
+        return _chaos_plan(args)
+    from repro.experiments import ext_faults
 
-            return _chaos_kill(args, STUCK, timeout=2.0)
-        if args.scenario == "elastic":
-            return _chaos_elastic(args)
-        if args.scenario == "plan":
-            return _chaos_plan(args)
-        from repro.experiments import ext_faults
-
-        print(ext_faults.format_table(ext_faults.run()))
-        return 0
-    except ConfigError as exc:
-        print(f"repro chaos: error: {exc}", file=sys.stderr)
-        return 2
+    print(ext_faults.format_table(ext_faults.run()))
+    return 0
 
 
 def _plan_for_args(args: argparse.Namespace):
@@ -1931,8 +1925,16 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.errors import ConfigError
+
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigError as exc:
+        # A bad argument the parser cannot see (``--batch 0``): the
+        # same one-line error and exit 2 as every subcommand's own.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

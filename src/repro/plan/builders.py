@@ -1,19 +1,19 @@
-"""Lower the hand-written collectives into :class:`~repro.plan.ir.Plan`s.
+"""Build the collectives as :class:`~repro.plan.ir.Plan`s.
 
-Each builder emits exactly the program the corresponding thread-backed
-runtime kernel executes — same per-rank op order, same accumulation
-order — so the plan interpreter is bit-identical to the hand-written
-runtime, and the DES lowering reproduces the hand-written schedule's
-dependence structure op for op.
+Each builder emits the program the thread-backed runtime executes (the
+tree runtime's program is compiled from the tree builders), with the
+accumulation order :func:`~repro.runtime.training.tree_reduce_order`
+replays, and the DES lowering reproduces the hand-written emitter
+schedule's dependence structure op for op.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from ..codes import Phase
 from ..collectives.chunking import chunk_offsets, split_bytes
 from ..errors import ConfigError
-from ..sim.dag import Phase
 from ..topology.dgx1 import DGX1_RING_ORDER  # noqa: F401  (re-export)
 from ..topology.logical import BinaryTree, balanced_binary_tree, two_trees
 from .ir import COPY, RECV, REDUCE, SEND, Label, Plan, stamp_origin
@@ -39,9 +39,9 @@ def _emit_tree(
 ) -> None:
     """Emit one tree's reduce+broadcast program into ``plan``.
 
-    Mirrors both :func:`repro.collectives.tree.emit_tree_allreduce` (dep
+    Mirrors :func:`repro.collectives.tree.emit_tree_allreduce` (dep
     structure, for DES parity) and
-    :class:`repro.runtime.allreduce.TreeAllReduceRuntime` (per-kernel op
+    :func:`repro.runtime.training.tree_reduce_order` (accumulation
     order, for bit-exactness): each node runs a ``(t, "up")`` thread
     block that accumulates its children in ``tree.children`` order then
     sends up, and a ``(t, "down")`` block that receives from its parent

@@ -42,8 +42,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import Hashable, Iterable, Iterator
 
+from ..codes import (
+    K_COPY, K_RECV, K_REDUCE, K_SEND, KIND_NAMES, PHASE_CODE, PHASES, Phase,
+)
 from ..errors import PlanError
-from ..sim.dag import PHASE_CODE, PHASES, Phase
 
 __all__ = [
     "OpKind", "PlanOp", "Plan", "Label", "SEND", "RECV", "REDUCE", "COPY",
@@ -59,7 +61,7 @@ class OpKind:
     REDUCE = "reduce"
     COPY = "copy"
 
-    ALL = (SEND, RECV, REDUCE, COPY)
+    ALL = KIND_NAMES
 
 
 SEND = OpKind.SEND
@@ -67,8 +69,8 @@ RECV = OpKind.RECV
 REDUCE = OpKind.REDUCE
 COPY = OpKind.COPY
 
-#: Kind codes: the ``kind_code`` column indexes :attr:`OpKind.ALL`.
-K_SEND, K_RECV, K_REDUCE, K_COPY = range(4)
+#: Kind codes (:mod:`repro.codes`): the ``kind_code`` column indexes
+#: :attr:`OpKind.ALL`.
 _KIND_CODE = {kind: code for code, kind in enumerate(OpKind.ALL)}
 
 # Kinds that consume a chunk from a wire.
@@ -152,7 +154,7 @@ class PlanOp:
             targeting, and wire keys).
         tb: hashable thread-block id; ``(rank, tb)`` is one sequential
             kernel.
-        phase: the :class:`~repro.sim.dag.Phase` the op belongs to.
+        phase: the :class:`~repro.codes.Phase` the op belongs to.
         flow: after route legalization, the logical ``(src, dst)`` this
             hop implements (detour legs share one flow).  ``None`` for
             direct transfers.
@@ -363,7 +365,7 @@ class Plan:
     - ``rank``, ``chunk``, ``peer``, ``payload`` (the op's ``nbytes``),
       ``lane``, ``tree``, ``kind_code`` (index into
       :attr:`OpKind.ALL`), ``phase_code`` (index into
-      :data:`~repro.sim.dag.PHASES`) and ``medium_code`` (index into
+      :data:`~repro.codes.PHASES`) and ``medium_code`` (index into
       ``media``).
     - ``tb_id`` / ``flow_id``: indexes into the ``tbs`` and ``flows``
       tables; ``flows[0]`` is ``None``.

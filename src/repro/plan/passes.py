@@ -24,9 +24,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
+from ..codes import PHASES
 from ..collectives.chunking import split_bytes
 from ..errors import PlanError, RoutingError
-from ..sim.dag import PHASES
 from ..topology.base import PhysicalTopology
 from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
 from ..topology.routing import Router
@@ -34,6 +34,8 @@ from .ir import K_COPY, K_RECV, K_SEND, RELAY_RECV, RELAY_SEND, Plan
 
 #: Origin of the relay legs route legalization inserts.
 LEGALIZE_ORIGIN = "pass:legalize_routes"
+#: Origin of the relay legs :func:`relay_edges` inserts.
+RELAY_ORIGIN = "pass:relay_edges"
 
 __all__ = [
     "EdgeChoice",
@@ -41,6 +43,7 @@ __all__ = [
     "LaneReport",
     "CompileReports",
     "legalize_routes",
+    "relay_edges",
     "assign_lanes",
     "pipeline_chunks",
     "compile_plan",
@@ -117,6 +120,59 @@ def _detour_cost(
     return cost
 
 
+def _add_detoured(
+    new_plan: Plan, plan: Plan, i: int, deps, path: tuple[int, ...],
+    origin: str,
+) -> int:
+    """Copy transfer op ``i`` onto the multi-hop ``path``; returns the
+    copied endpoint's id.  The sender targets the first intermediate,
+    each intermediate runs a relay thread block (recv + forward), the
+    receiver's peer is the last intermediate; all legs share
+    ``flow=(src, dst)``."""
+    src, dst = plan.endpoints(i)
+    flow = new_plan.flow_index((src, dst))
+    if plan.kind_code[i] != K_SEND:  # RECV / REDUCE endpoint
+        return new_plan.add_from(plan, i, deps, peer=path[-2], flow_id=flow)
+    new_id = new_plan.add_from(plan, i, deps, peer=path[1], flow_id=flow)
+    relay_tb = new_plan.tb_index((
+        "relay", src, dst, plan.tree[i], PHASES[plan.phase_code[i]].value,
+    ))
+    for hop in range(1, len(path) - 1):
+        recv = new_plan.add_from(
+            plan, i, (), rank=path[hop], kind_code=K_RECV,
+            peer=path[hop - 1], flow_id=flow, tb_id=relay_tb,
+            relay=RELAY_RECV, origin=origin,
+        )
+        new_plan.add_from(
+            plan, i, (recv,), rank=path[hop], peer=path[hop + 1],
+            flow_id=flow, tb_id=relay_tb, relay=RELAY_SEND, origin=origin,
+        )
+    return new_id
+
+
+def relay_edges(plan: Plan, detour_map: dict[tuple[int, int], int]) -> Plan:
+    """Route every transfer over a mapped edge through its relay:
+    ``detour_map`` maps ``(child, parent)`` to the intermediate GPU for
+    both directions (the tree runtime's static detours); no other
+    transfer is touched."""
+    new_plan = plan.derive()
+    offsets, dep_ids = plan.dep_offsets, plan.dep_ids
+    id_map = array("i")
+    for i, code in enumerate(plan.kind_code):
+        deps = map(id_map.__getitem__, dep_ids[offsets[i]:offsets[i + 1]])
+        via = None
+        if code != K_COPY:
+            src, dst = plan.endpoints(i)
+            via = detour_map.get((src, dst), detour_map.get((dst, src)))
+        if via is None:
+            id_map.append(new_plan.add_from(plan, i, deps))
+        else:
+            id_map.append(_add_detoured(
+                new_plan, plan, i, deps, (src, via, dst), RELAY_ORIGIN
+            ))
+    return new_plan
+
+
 def legalize_routes(
     plan: Plan,
     topo: PhysicalTopology,
@@ -188,36 +244,12 @@ def legalize_routes(
             if code == K_SEND:
                 report.pcie_transfers += 1
             continue
-        # Detour: the sender targets the first intermediate; each
-        # intermediate runs a relay thread block (recv + forward, its
-        # own persistent kernel); the receiver's peer becomes the last
-        # intermediate.  All legs share flow=(src, dst).
-        path = choice.path
-        flow = new_plan.flow_index((src, dst))
-        if code != K_SEND:  # RECV / REDUCE endpoint
-            id_map.append(new_plan.add_from(
-                plan, i, deps, peer=path[-2], flow_id=flow
-            ))
-            continue
-        report.detour_transfers += 1
-        id_map.append(new_plan.add_from(
-            plan, i, deps, peer=path[1], flow_id=flow
-        ))
-        relay_tb = new_plan.tb_index((
-            "relay", src, dst, plan.tree[i],
-            PHASES[plan.phase_code[i]].value,
-        ))
-        for hop in range(1, len(path) - 1):
-            recv = new_plan.add_from(
-                plan, i, (), rank=path[hop], kind_code=K_RECV,
-                peer=path[hop - 1], flow_id=flow, tb_id=relay_tb,
-                relay=RELAY_RECV, origin=LEGALIZE_ORIGIN,
-            )
-            new_plan.add_from(
-                plan, i, (recv,), rank=path[hop], peer=path[hop + 1],
-                flow_id=flow, tb_id=relay_tb, relay=RELAY_SEND,
-                origin=LEGALIZE_ORIGIN,
-            )
+        if code == K_SEND:
+            report.detour_transfers += 1
+        id_map.append(
+            _add_detoured(new_plan, plan, i, deps, choice.path,
+                          LEGALIZE_ORIGIN)
+        )
     if report.detour_transfers or report.pcie_transfers:
         new_plan.notes.append(
             f"legalized on {topo.name!r}: {report.detour_transfers} "

@@ -32,6 +32,11 @@ send→recv pairing), which it builds once:
    the sim ordering oracle on every dependence-respecting schedule.
 6. **Physical legality** (``PLAN006``, with a topology) — every NVLink
    hop must ride an existing link and an existing lane.
+7. **Enqueue order** (``PLAN013``) — on every rank, one tree's chunks
+   become final (last REDUCE or RECV there) in position order, which
+   the gradient queue's layer-chunk table counts on (Observation #3).
+   Only tree phases are checked: ring phases finalize in ring order by
+   design and are never chained.
 
 The report keeps the pairing, the topological order and the ancestor
 bitsets.  :func:`prove_send_aliasing` reads them to decide, for every
@@ -60,8 +65,8 @@ from operator import lt, sub
 from typing import Iterator
 
 from ..analyze.diagnostics import Diagnostic, severity_of
+from ..codes import PHASES, Phase
 from ..errors import PlanVerificationError
-from ..sim.dag import PHASES, Phase
 from ..topology.base import PhysicalTopology
 from .ir import (
     K_COPY, K_RECV, K_REDUCE, K_SEND, RECV, REDUCE, SEND, Plan, PlanOp,
@@ -79,6 +84,8 @@ __all__ = [
     "prove_send_aliasing",
     "verify_plan",
     "execution_order",
+    "chunk_finals",
+    "slot_writes",
     "is_relay",
     "relay_key",
 ]
@@ -90,6 +97,10 @@ BROADCAST_LIKE = (Phase.BROADCAST, Phase.ALL_GATHER)
 #: ``Plan.phase_code`` values of the reduce-like phases.
 REDUCE_LIKE_CODES = frozenset(PHASES.index(p) for p in REDUCE_LIKE)
 _BROADCAST_LIKE_CODES = frozenset(PHASES.index(p) for p in BROADCAST_LIKE)
+#: Phases of the tree algorithms, whose finals the gradient queue counts.
+_TREE_PHASE_CODES = frozenset(
+    PHASES.index(p) for p in (Phase.REDUCE, Phase.BROADCAST)
+)
 
 
 def is_relay(op: PlanOp) -> bool:
@@ -691,6 +702,54 @@ def _broadcast_diags(
     return diags
 
 
+def slot_writes(plan: Plan) -> dict[tuple[int, int], list[int]]:
+    """``(rank, chunk) ->`` the ops that write that gradient slot."""
+    return {
+        slot: [op_id for op_id, is_write in ops if is_write]
+        for slot, ops in _slot_accesses(plan).items()
+    }
+
+
+def chunk_finals(
+    writes: dict[tuple[int, int], list[int]], reach: list[int]
+) -> dict[tuple[int, int], int]:
+    """Slot -> the op that makes its chunk final there: the last REDUCE
+    or RECV (relay legs excluded), which every other write of the slot
+    happens-before — race freedom orders them (``reach`` bitsets)."""
+    finals: dict[tuple[int, int], int] = {}
+    for slot, ops in writes.items():
+        for op_id in ops:
+            last = finals.get(slot)
+            if last is None or reach[op_id] >> last & 1:
+                finals[slot] = op_id
+    return finals
+
+
+def _enqueue_order_diags(plan: Plan, reach: list[int]) -> list[Diagnostic]:
+    """Chunks of one tree made final out of position order on a rank."""
+    if plan.ntrees < 1 or plan.nchunks % plan.ntrees:
+        return []
+    per_tree = plan.nchunks // plan.ntrees
+    finals = chunk_finals(slot_writes(plan), reach)
+    diags = []
+    for (rank, c), b in sorted(finals.items()):
+        a = finals.get((rank, c - 1))
+        if (
+            c % per_tree == 0 or a is None or reach[b] >> a & 1
+            or not {plan.phase_code[a], plan.phase_code[b]}
+            <= _TREE_PHASE_CODES
+        ):
+            continue
+        diags.append(_diag(
+            "PLAN013",
+            f"rank {rank}: chunk {c} may become final ({plan.name_of(b)}) "
+            f"before chunk {c - 1} ({plan.name_of(a)}) — the gradient "
+            "queue would enqueue out of position order",
+            plan, b,
+        ))
+    return diags
+
+
 @dataclass(frozen=True)
 class AliasProof:
     """Outcome of :func:`prove_send_aliasing`.
@@ -775,10 +834,7 @@ def prove_send_aliasing(plan: Plan, report: VerifyReport) -> AliasProof:
         return AliasProof(frozenset(sends), ())
     pairing, order, reach = report.pairing, report.order, report.reach
     consumer, origin = _final_consumers(plan, pairing, order)
-    writes: dict[tuple[int, int], list[int]] = {
-        slot: [op_id for op_id, is_write in ops if is_write]
-        for slot, ops in _slot_accesses(plan).items()
-    }
+    writes = slot_writes(plan)
     chunks, relays = plan.chunk_lists(), plan.relay_ids()
 
     def rewrite(s: int) -> str | None:
@@ -880,6 +936,7 @@ def verify_plan(
             diags.extend(_dataflow_diags(plan, pairing, order))
             diags.extend(_race_diags(plan, reach))
             diags.extend(_broadcast_diags(plan, pairing, reach))
+            diags.extend(_enqueue_order_diags(plan, reach))
     if topo is not None:
         diags.extend(_physical_diags(plan, topo))
     errors = [render_diagnostic(d) for d in diags]

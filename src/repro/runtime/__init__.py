@@ -12,12 +12,14 @@ Python thread per kernel:
   (:class:`FaultPlan`): link jitter/drops/corruption with bounded
   retransmission, GPU stragglers/crashes/stuck kernels,
 - :mod:`repro.runtime.memory` — gradient buffers and chunk slicing,
-- :mod:`repro.runtime.cluster` — virtual GPUs, channels (direct and
-  detour-forwarded), and the persistent-kernel thread pool,
-- :mod:`repro.runtime.allreduce` — the chunked, pipelined double-tree
-  AllReduce with optional phase overlap (C1) and detour forwarding,
+- :mod:`repro.runtime.cluster` — the CRC-framed wire (the one link
+  primitive) and the persistent-kernel thread pool,
+- :mod:`repro.runtime.executor` — the one engine: it runs a compiled,
+  verified :class:`Program`, and hosts the gradient queue's enqueue hook,
+- :mod:`repro.runtime.allreduce` — the pipelined double-tree AllReduce
+  (C1 overlap, detour relays): a shipped or compiled program,
 - :mod:`repro.runtime.queue_runtime` — gradient queuing + forward-compute
-  chaining over the same semaphores (C2/CC), driven by
+  chaining over the enqueue semaphores (C2/CC), driven by
   :mod:`repro.runtime.training`,
 - :mod:`repro.runtime.elastic` / :mod:`repro.runtime.recovery` — the
   membership state machine; each of its spans runs the plan it verified
@@ -65,6 +67,8 @@ __all__ = [
     "parse_events",
     "ChunkLayout",
     "GradientBuffer",
+    "Executor",
+    "Program",
     "RunReport",
     "TreeAllReduceRuntime",
     "ChainedTrainingRuntime",
@@ -122,7 +126,9 @@ __getattr__, __dir__ = lazy_exports(
         "parse_events": "elastic",
         "ChunkLayout": "memory",
         "GradientBuffer": "memory",
-        "RunReport": "allreduce",
+        "Executor": "executor",
+        "Program": "executor",
+        "RunReport": "executor",
         "TreeAllReduceRuntime": "allreduce",
         "ChainedTrainingRuntime": "queue_runtime",
         "ComputeRecord": "queue_runtime",

@@ -1,65 +1,32 @@
-"""Virtual GPU cluster plumbing: links, relays, and the kernel pool.
+"""Virtual GPU cluster plumbing: the wire and the kernel pool.
 
-Links model NVLink P2P transfers between GPUs, and both directions reuse
-gradient memory the way the paper's broadcast does:
+A :class:`_Wire` is the one link primitive: a FIFO hop modelling an
+NVLink P2P transfer — payload memory plus a frame queue of ``(sequence
+number, chunk id, CRC32)``, flow-controlled by a bounded
+:class:`~repro.runtime.sync.DeviceSemaphore` (the paper's receive-buffer
+post/wait).  The receiver verifies all three on every take, so dropped,
+reordered or corrupted transfers are *detected*, never consumed.  A
+*zero-copy* wire aliases the sender's gradient buffer: a send publishes
+only a frame and the receiver verifies and reads the chunk in place (a
+P2P read the sanitizer records); the executor aliases every wire the
+compiler's static proof allows, detour relay legs included.  A staging
+wire holds only the chunks it carries, packed back to back.
 
-- an :class:`UpLink` carries partial-sum chunks child -> parent during
-  reduction.  It is *zero-copy*: the child's finished partial already
-  sits in its gradient buffer, so ``send`` publishes only a frame and
-  the parent reads the chunk in place — a P2P read of the child's
-  memory — flow-controlled by a bounded
-  :class:`~repro.runtime.sync.DeviceSemaphore` (the receive-buffer
-  management the paper builds post/wait for);
-- a :class:`DownLink` carries fully reduced chunks parent -> child during
-  broadcast, written *directly into the child's gradient buffer* (the
-  paper reuses the gradient memory address as the gradient queue) — a
-  P2P write into the child's memory.
-
-The in-place read is safe because the only later write to that chunk of
-the child's buffer is the broadcast delivery of the reduced chunk, which
-happens-after the parent consumed the partial: the parent accumulates
-it, sends its own partial up (or posts ``reduced`` at the root), the
-root reduces, and only then is the chunk broadcast back down.
-
-A link whose endpoints share no physical NVLink is built with a
-``relay_via`` GPU, and a *forwarding kernel* (its own persistent thread,
-as in the paper's static detour routing) verifies each chunk and passes
-it on in order.  A relay forwards without staging: going up, both hops
-alias the child's gradient buffer, so the relay verifies the partial in
-place and republishes its frame, and the parent accumulates from the
-child's memory as on a direct uplink; going down, the first hop aliases
-the parent's buffer — its reduced chunk is final once sent — and the
-relay verifies it there and copies it once into the child's buffer.
-
-Every hop is a :class:`_Wire`: payload memory plus a frame queue carrying
-``(sequence number, chunk id, CRC32)`` metadata.  The receiver verifies
-all three on every take, so dropped, reordered, or corrupted transfers
-are *detected*, not silently consumed.  A checksum is computed once per
-payload and travels with it: a relay, or a broadcast parent, forwards
-the checksum it verified instead of recomputing it, so damage at any
-hop is still caught at the next.  Fault injection plugs in at ``send``
-via a :class:`~repro.runtime.faults.LinkInjector`; injected drops and
-corruptions are recovered by bounded link-layer retransmission (retry +
-linear backoff) unless the fault plan disables recovery.  An unrecovered
-corrupt frame on a zero-copy hop lands in the link's fault slot for that
-frame, never in the sender's memory.
-
-No tree-runtime wire owns link memory: every hop aliases a gradient
-buffer.  Receivers that consume a payload immediately verify it *in
-place* and read it through :meth:`_Wire.take_view` — reduce kernels
-accumulate straight from the child's buffer, relays forward from the
-sender's — and senders hand the wire a view of the gradient buffer, so
-a collective allocates no per-kernel scratch.  A staging wire (the plan
-interpreter's, where a schedule rewrites a sent chunk before it is
-consumed) holds only the chunks it carries, packed back to back.
+A checksum travels with its payload — relays and broadcast parents
+forward the one they verified — so damage at any hop is caught at the
+next.  Fault injection plugs in at send via a
+:class:`~repro.runtime.faults.LinkInjector`; drops and corruptions are
+recovered by bounded retransmission unless the fault plan disables it,
+and an unrecovered corrupt frame on a zero-copy wire lands in the
+wire's fault slot, never in the sender's memory.
 
 The :class:`KernelPool` runs persistent-kernel bodies as threads and
-implements the fail-fast protocol: the first kernel failure triggers the
-cluster :class:`~repro.runtime.sync.AbortCell`, the join loop collapses
-its deadline to a short grace period once it sees the flag, and the pool
-re-raises a single :class:`~repro.errors.AbortedError` carrying the one
-diagnostic dump, after recording on the cell any kernel thread still
-alive so a drain can join exactly those.
+fails fast: the first kernel failure triggers the cluster
+:class:`~repro.runtime.sync.AbortCell`, the join loop collapses its
+deadline to a short grace once it sees the flag, and the pool re-raises
+one :class:`~repro.errors.AbortedError` carrying the diagnostic dump,
+after recording on the cell any kernel thread still alive so a drain
+can join exactly those.
 """
 
 from __future__ import annotations
@@ -74,7 +41,6 @@ import numpy as np
 
 from repro.errors import (
     AbortedError,
-    ConfigError,
     LinkFaultError,
     RuntimeClusterError,
 )
@@ -221,8 +187,7 @@ class _Wire:
         return a view of its slot.
 
         The view is valid until the slot is written again, so callers
-        consume it before their next receive on this wire (a
-        tree-runtime wire delivers each slot once per run).
+        consume it before their next receive on this wire.
 
         Raises:
             LinkFaultError: on out-of-sequence delivery, a chunk-id
@@ -240,8 +205,8 @@ class _Wire:
         """Receiver side: like :meth:`take_view`, returning a verified
         copy.
 
-        The returned array is caller-owned: an interpreter relay on a
-        staging wire stashes it across ops, during which the wire may
+        The returned array is caller-owned: a relay on a staging wire
+        stashes it across ops, during which the wire may
         deliver the same chunk again, so ``take`` keeps copy semantics.
         Receivers that consume the payload immediately, and relays on a
         wire that aliases the sender's memory, use :meth:`take_view` or
@@ -278,12 +243,12 @@ def _transmit(
     injector: LinkInjector | None,
     abort: AbortCell | None,
     checksum: int | None = None,
-) -> None:
+) -> int:
     """Link-layer send: fault injection + bounded retransmission.
 
     ``checksum`` is the payload's CRC32 when the caller already holds
     it (a broadcast parent forwarding the checksum it verified); it is
-    computed here otherwise.
+    computed here otherwise.  Returns the checksum the frame carries.
 
     A dropped frame never reaches the wire; a corrupted frame is caught
     by the link-layer CRC (emulated sender-side — a real reliable link
@@ -296,7 +261,7 @@ def _transmit(
         checksum = payload_checksum(values)
     if injector is None:
         wire.deliver(chunk, values, checksum)
-        return
+        return checksum
     attempts = 0
     while True:
         if abort is not None:
@@ -308,14 +273,14 @@ def _transmit(
         fate = injector.next_fate()
         if fate == "ok":
             wire.deliver(chunk, values, checksum)
-            return
+            return checksum
         if fate == "corrupt":
             injector.stats.bump("corruptions")
             if not injector.recover:
                 # Deliver the damage with the original checksum: the
                 # receiver's CRC check is what detects it.
                 wire.deliver_damaged(chunk, injector.corrupt(values), checksum)
-                return
+                return checksum
         else:
             injector.stats.bump("drops")
             if not injector.recover:
@@ -331,165 +296,6 @@ def _transmit(
             )
         injector.stats.bump("retransmissions")
         time.sleep(injector.backoff * attempts)
-
-
-class UpLink:
-    """Reduction-direction link (child -> parent), with optional relay.
-
-    Zero-copy: a direct uplink's wire aliases the child's
-    :class:`GradientBuffer`, so ``send`` publishes ``(seq, chunk id,
-    CRC32)`` for the partial sum already sitting in the child's chunk and
-    the parent verifies and accumulates it in place (a read of the
-    child's memory, as the sanitizer records it).  The child must not
-    write the chunk again before the parent consumed it; in the tree
-    runtime the next write is the broadcast delivery of the reduced
-    chunk, which happens-after that consumption.
-
-    A detoured uplink stages nothing: both hops alias the child's
-    buffer, so the relay verifies the chunk in place and republishes the
-    checksum it verified, and the parent accumulates from the child's
-    memory.  The same broadcast-after-consumption order makes this safe.
-
-    ``injector``, when given, applies the fault plan (jitter, drops,
-    corruption) to every send; recovery is handled at the link layer so
-    the kernels above never see an injected fault unless it exceeds the
-    retransmission budget.
-    """
-
-    def __init__(
-        self,
-        layout: ChunkLayout,
-        child_buffer: GradientBuffer,
-        *,
-        capacity: int,
-        spin: SpinConfig,
-        name: str,
-        chunks: Sequence[int],
-        relay_via: int | None = None,
-        injector: LinkInjector | None = None,
-    ):
-        self.name = name
-        self.relay_via = relay_via
-        self._injector = injector
-        self._abort = spin.abort
-
-        def hop(suffix: str) -> _Wire:
-            return _Wire(
-                layout, capacity=capacity, spin=spin, name=name + suffix,
-                chunks=chunks, buffer=child_buffer.data,
-                owner_buffer=child_buffer, zero_copy=True,
-            )
-
-        self._wire = hop(".up")
-        if relay_via is not None:
-            self._mid_wire = hop(".up.mid")
-
-    def send(self, chunk: int, values: np.ndarray) -> None:
-        """Child side: publish its partial sum for ``chunk``; ``values``
-        is the chunk's view of the child's gradient buffer."""
-        wire = self._mid_wire if self.relay_via is not None else self._wire
-        _transmit(wire, chunk, values, self._injector, self._abort)
-
-    def recv_view(self, chunk: int) -> np.ndarray:
-        """Parent side: the verified payload as a view of the child's
-        chunk (see :meth:`_Wire.take_view`); consume it before the next
-        receive."""
-        return self._wire.take_view(chunk)
-
-    def relay_kernel(self, chunks: Sequence[int]) -> Callable[[], None]:
-        """Forwarding kernel body for the intermediate GPU (chunk order)."""
-        if self.relay_via is None:
-            raise RuntimeClusterError("relay kernel on a direct link")
-        return _relay_kernel(self._mid_wire, self._wire, chunks)
-
-
-class DownLink:
-    """Broadcast-direction link (parent -> child), with optional relay.
-
-    Writes land directly in the child's gradient buffer; the semaphore
-    tells the child's broadcast kernel a chunk arrived.
-
-    A detoured downlink's first hop aliases ``parent_buffer``: the
-    parent's reduced chunk is final once sent, so the relay verifies it
-    in the parent's memory and copies it once into the child's buffer.
-
-    Raises:
-        ConfigError: ``relay_via`` is set without a ``parent_buffer``.
-    """
-
-    def __init__(
-        self,
-        layout: ChunkLayout,
-        child_buffer: GradientBuffer,
-        *,
-        capacity: int,
-        spin: SpinConfig,
-        name: str,
-        chunks: Sequence[int],
-        parent_buffer: GradientBuffer | None = None,
-        relay_via: int | None = None,
-        injector: LinkInjector | None = None,
-    ):
-        self.name = name
-        self.relay_via = relay_via
-        self._injector = injector
-        self._abort = spin.abort
-        self._wire = _Wire(
-            layout,
-            capacity=capacity,
-            spin=spin,
-            name=f"{name}.down",
-            chunks=chunks,
-            buffer=child_buffer.data,
-            owner_buffer=child_buffer,
-        )
-        if relay_via is not None:
-            if parent_buffer is None:
-                raise ConfigError(
-                    f"downlink {name!r} relays via gpu {relay_via} but "
-                    "has no parent buffer to forward from"
-                )
-            self._mid_wire = _Wire(
-                layout, capacity=capacity, spin=spin,
-                name=f"{name}.down.mid", chunks=chunks,
-                buffer=parent_buffer.data, owner_buffer=parent_buffer,
-                zero_copy=True,
-            )
-
-    def send(self, chunk: int, values: np.ndarray, checksum: int) -> None:
-        """Parent side: deliver the fully reduced ``chunk`` under the
-        payload's ``checksum`` (computed once at the root, then forwarded
-        as verified, so one CRC serves every child)."""
-        wire = self._mid_wire if self.relay_via is not None else self._wire
-        _transmit(wire, chunk, values, self._injector, self._abort, checksum)
-
-    def recv_wait(self, chunk: int) -> int:
-        """Child side: block until ``chunk`` arrived (in order), verified
-        against the frame checksum in the gradient buffer itself; returns
-        that checksum for forwarding to the child's own children."""
-        return self._wire.take_frame(chunk)[1]
-
-    def relay_kernel(self, chunks: Sequence[int]) -> Callable[[], None]:
-        """Forwarding kernel body for the intermediate GPU (chunk order)."""
-        if self.relay_via is None:
-            raise RuntimeClusterError("relay kernel on a direct link")
-        return _relay_kernel(self._mid_wire, self._wire, chunks)
-
-
-def _relay_kernel(
-    inbound: _Wire, outbound: _Wire, chunks: Sequence[int]
-) -> Callable[[], None]:
-    """Static detour forwarding: each chunk is verified in the sender's
-    memory and passed on under the checksum it was verified against —
-    republished in place when the outbound wire aliases the same
-    memory, copied onward otherwise."""
-
-    def kernel() -> None:
-        for chunk in chunks:
-            view, checksum = inbound.take_frame(chunk)
-            outbound.deliver(chunk, view, checksum)
-
-    return kernel
 
 
 #: Seconds between the pool's join-loop checks of the abort flag.

@@ -111,7 +111,9 @@ class LinkFault:
 
     Attributes:
         match: substring of the link tag this fault applies to (empty
-            matches every link; tags look like ``"up t0 2->3"``).
+            matches every link).  Wire tags look like ``"plan reduce
+            t0 2->3"``; a tree edge's wires also answer to ``"up t0
+            2->3"`` / ``"down t0 3->2"``, relay legs included.
         delay: max uniform jitter (seconds) added per send attempt.
         drop_prob: probability a frame is lost in transit.
         corrupt_prob: probability a frame arrives with damaged payload.
@@ -260,9 +262,15 @@ class FaultPlan:
             raise ConfigError("chaos_delay must be non-negative")
         return FaultPlan(link_faults=(LinkFault(delay=delay),), seed=seed)
 
-    def link_injector(self, tag: str) -> "LinkInjector | None":
-        """Injector for the link named ``tag`` (None when unaffected)."""
-        matching = [f for f in self.link_faults if f.applies_to(tag)]
+    def link_injector(
+        self, tag: str, *aliases: str | None
+    ) -> "LinkInjector | None":
+        """Injector for the link named ``tag`` or ``aliases`` (None when
+        unaffected); its draws are seeded from ``tag`` alone."""
+        names = [name for name in (tag, *aliases) if name]
+        matching = [
+            f for f in self.link_faults if any(map(f.applies_to, names))
+        ]
         if not matching:
             return None
         return LinkInjector(
@@ -466,16 +474,13 @@ def apply_gpu_fault(
     pos: int,
     board: PhaseBoard,
     abort: "AbortCell",
-    *,
-    where: str = "reduce",
 ) -> None:
     """Fire ``gpu``'s injected fault at reduce chunk position ``pos``.
 
     Crash/stuck faults fire once, on tree 0 at ``after_chunk``; a
-    straggler sleeps before every chunk on every tree.  ``where`` names
-    the phase in the crash message (``"plan reduce"`` for the plan
-    interpreter).  The sticky ``crashed`` / ``stuck`` board stamps are
-    what :func:`~repro.runtime.elastic.detect_dead_gpus` reads.
+    straggler sleeps before every chunk on every tree.  The sticky
+    ``crashed`` / ``stuck`` board stamps are what
+    :func:`~repro.runtime.elastic.detect_dead_gpus` reads.
     """
     if plan is None:
         return
@@ -491,7 +496,7 @@ def apply_gpu_fault(
         plan.stats.bump("crashes")
         board.set(gpu, f"crashed in reduce t{tree} at chunk {pos}")
         raise RuntimeClusterError(
-            f"injected crash on gpu {gpu} ({where} t{tree}, chunk {pos})"
+            f"injected crash on gpu {gpu} (plan reduce t{tree}, chunk {pos})"
         )
     if fault.kind == STUCK:
         # Stop posting without dying: peers spin until the first one

@@ -206,7 +206,7 @@ class GradientBuffer:
         """View of one chunk's elements (a traced kernel-side read).
 
         The send path: a link copies the payload onto its wire
-        synchronously, or (a zero-copy uplink) publishes the chunk for
+        synchronously, or (a zero-copy wire) publishes the chunk for
         the receiver to read in place, so senders hand it this view
         instead of a copy.  The caller must not hold the view across a
         write to the chunk.

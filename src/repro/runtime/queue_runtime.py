@@ -7,7 +7,8 @@ semaphore against the layer-chunk table (paper Fig. 9) — then applies the
 parameter update using the *reduced* gradients and "computes" the layer.
 Because the check consumes nothing and the layer index counter only
 advances, forward order is strictly increasing by construction, and a
-dequeue can never observe a chunk that has not been enqueued.
+dequeue can never observe a chunk that has not been enqueued.  The
+producer is the executor's enqueue hook (in position order: ``PLAN013``).
 """
 
 from __future__ import annotations
@@ -135,10 +136,9 @@ class ChainedTrainingRuntime:
             ]
         if len(weights) != nnodes:
             raise ConfigError(f"expected {nnodes} weight arrays")
-        sems = self.runtime.make_enqueue_sems()
         logs: dict[int, list[ComputeRecord]] = {g: [] for g in range(nnodes)}
 
-        def factory(buffers: list[GradientBuffer]):
+        def factory(buffers: list[GradientBuffer], sems: dict):
             return [
                 (
                     f"compute g{gpu}",
@@ -150,8 +150,7 @@ class ChainedTrainingRuntime:
             ]
 
         report = self.runtime.run(
-            grads, kernel_factory=factory, enqueue_sems=sems,
-            in_place=in_place,
+            grads, kernel_factory=factory, in_place=in_place
         )
         return ChainedRunResult(report=report, compute_log=logs, weights=weights)
 

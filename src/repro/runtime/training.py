@@ -73,12 +73,13 @@ def tree_reduce_order(
 ) -> Callable[[list[np.ndarray]], np.ndarray]:
     """Summation in the exact order the tree runtime reduces.
 
-    The reduce kernel at each node starts from its own gradient and
-    accumulates each child's fully reduced partial in ``children`` order,
-    bottom-up; the root's value is broadcast unchanged.  Replaying that
-    order here makes :func:`serial_reference` bit-identical to the
-    distributed run — the comparison the accuracy-neutrality (and
-    fault-recovery) tests rely on.
+    An oracle independent of the runtime's program: each node starts
+    from its own gradient and accumulates each child's fully reduced
+    partial in ``children`` order, bottom-up; the root's value is
+    broadcast unchanged.  Replaying that order here makes
+    :func:`serial_reference` bit-identical to the distributed run — the
+    comparison the accuracy-neutrality (and fault-recovery) tests rely
+    on.
     """
 
     def reduce(grads: list[np.ndarray]) -> np.ndarray:

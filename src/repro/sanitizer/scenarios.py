@@ -2,15 +2,17 @@
 
 Two families:
 
-- **healthy** scenarios run each shipped runtime (tree, detoured double
-  tree, non-overlapped baseline, ring, halving-doubling, queue-chained
-  training, the plan interpreter, a fault-injected abort, and the
-  recovery re-embed drill) under the tracer and expect a *clean* report
-  — the zero-false-positive half of the sanitizer's contract;
+- **healthy** scenarios run each shipped collective on the one engine
+  (tree, detoured double tree, non-overlapped baseline, ring,
+  halving-doubling, queue-chained training, an interpreted plan, a
+  fault-injected abort, and the recovery re-embed drill) under the
+  tracer and expect a *clean* report — the zero-false-positive half of
+  the sanitizer's contract;
 - **seeded** scenarios run deliberately broken kernels (a dropped post,
   an unlock hoisted above the write it guards, overlapping unsynced
   writes, a semaphore wait cycle, a chunk rewritten while a zero-copy
-  uplink — direct or detoured — still carries it) and expect the
+  wire — direct or a detour's relay leg — still carries it) and expect
+  the
   *exact* diagnostic — the true-positive half.
 
 ``repro sanitize run --all`` and the seeded regression tests both drive
@@ -165,60 +167,42 @@ def _assert_summed(outputs, expected: np.ndarray) -> None:
 # -- healthy scenarios ----------------------------------------------------
 
 
+def _tree_allreduce(trees, elems: int, **kwargs) -> None:
+    """One 8-GPU tree AllReduce at K = 4, checked against the sum."""
+    from repro.runtime.allreduce import TreeAllReduceRuntime
+
+    runtime = TreeAllReduceRuntime(
+        trees, total_elems=elems, chunks_per_tree=4, spin=_spin(), **kwargs
+    )
+    inputs = _inputs(8, elems)
+    _assert_summed(runtime.run(inputs).outputs, sum(inputs))
+
+
 @_scenario("tree", seeded=False, expect=Expectation("clean"))
 def _run_tree(elems: int) -> None:
     """Single balanced binary tree, 8 GPUs, pipelined chunks."""
-    from repro.runtime.allreduce import TreeAllReduceRuntime
     from repro.topology.logical import balanced_binary_tree
 
-    runtime = TreeAllReduceRuntime(
-        (balanced_binary_tree(8),),
-        total_elems=elems,
-        chunks_per_tree=4,
-        spin=_spin(),
-    )
-    inputs = _inputs(8, elems)
-    expected = sum(inputs)
-    _assert_summed(runtime.run(inputs).outputs, expected)
+    _tree_allreduce((balanced_binary_tree(8),), elems)
 
 
 @_scenario("double_tree", seeded=False, expect=Expectation("clean"))
 def _run_double_tree(elems: int) -> None:
-    """Double tree with a detoured edge (relay kernels included)."""
-    from repro.runtime.allreduce import TreeAllReduceRuntime
+    """Double tree with a detoured edge (relay thread blocks included)."""
     from repro.topology.logical import two_trees
 
     trees = two_trees(8)
     child, parent = trees[0].up_edges()[0]
     via = min(set(range(8)) - {child, parent})
-    runtime = TreeAllReduceRuntime(
-        trees,
-        total_elems=elems,
-        chunks_per_tree=4,
-        detour_map={(child, parent): via},
-        spin=_spin(),
-    )
-    inputs = _inputs(8, elems)
-    expected = sum(inputs)
-    _assert_summed(runtime.run(inputs).outputs, expected)
+    _tree_allreduce(trees, elems, detour_map={(child, parent): via})
 
 
 @_scenario("double_tree_baseline", seeded=False, expect=Expectation("clean"))
 def _run_double_tree_baseline(elems: int) -> None:
     """Double tree with separated (non-overlapped) phases."""
-    from repro.runtime.allreduce import TreeAllReduceRuntime
     from repro.topology.logical import two_trees
 
-    runtime = TreeAllReduceRuntime(
-        two_trees(8),
-        total_elems=elems,
-        chunks_per_tree=4,
-        overlapped=False,
-        spin=_spin(),
-    )
-    inputs = _inputs(8, elems)
-    expected = sum(inputs)
-    _assert_summed(runtime.run(inputs).outputs, expected)
+    _tree_allreduce(two_trees(8), elems, overlapped=False)
 
 
 @_scenario("ring", seeded=False, expect=Expectation("clean"))
@@ -452,21 +436,15 @@ def _run_overlapping_writes(elems: int) -> None:
     pool.run()
 
 
-@_scenario(
-    "seeded_zero_copy_rewrite",
-    seeded=True,
-    expect=Expectation(
-        "race", chunk=0, mentions=("reduce t0 g1", "reduce t0 g0")
-    ),
-)
-def _run_zero_copy_rewrite(elems: int) -> None:
+def _rewrite_after_publish(elems: int, *, relay: bool) -> None:
     """A child reduce kernel writes its chunk again after publishing it
-    on a zero-copy uplink: the parent's in-place read races that write,
-    and without a tracer the parent's CRC catches the changed bytes."""
+    on a zero-copy wire — a direct one, or a detour's first relay leg.
+    The next reader's in-place read races that write; without a tracer,
+    that reader's CRC catches the changed bytes."""
     import threading
 
     from repro.errors import LinkFaultError
-    from repro.runtime.cluster import KernelPool, UpLink
+    from repro.runtime.cluster import KernelPool, _transmit, _Wire
     from repro.runtime.memory import ChunkLayout, GradientBuffer
     from repro.runtime.sync import AbortCell
 
@@ -475,27 +453,43 @@ def _run_zero_copy_rewrite(elems: int) -> None:
     child = GradientBuffer(child_data, layout, owner=1)
     parent = GradientBuffer(parent_data, layout, owner=0)
     abort = AbortCell()
-    uplink = UpLink(
-        layout, child, capacity=4, spin=replace(_spin(), abort=abort),
-        name="t0:1->0", chunks=range(4),
-    )
-    # Orders the parent's receive after the rewrite without an edge the
-    # tracer can see, so the CRC outcome is deterministic while the
-    # missing happens-before edge stays the bug under test.
+
+    def leg(name: str) -> _Wire:
+        # Every leg aliases the flow source's (the child's) buffer.
+        return _Wire(
+            layout, capacity=4, spin=replace(_spin(), abort=abort),
+            name=name, chunks=range(4), buffer=child.data,
+            owner_buffer=child, zero_copy=True,
+        )
+
+    first = leg("plan reduce t0 1->2 flow 1->0" if relay
+                else "plan reduce t0 1->0")
+    last = leg("plan reduce t0 2->0 flow 1->0") if relay else first
+    # Orders the reader after the rewrite without an edge the tracer can
+    # see, so the CRC outcome is deterministic while the missing
+    # happens-before edge stays the bug under test.
     rewritten = threading.Event()  # sync-lint: allow(raw-threading)
 
     def child_kernel() -> None:
-        uplink.send(0, child.read_view(0))
-        # BUG: the parent has not consumed the published partial yet.
+        _transmit(first, 0, child.read_view(0), None, abort)
+        # BUG: nobody has read the published partial yet.
         child.accumulate(0, np.ones(layout.chunk_elems(0)))
         rewritten.set()
 
-    def parent_kernel() -> None:
+    def relay_kernel() -> None:
         rewritten.wait(timeout=10.0)
-        parent.accumulate(0, uplink.recv_view(0))
+        view, checksum = first.take_frame(0)
+        _transmit(last, 0, view, None, abort, checksum)
+
+    def parent_kernel() -> None:
+        if not relay:
+            rewritten.wait(timeout=10.0)
+        parent.accumulate(0, last.take_view(0))
 
     pool = KernelPool(join_timeout=10.0, abort=abort)
     pool.add("reduce t0 g1", child_kernel)
+    if relay:
+        pool.add("relay-up t0 1->2->0", relay_kernel)
     pool.add("reduce t0 g0", parent_kernel)
     try:
         pool.run()
@@ -503,7 +497,20 @@ def _run_zero_copy_rewrite(elems: int) -> None:
         if isinstance(exc.__cause__, LinkFaultError):
             return
         raise
-    raise AssertionError("the parent's CRC missed the rewritten chunk")
+    raise AssertionError("the CRC missed the rewritten chunk")
+
+
+@_scenario(
+    "seeded_zero_copy_rewrite",
+    seeded=True,
+    expect=Expectation(
+        "race", chunk=0, mentions=("reduce t0 g1", "reduce t0 g0")
+    ),
+)
+def _run_zero_copy_rewrite(elems: int) -> None:
+    """A child rewrites its chunk after publishing it on a zero-copy
+    wire: the parent's in-place read races the write."""
+    _rewrite_after_publish(elems, relay=False)
 
 
 @_scenario(
@@ -514,55 +521,9 @@ def _run_zero_copy_rewrite(elems: int) -> None:
     ),
 )
 def _run_relay_rewrite(elems: int) -> None:
-    """A child reduce kernel writes its chunk again after publishing it
-    on a detoured uplink: the relay's in-place read of the child's
-    memory races that write, and without a tracer the relay's CRC
-    catches the changed bytes."""
-    import threading
-
-    from repro.errors import LinkFaultError
-    from repro.runtime.cluster import KernelPool, UpLink
-    from repro.runtime.memory import ChunkLayout, GradientBuffer
-    from repro.runtime.sync import AbortCell
-
-    layout = ChunkLayout.split(max(elems, 8), ntrees=1, chunks_per_tree=4)
-    child_data, parent_data = _inputs(2, layout.total_elems)
-    child = GradientBuffer(child_data, layout, owner=1)
-    parent = GradientBuffer(parent_data, layout, owner=0)
-    abort = AbortCell()
-    uplink = UpLink(
-        layout, child, capacity=4, spin=replace(_spin(), abort=abort),
-        name="t0:1->0", chunks=range(4), relay_via=2,
-    )
-    forward = uplink.relay_kernel((0,))
-    # Orders the relay's verification after the rewrite without an edge
-    # the tracer can see (as in seeded_zero_copy_rewrite).
-    rewritten = threading.Event()  # sync-lint: allow(raw-threading)
-
-    def child_kernel() -> None:
-        uplink.send(0, child.read_view(0))
-        # BUG: neither the relay nor the parent has read the partial yet.
-        child.accumulate(0, np.ones(layout.chunk_elems(0)))
-        rewritten.set()
-
-    def relay_kernel() -> None:
-        rewritten.wait(timeout=10.0)
-        forward()
-
-    def parent_kernel() -> None:
-        parent.accumulate(0, uplink.recv_view(0))
-
-    pool = KernelPool(join_timeout=10.0, abort=abort)
-    pool.add("reduce t0 g1", child_kernel)
-    pool.add("relay-up t0 1->2->0", relay_kernel)
-    pool.add("reduce t0 g0", parent_kernel)
-    try:
-        pool.run()
-    except AbortedError as exc:
-        if isinstance(exc.__cause__, LinkFaultError):
-            return
-        raise
-    raise AssertionError("the relay's CRC missed the rewritten chunk")
+    """A child rewrites its chunk after publishing it on a detour: the
+    relay's in-place read of the child's memory races the write."""
+    _rewrite_after_publish(elems, relay=True)
 
 
 @_scenario(

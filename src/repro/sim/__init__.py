@@ -21,7 +21,6 @@ __all__ = [
     "Dag",
     "Label",
     "Op",
-    "Phase",
     "DagSimulator",
     "SimResult",
     "Channel",
@@ -43,7 +42,6 @@ __getattr__, __dir__ = lazy_exports(
         "Dag": "dag",
         "Label": "dag",
         "Op": "dag",
-        "Phase": "dag",
         "DagSimulator": "engine",
         "SimResult": "engine",
         "Channel": "resources",

@@ -26,24 +26,8 @@ from itertools import accumulate, islice
 from operator import lt, sub
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
+from repro.codes import PHASE_CODE, PHASES, Phase
 from repro.errors import ScheduleError
-
-
-class Phase(enum.Enum):
-    """Which phase of a collective (or of training) an op belongs to."""
-
-    REDUCE = "reduce"
-    BROADCAST = "broadcast"
-    REDUCE_SCATTER = "reduce_scatter"
-    ALL_GATHER = "all_gather"
-    FORWARD = "forward"
-    BACKWARD = "backward"
-    OTHER = "other"
-
-
-#: Phase code (the ``phase_code`` column) -> phase.
-PHASES: tuple[Phase, ...] = tuple(Phase)
-PHASE_CODE = {phase: code for code, phase in enumerate(PHASES)}
 
 
 class Label(enum.IntEnum):

@@ -13,7 +13,9 @@ Three layers (the top open ROADMAP item):
 - :mod:`repro.synth.tune` — the plan-IR autotuner: sweep algorithm
   choice x pipeline chunk factor x chunking per message size, score
   with ``simulate_plan``, pick per-size winners NCCL byte-threshold
-  style.
+  style.  Its entry point is ``repro.synth.tune.tune``; the package
+  does not re-export it, so importing :mod:`repro.synth` (or
+  :mod:`repro.synth.fallback`) loads no autotuner.
 - :mod:`repro.synth.store` — deterministic JSON cache of tuned winners
   keyed by (topology fingerprint, message size).
 
@@ -24,11 +26,6 @@ generates the seeded random fabrics the nightly soak chews through.
 """
 
 from repro._lazy import lazy_exports
-
-# Imported eagerly: this function shares its name with the submodule that
-# defines it, and importing the submodule binds the module to that name
-# here (see repro._lazy).
-from repro.synth.tune import tune
 
 __all__ = [
     "SynthCandidate",
@@ -42,7 +39,6 @@ __all__ = [
     "SweepEntry",
     "TuneResult",
     "format_tune_table",
-    "tune",
     "PlanStore",
     "StoredPlan",
     "topology_fingerprint",

@@ -23,6 +23,12 @@ class TestCompare:
         with pytest.raises(SystemExit):
             main(["compare", "--network", "lenet-9000"])
 
+    @pytest.mark.parametrize("batch", ["0", "-4"])
+    def test_non_positive_batch_clean_error(self, capsys, batch):
+        assert main(["compare", "--network", "zfnet", "--batch", batch]) == 2
+        err = capsys.readouterr().err
+        assert "repro compare: error: batch must be >= 1" in err
+
 
 class TestInfo:
     def test_info_lists_networks(self, capsys):
@@ -39,6 +45,12 @@ class TestAutotune:
         out = capsys.readouterr().out
         assert "best strategy" in out
         assert "speedup over baseline" in out
+
+    @pytest.mark.parametrize("batch", ["0", "-4"])
+    def test_non_positive_batch_clean_error(self, capsys, batch):
+        assert main(["autotune", "--network", "zfnet", "--batch", batch]) == 2
+        err = capsys.readouterr().err
+        assert "repro autotune: error: batch must be >= 1" in err
 
 
 class TestFigures:

@@ -95,6 +95,41 @@ class TestImportBudget:
         hits = [m for m in loaded if any(under(m, f) for f in forbidden)]
         assert hits == []
 
+    def test_shipped_program_runs_without_the_compiler(self):
+        """Building the tree runtime for a shipped configuration and
+        running one AllReduce loads no compiler, simulator, analyzer,
+        synthesizer or router."""
+        loaded = loaded_modules(
+            "import numpy as np\n"
+            "from repro.runtime import TreeAllReduceRuntime\n"
+            "from repro.topology.dgx1_trees import DETOURED_EDGES, "
+            "dgx1_trees\n"
+            "runtime = TreeAllReduceRuntime(dgx1_trees(), total_elems=64, "
+            "chunks_per_tree=8, detour_map=DETOURED_EDGES)\n"
+            "runtime.run([np.ones(64)] * 8)"
+        )
+        assert "repro.runtime.executor" in loaded
+        forbidden = (
+            "repro.plan",
+            "repro.sim",
+            "repro.analyze",
+            "repro.synth",
+            "repro.topology.routing",
+        )
+        hits = [m for m in loaded if any(under(m, f) for f in forbidden)]
+        assert hits == []
+
+    def test_synth_fallback_loads_no_autotuner(self):
+        loaded = loaded_modules("import repro.synth.fallback")
+        assert "repro.synth.fallback" in loaded
+        forbidden = (
+            "repro.synth.tune",
+            "repro.analyze.contention",
+            "repro.experiments",
+            "repro.experiments.report",
+        )
+        assert [m for m in loaded if m in forbidden] == []
+
     def test_pipeline_loads_no_runtime_and_no_sibling_tools(self):
         loaded = loaded_modules(
             "from repro.core.pipeline import IterationPipeline"
@@ -148,7 +183,6 @@ class TestImportBudget:
 
 #: Functions exported under the name of the submodule that defines them.
 SHADOWED = (
-    ("repro.synth", "tune"),
     ("repro.topology", "dgx1_trees"),
 )
 

@@ -225,16 +225,16 @@ class TestInterpretedSegmentFaults:
     @staticmethod
     def count_proofs(monkeypatch) -> list:
         """One entry per ``prove_send_aliasing`` call from now on."""
-        import repro.plan.interpreter as interpreter_mod
+        import repro.plan.compiler as compiler_mod
 
         calls = []
-        prove = interpreter_mod.prove_send_aliasing
+        prove = compiler_mod.prove_send_aliasing
 
         def counting(*args, **kwargs):
             calls.append(1)
             return prove(*args, **kwargs)
 
-        monkeypatch.setattr(interpreter_mod, "prove_send_aliasing", counting)
+        monkeypatch.setattr(compiler_mod, "prove_send_aliasing", counting)
         return calls
 
     def test_one_interpreter_and_aliasing_proof_per_segment(

@@ -6,6 +6,7 @@ consumer reads it, and only those wires stage."""
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -174,7 +175,8 @@ class TestStagedBytes:
         }
         interp = PlanInterpreter(plan, total_elems=ELEMS)
         staged_wires: dict[tuple, set[int]] = {}
-        for key, send_ids in interp._wire_sends.items():
+        wires = verify_plan(plan, raise_on_error=False).pairing.wires
+        for key, (send_ids, _) in wires.items():
             if rejected.intersection(send_ids):
                 staged_wires[key] = {
                     c for s in send_ids for c in plan.op(s).chunks_carried()
@@ -223,7 +225,9 @@ def test_forcing_the_rejected_plan_to_alias_is_a_race(rng):
     from repro.sanitizer.tracer import tracing
 
     interp = PlanInterpreter(rewrite_plan(), total_elems=ELEMS)
-    interp._aliased = frozenset(interp._wire_sends)
+    interp.program = replace(
+        interp.program, aliased=frozenset(range(len(interp.program.wires)))
+    )
     with tracing() as traced:
         try:
             interp.run(_inputs(2, rng))

@@ -8,9 +8,12 @@ import pytest
 
 from repro.errors import PlanVerificationError
 from repro.plan import (
+    RECV,
     REDUCE,
     SEND,
+    Plan,
     build_double_tree_plan,
+    build_plan,
     build_tree_plan,
     compile_plan,
     match_wires,
@@ -336,3 +339,51 @@ class TestNonFinitePayload:
         assert all("non-finite payload" in e for e in report.errors)
         assert cli_main(["plan", "verify", str(path)]) == 1
         assert "verdict: FAIL" in capsys.readouterr().out
+
+
+def two_chunk_tree(*, broadcast_order=(0, 1)):
+    """Rank 1 reduces two chunks into root 0, which broadcasts them back
+    in ``broadcast_order`` on one wire."""
+    plan = Plan(
+        algorithm="enqueue_order",
+        nnodes=2,
+        nbytes=16.0,
+        chunk_sizes=(8.0, 8.0),
+        chunk_offsets=(0.0, 8.0),
+    )
+    up = dict(nbytes=8.0, tree=0, phase=Phase.REDUCE)
+    down = dict(nbytes=8.0, tree=0, phase=Phase.BROADCAST)
+    plan.add(rank=1, kind=SEND, chunk=0, peer=0, tb="up", **up)
+    plan.add(rank=1, kind=SEND, chunk=1, peer=0, tb="up", **up)
+    reduced = [
+        plan.add(rank=0, kind=REDUCE, chunk=c, peer=1, tb="up", **up)
+        for c in (0, 1)
+    ]
+    for c in broadcast_order:
+        plan.add(
+            rank=0, kind=SEND, chunk=c, peer=1, tb="down",
+            deps=(reduced[c],), **down,
+        )
+    for c in broadcast_order:
+        plan.add(rank=1, kind=RECV, chunk=c, peer=0, tb="down", **down)
+    return plan
+
+
+class TestEnqueueOrder:
+    def test_in_order_finals_are_clean(self):
+        assert verify_plan(two_chunk_tree()).ok
+
+    def test_out_of_order_finals_get_plan013(self):
+        report = verify_plan(
+            two_chunk_tree(broadcast_order=(1, 0)), raise_on_error=False
+        )
+        assert [d.code for d in report.diagnostics] == ["PLAN013"]
+        assert "rank 1: chunk 1 may become final" in report.errors[0]
+
+    @pytest.mark.parametrize(
+        "algorithm", ["ring", "tree", "double_tree", "halving_doubling"]
+    )
+    def test_builtin_plans_keep_the_order(self, algorithm):
+        kwargs = {"nchunks": 8} if "tree" in algorithm else {}
+        report = verify_plan(build_plan(algorithm, 8, 1e6, **kwargs))
+        assert "PLAN013" not in {d.code for d in report.diagnostics}

@@ -39,6 +39,7 @@ from repro.runtime.faults import (
     stable_tag_seed,
 )
 from repro.runtime.cluster import KernelPool
+from repro.runtime.memory import GradientBuffer
 from repro.runtime.queue_runtime import ChainedTrainingRuntime
 from repro.runtime.sync import AbortCell, SpinConfig
 from repro.runtime.training import (
@@ -178,6 +179,30 @@ class TestLinkInjector:
     def test_empty_match_hits_every_link(self):
         plan = FaultPlan(link_faults=(LinkFault(delay=1e-3),))
         assert plan.link_injector("anything at all") is not None
+
+    @pytest.mark.parametrize("match, expected", [
+        ("up t0 2->3", {"plan reduce t0 2->3"}),
+        ("down t1 4->2", {
+            "plan broadcast t1 4->0 flow 4->2",
+            "plan broadcast t1 0->2 flow 4->2",
+        }),
+        ("up t1 2->4", {
+            "plan reduce t1 2->0 flow 2->4", "plan reduce t1 0->4 flow 2->4",
+        }),
+    ])
+    def test_tree_edge_match_selects_the_edges_wires(self, match, expected):
+        """A fault written against a tree edge selects exactly that
+        edge's wires, both legs of a detour included."""
+        runtime = make_runtime(
+            FaultPlan(link_faults=(LinkFault(match=match, delay=1e-3),))
+        )
+        buffers = [
+            GradientBuffer(np.zeros(ELEMS), runtime.layout, owner=g)
+            for g in range(8)
+        ]
+        wires, injectors = runtime._build_wires(runtime.spin, buffers)
+        hit = {w.name for w, inj in zip(wires, injectors) if inj is not None}
+        assert hit == expected
 
     def test_overlapping_faults_compose_by_max(self):
         plan = FaultPlan(
@@ -350,7 +375,6 @@ class TestChecksumForwarding:
     with the bytes, and every receiver still verifies what landed."""
 
     def test_one_crc_per_payload(self, monkeypatch, rng):
-        import repro.runtime.allreduce as allreduce_mod
         import repro.runtime.cluster as cluster_mod
 
         calls = []
@@ -360,7 +384,6 @@ class TestChecksumForwarding:
             return payload_checksum(values)
 
         monkeypatch.setattr(cluster_mod, "payload_checksum", counting)
-        monkeypatch.setattr(allreduce_mod, "payload_checksum", counting)
         k = 8
         runtime = TreeAllReduceRuntime(
             dgx1_trees(),
@@ -384,68 +407,90 @@ class TestChecksumForwarding:
 
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_relay_damage_after_verify_caught_at_next_hop(
-        self, direction, rng
+        self, direction, monkeypatch, rng
     ):
+        """The relay of the detoured DGX-1 edge 2-4 (via GPU 0) forwards
+        the checksum it verified on each chunk, so damage after its
+        verify is caught at the next hop's CRC."""
         from repro.errors import LinkFaultError
-        from repro.runtime.cluster import DownLink, UpLink
-        from repro.runtime.memory import ChunkLayout, GradientBuffer
+        from repro.runtime import executor as executor_mod
+        from repro.runtime.cluster import _Wire
 
-        layout = ChunkLayout.split(ELEMS, ntrees=1, chunks_per_tree=2)
-        child = GradientBuffer(rng.normal(size=ELEMS), layout, owner=1)
-        parent = GradientBuffer(rng.normal(size=ELEMS), layout, owner=0)
-        if direction == "up":
-            link = UpLink(
-                layout, child, capacity=2, spin=FAST, name="t0:0->1",
-                chunks=(0, 1), relay_via=2,
-            )
-        else:
-            link = DownLink(
-                layout, child, capacity=2, spin=FAST, name="t0:0->1",
-                chunks=(0, 1), parent_buffer=parent, relay_via=2,
-            )
-        verified = link._mid_wire.take_frame
+        inbound, outbound = (
+            ("plan reduce t1 2->0 flow 2->4", "plan reduce t1 0->4 flow 2->4")
+            if direction == "up" else
+            ("plan broadcast t1 4->0 flow 4->2",
+             "plan broadcast t1 0->2 flow 4->2")
+        )
+        verified, transmit = _Wire.take_frame, executor_mod._transmit
+        received, forwarded = {}, {}
 
-        def take_then_rot(chunk):
-            view, checksum = verified(chunk)
-            view[0] = np.nextafter(view[0], np.inf)  # damage after verify
+        def recording_take(self, chunk):
+            view, checksum = verified(self, chunk)
+            if self.name == inbound:
+                received[chunk] = checksum
             return view, checksum
 
-        link._mid_wire.take_frame = take_then_rot
-        if direction == "up":
-            link.send(0, child.read_view(0))
-        else:
-            payload = parent.read_view(0)
-            link.send(0, payload, payload_checksum(payload))
-        link.relay_kernel((0,))()
-        receive = link.recv_view if direction == "up" else link.recv_wait
-        with pytest.raises(LinkFaultError, match="checksum mismatch"):
-            receive(0)
+        def recording_transmit(wire, chunk, values, injector, abort,
+                               checksum=None):
+            if wire.name == outbound:
+                forwarded[chunk] = checksum
+            return transmit(wire, chunk, values, injector, abort, checksum)
+
+        monkeypatch.setattr(_Wire, "take_frame", recording_take)
+        monkeypatch.setattr(executor_mod, "_transmit", recording_transmit)
+        runtime = make_runtime()
+        runtime.run(make_inputs(rng))
+        assert sorted(received) == list(runtime.layout.tree_chunks[1])
+        assert forwarded == received
+
+        def take_then_rot(self, chunk):
+            view, checksum = verified(self, chunk)
+            if self.name == inbound:
+                view[0] = np.nextafter(view[0], np.inf)  # after verify
+            return view, checksum
+
+        monkeypatch.setattr(_Wire, "take_frame", take_then_rot)
+        with pytest.raises(AbortedError, match="checksum mismatch") as info:
+            make_runtime().run(make_inputs(rng))
+        cause = info.value.__cause__
+        assert isinstance(cause, LinkFaultError)
+        # The damage lands in the flow source's memory, which the relay
+        # reads in place.  Going down, that is the root's, so its other
+        # child (GPU 7) may catch it first; the forwarded checksums
+        # above pin the relay either way.
+        caught = [outbound]
+        if direction == "down":
+            caught.append("plan broadcast t1 4->7")
+        assert any(name in str(cause) for name in caught), cause
 
     def test_broadcast_damage_after_verify_caught_below(
         self, monkeypatch, rng
     ):
         from repro.errors import LinkFaultError
-        from repro.runtime.cluster import DownLink
+        from repro.runtime.memory import GradientBuffer
 
         tree = dgx1_trees()[0]
         mid = next(
             n for n in tree.nodes if n != tree.root and tree.children[n]
         )
-        verified = DownLink.recv_wait
+        runtime = make_runtime()
+        tree0 = set(runtime.layout.tree_chunks[0])
+        written = GradientBuffer.overwrite
 
-        def recv_then_rot(self, chunk):
-            checksum = verified(self, chunk)
-            if self.name.startswith("t0:") and self.name.endswith(f"->{mid}"):
+        def overwrite_then_rot(self, chunk, values):
+            written(self, chunk, values)
+            if self.owner == mid and chunk in tree0:
                 # The GPU's chunk rots after it verified the delivery; it
-                # forwards the verified checksum, so its children catch it.
-                self._wire._data[self._wire._slot(chunk)][0] += 1.0
-            return checksum
+                # forwards the verified checksum, so its children catch
+                # it.
+                self.data[self.layout.slice_of(chunk)][0] += 1.0
 
-        monkeypatch.setattr(DownLink, "recv_wait", recv_then_rot)
+        monkeypatch.setattr(GradientBuffer, "overwrite", overwrite_then_rot)
         with pytest.raises(AbortedError, match="checksum mismatch") as info:
-            make_runtime().run(make_inputs(rng))
+            runtime.run(make_inputs(rng))
         assert isinstance(info.value.__cause__, LinkFaultError)
-        assert f"t0:{mid}->" in str(info.value.__cause__)
+        assert f"plan broadcast t0 {mid}->" in str(info.value.__cause__)
 
 
 class TestGpuFaults:

@@ -109,9 +109,9 @@ class TestGradientBuffer:
 
 
 class TestRightSizedLinks:
-    """Link memory matches the traffic each link carries: tree links
-    alias gradient buffers, interpreter wires stage only where a
-    schedule forces it."""
+    """Link memory matches the traffic each link carries: the tree
+    runtime's wires alias gradient buffers, and any program's wires
+    stage only where a schedule forces it."""
 
     ELEMS = 100_000
 
@@ -131,51 +131,30 @@ class TestRightSizedLinks:
     def _span_bytes(self, layout, chunks):
         return 8 * sum(layout.chunk_elems(c) for c in set(chunks))
 
-    def _links(self, runtime):
-        """Per-GPU buffers, up/down links and relay kernels, built
+    def _wires(self, runtime):
+        """Per-GPU buffers and the wires, keyed by wire key, built
         exactly as ``run`` builds them."""
         buffers = [
             GradientBuffer(np.zeros(self.ELEMS), runtime.layout, owner=g)
             for g in range(runtime.nnodes)
         ]
-        uplinks, downlinks, relays = runtime._build_links(
-            buffers, runtime.spin
-        )
-        return buffers, uplinks, downlinks, relays
+        wires, _ = runtime._build_wires(runtime.spin, buffers)
+        keys = [key for key, _ in runtime.program.wires]
+        return buffers, dict(zip(keys, wires))
 
     def test_tree_wires_alias_gradient_buffers(self):
         runtime = self._runtime()
-        buffers, uplinks, downlinks, relays = self._links(runtime)
-        assert relays, "the DGX-1 trees must exercise a detour"
-        parent_of = {
-            (t, child): parent
-            for t, tree in enumerate(runtime.trees)
-            for child, parent in tree.up_edges()
-        }
-        for (t, child), up in uplinks.items():
-            # Zero-copy on every hop: the parent, and a relay on the
-            # way, read the child's partial in place.
-            assert up._wire._data is buffers[child].data
-            if up.relay_via is not None:
-                assert up._mid_wire._data is buffers[child].data
-        for key, down in downlinks.items():
-            assert down._wire._data is buffers[key[1]].data
-            if down.relay_via is not None:
-                # The relay verifies the parent's final chunk in place
-                # and copies it once into the child's buffer.
-                assert down._mid_wire._data is buffers[parent_of[key]].data
-
-    def test_detoured_downlink_needs_parent_buffer(self):
-        from repro.runtime.cluster import DownLink
-        from repro.runtime.sync import SpinConfig
-
-        layout = ChunkLayout.split(8, ntrees=1, chunks_per_tree=2)
-        child = GradientBuffer(np.zeros(8), layout, owner=1)
-        with pytest.raises(ConfigError, match="parent buffer"):
-            DownLink(
-                layout, child, capacity=2, spin=SpinConfig(), name="t0:0->1",
-                chunks=(0, 1), relay_via=2,
-            )
+        buffers, wires = self._wires(runtime)
+        assert any(key[4] is not None for key in wires), (
+            "the DGX-1 trees must exercise a detour"
+        )
+        assert len(runtime.program.aliased) == len(wires)
+        for (src, _dst, _tree, _phase, flow), wire in wires.items():
+            # Zero-copy on every hop: the receiver, and a relay on the
+            # way, read the flow source's chunk in place — the child's
+            # partial going up, the parent's final chunk going down.
+            owner = flow[0] if flow is not None else src
+            assert wire._data is buffers[owner].data
 
     def test_run_peak_memory_is_inputs_only(self, rng):
         import tracemalloc
@@ -210,17 +189,18 @@ class TestRightSizedLinks:
             recover=False,
         )
         built = {}
-        build = runtime._build_links
+        build = runtime._build_wires
+        name = f"plan reduce t0 {child}->{parent}"
 
-        def build_with_forced_corruption(buffers, spin):
-            uplinks, downlinks, relays = build(buffers, spin)
-            link = uplinks[(0, child)]
-            assert link._wire._data is buffers[child].data
-            link._injector.next_fate = lambda: "corrupt"
+        def build_with_forced_corruption(spin, buffers):
+            wires, injectors = build(spin, buffers)
+            (w,) = [i for i, wire in enumerate(wires) if wire.name == name]
+            assert wires[w]._data is buffers[child].data
+            injectors[w].next_fate = lambda: "corrupt"
             built["buffers"] = buffers
-            return uplinks, downlinks, relays
+            return wires, injectors
 
-        runtime._build_links = build_with_forced_corruption
+        runtime._build_wires = build_with_forced_corruption
         inputs = [
             np.full(self.ELEMS, float(g + 1)) for g in range(runtime.nnodes)
         ]
@@ -229,7 +209,7 @@ class TestRightSizedLinks:
         cause = info.value.__cause__
         assert isinstance(cause, LinkFaultError)
         assert "checksum mismatch" in str(cause)
-        assert f"t0:{child}->{parent}.up" in str(cause)
+        assert name in str(cause)
 
         def subtree(node):
             return [node] + [
@@ -264,13 +244,15 @@ class TestRightSizedLinks:
             GradientBuffer(np.zeros(960), interp.layout, owner=g)
             for g in range(legal.nnodes)
         ]
-        wires, _ = interp._build_wires(interp.spin, buffers)
+        wire_list, _ = interp._build_wires(interp.spin, buffers)
+        wires = dict(zip((key for key, _ in interp.program.wires), wire_list))
         carried: dict[tuple, list[int]] = {}
         for op in legal.ops:
             if op.kind == SEND:
-                carried.setdefault(op.wire_key(), []).extend(
-                    op.chunks_carried()
-                )
+                src, dst, tree, phase, flow = op.wire_key()
+                carried.setdefault(
+                    (src, dst, tree, phase.value, flow), []
+                ).extend(op.chunks_carried())
         assert set(wires) == set(carried)
         assert any(key[4] is not None for key in wires), "needs a detour"
         for key, wire in wires.items():

@@ -5,6 +5,7 @@ import pytest
 
 from repro.plan import PlanInterpreter, build_ring_plan
 from repro.runtime.allreduce import TreeAllReduceRuntime
+from repro.runtime.cluster import _Wire
 from repro.runtime.sync import SpinConfig
 from repro.topology.logical import two_trees
 
@@ -78,15 +79,31 @@ class TestReportIntegrity:
         assert report.layout.total_elems == 100
 
     @pytest.mark.parametrize("capacity", [1, 2, 8])
-    def test_bounded_receive_buffers_still_correct(self, rng, capacity):
+    def test_bounded_receive_buffers_still_correct(
+        self, rng, monkeypatch, capacity
+    ):
         """Tight buffer capacities exercise post's flow control without
         changing results (the paper's finite receive buffers)."""
+        depths = []
+        init = _Wire.__init__
+
+        def recording(wire, *args, capacity, **kwargs):
+            depths.append(capacity)
+            init(wire, *args, capacity=capacity, **kwargs)
+
+        monkeypatch.setattr(_Wire, "__init__", recording)
         runtime = TreeAllReduceRuntime(
             two_trees(8), total_elems=256, chunks_per_tree=8,
             buffer_capacity=capacity, spin=FAST,
         )
         inputs = [rng.normal(size=256) for _ in range(8)]
         report = runtime.run([a.copy() for a in inputs])
+        # Every wire carries its tree's 8 chunks through `capacity` slots.
+        assert depths and set(depths) == {capacity}
+        unbounded = TreeAllReduceRuntime(
+            two_trees(8), total_elems=256, chunks_per_tree=8, spin=FAST,
+        ).run([a.copy() for a in inputs])
         expected = np.sum(inputs, axis=0)
-        for out in report.outputs:
+        for out, ref in zip(report.outputs, unbounded.outputs):
+            np.testing.assert_array_equal(out, ref)
             np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)

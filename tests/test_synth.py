@@ -29,14 +29,13 @@ from repro.synth import (
     synthesize_candidates,
     synthesize_plan,
     topology_fingerprint,
-    tune,
 )
 from repro.synth.search import (
     effective_gpu_topology,
     hamiltonian_cycle,
     pack_binary_forest,
 )
-from repro.synth.tune import SMOKE_SIZES
+from repro.synth.tune import SMOKE_SIZES, tune
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx2 import dgx2_topology
 from repro.topology.switch import switch_topology

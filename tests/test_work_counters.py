@@ -132,13 +132,53 @@ class TestInterpretedRing:
             assert sum(counts.values()) == 130
 
 
+# -- the tree runtime -----------------------------------------------------
+
+
+def test_train_cc_allreduce_does_a_fixed_amount_of_work(monkeypatch):
+    # One AllReduce in the train_cc_resnet50 configuration: the DGX-1
+    # trees with the 2-4 detour via GPU 0, K = 8, overlapped, 25,508
+    # elements.  Frames: 7 edges x 2 directions x 8 chunks per tree,
+    # plus the detour's second hop both ways (16) = 240 posts and 240
+    # waits; 8 GPUs x 16 chunks = 128 enqueue posts; each root's
+    # reduced-chunk marker is 1 event set and 2 waits per chunk; 32
+    # tree thread blocks + 2 relays = 34 threads; every wire aliases.
+    # The baseline a persistent thread per GPU is meant to cut.
+    from repro.runtime import TreeAllReduceRuntime
+    from repro.runtime.sync import DeviceEvent
+    from repro.topology.dgx1_trees import DETOURED_EDGES
+
+    runtime = TreeAllReduceRuntime(
+        dgx1_trees(), total_elems=25_508, chunks_per_tree=8,
+        detour_map=DETOURED_EDGES, spin=SpinConfig(timeout=30.0),
+    )
+    rng = np.random.default_rng(SEED)
+    inputs = [rng.normal(size=25_508) for _ in range(8)]
+    sems, events = Counter(), Counter()
+    count_calls(monkeypatch, sems, DeviceSemaphore, "post")
+    count_calls(monkeypatch, sems, DeviceSemaphore, "wait")
+    count_calls(monkeypatch, events, DeviceEvent, "set")
+    count_calls(monkeypatch, events, DeviceEvent, "wait")
+    count_calls(monkeypatch, events, threading.Thread, "start")
+    for _ in range(2):
+        sems.clear()
+        events.clear()
+        report = runtime.run(inputs)
+        assert sems == {"post": 368, "wait": 240}
+        assert events == {"set": 16, "wait": 32, "start": 34}
+        assert report.staged_bytes == 0
+
+
 # -- the schedule fuzzer --------------------------------------------------
 
 
 @pytest.mark.no_fuzz
 def test_fuzzed_tree_visits_a_fixed_number_of_points():
     # Two seeded schedules of the tree runtime at 32 elements: every
-    # sync point the chaos scheduler is offered, summed.
+    # sync point the chaos scheduler is offered, summed — 358 per run:
+    # 88 semaphore posts, 56 waits, 4 event sets, 8 event waits, 112
+    # reads, 28 reduces, 28 writes, 16 thread starts and ends, a fork
+    # and a join.
     outcome = fuzz_scenario("tree", schedules=2, base_seed=SEED, elems=32)
     assert outcome.ok
     assert outcome.points == 716
