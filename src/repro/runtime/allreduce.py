@@ -56,9 +56,6 @@ class TreeAllReduceRuntime(Executor):
             (:class:`~repro.runtime.faults.FaultPlan`) — link jitter,
             drops, corruption, GPU stragglers/crashes/stalls, and the
             recovery policy; with recovery, results are unchanged.
-        chaos_delay: legacy shorthand for a uniform link-jitter plan —
-            every wire send sleeps up to ``chaos_delay`` seconds.
-        chaos_seed: RNG seed for the legacy jitter plan.
     """
 
     def __init__(
@@ -72,8 +69,6 @@ class TreeAllReduceRuntime(Executor):
         spin: SpinConfig | None = None,
         buffer_capacity: int | None = None,
         fault_plan: FaultPlan | None = None,
-        chaos_delay: float = 0.0,
-        chaos_seed: int = 0,
     ):
         if not trees:
             raise ConfigError("need at least one tree")
@@ -85,14 +80,6 @@ class TreeAllReduceRuntime(Executor):
             raise ConfigError("GPU ids must be dense 0..P-1")
         if chunks_per_tree < 1:
             raise ConfigError("need at least 1 chunk per tree")
-        if chaos_delay < 0:
-            raise ConfigError("chaos_delay must be non-negative")
-        if chaos_delay > 0:
-            if fault_plan is not None:
-                raise ConfigError(
-                    "pass either fault_plan or chaos_delay, not both"
-                )
-            fault_plan = FaultPlan.jitter(chaos_delay, chaos_seed)
         for fault in (fault_plan.gpu_faults if fault_plan else ()):
             if not 0 <= fault.gpu < len(nodes):
                 raise ConfigError(f"GPU fault targets unknown gpu {fault.gpu}")

@@ -256,10 +256,10 @@ class FaultPlan:
 
     @staticmethod
     def jitter(delay: float, seed: int = 0) -> "FaultPlan":
-        """Uniform per-link send jitter on every link (the old
-        ``chaos_delay`` behaviour)."""
+        """Uniform per-link send jitter on every link: each wire send
+        sleeps up to ``delay`` seconds."""
         if delay < 0:
-            raise ConfigError("chaos_delay must be non-negative")
+            raise ConfigError("jitter delay must be non-negative")
         return FaultPlan(link_faults=(LinkFault(delay=delay),), seed=seed)
 
     def link_injector(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import AbortedError, RuntimeClusterError
@@ -264,10 +264,6 @@ class DeviceLock:
         name = self._name
         return name if isinstance(name, str) else name()
 
-    def attach_abort(self, abort: AbortCell) -> None:
-        """Bind a cluster abort flag after construction."""
-        self._spin = replace(self._spin, abort=abort)
-
     def lock(self) -> None:
         deadline = time.monotonic() + self._spin.timeout
         while self._cell.compare_and_swap(0, 1) != 0:
@@ -350,17 +346,6 @@ class DeviceSemaphore:
         another thread died holding the lock.
         """
         return self._count, self._total_posted
-
-    def attach_abort(self, abort: AbortCell) -> None:
-        """Bind a cluster abort flag post-construction.
-
-        The runtime owns the per-run :class:`AbortCell`; semaphores that
-        were created externally (e.g. gradient-queue enqueue semaphores
-        handed into ``run``) join the abort domain here.
-        """
-        self._spin = replace(self._spin, abort=abort)
-        self._lock.attach_abort(abort)
-        abort.register_semaphore(self)
 
     def _spin_until(self, predicate, what: str) -> None:
         """Spin (lock-step, as in the paper) until ``predicate()`` holds.
@@ -451,10 +436,6 @@ class DeviceEvent:
         when a diagnostic reads it."""
         name = self._name
         return name if isinstance(name, str) else name()
-
-    def attach_abort(self, abort: AbortCell) -> None:
-        """Bind a cluster abort flag after construction."""
-        self._spin = replace(self._spin, abort=abort)
 
     def is_set(self) -> bool:
         return self._cell.load() != 0

@@ -41,8 +41,9 @@ def _drill(seed: int, *, policy: str = "reembed") -> int:
 def test_recovery_drill_smoke(seed, capsys):
     assert _drill(seed) == 0
     out = capsys.readouterr().out
-    assert "bit-identical to fault-free serial reference: yes" in out
+    assert "bit-identical to serial recovery reference: yes" in out
     assert "re-embed" in out
+    assert "policy: reembed — degraded" in out
 
 
 @pytest.mark.slow
@@ -52,7 +53,7 @@ def test_recovery_drill_soak(seed, capsys):
     recovering to bit-exact weights."""
     assert _drill(seed) == 0
     out = capsys.readouterr().out
-    assert "bit-identical to fault-free serial reference: yes" in out
+    assert "bit-identical to serial recovery reference: yes" in out
 
 
 @pytest.mark.slow
@@ -62,4 +63,4 @@ def test_recovery_drill_soak_restart_policy(seed, capsys):
     (replacement GPU rejoins, healthy 8-GPU schedule redoes the work)."""
     assert _drill(seed, policy="restart") == 0
     out = capsys.readouterr().out
-    assert "bit-identical to fault-free serial reference: yes" in out
+    assert "bit-identical to serial recovery reference: yes" in out

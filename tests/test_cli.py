@@ -207,3 +207,66 @@ class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestPositiveInt:
+    """Size and count flags reject a value below 1 at parse time."""
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "run", "--elems", "-3"],
+        ["ckpt", "drill", "--generations", "0"],
+        ["fuzz", "run", "--all", "--schedules", "0"],
+        ["fuzz", "mutate", "--mutants", "0"],
+        ["synth", "soak", "--fabrics", "0"],
+    ], ids=["elems", "generations", "schedules", "mutants", "fabrics"])
+    def test_non_positive_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: expected a positive integer" in err
+
+
+class TestErrorBoundary:
+    """One bad input per subcommand family: one ``repro <cmd>: error:``
+    line on stderr, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--network", "zfnet", "--batch", "0"],
+        ["plan", "show", "--nnodes", "0"],
+        ["plan", "verify", "{missing}"],
+        ["plan", "export", "--out", "{tmp}/no/dir/x.json"],
+        ["analyze", "{missing}"],
+        ["sanitize", "report", "{malformed}"],
+        ["fuzz", "replay", "{missing}"],
+        ["synth", "tune", "--topology-json", "{missing}"],
+        ["chaos", "plan", "--initial-dead", "1,x"],
+        ["ckpt", "drill", "--faults", "gremlins"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text("{not json")
+        paths = dict(
+            missing=tmp_path / "missing.json", malformed=malformed,
+            tmp=tmp_path,
+        )
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"repro {argv[0]}: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+class TestCrashDrill:
+    def test_recover_soak_is_bit_exact(self, capsys, tmp_path):
+        assert main([
+            "chaos", "crash", "--recover", "--soak", "2", "--seed", "7",
+            "--elems", "256", "--save-dir", str(tmp_path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines() == [
+            "seed 7: victim gpu 7 bit-exact",
+            "seed 8: victim gpu 5 bit-exact",
+            "soak: 2/2 trials bit-exact",
+        ]
+        assert list(tmp_path.glob("*.json")) == []

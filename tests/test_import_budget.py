@@ -165,6 +165,30 @@ class TestImportBudget:
         hits = [m for m in loaded if any(under(m, f) for f in forbidden)]
         assert hits == []
 
+    def test_cli_help_loads_no_library(self):
+        """Building the parser imports only what the parsers need; each
+        command imports what it runs."""
+        loaded = loaded_modules(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "for argv in (['--help'], ['chaos', '--help']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass"
+        )
+        assert "repro.cli.chaos" in loaded
+        forbidden = (
+            "repro.sim",
+            "repro.collectives",
+            "repro.core",
+            "repro.plan",
+            "repro.runtime",
+        )
+        hits = [m for m in loaded if any(under(m, f) for f in forbidden)]
+        assert hits == []
+
     def test_ring_order_is_one_constant_everywhere(self):
         result = run_fresh(
             "import json\n"

@@ -485,8 +485,9 @@ class TestChaosPlanCli:
             "chaos", "plan", "--seed", str(seed), "--elems", "256",
         ]) == 0
         out = capsys.readouterr().out
-        assert "bit-identical to plan-aware serial reference: yes" in out
+        assert "bit-identical to serial recovery reference: yes" in out
         assert "synthesized" in out
+        assert "policy: reembed — degraded" in out
 
     def test_chaos_plan_cascade(self, capsys):
         assert main([
@@ -494,7 +495,7 @@ class TestChaosPlanCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "cascade" in out
-        assert "bit-identical to plan-aware serial reference: yes" in out
+        assert "bit-identical to serial recovery reference: yes" in out
 
     def test_chaos_plan_cascade_after_restart(self, capsys):
         # Replacement GPUs restore the full machine; the cascade still
@@ -505,7 +506,7 @@ class TestChaosPlanCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "after cascading crash" in out
-        assert "bit-identical to plan-aware serial reference: yes" in out
+        assert "bit-identical to serial recovery reference: yes" in out
 
     @pytest.mark.parametrize("spec, message", [
         ("1,x", "bad --initial-dead '1,x'"),
@@ -529,4 +530,4 @@ class TestChaosPlanCli:
             "chaos", "plan", "--seed", str(seed), "--elems", "256",
         ]) == 0
         out = capsys.readouterr().out
-        assert "bit-identical to plan-aware serial reference: yes" in out
+        assert "bit-identical to serial recovery reference: yes" in out

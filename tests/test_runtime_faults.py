@@ -157,17 +157,9 @@ class TestValidation:
         with pytest.raises(ConfigError, match="backoff"):
             FaultPlan(backoff=-1.0)
 
-    def test_runtime_rejects_plan_and_chaos_delay_together(self):
-        with pytest.raises(ConfigError, match="not both"):
-            make_runtime(FaultPlan(), chaos_delay=1e-3)
-
     def test_runtime_rejects_unknown_fault_gpu(self):
         with pytest.raises(ConfigError, match="unknown gpu"):
             make_runtime(FaultPlan(gpu_faults=(GpuFault(8, CRASH),)))
-
-    def test_chaos_delay_shim_builds_jitter_plan(self):
-        runtime = make_runtime(chaos_delay=1e-3, chaos_seed=5)
-        assert runtime.fault_plan == FaultPlan.jitter(1e-3, 5)
 
 
 class TestLinkInjector:
@@ -360,7 +352,7 @@ class TestRecovery:
             runtime.run(make_inputs(rng))
 
     def test_jitter_only_run_is_exact(self, rng):
-        runtime = make_runtime(chaos_delay=1e-3, chaos_seed=9)
+        runtime = make_runtime(FaultPlan.jitter(1e-3, 9))
         inputs = make_inputs(rng)
         report = runtime.run([a.copy() for a in inputs])
         expected = tree_reduce_order(runtime.trees, runtime.layout)(inputs)
@@ -577,9 +569,9 @@ class TestGpuFaults:
         assert report.wall_time >= 8 * delay * 0.5
 
     def test_chained_training_aborts_on_crash(self, rng):
-        """Compute kernels blocked in the gradient-queue ``check`` join
-        the abort domain via ``attach_abort`` — the whole chained run
-        fails fast instead of timing out layer by layer."""
+        """Compute kernels blocked in the gradient-queue ``check`` share
+        the run's abort domain — the whole chained run fails fast
+        instead of timing out layer by layer."""
         layers = tuple(
             LayerSpec(name=f"L{i}", params=128, fwd_flops=1e6)
             for i in range(4)

@@ -333,25 +333,6 @@ class TestAbortCell:
         assert abort.is_set()
         assert "starved" in abort.reason and "wait timed out" in abort.reason
 
-    def test_attach_abort_joins_existing_semaphore(self):
-        abort = AbortCell()
-        sem = DeviceSemaphore(2, spin=SpinConfig(timeout=5.0))
-        sem.attach_abort(abort)
-        abort.trigger("external failure")
-        with pytest.raises(AbortedError):
-            sem.wait()
-        # Attaching also registered it for the diagnostic dump.
-        assert "count=0/2" in abort.diagnostics()
-
-    def test_device_lock_attach_abort(self):
-        abort = AbortCell()
-        lock = DeviceLock(SpinConfig(timeout=5.0))
-        lock.attach_abort(abort)
-        lock.lock()
-        abort.trigger("kill the spinners")
-        with pytest.raises(AbortedError):
-            lock.lock()
-
     def test_peek_is_lock_free(self):
         """peek must work even while another thread holds the device
         lock — that is what makes the diagnostic dump deadlock-proof."""

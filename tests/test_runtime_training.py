@@ -20,6 +20,7 @@ from repro.runtime import (
     elastic_serial_reference,
 )
 from repro.runtime.allreduce import TreeAllReduceRuntime
+from repro.runtime.faults import FaultPlan
 from repro.runtime.queue_runtime import ChainedTrainingRuntime
 from repro.runtime.recovery import REEMBED, RESTART
 from repro.runtime.sync import SpinConfig
@@ -51,7 +52,7 @@ def make_setup(rng, *, overlapped=True, chaos=0.0):
         overlapped=overlapped,
         detour_map=DETOURED_EDGES,
         spin=FAST,
-        chaos_delay=chaos,
+        fault_plan=FaultPlan.jitter(chaos) if chaos else None,
     )
     targets = [rng.normal(size=net.total_params) for _ in range(8)]
     return net, runtime, targets
@@ -194,8 +195,7 @@ class TestFaultInjection:
             chunks_per_tree=4,
             overlapped=True,
             spin=FAST,
-            chaos_delay=1e-3,
-            chaos_seed=7,
+            fault_plan=FaultPlan.jitter(1e-3, 7),
         )
         report = runtime.run(
             [rng.normal(size=net.total_params) for _ in range(8)]
@@ -203,15 +203,9 @@ class TestFaultInjection:
         for times in report.enqueue_times.values():
             assert times == sorted(times)
 
-    def test_negative_chaos_rejected(self, rng):
-        net, _, _ = make_setup(rng)
-        with pytest.raises(ConfigError):
-            TreeAllReduceRuntime(
-                two_trees(8),
-                total_elems=net.total_params,
-                chunks_per_tree=2,
-                chaos_delay=-1.0,
-            )
+    def test_negative_chaos_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            FaultPlan.jitter(-1.0)
 
 
 # -- gradient memory ownership -------------------------------------------
