@@ -66,9 +66,10 @@ def _add_figures(sub) -> None:
 
 
 def _figures(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as run_figures
+    from repro.experiments.runner import print_report
 
-    return run_figures(args.names or None)
+    print_report(args.names)
+    return 0
 
 
 def _add_info(sub) -> None:

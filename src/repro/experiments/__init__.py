@@ -16,7 +16,6 @@ __all__ = [
     "export",
     "ext_algorithms",
     "ext_dgx2",
-    "ext_elastic",
     "ext_hierarchical",
     "ext_plans",
     "ext_sensitivity",

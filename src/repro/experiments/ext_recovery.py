@@ -14,8 +14,9 @@ minus one GPU), models both per-iteration rates with the alpha-beta cost
 model, and reports the **crossover point**: the remaining-iteration count
 above which restart-from-checkpoint overtakes degraded continuation.
 Below the crossover (crash near the end of the job) the
-:class:`~repro.runtime.recovery.RecoveryPolicy` picks re-embedding;
-above it, restart.
+:class:`~repro.runtime.recovery.RecoveryPolicy` must pick re-embedding;
+above it, restart.  The table asks the policy at
+:data:`POLICY_PROBES` times each crossover, so both picks show.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ DEFAULT_SIZES: tuple[float, ...] = (
 #: checkpoint reload + communicator rebuild.
 DEFAULT_RESTART_OVERHEAD = 30.0
 
+#: Remaining-iteration counts the policy is asked at, as multiples of
+#: the crossover: well below it (re-embed) and well above it (restart).
+POLICY_PROBES: tuple[float, ...] = (0.5, 2.0)
+
 
 @dataclass(frozen=True)
 class RecoveryRow:
@@ -69,10 +74,12 @@ class RecoveryRow:
             crossover.
         lost_iterations: checkpoint staleness charged in the stale
             columns (iterations since the last committed generation).
-        decision_at_100: the cost-based policy's pick with 100
-            iterations remaining and a fresh checkpoint.
-        decision_at_100_stale: the pick with the stale checkpoint —
-            staleness shifts it toward ``reembed``.
+        decisions: the cost-based policy's pick at each of
+            :data:`POLICY_PROBES` times ``crossover_iterations``
+            remaining, with a fresh checkpoint (empty when restart
+            never wins).
+        decisions_stale: the same around ``crossover_stale``, with the
+            stale checkpoint.
     """
 
     nbytes: float
@@ -85,8 +92,8 @@ class RecoveryRow:
     crossover_iterations: float
     crossover_stale: float
     lost_iterations: int
-    decision_at_100: str
-    decision_at_100_stale: str
+    decisions: tuple[str, ...]
+    decisions_stale: tuple[str, ...]
 
 
 def crossover_point(
@@ -151,13 +158,15 @@ def run(
             nbytes=nbytes,
             detours=embedding.cost.detours,
             conflicts=embedding.cost.conflicts,
-            remaining_iterations=100,
         )
-        decision = policy.decide(**common)
-        stale = policy.decide(
-            **common,
-            checkpoint_iteration=0,
-            current_iteration=lost_iterations,
+        crossover = crossover_point(
+            healthy, degraded, restart_overhead=restart_overhead
+        )
+        stale = crossover_point(
+            healthy,
+            degraded,
+            restart_overhead=restart_overhead,
+            lost_iterations=lost_iterations,
         )
         rows.append(
             RecoveryRow(
@@ -168,21 +177,33 @@ def run(
                 healthy_us=healthy * 1e6,
                 degraded_us=degraded * 1e6,
                 slowdown_pct=100.0 * (degraded / healthy - 1.0),
-                crossover_iterations=crossover_point(
-                    healthy, degraded, restart_overhead=restart_overhead
-                ),
-                crossover_stale=crossover_point(
-                    healthy,
-                    degraded,
-                    restart_overhead=restart_overhead,
-                    lost_iterations=lost_iterations,
-                ),
+                crossover_iterations=crossover,
+                crossover_stale=stale,
                 lost_iterations=lost_iterations,
-                decision_at_100=decision.action,
-                decision_at_100_stale=stale.action,
+                decisions=_policy_picks(policy, crossover, **common),
+                decisions_stale=_policy_picks(
+                    policy, stale, **common,
+                    checkpoint_iteration=0,
+                    current_iteration=lost_iterations,
+                ),
             )
         )
     return rows
+
+
+def _policy_picks(
+    policy: RecoveryPolicy, crossover: float, **decide_args
+) -> tuple[str, ...]:
+    """The policy's pick at each :data:`POLICY_PROBES` multiple of
+    ``crossover`` remaining iterations."""
+    if math.isinf(crossover):
+        return ()
+    return tuple(
+        policy.decide(
+            remaining_iterations=round(k * crossover), **decide_args
+        ).action
+        for k in POLICY_PROBES
+    )
 
 
 def format_table(rows: list[RecoveryRow]) -> str:
@@ -193,7 +214,8 @@ def format_table(rows: list[RecoveryRow]) -> str:
     return render_table(
         ["gradient", "healthy (us)", "degraded 7-GPU (us)", "slowdown",
          "restart wins above", f"... ckpt {stale} iters stale",
-         "policy @100 iters", "... stale ckpt"],
+         "policy @" + ", ".join(f"{k:g}x" for k in POLICY_PROBES),
+         "... stale ckpt"],
         [
             (
                 f"{r.nbytes / 2**20:.0f} MiB",
@@ -202,8 +224,8 @@ def format_table(rows: list[RecoveryRow]) -> str:
                 f"{r.slowdown_pct:+.1f}%",
                 fmt_crossover(r.crossover_iterations),
                 fmt_crossover(r.crossover_stale),
-                r.decision_at_100,
-                r.decision_at_100_stale,
+                ", ".join(r.decisions),
+                ", ".join(r.decisions_stale),
             )
             for r in rows
         ],

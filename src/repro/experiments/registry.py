@@ -2,7 +2,8 @@
 
 Each :class:`Experiment` names one experiment, its default ``run``, its
 ``format_table`` and the :class:`Claim` rows its default run must
-satisfy.  Every reader iterates :data:`EXPERIMENTS`:
+satisfy; an experiment that claims nothing has no place here.  Every
+reader iterates :data:`EXPERIMENTS`:
 
 - :mod:`repro.experiments.runner` prints each experiment's table;
 - :mod:`repro.experiments.export` writes each run to ``<name>.csv``;
@@ -30,7 +31,6 @@ from repro.experiments import (
     ablations,
     ext_algorithms,
     ext_dgx2,
-    ext_elastic,
     ext_faults,
     ext_hierarchical,
     ext_plans,
@@ -51,6 +51,7 @@ from repro.experiments import (
     fig16_patterns,
     fig17_resnet_layers,
 )
+from repro.runtime.elastic import REEMBED, RESTART
 
 __all__ = ["PASS", "FAIL", "NOT_REPRODUCED", "Claim", "Experiment",
            "EXPERIMENTS"]
@@ -99,7 +100,7 @@ class Experiment:
     name: str
     run: Callable[[], Rows]
     format_table: Callable[[Rows], str]
-    claims: tuple[Claim, ...] = ()
+    claims: tuple[Claim, ...]
 
 
 def _span(
@@ -111,11 +112,14 @@ def _span(
     fmt: str = "{:.2f}x",
 ) -> Check:
     """``ok`` holds for the ``value`` of every row ``where`` selects
-    (or, with ``peak``, for the largest); measures their range."""
+    (or, with ``peak``, for the largest); measures their range.  A
+    selection with no rows raises: no claim holds vacuously."""
     get = attrgetter(value) if isinstance(value, str) else value
 
     def check(rows: Rows) -> tuple[str, bool]:
         values = [get(r) for r in rows if where(r)]
+        if not values:
+            raise ValueError("claim selects no rows")
         low, high = fmt.format(min(values)), fmt.format(max(values))
         if peak:
             return f"max {high}", ok(max(values))
@@ -310,8 +314,40 @@ _C2_CAUSE = (
 )
 
 
-def _ext(statement: str, check: Check) -> Claim:
-    return Claim("Extension", statement, "beyond the paper", check)
+#: ``ext_synth``'s topologies by claim.  Stock: machines as built.
+#: Degraded: a stock DGX-1 minus failed hardware (a link, four GPUs).
+_SYNTH_STOCK = ("dgx1", "dgx2(16)", "switch(r4)")
+_SYNTH_DEGRADED = ("dgx1-nolink37", "dgx1-quad-dead")
+
+
+def _quad_dead_64k(row: Any) -> bool:
+    return (row.topology, row.nbytes) == ("dgx1-quad-dead", 64e3)
+
+
+_SYNTH_CAUSE = (
+    "GPU 0 keeps no NVLink to the other three survivors, so the "
+    "hypercube does not embed and synth.tune ranks no synthesized "
+    "halving-doubling; at latency-bound 64 KB the builder's "
+    "route-legalized halving-doubling (32 ops) beats the best "
+    "synthesized candidate, a 4-chunk double tree (104 ops)"
+)
+
+
+def _recovery_policy(rows: Rows) -> tuple[str, bool]:
+    """Every row's policy picks re-embed at half the crossover and
+    restart at twice it, fresh and stale."""
+    expected = (REEMBED, RESTART)
+    picks = [p for r in rows for p in (r.decisions, r.decisions_stale)]
+    if not picks:
+        raise ValueError("claim selects no rows")
+    held = sum(p == expected for p in picks)
+    return (f"{', '.join(expected)} in {held}/{len(picks)} "
+            "(size, checkpoint) cases", held == len(picks))
+
+
+def _ext(statement: str, check: Check,
+         band: str = "beyond the paper") -> Claim:
+    return Claim("Extension", statement, band, check)
 
 
 def _of(name: str, module: ModuleType, *claims: Claim) -> Experiment:
@@ -445,9 +481,6 @@ def _experiments() -> tuple[Experiment, ...]:
                        where=lambda r: r.system == "dgx2")),
             _ext("the overlap speedup holds on DGX-1 and DGX-2",
                  _span("overlap_speedup", lambda v: v > 1.5))),
-        _of("ext_elastic", ext_elastic),
-        Experiment("ext_elastic_interp", ext_elastic.run_interpreted,
-                   ext_elastic.format_table),
         _of("ext_faults", ext_faults,
             _ext("every rerouted AllReduce verifies",
                  _span("verified", lambda v: v, fmt="{}")),
@@ -461,9 +494,39 @@ def _experiments() -> tuple[Experiment, ...]:
                  _span("total_speedup", lambda v: v > 1.5)),
             _ext("hierarchical chaining cuts the turnaround",
                  _span("turnaround_speedup", lambda v: v > 5.0))),
-        _of("ext_plans", ext_plans),
-        _of("ext_recovery", ext_recovery),
-        _of("ext_synth", ext_synth),
+        _of("ext_plans", ext_plans,
+            _ext("every lowered plan's simulated makespan equals its "
+                 "hand-written emitter's", _span(
+                     lambda r: r.planned_us - r.handwritten_us,
+                     lambda v: v == 0.0, fmt="{:+g} us"), band="equal"),
+            _ext("every plan is verified and its simulated trace ordered",
+                 _span(lambda r: r.verified and r.ordered, lambda v: v,
+                       fmt="{}"), band="all rows")),
+        _of("ext_recovery", ext_recovery,
+            _ext("the cost-based recovery policy re-embeds below the "
+                 "crossover and restarts above it", _recovery_policy,
+                 band="re-embed at 0.5x, restart at 2x the crossover")),
+        _of("ext_synth", ext_synth,
+            _ext("on stock machines synthesized plans are at most 5% "
+                 "slower than the best builder",
+                 _span("ratio", lambda v: v <= ext_synth.ACCEPT_TOLERANCE,
+                       where=lambda r: r.topology in _SYNTH_STOCK,
+                       fmt="{:.3f}"),
+                 band=f"ratio <= {ext_synth.ACCEPT_TOLERANCE}"),
+            _ext("on degraded topologies synthesized plans beat every "
+                 "builder, at every point but the next row's",
+                 _span("ratio", lambda v: v < 1.0,
+                       where=lambda r: r.topology in _SYNTH_DEGRADED
+                       and not _quad_dead_64k(r), fmt="{:.3f}"),
+                 band="ratio < 1"),
+            Claim("Extension", "synthesized plans beat every builder on "
+                  "dgx1-quad-dead at 64 KB", "ratio < 1",
+                  _span("ratio", lambda v: v < 1.0, where=_quad_dead_64k,
+                        fmt="{:.3f}"), cause=_SYNTH_CAUSE),
+            _ext("every synthesized winner is verified, ordered and "
+                 "bit-exact", _span(
+                     lambda r: r.verified and r.ordered and r.exact,
+                     lambda v: v, fmt="{}"), band="all rows")),
         _of("ext_tree_search", ext_tree_search,
             _ext("the search matches or beats the hand-crafted DGX-1 pair",
                  _search_matches_hand),

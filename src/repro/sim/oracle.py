@@ -23,9 +23,11 @@ dynamically —
   makes the broadcast payload the *full* sum.
 
 It is the DES-side reference for :func:`~repro.plan.verifier.verify_plan`,
-which proves the two orderings statically; ``ext_plans``, ``ext_synth``
-and the property tests compare the two verdicts, so sim, verifier and
-runtime cannot drift.
+which proves the two orderings statically.  Its callers keep sim,
+verifier and runtime from drifting: the ``ordered`` column of the
+``ext_plans`` and ``ext_synth`` experiments, which their registry claims
+require on every row next to ``verified``, and the analyzer, elastic
+and synthesis tests, which compare the two verdicts.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import certify
+from repro.experiments import certify, ext_synth, registry
+from repro.experiments.registry import EXPERIMENTS
 
 EXPERIMENTS_MD = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 BEGIN = "<!-- certify:begin -->"
@@ -40,3 +41,30 @@ class TestCertificate:
             "EXPERIMENTS.md drifted from the certificate: paste the output "
             "of `python -m repro.experiments.certify` between the markers"
         )
+
+
+class TestEveryExperimentClaims:
+    """No experiment prints a table that nothing checks, and no claim
+    holds on an empty selection."""
+
+    def test_every_experiment_has_a_claim(self):
+        unclaimed = [n for n, e in EXPERIMENTS.items() if not e.claims]
+        assert not unclaimed, unclaimed
+
+    @pytest.mark.parametrize(
+        "name", ["ext_plans", "ext_recovery", "ext_synth"]
+    )
+    def test_a_claim_on_no_rows_raises(self, name):
+        """So each claim's selection is non-empty on the default run:
+        :meth:`TestCertificate.verdicts` would raise otherwise, whatever
+        the declared verdict."""
+        for claim in EXPERIMENTS[name].claims:
+            with pytest.raises(ValueError, match="selects no rows"):
+                claim.check([])
+
+    def test_every_synth_topology_is_assigned_one_claim(self):
+        stock = set(registry._SYNTH_STOCK)
+        degraded = set(registry._SYNTH_DEGRADED)
+        assert not stock & degraded
+        names = [t.name for t in ext_synth.default_topologies()]
+        assert sorted(names) == sorted(stock | degraded)

@@ -60,7 +60,9 @@ class TestFigures:
 
     def test_unknown_figure(self, capsys):
         assert main(["figures", "fig99"]) == 2
-        assert "unknown" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown experiments: ['fig99']" in captured.err
 
 
 class TestChaos:
@@ -242,6 +244,7 @@ class TestErrorBoundary:
         ["synth", "tune", "--topology-json", "{missing}"],
         ["chaos", "plan", "--initial-dead", "1,x"],
         ["ckpt", "drill", "--faults", "gremlins"],
+        ["figures", "nosuch"],
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_bad_input_is_one_error_line(self, argv, tmp_path, capsys):
         malformed = tmp_path / "malformed.json"
@@ -252,6 +255,7 @@ class TestErrorBoundary:
         )
         assert main([a.format(**paths) for a in argv]) == 2
         captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err.startswith(f"repro {argv[0]}: error: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err

@@ -6,13 +6,13 @@ roughly what factor, where crossovers fall).
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from repro.core.config import Bandwidth, CCubeConfig, Strategy
 from repro.experiments import (
     ablations,
-    ext_elastic,
     ext_faults,
     ext_plans,
     ext_recovery,
@@ -26,6 +26,7 @@ from repro.experiments import (
     fig16_patterns,
     fig17_resnet_layers,
 )
+from repro.experiments.registry import EXPERIMENTS
 
 _MB = 1024 * 1024
 
@@ -378,10 +379,11 @@ class TestExtRecovery:
 
     def test_crossover_reported(self, rows):
         """The headline of the experiment: a finite remaining-iteration
-        count above which restart-from-checkpoint wins."""
+        count above which restart-from-checkpoint wins, and the policy
+        agreeing on both sides of it."""
         for r in rows:
             assert 0.0 < r.crossover_iterations < math.inf
-            assert r.decision_at_100 in ("reembed", "restart")
+            assert r.decisions == ("reembed", "restart")
 
     def test_crossover_math(self):
         assert ext_recovery.crossover_point(
@@ -402,7 +404,8 @@ class TestExtRecovery:
     def test_format_table(self, rows):
         text = ext_recovery.format_table(rows)
         assert "restart wins above" in text
-        assert "policy @100 iters" in text
+        assert "policy @0.5x, 2x" in text
+        assert "reembed, restart" in text
 
     def test_staleness_raises_the_crossover(self, rows):
         """A stale checkpoint owes redo work, so restart needs *more*
@@ -410,36 +413,21 @@ class TestExtRecovery:
         for r in rows:
             assert r.lost_iterations > 0
             assert r.crossover_stale > r.crossover_iterations
-            assert r.decision_at_100_stale in ("reembed", "restart")
+            assert r.decisions_stale == ("reembed", "restart")
+
+    def test_policy_claim_sees_both_picks(self, rows):
+        """The registry claim holds here, and fails when the policy is
+        only ever asked on one side of the crossover."""
+        (claim,) = EXPERIMENTS["ext_recovery"].claims
+        assert claim.check(rows)[1]
+        for picks in (("reembed", "reembed"), ("restart", "restart")):
+            one_sided = [replace(r, decisions=picks) for r in rows]
+            assert not claim.check(one_sided)[1]
 
     def test_stale_columns_rendered(self, rows):
         text = ext_recovery.format_table(rows)
         assert "iters stale" in text
         assert "stale ckpt" in text
-
-
-class TestExtElastic:
-    @pytest.fixture(scope="class")
-    def rows(self):
-        return ext_elastic.run()
-
-    def test_three_ownership_segments(self, rows):
-        assert [r.segment for r in rows] == [0, 1, 2]
-        assert [r.nmembers for r in rows] == [8, 7, 8]
-        assert [r.opened_by for r in rows] == ["start", "crash", "join"]
-
-    def test_every_segment_plan_verified(self, rows):
-        assert all(r.plan_verified for r in rows)
-        assert all(r.plan_ops > 0 for r in rows)
-
-    def test_run_is_bit_exact_with_checkpoints(self, rows):
-        assert all(r.bit_exact for r in rows)
-        assert rows[-1].checkpoints_committed >= 1
-
-    def test_format_table(self, rows):
-        text = ext_elastic.format_table(rows)
-        assert "bit-exact" in text
-        assert "crash" in text and "join" in text
 
 
 class TestExtPlans:
@@ -461,10 +449,10 @@ class TestExtPlans:
         assert all(r.verified for r in rows)
 
     def test_gap_within_acceptance(self, rows):
-        """The headline: the lowered plan's simulated time matches the
-        hand-written schedule within the 5% acceptance tolerance."""
+        """The headline: the lowered plan's simulated time equals the
+        hand-written schedule's, bit for bit."""
         for r in rows:
-            assert abs(r.gap_pct) <= 5.0
+            assert r.planned_us == r.handwritten_us, r
 
     def test_physical_row_uses_dgx1(self, rows):
         assert rows[-1].target == "dgx1"
@@ -472,5 +460,8 @@ class TestExtPlans:
 
     def test_format_table(self, rows):
         text = ext_plans.format_table(rows)
-        assert "plan IR vs hand-written" in text
+        assert text.splitlines()[0] == (
+            "Extension — plan IR vs hand-written schedules "
+            "(DGX-1, 4 MB, 4 chunks)"
+        )
         assert "C-Cube" in text

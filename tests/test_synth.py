@@ -4,8 +4,8 @@ Covers the three layers (search, tune, store) plus the
 ``search_degraded_pair`` synthesis fallback, the ``repro synth`` CLI,
 and the acceptance criteria of the ext_synth experiment:
 
-- on DGX-1 and DGX-2 the tuned synthesized plan is within 5% of the
-  best hand-written builder at every swept message size,
+- on DGX-1 and DGX-2 the tuned synthesized plan is never more than 5%
+  slower than the best hand-written builder at any swept message size,
 - on a degraded topology (DGX-1 with the doubled 3-7 link cut) it
   strictly beats every hand-written builder,
 - every emitted plan passes static verification, the sim-side ordering
@@ -21,6 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigError, PlanError, SynthesisError
+from repro.experiments.ext_synth import ACCEPT_TOLERANCE
 from repro.plan.interpreter import PlanInterpreter
 from repro.plan.verifier import verify_plan
 from repro.sim.oracle import check_plan_ordering
@@ -40,8 +41,6 @@ from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx2 import dgx2_topology
 from repro.topology.switch import switch_topology
 from repro.topology.tree_search import search_degraded_pair
-
-ACCEPT_TOLERANCE = 1.05
 
 
 def degraded_dgx1():
