@@ -39,7 +39,6 @@ __all__ = [
     "ring_allreduce",
     "tree_allreduce",
     "double_tree_allreduce",
-    "overlapped_tree_allreduce",
     "ccube_allreduce",
     "dgx1_topology",
     "fat_tree_topology",
@@ -58,7 +57,6 @@ __getattr__, __dir__ = lazy_exports(
         "ring_allreduce": "collectives.ring",
         "tree_allreduce": "collectives.tree",
         "double_tree_allreduce": "collectives.double_tree",
-        "overlapped_tree_allreduce": "collectives.tree",
         "ccube_allreduce": "collectives.double_tree",
         "dgx1_topology": "topology.dgx1",
         "fat_tree_topology": "topology.switch",

@@ -2,7 +2,7 @@
 
 Every package ``__init__`` re-exports its public names through
 :func:`lazy_exports`, so ``import repro.runtime`` loads no submodule and
-``from repro.runtime import FunctionalTrainer`` loads only
+``from repro.runtime import serial_reference`` loads only
 :mod:`repro.runtime.training` and what *it* imports.  A name is imported
 the first time it is read and then stored in the package's globals, so
 later reads are plain attribute lookups that never reach ``__getattr__``.

@@ -24,13 +24,11 @@ __all__ = [
     "ccube_allreduce",
     "double_tree_allreduce",
     "halving_doubling_allreduce",
-    "halving_doubling_time",
     "ClusterSpec",
     "hierarchical_allreduce",
     "simulate_hierarchical",
     "DGX1_RING_ORDER",
     "ring_allreduce",
-    "overlapped_tree_allreduce",
     "tree_allreduce",
     "check_allreduce",
     "check_allreduce_simulated",
@@ -54,13 +52,11 @@ __getattr__, __dir__ = lazy_exports(
         "ccube_allreduce": "double_tree",
         "double_tree_allreduce": "double_tree",
         "halving_doubling_allreduce": "halving_doubling",
-        "halving_doubling_time": "halving_doubling",
         "ClusterSpec": "hierarchical",
         "hierarchical_allreduce": "hierarchical",
         "simulate_hierarchical": "hierarchical",
         "DGX1_RING_ORDER": "ring",
         "ring_allreduce": "ring",
-        "overlapped_tree_allreduce": "tree",
         "tree_allreduce": "tree",
         "check_allreduce": "verification",
         "check_allreduce_simulated": "verification",
@@ -75,7 +71,7 @@ __getattr__, __dir__ = lazy_exports(
 _BUILDERS = {
     "ring": "ring_allreduce",
     "tree": "tree_allreduce",
-    "overlapped_tree": "overlapped_tree_allreduce",
+    "overlapped_tree": "tree_allreduce",
     "double_tree": "double_tree_allreduce",
     "ccube": "ccube_allreduce",
 }
@@ -108,6 +104,8 @@ def build_allreduce(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
     builder = __getattr__(_BUILDERS[algorithm])
+    if algorithm == "overlapped_tree":
+        kwargs["overlapped"] = True
     if algorithm == "ring":
         kwargs.pop("nchunks", None)
         return builder(nnodes, nbytes, **kwargs)

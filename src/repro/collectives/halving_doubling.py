@@ -153,16 +153,3 @@ def halving_doubling_allreduce(
     )
     schedule.validate()
     return schedule
-
-
-def halving_doubling_time(nnodes: int, nbytes: float, *, alpha: float,
-                          beta: float) -> float:
-    """Analytical cost: ``2 log2(P) alpha + 2 ((P-1)/P) beta N``."""
-    if nnodes < 2 or not _is_power_of_two(nnodes):
-        raise ConfigError(
-            "halving-doubling requires a power-of-two node count"
-        )
-    if nbytes <= 0:
-        raise ConfigError("message size must be positive")
-    logp = nnodes.bit_length() - 1
-    return 2.0 * logp * alpha + 2.0 * ((nnodes - 1) / nnodes) * beta * nbytes

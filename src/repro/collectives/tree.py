@@ -186,16 +186,3 @@ def tree_allreduce(
     )
     schedule.validate()
     return schedule
-
-
-def overlapped_tree_allreduce(
-    nnodes: int,
-    nbytes: float,
-    *,
-    nchunks: int,
-    tree: BinaryTree | None = None,
-) -> CollectiveSchedule:
-    """The paper's C1: single tree with chained reduction/broadcast."""
-    return tree_allreduce(
-        nnodes, nbytes, nchunks=nchunks, tree=tree, overlapped=True
-    )

@@ -66,14 +66,6 @@ class IterationResult:
         """Communication time not hidden behind computation."""
         return self.iteration_time - self.ideal_time
 
-    @property
-    def chaining_efficiency(self) -> float:
-        """Fraction of the communication hidden behind computation."""
-        if self.comm_total <= 0:
-            return 1.0
-        hidden = self.comm_total - self.exposed_comm_time
-        return max(0.0, min(1.0, hidden / self.comm_total))
-
 
 @dataclass
 class IterationPipeline:

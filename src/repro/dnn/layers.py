@@ -97,10 +97,6 @@ class NetworkModel:
     def total_bytes(self) -> int:
         return sum(layer.param_bytes for layer in self.layers)
 
-    @property
-    def total_fwd_flops(self) -> float:
-        return sum(layer.fwd_flops for layer in self.layers)
-
     @cached_property
     def _byte_offsets(self) -> tuple[int, ...]:
         """Prefix sums of the layers' gradient bytes, starting at 0."""

@@ -28,7 +28,7 @@ from repro.plan.lowering import simulate_plan
 from repro.plan.verifier import verify_plan
 from repro.sim.oracle import check_plan_ordering
 from repro.synth.search import effective_gpu_topology
-from repro.synth.tune import SMOKE_SIZES, SWEEP_SIZES, TuneResult, tune
+from repro.synth.tune import SWEEP_SIZES, TuneResult, tune
 from repro.topology.base import PhysicalTopology
 from repro.topology.dgx1 import dgx1_topology
 from repro.topology.dgx2 import dgx2_topology
@@ -149,15 +149,6 @@ def run(
                 exact=exact,
             ))
     return rows
-
-
-def run_smoke(seed: int = 0) -> list[SynthRow]:
-    """Two-size sweep on DGX-1 plus one degraded topology (CI tier-1)."""
-    degraded = dgx1_topology().without_link(3, 7)
-    degraded.name = "dgx1-nolink37"
-    return run(
-        [dgx1_topology(), degraded], sizes=SMOKE_SIZES, seed=seed
-    )
 
 
 def format_table(rows: list[SynthRow]) -> str:

@@ -12,11 +12,12 @@ the same order, single-threaded.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..errors import ConfigError
 from ..runtime.executor import Executor, RunReport
-from ..runtime.faults import FaultPlan
 from ..runtime.memory import ChunkLayout
 from ..runtime.sync import SpinConfig
 from .compiler import _compile
@@ -28,6 +29,9 @@ from .verifier import (
     relay_key,
     verify_plan,
 )
+
+if TYPE_CHECKING:
+    from ..runtime.faults import FaultPlan
 
 __all__ = [
     "PlanRunReport",

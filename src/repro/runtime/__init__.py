@@ -10,17 +10,22 @@ Python thread per kernel:
   plus the cluster-wide fail-fast :class:`AbortCell`,
 - :mod:`repro.runtime.faults` — declarative fault injection
   (:class:`FaultPlan`): link jitter/drops/corruption with bounded
-  retransmission, GPU stragglers/crashes/stuck kernels,
+  retransmission, GPU stragglers/crashes/stuck kernels; loaded only by
+  callers that build a plan,
 - :mod:`repro.runtime.memory` — gradient buffers and chunk slicing,
 - :mod:`repro.runtime.cluster` — the CRC-framed wire (the one link
-  primitive) and the persistent-kernel thread pool,
+  primitive, with its frame checksum) and the persistent-kernel thread
+  pool,
 - :mod:`repro.runtime.executor` — the one engine: it runs a compiled,
-  verified :class:`Program`, and hosts the gradient queue's enqueue hook,
+  verified :class:`Program`, stamps each GPU's :class:`PhaseBoard`, and
+  hosts the gradient queue's enqueue hook,
 - :mod:`repro.runtime.allreduce` — the pipelined double-tree AllReduce
   (C1 overlap, detour relays): a shipped or compiled program,
 - :mod:`repro.runtime.queue_runtime` — gradient queuing + forward-compute
-  chaining over the enqueue semaphores (C2/CC), driven by
-  :mod:`repro.runtime.training`,
+  chaining over the enqueue semaphores (C2/CC), and the
+  :class:`FunctionalTrainer` that runs it for several iterations,
+- :mod:`repro.runtime.training` — the serial oracle the trainers are
+  checked against; it imports no engine,
 - :mod:`repro.runtime.elastic` / :mod:`repro.runtime.recovery` — the
   membership state machine; each of its spans runs the plan it verified
   on :class:`~repro.plan.interpreter.PlanInterpreter`.
@@ -103,7 +108,7 @@ __getattr__, __dir__ = lazy_exports(
         "FaultStats": "faults",
         "GpuFault": "faults",
         "LinkFault": "faults",
-        "PhaseBoard": "faults",
+        "PhaseBoard": "executor",
         "StorageFault": "faults",
         "stable_tag_seed": "faults",
         "Checkpointer": "checkpoint",
@@ -143,7 +148,7 @@ __getattr__, __dir__ = lazy_exports(
         "recovery_serial_reference": "recovery",
         "segment_reduce_order": "elastic",
         "shard_assignments": "elastic",
-        "FunctionalTrainer": "training",
+        "FunctionalTrainer": "queue_runtime",
         "quadratic_gradient": "training",
         "serial_reference": "training",
         "tree_reduce_order": "training",

@@ -21,16 +21,20 @@ that becomes final on a GPU is *enqueued* for
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.runtime.executor import (
     Executor, RunReport, program_key, shipped_program,
 )
-from repro.runtime.faults import FaultPlan
 from repro.runtime.memory import ChunkLayout
 from repro.runtime.sync import SpinConfig
 from repro.topology.logical import BinaryTree
+
+if TYPE_CHECKING:
+    from repro.runtime.faults import FaultPlan
 
 __all__ = ["RunReport", "TreeAllReduceRuntime"]
 

@@ -74,7 +74,8 @@ from repro.plan.ir import Plan
 from repro.plan.passes import compile_plan
 from repro.plan.verifier import VerifyReport, verify_plan
 from repro.runtime.checkpoint import Checkpointer, CheckpointState
-from repro.runtime.faults import CRASH, FaultPlan, GpuFault, payload_checksum
+from repro.runtime.cluster import payload_checksum
+from repro.runtime.faults import CRASH, FaultPlan, GpuFault
 from repro.runtime.memory import ChunkLayout
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
@@ -683,7 +684,7 @@ class ElasticReport:
 
     Attributes:
         weights: final shared weights (the engine's own array).
-        weight_checksums: CRC32 (``faults.payload_checksum``) of the
+        weight_checksums: CRC32 (``cluster.payload_checksum``) of the
             weights after every *surviving* completed iteration —
             entries invalidated by a checkpoint restore are truncated,
             so index ``i`` always checksums the weights after global
@@ -749,12 +750,6 @@ class ElasticReport:
         _, embedding, assignments = self.initial_segment
         shards = {s for owned in assignments.values() for s in owned}
         return tuple(sorted(shards - set(embedding.survivors)))
-
-    @property
-    def all_dead_gpus(self) -> tuple[int, ...]:
-        """Every physical GPU lost or already dead across the run."""
-        lost = {g for r in self.records for g in r.dead_detected}
-        return tuple(sorted({*self.initial_dead, *lost}))
 
 
 class ElasticTrainer:

@@ -20,32 +20,41 @@ rank posts its ``(rank, tree)`` gradient-queue semaphore as each chunk
 becomes final on it (its last REDUCE or RECV there); the verifier's
 ``PLAN013`` proves the posts come in chunk-position order, the order
 :func:`~repro.runtime.queue_runtime.layer_requirements` counts in.
+
+Every kernel stamps its progress on the run's :class:`PhaseBoard`, which
+the abort dump prints.  A GPU fault fires through the
+:class:`~repro.runtime.faults.FaultPlan` the executor was given, so a
+run without one never imports the fault DSL.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import threading
 import time
 import zlib
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from importlib import resources
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.codes import K_RECV, K_REDUCE, K_SEND
 from repro.errors import ConfigError, RuntimeClusterError
 from repro.runtime.cluster import KernelPool, _transmit, _Wire
-from repro.runtime.faults import FaultPlan, PhaseBoard, apply_gpu_fault
 from repro.runtime.memory import ChunkLayout, GradientBuffer
 from repro.runtime.sync import (
     AbortCell, DeviceEvent, DeviceSemaphore, SpinConfig,
 )
 
+if TYPE_CHECKING:
+    from repro.runtime.faults import FaultPlan
+
 __all__ = [
     "Executor",
+    "PhaseBoard",
     "Program",
     "RunReport",
     "edge_tag",
@@ -193,6 +202,43 @@ def edge_tag(wire_key: tuple) -> str | None:
         return None
     a, b = flow if flow is not None else (src, dst)
     return f"{direction} t{tree} {a}->{b}"
+
+
+class PhaseBoard:
+    """Last-known phase per virtual GPU, for the abort diagnostic dump.
+
+    Kernels stamp their progress (``"reduce t0 chunk 2/4"``) as they go;
+    when the cluster aborts, the dump shows where every GPU last was —
+    the difference between "it hung" and "GPU3's reduce kernel never
+    finished chunk 2".
+    """
+
+    def __init__(self, nnodes: int):
+        # Host-side bookkeeping, not a device primitive.
+        self._lock = threading.Lock()  # sync-lint: allow(raw-threading)
+        self._phases: dict[int, str] = {g: "idle" for g in range(nnodes)}
+
+    def set(self, gpu: int, phase: str) -> None:
+        with self._lock:
+            # Terminal stamps are sticky: a GPU whose tree-0 kernel
+            # crashed or wedged still has live sibling kernels on the
+            # other trees, and their routine progress stamps must not
+            # erase the one line detection relies on.
+            current = self._phases.get(gpu, "")
+            if "crashed" in current or "stuck" in current:
+                return
+            self._phases[gpu] = phase
+
+    def get(self, gpu: int) -> str:
+        with self._lock:
+            return self._phases.get(gpu, "unknown")
+
+    def dump(self) -> str:
+        with self._lock:
+            return "\n".join(
+                f"gpu {gpu}: {phase}"
+                for gpu, phase in sorted(self._phases.items())
+            )
 
 
 @dataclass
@@ -398,8 +444,9 @@ class Executor:
                     if armed:
                         active_ops[key] = op_id
                         if fault_pos >= 0:
-                            apply_gpu_fault(fault_plan, rank, tree,
-                                            fault_pos, board, abort)
+                            fault_plan.apply_gpu_fault(
+                                rank, tree, fault_pos, board, abort
+                            )
                     for e in waits:
                         events[e].wait()
                     wire = wires[w]

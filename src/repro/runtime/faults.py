@@ -19,6 +19,13 @@ Everything is deterministic: each fault site draws from its own RNG
 seeded with a **stable digest** of the site tag (``zlib.crc32``), never
 ``hash()``, whose per-process salting (``PYTHONHASHSEED``) would make
 "reproducible" chaos differ between runs.
+
+The fault-free path never imports this module: the frame checksum
+(:func:`~repro.runtime.cluster.payload_checksum`) lives beside the wire
+and the per-GPU :class:`~repro.runtime.executor.PhaseBoard` beside the
+executor that stamps it.  The executor fires a GPU fault through the
+plan it was given (:meth:`FaultPlan.apply_gpu_fault`), so only a caller
+that builds a :class:`FaultPlan` loads the fault DSL.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 from repro.errors import ConfigError, RuntimeClusterError
 
 if TYPE_CHECKING:
+    from repro.runtime.executor import PhaseBoard
     from repro.runtime.sync import AbortCell
 
 #: GPU fault kinds.
@@ -55,16 +63,6 @@ def stable_tag_seed(tag: str, seed: int) -> int:
     seed is stable across processes and platforms.
     """
     return (zlib.crc32(tag.encode("utf-8")) ^ (seed * 0x9E3779B1)) & 0x7FFFFFFF
-
-
-def payload_checksum(values: np.ndarray) -> int:
-    """CRC32 over a chunk payload's raw bytes (the frame checksum).
-
-    Computed over the contiguous array's own buffer: a contiguous payload
-    (every wire slot and gradient-buffer chunk) is checksummed without a
-    copy; a strided view is made contiguous first, as ``tobytes`` would.
-    """
-    return zlib.crc32(np.ascontiguousarray(values))
 
 
 class FaultStats:
@@ -287,6 +285,45 @@ class FaultPlan:
                 return fault
         return None
 
+    def apply_gpu_fault(
+        self,
+        gpu: int,
+        tree: int,
+        pos: int,
+        board: "PhaseBoard",
+        abort: "AbortCell",
+    ) -> None:
+        """Fire ``gpu``'s injected fault at reduce chunk position ``pos``.
+
+        Crash/stuck faults fire once, on tree 0 at ``after_chunk``; a
+        straggler sleeps before every chunk on every tree.  The sticky
+        ``crashed`` / ``stuck`` board stamps are what
+        :func:`~repro.runtime.elastic.detect_dead_gpus` reads.
+        """
+        fault = self.gpu_fault(gpu)
+        if fault is None:
+            return
+        if fault.kind == STRAGGLER:
+            time.sleep(fault.delay)
+            return
+        if tree != 0 or pos != fault.after_chunk:
+            return
+        if fault.kind == CRASH:
+            self.stats.bump("crashes")
+            board.set(gpu, f"crashed in reduce t{tree} at chunk {pos}")
+            raise RuntimeClusterError(
+                f"injected crash on gpu {gpu} (plan reduce t{tree}, "
+                f"chunk {pos})"
+            )
+        if fault.kind == STUCK:
+            # Stop posting without dying: peers spin until the first one
+            # times out and triggers the abort; then we exit too.
+            self.stats.bump("stalls")
+            board.set(gpu, f"stuck in reduce t{tree} at chunk {pos}")
+            while True:
+                abort.raise_if_set()
+                time.sleep(STUCK_POLL)
+
     def storage_injector(self, path: str) -> "StorageInjector | None":
         """Injector for the storage path ``path`` (None when unaffected)."""
         matching = [f for f in self.storage_faults if f.applies_to(path)]
@@ -428,81 +465,3 @@ class StorageInjector:
         bit = int(self._rng.integers(0, 8))
         damaged[pos] ^= 1 << bit
         return bytes(damaged)
-
-
-class PhaseBoard:
-    """Last-known phase per virtual GPU, for the abort diagnostic dump.
-
-    Kernels stamp their progress (``"reduce t0 chunk 2/4"``) as they go;
-    when the cluster aborts, the dump shows where every GPU last was —
-    the difference between "it hung" and "GPU3's reduce kernel never
-    finished chunk 2".
-    """
-
-    def __init__(self, nnodes: int):
-        # Host-side bookkeeping, not a device primitive.
-        self._lock = threading.Lock()  # sync-lint: allow(raw-threading)
-        self._phases: dict[int, str] = {g: "idle" for g in range(nnodes)}
-
-    def set(self, gpu: int, phase: str) -> None:
-        with self._lock:
-            # Terminal stamps are sticky: a GPU whose tree-0 kernel
-            # crashed or wedged still has live sibling kernels on the
-            # other trees, and their routine progress stamps must not
-            # erase the one line detection relies on.
-            current = self._phases.get(gpu, "")
-            if "crashed" in current or "stuck" in current:
-                return
-            self._phases[gpu] = phase
-
-    def get(self, gpu: int) -> str:
-        with self._lock:
-            return self._phases.get(gpu, "unknown")
-
-    def dump(self) -> str:
-        with self._lock:
-            return "\n".join(
-                f"gpu {gpu}: {phase}"
-                for gpu, phase in sorted(self._phases.items())
-            )
-
-
-def apply_gpu_fault(
-    plan: FaultPlan | None,
-    gpu: int,
-    tree: int,
-    pos: int,
-    board: PhaseBoard,
-    abort: "AbortCell",
-) -> None:
-    """Fire ``gpu``'s injected fault at reduce chunk position ``pos``.
-
-    Crash/stuck faults fire once, on tree 0 at ``after_chunk``; a
-    straggler sleeps before every chunk on every tree.  The sticky
-    ``crashed`` / ``stuck`` board stamps are what
-    :func:`~repro.runtime.elastic.detect_dead_gpus` reads.
-    """
-    if plan is None:
-        return
-    fault = plan.gpu_fault(gpu)
-    if fault is None:
-        return
-    if fault.kind == STRAGGLER:
-        time.sleep(fault.delay)
-        return
-    if tree != 0 or pos != fault.after_chunk:
-        return
-    if fault.kind == CRASH:
-        plan.stats.bump("crashes")
-        board.set(gpu, f"crashed in reduce t{tree} at chunk {pos}")
-        raise RuntimeClusterError(
-            f"injected crash on gpu {gpu} (plan reduce t{tree}, chunk {pos})"
-        )
-    if fault.kind == STUCK:
-        # Stop posting without dying: peers spin until the first one
-        # times out and triggers the abort; then we exit too.
-        plan.stats.bump("stalls")
-        board.set(gpu, f"stuck in reduce t{tree} at chunk {pos}")
-        while True:
-            abort.raise_if_set()
-            time.sleep(STUCK_POLL)

@@ -9,6 +9,11 @@ Because the check consumes nothing and the layer index counter only
 advances, forward order is strictly increasing by construction, and a
 dequeue can never observe a chunk that has not been enqueued.  The
 producer is the executor's enqueue hook (in position order: ``PLAN013``).
+
+:class:`FunctionalTrainer` drives that chained step for several
+iterations — a full (small-scale) data-parallel SGD loop, C-Cube's
+chained update path end to end — and its weights must equal
+:func:`~repro.runtime.training.serial_reference` bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.dnn.layers import BYTES_PER_PARAM, NetworkModel
 from repro.runtime.allreduce import RunReport, TreeAllReduceRuntime
+from repro.runtime.cluster import payload_checksum
 from repro.runtime.memory import ChunkLayout, GradientBuffer
+from repro.runtime.training import GradientFn, private_gradient
 
 
 @dataclass(frozen=True)
@@ -184,3 +191,103 @@ class ChainedTrainingRuntime:
                 )
 
         return kernel
+
+
+@dataclass
+class FunctionalTrainingResult:
+    """Outcome of a functional training run.
+
+    Attributes:
+        weights: final shared weights (identical across GPUs — asserted);
+            the trainer's own array, not a copy.
+        weight_checksums: CRC32 (``cluster.payload_checksum``) of the
+            weights after each iteration — one int per iteration, so the
+            result holds no weight vector but the final one.
+        dequeue_orders: per iteration, per GPU, the layer dequeue order.
+    """
+
+    weights: np.ndarray
+    weight_checksums: list[int]
+    dequeue_orders: list[dict[int, list[int]]]
+
+
+class FunctionalTrainer:
+    """Runs data-parallel SGD iterations on the virtual cluster.
+
+    Args:
+        runtime: configured AllReduce runtime (trees, chunks, overlap).
+        network: layer table gating the gradient queue.
+        gradient_fn: per-GPU local gradient function.
+        learning_rate: SGD step size (applied to the *summed* gradient,
+            as the runtime reduces with sum — fold any 1/P into it).
+    """
+
+    def __init__(
+        self,
+        runtime: TreeAllReduceRuntime,
+        network: NetworkModel,
+        gradient_fn: GradientFn,
+        *,
+        learning_rate: float = 0.05,
+    ):
+        if network.total_params != runtime.layout.total_elems:
+            raise ConfigError("network size must match the runtime layout")
+        self.runtime = runtime
+        self.network = network
+        self.gradient_fn = gradient_fn
+        self.learning_rate = learning_rate
+        self.chained = ChainedTrainingRuntime(
+            runtime, network, learning_rate=learning_rate
+        )
+
+    def train(
+        self, initial_weights: np.ndarray, *, iterations: int
+    ) -> FunctionalTrainingResult:
+        """Run ``iterations`` chained training steps.
+
+        Raises:
+            ConfigError: on shape mismatch or non-positive iterations.
+        """
+        if iterations < 1:
+            raise ConfigError("need at least 1 iteration")
+        if len(initial_weights) != self.network.total_params:
+            raise ConfigError("initial weights have the wrong size")
+        nnodes = self.runtime.nnodes
+        weights = np.asarray(initial_weights, dtype=np.float64).copy()
+        checksums: list[int] = []
+        dequeue_orders: list[dict[int, list[int]]] = []
+
+        for iteration in range(iterations):
+            # Gradients the function handed over outright become the
+            # GPUs' gradient buffers; any it keeps are copied first.
+            grads = [
+                private_gradient(self.gradient_fn(weights, gpu, iteration))
+                for gpu in range(nnodes)
+            ]
+            result = self.chained.run(
+                grads,
+                weights=[weights.copy() for _ in range(nnodes)],
+                in_place=True,
+            )
+            del grads
+            for w in result.weights[1:]:
+                if not np.array_equal(result.weights[0], w):
+                    raise ConfigError(
+                        "GPUs diverged — the collective is broken"
+                    )
+            weights = result.weights[0]
+            checksums.append(payload_checksum(weights))
+            dequeue_orders.append(
+                {
+                    gpu: [rec.layer for rec in result.compute_log[gpu]]
+                    for gpu in range(nnodes)
+                }
+            )
+            # Free this iteration's per-GPU weights and buffers before the
+            # next one allocates its own.
+            del result
+        return FunctionalTrainingResult(
+            weights=weights,
+            weight_checksums=checksums,
+            dequeue_orders=dequeue_orders,
+        )

@@ -1,33 +1,31 @@
-"""Multi-iteration functional training over the virtual cluster.
+"""The serial oracle every distributed training run is checked against.
 
-A full (small-scale) data-parallel SGD loop on the thread-backed runtime:
-each iteration, every virtual GPU computes a local gradient from the
-shared weights and its own data shard, the gradients are AllReduced with
-the chosen tree configuration, and the update is applied layer by layer
-through the gradient queue — i.e., C-Cube's chained update path runs end
-to end for several iterations.
+Each iteration of data-parallel SGD has every virtual GPU compute a
+local gradient from the shared weights and its own data shard; the
+gradients are summed and one SGD step is applied.  The trainers
+(:class:`~repro.runtime.queue_runtime.FunctionalTrainer`, the elastic
+and resilient trainers) run that loop on the thread-backed runtime;
+:func:`serial_reference` runs it single-threaded, and
+:func:`tree_reduce_order` replays the tree runtime's summation order so
+the two agree bit for bit.
 
 The point is the paper's accuracy-neutrality claim at training-loop
 scope: the chained, overlapped execution must produce *exactly* the
 weights a straightforward serial implementation computes (same reduction
-tree, so bit-identical floating point).
+tree, so bit-identical floating point).  This module imports no engine,
+so a check that needs only the oracle loads no runtime.
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.dnn.layers import NetworkModel
-from repro.runtime.allreduce import TreeAllReduceRuntime
-from repro.runtime.faults import payload_checksum
 from repro.runtime.memory import ChunkLayout
-from repro.runtime.queue_runtime import ChainedTrainingRuntime
 from repro.topology.logical import BinaryTree
 
 #: Computes one GPU's local gradient: (weights, gpu, iteration) -> grad.
@@ -111,106 +109,6 @@ def quadratic_gradient(targets: list[np.ndarray]) -> GradientFn:
         return weights - targets[gpu]
 
     return fn
-
-
-@dataclass
-class FunctionalTrainingResult:
-    """Outcome of a functional training run.
-
-    Attributes:
-        weights: final shared weights (identical across GPUs — asserted);
-            the trainer's own array, not a copy.
-        weight_checksums: CRC32 (``faults.payload_checksum``) of the
-            weights after each iteration — one int per iteration, so the
-            result holds no weight vector but the final one.
-        dequeue_orders: per iteration, per GPU, the layer dequeue order.
-    """
-
-    weights: np.ndarray
-    weight_checksums: list[int]
-    dequeue_orders: list[dict[int, list[int]]]
-
-
-class FunctionalTrainer:
-    """Runs data-parallel SGD iterations on the virtual cluster.
-
-    Args:
-        runtime: configured AllReduce runtime (trees, chunks, overlap).
-        network: layer table gating the gradient queue.
-        gradient_fn: per-GPU local gradient function.
-        learning_rate: SGD step size (applied to the *summed* gradient,
-            as the runtime reduces with sum — fold any 1/P into it).
-    """
-
-    def __init__(
-        self,
-        runtime: TreeAllReduceRuntime,
-        network: NetworkModel,
-        gradient_fn: GradientFn,
-        *,
-        learning_rate: float = 0.05,
-    ):
-        if network.total_params != runtime.layout.total_elems:
-            raise ConfigError("network size must match the runtime layout")
-        self.runtime = runtime
-        self.network = network
-        self.gradient_fn = gradient_fn
-        self.learning_rate = learning_rate
-        self.chained = ChainedTrainingRuntime(
-            runtime, network, learning_rate=learning_rate
-        )
-
-    def train(
-        self, initial_weights: np.ndarray, *, iterations: int
-    ) -> FunctionalTrainingResult:
-        """Run ``iterations`` chained training steps.
-
-        Raises:
-            ConfigError: on shape mismatch or non-positive iterations.
-        """
-        if iterations < 1:
-            raise ConfigError("need at least 1 iteration")
-        if len(initial_weights) != self.network.total_params:
-            raise ConfigError("initial weights have the wrong size")
-        nnodes = self.runtime.nnodes
-        weights = np.asarray(initial_weights, dtype=np.float64).copy()
-        checksums: list[int] = []
-        dequeue_orders: list[dict[int, list[int]]] = []
-
-        for iteration in range(iterations):
-            # Gradients the function handed over outright become the
-            # GPUs' gradient buffers; any it keeps are copied first.
-            grads = [
-                private_gradient(self.gradient_fn(weights, gpu, iteration))
-                for gpu in range(nnodes)
-            ]
-            result = self.chained.run(
-                grads,
-                weights=[weights.copy() for _ in range(nnodes)],
-                in_place=True,
-            )
-            del grads
-            for w in result.weights[1:]:
-                if not np.array_equal(result.weights[0], w):
-                    raise ConfigError(
-                        "GPUs diverged — the collective is broken"
-                    )
-            weights = result.weights[0]
-            checksums.append(payload_checksum(weights))
-            dequeue_orders.append(
-                {
-                    gpu: [rec.layer for rec in result.compute_log[gpu]]
-                    for gpu in range(nnodes)
-                }
-            )
-            # Free this iteration's per-GPU weights and buffers before the
-            # next one allocates its own.
-            del result
-        return FunctionalTrainingResult(
-            weights=weights,
-            weight_checksums=checksums,
-            dequeue_orders=dequeue_orders,
-        )
 
 
 def serial_reference(

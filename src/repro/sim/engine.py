@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice
 from operator import not_, sub
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.dag import PHASE_CODE, PHASES, Dag, Op, Phase
+from repro.sim.dag import Dag, Op
 from repro.sim.resources import Channel, Processor, Resource
 from repro.sim.trace import TraceRecord
 
@@ -78,10 +78,6 @@ class SimResult:
             for op_id in self.order
         ]
 
-    def finish_of(self, ops: Iterable[Op]) -> float:
-        """Latest finish time over ``ops`` (0.0 for an empty set)."""
-        return max((self.finish[op.op_id] for op in ops), default=0.0)
-
     def first_finish_of(self, ops: Iterable[Op]) -> float:
         """Earliest finish time over ``ops``.
 
@@ -92,21 +88,6 @@ class SimResult:
         if not times:
             raise SimulationError("first_finish_of() called with no ops")
         return min(times)
-
-    def busy_time(self, resource: Hashable) -> float:
-        """Total occupied time of a resource across the run.
-
-        Sums over the ops in service order, reading the DAG's key column
-        instead of the trace.
-        """
-        dag, start, finish = self.ops, self.start, self.finish
-        wanted = {i for i, key in enumerate(dag.keys) if key == resource}
-        resource_id = dag.resource_id
-        return sum(
-            finish[op_id] - start[op_id]
-            for op_id in self.order
-            if resource_id[op_id] in wanted
-        )
 
 
 #: Resource states in :meth:`DagSimulator.run` (an op id means "idle,
@@ -501,41 +482,3 @@ def makespan(
 ) -> float:
     """Convenience wrapper: simulate ``dag`` and return only the makespan."""
     return DagSimulator(resources).run(dag, validate=validate).makespan
-
-
-def phase_finish_times(dag: Dag, result: SimResult) -> dict[Phase, float]:
-    """Latest finish time per phase present in the DAG (read from the
-    DAG's phase column; no op row is built)."""
-    latest: dict[int, float] = {}
-    for code, t in zip(dag.phase_code, result.finish):
-        if code not in latest or t > latest[code]:
-            latest[code] = t
-    return {PHASES[code]: t for code, t in latest.items()}
-
-
-def chunk_completion_times(
-    dag: Dag,
-    result: SimResult,
-    *,
-    phase: Phase = Phase.BROADCAST,
-    key: Callable[[Op], bool] | None = None,
-) -> dict[int, float]:
-    """Completion time of each chunk's last op in ``phase``.
-
-    For an AllReduce DAG this gives, per chunk, the instant the reduced
-    chunk is available everywhere — the quantity gradient queuing consumes.
-    Reads the DAG's phase and chunk columns; an :class:`Op` row is built
-    only for an op in ``phase`` that ``key`` must judge.
-    """
-    code = PHASE_CODE[phase]
-    out: dict[int, float] = {}
-    for op_id, (phase_code, chunk, t) in enumerate(
-        zip(dag.phase_code, dag.chunk, result.finish)
-    ):
-        if phase_code != code or chunk < 0:
-            continue
-        if key is not None and not key(dag[op_id]):
-            continue
-        if chunk not in out or t > out[chunk]:
-            out[chunk] = t
-    return out

@@ -1,7 +1,7 @@
 """Topology-driven plan synthesis: generate collective plans, don't
 just legalize hand-written ones.
 
-Three layers (the top open ROADMAP item):
+Three layers:
 
 - :mod:`repro.synth.search` — construct candidate :class:`repro.plan.ir.Plan`s
   directly from any :class:`repro.topology.base.PhysicalTopology`:

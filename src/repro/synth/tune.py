@@ -127,11 +127,6 @@ class TuneResult:
     #: Candidates the static lower bound rejected without simulation.
     pruned: int = 0
 
-    @property
-    def prune_rate(self) -> float:
-        """Fraction of compiled candidates never simulated."""
-        return self.pruned / self.candidates if self.candidates else 0.0
-
     def choose(self, nbytes: float) -> SizeWinner:
         if not self.winners:
             raise SynthesisError("empty tune result")

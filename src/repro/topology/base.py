@@ -260,9 +260,6 @@ class PhysicalTopology:
             )
         return resources
 
-    def total_lanes(self) -> int:
-        return len(self._links)
-
     def validate(self) -> None:
         """Sanity checks: lanes dense per pair, endpoints known."""
         pairs: dict[tuple[int, int], int] = {}

@@ -74,11 +74,3 @@ def dgx1_topology(
             topo.add_link(u, v, alpha=nvlink_alpha, beta=beta)
     topo.validate()
     return topo
-
-
-def pcie_fallback_time(nbytes: float) -> float:
-    """Time to move ``nbytes`` GPU-to-GPU through the host over PCIe.
-
-    Used only to quantify what the detour routes avoid (detour ablation).
-    """
-    return PCIE_ALPHA + nbytes / PCIE_BANDWIDTH

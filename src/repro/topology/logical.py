@@ -160,20 +160,3 @@ def two_trees(nnodes: int) -> tuple[BinaryTree, BinaryTree]:
     directions of every tree edge, doubling effective bandwidth."""
     first = balanced_binary_tree(nnodes)
     return first, mirror_tree(first)
-
-
-def shared_directed_edges(
-    first: BinaryTree, second: BinaryTree
-) -> set[tuple[int, int]]:
-    """Directed edges used by *both* trees (any phase direction).
-
-    For a mirrored pair these are the channels where tree 1's uplink is
-    tree 2's downlink — the conflicts that forbid overlapping a double tree
-    on single physical channels (paper Section IV-A).
-    """
-    def directed(tree: BinaryTree) -> set[tuple[int, int]]:
-        edges = set(tree.up_edges())
-        edges.update(tree.down_edges())
-        return edges
-
-    return directed(first) & directed(second)

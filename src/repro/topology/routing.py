@@ -95,6 +95,3 @@ class Router:
         raise RoutingError(
             f"node {dst} unreachable from {src} in {self._topo.name!r}"
         )
-
-    def hop_count(self, src: int, dst: int) -> int:
-        return len(self.route(src, dst)) - 1

@@ -124,10 +124,15 @@ def search_tree_pair(
         ((tree1, tree2), cost) for the best pair found.
 
     Raises:
-        ConfigError: for trivial topologies (fewer than 2 GPUs).
+        ConfigError: for trivial topologies (fewer than 2 GPUs), a
+            negative ``iterations`` or fewer than one restart.
     """
     if topo.nnodes < 2:
         raise ConfigError("need at least 2 GPUs")
+    if iterations < 0:
+        raise ConfigError(f"iterations must be >= 0, got {iterations}")
+    if restarts < 1:
+        raise ConfigError(f"restarts must be >= 1, got {restarts}")
     router = router or Router(topo)
     rng = random.Random(seed)
     nnodes = topo.nnodes
@@ -291,7 +296,8 @@ def search_degraded_pair(
             plan.
 
     Raises:
-        ConfigError: on invalid dead GPUs, fewer than 2 survivors, or
+        ConfigError: on invalid dead GPUs, fewer than 2 survivors, an
+            invalid search budget (:func:`search_tree_pair`), or
             (without ``synth_fallback``) when no feasible pair exists
             on the survivor topology (some tree edge has neither a link
             nor a detour).

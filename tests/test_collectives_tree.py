@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.collectives.base import simulate_on_fabric
-from repro.collectives.tree import overlapped_tree_allreduce, tree_allreduce
+from repro.collectives import build_allreduce
+from repro.collectives.tree import tree_allreduce
 from repro.collectives.verification import (
     check_allreduce,
     check_allreduce_simulated,
@@ -48,7 +49,7 @@ class TestScheduleShape:
         assert schedule.dag.labels == {}
 
     def test_overlapped_flag(self):
-        assert overlapped_tree_allreduce(4, 100.0, nchunks=1).overlapped
+        assert build_allreduce("overlapped_tree", 4, 100.0).overlapped
         assert not tree_allreduce(4, 100.0, nchunks=1).overlapped
 
     def test_invalid_inputs(self):
@@ -88,7 +89,8 @@ class TestOverlapTiming:
                     tree_allreduce(n, 1e6, nchunks=k), fabric_for(n)
                 )
                 over = simulate_on_fabric(
-                    overlapped_tree_allreduce(n, 1e6, nchunks=k), fabric_for(n)
+                    tree_allreduce(n, 1e6, nchunks=k, overlapped=True),
+                    fabric_for(n)
                 )
                 assert over.total_time <= base.total_time + 1e-12
 
@@ -98,7 +100,7 @@ class TestOverlapTiming:
             tree_allreduce(n, 64e6, nchunks=k), fabric_for(n)
         )
         over = simulate_on_fabric(
-            overlapped_tree_allreduce(n, 64e6, nchunks=k), fabric_for(n)
+            tree_allreduce(n, 64e6, nchunks=k, overlapped=True), fabric_for(n)
         )
         assert base.total_time / over.total_time > 1.7
 
@@ -108,7 +110,7 @@ class TestOverlapTiming:
             tree_allreduce(8, 1e6, nchunks=1), fabric_for(8)
         )
         over = simulate_on_fabric(
-            overlapped_tree_allreduce(8, 1e6, nchunks=1), fabric_for(8)
+            tree_allreduce(8, 1e6, nchunks=1, overlapped=True), fabric_for(8)
         )
         assert over.total_time == pytest.approx(base.total_time)
 
@@ -121,7 +123,7 @@ class TestOverlapTiming:
             tree_allreduce(n, 64e6, nchunks=k), fabric_for(n)
         )
         over = simulate_on_fabric(
-            overlapped_tree_allreduce(n, 64e6, nchunks=k), fabric_for(n)
+            tree_allreduce(n, 64e6, nchunks=k, overlapped=True), fabric_for(n)
         )
         assert base.turnaround / over.turnaround > 5.0
 

@@ -13,7 +13,8 @@ class TestSyntheticNetwork:
             total_params=1_000_000, total_flops=1e9,
         )
         assert net.total_params == pytest.approx(1_000_000, rel=0.01)
-        assert net.total_fwd_flops == pytest.approx(1e9, rel=0.01)
+        total_flops = sum(layer.fwd_flops for layer in net.layers)
+        assert total_flops == pytest.approx(1e9, rel=0.01)
 
     def test_case1_profile_shapes(self):
         net = synthetic_network(PatternCase.DECREASING_COMPUTE)

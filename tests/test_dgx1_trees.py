@@ -9,7 +9,11 @@ from repro.topology.dgx1_trees import (
     dgx1_tree_second,
     dgx1_trees,
 )
-from repro.topology.logical import shared_directed_edges
+
+
+def directed_edges(tree):
+    """Every directed channel ``tree`` uses, up or down."""
+    return {*tree.up_edges(), *tree.down_edges()}
 
 
 @pytest.fixture
@@ -43,7 +47,8 @@ class TestTreeValidity:
 class TestPaperConstraints:
     def test_conflicts_exactly_on_doubled_pairs(self, pair):
         """The trees share channels only where the DGX-1 has two NVLinks."""
-        shared = shared_directed_edges(*pair)
+        first, second = pair
+        shared = directed_edges(first) & directed_edges(second)
         shared_pairs = {frozenset(edge) for edge in shared}
         assert shared_pairs == {frozenset(p) for p in DOUBLE_LINK_PAIRS}
 

@@ -29,7 +29,7 @@ from repro.runtime import (
     elastic_serial_reference,
     parse_events,
 )
-from repro.runtime.faults import payload_checksum
+from repro.runtime.cluster import payload_checksum
 from repro.runtime.recovery import REEMBED, RESTART
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import tree_reduce_order

@@ -231,7 +231,7 @@ class TestPooledWire:
         )
 
     def test_take_view_matches_take(self, rng):
-        from repro.runtime.faults import payload_checksum
+        from repro.runtime.cluster import payload_checksum
 
         layout, wire_a = self._wire()
         _, wire_b = self._wire()
@@ -245,7 +245,7 @@ class TestPooledWire:
 
     def test_take_view_still_detects_corruption(self, rng):
         from repro.errors import LinkFaultError
-        from repro.runtime.faults import payload_checksum
+        from repro.runtime.cluster import payload_checksum
 
         layout, wire = self._wire()
         payload = rng.normal(size=layout.chunk_elems(0))
@@ -255,7 +255,7 @@ class TestPooledWire:
 
     def test_take_view_detects_out_of_order_frames(self, rng):
         from repro.errors import LinkFaultError
-        from repro.runtime.faults import payload_checksum
+        from repro.runtime.cluster import payload_checksum
 
         layout, wire = self._wire()
         for c in (0, 1):
@@ -266,7 +266,7 @@ class TestPooledWire:
             wire.take_view(1)
 
     def test_take_view_reads_aliased_memory_traced(self, rng):
-        from repro.runtime.faults import payload_checksum
+        from repro.runtime.cluster import payload_checksum
 
         layout = ChunkLayout.split(12, ntrees=1, chunks_per_tree=3)
         owner = GradientBuffer(np.zeros(12), layout, owner=4)
@@ -289,7 +289,7 @@ class TestPooledWire:
     def test_take_keeps_copy_semantics(self, rng):
         # Interpreter relays stash take() results across ops: mutating
         # the wire after take must not alter the returned array.
-        from repro.runtime.faults import payload_checksum
+        from repro.runtime.cluster import payload_checksum
 
         layout, wire = self._wire()
         first = rng.normal(size=layout.chunk_elems(0))
@@ -300,7 +300,7 @@ class TestPooledWire:
 
     def test_staging_covers_only_carried_chunks(self, rng):
         from repro.errors import RuntimeClusterError
-        from repro.runtime.faults import payload_checksum
+        from repro.runtime.cluster import payload_checksum
 
         layout = ChunkLayout.split(20, ntrees=2, chunks_per_tree=2)
         wire = _Wire(

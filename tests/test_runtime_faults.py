@@ -35,15 +35,16 @@ from repro.runtime.faults import (
     FaultStats,
     GpuFault,
     LinkFault,
-    payload_checksum,
     stable_tag_seed,
 )
-from repro.runtime.cluster import KernelPool
+from repro.runtime.cluster import KernelPool, payload_checksum
 from repro.runtime.memory import GradientBuffer
-from repro.runtime.queue_runtime import ChainedTrainingRuntime
+from repro.runtime.queue_runtime import (
+    ChainedTrainingRuntime,
+    FunctionalTrainer,
+)
 from repro.runtime.sync import AbortCell, SpinConfig
 from repro.runtime.training import (
-    FunctionalTrainer,
     quadratic_gradient,
     serial_reference,
     tree_reduce_order,

@@ -22,8 +22,9 @@ from repro.plan import PlanInterpreter, build_plan
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.faults import CRASH, FaultPlan, GpuFault
 from repro.runtime.memory import GradientBuffer
+from repro.runtime.queue_runtime import FunctionalTrainer
 from repro.runtime.sync import SpinConfig
-from repro.runtime.training import FunctionalTrainer, quadratic_gradient
+from repro.runtime.training import quadratic_gradient
 from repro.topology.dgx1_trees import DETOURED_EDGES, dgx1_trees
 
 FAST = SpinConfig(timeout=10.0)

@@ -21,11 +21,13 @@ from repro.runtime import (
 )
 from repro.runtime.allreduce import TreeAllReduceRuntime
 from repro.runtime.faults import FaultPlan
-from repro.runtime.queue_runtime import ChainedTrainingRuntime
+from repro.runtime.queue_runtime import (
+    ChainedTrainingRuntime,
+    FunctionalTrainer,
+)
 from repro.runtime.recovery import REEMBED, RESTART
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
-    FunctionalTrainer,
     private_gradient,
     quadratic_gradient,
     serial_reference,

@@ -6,14 +6,10 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.dag import Dag, Phase
-from repro.sim.engine import (
-    DagSimulator,
-    chunk_completion_times,
-    makespan,
-    phase_finish_times,
-)
+from repro.sim.analysis import phase_windows
+from repro.sim.engine import DagSimulator, makespan
 from repro.sim.resources import Channel, Processor
-from repro.sim.trace import overlapping_pairs
+from repro.sim.trace import overlapping_pairs, utilization
 
 
 def simple_resources():
@@ -139,7 +135,11 @@ class TestTraceIntegrity:
         dag.add("chan", nbytes=1.0)
         dag.add("chan", nbytes=2.0)
         result = DagSimulator(simple_resources()).run(dag)
-        assert result.busy_time("chan") == pytest.approx(2.0 + 3.0)
+        busy = sum(
+            rec.finish - rec.start for rec in result.trace
+            if rec.resource == "chan"
+        )
+        assert busy == pytest.approx(2.0 + 3.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -207,16 +207,8 @@ class TestHelpers:
         dag.add("chan", nbytes=1.0, phase=Phase.REDUCE)
         dag.add("chan", nbytes=1.0, phase=Phase.BROADCAST)
         result = DagSimulator(simple_resources()).run(dag)
-        times = phase_finish_times(dag, result)
-        assert times[Phase.REDUCE] < times[Phase.BROADCAST]
-
-    def test_chunk_completion_times(self):
-        dag = Dag()
-        dag.add("chan", nbytes=1.0, chunk=0, phase=Phase.BROADCAST)
-        dag.add("chan", nbytes=1.0, chunk=1, phase=Phase.BROADCAST)
-        result = DagSimulator(simple_resources()).run(dag)
-        times = chunk_completion_times(dag, result)
-        assert times[0] < times[1]
+        windows = phase_windows(dag, result)
+        assert windows[Phase.REDUCE][1] < windows[Phase.BROADCAST][1]
 
     def test_first_finish_of_empty_raises(self):
         dag = Dag()
@@ -232,19 +224,13 @@ class TestHelpers:
             dag.add("chan", nbytes=1.0, chunk=chunk,
                     phase=(Phase.REDUCE, Phase.BROADCAST)[i % 2])
         result = DagSimulator(simple_resources()).run(dag)
-        assert phase_finish_times(dag, result) == {
-            Phase.REDUCE: 10.0, Phase.BROADCAST: 12.0
-        }
-        assert chunk_completion_times(dag, result) == {1: 4.0, 0: 8.0}
-        assert result.busy_time("chan") == 12.0
-        assert result.busy_time("cpu") == 0
+        assert result.makespan == 12.0
+        assert [rec.finish for rec in result.trace] == [
+            2.0, 4.0, 6.0, 8.0, 10.0, 12.0
+        ]
+        assert utilization(result.trace, "chan", result.makespan) == 1.0
+        assert utilization(result.trace, "cpu", result.makespan) == 0
         assert op_rows == []
-        kept = chunk_completion_times(
-            dag, result, key=lambda op: op.op_id != 3
-        )
-        assert kept == {1: 4.0}
-        # Rows only for the broadcast ops with a chunk, for ``key``.
-        assert op_rows == [1, 3]
 
     def test_run_returns_typed_columns(self):
         dag = Dag()
@@ -258,9 +244,3 @@ class TestHelpers:
         assert (empty.start, empty.finish, empty.order) == (
             array("d"), array("d"), array("i")
         )
-
-    def test_finish_of_empty_is_zero(self):
-        dag = Dag()
-        dag.add("chan", nbytes=1.0)
-        result = DagSimulator(simple_resources()).run(dag)
-        assert result.finish_of([]) == 0.0

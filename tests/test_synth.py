@@ -318,7 +318,11 @@ class TestExperiment:
     def test_ext_synth_smoke_meets_criteria(self):
         from repro.experiments import ext_synth
 
-        rows = ext_synth.run_smoke()
+        degraded = dgx1_topology().without_link(3, 7)
+        degraded.name = "dgx1-nolink37"
+        rows = ext_synth.run(
+            [dgx1_topology(), degraded], sizes=SMOKE_SIZES, seed=0
+        )
         assert rows
         for row in rows:
             assert row.verified and row.ordered and row.exact

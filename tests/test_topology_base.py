@@ -12,6 +12,13 @@ from repro.topology.base import (
 )
 
 
+def lanes(topo):
+    """Directed channels: the simulator gets one Channel per lane."""
+    return sum(
+        isinstance(r, Channel) for r in topo.to_resources().values()
+    )
+
+
 def line_topo(n=4):
     topo = PhysicalTopology(nnodes=n, name="line")
     for i in range(n - 1):
@@ -72,7 +79,7 @@ class TestQueries:
         assert line_topo().gpu_ids() == [0, 1, 2, 3]
 
     def test_total_lanes_counts_directed_channels(self):
-        assert line_topo().total_lanes() == 6  # 3 links x 2 directions
+        assert lanes(line_topo()) == 6  # 3 links x 2 directions
 
     def test_links_iterates_all_specs(self):
         specs = list(line_topo().links())
@@ -108,7 +115,7 @@ class TestWithoutLink:
         assert not degraded.has_link(1, 2)
         assert not degraded.has_link(2, 1)
         assert degraded.has_link(0, 1)
-        assert degraded.total_lanes() == 4
+        assert lanes(degraded) == 4
 
     def test_unidirectional_failure(self):
         degraded = line_topo().without_link(1, 2, bidirectional=False)
@@ -119,14 +126,14 @@ class TestWithoutLink:
         topo = line_topo()
         topo.without_link(1, 2)
         assert topo.has_link(1, 2)
-        assert topo.total_lanes() == 6
+        assert lanes(topo) == 6
 
     def test_removes_every_lane_of_a_doubled_link(self):
         topo = PhysicalTopology(nnodes=2, name="double")
         topo.add_link(0, 1, alpha=1e-6, beta=1e-9)
         topo.add_link(0, 1, alpha=1e-6, beta=1e-9)  # second brick
         degraded = topo.without_link(0, 1)
-        assert degraded.total_lanes() == 0
+        assert lanes(degraded) == 0
 
     def test_surviving_lanes_stay_dense(self):
         topo = PhysicalTopology(nnodes=3, name="tri")
@@ -176,7 +183,7 @@ class TestWithoutGpu:
         assert not degraded.has_link(2, 1)
         assert degraded.has_link(2, 3)
         # 6 directed channels minus the 4 touching GPU 1.
-        assert degraded.total_lanes() == 2
+        assert lanes(degraded) == 2
 
     def test_node_id_stays_isolated(self):
         degraded = line_topo().without_gpu(1)
@@ -187,7 +194,7 @@ class TestWithoutGpu:
         topo = line_topo()
         topo.without_gpu(1)
         assert topo.has_link(1, 2)
-        assert topo.total_lanes() == 6
+        assert lanes(topo) == 6
 
     def test_name_records_the_failure(self):
         assert line_topo().without_gpu(2).name == "line-minus-gpu2"

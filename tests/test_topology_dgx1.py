@@ -8,8 +8,9 @@ from repro.topology.dgx1 import (
     DOUBLE_LINK_PAIRS,
     NVLINK_ALPHA,
     NVLINK_BANDWIDTH,
+    PCIE_ALPHA,
+    PCIE_BANDWIDTH,
     dgx1_topology,
-    pcie_fallback_time,
 )
 
 
@@ -71,4 +72,5 @@ class TestParameters:
     def test_pcie_fallback_slower_than_nvlink(self):
         nbytes = 64 * 2**20
         nvlink = NVLINK_ALPHA + nbytes / NVLINK_BANDWIDTH
-        assert pcie_fallback_time(nbytes) > 2 * nvlink
+        # The host fallback the detour routes avoid (detour ablation).
+        assert PCIE_ALPHA + nbytes / PCIE_BANDWIDTH > 2 * nvlink

@@ -11,7 +11,6 @@ from repro.topology.logical import (
     balanced_binary_tree,
     mirror_tree,
     ring_order,
-    shared_directed_edges,
     two_trees,
 )
 
@@ -131,11 +130,5 @@ class TestTwoTrees:
         # The mirrored pair conflicts on some channels — the reason the
         # paper needs the extra physical connectivity (Section IV-A).
         first, second = two_trees(8)
-        assert shared_directed_edges(first, second)
-
-    def test_shared_edges_of_disjoint_trees_empty(self):
-        t1 = BinaryTree(root=0, parent={1: 0}, children={0: (1,), 1: ()})
-        t2 = BinaryTree(root=1, parent={0: 1}, children={1: (0,), 0: ()})
-        # t2 uses edges (0,1) in both directions too; use different nodes:
-        t3 = BinaryTree(root=2, parent={3: 2}, children={2: (3,), 3: ()})
-        assert shared_directed_edges(t1, t3) == set()
+        directed = [{*t.up_edges(), *t.down_edges()} for t in (first, second)]
+        assert directed[0] & directed[1]

@@ -48,8 +48,9 @@ class TestDetourRoutes:
         assert dgx_router.detour_route(0, 1) in (None, [0, 2, 1], [0, 3, 1])
 
     def test_hop_count(self, dgx_router):
-        assert dgx_router.hop_count(0, 1) == 1
-        assert dgx_router.hop_count(2, 4) == 2
+        # Hops are the route's links: 0-1 is direct, 2-4 needs a relay.
+        assert len(dgx_router.route(0, 1)) - 1 == 1
+        assert len(dgx_router.route(2, 4)) - 1 == 2
 
 
 class TestShortestPath:

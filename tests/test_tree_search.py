@@ -13,6 +13,7 @@ from repro.topology.tree_search import (
     PairCost,
     detour_map_for,
     evaluate_pair,
+    search_degraded_pair,
     search_tree_pair,
 )
 
@@ -76,6 +77,18 @@ class TestSearch:
     def test_trivial_topology_rejected(self):
         with pytest.raises(ConfigError):
             search_tree_pair(PhysicalTopology(nnodes=1))
+
+    @pytest.mark.parametrize("budget, match", [
+        (dict(restarts=0), "restarts"),
+        (dict(iterations=-5), "iterations"),
+    ])
+    def test_invalid_budget_rejected(self, budget, match):
+        """A search budget that cannot search is a config error, not an
+        assertion (gone under ``-O``) or the unsearched starting pair."""
+        with pytest.raises(ConfigError, match=match):
+            search_tree_pair(dgx1_topology(), **budget)
+        with pytest.raises(ConfigError, match=match):
+            search_degraded_pair(dgx1_topology(), {3}, **budget)
 
 
 class TestDetourMap:
