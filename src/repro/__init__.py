@@ -35,7 +35,6 @@ __all__ = [
     "Strategy",
     "IterationPipeline",
     "simulate_iteration",
-    "build_allreduce",
     "ring_allreduce",
     "tree_allreduce",
     "double_tree_allreduce",
@@ -53,7 +52,6 @@ __getattr__, __dir__ = lazy_exports(
         "Strategy": "core.config",
         "IterationPipeline": "core.pipeline",
         "simulate_iteration": "core.pipeline",
-        "build_allreduce": "collectives",
         "ring_allreduce": "collectives.ring",
         "tree_allreduce": "collectives.tree",
         "double_tree_allreduce": "collectives.double_tree",

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 from ..errors import PlanError
 from ..plan.ir import K_SEND, Plan
-from ..plan.lowering import lower_to_dag
+from ..plan.lowering import lower_to_dag, physical_resources
 from ..plan.verifier import WirePairing
-from ..sim.resources import Channel, Processor
+from ..sim.resources import Channel
 from ..topology.base import PhysicalTopology
 from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
 from ..topology.routing import Router
@@ -81,35 +81,11 @@ class ContentionReport:
         return "\n".join(lines)
 
 
-def _build_resources(
-    dag,
-    topo: PhysicalTopology,
-    *,
-    pcie_alpha: float,
-    pcie_beta: float,
-) -> dict:
-    """The exact resource map :func:`simulate_plan` would build."""
-    resources = topo.to_resources(gpu_speedup={})
-    for key in dag.resources():
-        if key in resources:
-            continue
-        if isinstance(key, tuple) and key and key[0] == "pcie":
-            resources[key] = Channel(
-                alpha=pcie_alpha,
-                beta=pcie_beta,
-                name=f"pcie {key[1]}->{key[2]}",
-            )
-        else:
-            resources[key] = Processor(name=str(key))
-    return resources
-
-
 def analyze_contention(
     plan: Plan,
     topo: PhysicalTopology,
     *,
     router: Router | None = None,
-    charge_forwarding: bool = True,
     pcie_alpha: float = PCIE_ALPHA,
     pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
     pairing: WirePairing | None = None,
@@ -130,10 +106,8 @@ def analyze_contention(
             pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
         )
         pairing = None
-    dag = lower_to_dag(
-        plan, charge_forwarding=charge_forwarding, pairing=pairing
-    )
-    resources = _build_resources(
+    dag = lower_to_dag(plan, pairing=pairing)
+    resources = physical_resources(
         dag, topo, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta
     )
     ops = list(dag)  # one row per op, read many times below
@@ -247,12 +221,10 @@ def static_lower_bound(
     topo: PhysicalTopology,
     *,
     router: Router | None = None,
-    charge_forwarding: bool = True,
     pcie_alpha: float = PCIE_ALPHA,
     pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
 ) -> float:
     """Certified lower bound on ``simulate_plan(...).total_time``."""
     return analyze_contention(
-        plan, topo, router=router, charge_forwarding=charge_forwarding,
-        pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
+        plan, topo, router=router, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
     ).lower_bound

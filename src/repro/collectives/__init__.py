@@ -7,10 +7,7 @@ fabrics or embedded onto physical topologies;
 symbolically.
 """
 
-from __future__ import annotations
-
 from repro._lazy import lazy_exports
-from repro.errors import ConfigError
 
 __all__ = [
     "AllReduceOutcome",
@@ -35,7 +32,6 @@ __all__ = [
     "delivers_in_order",
     "in_order_violations",
     "replay_dataflow",
-    "build_allreduce",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -65,48 +61,3 @@ __getattr__, __dir__ = lazy_exports(
         "replay_dataflow": "verification",
     },
 )
-
-#: Algorithm name -> the exported builder :func:`build_allreduce` calls
-#: (resolved on first use, so importing this package loads no emitter).
-_BUILDERS = {
-    "ring": "ring_allreduce",
-    "tree": "tree_allreduce",
-    "overlapped_tree": "tree_allreduce",
-    "double_tree": "double_tree_allreduce",
-    "ccube": "ccube_allreduce",
-}
-
-#: Builders by algorithm name, for :func:`build_allreduce`.
-ALGORITHMS = tuple(_BUILDERS)
-
-
-def build_allreduce(
-    algorithm: str,
-    nnodes: int,
-    nbytes: float,
-    *,
-    nchunks: int = 1,
-    **kwargs: object,
-) -> CollectiveSchedule:
-    """Build an AllReduce schedule by algorithm name.
-
-    Args:
-        algorithm: one of :data:`ALGORITHMS`.
-        nnodes: node count.
-        nbytes: message size in bytes.
-        nchunks: pipeline chunk count (ignored by "ring", which always
-            uses P chunks per ring).
-        **kwargs: forwarded to the specific builder (``tree``, ``trees``,
-            ``order``, ``nrings``, ...).
-    """
-    if algorithm not in _BUILDERS:
-        raise ConfigError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    builder = __getattr__(_BUILDERS[algorithm])
-    if algorithm == "overlapped_tree":
-        kwargs["overlapped"] = True
-    if algorithm == "ring":
-        kwargs.pop("nchunks", None)
-        return builder(nnodes, nbytes, **kwargs)
-    return builder(nnodes, nbytes, nchunks=nchunks, **kwargs)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Sequence
 
-from repro.errors import ScheduleError, SimulationError
+from repro.errors import EmbeddingError, ScheduleError, SimulationError
 from repro.sim.dag import Dag
 from repro.sim.engine import DagSimulator, SimResult
 from repro.sim.resources import Processor
@@ -138,9 +138,12 @@ def simulate_on_fabric(
     on a single-lane fabric the two trees of a double tree share each
     directed channel (the contention that forbids overlapping a double
     tree without extra physical connectivity)."""
-    dag = schedule.dag
-    if fabric.lanes >= 1:
-        dag = fold_lanes(dag, fabric.lanes)
+    if schedule.nnodes > fabric.nnodes:
+        raise EmbeddingError(
+            f"a {schedule.nnodes}-rank schedule does not fit on "
+            f"{fabric.nnodes} GPUs of {fabric.name!r}"
+        )
+    dag = fold_lanes(schedule.dag, fabric.lanes)
     resources = abstract_resources(dag, alpha=fabric.alpha, beta=fabric.beta)
     sim = DagSimulator(resources).run(dag)
     return _build_outcome(schedule, sim, sim.finish)
@@ -151,8 +154,6 @@ def simulate_on_physical(
     topo: PhysicalTopology,
     *,
     router: Router | None = None,
-    charge_forwarding: bool = True,
-    extra_resources: dict[Hashable, object] | None = None,
 ) -> AllReduceOutcome:
     """Embed a schedule onto a physical topology and simulate it.
 
@@ -160,16 +161,10 @@ def simulate_on_physical(
         schedule: the logical schedule.
         topo: physical topology supplying channels and GPU processors.
         router: route policy (defaults to a plain Router over ``topo``).
-        charge_forwarding: charge detour forwarding to intermediate GPUs.
-        extra_resources: merged over the topology's resource map.
     """
     router = router or Router(topo)
-    physical, report = embed_on_physical(
-        schedule.dag, topo, router, charge_forwarding=charge_forwarding
-    )
+    physical, report = embed_on_physical(schedule.dag, topo, router)
     resources = topo.to_resources()
-    if extra_resources:
-        resources.update(extra_resources)
     # Sync markers and similar bookkeeping ops get default processors.
     for key in physical.resources():
         if key not in resources:

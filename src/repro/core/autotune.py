@@ -49,7 +49,6 @@ def choose_strategy(
     *,
     config: CCubeConfig | None = None,
     compute: ComputeModel = V100_COMPUTE,
-    on_dgx1: bool = True,
     candidates: tuple[Strategy, ...] = tuple(Strategy),
 ) -> StrategyChoice:
     """Evaluate ``candidates`` and return the fastest configuration."""
@@ -60,7 +59,6 @@ def choose_strategy(
         batch=batch,
         config=config or CCubeConfig(),
         compute=compute,
-        on_dgx1=on_dgx1,
     )
     results = {s: pipeline.run(s) for s in candidates}
     best = min(results, key=lambda s: results[s].iteration_time)

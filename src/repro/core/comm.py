@@ -1,9 +1,9 @@
 """Building and simulating a strategy's AllReduce on a concrete system.
 
 This glues the evaluation pieces together: given a strategy (B / C1 / C2 /
-R / CC), a message size, and a system (the physical DGX-1 or an abstract
-scale-out fabric), build the collective schedule with the optimal chunk
-count and simulate it.
+R / CC), a message size and the system parameters, build the collective
+schedule with the optimal chunk count and simulate it: tree strategies
+embedded on the physical DGX-1, the ring on an abstract fabric.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.collectives.ring import ring_allreduce
 from repro.core.config import CCubeConfig, Strategy
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
 from repro.topology.dgx1_trees import dgx1_trees
-from repro.topology.logical import two_trees
 from repro.topology.routing import Router
 from repro.topology.switch import FabricSpec
 
@@ -33,27 +32,21 @@ def build_strategy_schedule(
     strategy: Strategy,
     nbytes: float,
     config: CCubeConfig,
-    *,
-    on_dgx1: bool = True,
 ) -> CollectiveSchedule:
     """Build the collective schedule a strategy uses.
+
+    Tree strategies use the DGX-1 tree pair, so they need
+    ``config.nnodes == 8``.
 
     Args:
         strategy: evaluated configuration.
         nbytes: gradient bytes AllReduced per iteration.
         config: system parameters (node count, alpha/beta, ring count).
-        on_dgx1: use the DGX-1 tree pair (requires ``config.nnodes == 8``)
-            instead of the generic mirrored pair.
     """
     if strategy is Strategy.RING:
         return ring_allreduce(config.nnodes, nbytes, nrings=config.nrings)
-    trees = None
-    if on_dgx1:
-        if config.nnodes != 8:
-            raise ConfigError("the DGX-1 tree pair needs nnodes == 8")
-        trees = dgx1_trees()
-    else:
-        trees = two_trees(config.nnodes)
+    if config.nnodes != 8:
+        raise ConfigError("the DGX-1 tree pair needs nnodes == 8")
     # Each tree carries half the message; chunk count per Eq. 4 on a half.
     nchunks = optimal_chunk_count(
         config.nnodes,
@@ -65,35 +58,28 @@ def build_strategy_schedule(
     builder = (
         ccube_allreduce if strategy.overlaps_phases else double_tree_allreduce
     )
-    return builder(config.nnodes, nbytes, nchunks=nchunks, trees=trees)
+    return builder(config.nnodes, nbytes, nchunks=nchunks, trees=dgx1_trees())
 
 
 def simulate_strategy_comm(
     strategy: Strategy,
     nbytes: float,
     config: CCubeConfig,
-    *,
-    on_dgx1: bool = True,
-    charge_forwarding: bool = True,
 ) -> AllReduceOutcome:
     """Build and simulate the strategy's AllReduce.
 
-    Tree strategies on the DGX-1 are embedded onto the physical hybrid
-    mesh-cube (detours, lane assignment, forwarding charges); the ring and
-    non-DGX-1 runs use an abstract fabric with the config's alpha/beta
-    (NCCL's rings use disjoint physical NVLink sets on the real machine;
-    our reduced link model abstracts that as ``nrings`` dedicated lanes).
+    Tree strategies are embedded onto the physical DGX-1 hybrid
+    mesh-cube (detours, lane assignment, forwarding charges); the ring
+    runs on an abstract fabric with the config's alpha/beta (NCCL's rings
+    use disjoint physical NVLink sets on the real machine; our reduced
+    link model abstracts that as ``nrings`` dedicated lanes).
     """
-    schedule = build_strategy_schedule(
-        strategy, nbytes, config, on_dgx1=on_dgx1
-    )
-    if on_dgx1 and strategy is not Strategy.RING:
+    schedule = build_strategy_schedule(strategy, nbytes, config)
+    if strategy is not Strategy.RING:
         topo = dgx1_topology(nvlink_bandwidth=1.0 / config.beta,
                              nvlink_alpha=config.alpha)
         router = Router(topo, detour_preference=DETOUR_NODES)
-        return simulate_on_physical(
-            schedule, topo, router=router, charge_forwarding=charge_forwarding
-        )
+        return simulate_on_physical(schedule, topo, router=router)
     fabric = FabricSpec(
         nnodes=config.nnodes,
         alpha=config.alpha,

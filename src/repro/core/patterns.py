@@ -105,6 +105,5 @@ def analyze_pattern(
         batch=batch,
         config=config or CCubeConfig(),
         compute=compute or ComputeModel(),
-        on_dgx1=True,
     )
     return pipeline.run(Strategy.CCUBE)

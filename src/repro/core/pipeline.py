@@ -76,7 +76,6 @@ class IterationPipeline:
         batch: per-GPU batch size.
         config: system parameters.
         compute: per-GPU compute time model.
-        on_dgx1: embed tree strategies on the physical DGX-1.
         compute_scale: multiplies all compute times (used to model detour
             GPUs donating SM time to forwarding kernels).
     """
@@ -85,7 +84,6 @@ class IterationPipeline:
     batch: int
     config: CCubeConfig
     compute: ComputeModel = V100_COMPUTE
-    on_dgx1: bool = True
     compute_scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -97,10 +95,7 @@ class IterationPipeline:
     def comm_outcome(self, strategy: Strategy) -> AllReduceOutcome:
         """Simulate the strategy's AllReduce for this network's gradients."""
         return simulate_strategy_comm(
-            strategy,
-            float(self.network.total_bytes),
-            self.config,
-            on_dgx1=self.on_dgx1,
+            strategy, float(self.network.total_bytes), self.config
         )
 
     def run(
@@ -167,7 +162,6 @@ def simulate_iteration(
     *,
     config: CCubeConfig | None = None,
     compute: ComputeModel = V100_COMPUTE,
-    on_dgx1: bool = True,
 ) -> IterationResult:
     """One-call convenience: build the pipeline and run one strategy."""
     pipeline = IterationPipeline(
@@ -175,6 +169,5 @@ def simulate_iteration(
         batch=batch,
         config=config or CCubeConfig(),
         compute=compute,
-        on_dgx1=on_dgx1,
     )
     return pipeline.run(strategy)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
-from repro.dnn.layers import LayerKind, LayerSpec, NetworkModel
+from repro.dnn.layers import LayerKind, LayerSpec
 
 #: Backward computes roughly twice the forward FLOPs (grad wrt inputs and
 #: grad wrt weights).
@@ -72,18 +72,6 @@ class ComputeModel:
             raise ConfigError("batch size must be >= 1")
         flops = layer.fwd_flops * batch * BACKWARD_FLOP_FACTOR
         return self.launch_overhead + flops / self._throughput(layer)
-
-    def network_forward_time(self, net: NetworkModel, batch: int) -> float:
-        return sum(self.forward_time(layer, batch) for layer in net.layers)
-
-    def network_backward_time(self, net: NetworkModel, batch: int) -> float:
-        return sum(self.backward_time(layer, batch) for layer in net.layers)
-
-    def iteration_compute_time(self, net: NetworkModel, batch: int) -> float:
-        """Pure compute time of one training iteration (no communication)."""
-        return self.network_forward_time(net, batch) + self.network_backward_time(
-            net, batch
-        )
 
 
 #: Default V100 model used across the evaluation.

@@ -114,7 +114,3 @@ class NetworkModel:
         """Half-open byte range of layer ``index`` in the gradient buffer."""
         start = self.byte_offset(index)
         return start, start + self.layers[index].param_bytes
-
-    def trainable_layers(self) -> list[int]:
-        """Indices of layers that actually carry parameters."""
-        return [i for i, layer in enumerate(self.layers) if layer.params > 0]

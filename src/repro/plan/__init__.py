@@ -49,7 +49,6 @@ __all__ = [
     "lower_to_dag",
     "simulate_plan",
     "PlanOutcome",
-    "speedup_for_straggler",
     "legalize_routes",
     "assign_lanes",
     "pipeline_chunks",
@@ -80,7 +79,6 @@ __getattr__, __dir__ = lazy_exports(
         "PlanOutcome": "lowering",
         "lower_to_dag": "lowering",
         "simulate_plan": "lowering",
-        "speedup_for_straggler": "lowering",
         "CompileReports": "passes",
         "assign_lanes": "passes",
         "compile_plan": "passes",

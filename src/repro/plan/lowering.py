@@ -8,12 +8,8 @@ COPY markers become zero-duration ops on per-GPU sync resources, and
 relay hops of a legalized detour charge the intermediate GPU's
 forwarding kernel — the same model
 :func:`repro.topology.embedding.embed_on_physical` applies to logical
-DAGs.
-
-With ``charge_compute=True`` every REDUCE additionally occupies its
-GPU's compute :class:`~repro.sim.resources.Processor`, so per-GPU
-``speedup < 1`` stretches the pipeline — the analytical mirror of the
-runtime's ``GpuFault(kind="straggler")``.
+DAGs.  A REDUCE is priced as part of its transfer: the DES charges no
+reduction compute.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from ..errors import PlanError
+from ..errors import EmbeddingError, PlanError
 from ..sim.dag import PHASES, Dag, Label, Phase
 from ..sim.engine import DagSimulator, SimResult
 from ..sim.resources import Channel, Processor
@@ -35,20 +31,15 @@ from ..topology.embedding import (
 )
 from ..topology.routing import Router
 from ..topology.switch import FabricSpec
-from .ir import K_COPY, K_REDUCE, K_SEND, Plan
+from .ir import K_COPY, K_SEND, Plan
 from .verifier import WirePairing, match_wires
 
 __all__ = [
     "lower_to_dag",
     "simulate_plan",
     "PlanOutcome",
-    "speedup_for_straggler",
     "pcie_key",
 ]
-
-#: Bytes each REDUCE charges its GPU for per second when compute is
-#: charged (same effective rate as detour forwarding).
-REDUCTION_COMPUTE_BANDWIDTH = FORWARDING_COPY_BANDWIDTH
 
 
 def pcie_key(u: int, v: int) -> tuple:
@@ -59,9 +50,6 @@ def pcie_key(u: int, v: int) -> tuple:
 def lower_to_dag(
     plan: Plan,
     *,
-    charge_forwarding: bool = True,
-    charge_compute: bool = False,
-    compute_bandwidth: float = REDUCTION_COMPUTE_BANDWIDTH,
     pairing: WirePairing | None = None,
 ) -> Dag:
     """Lower a plan to a DES DAG, reading the plan's columns.
@@ -69,16 +57,11 @@ def lower_to_dag(
     Unlegalized plans produce logical ``("edge", src, dst, lane)``
     resources (simulatable on an abstract fabric); legalized plans
     produce physical ``("chan", ...)`` / ``("pcie", ...)`` resources.
+    Every relay hop of a detour also gets a forwarding op on the
+    intermediate GPU's compute resource.
 
     Args:
         plan: the (verified) plan.
-        charge_forwarding: emit a forwarding op on the intermediate
-            GPU's compute resource for every relay hop of a detour.
-        charge_compute: emit a reduction op on each REDUCE's GPU compute
-            resource, gating downstream consumers — makes per-GPU
-            ``Processor.speedup < 1`` (a straggler) visible analytically.
-        compute_bandwidth: bytes/s a healthy GPU reduces at when compute
-            is charged.
         pairing: ``plan``'s wire pairing — its
             :func:`~repro.plan.verifier.verify_plan` report's — so the
             plan is not paired again; computed here when omitted.
@@ -144,7 +127,7 @@ def lower_to_dag(
             # A relay hop (receiver is not the flow's final destination)
             # charges the intermediate GPU's forwarding kernel; it does
             # not delay the data path (GPUDirect forwarding pipelines).
-            if charge_forwarding and plan.is_relay(recv):
+            if plan.is_relay(recv):
                 dag.add(
                     gpu_key(rank[recv]),
                     duration=payload[i] / FORWARDING_COPY_BANDWIDTH,
@@ -157,28 +140,6 @@ def lower_to_dag(
                     label=Label.FORWARD,
                 )
         # RECV/REDUCE are lowered with their paired send.
-
-    if charge_compute:
-        # Each REDUCE occupies its GPU's SMs after the transfer lands;
-        # downstream consumers (anything whose plan deps name the
-        # reduce) then wait on the compute op, so a slow GPU stretches
-        # the whole pipeline, not just its own timeline.
-        for i, kind in enumerate(plan.kind_code):
-            if kind != K_REDUCE:
-                continue
-            label = plan.label_of(i)
-            done[i] = dag.add(
-                gpu_key(rank[i]),
-                duration=payload[i] / compute_bandwidth,
-                deps=(done[i],),
-                src=peer[i],
-                dst=rank[i],
-                chunk=chunk[i],
-                phase=PHASES[plan.phase_code[i]],
-                tree=tree[i],
-                label=f"reduce-compute@gpu{rank[i]} "
-                      + (label or f"c{chunk[i]}"),
-            )
 
     # Second pass: resolve plan-level deps to DES ids (a dep may map to
     # a transfer created after the dependent op when the paired send has
@@ -193,6 +154,31 @@ def lower_to_dag(
 
     dag.validate()
     return dag
+
+
+def physical_resources(
+    dag: Dag,
+    topo: PhysicalTopology,
+    *,
+    pcie_alpha: float,
+    pcie_beta: float,
+) -> dict:
+    """The resource map a lowered, legalized plan runs on: ``topo``'s
+    channels and GPUs, a host-path channel per PCIe hop, and a default
+    processor for every other key (sync markers)."""
+    resources = topo.to_resources()
+    for key in dag.resources():
+        if key in resources:
+            continue
+        if isinstance(key, tuple) and key and key[0] == "pcie":
+            resources[key] = Channel(
+                alpha=pcie_alpha,
+                beta=pcie_beta,
+                name=f"pcie {key[1]}->{key[2]}",
+            )
+        else:
+            resources[key] = Processor(name=str(key))
+    return resources
 
 
 @dataclass
@@ -220,10 +206,6 @@ def simulate_plan(
     topo: PhysicalTopology | None = None,
     fabric: FabricSpec | None = None,
     router: Router | None = None,
-    gpu_speedup: dict[int, float] | None = None,
-    charge_forwarding: bool = True,
-    charge_compute: bool = False,
-    compute_bandwidth: float = REDUCTION_COMPUTE_BANDWIDTH,
     pcie_alpha: float = PCIE_ALPHA,
     pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
 ) -> PlanOutcome:
@@ -231,8 +213,7 @@ def simulate_plan(
 
     With ``topo``, an unlegalized plan is first route-legalized (via
     :func:`repro.plan.passes.compile_plan`); channels come from the
-    topology, PCIe-fallback hops get host-path channels, and per-GPU
-    ``gpu_speedup`` (< 1 models a straggler) scales that GPU's compute.
+    topology and PCIe-fallback hops get host-path channels.
 
     With ``fabric``, the plan's logical edges get uniform alpha/beta
     channels, lanes folded modulo ``fabric.lanes`` — identical to
@@ -240,6 +221,12 @@ def simulate_plan(
     """
     if (topo is None) == (fabric is None):
         raise PlanError("pass exactly one of topo= or fabric=")
+    target = topo if topo is not None else fabric
+    if plan.nnodes > target.nnodes:
+        raise EmbeddingError(
+            f"a {plan.nnodes}-rank plan does not fit on "
+            f"{target.nnodes} GPUs of {target.name!r}"
+        )
 
     notes: list[str] = []
     if topo is not None:
@@ -250,34 +237,12 @@ def simulate_plan(
                                          pcie_alpha=pcie_alpha,
                                          pcie_beta=pcie_beta)
             notes.extend(reports.notes)
-        dag = lower_to_dag(
-            plan,
-            charge_forwarding=charge_forwarding,
-            charge_compute=charge_compute,
-            compute_bandwidth=compute_bandwidth,
+        dag = lower_to_dag(plan)
+        resources = physical_resources(
+            dag, topo, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta
         )
-        resources = topo.to_resources(gpu_speedup=gpu_speedup or {})
-        for key in dag.resources():
-            if key in resources:
-                continue
-            if isinstance(key, tuple) and key and key[0] == "pcie":
-                resources[key] = Channel(
-                    alpha=pcie_alpha,
-                    beta=pcie_beta,
-                    name=f"pcie {key[1]}->{key[2]}",
-                )
-            else:
-                resources[key] = Processor(name=str(key))
     else:
-        assert fabric is not None
-        dag = lower_to_dag(
-            plan,
-            charge_forwarding=charge_forwarding,
-            charge_compute=charge_compute,
-            compute_bandwidth=compute_bandwidth,
-        )
-        if fabric.lanes >= 1:
-            dag = fold_lanes(dag, fabric.lanes)
+        dag = fold_lanes(lower_to_dag(plan), fabric.lanes)
         resources = abstract_resources(
             dag, alpha=fabric.alpha, beta=fabric.beta
         )
@@ -299,18 +264,3 @@ def simulate_plan(
         notes=notes,
     )
 
-
-def speedup_for_straggler(
-    delay: float, chunk_nbytes: float,
-    compute_bandwidth: float = REDUCTION_COMPUTE_BANDWIDTH,
-) -> float:
-    """Processor speedup mirroring a runtime straggler's per-chunk sleep.
-
-    A healthy GPU reduces a chunk in ``t0 = chunk_nbytes / bandwidth``
-    seconds; a straggler adds ``delay`` per chunk, so its effective
-    speedup is ``t0 / (t0 + delay)``.
-    """
-    if delay < 0:
-        raise PlanError("straggler delay must be non-negative")
-    t0 = chunk_nbytes / compute_bandwidth
-    return t0 / (t0 + delay) if delay > 0 else 1.0

@@ -27,7 +27,6 @@ __all__ = [
     "Processor",
     "Resource",
     "TraceRecord",
-    "busy_intervals",
     "utilization",
     "critical_path",
     "phase_overlap",
@@ -53,7 +52,6 @@ __getattr__, __dir__ = lazy_exports(
         "render_gantt": "analysis",
         "resource_utilization": "analysis",
         "TraceRecord": "trace",
-        "busy_intervals": "trace",
         "utilization": "trace",
     },
 )

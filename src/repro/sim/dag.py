@@ -13,15 +13,15 @@ labels only on the ops that have them.  An op may store a :class:`Label`
 template instead of a string; its text is formatted from the op's own
 fields when the op is read.  Emitters write through :meth:`Dag.add`; the
 embedding and the simulator read the columns directly.  :class:`Op` is
-the row type a reader gets from ``dag[i]``, ``dag.ops[i]``, iteration or
-:meth:`Dag.select`; each read builds a fresh row.
+the read-only row type a reader gets from ``dag[i]``, ``dag.ops[i]`` or
+iteration; each read builds a fresh row.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate, islice
 from operator import lt, sub
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
@@ -108,17 +108,12 @@ class Op:
             return (self.chunk,)
         return ()
 
-    def with_deps(self, deps: Iterable[int]) -> "Op":
-        """Return a copy of this op with ``deps`` replaced."""
-        return replace(self, deps=tuple(deps))
-
 
 class Dag:
-    """A mutable builder/holder for a set of ops forming a DAG.
+    """A builder/holder for a set of ops forming a DAG.
 
     Columns (read them freely; write only through :meth:`add`,
-    :meth:`add_from`, :meth:`set_deps`, item assignment, :meth:`append`
-    and :meth:`pop`):
+    :meth:`add_from` and :meth:`set_deps`):
 
     - ``keys``: resource key table, in order of first use;
       ``resource_id[i]`` indexes it.
@@ -130,14 +125,12 @@ class Dag:
     - ``chunk_sets`` / ``labels``: op id -> value, only for the ops that
       have one.
 
-    The DAG is also its own op sequence (``dag.ops is dag``): ``len``,
-    indexing and slicing return :class:`Op` rows, and rows can be
-    assigned, appended and popped (the last one only: ids are
-    positions).
+    The DAG is also its own read-only op sequence (``dag.ops is dag``):
+    ``len``, indexing and slicing return :class:`Op` rows.
     """
 
     __slots__ = (
-        "keys", "_key_ids", "_keys_exact", "resource_id", "nbytes",
+        "keys", "_key_ids", "resource_id", "nbytes",
         "duration", "src", "dst", "chunk", "tree", "layer", "phase_code",
         "label_kind", "dep_offsets", "dep_ids", "chunk_sets", "labels",
     )
@@ -145,9 +138,6 @@ class Dag:
     def __init__(self) -> None:
         self.keys: list[Hashable] = []
         self._key_ids: dict[Hashable, int] = {}
-        # False once a rewrite may have left a key unused or out of
-        # first-use order; resources() then rebuilds the table.
-        self._keys_exact = True
         self.resource_id = array("i")
         self.nbytes = array("d")
         self.duration = array("d")
@@ -282,75 +272,6 @@ class Dag:
             new_offsets.append(len(new_ids))
         self.dep_offsets, self.dep_ids = new_offsets, new_ids
 
-    def append(self, op: Op) -> None:
-        """Append the row ``op``; its id must be the next position."""
-        if op.op_id != len(self):
-            raise ScheduleError(f"op at index {len(self)} has id {op.op_id}")
-        self.add(
-            op.resource, nbytes=op.nbytes, duration=op.duration,
-            deps=op.deps, src=op.src, dst=op.dst, chunk=op.chunk,
-            chunk_set=op.chunk_set, phase=op.phase, tree=op.tree,
-            layer=op.layer, label=op.label,
-        )
-
-    def __setitem__(self, index: int, op: Op) -> None:
-        """Overwrite row ``index`` with ``op`` (whose id must match)."""
-        i = self._position(index)
-        if op.op_id != i:
-            raise ScheduleError(f"op at index {i} has id {op.op_id}")
-        rid = self._key_id(op.resource)
-        if rid != self.resource_id[i]:
-            self.resource_id[i] = rid
-            self._keys_exact = False
-        self.nbytes[i] = op.nbytes
-        self.duration[i] = _NO_DURATION if op.duration is None else op.duration
-        self.src[i] = op.src
-        self.dst[i] = op.dst
-        self.chunk[i] = op.chunk
-        self.tree[i] = op.tree
-        self.layer[i] = op.layer
-        self.phase_code[i] = PHASE_CODE[op.phase]
-        self.label_kind[i] = 0
-        _set_or_drop(self.labels, i, op.label)
-        _set_or_drop(self.chunk_sets, i, tuple(op.chunk_set))
-        if tuple(op.deps) != self._deps_of(i):
-            self.set_deps({i: op.deps})
-
-    def pop(self, index: int = -1) -> Op:
-        """Remove and return the last op (ids are positions, so no other
-        op can be removed)."""
-        if not len(self):
-            raise IndexError("pop from empty Dag")
-        i = self._position(index)
-        if i != len(self) - 1:
-            raise ScheduleError(
-                f"cannot remove op {i}: only the last op can be removed"
-            )
-        op = self._row(i)
-        for column in (
-            self.resource_id, self.nbytes, self.duration, self.src,
-            self.dst, self.chunk, self.tree, self.layer, self.phase_code,
-            self.label_kind, self.dep_offsets,
-        ):
-            column.pop()
-        del self.dep_ids[self.dep_offsets[-1]:]
-        self.labels.pop(i, None)
-        self.chunk_sets.pop(i, None)
-        self._keys_exact = False
-        return op
-
-    def extend(self, other: "Dag") -> dict[int, int]:
-        """Append all ops of ``other``, remapping ids; returns the id map."""
-        id_map: dict[int, int] = {}
-        for op in other:
-            new_id = len(self)
-            self.append(
-                replace(op, op_id=new_id,
-                        deps=tuple(id_map[d] for d in op.deps))
-            )
-            id_map[op.op_id] = new_id
-        return id_map
-
     def remap_resources(self, fn: Callable[[Hashable], Hashable]) -> "Dag":
         """A DAG with every resource key ``k`` replaced by ``fn(k)``.
 
@@ -358,7 +279,6 @@ class Dag:
         columns are copied.  If ``fn`` changes no key, ``self`` is
         returned.
         """
-        self._compact_keys()
         new_keys = [fn(key) for key in self.keys]
         if new_keys == self.keys:
             return self
@@ -513,46 +433,10 @@ class Dag:
             raise ScheduleError("dependency cycle detected in DAG")
         return order
 
-    def _compact_keys(self) -> None:
-        """Drop unused keys and restore first-use order after rewrites."""
-        if self._keys_exact:
-            return
-        old_keys = self.keys
-        self.keys, self._key_ids = [], {}
-        remap = {}
-        column = array("i")
-        for r in self.resource_id:
-            new = remap.get(r)
-            if new is None:
-                new = remap[r] = self._key_id(old_keys[r])
-            column.append(new)
-        self.resource_id = column
-        self._keys_exact = True
-
     def resources(self) -> set[Hashable]:
         """All resource keys referenced by ops in this DAG.
 
         Built by inserting the keys in order of first use, so the set
         iterates exactly like ``{op.resource for op in dag}``.
         """
-        self._compact_keys()
         return set(self.keys)
-
-    def select(self, **criteria: object) -> list[Op]:
-        """Return ops whose attributes match all keyword criteria.
-
-        Example::
-
-            dag.select(phase=Phase.BROADCAST, chunk=0)
-        """
-        return [
-            op for op in self
-            if all(getattr(op, key) == value for key, value in criteria.items())
-        ]
-
-
-def _set_or_drop(table: dict, i: int, value) -> None:
-    if value:
-        table[i] = value
-    else:
-        table.pop(i, None)

@@ -432,8 +432,8 @@ def _service_times(dag: Dag, servers: Sequence[Resource]) -> array:
 
     ``servers[k]`` serves the ops whose resource is ``dag.keys[k]``.  A
     :class:`Channel` or :class:`Processor` op gets exactly the float
-    expression of its ``service_time`` (dividing a channel's explicit
-    duration by 1.0 is exact).  An op whose ``service_time`` would raise
+    expression of its ``service_time`` (dividing an explicit duration by
+    1.0 is exact).  An op whose ``service_time`` would raise
     (no duration on a processor, a negative size on a channel, a
     non-finite size or duration) or return a negative time, and every op
     on another resource type, gets ``-1.0`` or a negative time:
@@ -451,9 +451,7 @@ def _service_times(dag: Dag, servers: Sequence[Resource]) -> array:
             alpha.append(server.alpha)
             beta.append(server.beta)
         else:
-            scale.append(
-                server.speedup if type(server) is Processor else math.nan
-            )
+            scale.append(1.0 if type(server) is Processor else math.nan)
             alpha.append(math.nan)
             beta.append(math.nan)
     service = array("d", [0.0]) * len(dag)

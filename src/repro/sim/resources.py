@@ -9,7 +9,10 @@ Two resource kinds cover everything the paper needs:
   relies on exactly this).
 - :class:`Processor` — a serializing compute resource (a GPU's SMs, or the
   slice of them given to forwarding/reduction kernels).  Service time is
-  taken from the op's explicit ``duration``.
+  the op's explicit ``duration``.
+
+So the DES prices every op by one rule: its explicit duration when it has
+one, else ``alpha + beta * nbytes`` on its channel.
 
 Every parameter and every size or duration a resource prices must be
 finite: a NaN or infinity raises :class:`~repro.errors.SimulationError`
@@ -84,27 +87,16 @@ class Processor:
 
     Attributes:
         name: optional human-readable name for traces.
-        speedup: divides op durations — a value of 2.0 runs everything
-            twice as fast.  Used e.g. to model detour nodes donating a
-            fraction of their SMs to forwarding kernels.
     """
 
     name: str = ""
-    speedup: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.speedup < math.inf:
-            raise SimulationError(
-                f"processor {self.name!r}: speedup must be finite and > 0, "
-                f"got {self.speedup!r}"
-            )
 
     def service_time(self, op: Op) -> float:
         if op.duration is None:
             raise SimulationError(
                 f"processor {self.name!r} got op {op.op_id} without a duration"
             )
-        return _finite_duration(op, self.name) / self.speedup
+        return _finite_duration(op, self.name)
 
 
 def _finite_duration(op: Op, name: str) -> float:

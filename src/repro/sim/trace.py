@@ -1,8 +1,8 @@
 """Execution traces and trace analysis helpers.
 
 Traces let tests assert structural properties the paper relies on — e.g.
-that a channel never serves two ops at once, that downlinks are idle during
-a non-overlapped reduction phase, or how utilized each NVLink was.
+that a channel never serves two ops at once, or how utilized each NVLink
+was.
 """
 
 from __future__ import annotations
@@ -20,17 +20,6 @@ class TraceRecord:
     start: float
     finish: float
     label: str = ""
-
-
-def busy_intervals(
-    trace: Iterable[TraceRecord], resource: Hashable
-) -> list[tuple[float, float]]:
-    """Sorted (start, finish) intervals during which ``resource`` was busy."""
-    intervals = [
-        (rec.start, rec.finish) for rec in trace if rec.resource == resource
-    ]
-    intervals.sort()
-    return intervals
 
 
 def overlapping_pairs(
@@ -64,17 +53,3 @@ def utilization(
     )
     return busy / horizon
 
-
-def idle_during(
-    trace: Iterable[TraceRecord],
-    resource: Hashable,
-    window: tuple[float, float],
-) -> bool:
-    """True if ``resource`` served nothing inside the half-open ``window``."""
-    lo, hi = window
-    for rec in trace:
-        if rec.resource != resource:
-            continue
-        if rec.start < hi - 1e-12 and rec.finish > lo + 1e-12:
-            return False
-    return True

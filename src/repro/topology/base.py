@@ -240,24 +240,14 @@ class PhysicalTopology:
 
     # -- simulator resources --------------------------------------------
 
-    def to_resources(
-        self, *, gpu_speedup: dict[int, float] | None = None
-    ) -> dict[Hashable, object]:
+    def to_resources(self) -> dict[Hashable, object]:
         """Build the simulator resource map: one Channel per physical lane
-        plus one Processor per GPU.
-
-        Args:
-            gpu_speedup: optional per-GPU speed multipliers (e.g. to model
-                detour nodes donating SMs to forwarding kernels).
-        """
-        gpu_speedup = gpu_speedup or {}
+        plus one Processor per GPU, which prices an op by its duration."""
         resources: dict[Hashable, object] = {}
         for spec in self._links.values():
             resources[spec.resource_key] = spec.to_channel()
         for i in self.gpu_ids():
-            resources[gpu_key(i)] = Processor(
-                name=f"gpu{i}", speedup=gpu_speedup.get(i, 1.0)
-            )
+            resources[gpu_key(i)] = Processor(name=f"gpu{i}")
         return resources
 
     def validate(self) -> None:

@@ -75,8 +75,6 @@ def embed_on_physical(
     dag: Dag,
     topo: PhysicalTopology,
     router: Router,
-    *,
-    charge_forwarding: bool = True,
 ) -> tuple[Dag, EmbeddingReport]:
     """Rewrite a logical-edge DAG onto physical channel resources.
 
@@ -89,16 +87,16 @@ def embed_on_physical(
     read ``forward@gpuN``.  Each distinct (logical edge, tree) is routed
     once.
 
+    Every detour hop spawns a forwarding op on the intermediate GPU's
+    compute resource.  It does not delay the data path (GPUDirect
+    forwarding is pipelined), but it occupies SM time, which is what the
+    paper's Fig. 15 measures.
+
     Args:
         dag: logical DAG; transfer ops carry ``("edge", u, v, lane_hint)``
             resource keys, other ops are copied through unchanged.
         topo: physical topology providing the channels.
         router: router supplying direct/detour routes.
-        charge_forwarding: if True, every detour hop spawns a forwarding
-            op on the intermediate GPU's compute resource (it does not
-            delay the data path — GPUDirect forwarding is pipelined — but
-            it occupies SM time, which is what the paper's Fig. 15
-            measures).
 
     Returns:
         (physical DAG, embedding report).
@@ -142,20 +140,19 @@ def embed_on_physical(
                 report.forwarded_bytes[b] = (
                     report.forwarded_bytes.get(b, 0.0) + nbytes
                 )
-                if charge_forwarding:
-                    physical.add(
-                        gpu_key(b),
-                        duration=nbytes / FORWARDING_COPY_BANDWIDTH,
-                        deps=[hop_id],
-                        src=a,
-                        dst=b,
-                        chunk=dag.chunk[i],
-                        chunk_set=dag.chunk_sets.get(i, ()),
-                        phase=Phase.OTHER,
-                        tree=tree,
-                        layer=dag.layer[i],
-                        label=Label.FORWARD,
-                    )
+                physical.add(
+                    gpu_key(b),
+                    duration=nbytes / FORWARDING_COPY_BANDWIDTH,
+                    deps=[hop_id],
+                    src=a,
+                    dst=b,
+                    chunk=dag.chunk[i],
+                    chunk_set=dag.chunk_sets.get(i, ()),
+                    phase=Phase.OTHER,
+                    tree=tree,
+                    layer=dag.layer[i],
+                    label=Label.FORWARD,
+                )
             prev_id = hop_id
         done.append(prev_id)
 

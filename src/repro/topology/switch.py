@@ -42,6 +42,12 @@ class FabricSpec:
     lanes: int = 1
     name: str = ""
 
+    def __post_init__(self) -> None:
+        if self.nnodes < 2:
+            raise TopologyError("fabric needs at least 2 nodes")
+        if self.lanes < 1:
+            raise TopologyError(f"fabric needs at least 1 lane, got {self.lanes}")
+
 
 def fat_tree_levels(nnodes: int, radix: int) -> int:
     """Number of switch levels a radix-``radix`` fat tree needs."""

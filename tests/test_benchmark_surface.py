@@ -2,7 +2,7 @@
 
 ``benchmarks/e2e`` is frozen: its adapters import ``repro`` names and its
 tracer (``e2e_trace``) rebinds entry points by module and attribute
-name.  Two things are pinned here, each in a fresh interpreter with
+name.  Three things are pinned here, each in a fresh interpreter with
 ``benchmarks/e2e`` on ``sys.path`` (pytest has already imported most of
 ``repro`` by the time a test body runs):
 
@@ -12,6 +12,12 @@ name.  Two things are pinned here, each in a fresh interpreter with
   resolves it, as does the ``repro.runtime.sync.time`` binding the tracer
   replaces.  DESIGN's "Pinned benchmark names" table gives each name the
   one path behind it.
+- **The attributes the traced metrics read.**  One traced op after the
+  warm-up derives the per-layer metrics as the traced slice does, so
+  ``ChainedTrainingRuntime.requirements`` and ``.runtime.trees``,
+  ``RunReport.enqueue_times``, ``compute_log``, ``runtime.layout`` and
+  ``runtime.detour_map``, ``PlanInterpreter.plan.ops`` and
+  ``PlanOp.chunks_carried()`` are each read where the tracer reads them.
 - **The loaded-source budget.**  After each workload's untimed warm-up
   op, the ``repro`` modules loaded and their source lines stay at or
   below the ceilings in :data:`LOADED_BUDGET`.  The slices run without
@@ -42,10 +48,10 @@ WORKLOADS = tuple(
 
 #: Workload -> (repro modules, source lines) loaded after the warm-up.
 LOADED_BUDGET = {
-    "train_cc_resnet50": (38, 6529),
-    "train_b_vgg16": (20, 3322),
-    "sim_fig13": (33, 4517),
-    "recover_dgx1": (43, 11781),
+    "train_cc_resnet50": (38, 6310),
+    "train_b_vgg16": (20, 3316),
+    "sim_fig13": (33, 4265),
+    "recover_dgx1": (43, 11589),
 }
 
 #: Workload -> modules its warm-up must not load: code it never runs.
@@ -60,6 +66,17 @@ NOT_LOADED = {
         "repro.runtime.allreduce",
         "repro.runtime.queue_runtime",
     ),
+}
+
+
+#: Workload -> what one traced op must derive: wire bytes from a tree
+#: runtime's layout, trees and detours or an interpreter's plan ops, and
+#: a per-layer timeline from each chained run.
+TRACED = {
+    "train_cc_resnet50": ("wire_bytes", "chain_runs"),
+    "train_b_vgg16": ("wire_bytes",),
+    "sim_fig13": (),
+    "recover_dgx1": ("wire_bytes",),
 }
 
 
@@ -86,7 +103,8 @@ def run_with_adapters(code: str) -> object:
 
 
 def test_budget_covers_every_workload():
-    assert set(LOADED_BUDGET) == set(NOT_LOADED) == set(WORKLOADS)
+    for table in (LOADED_BUDGET, NOT_LOADED, TRACED):
+        assert set(table) == set(WORKLOADS)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -139,3 +157,34 @@ def test_pinned_names_resolve():
         "print(json.dumps(errors))"
     )
     assert errors == []
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_metrics_resolve(workload):
+    """After the warm-up, one op under ``e2e_trace.Tracer`` derives every
+    per-layer metric the traced slice derives: a missing attribute
+    raises out of the op, and each expected derivation must have run."""
+    derived = run_with_adapters(
+        "import importlib, json\n"
+        "import e2e_trace\n"
+        f"w = importlib.import_module({workload!r}).Workload(2026, tiny=True)\n"
+        "w.warmup()\n"
+        "tracer = e2e_trace.Tracer()\n"
+        "tracer.install()\n"
+        "try:\n"
+        "    with tracer.op(0):\n"
+        "        w.op(0)\n"
+        "finally:\n"
+        "    tracer.restore()\n"
+        "e2e_trace.layer_metrics(tracer, 1)\n"
+        "if hasattr(w, 'predicted_ready_fractions'):\n"
+        "    e2e_trace.chain_table(\n"
+        "        tracer.chain_runs, w.predicted_ready_fractions())\n"
+        "print(json.dumps({\n"
+        "    'wire_bytes': tracer.counters['runtime.wire_bytes'],\n"
+        "    'chain_runs': len(tracer.chain_runs),\n"
+        "}))"
+    )
+    assert sorted(k for k, v in derived.items() if v) == sorted(
+        TRACED[workload]
+    ), derived

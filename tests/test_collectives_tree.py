@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.collectives.base import simulate_on_fabric
-from repro.collectives import build_allreduce
 from repro.collectives.tree import tree_allreduce
 from repro.collectives.verification import (
     check_allreduce,
@@ -13,7 +12,6 @@ from repro.collectives.verification import (
     delivers_in_order,
 )
 from repro.sim.dag import Phase
-from repro.sim.trace import busy_intervals
 from repro.topology.switch import FabricSpec
 
 
@@ -28,14 +26,20 @@ class TestScheduleShape:
 
     def test_reduce_ops_per_chunk(self):
         schedule = tree_allreduce(8, 8000.0, nchunks=2)
-        ups = schedule.dag.select(phase=Phase.REDUCE, chunk=0)
+        ups = [
+            op for op in schedule.dag
+            if op.phase is Phase.REDUCE and op.chunk == 0
+        ]
         # 7 up transfers + 1 root marker per chunk.
         transfers = [op for op in ups if op.src != op.dst]
         assert len(transfers) == 7
 
     def test_broadcast_ops_per_chunk(self):
         schedule = tree_allreduce(8, 8000.0, nchunks=2)
-        downs = schedule.dag.select(phase=Phase.BROADCAST, chunk=1)
+        downs = [
+            op for op in schedule.dag
+            if op.phase is Phase.BROADCAST and op.chunk == 1
+        ]
         assert len(downs) == 7
 
     def test_labels_name_each_op(self):
@@ -49,7 +53,7 @@ class TestScheduleShape:
         assert schedule.dag.labels == {}
 
     def test_overlapped_flag(self):
-        assert build_allreduce("overlapped_tree", 4, 100.0).overlapped
+        assert tree_allreduce(4, 100.0, nchunks=1, overlapped=True).overlapped
         assert not tree_allreduce(4, 100.0, nchunks=1).overlapped
 
     def test_invalid_inputs(self):
@@ -186,9 +190,9 @@ class TestPhaseStructure:
             op.resource for op in schedule.dag.ops
             if op.phase is Phase.BROADCAST
         }
-        for edge in down_edges:
-            for start, _finish in busy_intervals(outcome.sim.trace, edge):
-                assert start >= barrier_time - 1e-12
+        for rec in outcome.sim.trace:
+            if rec.resource in down_edges:
+                assert rec.start >= barrier_time - 1e-12
 
 
 class TestOrdering:

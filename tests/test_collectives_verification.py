@@ -1,5 +1,7 @@
 """The verifier must catch broken schedules, not just bless good ones."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ScheduleError
@@ -43,14 +45,20 @@ class TestNegativeCases:
 
     def test_dropping_broadcast_op_detected(self):
         schedule = tree_allreduce(4, 400.0, nchunks=1)
-        # Remove the final broadcast transfer: one leaf never gets chunk 0.
+        dag = schedule.dag
+        # Copy all but the final broadcast transfer, the last op: one
+        # leaf never gets chunk 0.
         last_bcast = max(
-            op.op_id for op in schedule.dag.ops
-            if op.phase is Phase.BROADCAST
+            op.op_id for op in dag.ops if op.phase is Phase.BROADCAST
         )
-        schedule.dag.ops.pop(last_bcast)
+        assert last_bcast == len(dag) - 1
+        truncated = Dag()
+        for op in dag.ops[:last_bcast]:
+            truncated.add_from(
+                dag, op.op_id, op.resource, op.deps, src=op.src, dst=op.dst
+            )
         with pytest.raises(ScheduleError):
-            check_allreduce(schedule)
+            check_allreduce(replace(schedule, dag=truncated))
 
     def test_bad_order_rejected(self):
         schedule = ring_allreduce(3, 300.0)

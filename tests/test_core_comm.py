@@ -34,19 +34,10 @@ class TestBuildStrategySchedule:
         }
         assert roots == {3, 4}  # the DGX-1 pair's roots
 
-    def test_generic_trees_off_dgx1(self):
-        config = CCubeConfig(nnodes=16)
-        schedule = build_strategy_schedule(
-            Strategy.BASELINE, 16000.0, config, on_dgx1=False
-        )
-        assert schedule.nnodes == 16
-
     def test_dgx1_requires_eight_nodes(self):
         config = CCubeConfig(nnodes=16)
         with pytest.raises(ConfigError, match="nnodes == 8"):
-            build_strategy_schedule(
-                Strategy.BASELINE, 16000.0, config, on_dgx1=True
-            )
+            build_strategy_schedule(Strategy.BASELINE, 16000.0, config)
 
     def test_overlap_flag_follows_strategy(self, small_config):
         base = build_strategy_schedule(
@@ -67,22 +58,11 @@ class TestSimulateStrategyComm:
             )
             assert outcome.total_time > 0
 
-    def test_off_dgx1_uses_fabric(self):
-        config = CCubeConfig(nnodes=16)
-        outcome = simulate_strategy_comm(
-            Strategy.CCUBE, 64000.0, config, on_dgx1=False
-        )
-        assert outcome.total_time > 0
-
     def test_overlapped_faster_on_both_paths(self, small_config):
-        for on_dgx1 in (True, False):
-            config = small_config if on_dgx1 else CCubeConfig(nnodes=8)
-            base = simulate_strategy_comm(
-                Strategy.BASELINE, 8e6, config, on_dgx1=on_dgx1
-            )
-            over = simulate_strategy_comm(
-                Strategy.CCUBE, 8e6, config, on_dgx1=on_dgx1
-            )
+        # Both bandwidth settings of the physical DGX-1 embedding.
+        for config in (small_config, CCubeConfig()):
+            base = simulate_strategy_comm(Strategy.BASELINE, 8e6, config)
+            over = simulate_strategy_comm(Strategy.CCUBE, 8e6, config)
             assert over.total_time < base.total_time
 
     def test_fabric_reuses_ops_whose_lane_needs_no_folding(self, small_config):

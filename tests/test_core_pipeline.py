@@ -38,7 +38,10 @@ class TestTimelineStructure:
     def test_ideal_time_is_compute_only(self, pipeline, tiny_network):
         result = pipeline.run(Strategy.BASELINE)
         compute = ComputeModel()
-        expected = compute.iteration_compute_time(tiny_network, 32)
+        expected = sum(
+            compute.forward_time(layer, 32) + compute.backward_time(layer, 32)
+            for layer in tiny_network.layers
+        )
         assert result.ideal_time == pytest.approx(expected)
 
     def test_normalized_perf_below_one(self, pipeline):

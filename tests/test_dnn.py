@@ -44,14 +44,6 @@ class TestNetworkModel:
         with pytest.raises(ConfigError):
             NetworkModel(name="empty", layers=())
 
-    def test_trainable_layers(self):
-        layers = (
-            LayerSpec(name="a", params=10, fwd_flops=1.0),
-            LayerSpec(name="b", params=0, fwd_flops=1.0),
-        )
-        net = NetworkModel(name="n", layers=layers)
-        assert net.trainable_layers() == [0]
-
 
 class TestRealNetworks:
     def test_resnet50_param_count(self):
@@ -136,13 +128,6 @@ class TestComputeModel:
                          kind=LayerKind.CONV, channels=512)
         fc = LayerSpec(name="f", params=1, fwd_flops=1e9, kind=LayerKind.FC)
         assert model.forward_time(fc, 8) > model.forward_time(conv, 8)
-
-    def test_iteration_time_is_fwd_plus_bwd(self, tiny_network):
-        model = ComputeModel()
-        assert model.iteration_compute_time(tiny_network, 8) == pytest.approx(
-            model.network_forward_time(tiny_network, 8)
-            + model.network_backward_time(tiny_network, 8)
-        )
 
     @given(batch=st.integers(min_value=1, max_value=1024))
     def test_positive_times(self, batch):

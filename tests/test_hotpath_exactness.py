@@ -341,7 +341,7 @@ class TestOptimizedEngine:
             for c in range(nchans)
         }
         for p in range(nprocs):
-            resources[("gpu", p)] = Processor(speedup=1.0 - 0.3 * p)
+            resources[("gpu", p)] = Processor(name=f"gpu{p}")
         return dag, resources
 
     def test_run_matches_run_reference(self, rng):

@@ -10,7 +10,7 @@ import pytest
 
 from repro import (
     Strategy,
-    build_allreduce,
+    ccube_allreduce,
     dgx1_topology,
     resnet50,
     simulate_iteration,
@@ -70,8 +70,8 @@ class TestSimulatorVsRuntime:
 
     def test_arrival_order_matches(self, rng):
         nchunks = 4
-        schedule = build_allreduce(
-            "ccube", 8, 4096.0, nchunks=nchunks, trees=dgx1_trees()
+        schedule = ccube_allreduce(
+            8, 4096.0, nchunks=nchunks, trees=dgx1_trees()
         )
         topo = dgx1_topology()
         router = Router(topo, detour_preference=DETOUR_NODES)
@@ -98,8 +98,7 @@ class TestSimulatorVsRuntime:
                 assert len(report.enqueue_times[(gpu, tree)]) == nchunks
 
     def test_functional_and_symbolic_agree_on_correctness(self, rng):
-        schedule = build_allreduce("ccube", 8, 4096.0, nchunks=4,
-                                   trees=dgx1_trees())
+        schedule = ccube_allreduce(8, 4096.0, nchunks=4, trees=dgx1_trees())
         topo = dgx1_topology()
         router = Router(topo, detour_preference=DETOUR_NODES)
         outcome = simulate_on_physical(schedule, topo, router=router)
@@ -130,15 +129,3 @@ class TestPublicApi:
                 <= results[Strategy.BASELINE].iteration_time)
         assert (results[Strategy.OVERLAPPED_TREE].comm_total
                 < results[Strategy.BASELINE].comm_total)
-
-    def test_build_allreduce_dispatch(self):
-        for name in ("ring", "tree", "overlapped_tree", "double_tree",
-                     "ccube"):
-            schedule = build_allreduce(name, 8, 8192.0, nchunks=2)
-            assert schedule.nbytes == 8192.0
-
-    def test_build_allreduce_unknown(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            build_allreduce("quantum", 8, 1024.0)

@@ -3,7 +3,7 @@ hand-written schedule simulation's exactly."""
 
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import EmbeddingError, PlanError
 from repro.collectives.base import simulate_on_fabric, simulate_on_physical
 from repro.collectives.double_tree import double_tree_allreduce
 from repro.collectives.halving_doubling import halving_doubling_allreduce
@@ -12,11 +12,11 @@ from repro.collectives.tree import tree_allreduce
 from repro.plan import (
     build_double_tree_plan,
     build_halving_doubling_plan,
+    build_plan,
     build_ring_plan,
     build_tree_plan,
     lower_to_dag,
     simulate_plan,
-    speedup_for_straggler,
 )
 from repro.sim.dag import Dag
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
@@ -96,54 +96,29 @@ class TestDgx1Parity:
         assert planned == handwritten
 
 
-class TestStragglerModeling:
-    """Satellite: Processor.speedup < 1 mirrors runtime straggler sweeps."""
+class TestRankCount:
+    """Neither simulator runs ranks the fabric or topology lacks."""
 
-    def test_slow_gpu_stretches_completion(self):
-        topo = dgx1_topology()
-        router = Router(topo, detour_preference=DETOUR_NODES)
-        plan = build_double_tree_plan(
-            8, N, nchunks=8, trees=dgx1_trees(), overlapped=True
+    def test_fabric_smaller_than_the_ring(self):
+        fabric = FabricSpec(nnodes=4, alpha=2e-6, beta=1 / 25e9)
+        with pytest.raises(EmbeddingError, match="8-rank plan"):
+            simulate_plan(build_plan("ring", 8, 1e6), fabric=fabric)
+        with pytest.raises(EmbeddingError, match="8-rank schedule"):
+            simulate_on_fabric(ring_allreduce(8, 1e6), fabric)
+
+    def test_topology_smaller_than_the_ring(self):
+        with pytest.raises(EmbeddingError, match="16-rank plan"):
+            simulate_plan(build_plan("ring", 16, 1e6), topo=dgx1_topology())
+        # The emitter path refuses the same ring.
+        with pytest.raises(EmbeddingError):
+            simulate_on_physical(ring_allreduce(16, 1e6), dgx1_topology())
+
+    def test_fabric_larger_than_the_plan_runs(self):
+        fabric = FabricSpec(nnodes=16, alpha=2e-6, beta=1 / 25e9, lanes=2)
+        plan = build_ring_plan(8, N, order=list(DGX1_RING_ORDER))
+        assert simulate_plan(plan, fabric=fabric).total_time == (
+            simulate_plan(plan, fabric=FABRIC).total_time
         )
-        base = simulate_plan(
-            plan, topo=topo, router=router, charge_compute=True
-        ).total_time
-        slowed = simulate_plan(
-            plan,
-            topo=topo,
-            router=router,
-            charge_compute=True,
-            gpu_speedup={3: 0.5},
-        ).total_time
-        assert slowed > base
-
-    def test_speedup_monotone_in_delay(self):
-        topo = dgx1_topology()
-        router = Router(topo, detour_preference=DETOUR_NODES)
-        plan = build_double_tree_plan(
-            8, N, nchunks=8, trees=dgx1_trees(), overlapped=True
-        )
-        chunk_nbytes = N / plan.nchunks
-        times = []
-        for delay in (0.0, 50e-6, 200e-6):
-            sp = speedup_for_straggler(delay, chunk_nbytes, 100e9)
-            times.append(
-                simulate_plan(
-                    plan,
-                    topo=topo,
-                    router=router,
-                    charge_compute=True,
-                    gpu_speedup={2: sp},
-                ).total_time
-            )
-        assert times[0] < times[1] < times[2]
-
-    def test_speedup_formula(self):
-        # No delay -> full speed; delay equal to the chunk's compute
-        # time -> exactly half speed.
-        assert speedup_for_straggler(0.0, 1e6, 100e9) == pytest.approx(1.0)
-        t0 = 1e6 / 100e9
-        assert speedup_for_straggler(t0, 1e6, 100e9) == pytest.approx(0.5)
 
 
 class TestLoweringStructure:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives import (
-    build_allreduce,
+    ccube_allreduce,
     double_tree_allreduce,
     ring_allreduce,
     simulate_on_fabric,
@@ -33,8 +33,18 @@ from repro.collectives.verification import (
 from repro.sim.trace import overlapping_pairs
 from repro.topology.switch import FabricSpec
 
-ALGOS = st.sampled_from(["ring", "tree", "overlapped_tree", "double_tree",
-                         "ccube"])
+#: Each emitter by name; the ring always uses P chunks per ring.
+BUILDERS = {
+    "ring": lambda nnodes, nbytes, nchunks: ring_allreduce(nnodes, nbytes),
+    "tree": tree_allreduce,
+    "overlapped_tree": lambda nnodes, nbytes, nchunks: tree_allreduce(
+        nnodes, nbytes, nchunks=nchunks, overlapped=True
+    ),
+    "double_tree": double_tree_allreduce,
+    "ccube": ccube_allreduce,
+}
+
+ALGOS = st.sampled_from(list(BUILDERS))
 
 
 def fabric_for(n, lanes=2):
@@ -51,8 +61,8 @@ def fabric_for(n, lanes=2):
 def test_every_algorithm_is_a_correct_allreduce(
     algorithm, nnodes, nchunks, scale
 ):
-    schedule = build_allreduce(
-        algorithm, nnodes, float(nnodes * scale), nchunks=nchunks
+    schedule = BUILDERS[algorithm](
+        nnodes, float(nnodes * scale), nchunks=nchunks
     )
     check_allreduce(schedule)
     outcome = simulate_on_fabric(schedule, fabric_for(nnodes))
@@ -127,8 +137,8 @@ def test_only_trees_deliver_in_order(nnodes):
 @settings(max_examples=15, deadline=None)
 def test_turnaround_never_exceeds_total(nnodes, nchunks):
     for algorithm in ("ring", "double_tree", "ccube"):
-        schedule = build_allreduce(
-            algorithm, nnodes, float(nnodes * 1e5), nchunks=nchunks
+        schedule = BUILDERS[algorithm](
+            nnodes, float(nnodes * 1e5), nchunks=nchunks
         )
         outcome = simulate_on_fabric(schedule, fabric_for(nnodes))
         assert outcome.turnaround <= outcome.total_time + 1e-15
@@ -142,9 +152,7 @@ def test_turnaround_never_exceeds_total(nnodes, nchunks):
 )
 @settings(max_examples=15, deadline=None)
 def test_more_lanes_never_slower(nnodes, nchunks, lanes):
-    schedule = build_allreduce(
-        "ccube", nnodes, float(nnodes * 1e6), nchunks=nchunks
-    )
+    schedule = ccube_allreduce(nnodes, float(nnodes * 1e6), nchunks=nchunks)
     few = simulate_on_fabric(schedule, fabric_for(nnodes, lanes=lanes))
     more = simulate_on_fabric(schedule, fabric_for(nnodes, lanes=lanes + 1))
     assert more.total_time <= few.total_time + 1e-12
@@ -156,11 +164,11 @@ def test_halving_bandwidth_doubles_bandwidth_term(algorithm):
     """Scaling beta by 2 scales the bandwidth-bound part consistently:
     total time grows, but by at most 2x."""
     fast = simulate_on_fabric(
-        build_allreduce(algorithm, 8, 64e6, nchunks=32),
+        BUILDERS[algorithm](8, 64e6, nchunks=32),
         FabricSpec(nnodes=8, alpha=1e-6, beta=1e-9, lanes=2),
     )
     slow = simulate_on_fabric(
-        build_allreduce(algorithm, 8, 64e6, nchunks=32),
+        BUILDERS[algorithm](8, 64e6, nchunks=32),
         FabricSpec(nnodes=8, alpha=1e-6, beta=2e-9, lanes=2),
     )
     assert fast.total_time < slow.total_time <= 2 * fast.total_time + 1e-9

@@ -45,18 +45,10 @@ class TestProcessor:
         op = Op(op_id=0, resource="p", duration=4.0)
         assert Processor().service_time(op) == 4.0
 
-    def test_speedup_divides_duration(self):
-        op = Op(op_id=0, resource="p", duration=4.0)
-        assert Processor(speedup=2.0).service_time(op) == 2.0
-
     def test_missing_duration_rejected(self):
         op = Op(op_id=0, resource="p")
         with pytest.raises(SimulationError):
             Processor().service_time(op)
-
-    def test_nonpositive_speedup_rejected(self):
-        with pytest.raises(SimulationError):
-            Processor(speedup=0.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -69,11 +61,6 @@ class TestNonFiniteInputs:
     def test_channel_parameters_must_be_finite(self, alpha, beta):
         with pytest.raises(SimulationError, match="finite"):
             Channel(alpha=alpha, beta=beta)
-
-    @pytest.mark.parametrize("speedup", [NAN, INF])
-    def test_processor_speedup_must_be_finite(self, speedup):
-        with pytest.raises(SimulationError, match="finite"):
-            Processor(speedup=speedup)
 
     @pytest.mark.parametrize("nbytes", [NAN, INF])
     def test_channel_rejects_non_finite_size(self, nbytes):

@@ -1,26 +1,11 @@
 """Unit tests for trace analysis helpers."""
 
-from repro.sim.trace import (
-    TraceRecord,
-    busy_intervals,
-    idle_during,
-    overlapping_pairs,
-    utilization,
-)
+from repro.sim.trace import TraceRecord, overlapping_pairs, utilization
 
 
 def rec(op_id, resource, start, finish):
     return TraceRecord(op_id=op_id, resource=resource, start=start,
                        finish=finish)
-
-
-class TestBusyIntervals:
-    def test_sorted_output(self):
-        trace = [rec(1, "a", 5, 6), rec(0, "a", 0, 1), rec(2, "b", 2, 3)]
-        assert busy_intervals(trace, "a") == [(0, 1), (5, 6)]
-
-    def test_missing_resource_is_empty(self):
-        assert busy_intervals([rec(0, "a", 0, 1)], "z") == []
 
 
 class TestOverlappingPairs:
@@ -50,17 +35,3 @@ class TestUtilization:
 
     def test_zero_horizon(self):
         assert utilization([rec(0, "a", 0, 2)], "a", 0.0) == 0.0
-
-
-class TestIdleDuring:
-    def test_idle_window(self):
-        trace = [rec(0, "a", 0, 1), rec(1, "a", 5, 6)]
-        assert idle_during(trace, "a", (2, 4))
-
-    def test_busy_window(self):
-        trace = [rec(0, "a", 0, 3)]
-        assert not idle_during(trace, "a", (2, 4))
-
-    def test_other_resource_does_not_count(self):
-        trace = [rec(0, "b", 0, 10)]
-        assert idle_during(trace, "a", (0, 10))

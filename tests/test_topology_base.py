@@ -93,11 +93,6 @@ class TestResources:
         assert isinstance(resources[gpu_key(2)], Processor)
         assert len(resources) == 6 + 4
 
-    def test_gpu_speedup_applied(self):
-        resources = line_topo().to_resources(gpu_speedup={1: 2.0})
-        assert resources[gpu_key(1)].speedup == 2.0
-        assert resources[gpu_key(0)].speedup == 1.0
-
     def test_channel_parameters_preserved(self):
         topo = PhysicalTopology(nnodes=2)
         topo.add_link(0, 1, alpha=3e-6, beta=2e-9)

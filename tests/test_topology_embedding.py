@@ -75,13 +75,13 @@ class TestDetourEmbedding:
         topo, router = setup
         dag = Dag()
         dag.add(edge_key(2, 4), nbytes=8.0, src=2, dst=4)
-        physical, report = embed_on_physical(
-            dag, topo, router, charge_forwarding=False
-        )
+        physical, report = embed_on_physical(dag, topo, router)
         assert report.detour_transfers == 1
-        hops = [op.resource for op in physical]
-        assert hops == [chan_key(2, 0, 0), chan_key(0, 4, 0)]
-        assert physical[1].deps == (0,)
+        hops = [op for op in physical if op.resource[0] == "chan"]
+        assert [op.resource for op in hops] == [
+            chan_key(2, 0, 0), chan_key(0, 4, 0)
+        ]
+        assert hops[1].deps == (hops[0].op_id,)
 
     def test_forwarding_charged_to_intermediate_gpu(self, setup):
         topo, router = setup
@@ -97,11 +97,10 @@ class TestDetourEmbedding:
         topo, router = setup
         dag = Dag()
         dag.add(edge_key(2, 4), nbytes=8.0, src=2, dst=4)
-        physical, report = embed_on_physical(
-            dag, topo, router, charge_forwarding=False
-        )
-        assert report.logical_done[0] == 1
-        assert physical[1].dst == 4
+        physical, report = embed_on_physical(dag, topo, router)
+        last_hop = [op for op in physical if op.resource[0] == "chan"][-1]
+        assert report.logical_done[0] == last_hop.op_id
+        assert last_hop.dst == 4
 
 
 class TestFieldsCarried:

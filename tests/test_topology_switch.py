@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.topology.switch import (
+    FabricSpec,
     fat_tree_fabric,
     fat_tree_levels,
     fat_tree_topology,
@@ -43,6 +44,20 @@ class TestFatTreeFabric:
 
     def test_name_mentions_levels(self):
         assert "L2" in fat_tree_fabric(64, radix=16).name
+
+
+class TestFabricSpec:
+    @pytest.mark.parametrize("lanes", [0, -1])
+    def test_lanes_below_one_rejected(self, lanes):
+        with pytest.raises(TopologyError, match="at least 1 lane"):
+            FabricSpec(nnodes=8, alpha=1e-6, beta=1e-9, lanes=lanes)
+        with pytest.raises(TopologyError, match="at least 1 lane"):
+            fat_tree_fabric(8, lanes=lanes)
+
+    @pytest.mark.parametrize("nnodes", [1, 0])
+    def test_fewer_than_two_nodes_rejected(self, nnodes):
+        with pytest.raises(TopologyError, match="at least 2 nodes"):
+            FabricSpec(nnodes=nnodes, alpha=1e-6, beta=1e-9)
 
 
 class TestSwitchTopology:
