@@ -37,7 +37,6 @@ from ..plan.lowering import lower_to_dag, physical_resources
 from ..plan.verifier import WirePairing
 from ..sim.resources import Channel
 from ..topology.base import PhysicalTopology
-from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
 from ..topology.routing import Router
 from .diagnostics import Diagnostic, severity_of
 
@@ -86,8 +85,6 @@ def analyze_contention(
     topo: PhysicalTopology,
     *,
     router: Router | None = None,
-    pcie_alpha: float = PCIE_ALPHA,
-    pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
     pairing: WirePairing | None = None,
 ) -> ContentionReport:
     """Compute the static lower bound and contention advisories.
@@ -101,15 +98,10 @@ def analyze_contention(
     if not plan.legalized:
         from ..plan.passes import compile_plan
 
-        plan, _ = compile_plan(
-            plan, topo, router=router,
-            pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
-        )
+        plan, _ = compile_plan(plan, topo, router=router)
         pairing = None
     dag = lower_to_dag(plan, pairing=pairing)
-    resources = physical_resources(
-        dag, topo, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta
-    )
+    resources = physical_resources(dag, topo)
     ops = list(dag)  # one row per op, read many times below
     service = [resources[op.resource].service_time(op) for op in ops]
 
@@ -221,10 +213,6 @@ def static_lower_bound(
     topo: PhysicalTopology,
     *,
     router: Router | None = None,
-    pcie_alpha: float = PCIE_ALPHA,
-    pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
 ) -> float:
     """Certified lower bound on ``simulate_plan(...).total_time``."""
-    return analyze_contention(
-        plan, topo, router=router, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
-    ).lower_bound
+    return analyze_contention(plan, topo, router=router).lower_bound

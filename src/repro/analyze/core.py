@@ -22,7 +22,6 @@ from ..plan.verifier import (
     verify_plan,
 )
 from ..topology.base import PhysicalTopology
-from ..topology.dgx1 import PCIE_ALPHA, PCIE_BANDWIDTH
 from ..topology.routing import Router
 from .contention import ContentionReport, analyze_contention
 from .diagnostics import DiagnosticReport
@@ -101,8 +100,6 @@ def analyze_plan(
     *,
     topo: PhysicalTopology | None = None,
     router: Router | None = None,
-    pcie_alpha: float = PCIE_ALPHA,
-    pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
 ) -> AnalysisReport:
     """Run the full static suite on one plan, no interpreter, no DES.
 
@@ -135,9 +132,7 @@ def analyze_plan(
     contention: ContentionReport | None = None
     if topo is not None and verify.ok:
         contention = analyze_contention(
-            plan, topo, router=router,
-            pcie_alpha=pcie_alpha, pcie_beta=pcie_beta,
-            pairing=verify.pairing,
+            plan, topo, router=router, pairing=verify.pairing,
         )
         report.extend(contention.diagnostics)
     return AnalysisReport(

@@ -156,24 +156,19 @@ def lower_to_dag(
     return dag
 
 
-def physical_resources(
-    dag: Dag,
-    topo: PhysicalTopology,
-    *,
-    pcie_alpha: float,
-    pcie_beta: float,
-) -> dict:
+def physical_resources(dag: Dag, topo: PhysicalTopology) -> dict:
     """The resource map a lowered, legalized plan runs on: ``topo``'s
-    channels and GPUs, a host-path channel per PCIe hop, and a default
-    processor for every other key (sync markers)."""
+    channels and GPUs, a host-path channel per PCIe hop (the DGX-1's
+    PCIe alpha and bandwidth), and a default processor for every other
+    key (sync markers)."""
     resources = topo.to_resources()
     for key in dag.resources():
         if key in resources:
             continue
         if isinstance(key, tuple) and key and key[0] == "pcie":
             resources[key] = Channel(
-                alpha=pcie_alpha,
-                beta=pcie_beta,
+                alpha=PCIE_ALPHA,
+                beta=1.0 / PCIE_BANDWIDTH,
                 name=f"pcie {key[1]}->{key[2]}",
             )
         else:
@@ -206,8 +201,6 @@ def simulate_plan(
     topo: PhysicalTopology | None = None,
     fabric: FabricSpec | None = None,
     router: Router | None = None,
-    pcie_alpha: float = PCIE_ALPHA,
-    pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
 ) -> PlanOutcome:
     """Simulate a plan analytically on a fabric or a physical topology.
 
@@ -233,14 +226,10 @@ def simulate_plan(
         if not plan.legalized:
             from .passes import compile_plan
 
-            plan, reports = compile_plan(plan, topo, router=router,
-                                         pcie_alpha=pcie_alpha,
-                                         pcie_beta=pcie_beta)
+            plan, reports = compile_plan(plan, topo, router=router)
             notes.extend(reports.notes)
         dag = lower_to_dag(plan)
-        resources = physical_resources(
-            dag, topo, pcie_alpha=pcie_alpha, pcie_beta=pcie_beta
-        )
+        resources = physical_resources(dag, topo)
     else:
         dag = fold_lanes(lower_to_dag(plan), fabric.lanes)
         resources = abstract_resources(

@@ -178,13 +178,12 @@ def legalize_routes(
     topo: PhysicalTopology,
     *,
     router: Router | None = None,
-    pcie_alpha: float = PCIE_ALPHA,
-    pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
 ) -> tuple[Plan, LegalizeReport]:
     """Map every transfer onto the physical topology.
 
     Per missing link, the cheaper of the NVLink detour (sum of per-hop
-    alpha-beta costs) and the PCIe host path wins; detours insert relay
+    alpha-beta costs) and the PCIe host path (the DGX-1's PCIe alpha and
+    bandwidth) wins; detours insert relay
     thread blocks, PCIe fallbacks retag ``medium="pcie"``.
 
     Returns a new, ``legalized`` plan plus the report of per-edge
@@ -202,7 +201,7 @@ def legalize_routes(
         if topo.lane_count(src, dst) > 0:
             choice = EdgeChoice(src, dst, "direct", (src, dst))
         else:
-            pcie_cost = pcie_alpha + pcie_beta * nbytes
+            pcie_cost = PCIE_ALPHA + (1.0 / PCIE_BANDWIDTH) * nbytes
             try:
                 path = tuple(router.route(src, dst))
             except RoutingError:
@@ -376,15 +375,10 @@ def compile_plan(
     *,
     router: Router | None = None,
     pipeline: int = 1,
-    pcie_alpha: float = PCIE_ALPHA,
-    pcie_beta: float = 1.0 / PCIE_BANDWIDTH,
 ) -> tuple[Plan, CompileReports]:
     """Full pipeline: optional chunk split, legalize routes, assign lanes."""
     if pipeline > 1:
         plan = pipeline_chunks(plan, pipeline)
-    plan, leg = legalize_routes(
-        plan, topo, router=router, pcie_alpha=pcie_alpha,
-        pcie_beta=pcie_beta,
-    )
+    plan, leg = legalize_routes(plan, topo, router=router)
     plan, lanes = assign_lanes(plan, topo)
     return plan, CompileReports(legalize=leg, lanes=lanes)

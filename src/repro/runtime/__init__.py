@@ -24,11 +24,13 @@ Python thread per kernel:
 - :mod:`repro.runtime.queue_runtime` — gradient queuing + forward-compute
   chaining over the enqueue semaphores (C2/CC), and the
   :class:`FunctionalTrainer` that runs it for several iterations,
-- :mod:`repro.runtime.training` — the serial oracle the trainers are
+- :mod:`repro.runtime.training` — the one SGD span loop every trainer
+  runs its engine through, and the serial oracle the trainers are
   checked against; it imports no engine,
 - :mod:`repro.runtime.elastic` / :mod:`repro.runtime.recovery` — the
   membership state machine; each of its spans runs the plan it verified
-  on :class:`~repro.plan.interpreter.PlanInterpreter`.
+  on one :class:`~repro.plan.interpreter.PlanInterpreter`, and
+  ``ResilientTrainer`` is its crash-only configuration.
 
 Everything is *functionally real*: the AllReduce produces numerically
 exact sums, chunks flow in the same order as on the real system, and the
@@ -38,119 +40,61 @@ check-semaphore pattern the paper uses.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "AbortCell",
-    "AtomicCell",
-    "DeviceEvent",
-    "DeviceLock",
-    "DeviceSemaphore",
-    "SpinConfig",
-    "FaultPlan",
-    "FaultStats",
-    "GpuFault",
-    "LinkFault",
-    "PhaseBoard",
-    "StorageFault",
-    "stable_tag_seed",
-    "Checkpointer",
-    "CheckpointState",
-    "CrashingBackend",
-    "DirectoryBackend",
-    "FaultyBackend",
-    "MemoryBackend",
-    "SimulatedCrash",
-    "StorageBackend",
-    "WriteSite",
-    "enumerate_write_sites",
-    "every_site_drill",
-    "ElasticReport",
-    "ElasticTrainer",
-    "MembershipEvent",
-    "MembershipRecord",
-    "PlanCheck",
-    "elastic_serial_reference",
-    "parse_events",
-    "ChunkLayout",
-    "GradientBuffer",
-    "Executor",
-    "Program",
-    "RunReport",
-    "TreeAllReduceRuntime",
-    "ChainedTrainingRuntime",
-    "ComputeRecord",
-    "FunctionalTrainer",
-    "quadratic_gradient",
-    "serial_reference",
-    "tree_reduce_order",
-    "InterpretedSegment",
-    "RecoveryDecision",
-    "RecoveryPolicy",
-    "RecoveryReport",
-    "ResilientTrainer",
-    "adopted_gradient_fn",
-    "detect_dead_gpus",
-    "drain_aborted_run",
-    "recovery_serial_reference",
-    "segment_reduce_order",
-    "shard_assignments",
-]
-
-__getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "AbortCell": "sync",
-        "AtomicCell": "sync",
-        "DeviceEvent": "sync",
-        "DeviceLock": "sync",
-        "DeviceSemaphore": "sync",
-        "SpinConfig": "sync",
-        "FaultPlan": "faults",
-        "FaultStats": "faults",
-        "GpuFault": "faults",
-        "LinkFault": "faults",
-        "PhaseBoard": "executor",
-        "StorageFault": "faults",
-        "stable_tag_seed": "faults",
-        "Checkpointer": "checkpoint",
-        "CheckpointState": "checkpoint",
-        "CrashingBackend": "checkpoint",
-        "DirectoryBackend": "checkpoint",
-        "FaultyBackend": "checkpoint",
-        "MemoryBackend": "checkpoint",
-        "SimulatedCrash": "checkpoint",
-        "StorageBackend": "checkpoint",
-        "WriteSite": "checkpoint",
-        "enumerate_write_sites": "checkpoint",
-        "every_site_drill": "checkpoint",
-        "ElasticReport": "elastic",
-        "ElasticTrainer": "elastic",
-        "MembershipEvent": "elastic",
-        "MembershipRecord": "elastic",
-        "PlanCheck": "elastic",
-        "elastic_serial_reference": "elastic",
-        "parse_events": "elastic",
-        "ChunkLayout": "memory",
-        "GradientBuffer": "memory",
-        "Executor": "executor",
-        "Program": "executor",
-        "RunReport": "executor",
-        "TreeAllReduceRuntime": "allreduce",
-        "ChainedTrainingRuntime": "queue_runtime",
-        "ComputeRecord": "queue_runtime",
-        "InterpretedSegment": "elastic",
-        "RecoveryDecision": "elastic",
-        "RecoveryPolicy": "elastic",
-        "RecoveryReport": "recovery",
-        "ResilientTrainer": "recovery",
-        "adopted_gradient_fn": "elastic",
-        "detect_dead_gpus": "elastic",
-        "drain_aborted_run": "elastic",
-        "recovery_serial_reference": "recovery",
-        "segment_reduce_order": "elastic",
-        "shard_assignments": "elastic",
-        "FunctionalTrainer": "queue_runtime",
-        "quadratic_gradient": "training",
-        "serial_reference": "training",
-        "tree_reduce_order": "training",
-    },
-)
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    "AbortCell": "sync",
+    "AtomicCell": "sync",
+    "DeviceEvent": "sync",
+    "DeviceLock": "sync",
+    "DeviceSemaphore": "sync",
+    "SpinConfig": "sync",
+    "FaultPlan": "faults",
+    "FaultStats": "faults",
+    "GpuFault": "faults",
+    "LinkFault": "faults",
+    "PhaseBoard": "executor",
+    "StorageFault": "faults",
+    "stable_tag_seed": "faults",
+    "Checkpointer": "checkpoint",
+    "CheckpointState": "checkpoint",
+    "CrashingBackend": "checkpoint",
+    "DirectoryBackend": "checkpoint",
+    "FaultyBackend": "checkpoint",
+    "MemoryBackend": "checkpoint",
+    "SimulatedCrash": "checkpoint",
+    "StorageBackend": "checkpoint",
+    "WriteSite": "checkpoint",
+    "enumerate_write_sites": "checkpoint",
+    "every_site_drill": "checkpoint",
+    "ElasticReport": "elastic",
+    "ElasticTrainer": "elastic",
+    "MembershipEvent": "elastic",
+    "MembershipRecord": "elastic",
+    "PlanCheck": "elastic",
+    "elastic_serial_reference": "elastic",
+    "parse_events": "elastic",
+    "ChunkLayout": "memory",
+    "GradientBuffer": "memory",
+    "Executor": "executor",
+    "Program": "executor",
+    "RunReport": "executor",
+    "TreeAllReduceRuntime": "allreduce",
+    "ChainedTrainingRuntime": "queue_runtime",
+    "ComputeRecord": "queue_runtime",
+    "RecoveryDecision": "elastic",
+    "RecoveryPolicy": "elastic",
+    "RecoveryReport": "recovery",
+    "ResilientTrainer": "recovery",
+    "adopted_gradient_fn": "elastic",
+    "detect_dead_gpus": "elastic",
+    "drain_aborted_run": "elastic",
+    "recovery_serial_reference": "recovery",
+    "segment_reduce_order": "elastic",
+    "shard_assignments": "elastic",
+    "FunctionalTrainer": "queue_runtime",
+    "quadratic_gradient": "training",
+    "serial_reference": "training",
+    "tree_reduce_order": "training",
+}
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -45,7 +44,7 @@ from repro.errors import (
     LinkFaultError,
     RuntimeClusterError,
 )
-from repro.runtime.memory import ChunkLayout, GradientBuffer
+from repro.runtime.memory import ChunkLayout, GradientBuffer, payload_checksum
 from repro.runtime.memory import _emit as _access_emit
 from repro.runtime.sync import AbortCell, DeviceSemaphore, SpinConfig
 from repro.runtime.sync import _emit as _sync_emit
@@ -53,16 +52,6 @@ from repro.sanitizer import hooks as _hooks
 
 if TYPE_CHECKING:
     from repro.runtime.faults import LinkInjector
-
-
-def payload_checksum(values: np.ndarray) -> int:
-    """CRC32 over a chunk payload's raw bytes (the frame checksum).
-
-    Computed over the contiguous array's own buffer: a contiguous payload
-    (every wire slot and gradient-buffer chunk) is checksummed without a
-    copy; a strided view is made contiguous first, as ``tobytes`` would.
-    """
-    return zlib.crc32(np.ascontiguousarray(values))
 
 
 class _Wire:

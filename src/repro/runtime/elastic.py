@@ -34,8 +34,10 @@ with :func:`~repro.plan.builders.build_double_tree_plan`, compiled
 against the compacted member topology and checked by
 :func:`~repro.plan.verifier.verify_plan` — "synthesize -> verify ->
 resume".  The verified plan is the one that runs: every span, quiet or
-armed with a crash, is an :class:`InterpretedSegment` on it and on its
-verification report, so there is one engine, one SGD loop, one
+armed with a crash, runs it on one
+:class:`~repro.plan.interpreter.PlanInterpreter` built on its
+verification report, through the one SGD loop
+(:func:`~repro.runtime.training.sgd_span`), so there is one engine, one
 abort-message form and one happens-before graph per member set.
 
 Data shards are redistributed deterministically at every change
@@ -74,14 +76,13 @@ from repro.plan.ir import Plan
 from repro.plan.passes import compile_plan
 from repro.plan.verifier import VerifyReport, verify_plan
 from repro.runtime.checkpoint import Checkpointer, CheckpointState
-from repro.runtime.cluster import payload_checksum
 from repro.runtime.faults import CRASH, FaultPlan, GpuFault
 from repro.runtime.memory import ChunkLayout
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import (
     GradientFn,
-    private_gradient,
     serial_reference,
+    sgd_span,
     tree_reduce_order,
 )
 from repro.topology.base import PhysicalTopology
@@ -118,10 +119,10 @@ def detect_dead_gpus(runtime) -> tuple[int, ...]:
     """Ranks that died in ``runtime``'s most recent aborted run.
 
     ``runtime`` is anything exposing ``nnodes`` / ``phase_board`` /
-    ``abort_cell`` — a :class:`~repro.plan.interpreter.PlanInterpreter`
-    or the :class:`InterpretedSegment` wrapping one.  The returned ids
-    are dense plan ranks, which the caller maps back to physical GPUs
-    via the embedding's ``gpu_of``.
+    ``abort_cell`` — an :class:`~repro.runtime.executor.Executor` such
+    as the span's :class:`~repro.plan.interpreter.PlanInterpreter`.  The
+    returned ids are dense plan ranks, which the caller maps back to
+    physical GPUs via the embedding's ``gpu_of``.
 
     Primary source is the phase board: crash/stuck faults stamp their
     last phase before firing, and those terminal stamps are sticky, so
@@ -351,120 +352,6 @@ def adopted_gradient_fn(
     return fn
 
 
-class InterpretedSegment:
-    """A training span on one verified plan: the membership machine's engine.
-
-    Every member set's collective is a plan — the compiled double tree
-    :meth:`ElasticTrainer.plan_check_for` verified, or a synthesized
-    embedding's own plan where no double tree is feasible.  This drives
-    the SGD math — per-rank gradients, summed collective,
-    ``w -= lr * sum`` — through
-    :class:`repro.plan.interpreter.PlanInterpreter` on exactly that plan.
-
-    The segment builds one interpreter on the plan's verification
-    report, so the happens-before graph is built once per member set
-    and the aliasing proof once per segment, not per iteration.  It also
-    exposes the runtime surface the recovery state machine drives —
-    ``nnodes``, ``fault_plan``, and the interpreter's
-    ``abort_cell`` / ``phase_board`` of its last run — for
-    :func:`drain_aborted_run` and :func:`detect_dead_gpus`.  Detected
-    ids are dense plan ranks; callers map them back to physical GPUs
-    through the embedding's ``gpu_of``.
-
-    Args:
-        plan: the verified plan to run.
-        network: layer table (sets the gradient length).
-        learning_rate: SGD step size on the summed gradient.
-        spin: spin/timeout configuration for the interpreter.
-        fault_plan: optional fault injection, already expressed in
-            dense plan ranks.
-        report: ``plan``'s verification report (the interpreter
-            verifies the plan itself when omitted).
-    """
-
-    def __init__(
-        self,
-        plan: Plan,
-        network: NetworkModel,
-        *,
-        learning_rate: float,
-        spin: SpinConfig | None = None,
-        fault_plan: FaultPlan | None = None,
-        report: VerifyReport | None = None,
-    ):
-        if plan is None:
-            raise ConfigError(
-                "InterpretedSegment needs a plan; a tree embedding's is "
-                "the one ElasticTrainer.plan_check_for verified"
-            )
-        self.plan = plan
-        self.network = network
-        self.learning_rate = learning_rate
-        self.fault_plan = fault_plan
-        #: Runs every iteration; carries the abort cell and phase board
-        #: of the last (possibly aborted) run.
-        self.interpreter = PlanInterpreter(
-            plan,
-            total_elems=network.total_params,
-            spin=spin,
-            fault_plan=fault_plan,
-            report=report,
-        )
-
-    @property
-    def nnodes(self) -> int:
-        return self.plan.nnodes
-
-    @property
-    def abort_cell(self):
-        return self.interpreter.abort_cell
-
-    @property
-    def phase_board(self):
-        return self.interpreter.phase_board
-
-    def run(
-        self,
-        gradient_fn: GradientFn,
-        weights: np.ndarray,
-        iterations: int,
-        *,
-        start: int = 0,
-    ) -> tuple[np.ndarray, list[int]]:
-        """Run ``iterations`` steps, ``gradient_fn`` seeing iterations
-        ``start``, ``start + 1``, ...; returns the final weights and the
-        CRC32 of the weights after each step.
-
-        Raises:
-            AbortedError: a kernel crashed or stalled (injected fault);
-                the interpreter's abort cell and phase board stay
-                readable for drain/detect.
-        """
-        nranks = self.nnodes
-        w = np.asarray(weights, dtype=np.float64).copy()
-        checksums: list[int] = []
-        for iteration in range(start, start + iterations):
-            # A gradient nothing else holds becomes the rank's buffer,
-            # any other is copied.
-            grads = [
-                private_gradient(gradient_fn(w, rank, iteration))
-                for rank in range(nranks)
-            ]
-            report = self.interpreter.run(grads, in_place=True)
-            del grads
-            for out in report.outputs[1:]:
-                if not np.array_equal(report.outputs[0], out):
-                    raise ConfigError(
-                        "GPUs diverged — the interpreted collective is "
-                        "broken"
-                    )
-            w = w - self.learning_rate * report.outputs[0]
-            checksums.append(payload_checksum(w))
-            # Free this iteration's outputs before the next one allocates.
-            del report
-        return w, checksums
-
-
 def segment_reduce_order(
     embedding: DegradedEmbedding, layout, total_elems: int
 ):
@@ -481,7 +368,6 @@ def segment_reduce_order(
     if embedding.synthesized:
         return plan_reduce_order(embedding.plan, total_elems=total_elems)
     return tree_reduce_order(embedding.trees, layout)
-
 
 
 # -- the membership state machine ----------------------------------------
@@ -607,6 +493,40 @@ def parse_events(
     )
 
 
+def _crash_events(
+    *crashes: tuple[FaultPlan | None, int],
+) -> tuple[MembershipEvent, ...]:
+    """The crash events that crash-only fault plans stand for: one per
+    ``(plan, at_iteration)`` pair whose plan is not None.
+
+    Raises:
+        ConfigError: unless each plan arms exactly one ``CRASH`` GPU
+            fault and nothing else.
+    """
+    events = []
+    for plan, at_iteration in crashes:
+        if plan is None:
+            continue
+        faults = plan.gpu_faults
+        if (
+            plan.link_faults
+            or plan.storage_faults
+            or len(faults) != 1
+            or faults[0].kind != CRASH
+        ):
+            raise ConfigError(
+                "ResilientTrainer takes fault plans with exactly one "
+                "GpuFault(gpu, CRASH, after_chunk); use ElasticTrainer "
+                "events or the runtimes for other faults"
+            )
+        events.append(
+            MembershipEvent(
+                CRASH_EVENT, faults[0].gpu, at_iteration, faults[0].after_chunk
+            )
+        )
+    return tuple(events)
+
+
 @dataclass(frozen=True)
 class PlanCheck:
     """Result of gating one member set's collective through the plan IR.
@@ -684,7 +604,7 @@ class ElasticReport:
 
     Attributes:
         weights: final shared weights (the engine's own array).
-        weight_checksums: CRC32 (``cluster.payload_checksum``) of the
+        weight_checksums: CRC32 (``memory.payload_checksum``) of the
             weights after every *surviving* completed iteration —
             entries invalidated by a checkpoint restore are truncated,
             so index ``i`` always checksums the weights after global
@@ -695,7 +615,9 @@ class ElasticReport:
         segments: ``(start_iteration, embedding, assignments)`` per
             ownership segment, exactly what
             :func:`elastic_serial_reference` replays.
-        members: final member set.
+        members: final member set (the current one while
+            :meth:`ElasticTrainer.train` runs, which keeps its state in
+            the report it returns).
         initial_segment: the segment training started on (``segments``
             drops it when a crash at iteration 0 replaces it).
         checkpoint_counters: the checkpointer's counters (empty when no
@@ -756,9 +678,10 @@ class ElasticTrainer:
     """Data-parallel SGD under a stream of membership changes.
 
     Each member set's collective is the plan :meth:`plan_check_for`
-    verified, and every span runs that plan on
-    :class:`~repro.plan.interpreter.PlanInterpreter` through an
-    :class:`InterpretedSegment`.
+    verified, and every span runs that plan on one
+    :class:`~repro.plan.interpreter.PlanInterpreter` through
+    :func:`~repro.runtime.training.sgd_span`.  :meth:`train` alternates
+    quiet spans with :meth:`_transition`, which applies one event.
 
     Args:
         topo: the full physical topology (GPU ids ``0..P-1``); the
@@ -949,93 +872,300 @@ class ElasticTrainer:
 
     # -- execution ---------------------------------------------------------
 
-    def _segment(
+    def _interpreter(
         self,
         members: frozenset[int],
         fault_plan: FaultPlan | None = None,
-    ) -> InterpretedSegment:
-        """The engine for one span on ``members``: the interpreter on the
-        plan :meth:`plan_check_for` verified for them.  It exposes the
-        abort surface :func:`drain_aborted_run` and
-        :func:`detect_dead_gpus` read."""
+    ) -> PlanInterpreter:
+        """The engine for one span on ``members``: an interpreter on the
+        plan :meth:`plan_check_for` verified for them, built on its
+        report.  Its last run's abort surface (``abort_cell``,
+        ``phase_board``) is what :func:`drain_aborted_run` and
+        :func:`detect_dead_gpus` read; ``fault_plan`` is in dense plan
+        ranks."""
         self.plan_check_for(members)
         _check, plan, report = self._verified[members]
-        return InterpretedSegment(
+        return PlanInterpreter(
             plan,
-            self.network,
-            learning_rate=self.learning_rate,
+            total_elems=self.network.total_params,
             spin=self.spin,
             fault_plan=fault_plan,
             report=report,
         )
 
+    def _sgd(
+        self,
+        run: ElasticReport,
+        interpreter: PlanInterpreter,
+        iterations: range,
+    ) -> None:
+        """Train ``run`` over ``iterations`` on ``interpreter``, each rank
+        computing for the shards the current segment assigns it."""
+        lr = self.learning_rate
+
+        def step(grads: list[np.ndarray], weights: np.ndarray):
+            outputs = interpreter.run(grads, in_place=True).outputs
+            # Each rank steps its own replica in its reduced buffer:
+            # (-lr) * g is exactly -(lr * g), so w + that is w - lr * g
+            # bit for bit, with no array allocated.
+            for out in outputs:
+                np.multiply(out, -lr, out=out)
+                out += weights
+            return outputs
+
+        run.weights = sgd_span(
+            step,
+            adopted_gradient_fn(self.gradient_fn, run.segments[-1][2]),
+            run.weights,
+            iterations,
+            nnodes=interpreter.nnodes,
+            checksums=run.weight_checksums,
+        )
+
     # -- checkpointing ----------------------------------------------------
 
-    def _maybe_save(
-        self,
-        weights: np.ndarray,
-        iteration: int,
-        members: frozenset[int],
-        timeline: list[str],
-    ) -> None:
+    def _maybe_save(self, run: ElasticReport) -> None:
         """Best-effort periodic save; failures never stop training."""
-        if self.checkpointer is None:
-            return
+        iteration = len(run.weight_checksums)
         try:
             generation = self.checkpointer.save(
                 CheckpointState(
-                    weights=weights,
+                    weights=run.weights,
                     iteration=iteration,
-                    members=tuple(sorted(members)),
+                    members=run.members,
                 )
             )
-            timeline.append(
+            run.timeline.append(
                 f"checkpoint: generation {generation} committed at "
                 f"iteration {iteration}"
             )
         except CheckpointError as exc:
-            timeline.append(
+            run.timeline.append(
                 f"checkpoint: save at iteration {iteration} abandoned "
                 f"({exc})"
             )
 
-    def _run_span(
-        self,
-        weights: np.ndarray,
-        checksums: list[int],
-        start: int,
-        count: int,
-        assignments: dict[int, tuple[int, ...]],
-        members: frozenset[int],
-        timeline: list[str],
-    ) -> np.ndarray:
-        """Run ``count`` iterations from global iteration ``start``,
-        committing a checkpoint generation at every ``checkpoint_every``
-        boundary it crosses.  The span builds one engine."""
-        segment = self._segment(members)
-        adopted = adopted_gradient_fn(self.gradient_fn, assignments)
-        done = 0
-        while done < count:
-            step = count - done
-            at_ckpt = False
-            if self.checkpointer is not None and self.checkpoint_every:
-                here = start + done
-                boundary = (
-                    here // self.checkpoint_every + 1
-                ) * self.checkpoint_every
-                if boundary - here <= step:
-                    step = boundary - here
-                    at_ckpt = True
-            weights, span = segment.run(
-                adopted, weights, step, start=start + done
+    # -- the span loop and the transition ----------------------------------
+
+    def _run_span(self, run: ElasticReport, until: int) -> None:
+        """Run the quiet iterations from ``run``'s next one up to
+        ``until`` on one interpreter, committing a checkpoint generation
+        at every ``checkpoint_every`` boundary the span crosses."""
+        here = len(run.weight_checksums)
+        if here >= until:
+            return
+        interpreter = self._interpreter(frozenset(run.members))
+        every = self.checkpoint_every if self.checkpointer is not None else 0
+        while here < until:
+            stop = min(until, (here // every + 1) * every) if every else until
+            self._sgd(run, interpreter, range(here, stop))
+            here = stop
+            if every and here % every == 0:
+                self._maybe_save(run)
+
+    def _crash(
+        self, run: ElasticReport, event: MembershipEvent, iterations: int
+    ) -> tuple[
+        frozenset[int], tuple[int, ...], RecoveryDecision | None, int, dict,
+        str,
+    ]:
+        """Run the crash's iteration with the fault armed.
+
+        When the cluster aborts: drain, detect, decide, and on RESTART
+        bring replacement GPUs in or restore the newest loadable
+        checkpoint generation (which rewinds ``run``).  When the armed
+        fault never fires, the iteration completes.  Returns the member
+        set after the crash, the physical GPUs detected dead (empty when
+        nothing aborted), the decision, the restored generation (-1 for
+        none), the fault stats and the abort reason.
+        """
+        members = frozenset(run.members)
+        timeline = run.timeline
+        if event.gpu not in members:
+            raise ConfigError(
+                f"crash targets gpu {event.gpu}, not a member at "
+                f"iteration {event.at_iteration}"
             )
-            checksums.extend(span)
-            done += step
-            if at_ckpt:
-                self._maybe_save(
-                    weights, start + done, members, timeline
+        _start, embedding, _assignments = run.segments[-1]
+        # Armed and detected in dense plan ranks; gpu_of maps detections
+        # back to GPUs.
+        armed = FaultPlan(
+            gpu_faults=(
+                GpuFault(
+                    gpu=embedding.rank_of[event.gpu],
+                    kind=CRASH,
+                    after_chunk=event.after_chunk,
+                ),
+            ),
+        )
+        interpreter = self._interpreter(members, armed)
+        completed = len(run.weight_checksums)
+        try:
+            self._sgd(run, interpreter, range(completed, completed + 1))
+        except AbortedError as abort:
+            reason = abort.reason
+            timeline.append(
+                f"{'cascade abort' if run.aborted else 'abort'}: {reason}"
+            )
+            fault_stats = drain_aborted_run(interpreter)
+            timeline.append(
+                "drain: in-flight chunks discarded with the aborted run"
+                + (f"; fault stats {fault_stats}" if fault_stats else "")
+            )
+            dead_ranks = detect_dead_gpus(interpreter)
+            if not dead_ranks:
+                timeline.append("detect: no dead GPU identified; rethrowing")
+                raise
+            dead = tuple(sorted(embedding.gpu_of[r] for r in dead_ranks))
+            timeline.append(
+                f"detect: dead ranks {list(dead_ranks)} = physical GPUs "
+                f"{list(dead)}"
+            )
+        else:
+            timeline.append(
+                f"crash: armed fault on gpu {event.gpu} never aborted; "
+                f"iteration {event.at_iteration} completed normally"
+            )
+            return members, (), None, -1, dict(armed.stats.snapshot()), ""
+        survivors = members - set(dead)
+        if len(survivors) < 2:
+            raise ConfigError("fewer than 2 members survive the crash")
+        survivor_emb = self.embedding_for(survivors)
+        ckpt: tuple[CheckpointState, int] | None = None
+        if self.checkpointer is not None:
+            try:
+                ckpt = self.checkpointer.load_latest()
+            except CheckpointError as exc:
+                timeline.append(f"checkpoint: none loadable ({exc})")
+        staleness = (
+            dict(
+                checkpoint_iteration=ckpt[0].iteration,
+                current_iteration=completed,
+            )
+            if ckpt is not None
+            else {}
+        )
+        # Either restart arm brings back a healthy machine's collective,
+        # so the restart cost is the full topology's.
+        decision = self.policy.decide(
+            nnodes_healthy=self.topo.nnodes,
+            nnodes_degraded=len(survivors),
+            nbytes=float(self.network.total_params * 8),
+            detours=survivor_emb.cost.detours,
+            conflicts=survivor_emb.cost.conflicts,
+            remaining_iterations=iterations - completed,
+            **staleness,
+        )
+        timeline.append(f"decide: {decision.action} ({decision.reason})")
+        generation = -1
+        if decision.action == RESTART and self.replace_on_restart:
+            survivors = frozenset(range(self.topo.nnodes))
+            timeline.append(
+                "restart: replacement GPUs join, healthy "
+                f"{self.topo.nnodes}-GPU schedule"
+            )
+        elif decision.action == RESTART and ckpt is None:
+            timeline.append(
+                "restart: no committed generation to restore — "
+                "falling back to degraded continuation"
+            )
+        elif decision.action == RESTART:
+            state, generation = ckpt
+            run.weights = np.asarray(state.weights, dtype=np.float64).copy()
+            completed = state.iteration
+            del run.weight_checksums[completed:]
+            timeline.append(
+                f"restore: generation {generation} (iteration {completed}) "
+                "reloaded; "
+                + (
+                    f"iterations {completed}..{event.at_iteration - 1} will "
+                    "be redone on the survivors"
+                    if completed < event.at_iteration
+                    else "no completed iteration was lost"
                 )
-        return weights
+            )
+        return survivors, dead, decision, generation, fault_stats, reason
+
+    def _transition(
+        self, run: ElasticReport, event: MembershipEvent, iterations: int
+    ) -> None:
+        """Apply one membership event to ``run`` and record it.
+
+        A crash goes through :meth:`_crash`; a leave or join changes the
+        member set at the iteration boundary.  Every changed member set
+        is re-embedded, its plan verified and its shards reassigned,
+        starting a new ownership segment; the event's
+        :class:`MembershipRecord` is appended either way.
+        """
+        members = frozenset(run.members)
+        cascade = run.aborted
+        dead: tuple[int, ...] = ()
+        decision: RecoveryDecision | None = None
+        generation, fault_stats, abort_reason = -1, {}, ""
+        if event.kind == CRASH_EVENT:
+            (
+                members, dead, decision, generation, fault_stats, abort_reason,
+            ) = self._crash(run, event, iterations)
+        elif event.kind == LEAVE_EVENT:
+            if event.gpu not in members:
+                raise ConfigError(
+                    f"leave targets gpu {event.gpu}, not a member at "
+                    f"iteration {event.at_iteration}"
+                )
+            if len(members) - 1 < 2:
+                raise ConfigError(
+                    "fewer than 2 members would remain after leave"
+                )
+            members = members - {event.gpu}
+            run.timeline.append(
+                f"leave: gpu {event.gpu} departed gracefully before "
+                f"iteration {event.at_iteration}"
+            )
+        else:  # join
+            if event.gpu in members:
+                raise ConfigError(
+                    f"join targets gpu {event.gpu}, already a member "
+                    f"at iteration {event.at_iteration}"
+                )
+            members = members | {event.gpu}
+            run.timeline.append(
+                f"join: gpu {event.gpu} joined before iteration "
+                f"{event.at_iteration}"
+            )
+        completed = len(run.weight_checksums)
+        check = self.plan_check_for(members)
+        # A crash that never aborted keeps the member set and segment.
+        if dead or event.kind != CRASH_EVENT:
+            embedding = self.embedding_for(members)
+            assignments = shard_assignments(embedding, self.topo.nnodes)
+            run.segments = [s for s in run.segments if s[0] < completed]
+            run.segments.append((completed, embedding, assignments))
+            run.timeline.append(
+                f"re-embed: {embedding.topology.nnodes} ranks, cost "
+                f"{embedding.cost}, plan {check.nops} ops verified, "
+                f"shards {assignments}"
+            )
+            if dead:
+                run.timeline.append(
+                    f"resume: iterations {completed}..{event.at_iteration} "
+                    f"redone on {embedding.topology.nnodes} ranks"
+                    + (" after cascading crash" if cascade else "")
+                )
+        run.members = tuple(sorted(members))
+        _start, embedding, assignments = run.segments[-1]
+        run.records.append(MembershipRecord(
+            event=event,
+            members=run.members,
+            dead_detected=dead,
+            decision=decision,
+            restored_generation=generation,
+            resumed_from=completed,
+            plan_check=check,
+            fault_stats=fault_stats,
+            abort_reason=abort_reason,
+            embedding=embedding,
+            assignments=assignments,
+        ))
 
     # -- entry point ------------------------------------------------------
 
@@ -1076,255 +1206,39 @@ class ElasticTrainer:
                 raise ConfigError(
                     f"event gpu {event.gpu} not in {self.topo.name!r}"
                 )
-
-        timeline: list[str] = []
-        records: list[MembershipRecord] = []
-        checksums: list[int] = []
-        weights = np.asarray(initial_weights, dtype=np.float64).copy()
         members = frozenset(self.initial_members)
         embedding = self.embedding_for(members)
         check = self.plan_check_for(members)
-        assignments = shard_assignments(embedding, self.topo.nnodes)
-        initial: Segment = (0, embedding, assignments)
-        segments: list[Segment] = [initial]
-        timeline.append(
-            f"start: members {sorted(members)}, plan {check.nops} ops "
-            "verified"
+        initial: Segment = (
+            0, embedding, shard_assignments(embedding, self.topo.nnodes)
         )
-        completed = 0
-
-        for event in stream:
-            # Quiet span up to the event's iteration.
-            if event.at_iteration > completed:
-                weights = self._run_span(
-                    weights, checksums, completed,
-                    event.at_iteration - completed,
-                    assignments, members, timeline,
-                )
-                completed = event.at_iteration
-
-            dead_detected: tuple[int, ...] = ()
-            decision: RecoveryDecision | None = None
-            restored_generation = -1
-            fault_stats: dict = {}
-            abort_reason = ""
-            cascade = any(r.dead_detected for r in records)
-
-            if event.kind == CRASH_EVENT:
-                if event.gpu not in members:
-                    raise ConfigError(
-                        f"crash targets gpu {event.gpu}, not a member at "
-                        f"iteration {event.at_iteration}"
-                    )
-                armed = FaultPlan(
-                    gpu_faults=(
-                        GpuFault(
-                            gpu=embedding.rank_of[event.gpu],
-                            kind=CRASH,
-                            after_chunk=event.after_chunk,
-                        ),
-                    ),
-                )
-                # Armed and detected in dense plan ranks; gpu_of maps
-                # detections back to GPUs.
-                segment = self._segment(members, armed)
-                try:
-                    trained, span = segment.run(
-                        adopted_gradient_fn(self.gradient_fn, assignments),
-                        weights, 1, start=completed,
-                    )
-                except AbortedError as abort:
-                    abort_reason = abort.reason
-                    timeline.append(
-                        f"{'cascade abort' if cascade else 'abort'}: "
-                        f"{abort_reason}"
-                    )
-                    fault_stats = drain_aborted_run(segment)
-                    timeline.append(
-                        "drain: in-flight chunks discarded with the "
-                        "aborted run"
-                        + (f"; fault stats {fault_stats}" if fault_stats else "")
-                    )
-                    dead_ranks = detect_dead_gpus(segment)
-                    if not dead_ranks:
-                        timeline.append(
-                            "detect: no dead GPU identified; rethrowing"
-                        )
-                        raise
-                    dead_detected = tuple(
-                        sorted(embedding.gpu_of[r] for r in dead_ranks)
-                    )
-                    timeline.append(
-                        f"detect: dead ranks {list(dead_ranks)} = "
-                        f"physical GPUs {list(dead_detected)}"
-                    )
-                else:
-                    checksums.extend(span)
-                    weights = trained
-                    completed += 1
-                    timeline.append(
-                        f"crash: armed fault on gpu {event.gpu} never "
-                        f"aborted; iteration {event.at_iteration} "
-                        "completed normally"
-                    )
-                    records.append(MembershipRecord(
-                        event=event,
-                        members=tuple(sorted(members)),
-                        dead_detected=(),
-                        decision=None,
-                        restored_generation=-1,
-                        resumed_from=completed,
-                        plan_check=check,
-                        fault_stats=dict(armed.stats.snapshot()),
-                        embedding=embedding,
-                        assignments=assignments,
-                    ))
-                    continue
-                new_members = members - set(dead_detected)
-                if len(new_members) < 2:
-                    raise ConfigError(
-                        "fewer than 2 members survive the crash"
-                    )
-                survivor_emb = self.embedding_for(new_members)
-                ckpt: tuple[CheckpointState, int] | None = None
-                if self.checkpointer is not None:
-                    try:
-                        ckpt = self.checkpointer.load_latest()
-                    except CheckpointError as exc:
-                        timeline.append(f"checkpoint: none loadable ({exc})")
-                staleness = (
-                    dict(
-                        checkpoint_iteration=ckpt[0].iteration,
-                        current_iteration=completed,
-                    )
-                    if ckpt is not None
-                    else {}
-                )
-                # Either restart arm brings back a healthy machine's
-                # collective, so the restart cost is the full topology's.
-                decision = self.policy.decide(
-                    nnodes_healthy=self.topo.nnodes,
-                    nnodes_degraded=len(new_members),
-                    nbytes=float(self.network.total_params * 8),
-                    detours=survivor_emb.cost.detours,
-                    conflicts=survivor_emb.cost.conflicts,
-                    remaining_iterations=iterations - completed,
-                    **staleness,
-                )
-                timeline.append(
-                    f"decide: {decision.action} ({decision.reason})"
-                )
-                if decision.action == RESTART and self.replace_on_restart:
-                    new_members = frozenset(range(self.topo.nnodes))
-                    timeline.append(
-                        "restart: replacement GPUs join, healthy "
-                        f"{self.topo.nnodes}-GPU schedule"
-                    )
-                elif decision.action == RESTART and ckpt is None:
-                    timeline.append(
-                        "restart: no committed generation to restore — "
-                        "falling back to degraded continuation"
-                    )
-                elif decision.action == RESTART:
-                    state, restored_generation = ckpt
-                    weights = np.asarray(
-                        state.weights, dtype=np.float64
-                    ).copy()
-                    completed = state.iteration
-                    del checksums[completed:]
-                    timeline.append(
-                        f"restore: generation {restored_generation} "
-                        f"(iteration {completed}) reloaded; "
-                        + (
-                            f"iterations {completed}.."
-                            f"{event.at_iteration - 1} will be redone on "
-                            "the survivors"
-                            if completed < event.at_iteration
-                            else "no completed iteration was lost"
-                        )
-                    )
-                members = new_members
-            elif event.kind == LEAVE_EVENT:
-                if event.gpu not in members:
-                    raise ConfigError(
-                        f"leave targets gpu {event.gpu}, not a member at "
-                        f"iteration {event.at_iteration}"
-                    )
-                if len(members) - 1 < 2:
-                    raise ConfigError(
-                        "fewer than 2 members would remain after leave"
-                    )
-                members = members - {event.gpu}
-                timeline.append(
-                    f"leave: gpu {event.gpu} departed gracefully before "
-                    f"iteration {event.at_iteration}"
-                )
-            else:  # join
-                if event.gpu in members:
-                    raise ConfigError(
-                        f"join targets gpu {event.gpu}, already a member "
-                        f"at iteration {event.at_iteration}"
-                    )
-                members = members | {event.gpu}
-                timeline.append(
-                    f"join: gpu {event.gpu} joined before iteration "
-                    f"{event.at_iteration}"
-                )
-
-            embedding = self.embedding_for(members)
-            check = self.plan_check_for(members)
-            assignments = shard_assignments(embedding, self.topo.nnodes)
-            segments = [s for s in segments if s[0] < completed]
-            segments.append((completed, embedding, assignments))
-            timeline.append(
-                f"re-embed: {embedding.topology.nnodes} ranks, cost "
-                f"{embedding.cost}, plan {check.nops} ops verified, "
-                f"shards {assignments}"
-            )
-            if dead_detected:
-                timeline.append(
-                    f"resume: iterations {completed}..{event.at_iteration} "
-                    f"redone on {embedding.topology.nnodes} ranks"
-                    + (" after cascading crash" if cascade else "")
-                )
-            records.append(MembershipRecord(
-                event=event,
-                members=tuple(sorted(members)),
-                dead_detected=dead_detected,
-                decision=decision,
-                restored_generation=restored_generation,
-                resumed_from=completed,
-                plan_check=check,
-                fault_stats=fault_stats,
-                abort_reason=abort_reason,
-                embedding=embedding,
-                assignments=assignments,
-            ))
-
-        if completed < iterations:
-            weights = self._run_span(
-                weights, checksums, completed, iterations - completed,
-                assignments, members, timeline,
-            )
-        timeline.append(
-            f"done: {iterations} iterations on final members "
-            f"{sorted(members)}"
-        )
-        return ElasticReport(
-            weights=weights,
-            weight_checksums=checksums,
+        # The report is the run's state: ``segments[-1]`` is the current
+        # ownership segment, and one checksum per completed iteration
+        # makes ``len(weight_checksums)`` the next iteration.
+        run = ElasticReport(
+            weights=np.asarray(initial_weights, dtype=np.float64).copy(),
+            weight_checksums=[],
             events=stream,
-            records=records,
-            segments=segments,
-            members=tuple(sorted(members)),
+            records=[],
+            segments=[initial],
+            members=self.initial_members,
             initial_segment=initial,
-            checkpoint_counters=(
-                dict(self.checkpointer.counters)
-                if self.checkpointer is not None
-                else {}
-            ),
-            timeline=timeline,
+            timeline=[
+                f"start: members {sorted(members)}, plan {check.nops} ops "
+                "verified"
+            ],
         )
+        for event in stream:
+            self._run_span(run, event.at_iteration)
+            self._transition(run, event, iterations)
+        self._run_span(run, iterations)
+        run.timeline.append(
+            f"done: {iterations} iterations on final members "
+            f"{list(run.members)}"
+        )
+        if self.checkpointer is not None:
+            run.checkpoint_counters = dict(self.checkpointer.counters)
+        return run
 
 
 def elastic_serial_reference(

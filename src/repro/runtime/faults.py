@@ -21,7 +21,7 @@ seeded with a **stable digest** of the site tag (``zlib.crc32``), never
 "reproducible" chaos differ between runs.
 
 The fault-free path never imports this module: the frame checksum
-(:func:`~repro.runtime.cluster.payload_checksum`) lives beside the wire
+(:func:`~repro.runtime.memory.payload_checksum`) lives beside the buffers
 and the per-GPU :class:`~repro.runtime.executor.PhaseBoard` beside the
 executor that stamps it.  The executor fires a GPU fault through the
 plan it was given (:meth:`FaultPlan.apply_gpu_fault`), so only a caller

@@ -11,6 +11,7 @@ double tree owning one contiguous half, as in the schedules).
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +36,16 @@ def _emit(kind: str, label: str, chunk: int) -> None:
     tracer = _hooks.active()
     if tracer is not None:
         tracer.on_access(kind, label, chunk)
+
+
+def payload_checksum(values: np.ndarray) -> int:
+    """CRC32 over a chunk payload's raw bytes (the frame checksum).
+
+    Computed over the contiguous array's own buffer: a contiguous payload
+    (every wire slot and gradient-buffer chunk) is checksummed without a
+    copy; a strided view is made contiguous first, as ``tobytes`` would.
+    """
+    return zlib.crc32(np.ascontiguousarray(values))
 
 
 def reduce_chunk_reference(

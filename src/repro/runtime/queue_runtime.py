@@ -26,9 +26,8 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.dnn.layers import BYTES_PER_PARAM, NetworkModel
 from repro.runtime.allreduce import RunReport, TreeAllReduceRuntime
-from repro.runtime.cluster import payload_checksum
 from repro.runtime.memory import ChunkLayout, GradientBuffer
-from repro.runtime.training import GradientFn, private_gradient
+from repro.runtime.training import GradientFn, sgd_span
 
 
 @dataclass(frozen=True)
@@ -200,7 +199,7 @@ class FunctionalTrainingResult:
     Attributes:
         weights: final shared weights (identical across GPUs — asserted);
             the trainer's own array, not a copy.
-        weight_checksums: CRC32 (``cluster.payload_checksum``) of the
+        weight_checksums: CRC32 (``memory.payload_checksum``) of the
             weights after each iteration — one int per iteration, so the
             result holds no weight vector but the final one.
         dequeue_orders: per iteration, per GPU, the layer dequeue order.
@@ -253,39 +252,33 @@ class FunctionalTrainer:
         if len(initial_weights) != self.network.total_params:
             raise ConfigError("initial weights have the wrong size")
         nnodes = self.runtime.nnodes
-        weights = np.asarray(initial_weights, dtype=np.float64).copy()
         checksums: list[int] = []
         dequeue_orders: list[dict[int, list[int]]] = []
 
-        for iteration in range(iterations):
-            # Gradients the function handed over outright become the
-            # GPUs' gradient buffers; any it keeps are copied first.
-            grads = [
-                private_gradient(self.gradient_fn(weights, gpu, iteration))
-                for gpu in range(nnodes)
-            ]
+        def step(grads: list[np.ndarray], weights: np.ndarray):
+            # Each GPU applies the step to its own copy as its layers
+            # dequeue; the span loop checks the copies agree.
             result = self.chained.run(
                 grads,
                 weights=[weights.copy() for _ in range(nnodes)],
                 in_place=True,
             )
-            del grads
-            for w in result.weights[1:]:
-                if not np.array_equal(result.weights[0], w):
-                    raise ConfigError(
-                        "GPUs diverged — the collective is broken"
-                    )
-            weights = result.weights[0]
-            checksums.append(payload_checksum(weights))
             dequeue_orders.append(
                 {
                     gpu: [rec.layer for rec in result.compute_log[gpu]]
                     for gpu in range(nnodes)
                 }
             )
-            # Free this iteration's per-GPU weights and buffers before the
-            # next one allocates its own.
-            del result
+            return result.weights
+
+        weights = sgd_span(
+            step,
+            self.gradient_fn,
+            np.asarray(initial_weights, dtype=np.float64).copy(),
+            range(iterations),
+            nnodes=nnodes,
+            checksums=checksums,
+        )
         return FunctionalTrainingResult(
             weights=weights,
             weight_checksums=checksums,

@@ -5,18 +5,21 @@ A GPU crash is a membership event and a cascade is two.
 :class:`~repro.runtime.elastic.ElasticTrainer` for that story: a fixed
 set of GPUs (minus any ``initial_dead``), no checkpointer, and a
 RESTART decision that brings replacement GPUs in and keeps the live
-weights.  Its ``train(fault_plan=..., cascade_fault_plan=...)`` arms
-each plan's single crash as a ``MembershipEvent("crash", ...)`` of one
-elastic run, so abort -> drain -> detect -> decide -> re-embed ->
-verify -> resume runs on one state machine, and the report is the
-elastic run's :class:`~repro.runtime.elastic.ElasticReport`, read
-through its crash views (``RecoveryReport`` is the same class).  Every
-span, the healthy one included, runs the plan the machine verified for
-its member set on :class:`~repro.plan.interpreter.PlanInterpreter`.
+weights.  Its ``train(fault_plan=..., cascade_fault_plan=...)`` turns
+each plan's single crash into a ``MembershipEvent("crash", ...)`` of
+one elastic run (the conversion lives beside
+:func:`~repro.runtime.elastic.parse_events`), so abort -> drain ->
+detect -> decide -> re-embed -> verify -> resume runs on one state
+machine, and the report is the elastic run's
+:class:`~repro.runtime.elastic.ElasticReport`, read through its crash
+views (``RecoveryReport`` is the same class).
+:func:`recovery_serial_reference` is a facade over
+:func:`~repro.runtime.elastic.elastic_serial_reference`, the one
+segment replay.
 
 The recovery building blocks — detection, drain, the policy, shard
-adoption, :class:`InterpretedSegment` — live with the machine in
-:mod:`repro.runtime.elastic` and are re-exported here.
+adoption — live with the machine in :mod:`repro.runtime.elastic` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from repro.runtime.elastic import (  # noqa: F401 - re-exported
     RESTART,
     ElasticReport,
     ElasticTrainer,
-    InterpretedSegment,
     MembershipEvent,
     RecoveryDecision,
     RecoveryPolicy,
+    _crash_events,
     adopted_gradient_fn,
     detect_dead_gpus,
     drain_aborted_run,
@@ -43,7 +46,7 @@ from repro.runtime.elastic import (  # noqa: F401 - re-exported
     segment_reduce_order,
     shard_assignments,
 )
-from repro.runtime.faults import CRASH, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.sync import SpinConfig
 from repro.runtime.training import GradientFn
 from repro.topology.base import PhysicalTopology
@@ -53,36 +56,6 @@ from repro.topology.tree_search import detour_map_for, search_tree_pair
 
 #: A crash-recovery run's report: the elastic report and its crash views.
 RecoveryReport = ElasticReport
-
-
-def _crash_events(
-    plan: FaultPlan | None, at_iteration: int
-) -> tuple[MembershipEvent, ...]:
-    """The membership event a crash-only fault plan stands for.
-
-    Raises:
-        ConfigError: unless the plan arms exactly one ``CRASH`` GPU
-            fault and nothing else.
-    """
-    if plan is None:
-        return ()
-    faults = plan.gpu_faults
-    if (
-        plan.link_faults
-        or plan.storage_faults
-        or len(faults) != 1
-        or faults[0].kind != CRASH
-    ):
-        raise ConfigError(
-            "ResilientTrainer takes fault plans with exactly one "
-            "GpuFault(gpu, CRASH, after_chunk); use ElasticTrainer "
-            "events or the runtimes for other faults"
-        )
-    return (
-        MembershipEvent(
-            CRASH_EVENT, faults[0].gpu, at_iteration, faults[0].after_chunk
-        ),
-    )
 
 
 class ResilientTrainer(ElasticTrainer):
@@ -194,10 +167,9 @@ class ResilientTrainer(ElasticTrainer):
         """
         if cascade_at_iteration < 0:
             raise ConfigError("cascade_at_iteration must be non-negative")
-        events = _crash_events(fault_plan, fault_at_iteration) + (
-            _crash_events(
-                cascade_fault_plan, fault_at_iteration + cascade_at_iteration
-            )
+        events = _crash_events(
+            (fault_plan, fault_at_iteration),
+            (cascade_fault_plan, fault_at_iteration + cascade_at_iteration),
         )
         return super().train(
             initial_weights, iterations=iterations, events=events

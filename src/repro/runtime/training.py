@@ -1,19 +1,22 @@
-"""The serial oracle every distributed training run is checked against.
+"""Data-parallel SGD: the one span loop and the serial oracle.
 
 Each iteration of data-parallel SGD has every virtual GPU compute a
 local gradient from the shared weights and its own data shard; the
-gradients are summed and one SGD step is applied.  The trainers
-(:class:`~repro.runtime.queue_runtime.FunctionalTrainer`, the elastic
-and resilient trainers) run that loop on the thread-backed runtime;
-:func:`serial_reference` runs it single-threaded, and
-:func:`tree_reduce_order` replays the tree runtime's summation order so
-the two agree bit for bit.
+gradients are summed and one SGD step is applied.  :func:`sgd_span` is
+that loop on an engine: every trainer
+(:class:`~repro.runtime.queue_runtime.FunctionalTrainer` and each span
+of :class:`~repro.runtime.elastic.ElasticTrainer`) hands it one step
+of its engine.  :func:`serial_reference` runs the same SGD
+single-threaded in a loop of its own, so the oracle shares no code with
+the loop it checks, and :func:`tree_reduce_order` replays the tree
+runtime's summation order so the two agree bit for bit.
 
 The point is the paper's accuracy-neutrality claim at training-loop
 scope: the chained, overlapped execution must produce *exactly* the
 weights a straightforward serial implementation computes (same reduction
-tree, so bit-identical floating point).  This module imports no engine,
-so a check that needs only the oracle loads no runtime.
+tree, so bit-identical floating point).  This module imports no engine
+(the span loop takes the engine's step as a callable), so a check that
+needs only the oracle loads no runtime.
 """
 
 from __future__ import annotations
@@ -25,11 +28,17 @@ from typing import Callable
 import numpy as np
 
 from repro.dnn.layers import NetworkModel
-from repro.runtime.memory import ChunkLayout
+from repro.errors import ConfigError
+from repro.runtime.memory import ChunkLayout, payload_checksum
 from repro.topology.logical import BinaryTree
 
 #: Computes one GPU's local gradient: (weights, gpu, iteration) -> grad.
 GradientFn = Callable[[np.ndarray, int, int], np.ndarray]
+
+#: One collective step on an engine: (per-GPU gradients, the weights)
+#: -> each GPU's weights after the step.  The gradients are the run's
+#: own (see :func:`private_gradient`): it may reduce into them in place.
+StepFn = Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]
 
 
 def _refcount(obj: object) -> int:
@@ -64,6 +73,40 @@ def private_gradient(grad: object) -> np.ndarray:
     ):
         return grad
     return np.array(grad, dtype=np.float64)
+
+
+def sgd_span(
+    step: StepFn,
+    gradient_fn: GradientFn,
+    weights: np.ndarray,
+    iterations: range,
+    *,
+    nnodes: int,
+    checksums: list[int],
+) -> np.ndarray:
+    """Data-parallel SGD over ``iterations`` on one engine's ``step``.
+
+    Per iteration each of the ``nnodes`` GPUs' private gradients at the
+    current weights goes to ``step``; every GPU's weights after it must
+    agree, and their CRC32 is appended to ``checksums``.  Returns the
+    final weights: the engine's own array.
+
+    Raises:
+        ConfigError: when the GPUs' weights diverge.
+    """
+    for iteration in iterations:
+        grads = [
+            private_gradient(gradient_fn(weights, gpu, iteration))
+            for gpu in range(nnodes)
+        ]
+        replicas = step(grads, weights)
+        del grads
+        if any(not np.array_equal(replicas[0], w) for w in replicas[1:]):
+            raise ConfigError("GPUs diverged — the collective is broken")
+        weights = replicas[0]
+        checksums.append(payload_checksum(weights))
+        del replicas  # freed before the next iteration allocates
+    return weights
 
 
 def tree_reduce_order(

@@ -48,10 +48,10 @@ WORKLOADS = tuple(
 
 #: Workload -> (repro modules, source lines) loaded after the warm-up.
 LOADED_BUDGET = {
-    "train_cc_resnet50": (38, 6310),
-    "train_b_vgg16": (20, 3316),
+    "train_cc_resnet50": (38, 6289),
+    "train_b_vgg16": (20, 3303),
     "sim_fig13": (33, 4265),
-    "recover_dgx1": (43, 11589),
+    "recover_dgx1": (43, 11455),
 }
 
 #: Workload -> modules its warm-up must not load: code it never runs.

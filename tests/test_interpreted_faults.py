@@ -8,10 +8,11 @@ pins the unified behaviour:
 - :func:`~repro.plan.interpreter.plan_reduce_order` replays any legal
   plan serially in the exact order the threaded interpreter commits
   reductions, so serial references can cross plan-path boundaries;
-- :class:`~repro.runtime.recovery.InterpretedSegment` arms a
-  :class:`FaultPlan` inside the interpreter, joins the fail-fast abort
-  protocol, and surfaces injector counters plus per-op ``origin``
-  provenance in the abort dump;
+- a :class:`FaultPlan` armed inside the interpreter joins the fail-fast
+  abort protocol and surfaces injector counters plus per-op ``origin``
+  provenance in the abort dump, and each span of
+  :class:`ElasticTrainer` runs one interpreter built on its member
+  set's verified plan;
 - a crash — and a *cascade* (second crash while already degraded on a
   synthesized plan) — detected mid-interpreted-segment drives the same
   detect → re-embed → verify → resume machinery, bit-exact against the
@@ -40,7 +41,6 @@ from repro.runtime import (
     ElasticTrainer,
     FaultPlan,
     GpuFault,
-    InterpretedSegment,
     MemoryBackend,
     MembershipEvent,
     RecoveryPolicy,
@@ -174,31 +174,29 @@ class TestPlanReduceOrder:
 class TestInterpretedSegmentFaults:
     """FaultPlan armed inside the interpreter: abort + diagnostics."""
 
-    def test_requires_synthesized_embedding(self):
-        # A tree embedding carries no plan of its own: the segment runs
-        # the compiled plan ElasticTrainer.plan_check_for verified, and
-        # refuses to guess one.
-        tree = search_degraded_pair(
-            dgx1_topology(), (3,), detour_preference=DETOUR_NODES,
-        )
+    def test_tree_embedding_runs_checked_plan(self):
+        # A tree embedding carries no plan of its own: its spans run the
+        # double-tree plan ElasticTrainer.plan_check_for compiled and
+        # verified for the member set.
+        members = frozenset(g for g in range(8) if g != 3)
+        trainer = make_elastic(make_gradient_fn())
+        tree = trainer.embedding_for(members)
         assert not tree.synthesized and tree.plan is None
-        with pytest.raises(ConfigError, match="plan_check_for"):
-            InterpretedSegment(
-                tree.plan, make_network(), learning_rate=0.02,
-            )
+        check = trainer.plan_check_for(members)
+        interpreter = trainer._interpreter(members)
+        assert check.verified and len(interpreter.plan.ops) == check.nops
+        assert interpreter.nnodes == len(members)
 
     def test_crash_aborts_with_fault_stats_and_origin_dump(self):
         emb = synthesized_embedding()
         armed = FaultPlan(
             gpu_faults=(GpuFault(gpu=1, kind=CRASH, after_chunk=0),),
         )
-        seg = InterpretedSegment(
-            emb.plan, make_network(), learning_rate=0.02, spin=FAST,
-            fault_plan=armed,
+        interpreter = PlanInterpreter(
+            emb.plan, total_elems=ELEMS, spin=FAST, fault_plan=armed,
         )
-        fn = make_gradient_fn()
         with pytest.raises(AbortedError) as excinfo:
-            seg.run(lambda w, r, it: fn(w, r, it), np.zeros(ELEMS), 1)
+            interpreter.run([np.ones(ELEMS) for _ in range(emb.plan.nnodes)])
         assert "injected crash" in excinfo.value.reason
         # Satellite: the abort dump surfaces injector counters and the
         # active op's origin provenance for every plan thread block.
@@ -211,16 +209,11 @@ class TestInterpretedSegmentFaults:
         assert armed.stats.snapshot()["crashes"] == 1
 
     def test_no_fault_plan_runs_clean(self):
-        emb = synthesized_embedding()
-        seg = InterpretedSegment(
-            emb.plan, make_network(), learning_rate=0.02, spin=FAST,
-        )
         fn = make_gradient_fn()
-        _, checksums = seg.run(
-            lambda w, r, it: fn(w, r, it), np.zeros(ELEMS), 2
-        )
-        assert len(checksums) == 2
-
+        trainer = make_elastic(fn, initial_members=(0, 5, 6, 7))
+        report = trainer.train(np.zeros(ELEMS), iterations=2)
+        assert len(report.weight_checksums) == 2
+        assert report.records == []
 
     @staticmethod
     def count_proofs(monkeypatch) -> list:
@@ -240,20 +233,23 @@ class TestInterpretedSegmentFaults:
     def test_one_interpreter_and_aliasing_proof_per_segment(
         self, monkeypatch
     ):
-        calls = self.count_proofs(monkeypatch)
-        seg = InterpretedSegment(
-            synthesized_embedding().plan, make_network(), learning_rate=0.02,
-            spin=FAST,
-        )
-        interpreter = seg.interpreter
-        assert seg.abort_cell is None and seg.phase_board is None
         fn = make_gradient_fn()
-        seg.run(lambda w, r, it: fn(w, r, it), np.zeros(ELEMS), 3)
-        assert seg.interpreter is interpreter
-        assert len(calls) == 1
+        trainer = make_elastic(fn, initial_members=(0, 5, 6, 7))
+        trainer.plan_check_for(frozenset((0, 5, 6, 7)))
+        calls = self.count_proofs(monkeypatch)
+        built = []
+        make = trainer._interpreter
+
+        def spy(members, fault_plan=None):
+            built.append(make(members, fault_plan))
+            return built[-1]
+
+        monkeypatch.setattr(trainer, "_interpreter", spy)
+        trainer.train(np.zeros(ELEMS), iterations=3)
+        assert len(built) == 1 and len(calls) == 1
         # The last run's abort surface stays readable for drain/detect.
-        assert seg.abort_cell is interpreter.abort_cell is not None
-        assert seg.phase_board is interpreter.phase_board is not None
+        assert built[0].abort_cell is not None
+        assert built[0].phase_board is not None
 
     def test_one_aliasing_proof_per_span_under_checkpointing(
         self, monkeypatch

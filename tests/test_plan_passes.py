@@ -14,7 +14,7 @@ from repro.plan import (
     verify_plan,
 )
 from repro.plan.verifier import is_relay
-from repro.topology.dgx1 import DETOUR_NODES, PCIE_ALPHA, dgx1_topology
+from repro.topology.dgx1 import DETOUR_NODES, PCIE_BANDWIDTH, dgx1_topology
 from repro.topology.dgx1_trees import dgx1_trees
 from repro.topology.routing import Router
 
@@ -53,23 +53,20 @@ class TestLegalizeRoutes:
         # and dataflow only.
         assert verify_plan(legal).ok
 
-    def test_pcie_chosen_when_detour_costs_more(self, dgx1, router):
-        # Force the comparison the other way with an inflated per-hop
-        # alpha: now the two-hop detour loses to one PCIe transfer.
-        plan = dgx1_plan()
-        legal, report = legalize_routes(
-            plan, dgx1, router=router, pcie_alpha=PCIE_ALPHA,
-            pcie_beta=0.0,
-        )
-        # Detour beta still charged per hop; with free PCIe bandwidth and
-        # chunks large enough the PCIe path wins.
+    def test_pcie_chosen_when_detour_costs_more(self):
+        # Force the comparison the other way through the topology: with
+        # NVLink bricks at a quarter of PCIe bandwidth, a two-hop detour
+        # of a large chunk loses to one PCIe transfer.
+        slow = dgx1_topology(nvlink_bandwidth=PCIE_BANDWIDTH / 4)
         big = build_double_tree_plan(
             8, 64e6, nchunks=2, trees=dgx1_trees(), overlapped=True
         )
         legal_big, report_big = legalize_routes(
-            big, dgx1, router=router, pcie_beta=0.0
+            big, slow, router=Router(slow, detour_preference=DETOUR_NODES)
         )
-        assert report_big.choices[(2, 4)].choice == "pcie"
+        choice = report_big.choices[(2, 4)]
+        assert choice.choice == "pcie"
+        assert choice.detour_cost > choice.pcie_cost
         pcie_sends = [
             op for op in legal_big.ops
             if op.kind == SEND and op.medium == "pcie"

@@ -13,7 +13,6 @@ from repro.plan import PlanInterpreter, build_plan
 from repro.runtime import (
     Checkpointer,
     ElasticTrainer,
-    InterpretedSegment,
     MembershipEvent,
     MemoryBackend,
     RecoveryPolicy,
@@ -31,6 +30,7 @@ from repro.runtime.training import (
     private_gradient,
     quadratic_gradient,
     serial_reference,
+    sgd_span,
     tree_reduce_order,
 )
 from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
@@ -39,6 +39,24 @@ from repro.topology.logical import two_trees
 from repro.topology.tree_search import search_degraded_pair
 
 FAST = SpinConfig(timeout=20.0)
+
+
+def interpreted_span(plan, fn, iterations, *, elems=256, lr=0.02):
+    """Run ``iterations`` SGD steps of ``fn`` on one interpreter of
+    ``plan``, stepping each rank's replica as every elastic span does;
+    returns the final weights and the per-iteration checksums."""
+    interpreter = PlanInterpreter(plan, total_elems=elems, spin=FAST)
+    checksums = []
+
+    def step(grads, weights):
+        outputs = interpreter.run(grads, in_place=True).outputs
+        return [weights - lr * out for out in outputs]
+
+    weights = sgd_span(
+        step, fn, np.zeros(elems), range(iterations),
+        nnodes=plan.nnodes, checksums=checksums,
+    )
+    return weights, checksums
 
 
 def make_setup(rng, *, overlapped=True, chaos=0.0):
@@ -305,11 +323,7 @@ class TestGradientOwnership:
             dgx1_topology(), (1, 2, 3, 4),
             detour_preference=DETOUR_NODES, synth_fallback=True,
         )
-        InterpretedSegment(
-            embedding.plan,
-            NetworkModel(name="own", layers=(LayerSpec("L0", 256, 1e6),)),
-            learning_rate=0.02, spin=FAST,
-        ).run(fn, np.zeros(256), 1)
+        interpreted_span(embedding.plan, fn, 1)
         assert handed == made and len(made) == 4
 
     @pytest.mark.parametrize("kind", OWNERSHIP_KINDS)
@@ -335,13 +349,8 @@ class TestGradientOwnership:
             dgx1_topology(), (1, 2, 3, 4),
             detour_preference=DETOUR_NODES, synth_fallback=True,
         )
-        net = NetworkModel(
-            name="own", layers=(LayerSpec("L0", 256, 1e6),)
-        )
         fn, kept, before = _kept_gradients(rng, 256, kind)
-        _, checksums = InterpretedSegment(
-            embedding.plan, net, learning_rate=0.02, spin=FAST
-        ).run(fn, np.zeros(256), 2)
+        _, checksums = interpreted_span(embedding.plan, fn, 2)
         assert len(checksums) == 2
         for array, snapshot in zip(kept, before):
             assert np.array_equal(array, snapshot)
