@@ -232,7 +232,6 @@ def to_sarif(
     diagnostics: list[Diagnostic],
     *,
     tool: str = "repro-analyze",
-    info_uri: str = "",
 ) -> dict:
     """Render diagnostics as a SARIF 2.1.0 log (one run).
 
@@ -279,8 +278,6 @@ def to_sarif(
             }]
         results.append(result)
     driver: dict = {"name": tool, "rules": rules}
-    if info_uri:
-        driver["informationUri"] = info_uri
     return {
         "$schema": _SARIF_SCHEMA,
         "version": "2.1.0",

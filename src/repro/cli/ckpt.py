@@ -89,7 +89,7 @@ def _every_site(args: argparse.Namespace) -> int:
     committed generation bit-exactly and complete a follow-up save.
     """
     from repro.errors import CheckpointError
-    from repro.runtime import MemoryBackend, every_site_drill
+    from repro.runtime import every_site_drill
 
     if args.dir is not None:
         # Scenarios are independent; a shared directory would leak
@@ -97,9 +97,7 @@ def _every_site(args: argparse.Namespace) -> int:
         print("note: --dir reuses one directory across scenarios; "
               "using fresh in-memory storage instead")
     try:
-        report = every_site_drill(
-            elems=args.elems, seed=args.seed, backend_factory=MemoryBackend
-        )
+        report = every_site_drill(elems=args.elems, seed=args.seed)
     except CheckpointError as exc:
         print(f"ERROR: {exc}")
         return 1

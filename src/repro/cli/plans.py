@@ -143,11 +143,6 @@ def _load(path: str):
 def _show(args: argparse.Namespace) -> int:
     plan, _topo = _build(args, args.algorithm, args.physical)
     print(plan.describe())
-    for (rank, tb), prog in plan.programs().items():
-        print(f"\ngpu {rank}, thread block {tb!r}:")
-        for op in prog:
-            deps = f"  deps={list(op.deps)}" if op.deps else ""
-            print(f"  {op.name()}{deps}")
     return 0
 
 

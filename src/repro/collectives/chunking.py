@@ -71,8 +71,6 @@ def chunk_offsets(chunk_sizes: list[float]) -> list[float]:
 def chunks_covering(
     chunk_sizes: list[float],
     byte_range: tuple[float, float],
-    *,
-    base_offset: float = 0.0,
 ) -> list[int]:
     """Indices of chunks overlapping the half-open ``byte_range``.
 
@@ -83,7 +81,7 @@ def chunks_covering(
     if hi < lo:
         raise ConfigError(f"bad byte range {byte_range}")
     out = []
-    offset = base_offset
+    offset = 0.0
     for i, size in enumerate(chunk_sizes):
         if offset < hi and offset + size > lo:
             out.append(i)

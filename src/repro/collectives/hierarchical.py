@@ -80,13 +80,16 @@ class ClusterSpec:
         return self.node_of(u) != self.node_of(v)
 
 
+#: The local GPU that leads its node in the inter-node phase.
+LEADER_GPU = 0
+
+
 def hierarchical_allreduce(
     cluster: ClusterSpec,
     nbytes: float,
     *,
     nchunks: int,
     overlapped: bool = True,
-    leader_gpu: int = 0,
 ) -> CollectiveSchedule:
     """Three-phase hierarchical AllReduce over the cluster.
 
@@ -97,18 +100,17 @@ def hierarchical_allreduce(
             chunk flows straight through: node-reduce -> inter -> bcast).
         overlapped: chain all phase boundaries per chunk (the C-Cube
             behaviour); when False, each phase is a global barrier.
-        leader_gpu: which local GPU acts as the node leader.
+
+    Local GPU :data:`LEADER_GPU` of each node is its leader.
 
     Returns:
         A :class:`CollectiveSchedule` over ``cluster.total_gpus`` nodes.
     """
     if nchunks < 1:
         raise ConfigError("need at least 1 chunk")
-    if not 0 <= leader_gpu < cluster.gpus_per_node:
-        raise ConfigError("leader GPU out of range")
 
     intra_tree = balanced_binary_tree(cluster.gpus_per_node)
-    intra_tree = _reroot(intra_tree, leader_gpu)
+    intra_tree = _reroot(intra_tree, LEADER_GPU)
     inter_tree = balanced_binary_tree(cluster.nnodes)
 
     dag = Dag()
@@ -150,8 +152,8 @@ def hierarchical_allreduce(
                     up_op[(node, chunk, child)]
                     for child in intra_tree.children[intra_tree.root]
                 ],
-                src=cluster.global_id(node, leader_gpu),
-                dst=cluster.global_id(node, leader_gpu),
+                src=cluster.global_id(node, LEADER_GPU),
+                dst=cluster.global_id(node, LEADER_GPU),
                 chunk=chunk,
                 phase=Phase.REDUCE,
                 label=f"n{node} leader-reduced c{chunk}",
@@ -183,14 +185,14 @@ def hierarchical_allreduce(
             ]
             inter_up[(chunk, node)] = dag.add(
                 edge_key(
-                    cluster.global_id(node, leader_gpu),
-                    cluster.global_id(inter_tree.parent[node], leader_gpu),
+                    cluster.global_id(node, LEADER_GPU),
+                    cluster.global_id(inter_tree.parent[node], LEADER_GPU),
                     0,
                 ),
                 nbytes=sizes[chunk],
                 deps=deps,
-                src=cluster.global_id(node, leader_gpu),
-                dst=cluster.global_id(inter_tree.parent[node], leader_gpu),
+                src=cluster.global_id(node, LEADER_GPU),
+                dst=cluster.global_id(inter_tree.parent[node], LEADER_GPU),
                 chunk=chunk,
                 phase=Phase.REDUCE,
                 tree=1,
@@ -208,8 +210,8 @@ def hierarchical_allreduce(
             ("sync", "inter-root"),
             duration=0.0,
             deps=deps,
-            src=cluster.global_id(inter_tree.root, leader_gpu),
-            dst=cluster.global_id(inter_tree.root, leader_gpu),
+            src=cluster.global_id(inter_tree.root, LEADER_GPU),
+            dst=cluster.global_id(inter_tree.root, LEADER_GPU),
             chunk=chunk,
             phase=Phase.REDUCE,
             tree=1,
@@ -241,14 +243,14 @@ def hierarchical_allreduce(
                     deps = [inter_down[(chunk, node)]]
                 op_id = dag.add(
                     edge_key(
-                        cluster.global_id(node, leader_gpu),
-                        cluster.global_id(child, leader_gpu),
+                        cluster.global_id(node, LEADER_GPU),
+                        cluster.global_id(child, LEADER_GPU),
                         0,
                     ),
                     nbytes=sizes[chunk],
                     deps=deps,
-                    src=cluster.global_id(node, leader_gpu),
-                    dst=cluster.global_id(child, leader_gpu),
+                    src=cluster.global_id(node, LEADER_GPU),
+                    dst=cluster.global_id(child, LEADER_GPU),
                     chunk=chunk,
                     phase=Phase.BROADCAST,
                     tree=1,
@@ -261,7 +263,7 @@ def hierarchical_allreduce(
     for node in range(cluster.nnodes):
         for chunk in range(nchunks):
             down_op: dict[int, int] = {}
-            leader_gid = cluster.global_id(node, leader_gpu)
+            leader_gid = cluster.global_id(node, LEADER_GPU)
             arrival_ops[(leader_gid, chunk)] = leader_has[(node, chunk)]
             final_ops[chunk].append(leader_has[(node, chunk)])
             for local in intra_tree.bfs_order():

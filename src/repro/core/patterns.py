@@ -34,9 +34,14 @@ class PatternCase(enum.Enum):
     FRONT_LOADED_COMM = "case3"  # comm concentrated in early layers
 
 
-def _geometric_shares(nlayers: int, ratio: float) -> list[float]:
-    """Normalized geometric progression ``ratio**i``."""
-    weights = [ratio**i for i in range(nlayers)]
+#: Per-layer geometric ratio of a synthetic profile: how strongly it
+#: rises or falls across depth.
+SKEW = 1.7
+
+
+def _geometric_shares(nlayers: int) -> list[float]:
+    """Normalized geometric progression ``SKEW**i``."""
+    weights = [SKEW**i for i in range(nlayers)]
     total = sum(weights)
     return [w / total for w in weights]
 
@@ -47,7 +52,6 @@ def synthetic_network(
     nlayers: int = 8,
     total_params: int = 16_000_000,
     total_flops: float = 4e9,
-    skew: float = 1.7,
 ) -> NetworkModel:
     """A synthetic network whose layer profile matches ``case``.
 
@@ -56,14 +60,10 @@ def synthetic_network(
         nlayers: layer count.
         total_params: total parameters (gradient bytes / 4).
         total_flops: total forward FLOPs per sample.
-        skew: per-layer geometric ratio (> 1) controlling how strongly the
-            profile rises or falls across depth.
     """
     if nlayers < 2:
         raise ConfigError("need at least 2 layers")
-    if skew <= 1.0:
-        raise ConfigError("skew must be > 1")
-    rising = _geometric_shares(nlayers, skew)
+    rising = _geometric_shares(nlayers)
     falling = list(reversed(rising))
     if case is PatternCase.DECREASING_COMPUTE:
         flop_share, param_share = falling, rising

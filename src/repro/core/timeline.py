@@ -23,8 +23,6 @@ def render_iteration_timeline(
     result: IterationResult,
     comm: AllReduceOutcome | None = None,
     *,
-    width: int = 72,
-    max_layers: int = 24,
     layer_names: list[str] | None = None,
 ) -> str:
     """Render the iteration's forward chaining as rows of text.
@@ -32,16 +30,14 @@ def render_iteration_timeline(
     Args:
         result: the iteration timeline to draw.
         comm: the AllReduce outcome (adds a chunk-completion row).
-        width: characters for the time axis.
-        max_layers: cap on layer rows (large networks get elided).
         layer_names: optional row labels (defaults to ``L1..``).
 
     Returns:
-        A multi-line string; the time axis spans [0, iteration end of
-        forward].
+        A multi-line string: a 72-character time axis spanning
+        [0, iteration end of forward], and at most 24 layer rows (larger
+        networks get elided).
     """
-    if width < 10:
-        raise ConfigError("width too small to render")
+    width = 72
     horizon = result.fwd_end[-1]
     if horizon <= 0:
         raise ConfigError("degenerate timeline")
@@ -68,7 +64,7 @@ def render_iteration_timeline(
         lines.append(f"{'chunks':<10} |{''.join(row)}|")
 
     nlayers = len(result.fwd_start)
-    shown = min(nlayers, max_layers)
+    shown = min(nlayers, 24)
     for i in range(shown):
         name = (
             layer_names[i] if layer_names and i < len(layer_names)

@@ -204,14 +204,14 @@ def alexnet() -> NetworkModel:
     return NetworkModel(name="alexnet", layers=tuple(layers))
 
 
-def bert_base(*, seq_len: int = 128) -> NetworkModel:
-    """BERT-Base (~110M params): 12 uniform transformer blocks.
+def bert_base() -> NetworkModel:
+    """BERT-Base (~110M params, 128-token sequence): 12 uniform blocks.
 
     A non-CNN profile: parameters and compute are spread evenly across
     depth (between the paper's Case 1 and Case 2), so chaining neither
     shines nor suffers — useful for studying C-Cube outside CNNs.
     """
-    hidden, ffn, vocab = 768, 3072, 30522
+    hidden, ffn, vocab, seq_len = 768, 3072, 30522, 128
     layers = [
         LayerSpec(
             name="embeddings",

@@ -258,13 +258,13 @@ def fuzz_scenario(
     elems: int = 64,
     quantum: float = 2e-4,
     shrink: bool = True,
-    shrink_probes: int = 64,
 ) -> ScenarioFuzzOutcome:
     """Fuzz one scenario across ``schedules`` seeded schedules.
 
     Healthy scenarios run the full budget (stopping at the first
-    failure, which is shrunk and attached); seeded scenarios stop at
-    the first schedule whose report carries the expected finding.
+    failure, which is shrunk within 64 replays and attached); seeded
+    scenarios stop at the first schedule whose report carries the
+    expected finding.
     """
     try:
         registered = SCENARIOS[scenario]
@@ -294,7 +294,7 @@ def fuzz_scenario(
                 minimized = ddmin(
                     rows,
                     _replay_fails(scenario, elems, quantum),
-                    max_probes=shrink_probes,
+                    max_probes=64,
                 )
             outcome.failure = FuzzFailure(
                 scenario=scenario,

@@ -29,13 +29,14 @@ of an unconsumed SEND that produces no numeric damage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from repro.errors import ConfigError, ReproError
 from repro.plan.builders import build_plan
 from repro.plan.interpreter import PlanInterpreter
-from repro.plan.ir import Plan, PlanOp
+from repro.plan.ir import K_COPY, Plan
 from repro.plan.verifier import VerifyReport, verify_plan
 from repro.runtime.sync import SpinConfig
 
@@ -92,7 +93,7 @@ class PlanMutation:
             raise ConfigError("mutation op_id must be non-negative")
 
     def describe(self, plan: Plan) -> str:
-        return f"{self.kind} {plan.op(self.op_id).name()}"
+        return f"{self.kind} {plan.name_of(self.op_id)}"
 
 
 def candidate_mutations(plan: Plan) -> list[PlanMutation]:
@@ -105,18 +106,16 @@ def candidate_mutations(plan: Plan) -> list[PlanMutation]:
     are restricted to *adjacent* ops of the same thread block so the
     edit reorders exactly one program-order pair.
     """
+    transfers = [code != K_COPY for code in plan.kind_code]
     cands: list[PlanMutation] = []
-    for op in plan.ops:
-        if op.is_transfer:
-            cands.append(PlanMutation(kind=DROP, op_id=op.op_id))
-            cands.append(PlanMutation(kind=DUPLICATE, op_id=op.op_id))
-    for a, b in zip(plan.ops, plan.ops[1:]):
-        if (
-            (a.rank, a.tb) == (b.rank, b.tb)
-            and a.is_transfer
-            and b.is_transfer
-        ):
-            cands.append(PlanMutation(kind=SWAP, op_id=a.op_id))
+    for i, transfer in enumerate(transfers):
+        if transfer:
+            cands.append(PlanMutation(kind=DROP, op_id=i))
+            cands.append(PlanMutation(kind=DUPLICATE, op_id=i))
+    blocks = list(zip(plan.rank, plan.tb_id))
+    for i in range(len(transfers) - 1):
+        if blocks[i] == blocks[i + 1] and transfers[i] and transfers[i + 1]:
+            cands.append(PlanMutation(kind=SWAP, op_id=i))
     return cands
 
 
@@ -132,94 +131,85 @@ def sample_mutations(
     return [cands[i] for i in sorted(int(p) for p in picks)]
 
 
-def _remap(deps: tuple[int, ...], idmap: dict[int, int]) -> tuple[int, ...]:
+def _remap(deps: Iterable[int], idmap: dict[int, int]) -> tuple[int, ...]:
     return tuple(sorted({idmap[d] for d in deps}))
 
 
 def mutate_plan(plan: Plan, mutation: PlanMutation) -> Plan:
     """Apply one mutation, renumbering ids densely.
 
-    Every mutant is *structurally* well-formed (dense ordered ids,
-    backward deps) so the verifier's verdict reflects the collective's
-    semantics, not bookkeeping damage from the edit itself.
+    The mutant is a new plan (:meth:`Plan.derive`) that every op is
+    copied into with :meth:`Plan.add_from`, as a compile pass maps ops;
+    only the deps change.  Every mutant is *structurally* well-formed
+    (dense ordered ids, backward deps) so the verifier's verdict
+    reflects the collective's semantics, not bookkeeping damage from the
+    edit itself.
 
     Raises:
         ConfigError: when the mutation does not apply to this plan
             (op out of range, swap target not followed by a same-block
             transfer).
     """
-    ops = list(plan.ops)
-    if not 0 <= mutation.op_id < len(ops):
+    n = len(plan)
+    p = mutation.op_id
+    if not 0 <= p < n:
+        raise ConfigError(f"mutation targets op {p}, plan has {n}")
+    if plan.kind_code[p] == K_COPY:
         raise ConfigError(
-            f"mutation targets op {mutation.op_id}, plan has {len(ops)}"
+            f"mutation target {plan.name_of(p)} is not a transfer"
         )
-    target = ops[mutation.op_id]
-    if not target.is_transfer:
-        raise ConfigError(f"mutation target {target.name()} is not a transfer")
+    deps_of = plan.deps_of
+    mutant = plan.derive()
 
     if mutation.kind == DROP:
-        idmap: dict[int, int] = {}
-        kept: list[PlanOp] = []
-        for op in ops:
-            if op.op_id == mutation.op_id:
+        idmap = {old: old - (old > p) for old in range(n) if old != p}
+        for i in range(n):
+            if i == p:
                 continue
-            idmap[op.op_id] = len(kept)
-            kept.append(op)
-        new_ops = []
-        for op in kept:
             deps: list[int] = []
-            for d in op.deps:
-                if d == mutation.op_id:
+            for d in deps_of(i):
+                if d == p:
                     # Splice: dependents inherit the dropped op's deps,
                     # as a real scheduler bug that loses an op would.
-                    deps.extend(target.deps)
+                    deps.extend(deps_of(p))
                 else:
                     deps.append(d)
-            new_ops.append(
-                op.replace(op_id=idmap[op.op_id], deps=_remap(tuple(deps), idmap))
-            )
-        return plan.replace_ops(new_ops)
+            mutant.add_from(plan, i, _remap(deps, idmap))
+        return mutant
 
     if mutation.kind == DUPLICATE:
-        p = mutation.op_id
-        idmap = {
-            old: (old if old <= p else old + 1) for old in range(len(ops))
-        }
-        new_ops = [op.replace(op_id=idmap[op.op_id]) for op in ops[: p + 1]]
-        new_ops.append(target.replace(op_id=p + 1))
-        for op in ops[p + 1:]:
-            new_ops.append(
-                op.replace(
-                    op_id=idmap[op.op_id], deps=_remap(op.deps, idmap)
-                )
-            )
-        return plan.replace_ops(new_ops)
+        idmap = {old: old + (old > p) for old in range(n)}
+        for i in range(p + 1):
+            mutant.add_from(plan, i, deps_of(i))
+        mutant.add_from(plan, p, deps_of(p))
+        for i in range(p + 1, n):
+            mutant.add_from(plan, i, _remap(deps_of(i), idmap))
+        return mutant
 
     # SWAP: exchange with the globally-next op, same thread block.
-    p = mutation.op_id
-    if p + 1 >= len(ops):
-        raise ConfigError(f"swap target {target.name()} has no successor")
-    nxt = ops[p + 1]
-    if (nxt.rank, nxt.tb) != (target.rank, target.tb) or not nxt.is_transfer:
+    if p + 1 >= n:
+        raise ConfigError(f"swap target {plan.name_of(p)} has no successor")
+    if (
+        (plan.rank[p + 1], plan.tb_id[p + 1]) != (plan.rank[p], plan.tb_id[p])
+        or plan.kind_code[p + 1] == K_COPY
+    ):
         raise ConfigError(
-            f"swap target {target.name()} is not followed by a same-block "
+            f"swap target {plan.name_of(p)} is not followed by a same-block "
             "transfer"
         )
-    idmap = {old: old for old in range(len(ops))}
+    idmap = {old: old for old in range(n)}
     idmap[p], idmap[p + 1] = p + 1, p
-    new_ops = list(ops[:p])
+    for i in range(p):
+        mutant.add_from(plan, i, deps_of(i))
     # The moved-up op loses any dep on its former predecessor — the
     # reordering IS the mutation; a retained dep would be forward.
-    new_ops.append(
-        nxt.replace(
-            op_id=p,
-            deps=_remap(tuple(d for d in nxt.deps if d != p), idmap),
-        )
+    mutant.add_from(
+        plan, p + 1, _remap((d for d in deps_of(p + 1) if d != p), idmap)
     )
-    new_ops.append(target.replace(op_id=p + 1))
-    for op in ops[p + 2:]:
-        new_ops.append(op.replace(deps=_remap(op.deps, idmap)))
-    return plan.replace_ops(new_ops)
+    mutant.add_from(plan, p, deps_of(p))
+    for i in range(p + 2, n):
+        mutant.add_from(plan, i, _remap(deps_of(i), idmap))
+    return mutant
 
 
 def mutant_behaviour(

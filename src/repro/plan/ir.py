@@ -27,9 +27,12 @@ with per-op overrides.  An op may store a :class:`Label` template
 instead of a string; its text is formatted from the op's own fields
 when it is read.  Builders and passes write columns through
 :meth:`Plan.add` and :meth:`Plan.add_from`; the verifier, the lowering
-and the interpreter read them directly.  :class:`PlanOp` is the row a
-reader gets from ``plan.ops[i]``, :meth:`Plan.op` or iteration; each
-read builds a fresh row.
+and the interpreter read them directly.  Those two methods are the
+only way to write a plan: a pass that edits ops (route legalization,
+the mutation fuzzer) appends each op, changed or not, into
+:meth:`Plan.derive`'s empty plan.  :class:`PlanOp` is the read-only row
+a reader gets from ``plan.ops[i]`` or iteration; each read builds a
+fresh row.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import enum
 from array import array
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator
 
 from ..codes import (
@@ -233,22 +236,6 @@ class PlanOp:
         )
         return f"op {self.op_id} [{desc}]"
 
-    def replace(self, **changes) -> "PlanOp":
-        """A copy with ``changes`` applied, like :func:`dataclasses.replace`.
-
-        Copies the instance dict instead of running the generated
-        ``__init__`` again (there is no ``__post_init__`` to skip).
-        """
-        if not _PLAN_OP_FIELDS.issuperset(changes):
-            unknown = sorted(changes.keys() - _PLAN_OP_FIELDS)
-            raise TypeError(f"PlanOp has no field(s) {unknown}")
-        op = object.__new__(type(self))
-        vars(op).update(vars(self), **changes)
-        return op
-
-
-_PLAN_OP_FIELDS = frozenset(f.name for f in fields(PlanOp))
-
 
 def _default_desc(
     kind: str, chunks: tuple[int, ...], rank: int, peer: int, tree: int
@@ -311,8 +298,7 @@ def _tb_from_json(data) -> Hashable:
 class PlanOps(Sequence):
     """A plan's ops as a sequence of :class:`PlanOp` rows.
 
-    ``len``, indexing, slicing and iteration build rows on demand;
-    :meth:`append` writes a row's fields into the plan's columns.
+    ``len``, indexing, slicing and iteration build rows on demand.
     """
 
     __slots__ = ("_plan",)
@@ -336,10 +322,6 @@ class PlanOps(Sequence):
     def __iter__(self) -> Iterator[PlanOp]:
         return map(self._plan._row, range(len(self)))
 
-    def append(self, op: PlanOp) -> None:
-        """Append the row ``op``; its id must be the next position."""
-        self._plan.append(op)
-
 
 class Plan:
     """A compiled collective: per-GPU thread-block programs of ops.
@@ -350,17 +332,16 @@ class Plan:
         nbytes: total gradient payload in bytes.
         chunk_sizes: per-global-chunk sizes in bytes.
         chunk_offsets: per-global-chunk byte offsets.
-        ops: every op as a :class:`PlanOp` row, dense ids
-            ``0..len(ops)-1`` (a view of the columns below; assigning a
-            list of rows rewrites them).
+        ops: every op as a read-only :class:`PlanOp` row, dense ids
+            ``0..len(ops)-1`` (a view of the columns below).
         ntrees: logical trees/rings the chunk space is striped over
             (drives the default :class:`~repro.runtime.memory.ChunkLayout`).
         legalized: set by route legalization; lowering then charges
             physical channel resources instead of logical edge keys.
         notes: free-form pass annotations (for ``describe()``).
 
-    Columns (read them freely; write only through :meth:`add`,
-    :meth:`add_from`, :meth:`append` and the ``ops`` setter):
+    Columns (read them freely; write only through :meth:`add` and
+    :meth:`add_from`):
 
     - ``rank``, ``chunk``, ``peer``, ``payload`` (the op's ``nbytes``),
       ``lane``, ``tree``, ``kind_code`` (index into
@@ -386,7 +367,6 @@ class Plan:
         nbytes: float,
         chunk_sizes: tuple[float, ...],
         chunk_offsets: tuple[float, ...],
-        ops: Iterable[PlanOp] = (),
         ntrees: int = 1,
         legalized: bool = False,
         notes: list[str] | None = None,
@@ -399,11 +379,6 @@ class Plan:
         self.ntrees = ntrees
         self.legalized = legalized
         self.notes = list(notes) if notes is not None else []
-        self._clear()
-        for op in ops:
-            self.append(op)
-
-    def _clear(self) -> None:
         self.rank = array("i")
         self.kind_code = array("B")
         self.chunk = array("i")
@@ -599,24 +574,6 @@ class Plan:
         self.dep_offsets.append(len(self.dep_ids))
         return op_id
 
-    def append(self, op: PlanOp) -> None:
-        """Append the row ``op``; its id must be the next position."""
-        if op.op_id != len(self.kind_code):
-            raise PlanError(
-                f"op {op.op_id} appended at position {len(self.kind_code)}"
-            )
-        if not self.kind_code:
-            # The first row's origin becomes the default, so rows that
-            # share it need no override.
-            self.origin = op.origin
-        self.add(
-            rank=op.rank, kind=op.kind, chunk=op.chunk,
-            chunk_set=op.chunk_set, peer=op.peer, nbytes=op.nbytes,
-            lane=op.lane, tree=op.tree, tb=op.tb, phase=op.phase,
-            flow=op.flow, medium=op.medium, deps=op.deps, label=op.label,
-            origin=op.origin,
-        )
-
     def copy(self) -> "Plan":
         """An independent copy: every column and table copied."""
         out = object.__new__(Plan)
@@ -643,13 +600,6 @@ class Plan:
     def ops(self) -> PlanOps:
         """The ops as a sequence of :class:`PlanOp` rows."""
         return PlanOps(self)
-
-    @ops.setter
-    def ops(self, rows: Iterable[PlanOp]) -> None:
-        rows = list(rows)
-        self._clear()
-        for op in rows:
-            self.append(op)
 
     def __len__(self) -> int:
         return len(self.kind_code)
@@ -765,9 +715,6 @@ class Plan:
             origin=self.origin_of(i),
         )
 
-    def op(self, op_id: int) -> PlanOp:
-        return self.ops[op_id]
-
     def program_ids(self) -> "OrderedDict[tuple[int, int], list[int]]":
         """Op ids grouped by ``(rank, tb index)``, each list in program
         (id) order; blocks in order of first op."""
@@ -779,29 +726,6 @@ class Plan:
             else:
                 prog.append(i)
         return progs
-
-    def programs(self) -> "OrderedDict[tuple[int, Hashable], list[PlanOp]]":
-        """Op rows grouped by ``(rank, tb)``, each list in program (id)
-        order."""
-        return OrderedDict(
-            ((rank, self.tbs[tid]), [self._row(i) for i in ids])
-            for (rank, tid), ids in self.program_ids().items()
-        )
-
-    def transfers(self) -> Iterable[PlanOp]:
-        return (
-            self._row(i) for i, code in enumerate(self.kind_code)
-            if code != K_COPY
-        )
-
-    def replace_ops(self, ops: Iterable[PlanOp]) -> "Plan":
-        """A copy of this plan with a different op list."""
-        return Plan(
-            algorithm=self.algorithm, nnodes=self.nnodes,
-            nbytes=self.nbytes, chunk_sizes=self.chunk_sizes,
-            chunk_offsets=self.chunk_offsets, ops=ops, ntrees=self.ntrees,
-            legalized=self.legalized, notes=self.notes,
-        )
 
     def _meta(self) -> tuple:
         return (

@@ -68,9 +68,7 @@ from ..analyze.diagnostics import Diagnostic, severity_of
 from ..codes import PHASES, Phase
 from ..errors import PlanVerificationError
 from ..topology.base import PhysicalTopology
-from .ir import (
-    K_COPY, K_RECV, K_REDUCE, K_SEND, RECV, REDUCE, SEND, Plan, PlanOp,
-)
+from .ir import K_COPY, K_RECV, K_REDUCE, K_SEND, Plan
 
 __all__ = [
     "BROADCAST_LIKE",
@@ -86,7 +84,6 @@ __all__ = [
     "execution_order",
     "chunk_finals",
     "slot_writes",
-    "is_relay",
     "relay_key",
 ]
 
@@ -101,22 +98,6 @@ _BROADCAST_LIKE_CODES = frozenset(PHASES.index(p) for p in BROADCAST_LIKE)
 _TREE_PHASE_CODES = frozenset(
     PHASES.index(p) for p in (Phase.REDUCE, Phase.BROADCAST)
 )
-
-
-def is_relay(op: PlanOp) -> bool:
-    """True for detour relay legs: transfers at an intermediate GPU.
-
-    Relay ops forward through a staging buffer — they never touch the
-    relay GPU's own gradient slot.  (:meth:`Plan.is_relay
-    <repro.plan.ir.Plan.is_relay>` answers the same for an op id.)
-    """
-    if op.flow is None:
-        return False
-    if op.kind == SEND:
-        return op.rank != op.flow[0]
-    if op.kind in (RECV, REDUCE):
-        return op.rank != op.flow[1]
-    return False
 
 
 def _diag(

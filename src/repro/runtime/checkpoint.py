@@ -74,6 +74,11 @@ MANIFEST = "manifest.json"
 
 _GEN_RE = re.compile(r"^gen-(\d{8})$")
 _MANIFEST_VERSION = 1
+#: Committed generations a checkpointer retains; older ones are pruned
+#: after each successful commit.
+KEEP = 2
+#: Extra write attempts per path after the first.
+MAX_RETRIES = 3
 
 
 def _gen_name(generation: int) -> str:
@@ -130,10 +135,6 @@ class StorageBackend(ABC):
         """
 
     @abstractmethod
-    def exists(self, path: str) -> bool:
-        ...
-
-    @abstractmethod
     def listdir(self, path: str) -> list[str]:
         """Immediate child names under ``path`` (sorted; [] if absent)."""
 
@@ -181,9 +182,6 @@ class DirectoryBackend(StorageBackend):
     def read(self, path: str) -> bytes:
         return self._abs(path).read_bytes()
 
-    def exists(self, path: str) -> bool:
-        return self._abs(path).exists()
-
     def listdir(self, path: str) -> list[str]:
         full = self._abs(path)
         if not full.is_dir():
@@ -230,13 +228,6 @@ class MemoryBackend(StorageBackend):
             if path not in self._files:
                 raise FileNotFoundError(path)
             return self._files[path]
-
-    def exists(self, path: str) -> bool:
-        prefix = path.rstrip("/") + "/"
-        with self._lock:
-            return path in self._files or any(
-                p.startswith(prefix) for p in self._files
-            )
 
     def listdir(self, path: str) -> list[str]:
         prefix = path.rstrip("/") + "/"
@@ -290,9 +281,6 @@ class PassthroughBackend(StorageBackend):
 
     def read(self, path: str) -> bytes:
         return self.inner.read(path)
-
-    def exists(self, path: str) -> bool:
-        return self.inner.exists(path)
 
     def listdir(self, path: str) -> list[str]:
         return self.inner.listdir(path)
@@ -448,9 +436,7 @@ class CrashingBackend(PassthroughBackend):
         self.inner.rename(src, dst)
 
 
-def enumerate_write_sites(
-    state: CheckpointState, **checkpointer_kwargs
-) -> list[WriteSite]:
+def enumerate_write_sites(state: CheckpointState) -> list[WriteSite]:
     """Every durable op one save of ``state`` performs, in order.
 
     Runs a clean probe save against a throwaway in-memory backend with a
@@ -458,7 +444,7 @@ def enumerate_write_sites(
     the manifest write, and the commit rename — ``n + 2`` sites.
     """
     recorder = _RecordingBackend(MemoryBackend())
-    Checkpointer(recorder, **checkpointer_kwargs).save(state)
+    Checkpointer(recorder).save(state)
     return recorder.sites
 
 
@@ -466,18 +452,13 @@ def _fates_for(site: WriteSite) -> tuple[str, ...]:
     return ("lost", "torn") if site.op == "write" else ("before", "after")
 
 
-def every_site_drill(
-    *,
-    elems: int = 64,
-    nmembers: int = 8,
-    seed: int = 0,
-    backend_factory=MemoryBackend,
-) -> dict:
+def every_site_drill(*, elems: int = 64, seed: int = 0) -> dict:
     """Crash a save at every durable write site and prove recovery.
 
-    For each :class:`WriteSite` and each applicable fate:
+    The state has 8 members, so one save has 10 write sites.  For each
+    :class:`WriteSite` and each applicable fate:
 
-    1. commit a *baseline* generation on a fresh backend,
+    1. commit a *baseline* generation on a fresh :class:`MemoryBackend`,
     2. run a second save through a :class:`CrashingBackend` armed at the
        site — the save must die with :class:`SimulatedCrash`, leaving
        the medium exactly as a process crash would (staging residue,
@@ -498,7 +479,7 @@ def every_site_drill(
             fire.
     """
     rng = np.random.default_rng(seed)
-    members = tuple(range(nmembers))
+    members = tuple(range(8))
     baseline = CheckpointState(
         weights=rng.normal(size=elems), iteration=1, members=members
     )
@@ -513,7 +494,7 @@ def every_site_drill(
     for site in sites:
         for fate in _fates_for(site):
             label = f"site {site.index} ({site.op} {site.path}) fate={fate}"
-            backend = backend_factory()
+            backend = MemoryBackend()
             base_gen = Checkpointer(backend).save(baseline)
             crasher = Checkpointer(
                 CrashingBackend(backend, crash_at=site.index, fate=fate)
@@ -578,40 +559,26 @@ class Checkpointer:
        iteration, members, element offsets, CRC32 + byte size per
        shard),
     3. commit: atomic rename ``staging/gen-g`` -> ``commits/gen-g``,
-    4. prune committed generations beyond ``keep``.
+    4. prune committed generations beyond the newest :data:`KEEP`.
 
     Load protocol: scan ``commits/`` newest-first; a generation is
     accepted only if its manifest parses, every shard exists with the
     recorded size *and* CRC32, and the offsets tile the weight vector
     exactly; otherwise it is skipped (counted as a fallback) and the
-    next-older generation is tried.
+    next-older generation is tried.  One pass over a generation reads
+    each shard once and both checks and assembles it.
 
     Args:
         backend: storage backend (wrap in :class:`FaultyBackend` to
             inject faults).
-        keep: committed generations to retain (older ones are pruned
-            after each successful commit).
-        max_retries: extra write attempts per path after the first.
-        backoff: base sleep before retry ``k`` (``backoff * 2**k``).
+        backoff: base sleep before retry ``k`` (``backoff * 2**k``); a
+            write is tried :data:`MAX_RETRIES` more times after the first.
     """
 
-    def __init__(
-        self,
-        backend: StorageBackend,
-        *,
-        keep: int = 2,
-        max_retries: int = 3,
-        backoff: float = 1e-3,
-    ):
-        if keep < 1:
-            raise ConfigError("must keep at least 1 generation")
-        if max_retries < 0:
-            raise ConfigError("max_retries must be non-negative")
+    def __init__(self, backend: StorageBackend, *, backoff: float = 1e-3):
         if backoff < 0:
             raise ConfigError("backoff must be non-negative")
         self.backend = backend
-        self.keep = keep
-        self.max_retries = max_retries
         self.backoff = backoff
         self.counters = {
             "saves": 0,
@@ -634,7 +601,7 @@ class Checkpointer:
             CheckpointError: when every attempt raised ``OSError``.
         """
         last: OSError | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 self.counters["write_retries"] += 1
                 if self.backoff:
@@ -646,7 +613,7 @@ class Checkpointer:
                 last = exc
         self.counters["write_failures"] += 1
         raise CheckpointError(
-            f"write of {path!r} failed after {self.max_retries + 1} "
+            f"write of {path!r} failed after {MAX_RETRIES + 1} "
             f"attempt(s): {last}"
         )
 
@@ -721,7 +688,7 @@ class Checkpointer:
 
     def _prune(self) -> None:
         committed = self.generations()
-        for generation in committed[: -self.keep]:
+        for generation in committed[:-KEEP]:
             self.backend.remove_tree(f"{COMMITS}/{_gen_name(generation)}")
 
     # -- read path -------------------------------------------------------
@@ -735,27 +702,30 @@ class Checkpointer:
                 found.append(int(match.group(1)))
         return sorted(found)
 
-    def validate(self, generation: int) -> list[str]:
-        """Problems with a committed generation ([] when loadable)."""
+    def _read(
+        self, generation: int
+    ) -> tuple[CheckpointState | None, list[str]]:
+        """One pass over a committed generation: ``(state, [])`` when it
+        loads, ``(None, problems)`` otherwise.  Each shard is read and
+        CRC-checked once."""
         base = f"{COMMITS}/{_gen_name(generation)}"
         try:
             raw = self.backend.read(f"{base}/{MANIFEST}")
         except OSError:
-            return ["manifest missing or unreadable"]
+            return None, ["manifest missing or unreadable"]
         try:
             manifest = json.loads(raw)
         except (ValueError, UnicodeDecodeError):
-            return ["manifest does not parse (torn or corrupt write)"]
+            return None, ["manifest does not parse (torn or corrupt write)"]
         problems = []
+        blobs = []
         covered = 0
         # A bit-flip can leave valid JSON with mangled keys or values —
         # any schema violation below is corruption, never a crash.
         try:
-            shards = manifest["shards"]
-            for shard in shards:
-                path = f"{base}/{shard['name']}"
+            for shard in manifest["shards"]:
                 try:
-                    blob = self.backend.read(path)
+                    blob = self.backend.read(f"{base}/{shard['name']}")
                 except OSError:
                     problems.append(f"{shard['name']}: missing")
                     continue
@@ -771,14 +741,32 @@ class Checkpointer:
                     )
                     continue
                 covered += shard["elems"]
-            if not problems and covered != manifest["total_elems"]:
-                problems.append(
+                blobs.append((shard, blob))
+            if problems:
+                return None, problems
+            if covered != manifest["total_elems"]:
+                return None, [
                     f"shards cover {covered} elems, manifest says "
                     f"{manifest['total_elems']}"
+                ]
+            weights = np.empty(manifest["total_elems"], dtype=np.float64)
+            for shard, blob in blobs:
+                lo = shard["offset"]
+                weights[lo:lo + shard["elems"]] = np.frombuffer(
+                    blob, dtype=manifest["dtype"]
                 )
-        except (KeyError, TypeError):
-            return ["manifest schema is damaged (corrupt write)"]
-        return problems
+            state = CheckpointState(
+                weights=weights,
+                iteration=manifest["iteration"],
+                members=tuple(manifest["members"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            return None, ["manifest schema is damaged (corrupt write)"]
+        return state, []
+
+    def validate(self, generation: int) -> list[str]:
+        """Problems with a committed generation ([] when loadable)."""
+        return self._read(generation)[1]
 
     def load(self, generation: int) -> CheckpointState:
         """Load one committed generation, validating every shard.
@@ -786,27 +774,14 @@ class Checkpointer:
         Raises:
             CheckpointError: when the generation is missing or corrupt.
         """
-        problems = self.validate(generation)
+        state, problems = self._read(generation)
         if problems:
             raise CheckpointError(
                 f"generation {generation} is not loadable: "
                 + "; ".join(problems)
             )
-        base = f"{COMMITS}/{_gen_name(generation)}"
-        manifest = json.loads(self.backend.read(f"{base}/{MANIFEST}"))
-        weights = np.empty(manifest["total_elems"], dtype=np.float64)
-        for shard in manifest["shards"]:
-            blob = self.backend.read(f"{base}/{shard['name']}")
-            lo = shard["offset"]
-            weights[lo:lo + shard["elems"]] = np.frombuffer(
-                blob, dtype=manifest["dtype"]
-            )
         self.counters["loads"] += 1
-        return CheckpointState(
-            weights=weights,
-            iteration=manifest["iteration"],
-            members=tuple(manifest["members"]),
-        )
+        return state
 
     def load_latest(self) -> tuple[CheckpointState, int]:
         """Newest loadable committed generation, falling back past any
@@ -820,13 +795,14 @@ class Checkpointer:
         """
         skipped: list[str] = []
         for generation in reversed(self.generations()):
-            problems = self.validate(generation)
+            state, problems = self._read(generation)
             if problems:
                 self.counters["corrupt_skipped"] += 1
                 skipped.append(
                     f"gen {generation}: {'; '.join(problems)}"
                 )
                 continue
-            return self.load(generation), generation
+            self.counters["loads"] += 1
+            return state, generation
         detail = ("; ".join(skipped)) or "no committed generations"
         raise CheckpointError(f"no loadable checkpoint: {detail}")

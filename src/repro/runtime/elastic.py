@@ -12,8 +12,8 @@ for heterogeneous fabrics):
      raises :class:`~repro.errors.AbortedError`;
   2. *drain* — :func:`drain_aborted_run` joins the kernels the pool
      recorded as still alive; in-flight chunks die with the run;
-  3. *detect* — :func:`detect_dead_gpus` reads the phase board, with
-     the abort reason as fallback;
+  3. *detect* — :func:`detect_dead_gpus` reads the phase board, which
+     every crash or stuck fault stamps before it fires;
   4. *decide* — :class:`RecoveryPolicy` compares finishing degraded on
      the survivors against a restart, charging a checkpoint's
      staleness to the restart arm.  What a RESTART means is the
@@ -51,7 +51,6 @@ configuration of :class:`ElasticTrainer`.
 
 from __future__ import annotations
 
-import re
 import time
 from copy import copy
 from dataclasses import dataclass, field
@@ -105,53 +104,33 @@ COST_BASED = "cost"
 
 _POLICY_MODES = (COST_BASED, REEMBED, RESTART)
 
-#: Interpreter kernels are named ``plan g<rank> tb (0, 'up')``; the id
-#: they carry is the *dense plan rank*, not a physical GPU.  The name
-#: itself contains quotes, so ``{name!r}`` renders it double-quoted.
-_PLAN_KERNEL_GPU_RE = re.compile(r"kernel [\"']plan g(\d+) tb")
-
-#: A starved plan wire names its semaphore ``'plan reduce t0 1->3'``;
-#: the *poster* (first id) is the rank that went silent.
-_PLAN_SEMAPHORE_RE = re.compile(r"semaphore 'plan [a-z-]+ t\d+ (\d+)->(\d+)")
+#: Seconds :func:`drain_aborted_run` waits, in total, for the kernels
+#: still alive when the pool raised.
+DRAIN_GRACE = 0.05
 
 
 def detect_dead_gpus(runtime) -> tuple[int, ...]:
     """Ranks that died in ``runtime``'s most recent aborted run.
 
-    ``runtime`` is anything exposing ``nnodes`` / ``phase_board`` /
-    ``abort_cell`` — an :class:`~repro.runtime.executor.Executor` such
-    as the span's :class:`~repro.plan.interpreter.PlanInterpreter`.  The
-    returned ids are dense plan ranks, which the caller maps back to
-    physical GPUs via the embedding's ``gpu_of``.
+    ``runtime`` is the aborted run's
+    :class:`~repro.runtime.executor.Executor` (the span's
+    :class:`~repro.plan.interpreter.PlanInterpreter`).  The returned ids
+    are dense plan ranks, which the caller maps back to physical GPUs
+    via the embedding's ``gpu_of``.
 
-    Primary source is the phase board: crash/stuck faults stamp their
-    last phase before firing, and those terminal stamps are sticky, so
-    a faulty rank's still-running sibling kernels on other trees cannot
-    erase them.  If the board shows nothing (or is withheld) the abort
-    reason is parsed instead: a failing kernel's name carries the rank
-    (``'plan g3 tb ...'``), and a wait timeout names the starved wire
-    semaphore (``'plan reduce t0 3->1'``), whose *poster* is the rank
-    that went silent (best-effort: a transitively starved wait can name
-    a healthy intermediate).
+    The phase board is the one source: every executor run sets one, and
+    a crash or stuck fault stamps its rank's last phase before it fires.
+    Those terminal stamps are sticky, so a faulty rank's still-running
+    sibling kernels on other trees cannot erase them.
     """
-    dead: set[int] = set()
-    board = runtime.phase_board
-    if board is not None:
-        for gpu in range(runtime.nnodes):
-            phase = board.get(gpu)
-            if "crashed" in phase or "stuck" in phase:
-                dead.add(gpu)
-    if not dead and runtime.abort_cell is not None:
-        reason = runtime.abort_cell.reason
-        match = _PLAN_KERNEL_GPU_RE.search(reason) or (
-            _PLAN_SEMAPHORE_RE.search(reason)
-        )
-        if match:
-            dead.add(int(match.group(1)))
-    return tuple(sorted(dead))
+    phases = map(runtime.phase_board.get, range(runtime.nnodes))
+    return tuple(
+        gpu for gpu, phase in enumerate(phases)
+        if "crashed" in phase or "stuck" in phase
+    )
 
 
-def drain_aborted_run(runtime, *, grace: float = 0.05) -> dict[str, int]:
+def drain_aborted_run(runtime) -> dict[str, int]:
     """Step 2 of the recovery state machine: drain the aborted cluster.
 
     By the time :class:`~repro.errors.AbortedError` propagates, the
@@ -160,8 +139,9 @@ def drain_aborted_run(runtime, *, grace: float = 0.05) -> dict[str, int]:
     the aborted run's wires and gradient buffers, which die with the
     runtime object.  This helper asserts the abort actually fired, joins
     the kernel threads the pool recorded as still alive when it raised
-    (``grace`` seconds at most in total; none left means no wait), and
-    returns the final fault-stats snapshot for the recovery timeline.
+    (:data:`DRAIN_GRACE` seconds at most in total; none left means no
+    wait), and returns the final fault-stats snapshot for the recovery
+    timeline.
 
     Raises:
         ConfigError: when called on a runtime that never aborted.
@@ -169,7 +149,7 @@ def drain_aborted_run(runtime, *, grace: float = 0.05) -> dict[str, int]:
     cell = runtime.abort_cell
     if cell is None or not cell.is_set():
         raise ConfigError("drain requested but the cluster never aborted")
-    deadline = time.monotonic() + grace
+    deadline = time.monotonic() + DRAIN_GRACE
     for thread in cell.stragglers():
         thread.join(timeout=max(0.0, deadline - time.monotonic()))
     if runtime.fault_plan is not None:

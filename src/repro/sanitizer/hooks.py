@@ -114,8 +114,8 @@ _SKIP_PARTS = (
 )
 
 
-def call_site(max_frames: int = 2) -> str:
-    """Compact call-site context: the first frames outside the plumbing.
+def call_site() -> str:
+    """Compact call-site context: the first two frames outside plumbing.
 
     Walking ``sys._getframe`` is far cheaper than building a full
     traceback, which matters because every traced sync op and every
@@ -126,7 +126,7 @@ def call_site(max_frames: int = 2) -> str:
     except ValueError:  # pragma: no cover - no caller frame
         return "<unknown>"
     out: list[str] = []
-    while frame is not None and len(out) < max_frames:
+    while frame is not None and len(out) < 2:
         filename = frame.f_code.co_filename
         if not any(part in filename for part in _SKIP_PARTS):
             out.append(

@@ -158,13 +158,13 @@ def render_gantt(
     dag: Dag,
     result: SimResult,
     *,
-    width: int = 72,
     max_resources: int = 24,
 ) -> str:
-    """Plain-text Gantt chart (one row per resource); small runs only."""
+    """Plain-text 72-column Gantt chart, one row per resource; small runs."""
     if result.makespan <= 0:
         return "(empty run)"
     resources = sorted(dag.resources(), key=str)[:max_resources]
+    width = 72
     scale = width / result.makespan
     lines = []
     for resource in resources:

@@ -277,11 +277,11 @@ def build_forest_plan(
 
 
 def hamiltonian_cycle(
-    topo: PhysicalTopology, *, seed: int = 0, budget: int = 50000
+    topo: PhysicalTopology, *, seed: int = 0
 ) -> list[int] | None:
     """A Hamiltonian cycle over the GPU link graph, or None.
 
-    Seeded backtracking bounded by ``budget`` node expansions; the
+    Seeded backtracking bounded by 50,000 node expansions; the
     returned order starts at GPU 0 and every consecutive pair
     (including the wrap-around) shares a physical link.
     """
@@ -294,7 +294,7 @@ def hamiltonian_cycle(
     }
     path = [0]
     used = {0}
-    left = [budget]
+    left = [50000]
 
     def extend() -> bool:
         if left[0] <= 0:

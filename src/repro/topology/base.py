@@ -103,9 +103,8 @@ class PhysicalTopology:
         alpha: float,
         beta: float,
         kind: LinkKind = LinkKind.NVLINK,
-        bidirectional: bool = True,
     ) -> None:
-        """Add a channel ``u -> v`` (and ``v -> u`` when bidirectional).
+        """Add the channel pair ``u -> v`` and ``v -> u``.
 
         Parallel calls for the same (u, v) add extra lanes.
         """
@@ -113,8 +112,7 @@ class PhysicalTopology:
         self._check_node(v)
         if u == v:
             raise TopologyError(f"self-link at node {u}")
-        pairs = [(u, v), (v, u)] if bidirectional else [(u, v)]
-        for a, b in pairs:
+        for a, b in ((u, v), (v, u)):
             lane = self.lane_count(a, b)
             self._links[(a, b, lane)] = LinkSpec(
                 u=a, v=b, lane=lane, alpha=alpha, beta=beta, kind=kind
@@ -157,11 +155,10 @@ class PhysicalTopology:
     # -- degradation -----------------------------------------------------
 
     def without_link(
-        self, u: int, v: int, *, bidirectional: bool = True,
-        lane: int | None = None,
+        self, u: int, v: int, *, lane: int | None = None,
     ) -> "PhysicalTopology":
-        """Copy of this topology with the link ``u -> v`` (and, by
-        default, ``v -> u``) removed — a failed NVLink brick pair.
+        """Copy of this topology with the links ``u -> v`` and ``v -> u``
+        removed — a failed NVLink brick pair.
 
         By default every lane between the pair fails together; passing
         ``lane`` fails only that brick, so a doubled link (GPU2-GPU3 /
@@ -180,7 +177,7 @@ class PhysicalTopology:
                 f"cannot fail missing lane {lane} of link {u}->{v} "
                 f"in {self.name!r}"
             )
-        dropped = {(u, v)} | ({(v, u)} if bidirectional else set())
+        dropped = {(u, v), (v, u)}
         suffix = f"-minus-{u}-{v}" + (f"l{lane}" if lane is not None else "")
         degraded = PhysicalTopology(
             nnodes=self.nnodes,

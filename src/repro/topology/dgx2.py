@@ -31,7 +31,6 @@ def dgx2_topology(
     *,
     ngpus: int = 16,
     lanes: int = 2,
-    link_bandwidth: float = NVSWITCH_LINK_BANDWIDTH,
     alpha: float = NVSWITCH_ALPHA,
 ) -> PhysicalTopology:
     """Build an NVSwitch-class full crossbar.
@@ -39,11 +38,11 @@ def dgx2_topology(
     Args:
         ngpus: GPU count (16 for a DGX-2).
         lanes: parallel lanes per directed pair the switch can sustain
-            concurrently (2 suffices for an overlapped double tree).
-        link_bandwidth: per-lane bandwidth, bytes/second.
+            concurrently (2 suffices for an overlapped double tree), each
+            at :data:`NVSWITCH_LINK_BANDWIDTH`.
         alpha: per-transfer latency including the switch hop.
     """
-    beta = 1.0 / link_bandwidth
+    beta = 1.0 / NVSWITCH_LINK_BANDWIDTH
     topo = PhysicalTopology(nnodes=ngpus, name=f"dgx2({ngpus})")
     for u in range(ngpus):
         for v in range(u + 1, ngpus):

@@ -64,18 +64,17 @@ def fat_tree_fabric(
     radix: int = 16,
     link_alpha: float = 2e-6,
     link_beta: float = 1.0 / 25e9,
-    switch_hop_latency: float = 5e-7,
     lanes: int = 1,
 ) -> FabricSpec:
     """Effective channel parameters of a ``nnodes``-endpoint fat tree.
 
     The worst-case path climbs to the top level and back down, so the
     effective alpha is the endpoint link latency plus ``2 * levels`` switch
-    traversals.  Bandwidth is the endpoint link bandwidth (non-blocking
-    fabric assumption, matching the paper's constant-bandwidth comparison).
+    traversals of 0.5 us each.  Bandwidth is the endpoint link bandwidth
+    (non-blocking fabric, as in the paper's constant-bandwidth comparison).
     """
     levels = fat_tree_levels(nnodes, radix)
-    alpha = link_alpha + 2 * levels * switch_hop_latency
+    alpha = link_alpha + 2 * levels * 5e-7
     return FabricSpec(
         nnodes=nnodes,
         alpha=alpha,

@@ -226,12 +226,11 @@ class TestContention:
         from repro.plan.ir import SEND
 
         a, b = [op.op_id for op in plan.ops if op.kind == SEND][:2]
-        plan.ops = [
-            op.replace(deps=op.deps + (b,)) if op.op_id == a
-            else op.replace(deps=op.deps + (a,)) if op.op_id == b
-            else op
-            for op in plan.ops
-        ]
+        cyclic = plan.derive()
+        for i in range(len(plan)):
+            extra = (b,) if i == a else (a,) if i == b else ()
+            cyclic.add_from(plan, i, plan.deps_of(i) + extra)
+        plan = cyclic
         from repro.errors import ScheduleError
 
         with pytest.raises((PlanError, ScheduleError), match="cycle"):

@@ -48,10 +48,10 @@ WORKLOADS = tuple(
 
 #: Workload -> (repro modules, source lines) loaded after the warm-up.
 LOADED_BUDGET = {
-    "train_cc_resnet50": (38, 6289),
+    "train_cc_resnet50": (38, 6283),
     "train_b_vgg16": (20, 3303),
-    "sim_fig13": (33, 4265),
-    "recover_dgx1": (43, 11455),
+    "sim_fig13": (33, 4258),
+    "recover_dgx1": (43, 11309),
 }
 
 #: Workload -> modules its warm-up must not load: code it never runs.

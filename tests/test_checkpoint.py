@@ -22,7 +22,8 @@ from repro.runtime import (
     MemoryBackend,
     StorageFault,
 )
-from repro.runtime.checkpoint import COMMITS, MANIFEST, STAGING
+from repro.runtime import checkpoint
+from repro.runtime.checkpoint import COMMITS, KEEP, MANIFEST, STAGING
 
 
 def make_state(iteration=0, elems=64, seed=0, members=tuple(range(8))):
@@ -56,10 +57,10 @@ class TestSaveLoad:
         assert loaded.members == tuple(range(8))
 
     def test_generations_monotonic(self):
-        ckpt = Checkpointer(MemoryBackend(), keep=10)
+        ckpt = Checkpointer(MemoryBackend())
         gens = [ckpt.save(make_state(iteration=i)) for i in range(3)]
-        assert gens == sorted(gens)
-        assert ckpt.generations() == gens
+        assert gens == [0, 1, 2]
+        assert ckpt.generations() == gens[-KEEP:]
 
     def test_one_shard_per_member(self):
         backend = MemoryBackend()
@@ -74,10 +75,10 @@ class TestSaveLoad:
         assert all("crc32" in s for s in manifest["shards"])
 
     def test_prune_keeps_newest(self):
-        ckpt = Checkpointer(MemoryBackend(), keep=2)
+        ckpt = Checkpointer(MemoryBackend())
         for i in range(5):
             ckpt.save(make_state(iteration=i))
-        assert len(ckpt.generations()) == 2
+        assert len(ckpt.generations()) == KEEP
         _, generation = ckpt.load_latest()
         assert generation == max(ckpt.generations())
 
@@ -120,7 +121,7 @@ class TestDirectoryBackend:
 
 class TestCorruptionDetection:
     def _committed(self, backend, n=2):
-        ckpt = Checkpointer(backend, keep=10)
+        ckpt = Checkpointer(backend)
         states = [make_state(iteration=i) for i in range(n)]
         for state in states:
             ckpt.save(state)
@@ -177,6 +178,27 @@ class TestCorruptionDetection:
         _, generation = ckpt.load_latest()
         assert generation == 0
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda manifest: manifest["shards"][0].update(offset=10**6),
+            lambda manifest: manifest.update(dtype="float65"),
+        ],
+        ids=["offset", "dtype"],
+    )
+    def test_mangled_manifest_values_are_corruption_not_crash(self, damage):
+        # Valid JSON whose shard cannot be placed or decoded: the one
+        # read pass reports it, and load falls back past it.
+        backend = MemoryBackend()
+        ckpt, _ = self._committed(backend)
+        path = f"{COMMITS}/gen-00000001/{MANIFEST}"
+        manifest = json.loads(backend.read(path))
+        damage(manifest)
+        backend.write(path, json.dumps(manifest).encode())
+        assert any("schema" in p for p in ckpt.validate(1))
+        _, generation = ckpt.load_latest()
+        assert generation == 0
+
     def test_all_generations_corrupt_raises_with_detail(self):
         backend = MemoryBackend()
         ckpt, _ = self._committed(backend, n=1)
@@ -188,8 +210,7 @@ class TestCorruptionDetection:
 
 
 class TestFaultInjection:
-    def _faulty(self, *, fail=0.0, torn=0.0, bitflip=0.0, seed=0,
-                **ckpt_kwargs):
+    def _faulty(self, *, fail=0.0, torn=0.0, bitflip=0.0, seed=0):
         plan = FaultPlan(
             storage_faults=(
                 StorageFault(
@@ -200,14 +221,14 @@ class TestFaultInjection:
         )
         backend = MemoryBackend()
         return (
-            Checkpointer(
-                FaultyBackend(backend, plan), backoff=0.0, **ckpt_kwargs
-            ),
+            Checkpointer(FaultyBackend(backend, plan), backoff=0.0),
             plan,
         )
 
-    def test_transient_failures_cleared_by_retry(self):
-        ckpt, plan = self._faulty(fail=0.3, seed=5, max_retries=6)
+    def test_transient_failures_cleared_by_retry(self, monkeypatch):
+        # 36 writes at a 30% failure rate: allow six retries per write.
+        monkeypatch.setattr(checkpoint, "MAX_RETRIES", 6)
+        ckpt, plan = self._faulty(fail=0.3, seed=5)
         for i in range(4):
             ckpt.save(make_state(iteration=i))
         assert ckpt.counters["commits"] == 4
@@ -215,7 +236,7 @@ class TestFaultInjection:
         assert ckpt.counters["write_retries"] > 0
 
     def test_persistent_failure_exhausts_and_cleans_staging(self):
-        ckpt, _ = self._faulty(fail=0.95, seed=1, max_retries=2)
+        ckpt, _ = self._faulty(fail=0.95, seed=1)
         with pytest.raises(CheckpointError, match="attempt"):
             ckpt.save(make_state())
         assert ckpt.counters["write_failures"] == 1
@@ -226,7 +247,7 @@ class TestFaultInjection:
     def test_silent_corruption_never_loads(self):
         # Torn/bit-flip writes succeed silently; over many generations
         # the CRCs must always steer load to a clean commit — or refuse.
-        ckpt, _ = self._faulty(torn=0.15, bitflip=0.15, seed=7, keep=4)
+        ckpt, _ = self._faulty(torn=0.15, bitflip=0.15, seed=7)
         committed = {}
         for i in range(10):
             state = make_state(iteration=i)

@@ -93,10 +93,6 @@ class TestChunksCovering:
         sizes = [10.0] * 4
         assert chunks_covering(sizes, (10.0, 10.0)) == []
 
-    def test_base_offset(self):
-        sizes = [10.0] * 2
-        assert chunks_covering(sizes, (15.0, 16.0), base_offset=10.0) == [0]
-
     def test_bad_range(self):
         with pytest.raises(ConfigError):
             chunks_covering([10.0], (5.0, 1.0))

@@ -103,6 +103,18 @@ class TestChaos:
         assert "unknown gpu 9" in capsys.readouterr().err
 
 
+class TestPlanShow:
+    def test_each_op_printed_once(self, capsys):
+        import re
+
+        args = ["plan", "show", "--algorithm", "ring", "--nnodes", "4"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        nops = int(re.search(r", (\d+) ops,", out).group(1))
+        ids = re.findall(r"^\s+op (\d+) \[", out, flags=re.M)
+        assert sorted(map(int, ids)) == list(range(nops))
+
+
 class TestChaosElastic:
     def test_crash_join_cycle_bit_exact(self, capsys):
         assert main([

@@ -53,18 +53,6 @@ class TestCorrectness:
         )
         check_allreduce(schedule)
 
-    def test_invalid_leader(self):
-        cluster = ClusterSpec(nnodes=2, gpus_per_node=4)
-        with pytest.raises(ConfigError):
-            hierarchical_allreduce(cluster, 1000.0, nchunks=1, leader_gpu=9)
-
-    def test_custom_leader_gpu(self):
-        cluster = ClusterSpec(nnodes=2, gpus_per_node=4)
-        schedule = hierarchical_allreduce(
-            cluster, 800.0, nchunks=2, leader_gpu=2
-        )
-        check_allreduce(schedule)
-
 
 class TestResources:
     def test_inter_node_edges_get_network_channels(self):

@@ -36,8 +36,6 @@ class TestSyntheticNetwork:
     def test_invalid_inputs(self):
         with pytest.raises(ConfigError):
             synthetic_network(PatternCase.DECREASING_COMPUTE, nlayers=1)
-        with pytest.raises(ConfigError):
-            synthetic_network(PatternCase.DECREASING_COMPUTE, skew=1.0)
 
 
 class TestAnalyzePattern:

@@ -48,15 +48,6 @@ class TestBertBase:
         assert len(blocks) == 12
         assert len({l.params for l in blocks}) == 1
 
-    def test_seq_len_scales_compute_not_params(self):
-        short = bert_base(seq_len=128)
-        long = bert_base(seq_len=512)
-        assert long.total_params == short.total_params
-        def flops(net):
-            return sum(layer.fwd_flops for layer in net.layers)
-
-        assert flops(long) > flops(short)
-
 
 class TestExtendedRegistry:
     def test_registry_has_six_networks(self):

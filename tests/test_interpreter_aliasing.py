@@ -179,7 +179,7 @@ class TestStagedBytes:
         for key, (send_ids, _) in wires.items():
             if rejected.intersection(send_ids):
                 staged_wires[key] = {
-                    c for s in send_ids for c in plan.op(s).chunks_carried()
+                    c for s in send_ids for c in plan.chunks_of(s)
                 }
         expected = 8 * sum(
             interp.layout.chunk_elems(c)

@@ -105,7 +105,7 @@ class TestStructure:
 
     def test_programs_partition_ops(self):
         plan = build_double_tree_plan(8, N, nchunks=4, overlapped=True)
-        seen = [op.op_id for prog in plan.programs().values() for op in prog]
+        seen = [i for ids in plan.program_ids().values() for i in ids]
         assert sorted(seen) == list(range(len(plan.ops)))
 
     def test_describe_mentions_algorithm(self):

@@ -63,7 +63,8 @@ def final_write_order(plan, rank):
     one thread in op order, so for the ring this is the order the fully
     reduced chunks land at ``rank``."""
     last: dict[int, int] = {}
-    for pos, op in enumerate(plan.programs()[(rank, 0)]):
+    program = [op for op in plan.ops if (op.rank, op.tb) == (rank, 0)]
+    for pos, op in enumerate(program):
         if op.kind in (REDUCE, RECV):
             for c in op.chunks_carried():
                 last[c] = pos
@@ -242,8 +243,9 @@ class TestScatteredOwnership:
     @staticmethod
     def owned_after_reduce_scatter(plan, rank):
         reduces = [
-            op for op in plan.programs()[(rank, 0)]
-            if op.kind == REDUCE and op.phase == Phase.REDUCE_SCATTER
+            op for op in plan.ops
+            if (op.rank, op.tb) == (rank, 0)
+            and op.kind == REDUCE and op.phase == Phase.REDUCE_SCATTER
         ]
         return reduces[-1].chunks_carried()
 

@@ -1,7 +1,6 @@
 """Tests for the static plan verifier: mutated plans are rejected with
 diagnostics naming the offending op."""
 
-import dataclasses
 import json
 
 import pytest
@@ -29,18 +28,21 @@ N = 4096.0
 
 def drop_op(plan, op_id):
     """Remove one op, re-densifying ids and dropping dangling deps."""
-    out = plan.replace_ops([])
+    out = plan.derive()
     idmap = {}
-    for op in plan.ops:
-        if op.op_id == op_id:
-            continue
-        new = dataclasses.replace(
-            op,
-            op_id=len(out.ops),
-            deps=tuple(idmap[d] for d in op.deps if d in idmap),
-        )
-        idmap[op.op_id] = new.op_id
-        out.ops.append(new)
+    for i in range(len(plan)):
+        if i != op_id:
+            deps = [idmap[d] for d in plan.deps_of(i) if d in idmap]
+            idmap[i] = out.add_from(plan, i, deps)
+    return out
+
+
+def with_deps(plan, deps):
+    """A copy of ``plan`` whose op ``i`` depends on ``deps[i]`` when
+    given, on its own deps otherwise."""
+    out = plan.derive()
+    for i in range(len(plan)):
+        out.add_from(plan, i, deps.get(i, plan.deps_of(i)))
     return out
 
 
@@ -73,18 +75,9 @@ class TestMutationRejection:
             if op.kind == SEND and op.phase == Phase.BROADCAST
         )
         recv_id = match_wires(plan).partner[send.op_id]
-        recv = plan.op(recv_id)
-        mutated = plan.replace_ops(list(plan.ops))
-        mutated.ops.append(
-            dataclasses.replace(
-                send, op_id=len(mutated.ops), deps=(send.op_id,)
-            )
-        )
-        mutated.ops.append(
-            dataclasses.replace(
-                recv, op_id=len(mutated.ops), deps=(recv.op_id,)
-            )
-        )
+        mutated = plan.copy()
+        mutated.add_from(plan, send.op_id, (send.op_id,))
+        mutated.add_from(plan, recv_id, (recv_id,))
         errors = errors_of(mutated)
         assert any("duplicate broadcast" in e for e in errors)
         # The diagnostic names the second delivery op.
@@ -94,18 +87,9 @@ class TestMutationRejection:
         plan = build_tree_plan(8, N, nchunks=2)
         red = next(op for op in plan.ops if op.kind == REDUCE)
         send_id = match_wires(plan).partner[red.op_id]
-        send = plan.op(send_id)
-        mutated = plan.replace_ops(list(plan.ops))
-        mutated.ops.append(
-            dataclasses.replace(
-                send, op_id=len(mutated.ops), deps=(send.op_id,)
-            )
-        )
-        mutated.ops.append(
-            dataclasses.replace(
-                red, op_id=len(mutated.ops), deps=(red.op_id,)
-            )
-        )
+        mutated = plan.copy()
+        mutated.add_from(plan, send_id, (send_id,))
+        mutated.add_from(plan, red.op_id, (red.op_id,))
         errors = errors_of(mutated)
         assert any("duplicate reduction" in e for e in errors)
 
@@ -121,10 +105,11 @@ class TestMutationRejection:
             op.op_id for op in legal.ops
             if op.kind == SEND and op.rank == 0 and op.peer in (1, 2, 3)
         )
-        mutated = legal.replace_ops([
-            dataclasses.replace(op, peer=7) if op.op_id == sid else op
-            for op in legal.ops
-        ])
+        mutated = legal.derive()
+        for i in range(len(legal)):
+            mutated.add_from(
+                legal, i, legal.deps_of(i), peer=7 if i == sid else None
+            )
         errors = errors_of(mutated, topo=topo)
         assert any("no physical link" in e for e in errors)
         assert any(f"op {sid}" in e for e in errors)
@@ -165,11 +150,7 @@ class TestMutationRejection:
 
     def test_backward_dep_rejected(self):
         plan = build_tree_plan(4, N, nchunks=1)
-        mutated = plan.replace_ops([
-            dataclasses.replace(op, deps=(op.op_id,))
-            if op.op_id == 3 else op
-            for op in plan.ops
-        ])
+        mutated = with_deps(plan, {3: (3,)})
         errors = errors_of(mutated)
         assert any("op 3" in e for e in errors)
 

@@ -449,13 +449,23 @@ class TestChecksumForwarding:
         cause = info.value.__cause__
         assert isinstance(cause, LinkFaultError)
         # The damage lands in the flow source's memory, which the relay
-        # reads in place.  Going down, that is the root's, so its other
-        # child (GPU 7) may catch it first; the forwarded checksums
-        # above pin the relay either way.
+        # reads in place.  Going down, that is the root's, which its
+        # other child (GPU 7) reads in place too.  Where 7 catches it
+        # depends on the schedule: on 4->7 when the damage precedes 7's
+        # verify; on 7's own downlinks when it lands between 7's verify
+        # and 7's copy (7 then forwards the checksum it verified); not at
+        # all when 7 copies first.  The forwarded checksums above pin the
+        # relay either way.
         caught = [outbound]
         if direction == "down":
-            caught.append("plan broadcast t1 4->7")
-        assert any(name in str(cause) for name in caught), cause
+            tree = runtime.trees[1]
+            sibling = next(c for c in tree.children[tree.root] if c != 2)
+            caught.append(f"plan broadcast t1 {tree.root}->{sibling}")
+            caught += [
+                f"plan broadcast t1 {sibling}->{child}"
+                for child in tree.children[sibling]
+            ]
+        assert any(f"link '{name}'" in str(cause) for name in caught), cause
 
     def test_broadcast_damage_after_verify_caught_below(
         self, monkeypatch, rng

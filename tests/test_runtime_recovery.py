@@ -15,6 +15,7 @@ from repro.errors import AbortedError, ConfigError
 from repro.dnn.layers import LayerSpec, NetworkModel
 from repro.models.costmodel import CostParams
 from repro.plan import PlanInterpreter, build_plan, compile_plan
+from repro.runtime import elastic
 from repro.runtime.elastic import ElasticTrainer, MembershipEvent
 from repro.runtime.faults import CRASH, STUCK, FaultPlan, GpuFault
 from repro.runtime.recovery import (
@@ -103,33 +104,30 @@ class TestDetectAndDrain:
         assert detect_dead_gpus(runtime) == (5,)
 
     @pytest.mark.parametrize("gpu", [0, 3, 6])
-    def test_abort_reason_fallback_names_the_crashed_rank(self, rng, gpu):
-        from types import SimpleNamespace
-
-        # With the phase board withheld, detection reads the abort
-        # reason, which names the failing kernel ``plan g<rank> tb``.
+    def test_board_and_abort_reason_name_the_crashed_rank(self, rng, gpu):
+        # The fault stamps the board before it fires, so the board alone
+        # names the rank; the abort reason names its failing kernel.
         runtime = aborted_runtime(rng, crash_plan(gpu))
         assert f"plan g{gpu} tb" in runtime.abort_cell.reason
-        withheld = SimpleNamespace(
-            nnodes=runtime.nnodes,
-            phase_board=None,
-            abort_cell=runtime.abort_cell,
-        )
-        assert detect_dead_gpus(withheld) == (gpu,)
+        assert "crashed" in runtime.phase_board.get(gpu)
+        assert detect_dead_gpus(runtime) == (gpu,)
 
     def test_drain_returns_fault_stats(self, rng):
         runtime = aborted_runtime(rng, crash_plan(3))
-        stats = drain_aborted_run(runtime, grace=0.0)
+        stats = drain_aborted_run(runtime)
         assert stats.get("crashes") == 1
 
     @pytest.mark.parametrize("kind", [CRASH, STUCK])
-    def test_drain_returns_early_with_no_kernel_left(self, rng, kind):
+    def test_drain_returns_early_with_no_kernel_left(
+        self, rng, kind, monkeypatch
+    ):
         import threading
         import time
 
+        monkeypatch.setattr(elastic, "DRAIN_GRACE", 5.0)
         runtime = aborted_runtime(rng, crash_plan(3, kind=kind))
         started = time.monotonic()
-        drain_aborted_run(runtime, grace=5.0)
+        drain_aborted_run(runtime)
         assert time.monotonic() - started < 0.5
         kernels = [
             t for t in threading.enumerate()
@@ -138,7 +136,7 @@ class TestDetectAndDrain:
         assert kernels == []
         assert not any(t.is_alive() for t in runtime.abort_cell.stragglers())
 
-    def test_drain_joins_recorded_stragglers_within_grace(self):
+    def test_drain_joins_recorded_stragglers_within_grace(self, monkeypatch):
         import threading
         import time
         from types import SimpleNamespace
@@ -152,13 +150,15 @@ class TestDetectAndDrain:
         cell.trigger("test abort")
         cell.record_stragglers([slow])
         runtime = SimpleNamespace(abort_cell=cell, fault_plan=None)
+        monkeypatch.setattr(elastic, "DRAIN_GRACE", 0.1)
         started = time.monotonic()
-        assert drain_aborted_run(runtime, grace=0.1) == {}
+        assert drain_aborted_run(runtime) == {}
         # The grace bounds the join even when a straggler outlives it.
         assert 0.09 <= time.monotonic() - started < 1.0
         assert slow.is_alive()
         threading.Timer(0.05, release.set).start()
-        drain_aborted_run(runtime, grace=5.0)
+        monkeypatch.setattr(elastic, "DRAIN_GRACE", 5.0)
+        drain_aborted_run(runtime)
         assert not slow.is_alive()
 
     def test_drain_without_abort_rejected(self):

@@ -32,12 +32,6 @@ class TestLinkManagement:
         assert topo.has_link(0, 1)
         assert topo.has_link(1, 0)
 
-    def test_unidirectional_option(self):
-        topo = PhysicalTopology(nnodes=2)
-        topo.add_link(0, 1, alpha=0, beta=0, bidirectional=False)
-        assert topo.has_link(0, 1)
-        assert not topo.has_link(1, 0)
-
     def test_parallel_links_become_lanes(self):
         topo = PhysicalTopology(nnodes=2)
         topo.add_link(0, 1, alpha=0, beta=0)
@@ -111,11 +105,6 @@ class TestWithoutLink:
         assert not degraded.has_link(2, 1)
         assert degraded.has_link(0, 1)
         assert lanes(degraded) == 4
-
-    def test_unidirectional_failure(self):
-        degraded = line_topo().without_link(1, 2, bidirectional=False)
-        assert not degraded.has_link(1, 2)
-        assert degraded.has_link(2, 1)
 
     def test_original_untouched(self):
         topo = line_topo()
