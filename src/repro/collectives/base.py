@@ -5,26 +5,26 @@ DAG of chunk transfers plus metadata describing which ops complete each
 chunk and where each chunk's bytes live in the gradient buffer.  Schedules
 are then simulated either on an abstract fabric (uniform alpha/beta per
 logical edge) or embedded onto a physical topology.
+
+The DES (:mod:`repro.sim`), the embedding and the router load on the
+first simulate call, not at import: a chained-training process that reads
+only these types never compiles the simulator.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import EmbeddingError, ScheduleError, SimulationError
-from repro.sim.dag import Dag
-from repro.sim.engine import DagSimulator, SimResult
-from repro.sim.resources import Processor
-from repro.topology.base import PhysicalTopology
-from repro.topology.embedding import (
-    abstract_resources,
-    embed_on_physical,
-    fold_lanes,
-)
-from repro.topology.routing import Router
-from repro.topology.switch import FabricSpec
+
+if TYPE_CHECKING:
+    from repro.sim.dag import Dag
+    from repro.sim.engine import SimResult
+    from repro.topology.base import PhysicalTopology
+    from repro.topology.routing import Router
+    from repro.topology.switch import FabricSpec
 
 
 @dataclass
@@ -104,27 +104,17 @@ class AllReduceOutcome:
     chunk_available: dict[int, float]
     turnaround: float
 
-    def arrival_time(self, node: int, chunk: int) -> float:
-        """When ``node`` holds the fully reduced ``chunk``."""
-        key = (node, chunk)
-        if key in self.schedule.arrival_ops:
-            return self.logical_finish[self.schedule.arrival_ops[key]]
-        # Node produced the reduced chunk itself (tree root / ring owner):
-        # available when the chunk finished reduction, bounded by its
-        # availability-everywhere time.
-        return min(
-            (
-                self.logical_finish[op_id]
-                for op_id in self.schedule.final_ops[chunk]
-            ),
-            default=self.chunk_available[chunk],
-        )
-
     def node_arrivals(self, node: int) -> list[float]:
-        """Arrival time of every chunk at ``node`` in chunk-id order."""
+        """When ``node`` holds each fully reduced chunk, in chunk-id order.
+
+        A node that produced a reduced chunk itself (tree root, ring
+        owner) holds it when the first of the chunk's final ops ends."""
+        finish, schedule = self.logical_finish, self.schedule
         return [
-            self.arrival_time(node, chunk)
-            for chunk in range(self.schedule.nchunks)
+            finish[schedule.arrival_ops[node, chunk]]
+            if (node, chunk) in schedule.arrival_ops
+            else min(finish[i] for i in schedule.final_ops[chunk])
+            for chunk in range(schedule.nchunks)
         ]
 
 
@@ -138,6 +128,9 @@ def simulate_on_fabric(
     on a single-lane fabric the two trees of a double tree share each
     directed channel (the contention that forbids overlapping a double
     tree without extra physical connectivity)."""
+    from repro.sim.engine import DagSimulator
+    from repro.topology.embedding import abstract_resources, fold_lanes
+
     if schedule.nnodes > fabric.nnodes:
         raise EmbeddingError(
             f"a {schedule.nnodes}-rank schedule does not fit on "
@@ -162,6 +155,11 @@ def simulate_on_physical(
         topo: physical topology supplying channels and GPU processors.
         router: route policy (defaults to a plain Router over ``topo``).
     """
+    from repro.sim.engine import DagSimulator
+    from repro.sim.resources import Processor
+    from repro.topology.embedding import embed_on_physical
+    from repro.topology.routing import Router
+
     router = router or Router(topo)
     physical, report = embed_on_physical(schedule.dag, topo, router)
     resources = topo.to_resources()

@@ -28,8 +28,6 @@ from __future__ import annotations
 from repro.errors import ConfigError
 from repro.collectives.base import CollectiveSchedule
 from repro.collectives.chunking import chunk_offsets, split_bytes
-from repro.collectives.tree import emit_tree_allreduce
-from repro.sim.dag import Dag
 from repro.topology.logical import BinaryTree, two_trees
 
 
@@ -53,6 +51,9 @@ def double_tree_allreduce(
         overlapped: chain reduction/broadcast within each tree —
             the communication component of C-Cube.
     """
+    from repro.collectives.tree import emit_tree_allreduce
+    from repro.sim.dag import Dag
+
     if nnodes < 2:
         raise ConfigError("double tree needs at least 2 nodes")
     if nchunks < 1:

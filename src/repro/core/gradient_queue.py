@@ -23,10 +23,14 @@ the thread-backed virtual GPUs and the paper's device-side semaphores.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import ScheduleError
-from repro.collectives.base import CollectiveSchedule
 from repro.collectives.chunking import chunks_covering
-from repro.dnn.layers import NetworkModel
+
+if TYPE_CHECKING:
+    from repro.collectives.base import CollectiveSchedule
+    from repro.dnn.layers import NetworkModel
 
 
 def layer_ready_times(
@@ -34,13 +38,9 @@ def layer_ready_times(
     schedule: CollectiveSchedule,
     chunk_available: dict[int, float],
 ) -> list[float]:
-    """When each layer's gradients are fully available, given the
-    simulated availability time of each chunk.
-
-    This is the timing-model counterpart of the gradient queue: layer
-    *i*'s forward pass may start at ``max`` over its covering chunks of
-    the chunk's availability time.
-    """
+    """When each layer's gradients are fully available: layer *i*'s
+    forward pass may start once the last chunk covering it is available
+    (``chunk_available``, simulated), the queue's timing model."""
     ready: list[float] = []
     for layer_idx in range(len(network)):
         lo, hi = network.byte_range(layer_idx)

@@ -10,11 +10,18 @@ connected (e.g. GPU2-GPU4) would fall back to PCIe through the host, which
 the paper avoids with *detour* routes through GPU0/GPU1.
 
 Each NVLink brick provides 25 GB/s per direction (V100 / NVLink 2.0).
+:class:`~repro.topology.base.PhysicalTopology` loads on the first
+:func:`dgx1_topology` call: a trainer that reads only the constants
+should not compile the topology model and the DES types it imports.
 """
 
 from __future__ import annotations
 
-from repro.topology.base import PhysicalTopology
+from itertools import combinations
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.topology.base import PhysicalTopology
 
 #: Peak bandwidth of one NVLink 2.0 brick, bytes/second, per direction.
 NVLINK_BANDWIDTH = 25e9
@@ -48,7 +55,7 @@ def dgx1_topology(
     nvlink_alpha: float = NVLINK_ALPHA,
     double_links: bool = True,
 ) -> PhysicalTopology:
-    """Build the 8-GPU DGX-1 hybrid mesh-cube.
+    """Build and validate the 8-GPU DGX-1 hybrid mesh-cube.
 
     Args:
         nvlink_bandwidth: per-direction bandwidth of one NVLink brick (B/s).
@@ -57,20 +64,14 @@ def dgx1_topology(
             Disabling them yields the "logical-only" topology used by the
             channel-conflict ablation: the overlapped double tree then has
             to share single physical channels and loses its advantage.
-
-    Returns:
-        A validated :class:`~repro.topology.base.PhysicalTopology`.
     """
+    from repro.topology.base import PhysicalTopology
+
     beta = 1.0 / nvlink_bandwidth
     topo = PhysicalTopology(nnodes=8, name="dgx1")
-    for quad in _QUADS:
-        for i, u in enumerate(quad):
-            for v in quad[i + 1 :]:
-                topo.add_link(u, v, alpha=nvlink_alpha, beta=beta)
-    for u, v in _CUBE_EDGES:
+    links = [pair for quad in _QUADS for pair in combinations(quad, 2)]
+    links += _CUBE_EDGES + (DOUBLE_LINK_PAIRS if double_links else ())
+    for u, v in links:
         topo.add_link(u, v, alpha=nvlink_alpha, beta=beta)
-    if double_links:
-        for u, v in DOUBLE_LINK_PAIRS:
-            topo.add_link(u, v, alpha=nvlink_alpha, beta=beta)
     topo.validate()
     return topo

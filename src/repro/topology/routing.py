@@ -11,10 +11,12 @@ detour nodes, otherwise a BFS shortest path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import RoutingError
-from repro.topology.base import PhysicalTopology
+
+if TYPE_CHECKING:
+    from repro.topology.base import PhysicalTopology
 
 
 class Router:
@@ -34,10 +36,6 @@ class Router:
     ):
         self._topo = topo
         self._detour_preference = tuple(detour_preference)
-
-    @property
-    def topology(self) -> PhysicalTopology:
-        return self._topo
 
     def route(self, src: int, dst: int) -> list[int]:
         """Node path from ``src`` to ``dst`` (inclusive).

@@ -159,7 +159,7 @@ class TestOrderingProver:
         verifier accepts."""
         from repro.sim.oracle import check_plan_ordering
 
-        from repro.collectives.base import FabricSpec
+        from repro.topology.switch import FabricSpec
         from repro.topology.dgx1 import NVLINK_ALPHA, NVLINK_BANDWIDTH
 
         fabric = FabricSpec(

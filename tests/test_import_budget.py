@@ -205,6 +205,42 @@ class TestImportBudget:
         assert len(loaded) <= IMPORT_REPRO_BUDGET, loaded
 
 
+#: One call to each entry point that imports its dependencies on first
+#: use; binds ``results`` to what the calls return, as JSON values.
+COLD_CALLS = """
+from repro.collectives.base import simulate_on_fabric, simulate_on_physical
+from repro.collectives.double_tree import ccube_allreduce
+from repro.collectives.ring import ring_allreduce
+from repro.topology.dgx1 import DETOUR_NODES, dgx1_topology
+from repro.topology.routing import Router
+from repro.topology.switch import fat_tree_fabric
+
+def timings(outcome):
+    return [outcome.total_time, outcome.turnaround,
+            list(outcome.logical_finish), sorted(outcome.chunk_available.items())]
+
+fabric = simulate_on_fabric(ring_allreduce(8, 1e6), fat_tree_fabric(8))
+topo = dgx1_topology()
+physical = simulate_on_physical(
+    ccube_allreduce(8, 1e6, nchunks=2), topo,
+    router=Router(topo, detour_preference=DETOUR_NODES))
+links = [[l.u, l.v, l.lane, l.alpha, l.beta, l.kind.value] for l in topo.links()]
+results = [timings(fabric), timings(physical), links]
+"""
+
+
+def test_deferred_imports_resolve_on_a_cold_call():
+    """The simulate calls and ``dgx1_topology`` import the DES, the
+    embedding and the topology model on first use, where an import
+    cycle that a cold import cannot see would raise.  Each call in a
+    fresh interpreter returns what it returns in this one."""
+    namespace: dict = {}
+    exec(COLD_CALLS, namespace)
+    cold = run_fresh("import json\n" + COLD_CALLS
+                     + "print(json.dumps(results))")
+    assert cold == json.loads(json.dumps(namespace["results"]))
+
+
 #: Functions exported under the name of the submodule that defines them.
 SHADOWED = (
     ("repro.topology", "dgx1_trees"),
